@@ -2,19 +2,19 @@
 
 CARGO ?= cargo
 
-.PHONY: verify build test clippy bench tables obs-smoke stream-smoke bench-flow bench-smoke negotiate-smoke escape-smoke hier-smoke bench-check ledger-smoke golden profile
+.PHONY: verify build test clippy bench tables obs-smoke stream-smoke bench-flow bench-smoke negotiate-smoke hier-smoke bench-check ledger-smoke golden profile
 
-# The acceptance gate: release build, full test suite, zero-warning
-# lints, the golden end-to-end snapshots (all chips, release mode), a
-# smoke-run of the observability exports, a smoke-run of the streaming
-# telemetry, a smoke-run of the end-to-end flow benchmark harness, a
-# serial-vs-parallel negotiation equivalence check, an
-# incremental-vs-reference escape solver equivalence check, a
-# flat-vs-hierarchical single-region equivalence check, a determinism
-# check of the B1 and B4 benchmark tiers against the committed
-# BENCH_flow.json baseline, and a smoke-run of the run-digest /
-# ledger / differ loop.
-verify: build test clippy golden obs-smoke stream-smoke bench-smoke negotiate-smoke escape-smoke hier-smoke bench-check ledger-smoke
+# The acceptance gate: release build, full test suite (which includes
+# the grid-vs-reference escape solver equivalence check on B2-dense48,
+# tests/escape_solvers.rs), zero-warning lints, the golden end-to-end
+# snapshots (all chips, release mode), a smoke-run of the observability
+# exports, a smoke-run of the streaming telemetry, a smoke-run of the
+# end-to-end flow benchmark harness, a serial-vs-parallel negotiation
+# equivalence check, a flat-vs-hierarchical single-region equivalence
+# check, a determinism check of the B1 and B4 benchmark tiers against
+# the committed BENCH_flow.json baseline, and a smoke-run of the
+# run-digest / ledger / differ loop.
+verify: build test clippy golden obs-smoke stream-smoke bench-smoke negotiate-smoke hier-smoke bench-check ledger-smoke
 
 build:
 	$(CARGO) build --release --workspace
@@ -42,8 +42,10 @@ bench-flow:
 # than 25% AND more than 25 ms over its committed baseline fails (the
 # absolute floor keeps sub-millisecond stages from flaking on
 # scheduler jitter). The same rule gates the escape_ms sub-stages
-# (net_build / net_solve / phase1-3), so an escape-internal regression
-# cannot hide inside a stage that still fits its overall budget.
+# (net_build — the reference solver's network construction, 0 under the
+# default grid solver — / net_solve / phase1-3), so an escape-internal
+# regression cannot hide inside a stage that still fits its overall
+# budget.
 # Re-baseline with `make bench-flow` after an intentional routing or
 # performance change.
 #
@@ -124,26 +126,6 @@ negotiate-smoke:
 	assert m['counters'].get('negotiate.speculative', 0) > 0, m['counters']; \
 	print('negotiate-smoke: identical reports,', m['counters']['negotiate.speculative'], 'speculative routes')"
 
-# The incremental escape solver (persistent network, warm-started
-# min-cost flow, windowed recovery) must route the byte-identical
-# report as the full-rebuild reference solver on the dense 48x48
-# benchmark chip — the densest chip that still runs in seconds, with
-# enough escape contention to exercise de-clustering, rip-up recovery
-# and warm re-solves. Wall-clock fields and work counters aside, any
-# diff is a solver-equivalence bug.
-escape-smoke:
-	$(CARGO) run --release --bin pacor-cli -- route --escape-solver reference \
-		B2-dense48 > target/esc_ref_report.json
-	$(CARGO) run --release --bin pacor-cli -- route --escape-solver incremental \
-		B2-dense48 > target/esc_inc_report.json
-	python3 -c "\
-	import json; \
-	r = json.load(open('target/esc_ref_report.json')); \
-	i = json.load(open('target/esc_inc_report.json')); \
-	[d.pop(k) for d in (r, i) for k in ('runtime', 'metrics')]; \
-	assert r == i, 'reference and incremental escape reports diverge'; \
-	print('escape-smoke: identical reports, completion', r['valves_routed'], '/', r['valves_total'])"
-
 # A gcell larger than the chip degenerates the hierarchy to a single
 # region, and DESIGN.md §15 promises that case is *byte-identical* to
 # the flat flow — same stage pipeline, same report. Wall-clock fields
@@ -171,6 +153,8 @@ golden:
 # Per-stage wall-clock attribution for the largest bench chip: prints
 # the top spans by exclusive time and writes a Perfetto-loadable Chrome
 # trace. This profile decides which stage an optimization PR attacks.
+# profile_flow also takes the paper's designs and a variant, e.g.
+# `--chip Chip1 --variant wo-sel` for the paper-scale escape solve.
 profile:
 	$(CARGO) run --release -p pacor-bench --bin profile_flow -- \
 		--chip B3-dense96 --top 5 --trace-out target/profile_flow_trace.json
@@ -207,4 +191,7 @@ stream-smoke:
 	rounds = sum(e['kind'] == 'round_progress' for e in events); \
 	m = json.load(open('target/stream_smoke_metrics.json')); \
 	assert rounds == m['counters']['negotiate.rounds'], (rounds, m['counters']['negotiate.rounds']); \
-	print('stream-smoke:', len(events), 'events,', rounds, 'rounds, all valid pacor-telemetry-v1')"
+	escapes = [e for e in events if e['kind'] == 'escape_progress']; \
+	assert escapes and all(0 <= e['valves_routed'] <= events[0]['valves'] for e in escapes), escapes; \
+	assert escapes[-1]['valves_routed'] == events[0]['valves'], ('S2 escapes every valve', escapes[-1]); \
+	print('stream-smoke:', len(events), 'events,', rounds, 'rounds,', escapes[-1]['valves_routed'], 'valves escaped, all valid pacor-telemetry-v1')"

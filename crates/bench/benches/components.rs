@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pacor::clique::{BitBranchAndBound, Solver, WeightedGraph};
-use pacor::netflow::{EscapeNetwork, EscapeSource, SourceKind};
+use pacor::netflow::{EscapeSource, GridEscape, SourceKind};
 use pacor::grid::{Grid, ObsMap, Point};
 use pacor::route::{AStar, BoundedAStar, NegotiationRouter, RouteRequest};
 
@@ -79,7 +79,8 @@ fn bench_escape_mcf(c: &mut Criterion) {
                     })
                     .collect();
                 let pins: Vec<Point> = (1..63).step_by(3).map(|x| Point::new(x, 0)).collect();
-                b.iter(|| EscapeNetwork::build(&obs, &srcs, &pins).solve())
+                let mut grid = GridEscape::new();
+                b.iter(|| grid.solve(&obs, &srcs, &pins))
             },
         );
     }

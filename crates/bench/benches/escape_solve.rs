@@ -1,34 +1,35 @@
-//! Escape-solver benchmarks: cold network build + solve (the reference
-//! per-round cost) against the incremental path's warm delta-apply +
-//! re-solve on the same synthetic occupancy, at the two grid sizes
-//! bracketing the dense flow-benchmark chips (48², 96²).
+//! Escape-solver benchmarks: the reference explicit-network build +
+//! min-cost-flow solve against the grid-native `GridEscape` solve on the
+//! same synthetic occupancy — one cold escape round, which is what every
+//! escape round of the flow pays. Sizes bracket the dense flow-benchmark
+//! chips (48², 96²) and reach the paper's Chip2 (231 × 265).
 //!
-//! The two paths route bit-identical results (see the persistent-escape
-//! tests in `crates/flow/src/escape.rs` and the
+//! Both solvers route identical results (the randomized equivalence
+//! test in `crates/flow/src/escape.rs` and the
 //! `incremental_escape_matches_reference` proptest), so these numbers
 //! compare cost only.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pacor::grid::{Grid, ObsMap, Point};
-use pacor::netflow::{EscapeNetwork, EscapeSource, PersistentEscape, SourceKind};
+use pacor::netflow::{EscapeNetwork, EscapeSource, GridEscape, SourceKind};
 
-/// Synthetic escape occupancy on an n×n grid: ~5% scattered obstacles,
-/// singleton valve sources spread over the interior, pins along the
-/// west and east edges — the shape of a phase-1 escape round after MST
-/// routing committed its nets.
-fn scenario(n: u32) -> (ObsMap, Vec<EscapeSource>, Vec<Point>) {
-    let mut grid = Grid::new(n, n).unwrap();
-    for k in 0..(n * n / 20) {
-        let x = (k * 37) % n;
-        let y = (k * 61) % n;
+/// Synthetic escape occupancy on a `w × h` grid: ~5% scattered
+/// obstacles, singleton valve sources on a 7 × 7 lattice over the
+/// interior, pins along the west and east edges — the shape of a
+/// phase-1 escape round after MST routing committed its nets.
+fn scenario(w: u32, h: u32) -> (ObsMap, Vec<EscapeSource>, Vec<Point>) {
+    let mut grid = Grid::new(w, h).unwrap();
+    for k in 0..(w * h / 20) {
+        let x = (k * 37) % w;
+        let y = (k * 61) % h;
         grid.set_obstacle(Point::new(x as i32, y as i32));
     }
     let mut obs = ObsMap::new(&grid);
     let mut sources = Vec::new();
-    let step = n as i32 / 8;
-    for sy in 1..8 {
-        for sx in 1..8 {
-            let p = Point::new(sx * step, sy * step);
+    let (sx, sy) = (w as i32 / 8, h as i32 / 8);
+    for j in 1..8 {
+        for i in 1..8 {
+            let p = Point::new(i * sx, j * sy);
             if !obs.is_blocked(p) {
                 obs.block(p);
                 sources.push(EscapeSource::at(SourceKind::SingleValve, p));
@@ -36,8 +37,8 @@ fn scenario(n: u32) -> (ObsMap, Vec<EscapeSource>, Vec<Point>) {
         }
     }
     let mut pins = Vec::new();
-    for y in (1..n as i32 - 1).step_by(3) {
-        for x in [0, n as i32 - 1] {
+    for y in (1..h as i32 - 1).step_by(3) {
+        for x in [0, w as i32 - 1] {
             let p = Point::new(x, y);
             if !obs.is_blocked(p) {
                 pins.push(p);
@@ -47,65 +48,20 @@ fn scenario(n: u32) -> (ObsMap, Vec<EscapeSource>, Vec<Point>) {
     (obs, sources, pins)
 }
 
-/// Free cells adjacent to sources — the cells a rip-up round would
-/// transiently unblock and re-block, i.e. the delta churn the warm
-/// path absorbs between solves.
-fn churn_cells(obs: &ObsMap, sources: &[EscapeSource], count: usize) -> Vec<Point> {
-    let mut cells = Vec::new();
-    for src in sources {
-        for q in src.cells[0].neighbors4() {
-            if q.x > 0
-                && q.y > 0
-                && q.x < obs.width() as i32 - 1
-                && q.y < obs.height() as i32 - 1
-                && !obs.is_blocked(q)
-                && !cells.contains(&q)
-            {
-                cells.push(q);
-                break;
-            }
-        }
-        if cells.len() >= count {
-            break;
-        }
-    }
-    cells
-}
-
 fn bench_escape_solve(c: &mut Criterion) {
     let mut group = c.benchmark_group("escape_solve");
     group.sample_size(20);
-    for n in [48u32, 96] {
-        let (obs, sources, pins) = scenario(n);
-        // Cold: what the reference solver pays every round — build the
-        // network from scratch and solve from zero flow.
-        group.bench_with_input(BenchmarkId::new("cold_build_solve", n), &n, |b, _| {
-            b.iter(|| EscapeNetwork::build(&obs, &sources, &pins).solve())
-        });
-        // Warm: what the incremental solver pays per later round — mirror
-        // a handful of obstacle deltas onto the persistent network and
-        // re-solve under retained flow and potentials. Each iteration
-        // runs a block + re-unblock delta cycle (two apply+resolve
-        // rounds), returning the occupancy to its base state so every
-        // sample measures the same work.
-        group.bench_with_input(BenchmarkId::new("warm_delta_resolve", n), &n, |b, _| {
-            let mut obs = obs.clone();
-            obs.enable_delta_log();
-            let mut pe = PersistentEscape::new(&obs, &sources, &pins);
-            let slots: Vec<usize> = (0..sources.len()).collect();
-            pe.solve_round(&slots, true);
-            let churn = churn_cells(&obs, &sources, 8);
-            b.iter(|| {
-                obs.block_all(churn.iter().copied());
-                let deltas = obs.take_deltas();
-                pe.apply_deltas(&deltas);
-                let first = pe.solve_round(&slots, false);
-                obs.unblock_all(churn.iter().copied());
-                let deltas = obs.take_deltas();
-                pe.apply_deltas(&deltas);
-                let second = pe.solve_round(&slots, false);
-                (first.outcome.routed, second.outcome.routed)
-            })
+    for (w, h) in [(48u32, 48u32), (96, 96), (231, 265)] {
+        let (obs, sources, pins) = scenario(w, h);
+        let size = format!("{w}x{h}");
+        group.bench_with_input(
+            BenchmarkId::new("reference_build_solve", &size),
+            &size,
+            |b, _| b.iter(|| EscapeNetwork::build(&obs, &sources, &pins).solve().routed),
+        );
+        let mut grid = GridEscape::new();
+        group.bench_with_input(BenchmarkId::new("grid_solve", &size), &size, |b, _| {
+            b.iter(|| grid.solve(&obs, &sources, &pins).routed)
         });
     }
     group.finish();

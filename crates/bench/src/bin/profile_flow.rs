@@ -1,28 +1,34 @@
 //! `profile_flow` — per-stage wall-clock attribution for one chip.
 //!
 //! ```text
-//! profile_flow [--chip NAME] [--trace-out FILE] [--top N]
+//! profile_flow [--chip NAME] [--variant pacor|wo-sel|detour-first]
+//!              [--trace-out FILE] [--top N]
 //! ```
 //!
-//! Synthesizes one benchmark chip (default the largest,
-//! `B3-dense96`), runs the full flow once under an observability
-//! session, and prints every span name's **inclusive** and
-//! **exclusive** wall-clock (exclusive = inclusive minus the time
-//! spent in child spans on the same trace lane), sorted by exclusive
-//! time. This is the profile that decides which stage the next
-//! optimization PR attacks — `make profile` wraps it.
+//! Synthesizes one chip (default the largest dense bench chip,
+//! `B3-dense96`) — a paper design (`Chip1 Chip2 S1`–`S5`) or a dense
+//! flow-benchmark chip (`B0-smoke16`, `B1`–`B4`) — at the shared bench
+//! seed, runs the full flow once under an observability session with the
+//! chosen variant (default `pacor`), and prints every span name's
+//! **inclusive** and **exclusive** wall-clock (exclusive = inclusive
+//! minus the time spent in child spans on the same trace lane), sorted
+//! by exclusive time. This is the profile that decides which stage the
+//! next optimization PR attacks — `make profile` wraps it. The paper's
+//! Chip1 stalls in MWCP selection under `pacor` and `detour-first`;
+//! `--chip Chip1 --variant wo-sel` profiles its paper-scale escape solve.
 //!
 //! `--trace-out FILE` additionally writes the Chrome trace-event JSON
 //! for the run, loadable in Perfetto for a zoomable view of the same
 //! data.
 
 use pacor::obs::TraceEvent;
-use pacor::{synthesize_params, DesignParams, FlowConfig, PacorFlow};
+use pacor::{synthesize_params, BenchDesign, DesignParams, FlowConfig, FlowVariant, PacorFlow};
 use pacor_bench::{BENCH_SEED, FLOW_BENCH_CHIPS, FLOW_SMOKE_CHIP};
 use std::collections::BTreeMap;
 
 fn main() {
     let mut chip_name = "B3-dense96".to_string();
+    let mut variant = FlowVariant::Pacor;
     let mut trace_out: Option<String> = None;
     let mut top = 5usize;
     let mut args = std::env::args().skip(1);
@@ -31,6 +37,10 @@ fn main() {
             "--chip" => match args.next() {
                 Some(v) => chip_name = v,
                 None => return usage("--chip requires a value"),
+            },
+            "--variant" => match args.next().as_deref().and_then(FlowVariant::parse) {
+                Some(v) => variant = v,
+                None => return usage("--variant requires pacor, wo-sel or detour-first"),
             },
             "--trace-out" => match args.next() {
                 Some(v) => trace_out = Some(v),
@@ -44,10 +54,11 @@ fn main() {
         }
     }
 
-    let chips: Vec<DesignParams> = FLOW_BENCH_CHIPS
+    let chips: Vec<DesignParams> = BenchDesign::ALL
         .iter()
-        .chain(std::iter::once(&FLOW_SMOKE_CHIP))
-        .copied()
+        .map(|d| d.params())
+        .chain(FLOW_BENCH_CHIPS)
+        .chain(std::iter::once(FLOW_SMOKE_CHIP))
         .collect();
     let Some(chip) = chips.iter().find(|c| c.name == chip_name) else {
         let names: Vec<&str> = chips.iter().map(|c| c.name).collect();
@@ -57,7 +68,7 @@ fn main() {
     };
 
     let problem = synthesize_params(*chip, BENCH_SEED);
-    let config = FlowConfig::default();
+    let config = FlowConfig::for_variant(variant);
     // Warm-up run so first-touch costs don't skew the profile.
     PacorFlow::new(config)
         .run(&problem)
@@ -82,8 +93,11 @@ fn main() {
 
     let rows = span_profile(report.events());
     println!(
-        "profile_flow: {} ({}x{}), wall {wall_ms:.1} ms — top {top} spans by exclusive time",
-        chip.name, chip.width, chip.height
+        "profile_flow: {} ({}x{}, {}), wall {wall_ms:.1} ms — top {top} spans by exclusive time",
+        chip.name,
+        chip.width,
+        chip.height,
+        variant.label()
     );
     println!(
         "{:<22} {:>7} {:>12} {:>12} {:>7}",
@@ -163,7 +177,7 @@ fn span_profile(events: &[TraceEvent]) -> Vec<SpanRow> {
 
 fn usage(err: &str) {
     eprintln!(
-        "profile_flow: {err}\nusage: profile_flow [--chip NAME] [--trace-out FILE] [--top N]"
+        "profile_flow: {err}\nusage: profile_flow [--chip NAME] [--variant pacor|wo-sel|detour-first] [--trace-out FILE] [--top N]"
     );
     std::process::exit(2);
 }

@@ -221,12 +221,13 @@ impl StageMs {
 /// axes overlap: `net_build`/`net_solve` slice the stage by activity,
 /// `phase1`–`phase3` slice it by protocol phase (each phase span
 /// encloses its build and solve spans, plus phase-local work such as
-/// blocker analysis and delta application).
+/// blocker analysis and re-routing ripped victims).
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 pub struct EscapeMs {
-    /// `escape.net_build` spans (full and windowed network builds).
+    /// `escape.net_build` spans (the reference solver's explicit network
+    /// builds; 0 under the default grid solver).
     pub net_build: f64,
-    /// `escape.net_solve` spans (cold and warm min-cost-flow solves).
+    /// `escape.net_solve` spans (one cold min-cost-flow solve per round).
     pub net_solve: f64,
     /// `escape.phase1` spans (global rounds with de-clustering).
     pub phase1: f64,

@@ -33,18 +33,29 @@ impl FlowVariant {
             FlowVariant::DetourFirst => "Detour First",
         }
     }
+
+    /// Parses a CLI-style name (`pacor` / `wo-sel` / `detour-first`).
+    pub fn parse(s: &str) -> Option<Self> {
+        match s {
+            "pacor" => Some(FlowVariant::Pacor),
+            "wo-sel" => Some(FlowVariant::WithoutSelection),
+            "detour-first" => Some(FlowVariant::DetourFirst),
+            _ => None,
+        }
+    }
 }
 
-/// Which escape-stage solver drives `escape_all`.
+/// Which escape-stage solver drives `escape_all`. Both solve every
+/// round cold and route identical escapes; the names are kept so run
+/// digests and ledgers stay comparable across versions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum EscapeSolver {
-    /// Persistent network with delta edits, warm-started min-cost flow,
-    /// and windowed recovery solves (the default).
+    /// The grid-native solver (`pacor_flow::GridEscape`): the node-split
+    /// network kept implicit in per-cell flags (the default).
     #[default]
     Incremental,
-    /// Full per-round network rebuild and cold solve — the pre-rewrite
-    /// behaviour, kept for ablation and the `escape-smoke` equivalence
-    /// check.
+    /// Explicit network build plus the generic min-cost-flow solver —
+    /// the reference the grid solver is checked against.
     Reference,
 }
 
@@ -139,8 +150,8 @@ pub struct FlowConfig {
     /// and commits deterministically, producing the identical routed
     /// result as `Serial` (the default) at any thread count.
     pub negotiation_mode: NegotiationMode,
-    /// Escape-stage solver: incremental persistent network (default) or
-    /// the full-rebuild reference path.
+    /// Escape-stage solver: the grid-native solver (default) or the
+    /// explicit-network reference.
     pub escape_solver: EscapeSolver,
     /// Flight-recorder event-ring capacity (oldest events dropped on
     /// overflow). Only read when a recorder is installed.
@@ -159,11 +170,9 @@ pub struct FlowConfig {
     /// deciding whether it fits a single region stripe.
     pub region_halo: u32,
     /// The escape stage is running inside a hierarchical region/stitch
-    /// window: build its flow networks by flooding out from the sources
-    /// (cost proportional to the window, not the chip) and skip the
-    /// last-resort phase — a pin-starved window would churn through
-    /// hopeless global rounds there; failures bubble up to the
-    /// whole-chip repair pass instead, which runs with this off.
+    /// window: skip the last-resort phase — a pin-starved window would
+    /// churn through hopeless global rounds there; failures bubble up to
+    /// the whole-chip repair pass instead, which runs with this off.
     pub escape_windowed: bool,
 }
 
@@ -360,6 +369,14 @@ mod tests {
         assert_eq!(FlowVariant::WithoutSelection.label(), "w/o Sel");
         assert_eq!(FlowVariant::DetourFirst.label(), "Detour First");
         assert_eq!(FlowVariant::ALL.len(), 3);
+        for (name, v) in [
+            ("pacor", FlowVariant::Pacor),
+            ("wo-sel", FlowVariant::WithoutSelection),
+            ("detour-first", FlowVariant::DetourFirst),
+        ] {
+            assert_eq!(FlowVariant::parse(name), Some(v));
+        }
+        assert_eq!(FlowVariant::parse("PACOR"), None);
     }
 
     #[test]

@@ -22,7 +22,7 @@
 use crate::lm_routing::reroute_lm_cluster;
 use crate::mst_routing::route_mst_cluster;
 use crate::{EscapeSolver, FlowConfig, RoutedCluster, RoutedKind};
-use pacor_flow::{EscapeNetwork, PersistentEscape};
+use pacor_flow::{EscapeNetwork, EscapeOutcome, EscapeSource, GridEscape};
 use pacor_grid::{ObsMap, Point};
 use pacor_valves::{Cluster, ClusterId};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -38,6 +38,64 @@ pub struct EscapeStats {
     pub ripped: usize,
 }
 
+/// The min-cost-flow solver behind every escape round. Each round is
+/// one cold solve over the current obstacle map; both solvers route
+/// identical escapes.
+enum Solver {
+    /// The grid-native solver, reusing its scratch across rounds.
+    Grid(Box<GridEscape>),
+    /// Explicit network build plus the generic min-cost-flow solver.
+    Reference,
+}
+
+/// `(build, solve)` span names of a round solve and of a freed-corridor
+/// solo solve. Only the reference solver has a build step to span.
+const ROUND_SPANS: [&str; 2] = ["escape.net_build", "escape.net_solve"];
+const SOLO_SPANS: [&str; 2] = ["escape.solo_build", "escape.solo_solve"];
+
+impl Solver {
+    fn new(kind: EscapeSolver) -> Self {
+        match kind {
+            EscapeSolver::Incremental => Solver::Grid(Box::default()),
+            EscapeSolver::Reference => Solver::Reference,
+        }
+    }
+
+    fn solve(
+        &mut self,
+        obs: &ObsMap,
+        sources: &[EscapeSource],
+        pins: &[Point],
+        [build_span, solve_span]: [&'static str; 2],
+    ) -> EscapeOutcome {
+        match self {
+            Solver::Grid(grid) => {
+                let _s = pacor_obs::span(solve_span);
+                grid.solve(obs, sources, pins)
+            }
+            Solver::Reference => {
+                let net = {
+                    let _b = pacor_obs::span(build_span);
+                    EscapeNetwork::build(obs, sources, pins)
+                };
+                let _s = pacor_obs::span(solve_span);
+                net.solve()
+            }
+        }
+    }
+}
+
+/// Valves whose cluster currently holds an escape — escape progress in
+/// the objective's units (cluster counts change as de-clustering splits
+/// clusters).
+fn valves_escaped(routed: &[RoutedCluster]) -> u64 {
+    routed
+        .iter()
+        .filter(|rc| rc.escape.is_some())
+        .map(|rc| rc.cluster.len() as u64)
+        .sum()
+}
+
 /// Connects every routed cluster to a control pin; see the module docs
 /// for the recovery mechanics. On return, successful escape paths are
 /// recorded in each cluster and blocked in `obs`; `routed` may contain
@@ -50,27 +108,7 @@ pub fn escape_all(
     config: &FlowConfig,
     next_id: &mut u32,
 ) -> EscapeStats {
-    let incremental = config.escape_solver == EscapeSolver::Incremental;
-    if incremental {
-        // The persistent networks below mirror obstacle edits from this
-        // journal instead of re-scanning the grid each round.
-        obs.enable_delta_log();
-    }
-    let stats = escape_phases(obs, routed, pins, config, next_id, incremental);
-    if incremental {
-        obs.disable_delta_log();
-    }
-    stats
-}
-
-fn escape_phases(
-    obs: &mut ObsMap,
-    routed: &mut Vec<RoutedCluster>,
-    pins: &[Point],
-    config: &FlowConfig,
-    next_id: &mut u32,
-    incremental: bool,
-) -> EscapeStats {
+    let mut solver = Solver::new(config.escape_solver);
     let mut stats = EscapeStats::default();
     // Anti-thrash: how often each cluster id has been ripped. A cluster
     // ripped three times becomes off-limits to further rip-up — two nets
@@ -81,14 +119,8 @@ fn escape_phases(
     // ---- Phase 1: global rounds ---------------------------------------
     // Rip every escape and re-solve the whole min-cost flow, so early
     // winners cannot starve late-declustered valves; recover multi-valve
-    // failures by de-clustering. The incremental solver keeps one
-    // persistent network alive across the rounds: round 1 builds the
-    // skeleton and solves cold; later rounds mirror the obstacle deltas,
-    // retire/add slots for de-clustered sources, and re-augment only the
-    // missing flow units under retained potentials.
+    // failures by de-clustering.
     let phase_span = pacor_obs::span("escape.phase1");
-    let mut persist: Option<PersistentEscape> = None;
-    let mut slot_of: Vec<usize> = Vec::new();
     for _ in 0..config.max_ripup_rounds {
         stats.rounds += 1;
         pacor_obs::counter_add("escape.rounds", 1);
@@ -99,52 +131,8 @@ fn escape_phases(
             }
         }
         let n_sources = routed.len();
-        let outcome = if incremental && config.escape_windowed {
-            // Inside a hierarchical window the persistent whole-grid
-            // network costs more than it saves: the flood-limited build
-            // touches only the window's reachable cells, so a cold
-            // build per round is the cheaper trade.
-            let sources: Vec<_> = routed.iter().map(|rc| rc.escape_source()).collect();
-            let _b = pacor_obs::span("escape.net_build");
-            let net = EscapeNetwork::build_windowed(obs, &sources, pins);
-            drop(_b);
-            let _s = pacor_obs::span("escape.net_solve");
-            net.solve()
-        } else if !incremental {
-            let sources: Vec<_> = routed.iter().map(|rc| rc.escape_source()).collect();
-            let _b = pacor_obs::span("escape.net_build");
-            let net = EscapeNetwork::build(obs, &sources, pins);
-            drop(_b);
-            let _s = pacor_obs::span("escape.net_solve");
-            net.solve()
-        } else if let Some(pe) = persist.as_mut() {
-            let _d = pacor_obs::span("escape.delta_apply");
-            let deltas = obs.take_deltas();
-            pe.apply_deltas(&deltas);
-            // Off-midpoint escape commits re-tap LM pairs, changing the
-            // tap cells they offer; refresh any slot whose source
-            // definition drifted (no-op for the stable majority).
-            for (i, &slot) in slot_of.iter().enumerate() {
-                pe.refresh_slot(slot, &routed[i].escape_source());
-            }
-            drop(_d);
-            let _s = pacor_obs::span("escape.net_solve");
-            let round = pe.solve_round(&slot_of, false);
-            if round.fell_back {
-                pacor_obs::counter_add("escape.delta_fallback", 1);
-            }
-            round.outcome
-        } else {
-            let sources: Vec<_> = routed.iter().map(|rc| rc.escape_source()).collect();
-            let _b = pacor_obs::span("escape.net_build");
-            let pe = persist.insert(PersistentEscape::new(obs, &sources, pins));
-            slot_of = (0..sources.len()).collect();
-            // The skeleton reflects the journal entries logged so far.
-            let _ = obs.take_deltas();
-            drop(_b);
-            let _s = pacor_obs::span("escape.net_solve");
-            pe.solve_round(&slot_of, true).outcome
-        };
+        let sources: Vec<_> = routed.iter().map(|rc| rc.escape_source()).collect();
+        let outcome = solver.solve(obs, &sources, pins, ROUND_SPANS);
         let mut failed: Vec<usize> = Vec::new();
         for (i, route) in outcome.routes.into_iter().enumerate() {
             match route {
@@ -160,6 +148,7 @@ fn escape_phases(
             round: stats.rounds,
             pending: n_sources as u64,
             failed: failed.len() as u64,
+            valves_routed: valves_escaped(routed),
             declustered: stats.declustered as u64,
             ripped: stats.ripped as u64,
         });
@@ -188,12 +177,6 @@ fn escape_phases(
                 stats.declustered += 1;
                 pacor_obs::counter_add("escape.declustered", 1);
                 let rc = routed.remove(i);
-                // `remove` is order-preserving and new slots get ids
-                // larger than any existing one, so `slot_of` keeps the
-                // ascending order `solve_round` relies on.
-                if let Some(pe) = persist.as_mut() {
-                    pe.retire_slot(slot_of.remove(i));
-                }
                 pacor_obs::flight(|| pacor_obs::FlightEvent::Declustered {
                     cluster: rc.cluster.id().0,
                 });
@@ -202,9 +185,6 @@ fn escape_phases(
                     let pos = rc.member_positions[k];
                     obs.block(pos);
                     routed.push(singleton(ClusterId(*next_id), m, pos));
-                    if let Some(pe) = persist.as_mut() {
-                        slot_of.push(pe.add_slot(&routed.last().unwrap().escape_source()));
-                    }
                     *next_id += 1;
                 }
             }
@@ -213,7 +193,6 @@ fn escape_phases(
             break; // only walled-in singletons remain: phase 2
         }
     }
-    drop(persist);
     drop(phase_span);
 
     // ---- Phase 2: incremental recovery --------------------------------
@@ -232,18 +211,7 @@ fn escape_phases(
         stats.rounds += 1;
         pacor_obs::counter_add("escape.rounds", 1);
         let sources: Vec<_> = pending.iter().map(|&i| routed[i].escape_source()).collect();
-        let _b = pacor_obs::span("escape.net_build");
-        // The pending sources sit in a committed landscape; the windowed
-        // build confines the network to their reachable region.
-        let net = if incremental {
-            EscapeNetwork::build_windowed(obs, &sources, pins)
-        } else {
-            EscapeNetwork::build(obs, &sources, pins)
-        };
-        drop(_b);
-        let _s = pacor_obs::span("escape.net_solve");
-        let outcome = net.solve();
-        drop(_s);
+        let outcome = solver.solve(obs, &sources, pins, ROUND_SPANS);
         let mut failed: Vec<usize> = Vec::new();
         for (k, route) in outcome.routes.into_iter().enumerate() {
             let i = pending[k];
@@ -260,6 +228,7 @@ fn escape_phases(
             round: stats.rounds,
             pending: pending.len() as u64,
             failed: failed.len() as u64,
+            valves_routed: valves_escaped(routed),
             declustered: stats.declustered as u64,
             ripped: stats.ripped as u64,
         });
@@ -355,23 +324,7 @@ fn escape_phases(
                 }
                 cur = find(routed).expect("failed singleton still present");
                 // Claim the freed corridor before the victims re-route.
-                // The incremental solver confines this solo solve to the
-                // region of interest around the singleton's flood-fill
-                // frontier and the pins it can reach.
-                let src = routed[cur].escape_source();
-                let solo = if incremental {
-                    let _b = pacor_obs::span("escape.roi_build");
-                    let net = EscapeNetwork::build_windowed(obs, &[src], pins);
-                    drop(_b);
-                    let _s = pacor_obs::span("escape.roi_solve");
-                    net.solve()
-                } else {
-                    let _b = pacor_obs::span("escape.solo_build");
-                    let net = EscapeNetwork::build(obs, &[src], pins);
-                    drop(_b);
-                    let _s = pacor_obs::span("escape.solo_solve");
-                    net.solve()
-                };
+                let solo = solver.solve(obs, &[routed[cur].escape_source()], pins, SOLO_SPANS);
                 if let Some(Some((path, pin))) = solo.routes.into_iter().next() {
                     obs.block_all(path.cells().iter().skip(1).copied());
                     routed[cur].commit_escape(path, pin);
@@ -461,8 +414,6 @@ fn escape_phases(
     // round — the loop provably reaches a state where the flow routes
     // everything physically reachable past valves and hard obstacles.
     let _phase_span = pacor_obs::span("escape.phase3");
-    let mut persist: Option<PersistentEscape> = None;
-    let mut slot_of: Vec<usize> = Vec::new();
     for _ in 0..routed.len() + 4 {
         for rc in routed.iter_mut() {
             if let Some((esc, _)) = rc.escape.take() {
@@ -470,44 +421,15 @@ fn escape_phases(
             }
         }
         let n_sources = routed.len();
-        let outcome = if !incremental {
-            let sources: Vec<_> = routed.iter().map(|rc| rc.escape_source()).collect();
-            let _b = pacor_obs::span("escape.net_build");
-            let net = EscapeNetwork::build(obs, &sources, pins);
-            drop(_b);
-            let _s = pacor_obs::span("escape.net_solve");
-            net.solve()
-        } else if let Some(pe) = persist.as_mut() {
-            let _d = pacor_obs::span("escape.delta_apply");
-            let deltas = obs.take_deltas();
-            pe.apply_deltas(&deltas);
-            // Off-midpoint escape commits re-tap LM pairs, changing the
-            // tap cells they offer; refresh any slot whose source
-            // definition drifted (no-op for the stable majority).
-            for (i, &slot) in slot_of.iter().enumerate() {
-                pe.refresh_slot(slot, &routed[i].escape_source());
-            }
-            drop(_d);
-            let _s = pacor_obs::span("escape.net_solve");
-            let round = pe.solve_round(&slot_of, false);
-            if round.fell_back {
-                pacor_obs::counter_add("escape.delta_fallback", 1);
-            }
-            round.outcome
-        } else {
-            // A fresh skeleton for this phase: the routed set churned
-            // arbitrarily through phase 2, so the phase-1 network is
-            // stale. The phase-2 journal backlog is already reflected in
-            // the skeleton and is discarded.
-            let sources: Vec<_> = routed.iter().map(|rc| rc.escape_source()).collect();
-            let _b = pacor_obs::span("escape.net_build");
-            let pe = persist.insert(PersistentEscape::new(obs, &sources, pins));
-            slot_of = (0..sources.len()).collect();
-            let _ = obs.take_deltas();
-            drop(_b);
-            let _s = pacor_obs::span("escape.net_solve");
-            pe.solve_round(&slot_of, true).outcome
-        };
+        let sources: Vec<_> = routed.iter().map(|rc| rc.escape_source()).collect();
+        let outcome = solver.solve(obs, &sources, pins, ROUND_SPANS);
+        let valves_routed: u64 = outcome
+            .routes
+            .iter()
+            .zip(routed.iter())
+            .filter(|(route, _)| route.is_some())
+            .map(|(_, rc)| rc.cluster.len() as u64)
+            .sum();
         let failed_sources: Vec<Point> = outcome
             .routes
             .iter()
@@ -548,12 +470,6 @@ fn escape_phases(
                     stats.declustered += 1;
                     pacor_obs::counter_add("escape.declustered", 1);
                     let rc = routed.remove(b);
-                    // A ripped blocker may hold a routed unit from this
-                    // round's solve; retiring its slot retracts it so the
-                    // next warm round re-augments only what changed.
-                    if let Some(pe) = persist.as_mut() {
-                        pe.retire_slot(slot_of.remove(b));
-                    }
                     pacor_obs::flight(|| pacor_obs::FlightEvent::Declustered {
                         cluster: rc.cluster.id().0,
                     });
@@ -562,9 +478,6 @@ fn escape_phases(
                         let pos = rc.member_positions[k];
                         obs.block(pos);
                         routed.push(singleton(ClusterId(*next_id), m, pos));
-                        if let Some(pe) = persist.as_mut() {
-                            slot_of.push(pe.add_slot(&routed.last().unwrap().escape_source()));
-                        }
                         *next_id += 1;
                     }
                 }
@@ -575,6 +488,7 @@ fn escape_phases(
             round: stats.rounds,
             pending: n_sources as u64,
             failed: failed_sources.len() as u64,
+            valves_routed,
             declustered: stats.declustered as u64,
             ripped: stats.ripped as u64,
         });

@@ -441,7 +441,7 @@ pub(crate) fn run_hierarchical(
         pacor_obs::telemetry_stage_enter("escape");
         let stage = Instant::now();
         let span = pacor_obs::span_with("stage.repair", &[("pending", pending.len() as u64)]);
-        // Round 1 keeps the flood-limited builds (the pending few are
+        // Round 1 skips the last-resort phase (the pending few are
         // local failures); round 2 below restores the full machinery,
         // last-resort phase included, as the completion guarantee.
         let repair = escape_all(

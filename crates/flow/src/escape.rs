@@ -68,7 +68,7 @@ impl EscapeSource {
     }
 
     /// The exit tier of `cells[i]` (0 when no tiers were provided).
-    fn tap_cost(&self, i: usize) -> i64 {
+    pub(crate) fn tap_cost(&self, i: usize) -> i64 {
         self.tap_costs.get(i).copied().unwrap_or(0)
     }
 }
@@ -97,7 +97,51 @@ impl EscapeOutcome {
     }
 }
 
-/// Grid-to-flow-network construction for escape routing.
+/// One tap tier and the overflow cost β of an escape network over
+/// `n_cells` grid cells. One tier outweighs any achievable path length;
+/// β in turn dominates every tap tier a source can stack, so the solver
+/// maximizes the number of routed sources first. Any larger β admits
+/// exactly the same augmentations.
+pub(crate) fn costs(n_cells: usize, sources: &[EscapeSource]) -> (i64, i64) {
+    let tier = n_cells as i64 + 1;
+    let max_tier: i64 = sources
+        .iter()
+        .flat_map(|s| s.tap_costs.iter().copied())
+        .max()
+        .unwrap_or(0)
+        .max(1);
+    (tier, (max_tier + 2) * tier + 4 * n_cells as i64 + 16)
+}
+
+/// Walks one routed unit from its exit cell along the next hops of the
+/// flow to the pin it drains into. `next_of` and `pin_at` take row-major
+/// cell indices of a grid `width` cells wide.
+pub(crate) fn walk_route(
+    exit: Point,
+    width: usize,
+    next_of: impl Fn(usize) -> Option<usize>,
+    pin_at: impl Fn(usize) -> bool,
+) -> (GridPath, Point) {
+    let idx = |p: Point| p.y as usize * width + p.x as usize;
+    let mut cells = vec![exit];
+    let mut cur = exit;
+    let pin = loop {
+        if pin_at(idx(cur)) && cells.len() > 1 {
+            break cur;
+        }
+        let Some(nxt) = next_of(idx(cur)) else {
+            // Arrived at a pin that is also the exit's first hop.
+            break cur;
+        };
+        cur = Point::new((nxt % width) as i32, (nxt / width) as i32);
+        cells.push(cur);
+    };
+    (GridPath::new(cells).expect("flow walk is connected"), pin)
+}
+
+/// Grid-to-flow-network construction for escape routing, solved by the
+/// generic [`MinCostFlow`]. This is the reference the grid-native
+/// [`GridEscape`](crate::GridEscape) must reproduce route for route.
 #[derive(Debug)]
 pub struct EscapeNetwork {
     mcf: MinCostFlow,
@@ -105,7 +149,7 @@ pub struct EscapeNetwork {
     super_sink: usize,
     n_sources: usize,
     /// Grid width, for cell-index ↔ point conversion during extraction.
-    width: i32,
+    width: usize,
     /// Total grid cells (`width * height`).
     n_cells: usize,
     /// The overflow cost: augmentations reaching this true path cost are
@@ -196,17 +240,7 @@ impl EscapeNetwork {
             pin_edges.push((p, e));
         }
 
-        // One tap tier outweighs any achievable path length; the overflow
-        // cost in turn dominates every tap tier a source can stack.
-        let tier = n_cells as i64 + 1;
-        let max_tier: i64 = sources
-            .iter()
-            .flat_map(|s| s.tap_costs.iter().copied())
-            .max()
-            .unwrap_or(0)
-            .max(1);
-        let beta = (max_tier + 2) * tier + 4 * n_cells as i64 + 16;
-
+        let (tier, beta) = costs(n_cells, sources);
         let mut exit_edges = Vec::new();
         let mut overflow_edges = Vec::new();
         let mut direct_pin_edges = Vec::new();
@@ -252,176 +286,7 @@ impl EscapeNetwork {
             super_source,
             super_sink,
             n_sources,
-            width: w,
-            n_cells,
-            beta,
-            exit_edges,
-            overflow_edges,
-            direct_pin_edges,
-            move_edges,
-            pin_edges,
-        }
-    }
-
-    /// [`EscapeNetwork::build`], restricted to the region of interest the
-    /// sources can actually reach: a flood fill from every exit cell over
-    /// transit cells. Cells outside the flood cannot carry flow in the
-    /// full network either (flow enters the grid only at exit cells), and
-    /// the compaction maps cell ids monotonically, preserving every
-    /// Dijkstra tie-break — `build_windowed(..).solve()` returns exactly
-    /// what `build(..).solve()` would, at a fraction of the node count.
-    /// Costs use the *full* grid's tier and β so path costs stay
-    /// identical to the full network's.
-    pub fn build_windowed(obs: &ObsMap, sources: &[EscapeSource], pins: &[Point]) -> Self {
-        let (w, h) = (obs.width() as i32, obs.height() as i32);
-        let n_cells = (w * h) as usize;
-        let cell_idx = |p: Point| (p.y * w + p.x) as usize;
-
-        let mut pin_mask = vec![false; n_cells];
-        for &p in pins {
-            if p.x >= 0 && p.y >= 0 && p.x < w && p.y < h {
-                pin_mask[cell_idx(p)] = true;
-            }
-        }
-        let is_boundary = |p: Point| p.x == 0 || p.y == 0 || p.x == w - 1 || p.y == h - 1;
-        let mut transit = vec![false; n_cells];
-        for y in 0..h {
-            for x in 0..w {
-                let p = Point::new(x, y);
-                transit[cell_idx(p)] =
-                    !obs.is_blocked(p) && (!is_boundary(p) || pin_mask[cell_idx(p)]);
-            }
-        }
-
-        // Flood from every in-bounds exit cell over transit cells.
-        let mut reached = vec![false; n_cells];
-        let mut queue: Vec<Point> = Vec::new();
-        for src in sources {
-            for &c in &src.cells {
-                if c.x < 0 || c.y < 0 || c.x >= w || c.y >= h {
-                    continue;
-                }
-                if !reached[cell_idx(c)] {
-                    reached[cell_idx(c)] = true;
-                    queue.push(c);
-                }
-            }
-        }
-        let mut head = 0;
-        while head < queue.len() {
-            let p = queue[head];
-            head += 1;
-            // Flow leaves a blocked exit cell through its neighbors, and
-            // a transit cell through its movement arcs — either way the
-            // next hop must be transit.
-            for q in p.neighbors4() {
-                if q.x >= 0 && q.y >= 0 && q.x < w && q.y < h {
-                    let qi = cell_idx(q);
-                    if transit[qi] && !reached[qi] {
-                        reached[qi] = true;
-                        queue.push(q);
-                    }
-                }
-            }
-        }
-        // Monotone compaction: local ids in ascending cell-index order.
-        let mut local = vec![u32::MAX; n_cells];
-        let mut n_roi = 0usize;
-        for ci in 0..n_cells {
-            if reached[ci] {
-                local[ci] = n_roi as u32;
-                n_roi += 1;
-            }
-        }
-
-        let n_sources = sources.len();
-        let super_source = 2 * n_roi + n_sources;
-        let super_sink = super_source + 1;
-        let mut mcf = MinCostFlow::new(2 * n_roi + n_sources + 2);
-        let transit_ok = |p: Point| transit[cell_idx(p)];
-        let pin_set = |p: Point| pin_mask[cell_idx(p)];
-        let lin = |p: Point| 2 * local[cell_idx(p)] as usize;
-        let lout = |p: Point| 2 * local[cell_idx(p)] as usize + 1;
-
-        // Split + movement arcs, in the full build's cell order.
-        let mut move_edges = Vec::new();
-        for ci in 0..n_cells {
-            if !reached[ci] || !transit[ci] {
-                continue;
-            }
-            let p = Point::new(ci as i32 % w, ci as i32 / w);
-            mcf.add_edge(lin(p), lout(p), 1, 0);
-            for q in p.neighbors4() {
-                if q.x >= 0 && q.y >= 0 && q.x < w && q.y < h && transit_ok(q) {
-                    debug_assert!(reached[cell_idx(q)], "transit closure");
-                    let e = mcf.add_edge(lout(p), lin(q), 1, 1);
-                    move_edges.push((p, q, e));
-                }
-            }
-        }
-
-        let mut pin_edges = Vec::new();
-        for &p in pins {
-            if p.x < 0 || p.y < 0 || p.x >= w || p.y >= h || obs.is_blocked(p) {
-                continue;
-            }
-            // Unreachable pins get drain arcs in the full build too, but
-            // no flow can arrive there — dead weight either way.
-            if !reached[cell_idx(p)] {
-                continue;
-            }
-            let e = mcf.add_edge(lout(p), super_sink, 1, 0);
-            pin_edges.push((p, e));
-        }
-
-        let tier = n_cells as i64 + 1;
-        let max_tier: i64 = sources
-            .iter()
-            .flat_map(|s| s.tap_costs.iter().copied())
-            .max()
-            .unwrap_or(0)
-            .max(1);
-        let beta = (max_tier + 2) * tier + 4 * n_cells as i64 + 16;
-
-        let mut exit_edges = Vec::new();
-        let mut overflow_edges = Vec::new();
-        let mut direct_pin_edges = Vec::new();
-        for (si, src) in sources.iter().enumerate() {
-            let s_node = 2 * n_roi + si;
-            mcf.add_edge(super_source, s_node, 1, 0);
-            let mut exits = Vec::new();
-            let mut directs = Vec::new();
-            for (k, &c) in src.cells.iter().enumerate() {
-                if c.x < 0 || c.y < 0 || c.x >= w || c.y >= h {
-                    continue;
-                }
-                if pin_set(c) && !obs.is_blocked(c) {
-                    let e = mcf.add_edge(s_node, super_sink, 1, src.tap_cost(k) * tier);
-                    directs.push((c, e));
-                    continue;
-                }
-                let e = mcf.add_edge(s_node, lout(c), 1, src.tap_cost(k) * tier);
-                exits.push((c, e));
-                if !transit_ok(c) {
-                    for q in c.neighbors4() {
-                        if q.x >= 0 && q.y >= 0 && q.x < w && q.y < h && transit_ok(q) {
-                            let e = mcf.add_edge(lout(c), lin(q), 1, 1);
-                            move_edges.push((c, q, e));
-                        }
-                    }
-                }
-            }
-            overflow_edges.push(mcf.add_edge(s_node, super_sink, 1, beta));
-            exit_edges.push(exits);
-            direct_pin_edges.push(directs);
-        }
-
-        Self {
-            mcf,
-            super_source,
-            super_sink,
-            n_sources,
-            width: w,
+            width: w as usize,
             n_cells,
             beta,
             exit_edges,
@@ -447,8 +312,7 @@ impl EscapeNetwork {
             .solve_until(self.super_source, self.super_sink, want, self.beta);
 
         let w = self.width;
-        let idx = |p: Point| (p.y * w + p.x) as usize;
-        let point_of = |ci: u32| Point::new(ci as i32 % w, ci as i32 / w);
+        let idx = |p: Point| p.y as usize * w + p.x as usize;
 
         // Adjacency of saturated movement arcs, and the set of pins used,
         // as flat per-cell arrays (`u32::MAX` = no outgoing flow).
@@ -495,25 +359,15 @@ impl EscapeNetwork {
                 routes.push(None);
                 continue;
             };
-            let mut cells = vec![exit];
-            let mut cur = exit;
-            let pin = loop {
-                if pin_at[idx(cur)] && cells.len() > 1 {
-                    break cur;
-                }
-                let nxt = next_of[idx(cur)];
-                if nxt == u32::MAX {
-                    // Arrived at a pin that is also the exit's first hop.
-                    break cur;
-                }
-                let q = point_of(nxt);
-                cells.push(q);
-                cur = q;
-            };
-            let path = GridPath::new(cells).expect("flow walk is connected");
-            total_length += path.len();
+            let route = walk_route(
+                exit,
+                w,
+                |c| (next_of[c] != u32::MAX).then_some(next_of[c] as usize),
+                |c| pin_at[c],
+            );
+            total_length += route.0.len();
             routed += 1;
-            routes.push(Some((path, pin)));
+            routes.push(Some(route));
         }
         debug_assert_eq!(
             result.flow,
@@ -528,598 +382,23 @@ impl EscapeNetwork {
         }
     }
 }
-
-/// One source slot of a [`PersistentEscape`] network.
-#[derive(Debug)]
-struct Slot {
-    /// The slot's own network node.
-    node: usize,
-    /// Super source → slot node, capacity 1 while active.
-    feed: EdgeId,
-    /// Per in-bounds exit cell, in source order.
-    exits: Vec<SlotExit>,
-    /// Slot node → sink at cost β.
-    overflow: EdgeId,
-    active: bool,
-}
-
-#[derive(Debug)]
-struct SlotExit {
-    ci: u32,
-    /// Tap cost of this exit, already scaled by the tier weight.
-    cost: i64,
-    /// Slot node → sink, open when the exit cell is an unblocked pin.
-    direct: EdgeId,
-    /// Slot node → out(cell), open otherwise.
-    exit: EdgeId,
-    /// The exit cell currently grants its out-node movement arcs even
-    /// though the cell itself is not transit (blocked exit cells).
-    boosting: bool,
-}
-
-/// The escape network kept alive across rip-up rounds.
-///
-/// [`EscapeNetwork::build`] re-scans the whole grid and re-allocates
-/// every arc on each round; this structure builds the cell/movement
-/// skeleton **once** over all grid cells — arcs that the current
-/// obstacle state forbids simply carry capacity 0 — and then mirrors
-/// obstacle deltas, source retirements and source additions as O(degree)
-/// capacity edits ([`PersistentEscape::apply_deltas`],
-/// [`PersistentEscape::retire_slot`], [`PersistentEscape::add_slot`]).
-///
-/// Equivalence with the per-round rebuild is structural: zero-capacity
-/// arcs are invisible to the solver, compacted node ids preserve the
-/// relative order of cell and source nodes (Dijkstra ties break on node
-/// id, and only relative order matters), and no parallel arc family
-/// changes its internal order. A solve with `warm = false` therefore
-/// returns byte-identical outcomes to `EscapeNetwork::build(..).solve()`
-/// on the same state. Warm solves additionally retain the flow and
-/// Johnson potentials from the previous round and only augment the
-/// missing units; when [`MinCostFlow::repair_potentials`] reports the
-/// retained flow stale, the solve falls back to a cold restart on the
-/// same skeleton (counted as `escape.delta_fallback`).
-#[derive(Debug)]
-pub struct PersistentEscape {
-    mcf: MinCostFlow,
-    super_source: usize,
-    super_sink: usize,
-    width: i32,
-    height: i32,
-    n_cells: usize,
-    tier: i64,
-    beta: i64,
-    /// Mirrors of the obstacle / pin state the arc capacities encode.
-    blocked: Vec<bool>,
-    pin_mask: Vec<bool>,
-    transit: Vec<bool>,
-    /// Count of active slots using the cell as a non-transit exit; > 0
-    /// opens the cell's outgoing movement arcs regardless of transit.
-    exit_boost: Vec<u16>,
-    /// in(c) → out(c), capacity = transit.
-    split_edge: Vec<EdgeId>,
-    /// Outgoing movement arcs per cell: CSR offsets + (to cell, edge).
-    out_start: Vec<u32>,
-    out_arcs: Vec<(u32, EdgeId)>,
-    /// Pin drain arcs, in pins-list order: (cell, edge).
-    pin_edges: Vec<(u32, EdgeId)>,
-    /// Exit-cell ownership: cell → (slot, exit index) packed, or MAX.
-    exit_at: Vec<u64>,
-    slots: Vec<Slot>,
-    /// The network holds the previous round's flow and potentials.
-    retained: bool,
-}
-
-/// Outcome of one [`PersistentEscape::solve_round`] call.
-#[derive(Debug)]
-pub struct RoundOutcome {
-    /// Same shape as [`EscapeOutcome`], in `round_slots` order.
-    pub outcome: EscapeOutcome,
-    /// The round reused the retained flow (false = cold solve).
-    pub warm: bool,
-    /// A warm attempt found the retained flow stale and restarted cold
-    /// (the caller's cue to bump its fallback counter).
-    pub fell_back: bool,
-}
-
-impl PersistentEscape {
-    /// Builds the skeleton and one slot per initial source. The overflow
-    /// cost β is fixed from these sources' tap tiers: slots added later
-    /// ([`PersistentEscape::add_slot`]) must not raise the maximum tier
-    /// (de-clustered singletons never do). A larger-than-necessary β is
-    /// harmless — every real route costs less than the *smallest* valid
-    /// β, so the bail-out admits exactly the same augmentations.
-    pub fn new(obs: &ObsMap, sources: &[EscapeSource], pins: &[Point]) -> Self {
-        let (w, h) = (obs.width() as i32, obs.height() as i32);
-        let n_cells = (w * h) as usize;
-        let cell_idx = |p: Point| (p.y * w + p.x) as usize;
-
-        let mut pin_mask = vec![false; n_cells];
-        for &p in pins {
-            if p.x >= 0 && p.y >= 0 && p.x < w && p.y < h {
-                pin_mask[cell_idx(p)] = true;
-            }
-        }
-        let mut blocked = vec![false; n_cells];
-        let mut transit = vec![false; n_cells];
-        let is_boundary = |p: Point| p.x == 0 || p.y == 0 || p.x == w - 1 || p.y == h - 1;
-        for y in 0..h {
-            for x in 0..w {
-                let p = Point::new(x, y);
-                let ci = cell_idx(p);
-                blocked[ci] = obs.is_blocked(p);
-                transit[ci] = !blocked[ci] && (!is_boundary(p) || pin_mask[ci]);
-            }
-        }
-
-        let super_source = 2 * n_cells;
-        let super_sink = super_source + 1;
-        let mut mcf = MinCostFlow::new(2 * n_cells + 2);
-
-        // Skeleton: split + movement arcs for EVERY cell; capacity
-        // encodes the current transit state.
-        let mut split_edge = Vec::with_capacity(n_cells);
-        let mut out_start = Vec::with_capacity(n_cells + 1);
-        let mut out_arcs = Vec::new();
-        for y in 0..h {
-            for x in 0..w {
-                let p = Point::new(x, y);
-                let ci = cell_idx(p);
-                out_start.push(out_arcs.len() as u32);
-                split_edge.push(mcf.add_edge(2 * ci, 2 * ci + 1, transit[ci] as i64, 0));
-                for q in p.neighbors4() {
-                    if q.x >= 0 && q.y >= 0 && q.x < w && q.y < h {
-                        let qi = cell_idx(q);
-                        let cap = (transit[ci] && transit[qi]) as i64;
-                        let e = mcf.add_edge(2 * ci + 1, 2 * qi, cap, 1);
-                        out_arcs.push((qi as u32, e));
-                    }
-                }
-            }
-        }
-        out_start.push(out_arcs.len() as u32);
-
-        // Pin drains, in pins-list order.
-        let mut pin_edges = Vec::new();
-        for &p in pins {
-            if p.x < 0 || p.y < 0 || p.x >= w || p.y >= h {
-                continue;
-            }
-            let ci = cell_idx(p);
-            let e = mcf.add_edge(2 * ci + 1, super_sink, !blocked[ci] as i64, 0);
-            pin_edges.push((ci as u32, e));
-        }
-
-        let tier = n_cells as i64 + 1;
-        let max_tier: i64 = sources
-            .iter()
-            .flat_map(|s| s.tap_costs.iter().copied())
-            .max()
-            .unwrap_or(0)
-            .max(1);
-        let beta = (max_tier + 2) * tier + 4 * n_cells as i64 + 16;
-
-        let mut net = Self {
-            mcf,
-            super_source,
-            super_sink,
-            width: w,
-            height: h,
-            n_cells,
-            tier,
-            beta,
-            blocked,
-            pin_mask,
-            transit,
-            exit_boost: vec![0; n_cells],
-            split_edge,
-            out_start,
-            out_arcs,
-            pin_edges,
-            exit_at: vec![u64::MAX; n_cells],
-            slots: Vec::new(),
-            retained: false,
-        };
-        for src in sources {
-            net.add_slot(src);
-        }
-        net
-    }
-
-    /// Appends a source slot and returns its index. Arena growth defers a
-    /// CSR refreeze to the next solve; the refreeze preserves flows, so a
-    /// warm continuation across an `add_slot` stays valid.
-    pub fn add_slot(&mut self, src: &EscapeSource) -> usize {
-        let s_node = self.mcf.add_node();
-        let feed = self.mcf.add_edge(self.super_source, s_node, 1, 0);
-        let slot_idx = self.slots.len();
-        let exits = self.build_exits(slot_idx, s_node, src);
-        let overflow = self.mcf.add_edge(s_node, self.super_sink, 1, self.beta);
-        self.slots.push(Slot {
-            node: s_node,
-            feed,
-            exits,
-            overflow,
-            active: true,
-        });
-        let slot = &self.slots[slot_idx];
-        let boosted: Vec<usize> = slot
-            .exits
-            .iter()
-            .filter(|e| e.boosting)
-            .map(|e| e.ci as usize)
-            .collect();
-        for ci in boosted {
-            self.sync_cell_moves(ci);
-        }
-        slot_idx
-    }
-
-    /// Creates a slot's exit arcs in source-cell order, claiming
-    /// `exit_at` ownership and boost counts. Shared by
-    /// [`PersistentEscape::add_slot`] and
-    /// [`PersistentEscape::refresh_slot`]; callers sync the boosted
-    /// cells' movement arcs afterwards.
-    fn build_exits(&mut self, slot_idx: usize, s_node: usize, src: &EscapeSource) -> Vec<SlotExit> {
-        let mut exits = Vec::new();
-        for (k, &c) in src.cells.iter().enumerate() {
-            if c.x < 0 || c.y < 0 || c.x >= self.width || c.y >= self.height {
-                continue;
-            }
-            let ci = (c.y * self.width + c.x) as usize;
-            let cost = src.tap_cost(k) * self.tier;
-            let usable_pin = self.pin_mask[ci] && !self.blocked[ci];
-            let direct = self
-                .mcf
-                .add_edge(s_node, self.super_sink, usable_pin as i64, cost);
-            let exit = self
-                .mcf
-                .add_edge(s_node, 2 * ci + 1, (!usable_pin) as i64, cost);
-            let boosting = !usable_pin && !self.transit[ci];
-            if boosting {
-                self.exit_boost[ci] += 1;
-            }
-            self.exit_at[ci] = ((slot_idx as u64) << 16) | exits.len() as u64;
-            exits.push(SlotExit {
-                ci: ci as u32,
-                cost,
-                direct,
-                exit,
-                boosting,
-            });
-        }
-        exits
-    }
-
-    /// Rebuilds a slot's exit taps when its source definition changed —
-    /// an off-midpoint escape commit re-taps an LM pair's junction, so
-    /// the pair offers different tap cells the next round. The slot
-    /// keeps its node, feed arc, and overflow arc (source order and the
-    /// cross-slot tie-break structure are untouched); the old exit arcs
-    /// close to capacity 0 (invisible to the solver) and fresh arcs are
-    /// appended in the new cells-list order, so within-slot tie-breaks
-    /// also match a fresh build's. No-op when the source is unchanged.
-    pub fn refresh_slot(&mut self, slot: usize, src: &EscapeSource) {
-        let same = {
-            let exits = &self.slots[slot].exits;
-            let mut it = exits.iter();
-            let mut same = true;
-            for (k, &c) in src.cells.iter().enumerate() {
-                if c.x < 0 || c.y < 0 || c.x >= self.width || c.y >= self.height {
-                    continue;
-                }
-                let ci = (c.y * self.width + c.x) as usize;
-                let cost = src.tap_cost(k) * self.tier;
-                match it.next() {
-                    Some(e) if e.ci as usize == ci && e.cost == cost => {}
-                    _ => {
-                        same = false;
-                        break;
-                    }
-                }
-            }
-            same && it.next().is_none()
-        };
-        if same {
-            return;
-        }
-        // The slot's retained unit (if any) flows through arcs about to
-        // close; retract it so the next warm solve re-augments it.
-        if self.retained && self.mcf.edge_flow(self.slots[slot].feed) > 0 {
-            self.mcf
-                .retract_unit(self.slots[slot].feed, self.super_sink);
-        }
-        let old = std::mem::take(&mut self.slots[slot].exits);
-        for e in old {
-            self.set_cap_checked(e.direct, 0);
-            self.set_cap_checked(e.exit, 0);
-            let ci = e.ci as usize;
-            if e.boosting {
-                self.exit_boost[ci] -= 1;
-                self.sync_cell_moves(ci);
-            }
-            if self.exit_at[ci] >> 16 == slot as u64 {
-                self.exit_at[ci] = u64::MAX;
-            }
-        }
-        let s_node = self.slots[slot].node;
-        let exits = self.build_exits(slot, s_node, src);
-        self.slots[slot].exits = exits;
-        let boosted: Vec<usize> = self.slots[slot]
-            .exits
-            .iter()
-            .filter(|e| e.boosting)
-            .map(|e| e.ci as usize)
-            .collect();
-        for ci in boosted {
-            self.sync_cell_moves(ci);
-        }
-    }
-
-    /// Deactivates a slot: its unit (if routed and still in the network)
-    /// is retracted, its feed closes, and any exit-cell movement boosts
-    /// are withdrawn. The retraction reopens arcs whose reduced costs the
-    /// next solve's repair pass must re-validate.
-    pub fn retire_slot(&mut self, slot: usize) {
-        if self.retained && self.mcf.edge_flow(self.slots[slot].feed) > 0 {
-            self.mcf
-                .retract_unit(self.slots[slot].feed, self.super_sink);
-        }
-        self.slots[slot].active = false;
-        self.mcf.set_edge_cap(self.slots[slot].feed, 0);
-        for k in 0..self.slots[slot].exits.len() {
-            self.sync_exit(slot, k);
-        }
-    }
-
-    /// Mirrors a batch of obstacle deltas (from [`ObsMap::take_deltas`])
-    /// into arc capacities. Entries are coalesced per cell first — only
-    /// the net state change is applied, so block/unblock pairs that
-    /// cancelled out (escape commit + rip) touch nothing.
-    ///
-    /// A net change on a cell whose arcs still carry retained flow would
-    /// invalidate that flow; the retained state is dropped (next solve
-    /// goes cold) rather than corrupted.
-    pub fn apply_deltas(&mut self, deltas: &[(u32, bool)]) {
-        // The last journal entry for a cell is the map's final state:
-        // walk backwards marking cells already decided, keep only the
-        // survivors that differ from the mirror. Crucially this elides
-        // block→unblock pairs (escape commit + next-round rip) entirely
-        // — applying them as two transitions would pass through a
-        // "blocked while flowing" state and needlessly drop the
-        // retained flow.
-        let mut decided = vec![false; self.n_cells];
-        let mut net: Vec<(u32, bool)> = Vec::new();
-        for &(ci, b) in deltas.iter().rev() {
-            if !decided[ci as usize] {
-                decided[ci as usize] = true;
-                if self.blocked[ci as usize] != b {
-                    net.push((ci, b));
-                }
-            }
-        }
-        // Apply in journal order of each cell's final entry.
-        for &(ci, b) in net.iter().rev() {
-            self.set_cell_blocked(ci as usize, b);
-        }
-    }
-
-    fn set_cell_blocked(&mut self, ci: usize, b: bool) {
-        // Retained flow survives *activations* (capacity 0 → 1) — the
-        // flow never used those arcs. A deactivation touching a flowing
-        // arc forces a flow reset (cold next round).
-        if b && self.retained && self.cell_carries_flow(ci) {
-            self.mcf.reset_flow();
-            self.retained = false;
-        }
-        self.blocked[ci] = b;
-        let p = Point::new(ci as i32 % self.width, ci as i32 / self.width);
-        let is_boundary = p.x == 0 || p.y == 0 || p.x == self.width - 1 || p.y == self.height - 1;
-        self.transit[ci] = !b && (!is_boundary || self.pin_mask[ci]);
-        self.sync_cell_moves(ci);
-        // Movement arcs *into* the cell live on its neighbors.
-        for q in p.neighbors4() {
-            if q.x >= 0 && q.y >= 0 && q.x < self.width && q.y < self.height {
-                self.sync_cell_moves((q.y * self.width + q.x) as usize);
-            }
-        }
-        // Pin drains on this cell follow the blocked state.
-        for i in 0..self.pin_edges.len() {
-            if self.pin_edges[i].0 as usize == ci {
-                let e = self.pin_edges[i].1;
-                self.set_cap_checked(e, !b as i64);
-            }
-        }
-        // An exit cell flips between direct-pin and exit-arc form.
-        let owner = self.exit_at[ci];
-        if owner != u64::MAX {
-            self.sync_exit((owner >> 16) as usize, (owner & 0xFFFF) as usize);
-        }
-    }
-
-    /// Recomputes the split-arc and outgoing-movement capacities of `ci`.
-    fn sync_cell_moves(&mut self, ci: usize) {
-        self.set_cap_checked(self.split_edge[ci], self.transit[ci] as i64);
-        let leave = self.transit[ci] || self.exit_boost[ci] > 0;
-        for i in self.out_start[ci] as usize..self.out_start[ci + 1] as usize {
-            let (qi, e) = self.out_arcs[i];
-            let cap = (leave && self.transit[qi as usize]) as i64;
-            self.set_cap_checked(e, cap);
-        }
-    }
-
-    /// Recomputes one exit's direct/exit arc capacities and its boost.
-    fn sync_exit(&mut self, slot: usize, k: usize) {
-        let (ci, direct, exit, was_boosting) = {
-            let e = &self.slots[slot].exits[k];
-            (e.ci as usize, e.direct, e.exit, e.boosting)
-        };
-        let active = self.slots[slot].active;
-        let usable_pin = self.pin_mask[ci] && !self.blocked[ci];
-        self.set_cap_checked(direct, (active && usable_pin) as i64);
-        self.set_cap_checked(exit, (active && !usable_pin) as i64);
-        let boosting = active && !usable_pin && !self.transit[ci];
-        if boosting != was_boosting {
-            self.slots[slot].exits[k].boosting = boosting;
-            if boosting {
-                self.exit_boost[ci] += 1;
-            } else {
-                self.exit_boost[ci] -= 1;
-            }
-            self.sync_cell_moves(ci);
-        }
-    }
-
-    /// `set_edge_cap` that first clears retained flow if the arc carries
-    /// any (capacity edits require flowless arcs).
-    fn set_cap_checked(&mut self, e: EdgeId, cap: i64) {
-        if self.mcf.edge_cap(e) == cap {
-            return;
-        }
-        if self.mcf.edge_flow(e) != 0 {
-            self.mcf.reset_flow();
-            self.retained = false;
-        }
-        self.mcf.set_edge_cap(e, cap);
-    }
-
-    /// Any flow on the cell's split arc, movement arcs, or drain arcs?
-    fn cell_carries_flow(&self, ci: usize) -> bool {
-        if self.mcf.edge_flow(self.split_edge[ci]) != 0 {
-            return true;
-        }
-        for i in self.out_start[ci] as usize..self.out_start[ci + 1] as usize {
-            if self.mcf.edge_flow(self.out_arcs[i].1) != 0 {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Solves one round for `round_slots` (the active slots, in this
-    /// round's source order — must be ascending, which the identity slot
-    /// protocol guarantees). `force_cold` skips the warm attempt.
-    pub fn solve_round(&mut self, round_slots: &[usize], force_cold: bool) -> RoundOutcome {
-        debug_assert!(round_slots.windows(2).all(|w| w[0] < w[1]));
-        let want: i64 = round_slots.len() as i64;
-        let mut warm = false;
-        let mut fell_back = false;
-        if self.retained && !force_cold {
-            if self.mcf.repair_potentials(self.super_source) {
-                let have: i64 = round_slots
-                    .iter()
-                    .map(|&s| self.mcf.edge_flow(self.slots[s].feed))
-                    .sum();
-                self.mcf
-                    .solve_more(self.super_source, self.super_sink, want - have, self.beta);
-                warm = true;
-            } else {
-                // The retained flow is stale — a delta freed a corridor
-                // that makes it non-optimal for its value (a negative
-                // residual cycle defeats the repair). Any warm
-                // continuation would lock in the stale routes, so the
-                // round re-solves cold, exactly like the reference.
-                fell_back = true;
-                self.mcf.reset_flow();
-                self.mcf
-                    .solve_until(self.super_source, self.super_sink, want, self.beta);
-            }
-        } else {
-            self.mcf.reset_flow();
-            self.mcf
-                .solve_until(self.super_source, self.super_sink, want, self.beta);
-        }
-        self.retained = true;
-        RoundOutcome {
-            outcome: self.extract(round_slots),
-            warm,
-            fell_back,
-        }
-    }
-
-    /// Route extraction — the flat next-hop walk of
-    /// [`EscapeNetwork::solve`], reading this round's slots.
-    fn extract(&self, round_slots: &[usize]) -> EscapeOutcome {
-        let w = self.width;
-        let point_of = |ci: u32| Point::new(ci as i32 % w, ci as i32 / w);
-        let mut next_of = vec![u32::MAX; self.n_cells];
-        for (ci, next) in next_of.iter_mut().enumerate() {
-            for i in self.out_start[ci] as usize..self.out_start[ci + 1] as usize {
-                let (qi, e) = self.out_arcs[i];
-                if self.mcf.edge_flow(e) > 0 {
-                    *next = qi;
-                }
-            }
-        }
-        let mut pin_at = vec![false; self.n_cells];
-        for &(ci, e) in &self.pin_edges {
-            if self.mcf.edge_flow(e) > 0 {
-                pin_at[ci as usize] = true;
-            }
-        }
-
-        let mut routes = Vec::with_capacity(round_slots.len());
-        let mut total_length = 0u64;
-        let mut routed = 0usize;
-        for &si in round_slots {
-            let slot = &self.slots[si];
-            if self.mcf.edge_flow(slot.overflow) > 0 {
-                routes.push(None);
-                continue;
-            }
-            if let Some(pin) = slot
-                .exits
-                .iter()
-                .find(|e| self.mcf.edge_flow(e.direct) > 0)
-                .map(|e| point_of(e.ci))
-            {
-                routes.push(Some((GridPath::singleton(pin), pin)));
-                routed += 1;
-                continue;
-            }
-            let Some(exit) = slot
-                .exits
-                .iter()
-                .find(|e| self.mcf.edge_flow(e.exit) > 0)
-                .map(|e| point_of(e.ci))
-            else {
-                routes.push(None);
-                continue;
-            };
-            let idx = |p: Point| (p.y * w + p.x) as usize;
-            let mut cells = vec![exit];
-            let mut cur = exit;
-            let pin = loop {
-                if pin_at[idx(cur)] && cells.len() > 1 {
-                    break cur;
-                }
-                let nxt = next_of[idx(cur)];
-                if nxt == u32::MAX {
-                    break cur;
-                }
-                let q = point_of(nxt);
-                cells.push(q);
-                cur = q;
-            };
-            let path = GridPath::new(cells).expect("flow walk is connected");
-            total_length += path.len();
-            routed += 1;
-            routes.push(Some((path, pin)));
-        }
-        EscapeOutcome {
-            routes,
-            total_length,
-            routed,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::GridEscape;
     use pacor_grid::Grid;
 
     fn open_map(w: u32, h: u32) -> ObsMap {
         ObsMap::new(&Grid::new(w, h).unwrap())
+    }
+
+    /// Solves with the reference network and the grid solver, asserting
+    /// identical routes.
+    fn solve(obs: &ObsMap, sources: &[EscapeSource], pins: &[Point]) -> EscapeOutcome {
+        let reference = EscapeNetwork::build(obs, sources, pins).solve();
+        let grid = GridEscape::new().solve(obs, sources, pins);
+        assert_eq!(shape(&reference), shape(&grid), "grid solve diverged");
+        reference
     }
 
     #[test]
@@ -1127,7 +406,7 @@ mod tests {
         let obs = open_map(9, 9);
         let sources = vec![EscapeSource::at(SourceKind::SingleValve, Point::new(4, 4))];
         let pins = vec![Point::new(0, 4), Point::new(8, 8)];
-        let out = EscapeNetwork::build(&obs, &sources, &pins).solve();
+        let out = solve(&obs, &sources, &pins);
         assert_eq!(out.routed, 1);
         let (path, pin) = out.routes[0].as_ref().unwrap();
         assert_eq!(*pin, Point::new(0, 4));
@@ -1140,7 +419,7 @@ mod tests {
     fn no_pins_overflows() {
         let obs = open_map(5, 5);
         let sources = vec![EscapeSource::at(SourceKind::SingleValve, Point::new(2, 2))];
-        let out = EscapeNetwork::build(&obs, &sources, &[]).solve();
+        let out = solve(&obs, &sources, &[]);
         assert_eq!(out.routed, 0);
         assert!(out.routes[0].is_none());
         assert_eq!(out.completion_rate(), 0.0);
@@ -1154,7 +433,7 @@ mod tests {
             EscapeSource::at(SourceKind::SingleValve, Point::new(4, 5)),
         ];
         let pins = vec![Point::new(0, 3), Point::new(0, 5)];
-        let out = EscapeNetwork::build(&obs, &sources, &pins).solve();
+        let out = solve(&obs, &sources, &pins);
         assert_eq!(out.routed, 2);
         // Paths must be vertex-disjoint (constraint 12).
         let a = out.routes[0].as_ref().unwrap().0.cells().to_vec();
@@ -1173,7 +452,7 @@ mod tests {
             EscapeSource::at(SourceKind::SingleValve, Point::new(3, 4)),
         ];
         let pins = vec![Point::new(0, 3)];
-        let out = EscapeNetwork::build(&obs, &sources, &pins).solve();
+        let out = solve(&obs, &sources, &pins);
         // Only one can win the pin; the other overflows.
         assert_eq!(out.routed, 1);
         assert_eq!(out.routes.iter().filter(|r| r.is_none()).count(), 1);
@@ -1194,7 +473,7 @@ mod tests {
             tap_costs: Vec::new(),
         }];
         let pins = vec![Point::new(8, 4)];
-        let out = EscapeNetwork::build(&obs, &sources, &pins).solve();
+        let out = solve(&obs, &sources, &pins);
         assert_eq!(out.routed, 1);
         let (path, _) = out.routes[0].as_ref().unwrap();
         // Best exit is the path end at (6,4): two steps to the pin...
@@ -1213,7 +492,7 @@ mod tests {
         let obs = ObsMap::new(&grid);
         let sources = vec![EscapeSource::at(SourceKind::TreeRoot, Point::new(4, 1))];
         let pins = vec![Point::new(0, 1)];
-        let out = EscapeNetwork::build(&obs, &sources, &pins).solve();
+        let out = solve(&obs, &sources, &pins);
         assert_eq!(out.routed, 1);
         let (path, _) = out.routes[0].as_ref().unwrap();
         // Must climb to y>=7 and back: strictly longer than Manhattan (4).
@@ -1228,7 +507,7 @@ mod tests {
         let obs = open_map(5, 5);
         let sources = vec![EscapeSource::at(SourceKind::SingleValve, Point::new(2, 2))];
         let pins = vec![Point::new(4, 2)];
-        let out = EscapeNetwork::build(&obs, &sources, &pins).solve();
+        let out = solve(&obs, &sources, &pins);
         let (path, _) = out.routes[0].as_ref().unwrap();
         // No path cell other than the pin may lie on the boundary.
         for c in path.iter().take(path.cells().len() - 1) {
@@ -1244,7 +523,7 @@ mod tests {
         let obs = open_map(5, 5);
         let pin = Point::new(0, 2);
         let sources = vec![EscapeSource::at(SourceKind::SingleValve, pin)];
-        let out = EscapeNetwork::build(&obs, &sources, &[pin]).solve();
+        let out = solve(&obs, &sources, &[pin]);
         assert_eq!(out.routed, 1);
         let (path, p) = out.routes[0].as_ref().unwrap();
         assert_eq!(*p, pin);
@@ -1262,7 +541,7 @@ mod tests {
             EscapeSource::at(SourceKind::SingleValve, Point::new(3, 5)),
         ];
         let pins = vec![Point::new(0, 5), Point::new(10, 5)];
-        let out = EscapeNetwork::build(&obs, &sources, &pins).solve();
+        let out = solve(&obs, &sources, &pins);
         assert_eq!(out.routed, 2);
     }
 
@@ -1276,7 +555,7 @@ mod tests {
             tap_costs: vec![10, 0],
         };
         let pins = vec![Point::new(0, 3), Point::new(0, 5)];
-        let out = EscapeNetwork::build(&obs, &[src], &pins).solve();
+        let out = solve(&obs, &[src], &pins);
         let (path, _) = out.routes[0].as_ref().unwrap();
         assert_eq!(
             path.source(),
@@ -1304,7 +583,7 @@ mod tests {
             tap_costs: vec![10, 0],
         };
         let pins = vec![Point::new(0, 3)];
-        let out = EscapeNetwork::build(&obs, &[src], &pins).solve();
+        let out = solve(&obs, &[src], &pins);
         let (path, _) = out.routes[0].as_ref().unwrap();
         assert_eq!(
             path.source(),
@@ -1316,7 +595,7 @@ mod tests {
     #[test]
     fn empty_sources_trivially_complete() {
         let obs = open_map(4, 4);
-        let out = EscapeNetwork::build(&obs, &[], &[Point::new(0, 0)]).solve();
+        let out = solve(&obs, &[], &[Point::new(0, 0)]);
         assert_eq!(out.routed, 0);
         assert_eq!(out.completion_rate(), 1.0);
     }
@@ -1341,7 +620,10 @@ mod tests {
         *state >> 33
     }
 
-    /// Random scenario: obstacles, boundary pins, mixed sources.
+    /// Random scenario: obstacles, boundary pins (sometimes none, one,
+    /// or listed twice), and mixed sources — walled singletons, random
+    /// walk paths with optional tap tiers and repeated cells, sources
+    /// sitting on pins (blocked or free), and the odd unblocked exit.
     fn random_scenario(seed: u64) -> (ObsMap, Vec<EscapeSource>, Vec<Point>) {
         let mut st = seed;
         let mut next = move |m: usize| (lcg(&mut st) as usize) % m;
@@ -1351,8 +633,16 @@ mod tests {
         for _ in 0..w * h / 7 {
             obs.block(Point::new(next(w) as i32, next(h) as i32));
         }
+        let pin_count = match next(8) {
+            0 => 0,
+            1 => 1,
+            _ => 2 + next(4),
+        };
         let mut pins = Vec::new();
-        for _ in 0..2 + next(4) {
+        for _ in 0..pin_count * 4 {
+            if pins.len() == pin_count {
+                break;
+            }
             let p = if next(2) == 0 {
                 Point::new(next(w) as i32, if next(2) == 0 { 0 } else { h as i32 - 1 })
             } else {
@@ -1362,251 +652,137 @@ mod tests {
                 pins.push(p);
             }
         }
+        if !pins.is_empty() && next(6) == 0 {
+            pins.push(pins[next(pins.len())]);
+        }
         let mut sources = Vec::new();
-        for _ in 0..1 + next(4) {
+        for _ in 0..if pins.len() == 1 {
+            2 + next(3)
+        } else {
+            1 + next(4)
+        } {
             let start = Point::new(1 + next(w - 2) as i32, 1 + next(h - 2) as i32);
-            if next(3) == 0 {
-                obs.block(start);
-                sources.push(EscapeSource::at(SourceKind::SingleValve, start));
-            } else {
-                // Short random-walk path source with optional tap tiers.
-                let mut cells = vec![start];
-                let mut cur = start;
-                for _ in 0..2 + next(5) {
-                    let q = cur.neighbors4()[next(4)];
-                    if q.x <= 0 || q.y <= 0 || q.x >= w as i32 - 1 || q.y >= h as i32 - 1 {
-                        continue;
+            match next(6) {
+                0 | 1 => {
+                    // A free exit cell is also transit; rare in flows.
+                    if next(6) != 0 {
+                        obs.block(start);
                     }
-                    if !cells.contains(&q) {
-                        cells.push(q);
-                        cur = q;
-                    }
+                    sources.push(EscapeSource::at(SourceKind::SingleValve, start));
                 }
-                obs.block_all(cells.iter().copied());
-                let tap_costs = if next(2) == 0 {
-                    cells.iter().map(|_| next(3) as i64).collect()
-                } else {
-                    Vec::new()
-                };
-                sources.push(EscapeSource {
-                    kind: SourceKind::AnyPathPoint,
-                    cells,
-                    tap_costs,
-                });
+                2 if !pins.is_empty() => {
+                    // A source on a pin: a direct arc when the pin is
+                    // free, a non-transit exit when it is blocked.
+                    let pin = pins[next(pins.len())];
+                    if next(2) == 0 {
+                        obs.block(pin);
+                    }
+                    sources.push(EscapeSource::at(SourceKind::SingleValve, pin));
+                }
+                _ => {
+                    // Short random-walk path source with optional tap tiers.
+                    let mut cells = vec![start];
+                    let mut cur = start;
+                    for _ in 0..2 + next(5) {
+                        let q = cur.neighbors4()[next(4)];
+                        if q.x <= 0 || q.y <= 0 || q.x >= w as i32 - 1 || q.y >= h as i32 - 1 {
+                            continue;
+                        }
+                        if !cells.contains(&q) {
+                            cells.push(q);
+                            cur = q;
+                        }
+                    }
+                    obs.block_all(cells.iter().copied());
+                    if next(4) == 0 {
+                        cells.push(cells[next(cells.len())]);
+                    }
+                    let tap_costs = if next(2) == 0 {
+                        cells.iter().map(|_| next(3) as i64).collect()
+                    } else {
+                        Vec::new()
+                    };
+                    sources.push(EscapeSource {
+                        kind: SourceKind::AnyPathPoint,
+                        cells,
+                        tap_costs,
+                    });
+                }
             }
         }
         (obs, sources, pins)
     }
 
-    #[test]
-    fn windowed_build_matches_full_build() {
-        for seed in 0..80u64 {
-            let (obs, sources, pins) = random_scenario(seed * 7 + 1);
-            let full = EscapeNetwork::build(&obs, &sources, &pins).solve();
-            let roi = EscapeNetwork::build_windowed(&obs, &sources, &pins).solve();
-            assert_eq!(shape(&full), shape(&roi), "seed {seed}: ROI solve diverged");
-        }
-    }
-
-    #[test]
-    fn persistent_cold_round_matches_rebuild() {
-        for seed in 0..80u64 {
-            let (obs, sources, pins) = random_scenario(seed * 13 + 5);
-            let reference = EscapeNetwork::build(&obs, &sources, &pins).solve();
-            let mut pe = PersistentEscape::new(&obs, &sources, &pins);
-            let slots: Vec<usize> = (0..sources.len()).collect();
-            let round = pe.solve_round(&slots, true);
-            assert!(!round.warm);
-            assert_eq!(
-                shape(&reference),
-                shape(&round.outcome),
-                "seed {seed}: persistent cold solve diverged"
-            );
-            // A second identical cold round must reproduce it again.
-            let again = pe.solve_round(&slots, true);
-            assert_eq!(
-                shape(&reference),
-                shape(&again.outcome),
-                "seed {seed}: rerun"
-            );
-        }
-    }
-
-    #[test]
-    fn persistent_tracks_obstacle_deltas() {
-        // Block/unblock cells between rounds; the delta-applied
-        // persistent network must match a fresh rebuild every time.
-        for seed in 0..40u64 {
-            let (mut obs, sources, pins) = random_scenario(seed * 29 + 3);
-            let mut st = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
-            let mut next = move |m: usize| (lcg(&mut st) as usize) % m;
-            obs.enable_delta_log();
-            let mut pe = PersistentEscape::new(&obs, &sources, &pins);
-            let slots: Vec<usize> = (0..sources.len()).collect();
-            for _round in 0..4 {
-                let (w, h) = (obs.width() as i32, obs.height() as i32);
-                for _ in 0..4 {
-                    let p = Point::new(next(w as usize) as i32, next(h as usize) as i32);
-                    if next(2) == 0 {
-                        obs.block(p);
-                    } else {
-                        obs.unblock(p);
-                    }
-                }
-                let deltas = obs.take_deltas();
-                pe.apply_deltas(&deltas);
-                let reference = EscapeNetwork::build(&obs, &sources, &pins).solve();
-                let round = pe.solve_round(&slots, true);
-                assert_eq!(
-                    shape(&reference),
-                    shape(&round.outcome),
-                    "seed {seed}: delta-tracked solve diverged"
-                );
+    /// Two sources offering the same cell interleave the reference's
+    /// movement arcs per source — outside the grid solver's contract.
+    fn sources_share_a_cell(sources: &[EscapeSource]) -> bool {
+        let mut seen: Vec<Point> = Vec::new();
+        for src in sources {
+            let mut own = src.cells.clone();
+            own.sort();
+            own.dedup();
+            if own.iter().any(|c| seen.contains(c)) {
+                return true;
             }
+            seen.extend(own);
         }
+        false
     }
 
     #[test]
-    fn persistent_slot_retire_and_add_matches_rebuild() {
-        for seed in 0..40u64 {
-            let (obs, mut sources, pins) = random_scenario(seed * 17 + 11);
-            if sources.len() < 2 {
+    fn grid_solver_matches_reference_on_random_scenarios() {
+        // Covered features, counted per compared scenario.
+        let (mut compared, mut no_pins, mut contested, mut direct, mut blocked_pin_exit) =
+            (0, 0, 0, 0, 0);
+        let (mut repeated_cell, mut tiered, mut free_exit, mut unrouted) = (0, 0, 0, 0);
+        let mut solver = GridEscape::new();
+        for seed in 0..300u64 {
+            let (obs, sources, pins) = random_scenario(seed * 7 + 1);
+            if sources_share_a_cell(&sources) {
                 continue;
             }
-            let mut pe = PersistentEscape::new(&obs, &sources, &pins);
-            let mut slots: Vec<usize> = (0..sources.len()).collect();
-            pe.solve_round(&slots, true);
-            // Retire the first source, add a fresh singleton, re-solve
-            // cold: must equal a rebuild over the surviving sources.
-            pe.retire_slot(slots[0]);
-            slots.remove(0);
-            sources.remove(0);
-            let extra = EscapeSource::at(SourceKind::SingleValve, Point::new(2, 2));
-            sources.push(extra.clone());
-            slots.push(pe.add_slot(&extra));
             let reference = EscapeNetwork::build(&obs, &sources, &pins).solve();
-            let round = pe.solve_round(&slots, true);
+            let grid = solver.solve(&obs, &sources, &pins);
             assert_eq!(
                 shape(&reference),
-                shape(&round.outcome),
-                "seed {seed}: slot churn diverged"
+                shape(&grid),
+                "seed {seed}: grid solve diverged"
             );
+            compared += 1;
+            no_pins += pins.is_empty() as usize;
+            contested += (pins.len() == 1 && sources.len() >= 2) as usize;
+            let on_pin = |c: &Point| pins.contains(c);
+            direct += sources
+                .iter()
+                .any(|s| s.cells.iter().any(|c| on_pin(c) && !obs.is_blocked(*c)))
+                as usize;
+            blocked_pin_exit += sources
+                .iter()
+                .any(|s| s.cells.iter().any(|c| on_pin(c) && obs.is_blocked(*c)))
+                as usize;
+            repeated_cell += sources
+                .iter()
+                .any(|s| (1..s.cells.len()).any(|i| s.cells[..i].contains(&s.cells[i])))
+                as usize;
+            tiered += sources.iter().any(|s| s.tap_costs.iter().any(|&t| t > 0)) as usize;
+            free_exit += sources
+                .iter()
+                .any(|s| s.cells.iter().any(|c| !on_pin(c) && !obs.is_blocked(*c)))
+                as usize;
+            unrouted += (reference.routed < sources.len()) as usize;
         }
-    }
-
-    #[test]
-    fn warm_round_after_activation_matches_rebuild() {
-        // The phase-1 protocol: solve, unblock some cells (pure
-        // activations), re-solve warm. The warm result must match the
-        // cold rebuild — on these scenarios the optimum assignment is
-        // re-derived identically.
-        let mut agreements = 0usize;
-        for seed in 0..40u64 {
-            let (mut obs, sources, pins) = random_scenario(seed * 31 + 7);
-            obs.enable_delta_log();
-            let mut pe = PersistentEscape::new(&obs, &sources, &pins);
-            let slots: Vec<usize> = (0..sources.len()).collect();
-            pe.solve_round(&slots, true);
-            // Unblock a handful of transiently blocked cells.
-            let (w, h) = (obs.width() as i32, obs.height() as i32);
-            let mut st = seed.wrapping_mul(0x2545F4914F6CDD1D) | 1;
-            let mut next = move |m: usize| (lcg(&mut st) as usize) % m;
-            for _ in 0..6 {
-                let p = Point::new(next(w as usize) as i32, next(h as usize) as i32);
-                obs.unblock(p);
-            }
-            let deltas = obs.take_deltas();
-            pe.apply_deltas(&deltas);
-            let reference = EscapeNetwork::build(&obs, &sources, &pins).solve();
-            let round = pe.solve_round(&slots, false);
-            if round.warm {
-                agreements += 1;
-            }
-            assert_eq!(
-                shape(&reference),
-                shape(&round.outcome),
-                "seed {seed}: warm solve diverged (warm={})",
-                round.warm
-            );
+        assert!(compared >= 200, "only {compared} scenarios compared");
+        for (feature, hits) in [
+            ("no pins", no_pins),
+            ("one contested pin", contested),
+            ("direct pin exit", direct),
+            ("blocked pin exit", blocked_pin_exit),
+            ("repeated source cell", repeated_cell),
+            ("tap tiers", tiered),
+            ("free exit cell", free_exit),
+            ("unrouted source", unrouted),
+        ] {
+            assert!(hits >= 5, "{feature}: only {hits} scenarios");
         }
-        assert!(agreements > 0, "no scenario exercised the warm path");
-    }
-
-    #[test]
-    fn refreshed_slot_matches_rebuild() {
-        // Off-midpoint escape commits re-tap LM pairs between rounds, so
-        // the cells a source offers can change. A refreshed slot must
-        // behave exactly like a rebuild over the new definition, and a
-        // refresh with the unchanged definition must be a no-op that
-        // leaves the warm state intact.
-        let mut mutated = 0usize;
-        for seed in 0..40u64 {
-            let (obs, mut sources, pins) = random_scenario(seed * 41 + 19);
-            let mut pe = PersistentEscape::new(&obs, &sources, &pins);
-            let slots: Vec<usize> = (0..sources.len()).collect();
-            pe.solve_round(&slots, true);
-            // Mutate every path source: reverse its cell list (shifting
-            // which cells carry which tap tier) and re-tier the costs.
-            let mut st = seed.wrapping_mul(0xD1B54A32D192ED03) | 1;
-            let mut next = move |m: usize| (lcg(&mut st) as usize) % m;
-            for src in sources.iter_mut() {
-                if src.cells.len() >= 2 {
-                    src.cells.reverse();
-                    src.tap_costs = src.cells.iter().map(|_| next(3) as i64).collect();
-                    mutated += 1;
-                }
-            }
-            for (i, src) in sources.iter().enumerate() {
-                pe.refresh_slot(slots[i], src);
-            }
-            let reference = EscapeNetwork::build(&obs, &sources, &pins).solve();
-            let round = pe.solve_round(&slots, false);
-            assert_eq!(
-                shape(&reference),
-                shape(&round.outcome),
-                "seed {seed}: refreshed solve diverged (warm={})",
-                round.warm
-            );
-            // Refreshing with identical definitions must change nothing.
-            for (i, src) in sources.iter().enumerate() {
-                pe.refresh_slot(slots[i], src);
-            }
-            let again = pe.solve_round(&slots, false);
-            assert_eq!(
-                shape(&reference),
-                shape(&again.outcome),
-                "seed {seed}: no-op refresh disturbed the network"
-            );
-        }
-        assert!(mutated > 0, "no scenario mutated a path source");
-    }
-
-    #[test]
-    fn retracted_source_reuses_overflow_semantics() {
-        // Two sources contend for one pin: one routes, the other is cut
-        // off by the β bail-out (no flow at all — the overflow arc is
-        // never paid for). After retiring the winner and re-solving warm,
-        // the loser routes; a re-added contender again reports unrouted
-        // through the same bail-out path.
-        let obs = open_map(7, 7);
-        let a = EscapeSource::at(SourceKind::SingleValve, Point::new(3, 2));
-        let b = EscapeSource::at(SourceKind::SingleValve, Point::new(3, 4));
-        let pins = vec![Point::new(0, 3)];
-        let mut pe = PersistentEscape::new(&obs, std::slice::from_ref(&a), &pins);
-        let slot_a = 0usize;
-        let round = pe.solve_round(&[slot_a], true);
-        assert_eq!(round.outcome.routed, 1, "a routes alone");
-        // Add the contender: warm continuation cannot route it (pin
-        // taken), and it must come back unrouted via the bail-out.
-        let slot_b = pe.add_slot(&b);
-        let round = pe.solve_round(&[slot_a, slot_b], false);
-        assert_eq!(round.outcome.routed, 1);
-        assert!(round.outcome.routes[1].is_none(), "b bails out unrouted");
-        // Retire the winner: its unit is retracted; the loser now routes
-        // in the next round.
-        pe.retire_slot(slot_a);
-        let round = pe.solve_round(&[slot_b], false);
-        assert_eq!(round.outcome.routed, 1, "b takes the freed pin");
-        assert!(round.outcome.routes[0].is_some());
     }
 }

@@ -10,9 +10,13 @@
 //! constraint matrix is an (integral) network matrix, so the LP optimum is
 //! attained at an integral point and the substitution is exact.
 //!
-//! * [`MinCostFlow`] — the general solver,
-//! * [`EscapeNetwork`] — grid-to-network construction realizing
-//!   constraints (6)–(12) of the paper, plus flow-to-path extraction.
+//! * [`GridEscape`] — the escape solver the flow runs: the node-split
+//!   network realizing constraints (6)–(12) of the paper, kept implicit
+//!   in per-cell flag words and solved cold, plus flow-to-path
+//!   extraction;
+//! * [`EscapeNetwork`] — the same network built explicitly for the
+//!   general [`MinCostFlow`] solver, kept as the reference that
+//!   [`GridEscape`] must reproduce route for route.
 //!
 //! # Examples
 //!
@@ -34,9 +38,10 @@
 #![warn(missing_docs)]
 
 mod escape;
+mod grid;
 mod mcf;
+mod queue;
 
-pub use escape::{
-    EscapeNetwork, EscapeOutcome, EscapeSource, PersistentEscape, RoundOutcome, SourceKind,
-};
+pub use escape::{EscapeNetwork, EscapeOutcome, EscapeSource, SourceKind};
+pub use grid::GridEscape;
 pub use mcf::{EdgeId, FlowResult, MinCostFlow};

@@ -1,7 +1,6 @@
 //! Integral minimum-cost maximum-flow via successive shortest paths.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use crate::queue::{assert_potential_drift, LevelQueue, NodeState};
 
 /// Identifier of a directed edge returned by [`MinCostFlow::add_edge`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -13,27 +12,6 @@ struct Edge {
     cap: i64,
     cost: i64,
     flow: i64,
-}
-
-/// Interleaved per-node solver state: tentative Dijkstra distance and
-/// retained Johnson potential share an 8-byte record (see the `node`
-/// field on [`MinCostFlow`]). Both values fit comfortably in `i32`:
-/// reduced distances live in `[0, bail]` and the offset-form potential
-/// drift is bounded by the overflow guard in the augmentation loop.
-/// `i32::MAX` is the "unvisited" distance sentinel; real distances are
-/// only stored after comparing strictly below the current value, so the
-/// sentinel can never be confused with a finite distance.
-#[derive(Debug, Clone, Copy)]
-struct NodeState {
-    dist: i32,
-    pot: i32,
-}
-
-impl NodeState {
-    const CLEAN: NodeState = NodeState {
-        dist: i32::MAX,
-        pot: 0,
-    };
 }
 
 /// One CSR arc's hot fields packed into 16 bytes, so the Dijkstra inner
@@ -68,9 +46,9 @@ pub struct FlowResult {
 /// possible, cheapest first".
 ///
 /// Edges accumulate in a flat arena; adjacency is a CSR layout frozen
-/// lazily on [`MinCostFlow::solve`] (and rebuilt only when the graph grew
-/// since), so the augmentation loop walks two contiguous arrays instead
-/// of chasing per-node `Vec`s.
+/// on every [`MinCostFlow::solve`], so the augmentation loop walks one
+/// contiguous array instead of chasing per-node `Vec`s. Every solve
+/// starts from the flow the arena holds and from zero potentials.
 #[derive(Debug, Clone)]
 pub struct MinCostFlow {
     nodes: usize,
@@ -81,44 +59,19 @@ pub struct MinCostFlow {
     /// CSR arc ids, grouped by tail node: arc `a` leaves `edges[a ^ 1].to`.
     arcs: Vec<u32>,
     /// CSR-position-ordered packed copies of the arc fields
-    /// ([`PackedArc`]), so the Dijkstra inner loop streams one contiguous
-    /// array instead of gathering `edges[arcs[i]]` — residual capacity
-    /// replaces `cap`/`flow`, and each arc carries the CSR position of
-    /// its twin for the augmentation walk. Flows are written back into
-    /// `edges` after every solve, keeping [`MinCostFlow::edge_flow`] and
-    /// CSR re-freezes exact.
+    /// ([`PackedArc`]) — residual capacity replaces `cap`/`flow`, and
+    /// each arc carries the CSR position of its twin for the
+    /// augmentation walk. Flows are written back into `edges` after
+    /// every solve, keeping [`MinCostFlow::edge_flow`] and the next
+    /// solve's freeze exact.
     csr: Vec<PackedArc>,
-    /// Capacity by CSR position, so [`MinCostFlow::reset_flow`] can restore
-    /// residuals without a full refreeze.
-    csr_cap: Vec<i32>,
-    /// Arc id → CSR position, for O(1) capacity/cost delta edits on a
-    /// frozen network ([`MinCostFlow::set_edge_cap`] and friends).
-    pos_of: Vec<u32>,
-    /// Arena length the CSR was frozen at (`usize::MAX` = never).
-    frozen_edges: usize,
-    /// Node count the CSR was frozen at.
-    frozen_nodes: usize,
-    /// Per-node solver state, interleaved so the Dijkstra inner loop's two
-    /// random reads per arc (`dist[to]`, `potential[to]`) land on one
-    /// cache line. `pot` holds the Johnson potentials, kept across solves:
-    /// [`MinCostFlow::solve_until`] resets them (cold semantics);
-    /// [`MinCostFlow::solve_more`] retains them so a delta-edited network
-    /// can re-augment warm. `dist` is Dijkstra scratch — entries are dirty
-    /// exactly for the nodes listed in `touched`; every solve resets only
-    /// those.
+    /// Per-node Dijkstra distance and Johnson potential. `dist` entries
+    /// are dirty exactly for the nodes listed in `touched`; every
+    /// augmentation resets only those.
     node: Vec<NodeState>,
     prev_pos: Vec<u32>,
     touched: Vec<u32>,
-    heap: BinaryHeap<Reverse<(i32, u32)>>,
-    /// Two-level bitset over node ids: the *plateau* of the augmentation
-    /// Dijkstra — pending nodes whose tentative distance equals the
-    /// distance currently being popped. Grid escape networks have huge
-    /// equal-distance plateaus (every tight arc relaxes at the same
-    /// reduced distance), and `(d, u)` heap order within one distance is
-    /// just ascending node id — which a find-first-set over these words
-    /// delivers in O(1) instead of O(log n) heap traffic.
-    plat_bits: Vec<u64>,
-    plat_sum: Vec<u64>,
+    queue: LevelQueue,
 }
 
 impl MinCostFlow {
@@ -131,28 +84,16 @@ impl MinCostFlow {
             head: Vec::new(),
             arcs: Vec::new(),
             csr: Vec::new(),
-            csr_cap: Vec::new(),
-            pos_of: Vec::new(),
-            frozen_edges: usize::MAX,
-            frozen_nodes: usize::MAX,
             node: Vec::new(),
             prev_pos: Vec::new(),
             touched: Vec::new(),
-            heap: BinaryHeap::new(),
-            plat_bits: Vec::new(),
-            plat_sum: Vec::new(),
+            queue: LevelQueue::default(),
         }
     }
 
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
         self.nodes
-    }
-
-    /// Adds a node, returning its index.
-    pub fn add_node(&mut self) -> usize {
-        self.nodes += 1;
-        self.nodes - 1
     }
 
     /// Adds a directed edge `u → v` with capacity `cap` and per-unit cost
@@ -188,13 +129,10 @@ impl MinCostFlow {
         self.edges[id.0].flow
     }
 
-    /// (Re)builds the CSR adjacency when edges or nodes were added since
-    /// the last freeze. Counting sort over arc tails: arc `a` (forward or
-    /// residual) leaves the head of its twin, `edges[a ^ 1].to`.
+    /// Builds the CSR adjacency from the arena. Counting sort over arc
+    /// tails: arc `a` (forward or residual) leaves the head of its twin,
+    /// `edges[a ^ 1].to`.
     fn freeze_csr(&mut self) {
-        if self.frozen_edges == self.edges.len() && self.frozen_nodes == self.nodes {
-            return;
-        }
         self.head.clear();
         self.head.resize(self.nodes + 1, 0);
         for a in 0..self.edges.len() {
@@ -206,303 +144,26 @@ impl MinCostFlow {
         let mut cursor = self.head.clone();
         self.arcs.clear();
         self.arcs.resize(self.edges.len(), 0);
-        // Arc id → CSR position, for wiring each arc to its twin. Kept
-        // after the freeze so delta edits can locate an arc in O(1).
-        self.pos_of.clear();
-        self.pos_of.resize(self.edges.len(), 0);
-        for a in 0..self.edges.len() {
+        // Arc id → CSR position, for wiring each arc to its twin.
+        let mut pos_of = vec![0u32; self.edges.len()];
+        for (a, pos) in pos_of.iter_mut().enumerate() {
             let u = self.edges[a ^ 1].to;
             self.arcs[cursor[u]] = a as u32;
-            self.pos_of[a] = cursor[u] as u32;
+            *pos = cursor[u] as u32;
             cursor[u] += 1;
         }
-        let m = self.edges.len();
         self.csr.clear();
-        self.csr.reserve(m);
-        self.csr_cap.clear();
-        self.csr_cap.reserve(m);
-        for pos in 0..m {
-            let a = self.arcs[pos] as usize;
-            let e = &self.edges[a];
+        self.csr.reserve(self.edges.len());
+        for &a in &self.arcs {
+            let e = &self.edges[a as usize];
             let cap = i32::try_from(e.cap).expect("edge capacity exceeds CSR i32 range");
             let cost = i32::try_from(e.cost).expect("edge cost exceeds CSR i32 range");
             self.csr.push(PackedArc {
                 to: e.to as u32,
-                twin: self.pos_of[a ^ 1],
+                twin: pos_of[a as usize ^ 1],
                 cost,
                 res: cap - e.flow as i32,
             });
-            self.csr_cap.push(cap);
-        }
-        self.frozen_edges = self.edges.len();
-        self.frozen_nodes = self.nodes;
-    }
-
-    /// Whether `id`'s arc pair is covered by the current CSR freeze.
-    #[inline]
-    fn in_csr(&self, a: usize) -> bool {
-        self.frozen_edges == self.edges.len() && a < self.frozen_edges
-    }
-
-    /// Changes the capacity of a forward edge in place — O(1) on a frozen
-    /// network, deferred to the next freeze otherwise. The edge must carry
-    /// no flow (retract or [`MinCostFlow::reset_flow`] first).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `cap < 0` or the edge carries flow.
-    pub fn set_edge_cap(&mut self, id: EdgeId, cap: i64) {
-        assert!(cap >= 0, "capacity must be non-negative");
-        assert_eq!(self.edges[id.0].flow, 0, "cannot resize a flowing edge");
-        self.edges[id.0].cap = cap;
-        if self.in_csr(id.0) {
-            let pos = self.pos_of[id.0] as usize;
-            let cap = i32::try_from(cap).expect("edge capacity exceeds CSR i32 range");
-            self.csr_cap[pos] = cap;
-            self.csr[pos].res = cap;
-        }
-    }
-
-    /// Changes the per-unit cost of a forward edge (and its residual twin)
-    /// in place — O(1) on a frozen network, deferred otherwise.
-    pub fn set_edge_cost(&mut self, id: EdgeId, cost: i64) {
-        if cost < 0 {
-            self.has_negative = true;
-        }
-        self.edges[id.0].cost = cost;
-        self.edges[id.0 ^ 1].cost = -cost;
-        if self.in_csr(id.0) {
-            let cost = i32::try_from(cost).expect("edge cost exceeds CSR i32 range");
-            self.csr[self.pos_of[id.0] as usize].cost = cost;
-            self.csr[self.pos_of[id.0 ^ 1] as usize].cost = -cost;
-        }
-    }
-
-    /// Current capacity of a forward edge.
-    pub fn edge_cap(&self, id: EdgeId) -> i64 {
-        self.edges[id.0].cap
-    }
-
-    /// Tail node of a forward edge (the node the edge leaves).
-    pub fn edge_tail(&self, id: EdgeId) -> usize {
-        self.edges[id.0 ^ 1].to
-    }
-
-    /// Overwrites the flow on a forward edge without routing it — used to
-    /// retire or transplant bookkeeping arcs whose unit is accounted for
-    /// elsewhere. The caller is responsible for flow conservation.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the flow would exceed the capacity or go negative.
-    pub fn force_flow(&mut self, id: EdgeId, flow: i64) {
-        assert!(
-            (0..=self.edges[id.0].cap).contains(&flow),
-            "flow out of range"
-        );
-        self.edges[id.0].flow = flow;
-        self.edges[id.0 ^ 1].flow = -flow;
-        if self.in_csr(id.0) {
-            let pos = self.pos_of[id.0] as usize;
-            self.csr[pos].res = (self.edges[id.0].cap - flow) as i32;
-            self.csr[self.pos_of[id.0 ^ 1] as usize].res = flow as i32;
-        }
-    }
-
-    /// Clears every unit of flow, restoring all residuals to capacity —
-    /// a cold restart on a persistent network without rebuilding the CSR.
-    pub fn reset_flow(&mut self) {
-        for e in &mut self.edges {
-            e.flow = 0;
-        }
-        if self.frozen_edges == self.edges.len() && self.frozen_nodes == self.nodes {
-            for (arc, &cap) in self.csr.iter_mut().zip(&self.csr_cap) {
-                arc.res = cap;
-            }
-        }
-    }
-
-    /// The retained Johnson potential of `v` (0 before any solve).
-    pub fn node_potential(&self, v: usize) -> i64 {
-        self.node.get(v).map(|st| st.pot as i64).unwrap_or(0)
-    }
-
-    /// Overwrites the retained potential of `v` — used when grafting new
-    /// nodes into a warm network before [`MinCostFlow::repair_potentials`].
-    pub fn set_node_potential(&mut self, v: usize, p: i64) {
-        if self.node.len() < self.nodes {
-            self.node.resize(self.nodes, NodeState::CLEAN);
-        }
-        self.node[v].pot = i32::try_from(p).expect("potential exceeds i32 range");
-    }
-
-    /// Cancels one unit of flow along the path starting at forward edge
-    /// `first`, walking saturated forward arcs until `t`. On unit-capacity
-    /// path networks (every node carries at most one unit) the walk is
-    /// unique. Returns the number of arcs retracted.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `first` carries no flow or the walk dead-ends before
-    /// `t` (non-path flow).
-    pub fn retract_unit(&mut self, first: EdgeId, t: usize) -> usize {
-        assert!(self.edges[first.0].flow > 0, "retract on flowless edge");
-        self.freeze_csr();
-        let mut retracted = 0usize;
-        let mut a = first.0;
-        loop {
-            self.edges[a].flow -= 1;
-            self.edges[a ^ 1].flow += 1;
-            let pos = self.pos_of[a] as usize;
-            self.csr[pos].res += 1;
-            self.csr[self.pos_of[a ^ 1] as usize].res -= 1;
-            retracted += 1;
-            let v = self.edges[a].to;
-            if v == t {
-                return retracted;
-            }
-            let mut next = None;
-            for pos in self.head[v]..self.head[v + 1] {
-                let b = self.arcs[pos] as usize;
-                if b & 1 == 0 && self.edges[b].flow > 0 {
-                    next = Some(b);
-                    break;
-                }
-            }
-            a = next.expect("flow path dead-ends before the sink");
-        }
-    }
-
-    /// Re-validates the retained potentials after structural deltas (new
-    /// arcs, capacity activations, grafted nodes) by recomputing shortest
-    /// reduced distances from `s` over the entire residual graph — a
-    /// label-correcting Dijkstra that tolerates the temporarily negative
-    /// reduced costs the deltas introduced — and folding them into the
-    /// potentials.
-    ///
-    /// Returns `false` when the pass could not restore `reduced cost ≥ 0`
-    /// on every residual arc leaving a reachable node (the retained flow
-    /// is no longer optimal for its value, e.g. a freed corridor offers a
-    /// strictly cheaper route, or a negative residual cycle appeared). The
-    /// caller must then fall back to a cold re-solve; the network itself
-    /// is left consistent.
-    pub fn repair_potentials(&mut self, s: usize) -> bool {
-        assert!(s < self.nodes, "terminal out of range");
-        self.freeze_csr();
-        self.ensure_scratch();
-        for &v in &self.touched {
-            self.node[v as usize].dist = i32::MAX;
-            self.prev_pos[v as usize] = u32::MAX;
-        }
-        self.touched.clear();
-        self.heap.clear();
-        self.node[s].dist = 0;
-        self.touched.push(s as u32);
-        self.heap.push(Reverse((0i32, s as u32)));
-        // Label-correcting: nodes may re-settle when a negative arc later
-        // improves them. A convergent repair re-settles a node only a
-        // handful of times (once per distinct delta region that improves
-        // it); a node spinning on a negative cycle re-pops once per lap.
-        // The per-node counter detects the lap pattern within ~a dozen
-        // cycle lengths instead of burning a whole-graph budget; the
-        // global budget stays as a backstop.
-        let budget = 2 * self.nodes + 64;
-        let mut pops = 0usize;
-        let mut pop_cnt = vec![0u8; self.nodes];
-        const CYCLING_POPS: u8 = 12;
-        while let Some(Reverse((d, u))) = self.heap.pop() {
-            let u = u as usize;
-            if d > self.node[u].dist {
-                continue;
-            }
-            pops += 1;
-            pop_cnt[u] = pop_cnt[u].saturating_add(1);
-            if pop_cnt[u] >= CYCLING_POPS || pops > budget {
-                return false;
-            }
-            let pu = self.node[u].pot;
-            for pos in self.head[u]..self.head[u + 1] {
-                let arc = self.csr[pos];
-                if arc.res <= 0 {
-                    continue;
-                }
-                let to = arc.to as usize;
-                let nd = d + arc.cost + pu - self.node[to].pot;
-                if nd < self.node[to].dist {
-                    if self.node[to].dist == i32::MAX {
-                        self.touched.push(to as u32);
-                    }
-                    self.node[to].dist = nd;
-                    self.prev_pos[to] = pos as u32;
-                    self.heap.push(Reverse((nd, to as u32)));
-                }
-            }
-        }
-        for &v in &self.touched {
-            let st = &mut self.node[v as usize];
-            st.pot += st.dist;
-        }
-        // Verify: every residual arc leaving a reached node must be
-        // non-negative again (arcs between unreached nodes stay invisible
-        // to subsequent augmentations until the next structural delta).
-        for u in 0..self.nodes {
-            if self.node[u].dist == i32::MAX && u != s {
-                continue;
-            }
-            let pu = self.node[u].pot;
-            for pos in self.head[u]..self.head[u + 1] {
-                let arc = self.csr[pos];
-                if arc.res > 0 && arc.cost + pu - self.node[arc.to as usize].pot < 0 {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
-    /// Walks backward from `v` along flowing arcs to the super source
-    /// `s` and returns the path's first edge (the feed), suitable for
-    /// [`MinCostFlow::retract_unit`]. At each node the first flowing
-    /// in-arc in CSR order is followed; on unit-capacity path networks
-    /// the walk is unique. Returns `None` when `v` carries no inbound
-    /// flow or the walk fails to reach `s` within a node-count budget.
-    pub fn flowing_feed_from(&mut self, v: usize, s: usize) -> Option<EdgeId> {
-        self.freeze_csr();
-        let mut cur = v;
-        for _ in 0..self.nodes {
-            // A reverse arc leaving `cur` with residual capacity is the
-            // mirror of a flowing forward arc *into* `cur`.
-            let mut found = None;
-            for pos in self.head[cur]..self.head[cur + 1] {
-                let a = self.arcs[pos] as usize;
-                if a & 1 == 1 && self.csr[pos].res > 0 {
-                    found = Some(a);
-                    break;
-                }
-            }
-            let a = found?;
-            let tail = self.edges[a].to; // reverse arc points at the tail
-            if tail == s {
-                return Some(EdgeId(a ^ 1));
-            }
-            cur = tail;
-        }
-        None
-    }
-
-    /// Grows the persistent solver scratch to the current node count.
-    fn ensure_scratch(&mut self) {
-        let n = self.nodes;
-        if self.node.len() < n {
-            self.node.resize(n, NodeState::CLEAN);
-        }
-        if self.prev_pos.len() < n {
-            self.prev_pos.resize(n, u32::MAX);
-        }
-        let words = n.div_ceil(64);
-        if self.plat_bits.len() < words {
-            self.plat_bits.resize(words, 0);
-            self.plat_sum.resize(words.div_ceil(64), 0);
         }
     }
 
@@ -525,7 +186,6 @@ impl MinCostFlow {
     pub fn solve_until(&mut self, s: usize, t: usize, max_flow: i64, bail: i64) -> FlowResult {
         assert!(s < self.nodes && t < self.nodes, "terminal out of range");
         self.freeze_csr();
-        self.ensure_scratch();
         let n = self.nodes;
         // Offset-form Johnson potentials: after each augmentation the
         // textbook update is `potential[v] += dist[v].min(dt)` for all v.
@@ -534,10 +194,11 @@ impl MinCostFlow {
         // touched nodes get `+= dist[v].min(dt) - dt`, untouched nodes
         // (`dist[v] = MAX`, i.e. `+= dt` in textbook form) stay put. That
         // turns two O(n) sweeps per augmentation (reset + update) into
-        // O(touched) work. Cold semantics: start from zero potentials.
-        for st in &mut self.node[..n] {
-            st.pot = 0;
-        }
+        // O(touched) work.
+        self.node.clear();
+        self.node.resize(n, NodeState::CLEAN);
+        self.prev_pos.resize(n, u32::MAX);
+        self.touched.clear();
 
         if self.has_negative {
             // Bellman–Ford over residual edges with remaining capacity.
@@ -570,115 +231,39 @@ impl MinCostFlow {
             }
         }
 
-        self.augment(s, t, max_flow, bail)
+        let result = self.augment(s, t, max_flow, bail);
+        // Publish the residuals back to the arena so `edge_flow` and the
+        // next CSR freeze observe the flow this solve routed.
+        for pos in 0..self.arcs.len() {
+            let a = self.arcs[pos] as usize;
+            self.edges[a].flow = self.edges[a].cap - self.csr[pos].res as i64;
+        }
+        result
     }
 
-    /// Warm continuation: sends up to `add_flow` more units from `s` to
-    /// `t` on top of the flow already routed, reusing the potentials
-    /// retained from the previous solve instead of restarting from zero.
-    /// Valid only while `reduced cost ≥ 0` holds on every residual arc —
-    /// i.e. right after a solve on the same network, or after structural
-    /// deltas followed by a successful [`MinCostFlow::repair_potentials`].
-    pub fn solve_more(&mut self, s: usize, t: usize, add_flow: i64, bail: i64) -> FlowResult {
-        assert!(s < self.nodes && t < self.nodes, "terminal out of range");
-        self.freeze_csr();
-        self.ensure_scratch();
-        self.augment(s, t, add_flow, bail)
-    }
-
-    /// The SSP augmentation loop shared by cold and warm solves: Dijkstra
-    /// on reduced costs under the current `self.potential`, augmenting
-    /// until `want` units are routed, `t` becomes unreachable, or the
-    /// next path's true cost reaches `bail`.
+    /// The SSP augmentation loop: Dijkstra on reduced costs under the
+    /// current potentials, augmenting until `want` units are routed, `t`
+    /// becomes unreachable, or the next path's true cost reaches `bail`.
     fn augment(&mut self, s: usize, t: usize, want: i64, bail: i64) -> FlowResult {
         let mut total_flow = 0i64;
         let mut total_cost = 0i64;
-        // The plateau bitset lives in locals so the hot loop can index it
-        // alongside `self` fields without borrow gymnastics.
-        let mut bits = std::mem::take(&mut self.plat_bits);
-        let mut sum = std::mem::take(&mut self.plat_sum);
-
         while total_flow < want {
             // Dijkstra on reduced costs, stopping as soon as `t` is
             // settled: unsettled nodes have true distance ≥ dist[t], so
             // clamping their potential update to dist[t] preserves
             // non-negative reduced costs (standard SSP early exit).
-            // Persistent scratch invariant: dirty dist/prev entries are
-            // exactly the nodes in `touched`, across calls too.
-            //
-            // Queue discipline: pushes happen only on strict improvement,
-            // so equal `(d, u)` duplicates are impossible and any queue
-            // that pops ascending `(d, u)` reproduces the reference pop
-            // order exactly. Nodes at the distance currently being popped
-            // (`cur_d` — the plateau, where almost all pops land on these
-            // grids) live in the bitset and pop by find-first-set;
-            // strictly farther nodes wait in the binary heap and are
-            // drained into the bitset level by level.
-            for i in 0..self.touched.len() {
-                let v = self.touched[i] as usize;
-                self.node[v].dist = i32::MAX;
-                self.prev_pos[v] = u32::MAX;
+            for &v in &self.touched {
+                self.node[v as usize].dist = i32::MAX;
             }
             self.touched.clear();
-            self.heap.clear();
-            bitset_clear(&mut bits, &mut sum);
+            self.queue.reset(self.nodes);
             self.node[s].dist = 0;
             self.touched.push(s as u32);
-            bitset_set(&mut bits, &mut sum, s);
-            let mut cur_d = 0i32;
-            let mut settled_t = false;
-            loop {
-                let u = match bitset_first(&sum, &bits) {
-                    Some(u) => {
-                        bitset_unset(&mut bits, &mut sum, u);
-                        u
-                    }
-                    None => {
-                        // Plateau drained: advance to the next distance
-                        // level present in the heap, skipping stale
-                        // entries, and move that whole level over.
-                        let d = loop {
-                            match self.heap.peek() {
-                                Some(&Reverse((d, v))) => {
-                                    if d > self.node[v as usize].dist {
-                                        self.heap.pop();
-                                        continue;
-                                    }
-                                    break d;
-                                }
-                                None => break i32::MAX,
-                            }
-                        };
-                        if d == i32::MAX {
-                            break; // queue exhausted
-                        }
-                        if d == self.node[t].dist {
-                            // The whole level sits at `dist[t]`: none of
-                            // its settles can improve `t` (no strict
-                            // improvement at equal distance), change a
-                            // potential (`d == dt` updates by zero), or
-                            // alter `prev[t]` — settle `t` right now.
-                            settled_t = true;
-                            break;
-                        }
-                        cur_d = d;
-                        while let Some(&Reverse((d2, v))) = self.heap.peek() {
-                            if d2 != d {
-                                break;
-                            }
-                            self.heap.pop();
-                            if d2 == self.node[v as usize].dist {
-                                bitset_set(&mut bits, &mut sum, v as usize);
-                            }
-                        }
-                        continue;
-                    }
-                };
-                if u == t {
-                    settled_t = true;
-                    break;
-                }
-                let d = cur_d;
+            self.queue.push(s, 0);
+            'search: while let Some((u, d)) = {
+                let node = &self.node;
+                self.queue.pop(|v| node[v].dist, node[t].dist)
+            } {
                 let pu = self.node[u].pot;
                 for pos in self.head[u]..self.head[u + 1] {
                     let arc = self.csr[pos];
@@ -688,38 +273,32 @@ impl MinCostFlow {
                     let to = arc.to as usize;
                     let st = self.node[to];
                     let nd = d + arc.cost + pu - st.pot;
-                    debug_assert!(arc.cost + pu - st.pot >= 0, "negative reduced cost");
+                    debug_assert!(nd >= d, "negative reduced cost");
                     if nd < st.dist {
                         if st.dist == i32::MAX {
                             self.touched.push(to as u32);
                         }
                         self.node[to].dist = nd;
                         self.prev_pos[to] = pos as u32;
-                        if nd == d {
-                            if to == t {
-                                // Tight relaxation into the sink: dist[t]
-                                // equals the current level, so no later
-                                // settle can improve it or (by strict-
-                                // improvement) reassign prev[t], and the
-                                // remaining plateau settles update every
-                                // potential by zero — settle t here.
-                                settled_t = true;
-                                break;
-                            }
-                            bitset_set(&mut bits, &mut sum, to);
-                        } else {
-                            self.heap.push(Reverse((nd, to as u32)));
+                        if nd == d && to == t {
+                            // Tight relaxation into the sink: dist[t]
+                            // equals the current level, so no later
+                            // settle can improve it or (by strict
+                            // improvement) reassign prev[t], and the
+                            // remaining plateau settles update every
+                            // potential by zero — settle t here.
+                            break 'search;
                         }
+                        self.queue.push(to, nd);
                     }
                 }
-                if settled_t {
-                    break;
-                }
             }
-            if !settled_t {
+            // The queue also stops at the sink's level: t is settled
+            // whenever it was reached at all.
+            let dt = self.node[t].dist;
+            if dt == i32::MAX {
                 break; // t unreachable: maximal flow attained
             }
-            let dt = self.node[t].dist;
             // True path cost = dist[t] + potential[t] - potential[s]
             // (telescoping reduced costs); the Σdt offset cancels in the
             // difference, so offset-form potentials give the exact value.
@@ -728,21 +307,13 @@ impl MinCostFlow {
             {
                 break;
             }
-            for i in 0..self.touched.len() {
-                let v = self.touched[i] as usize;
-                let st = &mut self.node[v];
+            for &v in &self.touched {
+                let st = &mut self.node[v as usize];
                 if st.dist < dt {
                     st.pot += st.dist - dt;
                 }
             }
-            // The offset-form potentials drift downward by `dt` per
-            // augmentation (`s` tracks the full `-Σdt`). Escape-scale
-            // solves stay far below this bound; a pathological warm chain
-            // must fail loudly rather than overflow `i32` silently.
-            assert!(
-                self.node[s].pot > i32::MIN / 2,
-                "Johnson potential drift exceeds i32 range; cold-restart via solve_until"
-            );
+            assert_potential_drift(self.node[s].pot);
             // Bottleneck along the augmenting path.
             let mut push = want - total_flow;
             let mut v = t;
@@ -763,59 +334,10 @@ impl MinCostFlow {
             }
             total_flow += push;
         }
-
-        // Publish the residuals back to the arena so `edge_flow` and the
-        // next CSR freeze observe the flow this solve routed.
-        for pos in 0..self.arcs.len() {
-            let a = self.arcs[pos] as usize;
-            self.edges[a].flow = self.edges[a].cap - self.csr[pos].res as i64;
-        }
-
-        self.plat_bits = bits;
-        self.plat_sum = sum;
         FlowResult {
             flow: total_flow,
             cost: total_cost,
         }
-    }
-}
-
-#[inline]
-fn bitset_set(bits: &mut [u64], sum: &mut [u64], v: usize) {
-    bits[v >> 6] |= 1 << (v & 63);
-    sum[v >> 12] |= 1 << ((v >> 6) & 63);
-}
-
-#[inline]
-fn bitset_unset(bits: &mut [u64], sum: &mut [u64], v: usize) {
-    let w = v >> 6;
-    bits[w] &= !(1 << (v & 63));
-    if bits[w] == 0 {
-        sum[w >> 6] &= !(1 << (w & 63));
-    }
-}
-
-/// Lowest set node id, via the summary words then one leaf word.
-#[inline]
-fn bitset_first(sum: &[u64], bits: &[u64]) -> Option<usize> {
-    for (si, &sw) in sum.iter().enumerate() {
-        if sw != 0 {
-            let w = (si << 6) + sw.trailing_zeros() as usize;
-            return Some((w << 6) + bits[w].trailing_zeros() as usize);
-        }
-    }
-    None
-}
-
-/// Clears only the words the summary marks dirty.
-fn bitset_clear(bits: &mut [u64], sum: &mut [u64]) {
-    for si in 0..sum.len() {
-        let mut sw = sum[si];
-        while sw != 0 {
-            bits[(si << 6) + sw.trailing_zeros() as usize] = 0;
-            sw &= sw - 1;
-        }
-        sum[si] = 0;
     }
 }
 
@@ -908,16 +430,6 @@ mod tests {
         mcf.add_edge(3, 4, 1, 9);
         let r = mcf.solve(0, 4, 1);
         assert_eq!(r, FlowResult { flow: 1, cost: 4 });
-    }
-
-    #[test]
-    fn add_node_grows_network() {
-        let mut mcf = MinCostFlow::new(1);
-        let v = mcf.add_node();
-        assert_eq!(v, 1);
-        mcf.add_edge(0, v, 1, 0);
-        let r = mcf.solve(0, v, 1);
-        assert_eq!(r.flow, 1);
     }
 
     #[test]
@@ -1031,12 +543,12 @@ mod tests {
 
     #[test]
     fn csr_refreezes_after_growth() {
-        // Solve, then grow the graph and solve again: the CSR must pick
-        // up both the new node and the new edges.
-        let mut mcf = MinCostFlow::new(2);
+        // Solve, then add edges and solve again: the CSR must pick up
+        // the new edges on top of the flow already routed.
+        let mut mcf = MinCostFlow::new(3);
         mcf.add_edge(0, 1, 1, 1);
         assert_eq!(mcf.solve(0, 1, 10).flow, 1);
-        let v = mcf.add_node();
+        let v = 2;
         mcf.add_edge(0, v, 2, 1);
         mcf.add_edge(v, 1, 2, 1);
         let r = mcf.solve(0, 1, 10);
@@ -1072,151 +584,5 @@ mod tests {
         assert_eq!(r.flow, 5);
         // Straight rows: 9 steps each.
         assert_eq!(r.cost, 45);
-    }
-
-    #[test]
-    fn warm_continuation_matches_one_shot() {
-        // Routing k units then k more warm must equal routing 2k cold:
-        // SSP is min-cost at every intermediate value, and solve_more
-        // continues under the retained potentials.
-        let build = || {
-            let mut mcf = MinCostFlow::new(6);
-            mcf.add_edge(0, 1, 2, 1);
-            mcf.add_edge(0, 2, 2, 3);
-            mcf.add_edge(1, 3, 1, 1);
-            mcf.add_edge(1, 4, 2, 2);
-            mcf.add_edge(2, 4, 2, 1);
-            mcf.add_edge(3, 5, 2, 1);
-            mcf.add_edge(4, 5, 3, 1);
-            mcf
-        };
-        let mut cold = build();
-        let one_shot = cold.solve(0, 5, 4);
-        let mut warm = build();
-        let first = warm.solve(0, 5, 2);
-        let second = warm.solve_more(0, 5, 2, i64::MAX);
-        assert_eq!(first.flow + second.flow, one_shot.flow);
-        assert_eq!(first.cost + second.cost, one_shot.cost);
-    }
-
-    #[test]
-    fn reset_flow_restores_cold_state() {
-        let mut mcf = MinCostFlow::new(3);
-        mcf.add_edge(0, 1, 2, 1);
-        mcf.add_edge(1, 2, 2, 1);
-        let a = mcf.solve(0, 2, 2);
-        mcf.reset_flow();
-        let b = mcf.solve(0, 2, 2);
-        assert_eq!(a, b, "same answer after a flow reset");
-    }
-
-    #[test]
-    fn set_edge_cap_updates_frozen_csr() {
-        let mut mcf = MinCostFlow::new(2);
-        let cheap = mcf.add_edge(0, 1, 1, 1);
-        mcf.add_edge(0, 1, 5, 10);
-        assert_eq!(mcf.solve(0, 1, 1), FlowResult { flow: 1, cost: 1 });
-        mcf.reset_flow();
-        // Close the cheap arc in place: the next solve (no refreeze —
-        // the graph did not grow) must route via the dear arc.
-        mcf.set_edge_cap(cheap, 0);
-        assert_eq!(mcf.solve(0, 1, 1), FlowResult { flow: 1, cost: 10 });
-        // Reopen and widen: both units fit, cheap first.
-        mcf.reset_flow();
-        mcf.set_edge_cap(cheap, 2);
-        assert_eq!(mcf.edge_cap(cheap), 2);
-        assert_eq!(mcf.solve(0, 1, 2), FlowResult { flow: 2, cost: 2 });
-    }
-
-    #[test]
-    fn set_edge_cost_updates_frozen_csr() {
-        let mut mcf = MinCostFlow::new(2);
-        let a = mcf.add_edge(0, 1, 1, 1);
-        mcf.add_edge(0, 1, 1, 5);
-        assert_eq!(mcf.solve(0, 1, 2).cost, 6);
-        mcf.reset_flow();
-        mcf.set_edge_cost(a, 7);
-        assert_eq!(mcf.solve(0, 1, 2).cost, 12);
-    }
-
-    #[test]
-    fn retract_unit_cancels_a_path() {
-        // 0 → 1 → 2 → 3 unit path plus a cheaper parallel 0 → 3. Both
-        // saturate; retracting the dearer path leaves the remaining flow
-        // min-cost for its value, so repair succeeds and a warm
-        // re-augmentation finds the same path again. (Retraction reopens
-        // saturated arcs whose reduced cost may be negative under the
-        // retained potentials — repair_potentials is mandatory before
-        // the next warm solve.)
-        let mut mcf = MinCostFlow::new(4);
-        let first = mcf.add_edge(0, 1, 1, 1);
-        mcf.add_edge(1, 2, 1, 1);
-        mcf.add_edge(2, 3, 1, 1);
-        mcf.add_edge(0, 3, 1, 2);
-        assert_eq!(mcf.solve(0, 3, 2), FlowResult { flow: 2, cost: 5 });
-        assert_eq!(mcf.edge_flow(first), 1);
-        let arcs = mcf.retract_unit(first, 3);
-        assert_eq!(arcs, 3, "three arcs on the cancelled path");
-        assert_eq!(mcf.edge_flow(first), 0);
-        assert!(mcf.repair_potentials(0), "remaining flow still optimal");
-        let r = mcf.solve_more(0, 3, 1, i64::MAX);
-        assert_eq!(r, FlowResult { flow: 1, cost: 3 });
-        assert_eq!(mcf.edge_flow(first), 1);
-    }
-
-    #[test]
-    fn repair_potentials_after_activation() {
-        // Solve with a detour closed, then open it via set_edge_cap. The
-        // activated arc 1→2 has reduced cost 1 + π(1) − π(2) = −9 under
-        // the retained offset-form potentials (π(1) = −10 after the cold
-        // solve, π(2) = 0 untouched), yet the retained unit on 0→1→3 is
-        // still min-cost for its value (the detour totals 36 > 20), so
-        // repair must succeed and the warm continuation must route the
-        // second unit through the detour at its true cost.
-        let mut mcf = MinCostFlow::new(4);
-        mcf.add_edge(0, 1, 2, 10);
-        mcf.add_edge(1, 3, 1, 10);
-        let via = mcf.add_edge(1, 2, 0, 1);
-        mcf.add_edge(2, 3, 1, 25);
-        assert_eq!(mcf.solve(0, 3, 1), FlowResult { flow: 1, cost: 20 });
-        mcf.set_edge_cap(via, 1);
-        assert!(mcf.repair_potentials(0), "retained flow is still optimal");
-        let r = mcf.solve_more(0, 3, 1, i64::MAX);
-        assert_eq!(
-            r,
-            FlowResult { flow: 1, cost: 36 },
-            "second unit takes the detour"
-        );
-    }
-
-    #[test]
-    fn repair_potentials_detects_stale_flow() {
-        // One unit routed the dear way, then a strictly cheaper corridor
-        // opens: the retained flow is no longer min-cost for its value,
-        // so the repair must report failure (caller re-solves cold).
-        let mut mcf = MinCostFlow::new(3);
-        mcf.add_edge(0, 1, 1, 10);
-        mcf.add_edge(1, 2, 1, 10);
-        let shortcut = mcf.add_edge(0, 2, 0, 1);
-        assert_eq!(mcf.solve(0, 2, 1).cost, 20);
-        mcf.set_edge_cap(shortcut, 1);
-        assert!(
-            !mcf.repair_potentials(0),
-            "cheaper corridor invalidates the retained flow"
-        );
-        // Cold restart from the same network recovers the optimum.
-        mcf.reset_flow();
-        assert_eq!(mcf.solve(0, 2, 1), FlowResult { flow: 1, cost: 1 });
-    }
-
-    #[test]
-    fn force_flow_syncs_residuals() {
-        let mut mcf = MinCostFlow::new(2);
-        let e = mcf.add_edge(0, 1, 1, 4);
-        assert_eq!(mcf.solve(0, 1, 1).flow, 1);
-        mcf.force_flow(e, 0);
-        // The freed capacity is visible to the next warm augmentation.
-        let r = mcf.solve_more(0, 1, 1, i64::MAX);
-        assert_eq!(r, FlowResult { flow: 1, cost: 4 });
     }
 }

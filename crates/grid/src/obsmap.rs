@@ -43,11 +43,6 @@ pub struct ObsMap {
     /// escape stage rips thousands of cells per round, and a linear
     /// journal scan per cell made that quadratic.
     slot: Vec<usize>,
-    /// When enabled, every effective blocked-state change is appended as
-    /// `(cell index, new state)` — the feed for incremental consumers
-    /// (the persistent escape network) that mirror this map as arc
-    /// capacities. `None` = disabled, zero overhead on the hot paths.
-    delta_log: Option<Vec<(u32, bool)>>,
 }
 
 /// Opaque checkpoint token for [`ObsMap::rollback`].
@@ -68,31 +63,6 @@ impl ObsMap {
             blocked,
             journal: Vec::new(),
             slot,
-            delta_log: None,
-        }
-    }
-
-    /// Starts recording blocked-state changes. Any deltas recorded by a
-    /// previous enablement are discarded.
-    pub fn enable_delta_log(&mut self) {
-        self.delta_log = Some(Vec::new());
-    }
-
-    /// Stops recording and drops any pending deltas.
-    pub fn disable_delta_log(&mut self) {
-        self.delta_log = None;
-    }
-
-    /// Drains the recorded deltas (`(cell index, new blocked state)` in
-    /// application order), leaving the log enabled and empty. Returns an
-    /// empty vec when the log is disabled.
-    ///
-    /// A cell may appear multiple times; replaying the entries in order
-    /// reproduces the map's net state change since the last drain.
-    pub fn take_deltas(&mut self) -> Vec<(u32, bool)> {
-        match &mut self.delta_log {
-            Some(log) => std::mem::take(log),
-            None => Vec::new(),
         }
     }
 
@@ -134,9 +104,6 @@ impl ObsMap {
                 self.blocked[i] = true;
                 self.slot[i] = self.journal.len();
                 self.journal.push(i);
-                if let Some(log) = &mut self.delta_log {
-                    log.push((i as u32, true));
-                }
             }
         }
     }
@@ -162,9 +129,6 @@ impl ObsMap {
                 self.journal[pos] = TOMBSTONE;
                 self.slot[i] = TOMBSTONE;
                 self.blocked[i] = false;
-                if let Some(log) = &mut self.delta_log {
-                    log.push((i as u32, false));
-                }
             }
         }
     }
@@ -199,9 +163,6 @@ impl ObsMap {
             if i != TOMBSTONE {
                 self.blocked[i] = false;
                 self.slot[i] = TOMBSTONE;
-                if let Some(log) = &mut self.delta_log {
-                    log.push((i as u32, false));
-                }
             }
         }
     }
@@ -223,7 +184,7 @@ impl ObsMap {
     /// ones) behave as permanent in the view — they cannot be
     /// unblocked and survive [`ObsMap::reset`] — so a region router
     /// can rip up only what it routed itself. The view starts with an
-    /// empty journal and no delta log.
+    /// empty journal.
     pub fn windowed(&self, window: Rect) -> ObsMap {
         let mut blocked = self.blocked.clone();
         let (w, h) = (self.width as i32, self.height as i32);
@@ -245,7 +206,6 @@ impl ObsMap {
             blocked,
             journal: Vec::new(),
             slot: vec![TOMBSTONE; self.slot.len()],
-            delta_log: None,
         }
     }
 }
@@ -369,42 +329,6 @@ mod tests {
         obs.rollback(cp);
         assert!(!obs.is_blocked(Point::new(3, 3)));
         assert_eq!(obs.blocked_count(), 0);
-    }
-
-    #[test]
-    fn delta_log_records_effective_changes_only() {
-        let mut obs = ObsMap::new(&grid_with_obstacle());
-        obs.enable_delta_log();
-        obs.block(Point::new(2, 2)); // effective
-        obs.block(Point::new(2, 2)); // no-op: already blocked
-        obs.block(Point::new(0, 0)); // no-op: permanent obstacle
-        obs.unblock(Point::new(2, 2)); // effective
-        obs.unblock(Point::new(0, 0)); // no-op: permanent
-        obs.unblock(Point::new(3, 3)); // no-op: never blocked
-        let i22 = (2 * 6 + 2) as u32;
-        assert_eq!(obs.take_deltas(), vec![(i22, true), (i22, false)]);
-        // Drained: the log stays enabled and empty.
-        assert_eq!(obs.take_deltas(), vec![]);
-        obs.block(Point::new(1, 1));
-        assert_eq!(obs.take_deltas(), vec![(6 + 1, true)]);
-        obs.disable_delta_log();
-        obs.block(Point::new(4, 4));
-        assert_eq!(obs.take_deltas(), vec![]);
-    }
-
-    #[test]
-    fn delta_log_sees_rollback() {
-        let mut obs = ObsMap::new(&Grid::new(4, 4).unwrap());
-        obs.block(Point::new(1, 1));
-        let cp = obs.checkpoint();
-        obs.enable_delta_log();
-        obs.block(Point::new(2, 2));
-        obs.rollback(cp);
-        // The block and its undo both appear, in order; the pre-log block
-        // at (1,1) survives the rollback and never shows up.
-        let i22 = (2 * 4 + 2) as u32;
-        assert_eq!(obs.take_deltas(), vec![(i22, true), (i22, false)]);
-        assert!(obs.is_blocked(Point::new(1, 1)));
     }
 
     #[test]

@@ -47,7 +47,6 @@ pub fn is_work_metric(name: &str) -> bool {
     name.starts_with("astar.")
         || name.starts_with("parallel.")
         || name.starts_with("global.")
-        || name == "escape.delta_fallback"
         || name.ends_with(".speculative")
         || name.ends_with(".conflicts")
         || name.ends_with(".serial_fallbacks")
@@ -849,7 +848,6 @@ pub(crate) mod tests {
             "parallel.tasks",
             "global.regions",
             "global.corridor_len",
-            "escape.delta_fallback",
             "negotiate.speculative",
             "mst.conflicts",
             "negotiate.serial_fallbacks",

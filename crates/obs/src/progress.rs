@@ -151,6 +151,10 @@ pub enum ProgressEvent {
         pending: u64,
         /// Escapes still failing after this round's solve.
         failed: u64,
+        /// Valves whose cluster holds an escape after this round's solve
+        /// — progress in the objective's units, unlike the escape counts
+        /// above, whose meaning shifts as de-clustering splits clusters.
+        valves_routed: u64,
         /// Cumulative de-clustered victims so far.
         declustered: u64,
         /// Cumulative ripped escapes so far.
@@ -301,12 +305,13 @@ impl ProgressEvent {
                 round,
                 pending,
                 failed,
+                valves_routed,
                 declustered,
                 ripped,
             } => {
                 let _ = write!(
                     s,
-                    ",\"phase\":{phase},\"round\":{round},\"pending\":{pending},\"failed\":{failed},\"declustered\":{declustered},\"ripped\":{ripped}"
+                    ",\"phase\":{phase},\"round\":{round},\"pending\":{pending},\"failed\":{failed},\"valves_routed\":{valves_routed},\"declustered\":{declustered},\"ripped\":{ripped}"
                 );
             }
             ProgressEvent::Heartbeat { stage, elapsed_us } => {
@@ -1279,6 +1284,7 @@ mod tests {
                 round: 1,
                 pending: 3,
                 failed: 0,
+                valves_routed: 5,
                 declustered: 0,
                 ripped: 0,
             },

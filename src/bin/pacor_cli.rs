@@ -37,10 +37,11 @@
 //!   over the `--threads` workers and commits deterministically, landing
 //!   on the identical routed result).
 //! * `--escape-solver incremental|reference` — which solver drives the
-//!   escape stage (default `incremental`: persistent network with delta
-//!   edits, warm-started min-cost flow and windowed recovery solves;
-//!   `reference` rebuilds and cold-solves every round — kept for
-//!   ablation, routes the identical result).
+//!   escape stage (default `incremental`: the grid-native solver, which
+//!   keeps the node-split flow network implicit in per-cell flags;
+//!   `reference` builds the network explicitly for the generic
+//!   min-cost-flow solver — kept for ablation, routes the identical
+//!   result). Both solve every round cold.
 //! * `--routing-mode flat|hierarchical` — one detailed pass over the
 //!   whole chip (default `flat`), or the global-then-detailed split:
 //!   gcell corridor planning, region-parallel detailed routing over
@@ -214,7 +215,7 @@ fn parse_options(args: &[String], allowed: &[&str]) -> Result<Options, String> {
 }
 
 /// The dense flow-benchmark chips, routable by name like the Table 1
-/// designs (`make escape-smoke` depends on this for B2-dense48).
+/// designs.
 fn bench_chip_of(name: &str) -> Option<pacor::DesignParams> {
     std::iter::once(pacor::FLOW_SMOKE_CHIP)
         .chain(pacor::FLOW_BENCH_CHIPS)

@@ -197,9 +197,9 @@ fn route_rejects_bad_escape_solver() {
 
 #[test]
 fn escape_solvers_agree_on_report() {
-    // The incremental solver must route the identical result as the
-    // full-rebuild reference; only wall-clock fields and work counters
-    // may differ.
+    // The grid solver (`incremental`) must route the identical result as
+    // the explicit-network reference; only wall-clock fields and work
+    // counters may differ.
     let strip = |bytes: &[u8]| {
         let text = std::str::from_utf8(bytes).unwrap();
         let mut r: pacor_repro::pacor::RouteReport = serde_json::from_str(text).unwrap();

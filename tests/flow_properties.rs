@@ -132,11 +132,10 @@ proptest! {
 
     #[test]
     fn incremental_escape_matches_reference(problem in arb_problem()) {
-        // The persistent-network escape solver (delta edits, warm-started
-        // min-cost flow, windowed recovery) must route the *identical*
-        // geometry as the full-rebuild reference, across the de-cluster
-        // and rip-up sequences these dense random instances provoke,
-        // under either negotiation rip-up policy.
+        // The grid-native escape solver must route the *identical*
+        // geometry as the explicit-network reference, across the
+        // de-cluster and rip-up sequences these dense random instances
+        // provoke, under either negotiation rip-up policy.
         for policy in [RipUpPolicy::Incremental, RipUpPolicy::Full] {
             let base = FlowConfig::default().with_ripup_policy(policy);
             let (_, inc) = PacorFlow::new(base.with_escape_solver(EscapeSolver::Incremental))
