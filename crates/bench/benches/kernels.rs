@@ -9,18 +9,22 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pacor::dme::{candidates, CandidateConfig};
 use pacor::grid::{Grid, ObsMap, Point};
-use pacor::route::{AStar, AStarScratch};
+use pacor::route::{AStar, AStarScratch, HistoryCost};
 use pacor::{effective_threads, parallel_map, BenchDesign, FlowConfig, PacorFlow};
 
-fn obstacle_grid(n: u32) -> ObsMap {
+/// An `n`×`n` grid with deterministic scattered obstacles, ~5% density.
+fn scattered_grid(n: u32) -> Grid {
     let mut grid = Grid::new(n, n).unwrap();
-    // Deterministic scattered obstacles, ~5% density.
     for k in 0..(n * n / 20) {
         let x = (k * 37) % n;
         let y = (k * 61) % n;
         grid.set_obstacle(Point::new(x as i32, y as i32));
     }
-    ObsMap::new(&grid)
+    grid
+}
+
+fn obstacle_grid(n: u32) -> ObsMap {
+    ObsMap::new(&scattered_grid(n))
 }
 
 /// Flat-array kernel vs reference kernel on the corner-to-corner and
@@ -71,7 +75,53 @@ fn bench_astar_kernels(c: &mut Criterion) {
                 .expect("row is reachable")
         })
     });
+    // Unreachable target (the failure path of negotiation rip-up in the
+    // LM routing stage): the target sits in a small walled pocket while
+    // the source side is the rest of the chip.
+    for n in [64u32, 128] {
+        let (obs, source, target) = sealed_target_grid(n);
+        let mut history = HistoryCost::new(n, n);
+        for k in 0..n as i32 * 4 {
+            history.bump(Point::new((k * 7) % n as i32, (k * 13) % n as i32));
+        }
+        for (label, weighted) in [
+            ("flat_unreachable", false),
+            ("flat_unreachable_history", true),
+        ] {
+            group.bench_with_input(BenchmarkId::new(label, n), &obs, |b, obs| {
+                let astar = if weighted {
+                    AStar::with_history(obs, &history)
+                } else {
+                    AStar::new(obs)
+                };
+                let mut scratch = AStarScratch::new();
+                b.iter(|| {
+                    assert!(astar
+                        .route_with_scratch(&[source], &[target], &mut scratch)
+                        .is_none())
+                })
+            });
+        }
+    }
     group.finish();
+}
+
+/// [`obstacle_grid`] with a target near the far corner walled into a
+/// 3x3 pocket, plus a source in the opposite corner.
+fn sealed_target_grid(n: u32) -> (ObsMap, Point, Point) {
+    let mut grid = scattered_grid(n);
+    let target = Point::new(n as i32 - 6, n as i32 - 6);
+    for d in -2..=2 {
+        for p in [
+            Point::new(target.x + d, target.y - 2),
+            Point::new(target.x + d, target.y + 2),
+            Point::new(target.x - 2, target.y + d),
+            Point::new(target.x + 2, target.y + d),
+        ] {
+            grid.set_obstacle(p);
+        }
+    }
+    (ObsMap::new(&grid), Point::new(1, 1), target)
 }
 
 /// DME candidate generation fanned out over worker threads — the

@@ -2,13 +2,16 @@
 //!
 //! ```text
 //! profile_flow [--chip NAME] [--variant pacor|wo-sel|detour-first]
-//!              [--trace-out FILE] [--top N]
+//!              [--seed N] [--trace-out FILE] [--top N]
 //! ```
 //!
 //! Synthesizes one chip (default the largest dense bench chip,
-//! `B3-dense96`) — a paper design (`Chip1 Chip2 S1`–`S5`) or a dense
-//! flow-benchmark chip (`B0-smoke16`, `B1`–`B4`) — at the shared bench
-//! seed, runs the full flow once under an observability session with the
+//! `B3-dense96`) — a paper design (`Chip1 Chip2 S1`–`S5`), a dense
+//! flow-benchmark chip (`B0-smoke16`, `B1`–`B4`) or `lm_congested`, the
+//! Chip1 cluster mix on 128² of the `perfbench` workload of that name —
+//! from design seed `N` (default the shared bench seed, 42), so any
+//! `perfbench` catalog design can be profiled, held-out seed 7 included.
+//! It runs the full flow once under an observability session with the
 //! chosen variant (default `pacor`), and prints every span name's
 //! **inclusive** and **exclusive** wall-clock (exclusive = inclusive
 //! minus the time spent in child spans on the same trace lane), sorted
@@ -26,9 +29,23 @@ use pacor::{synthesize_params, BenchDesign, DesignParams, FlowConfig, FlowVarian
 use pacor_bench::{BENCH_SEED, FLOW_BENCH_CHIPS, FLOW_SMOKE_CHIP};
 use std::collections::BTreeMap;
 
+/// The chip of `perfbench`'s `lm_congested` workload: Chip1's cluster
+/// mix on a denser 128² grid (keep in step with `perfbench/src/workload.rs`).
+const LM_CONGESTED_CHIP: DesignParams = DesignParams {
+    name: "lm_congested",
+    width: 128,
+    height: 128,
+    valves: 176,
+    control_pins: 500,
+    obstacles: 400,
+    multi_clusters: 40,
+    pairs_only: false,
+};
+
 fn main() {
     let mut chip_name = "B3-dense96".to_string();
     let mut variant = FlowVariant::Pacor;
+    let mut seed = BENCH_SEED;
     let mut trace_out: Option<String> = None;
     let mut top = 5usize;
     let mut args = std::env::args().skip(1);
@@ -41,6 +58,10 @@ fn main() {
             "--variant" => match args.next().as_deref().and_then(FlowVariant::parse) {
                 Some(v) => variant = v,
                 None => return usage("--variant requires pacor, wo-sel or detour-first"),
+            },
+            "--seed" => match args.next().and_then(|v| v.parse::<u64>().ok()) {
+                Some(n) => seed = n,
+                None => return usage("--seed requires a non-negative integer"),
             },
             "--trace-out" => match args.next() {
                 Some(v) => trace_out = Some(v),
@@ -58,7 +79,7 @@ fn main() {
         .iter()
         .map(|d| d.params())
         .chain(FLOW_BENCH_CHIPS)
-        .chain(std::iter::once(FLOW_SMOKE_CHIP))
+        .chain([FLOW_SMOKE_CHIP, LM_CONGESTED_CHIP])
         .collect();
     let Some(chip) = chips.iter().find(|c| c.name == chip_name) else {
         let names: Vec<&str> = chips.iter().map(|c| c.name).collect();
@@ -67,7 +88,7 @@ fn main() {
         ));
     };
 
-    let problem = synthesize_params(*chip, BENCH_SEED);
+    let problem = synthesize_params(*chip, seed);
     let config = FlowConfig::for_variant(variant);
     // Warm-up run so first-touch costs don't skew the profile.
     PacorFlow::new(config)
@@ -93,7 +114,7 @@ fn main() {
 
     let rows = span_profile(report.events());
     println!(
-        "profile_flow: {} ({}x{}, {}), wall {wall_ms:.1} ms — top {top} spans by exclusive time",
+        "profile_flow: {} ({}x{}, {}, design seed {seed}), wall {wall_ms:.1} ms — top {top} spans by exclusive time",
         chip.name,
         chip.width,
         chip.height,
@@ -177,7 +198,7 @@ fn span_profile(events: &[TraceEvent]) -> Vec<SpanRow> {
 
 fn usage(err: &str) {
     eprintln!(
-        "profile_flow: {err}\nusage: profile_flow [--chip NAME] [--variant pacor|wo-sel|detour-first] [--trace-out FILE] [--top N]"
+        "profile_flow: {err}\nusage: profile_flow [--chip NAME] [--variant pacor|wo-sel|detour-first] [--seed N] [--trace-out FILE] [--top N]"
     );
     std::process::exit(2);
 }

@@ -96,6 +96,13 @@ impl ObsMap {
         }
     }
 
+    /// The blocked flag of every cell, row-major (`y * width + x`): the
+    /// index-based view of [`ObsMap::is_blocked`] for grid-wide sweeps.
+    #[inline]
+    pub fn blocked_cells(&self) -> &[bool] {
+        &self.blocked
+    }
+
     /// Blocks `p` transiently; records the change for rollback. Blocking an
     /// already-blocked cell is a no-op that records nothing.
     pub fn block(&mut self, p: Point) {

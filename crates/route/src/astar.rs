@@ -17,6 +17,15 @@
 //! Both kernels expand cells in the exact same order — ties on f are
 //! broken by smaller g, then smaller [`Point`] (x, then y) — so they
 //! return bit-identical paths, not merely equal-cost ones.
+//!
+//! The flat kernel also has a cheap failure path. Before its open list
+//! starts draining, a BFS from the targets over free cells, capped at
+//! `PROBE_CELLS` cells, looks for a cell next to a source. When it runs
+//! out of cells first, the targets sit in a sealed pocket and no path
+//! exists; the query then floods the sources' free component with a
+//! plain BFS and returns `None`, leaving the same touched set, expanded
+//! set and expansion count as an A\* that expands everything it can
+//! reach (DESIGN.md §7).
 
 use crate::HistoryCost;
 use pacor_grid::{GridPath, ObsMap, Point};
@@ -30,6 +39,12 @@ const SCALE: u64 = 1024;
 
 /// "No parent" marker in [`AStarScratch::parent`].
 const NO_PARENT: u32 = u32::MAX;
+
+/// Cell budget of the target-side reachability probe: a target pocket
+/// of up to this many cells is proven unreachable without an A\* search.
+/// Larger target regions make the probe give up and the A\* run as
+/// usual.
+const PROBE_CELLS: usize = 64;
 
 /// An open-list entry of the bucket queue: candidate cell `idx` with
 /// tentative cost `g`, plus its Point-order `key` for tie-breaking.
@@ -49,6 +64,8 @@ struct KernelStats {
     expansions: u64,
     bucket_pushes: u64,
     heap_pushes: u64,
+    /// Failures settled by the reachability probe and its flood.
+    unreachable: u64,
 }
 
 impl KernelStats {
@@ -64,6 +81,7 @@ impl KernelStats {
         pacor_obs::counter_add("astar.expansions", self.expansions);
         pacor_obs::counter_add("astar.bucket_pushes", self.bucket_pushes);
         pacor_obs::counter_add("astar.heap_pushes", self.heap_pushes);
+        pacor_obs::counter_add("astar.unreachable", self.unreachable);
     }
 }
 
@@ -72,6 +90,20 @@ impl KernelStats {
 #[inline]
 fn point_key(p: Point) -> u64 {
     ((p.x as u64) << 32) | (p.y as u32 as u64)
+}
+
+/// Grid indices of the in-bounds 4-neighbors of cell `i`.
+#[inline]
+fn neighbor_indices(i: usize, width: usize, height: usize) -> impl Iterator<Item = usize> {
+    let (x, y) = (i % width, i / width);
+    [
+        (x > 0).then(|| i - 1),
+        (x + 1 < width).then(|| i + 1),
+        (y > 0).then(|| i - width),
+        (y + 1 < height).then(|| i + width),
+    ]
+    .into_iter()
+    .flatten()
 }
 
 /// Reusable per-thread search state for the flat-array A\* kernel.
@@ -88,6 +120,8 @@ pub struct AStarScratch {
     height: usize,
     generation: u32,
     g: Vec<u64>,
+    /// Parent links of a search; after a probe-settled failure, the
+    /// flood's BFS queue instead (see [`AStarScratch::flood_cells`]).
     parent: Vec<u32>,
     stamp: Vec<u32>,
     target_stamp: Vec<u32>,
@@ -101,6 +135,12 @@ pub struct AStarScratch {
     heap: BinaryHeap<Reverse<(u64, u64, u64, u32)>>,
     /// Per-query kernel counters, reset by [`AStarScratch::begin`].
     stats: KernelStats,
+    /// The reachability probe's BFS queue: the distinct targets, then
+    /// cells until it holds a few more than [`PROBE_CELLS`] entries.
+    probe: Vec<u32>,
+    /// Length of the failure flood held in `parent`; 0 unless the most
+    /// recent query was settled by the probe.
+    flood_len: usize,
 }
 
 impl AStarScratch {
@@ -171,8 +211,8 @@ impl AStarScratch {
     /// this set* pop the identical cell sequence and return the
     /// identical result. That containment is exactly what the parallel
     /// negotiation mode's commit rule checks (DESIGN.md §10). After a
-    /// *failed* search the expanded set equals the touched set (the open
-    /// list drains completely).
+    /// *failed* search the expanded set equals the touched set: the open
+    /// list drains completely, or the probe's flood marks both.
     ///
     /// Same caveat as [`AStarScratch::touched_cells`]: only meaningful
     /// directly after the flat kernel ran on this scratch.
@@ -183,6 +223,20 @@ impl AStarScratch {
             .enumerate()
             .filter(move |(_, &s)| s == generation)
             .map(|(i, _)| self.point_of(i))
+    }
+
+    /// The failure flood of the most recent query, in BFS order, when
+    /// its reachability probe proved the targets unreachable; `None`
+    /// after a success or after a failure the A\* found by draining its
+    /// open list. As a set it equals both
+    /// [`AStarScratch::touched_cells`] and
+    /// [`AStarScratch::expanded_cells`], but it costs no grid scan.
+    pub fn flood_cells(&self) -> Option<impl ExactSizeIterator<Item = Point> + '_> {
+        (self.flood_len > 0).then(|| {
+            self.parent[..self.flood_len]
+                .iter()
+                .map(|&i| self.point_of(i as usize))
+        })
     }
 
     /// Follows the parent chain from `idx` back to a source and returns
@@ -270,6 +324,7 @@ impl<'a> AStar<'a> {
         targets: &[Point],
         scratch: &mut AStarScratch,
     ) -> Option<GridPath> {
+        scratch.flood_len = 0;
         if sources.is_empty() || targets.is_empty() {
             return None;
         }
@@ -376,10 +431,127 @@ impl<'a> AStar<'a> {
             }
         }
 
+        if self.targets_sealed(targets, scratch, generation) {
+            return self.flood_sources::<TRACK>(sources, scratch, generation);
+        }
         match self.history {
             None => self.drain_buckets::<TRACK>(scratch, generation, h),
             Some(_) => self.drain_heap::<TRACK>(scratch, generation, h),
         }
+    }
+
+    /// The reachability probe: a BFS from the targets over free cells,
+    /// run once the sources are stamped. Every path ends in a (possibly
+    /// empty) run of free cells next to a target, so when the BFS runs
+    /// out of cells without stepping next to a source, no path exists
+    /// and the result is `true`. Reaching a source, or visiting more
+    /// than [`PROBE_CELLS`] cells, gives `false` and the A\* runs as
+    /// before. The probe borrows `expanded_stamp` for its visited marks
+    /// and clears them before returning, so the A\* sees the scratch
+    /// exactly as if no probe had run.
+    fn targets_sealed(
+        &self,
+        targets: &[Point],
+        scratch: &mut AStarScratch,
+        generation: u32,
+    ) -> bool {
+        let (width, height) = (scratch.width, scratch.height);
+        let blocked = self.obs.blocked_cells();
+        let AStarScratch {
+            stamp,
+            expanded_stamp,
+            probe,
+            ..
+        } = scratch;
+        probe.clear();
+        for &t in targets {
+            let i = t.y as usize * width + t.x as usize;
+            if expanded_stamp[i] != generation {
+                expanded_stamp[i] = generation;
+                probe.push(i as u32);
+            }
+        }
+        let mut sealed = true;
+        let mut head = 0;
+        'bfs: while head < probe.len() {
+            if probe.len() > PROBE_CELLS {
+                sealed = false;
+                break;
+            }
+            let p = probe[head] as usize;
+            head += 1;
+            for q in neighbor_indices(p, width, height) {
+                if stamp[q] == generation {
+                    // Only sources are stamped yet: a source steps
+                    // straight into this pocket.
+                    sealed = false;
+                    break 'bfs;
+                }
+                if !blocked[q] && expanded_stamp[q] != generation {
+                    expanded_stamp[q] = generation;
+                    probe.push(q as u32);
+                }
+            }
+        }
+        for &i in probe.iter() {
+            expanded_stamp[i as usize] = 0; // no live generation is 0
+        }
+        sealed
+    }
+
+    /// The failure path behind a sealing probe: floods the sources' free
+    /// component with a plain BFS and marks it the way the exhausted
+    /// A\* would — every cell touched and expanded, one expansion each
+    /// (DESIGN.md §7). `parent` doubles as the BFS queue, since a failed
+    /// search never reads it, and keeps the flood for
+    /// [`AStarScratch::flood_cells`].
+    fn flood_sources<const TRACK: bool>(
+        &self,
+        sources: &[Point],
+        scratch: &mut AStarScratch,
+        generation: u32,
+    ) -> Option<GridPath> {
+        let (width, height) = (scratch.width, scratch.height);
+        let blocked = self.obs.blocked_cells();
+        let AStarScratch {
+            stamp,
+            target_stamp,
+            expanded_stamp,
+            parent,
+            ..
+        } = scratch;
+        let mut len = 0;
+        for &s in sources {
+            let i = s.y as usize * width + s.x as usize;
+            if expanded_stamp[i] != generation {
+                expanded_stamp[i] = generation;
+                parent[len] = i as u32;
+                len += 1;
+            }
+        }
+        let mut head = 0;
+        while head < len {
+            let p = parent[head] as usize;
+            head += 1;
+            for q in neighbor_indices(p, width, height) {
+                debug_assert_ne!(
+                    target_stamp[q], generation,
+                    "a sealed target borders the flood"
+                );
+                if stamp[q] != generation && !blocked[q] {
+                    stamp[q] = generation;
+                    expanded_stamp[q] = generation;
+                    parent[len] = q as u32;
+                    len += 1;
+                }
+            }
+        }
+        scratch.flood_len = len;
+        if TRACK {
+            scratch.stats.expansions += len as u64;
+            scratch.stats.unreachable += 1;
+        }
+        None
     }
 
     /// Unit-cost search: bucket queue keyed by f / SCALE. The Manhattan

@@ -315,20 +315,22 @@ impl OwnerIndex {
     }
 }
 
-/// Per-round stamp of the cells blocked by this round's earlier commits.
+/// Per-round set of grid cells; a generation counter makes per-round
+/// invalidation free, mirroring [`AStarScratch`].
 ///
-/// The parallel mode's conflict test: a speculative result is valid iff
-/// none of its expanded cells is marked here. A generation counter makes
-/// per-round invalidation free, mirroring [`AStarScratch`].
+/// Two uses: the parallel mode's conflict test marks the cells blocked
+/// by this round's earlier commits (a speculative result is valid iff
+/// none of its expanded cells is marked), and the incremental rip-up
+/// marks contended cells so that each is looked up once per round.
 #[derive(Debug)]
-struct DirtyStamp {
+struct RoundStamp {
     width: usize,
     height: usize,
     generation: u32,
     stamp: Vec<u32>,
 }
 
-impl DirtyStamp {
+impl RoundStamp {
     fn new(width: usize, height: usize) -> Self {
         Self {
             width,
@@ -338,7 +340,8 @@ impl DirtyStamp {
         }
     }
 
-    /// Clears the marks in O(1); call at every commit-phase start.
+    /// Clears the marks in O(1); call at the start of every round (the
+    /// commit phase, in parallel mode).
     fn begin_round(&mut self) {
         if self.generation == u32::MAX {
             self.stamp.fill(0);
@@ -361,6 +364,18 @@ impl DirtyStamp {
             if let Some(i) = self.index_of(c) {
                 self.stamp[i] = self.generation;
             }
+        }
+    }
+
+    /// Marks `p`; `true` when it was not yet marked this round.
+    /// Out-of-bounds cells are never marked.
+    fn insert(&mut self, p: Point) -> bool {
+        match self.index_of(p) {
+            Some(i) if self.stamp[i] != self.generation => {
+                self.stamp[i] = self.generation;
+                true
+            }
+            _ => false,
         }
     }
 
@@ -403,7 +418,7 @@ struct Speculation {
 /// modes diverge. Owned by `route_all`, reused across rounds.
 enum RoundExec {
     Serial,
-    Parallel { threads: usize, dirty: DirtyStamp },
+    Parallel { threads: usize, dirty: RoundStamp },
 }
 
 impl RoundExec {
@@ -420,10 +435,16 @@ impl RoundExec {
             && req.sources.iter().chain(&req.targets).all(in_bounds)
     }
 
-    /// Extracts the contended-region flood of a just-failed live search.
+    /// Extracts the contended-region flood of a just-failed live search:
+    /// the kernel's flood list when its reachability probe settled the
+    /// failure, else a scan of the touched cells.
     fn flood_of(req: &RouteRequest, scratch: &AStarScratch, obs: &ObsMap) -> Option<Vec<Point>> {
-        Self::transparent(req, obs.width() as usize, obs.height() as usize)
-            .then(|| scratch.touched_cells().collect())
+        Self::transparent(req, obs.width() as usize, obs.height() as usize).then(|| {
+            match scratch.flood_cells() {
+                Some(flood) => flood.collect(),
+                None => scratch.touched_cells().collect(),
+            }
+        })
     }
 
     /// Attempts every net of `pending` (in order) for one round,
@@ -664,7 +685,7 @@ impl NegotiationRouter {
             NegotiationMode::Serial => RoundExec::Serial,
             NegotiationMode::Parallel => RoundExec::Parallel {
                 threads: self.threads.max(1),
-                dirty: DirtyStamp::new(obs.width() as usize, obs.height() as usize),
+                dirty: RoundStamp::new(obs.width() as usize, obs.height() as usize),
             },
         };
         match self.ripup {
@@ -821,6 +842,10 @@ impl NegotiationRouter {
         let mut pending: Vec<usize> = order.clone();
         // Marks per edge: rip this round / already counted as victim.
         let mut rip = vec![false; edges.len()];
+        // Contended cells already recorded this round: failed searches
+        // in one pocket flood the same region, and victim selection only
+        // needs each cell once.
+        let mut contended_seen = RoundStamp::new(width, height);
         // Regression detection: a plateauing failed-edge count is normal
         // while history accumulates on the contended cells, but a *rising*
         // one means the last eviction actively made the round worse —
@@ -840,6 +865,7 @@ impl NegotiationRouter {
             // the flat kernel (out-of-bounds terminals) and left no
             // touched-cell record.
             let mut contended: Vec<Point> = Vec::new();
+            contended_seen.begin_round();
             let mut rip_all = false;
 
             let mut opaque = false;
@@ -870,7 +896,7 @@ impl NegotiationRouter {
                             flood: flood.len() as u32,
                         });
                         failed.push(e);
-                        contended.extend(flood);
+                        contended.extend(flood.into_iter().filter(|&c| contended_seen.insert(c)));
                     }
                     Attempt::Failed(None) => {
                         pacor_obs::flight(|| FlightEvent::NetAttempt {

@@ -8,15 +8,21 @@
 //! * against an independent textbook Dijkstra (written here, no
 //!   heuristic, no shared code) the returned path must have the same
 //!   **cost** — this guards against both kernels sharing a bug.
+//!
+//! Walled-terminal cases pin the flat kernel's failure path: whether a
+//! failure is settled by the target-side probe and its flood or by
+//! draining the A\* open list, the touched and expanded cells must equal
+//! an independent BFS of the sources' free component, and the
+//! `astar.expansions` counter must equal its size.
 
 use pacor_grid::{Grid, GridPath, ObsMap, Point};
-use pacor_route::{AStar, HistoryCost};
+use pacor_route::{AStar, AStarScratch, HistoryCost};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
 
 /// Mirrors the router's fixed-point scale for history costs.
 const SCALE: u64 = 1024;
@@ -176,5 +182,303 @@ proptest! {
                 )));
             }
         }
+    }
+}
+
+/// The cells an A\* that expands everything it can reach touches: the
+/// sources plus every free cell reachable from them through free cells.
+/// A plain queue BFS over `Point`s, sharing no code with the kernel.
+fn source_component(obs: &ObsMap, sources: &[Point]) -> HashSet<Point> {
+    let mut seen: HashSet<Point> = sources.iter().copied().collect();
+    let mut queue: VecDeque<Point> = seen.iter().copied().collect();
+    while let Some(p) = queue.pop_front() {
+        for q in p.neighbors4() {
+            if !obs.is_blocked(q) && seen.insert(q) {
+                queue.push_back(q);
+            }
+        }
+    }
+    seen
+}
+
+/// How a query ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Outcome {
+    Routed,
+    /// Failed; the reachability probe proved it and the kernel flooded.
+    Sealed,
+    /// Failed after the A\* drained its open list.
+    Drained,
+}
+
+/// Runs one flat-kernel query in a recording session and checks it: the
+/// path equals the reference kernel's, and a failure leaves touched
+/// cells, expanded cells, the flood list (when present) and the
+/// expansion counter exactly as the BFS oracle predicts.
+fn check_query(
+    obs: &ObsMap,
+    hist: Option<&HistoryCost>,
+    sources: &[Point],
+    targets: &[Point],
+) -> Result<Outcome, TestCaseError> {
+    let astar = match hist {
+        Some(h) => AStar::with_history(obs, h),
+        None => AStar::new(obs),
+    };
+    let mut scratch = AStarScratch::new();
+    let session = pacor_obs::Session::begin();
+    let flat = astar.route_with_scratch(sources, targets, &mut scratch);
+    let counters = session.finish();
+    let reference = astar.route_reference(sources, targets);
+    prop_assert_eq!(&flat, &reference, "kernels returned different paths");
+    if flat.is_some() {
+        prop_assert!(scratch.flood_cells().is_none(), "a success left a flood");
+        prop_assert_eq!(counters.counter("astar.unreachable"), 0);
+        return Ok(Outcome::Routed);
+    }
+
+    let want = source_component(obs, sources);
+    let touched: HashSet<Point> = scratch.touched_cells().collect();
+    let expanded: HashSet<Point> = scratch.expanded_cells().collect();
+    prop_assert_eq!(
+        &touched,
+        &want,
+        "touched cells differ from the source component"
+    );
+    prop_assert_eq!(
+        &expanded,
+        &want,
+        "expanded cells differ from the source component"
+    );
+    prop_assert_eq!(
+        counters.counter("astar.expansions"),
+        want.len() as u64,
+        "expansion count differs from the component size"
+    );
+    let Some(flood) = scratch.flood_cells().map(Vec::from_iter) else {
+        prop_assert_eq!(counters.counter("astar.unreachable"), 0);
+        return Ok(Outcome::Drained);
+    };
+    let flood_set: HashSet<Point> = flood.iter().copied().collect();
+    prop_assert_eq!(flood.len(), flood_set.len(), "flood lists a cell twice");
+    prop_assert_eq!(&flood_set, &want, "flood differs from the source component");
+    prop_assert_eq!(counters.counter("astar.unreachable"), 1);
+    Ok(Outcome::Sealed)
+}
+
+/// [`check_query`] without and with a history layer; both must end the
+/// same way, since history only reweights steps.
+fn check_both(obs: &ObsMap, sources: &[Point], targets: &[Point]) -> Outcome {
+    let mut hist = HistoryCost::new(obs.width(), obs.height());
+    for y in 0..obs.height() as i32 {
+        for x in 0..obs.width() as i32 {
+            for _ in 0..((x * 3 + y * 5) % 4) {
+                hist.bump(Point::new(x, y));
+            }
+        }
+    }
+    let plain = check_query(obs, None, sources, targets).unwrap();
+    let weighted = check_query(obs, Some(&hist), sources, targets).unwrap();
+    assert_eq!(plain, weighted, "history changed how the query ended");
+    plain
+}
+
+/// Blocks the square ring at Chebyshev distance `r` around `c`.
+fn ring(grid: &mut Grid, c: Point, r: i32) {
+    for d in -r..=r {
+        for p in [
+            Point::new(c.x + d, c.y - r),
+            Point::new(c.x + d, c.y + r),
+            Point::new(c.x - r, c.y + d),
+            Point::new(c.x + r, c.y + d),
+        ] {
+            if grid.in_bounds(p) {
+                grid.set_obstacle(p);
+            }
+        }
+    }
+}
+
+#[test]
+fn sealed_target_pocket_is_settled_by_the_probe() {
+    let mut grid = Grid::new(24, 20).unwrap();
+    ring(&mut grid, Point::new(16, 12), 3); // 5x5 pocket
+    let obs = ObsMap::new(&grid);
+    let outcome = check_both(&obs, &[Point::new(2, 2)], &[Point::new(16, 12)]);
+    assert_eq!(outcome, Outcome::Sealed);
+}
+
+#[test]
+fn sealed_source_pocket_drains_the_open_list() {
+    // The target side is the open grid, far beyond the probe budget.
+    let mut grid = Grid::new(24, 20).unwrap();
+    ring(&mut grid, Point::new(5, 5), 2);
+    let obs = ObsMap::new(&grid);
+    let outcome = check_both(&obs, &[Point::new(5, 5)], &[Point::new(20, 17)]);
+    assert_eq!(outcome, Outcome::Drained);
+}
+
+#[test]
+fn wall_splitting_two_large_halves_drains_the_open_list() {
+    let mut grid = Grid::new(30, 16).unwrap();
+    for y in 0..16 {
+        grid.set_obstacle(Point::new(14, y));
+    }
+    let obs = ObsMap::new(&grid);
+    let outcome = check_both(&obs, &[Point::new(3, 8)], &[Point::new(25, 3)]);
+    assert_eq!(outcome, Outcome::Drained);
+    // Swapping the sides changes nothing.
+    let outcome = check_both(&obs, &[Point::new(25, 3)], &[Point::new(3, 8)]);
+    assert_eq!(outcome, Outcome::Drained);
+}
+
+#[test]
+fn multi_cell_target_rows_in_a_sealed_corridor() {
+    // A corridor of 12 free cells at y = 10, walled above, below and at
+    // both ends; the whole row is the target (an existing path).
+    let mut grid = Grid::new(24, 20).unwrap();
+    for x in 4..=17 {
+        grid.set_obstacle(Point::new(x, 9));
+        grid.set_obstacle(Point::new(x, 11));
+    }
+    grid.set_obstacle(Point::new(4, 10));
+    grid.set_obstacle(Point::new(17, 10));
+    let obs = ObsMap::new(&grid);
+    let row: Vec<Point> = (5..=16).map(|x| Point::new(x, 10)).collect();
+    assert_eq!(check_both(&obs, &[Point::new(1, 1)], &row), Outcome::Sealed);
+
+    // A target row longer than the probe budget: the probe gives up at
+    // once and the A* proves the failure by draining.
+    let mut grid = Grid::new(90, 12).unwrap();
+    for x in 0..90 {
+        grid.set_obstacle(Point::new(x, 6));
+    }
+    let obs = ObsMap::new(&grid);
+    let row: Vec<Point> = (0..80).map(|x| Point::new(x, 9)).collect();
+    assert_eq!(
+        check_both(&obs, &[Point::new(40, 2)], &row),
+        Outcome::Drained
+    );
+}
+
+#[test]
+fn duplicate_and_blocked_terminals() {
+    let mut grid = Grid::new(20, 20).unwrap();
+    ring(&mut grid, Point::new(14, 14), 2);
+    // One source on a lone obstacle, listed twice, plus a free one.
+    grid.set_obstacle(Point::new(3, 3));
+    let obs = ObsMap::new(&grid);
+    let t = Point::new(14, 14);
+    let sources = [Point::new(3, 3), Point::new(3, 3), Point::new(6, 2)];
+    assert_eq!(check_both(&obs, &sources, &[t, t]), Outcome::Sealed);
+
+    // A blocked target inside the pocket (its own net's cell).
+    let mut walled = grid.clone();
+    walled.set_obstacle(Point::new(13, 14));
+    let obs = ObsMap::new(&walled);
+    assert_eq!(
+        check_both(&obs, &sources, &[Point::new(13, 14), t]),
+        Outcome::Sealed
+    );
+
+    // A target that is itself walled in on all four sides.
+    let mut cell = Grid::new(12, 12).unwrap();
+    for q in Point::new(6, 6).neighbors4() {
+        cell.set_obstacle(q);
+    }
+    cell.set_obstacle(Point::new(6, 6));
+    let obs = ObsMap::new(&cell);
+    assert_eq!(
+        check_both(&obs, &[Point::new(0, 0)], &[Point::new(6, 6)]),
+        Outcome::Sealed
+    );
+    // A blocked source in its wall steps straight onto it: routable.
+    assert_eq!(
+        check_both(
+            &obs,
+            &[Point::new(0, 0), Point::new(6, 5)],
+            &[Point::new(6, 6)]
+        ),
+        Outcome::Routed
+    );
+
+    // So does a source on the pocket's ring.
+    let obs = ObsMap::new(&grid);
+    assert_eq!(
+        check_both(&obs, &[Point::new(14, 12)], &[t]),
+        Outcome::Routed
+    );
+}
+
+/// A random obstacle grid and history layer whose terminals are often
+/// walled into square rings: around the first target (with the extra
+/// targets near it, inside the ring when there is one), around the
+/// first source, or both. Targets and sources are sometimes repeated.
+fn walled_setup(seed: u64) -> (ObsMap, HistoryCost, Vec<Point>, Vec<Point>) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let (w, h) = (rng.gen_range(6u32..28), rng.gen_range(6u32..28));
+    let density = rng.gen_range(0u32..30);
+    let mut grid = Grid::new(w, h).unwrap();
+    for y in 0..h as i32 {
+        for x in 0..w as i32 {
+            if rng.gen_range(0u32..100) < density {
+                grid.set_obstacle(Point::new(x, y));
+            }
+        }
+    }
+    let rand_point =
+        |rng: &mut StdRng| Point::new(rng.gen_range(0..w as i32), rng.gen_range(0..h as i32));
+    let t0 = rand_point(&mut rng);
+    let s0 = rand_point(&mut rng);
+    let (ring_t, ring_s) = (rng.gen_range(0i32..5), rng.gen_range(0i32..4));
+    if ring_t > 0 {
+        ring(&mut grid, t0, ring_t);
+    }
+    if ring_s > 0 {
+        ring(&mut grid, s0, ring_s);
+    }
+    let mut targets = vec![t0];
+    for _ in 1..rng.gen_range(1usize..5) {
+        let r = ring_t.max(2) - 1;
+        let p = Point::new(t0.x + rng.gen_range(-r..=r), t0.y + rng.gen_range(-r..=r));
+        if grid.in_bounds(p) {
+            targets.push(p);
+        }
+    }
+    if rng.gen_range(0u32..3) == 0 {
+        targets.push(t0);
+    }
+    let s1 = if rng.gen_range(0u32..2) == 0 {
+        rand_point(&mut rng)
+    } else {
+        s0
+    };
+    let mut hist = HistoryCost::new(w, h);
+    for _ in 0..(w * h / 3) {
+        hist.bump(rand_point(&mut rng));
+    }
+    (ObsMap::new(&grid), hist, vec![s0, s1], targets)
+}
+
+/// Randomized walled terminals, with and without history. A plain seed
+/// loop rather than a proptest, so it can assert that every way a query
+/// ends is covered.
+#[test]
+fn walled_terminals_fail_like_an_exhausted_search() {
+    let mut seen: HashMap<Outcome, usize> = HashMap::new();
+    for seed in 0..400u64 {
+        let (obs, hist, sources, targets) = walled_setup(seed);
+        for hist in [None, Some(&hist)] {
+            let outcome = check_query(&obs, hist, &sources, &targets)
+                .unwrap_or_else(|e| panic!("seed {seed}, history {}: {e:?}", hist.is_some()));
+            *seen.entry(outcome).or_default() += 1;
+        }
+    }
+    for outcome in [Outcome::Routed, Outcome::Sealed, Outcome::Drained] {
+        let hits = seen.get(&outcome).copied().unwrap_or(0);
+        assert!(
+            hits >= 40,
+            "{outcome:?} covered only {hits} times: {seen:?}"
+        );
     }
 }
