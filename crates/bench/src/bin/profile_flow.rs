@@ -26,21 +26,8 @@
 
 use pacor::obs::TraceEvent;
 use pacor::{synthesize_params, BenchDesign, DesignParams, FlowConfig, FlowVariant, PacorFlow};
-use pacor_bench::{BENCH_SEED, FLOW_BENCH_CHIPS, FLOW_SMOKE_CHIP};
+use pacor_bench::{BENCH_SEED, FLOW_BENCH_CHIPS, FLOW_SMOKE_CHIP, LM_CONGESTED_CHIP};
 use std::collections::BTreeMap;
-
-/// The chip of `perfbench`'s `lm_congested` workload: Chip1's cluster
-/// mix on a denser 128² grid (keep in step with `perfbench/src/workload.rs`).
-const LM_CONGESTED_CHIP: DesignParams = DesignParams {
-    name: "lm_congested",
-    width: 128,
-    height: 128,
-    valves: 176,
-    control_pins: 500,
-    obstacles: 400,
-    multi_clusters: 40,
-    pairs_only: false,
-};
 
 fn main() {
     let mut chip_name = "B3-dense96".to_string();

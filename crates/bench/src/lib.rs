@@ -113,6 +113,21 @@ pub fn metrics_header() -> String {
 // synthesize and route them by name; re-exported here for the harness.
 pub use pacor::{FLOW_BENCH_CHIPS, FLOW_HUGE_CHIP, FLOW_SMOKE_CHIP};
 
+/// The chip of `perfbench`'s `lm_congested` workload: Chip1's cluster
+/// mix on a denser 128² grid, for `profile_flow --chip lm_congested`.
+/// A copy of `perfbench`'s private parameters; the
+/// `lm_congested_chip` test pins it to `perfbench`'s golden record.
+pub const LM_CONGESTED_CHIP: DesignParams = DesignParams {
+    name: "lm_congested",
+    width: 128,
+    height: 128,
+    valves: 176,
+    control_pins: 500,
+    obstacles: 400,
+    multi_clusters: 40,
+    pairs_only: false,
+};
+
 /// One (chip × rip-up policy × negotiation mode) measurement of the
 /// end-to-end flow.
 #[derive(Debug, Clone, Serialize, Deserialize)]

@@ -435,16 +435,10 @@ impl RoundExec {
             && req.sources.iter().chain(&req.targets).all(in_bounds)
     }
 
-    /// Extracts the contended-region flood of a just-failed live search:
-    /// the kernel's flood list when its reachability probe settled the
-    /// failure, else a scan of the touched cells.
+    /// Extracts the contended-region flood of a just-failed live search.
     fn flood_of(req: &RouteRequest, scratch: &AStarScratch, obs: &ObsMap) -> Option<Vec<Point>> {
-        Self::transparent(req, obs.width() as usize, obs.height() as usize).then(|| {
-            match scratch.flood_cells() {
-                Some(flood) => flood.collect(),
-                None => scratch.touched_cells().collect(),
-            }
-        })
+        Self::transparent(req, obs.width() as usize, obs.height() as usize)
+            .then(|| scratch.touched_cells().collect())
     }
 
     /// Attempts every net of `pending` (in order) for one round,

@@ -213,8 +213,8 @@ enum Outcome {
 
 /// Runs one flat-kernel query in a recording session and checks it: the
 /// path equals the reference kernel's, and a failure leaves touched
-/// cells, expanded cells, the flood list (when present) and the
-/// expansion counter exactly as the BFS oracle predicts.
+/// cells, expanded cells and the expansion counter exactly as the BFS
+/// oracle predicts.
 fn check_query(
     obs: &ObsMap,
     hist: Option<&HistoryCost>,
@@ -232,7 +232,6 @@ fn check_query(
     let reference = astar.route_reference(sources, targets);
     prop_assert_eq!(&flat, &reference, "kernels returned different paths");
     if flat.is_some() {
-        prop_assert!(scratch.flood_cells().is_none(), "a success left a flood");
         prop_assert_eq!(counters.counter("astar.unreachable"), 0);
         return Ok(Outcome::Routed);
     }
@@ -255,15 +254,13 @@ fn check_query(
         want.len() as u64,
         "expansion count differs from the component size"
     );
-    let Some(flood) = scratch.flood_cells().map(Vec::from_iter) else {
-        prop_assert_eq!(counters.counter("astar.unreachable"), 0);
-        return Ok(Outcome::Drained);
-    };
-    let flood_set: HashSet<Point> = flood.iter().copied().collect();
-    prop_assert_eq!(flood.len(), flood_set.len(), "flood lists a cell twice");
-    prop_assert_eq!(&flood_set, &want, "flood differs from the source component");
-    prop_assert_eq!(counters.counter("astar.unreachable"), 1);
-    Ok(Outcome::Sealed)
+    match counters.counter("astar.unreachable") {
+        0 => Ok(Outcome::Drained),
+        1 => Ok(Outcome::Sealed),
+        n => Err(TestCaseError::fail(format!(
+            "one query counted {n} probe-settled failures"
+        ))),
+    }
 }
 
 /// [`check_query`] without and with a history layer; both must end the
