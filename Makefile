@@ -2,19 +2,18 @@
 
 CARGO ?= cargo
 
-.PHONY: verify build test clippy bench tables obs-smoke stream-smoke bench-flow bench-smoke negotiate-smoke hier-smoke bench-check ledger-smoke golden profile
+.PHONY: verify build test clippy bench tables obs-smoke stream-smoke bench-flow bench-smoke hier-smoke bench-check ledger-smoke golden profile
 
 # The acceptance gate: release build, full test suite (which includes
 # the grid-vs-reference escape solver equivalence check on B2-dense48,
 # tests/escape_solvers.rs), zero-warning lints, the golden end-to-end
 # snapshots (all chips, release mode), a smoke-run of the observability
 # exports, a smoke-run of the streaming telemetry, a smoke-run of the
-# end-to-end flow benchmark harness, a serial-vs-parallel negotiation
-# equivalence check, a flat-vs-hierarchical single-region equivalence
-# check, a determinism check of the B1 and B4 benchmark tiers against
-# the committed BENCH_flow.json baseline, and a smoke-run of the
-# run-digest / ledger / differ loop.
-verify: build test clippy golden obs-smoke stream-smoke bench-smoke negotiate-smoke hier-smoke bench-check ledger-smoke
+# end-to-end flow benchmark harness, a flat-vs-hierarchical
+# single-region equivalence check, a determinism check of the B1 and
+# B4 benchmark tiers against the committed BENCH_flow.json baseline,
+# and a smoke-run of the run-digest / ledger / differ loop.
+verify: build test clippy golden obs-smoke stream-smoke bench-smoke hier-smoke bench-check ledger-smoke
 
 build:
 	$(CARGO) build --release --workspace
@@ -35,8 +34,8 @@ bench-flow:
 	$(CARGO) run --release -p pacor-bench --bin bench_flow -- --repeat 5 --out BENCH_flow.json
 
 # Determinism regression gate: re-run the smallest benchmark chip and
-# compare every deterministic field (rounds, ripups, lengths,
-# completion, speculation counters) against the committed
+# compare every deterministic field (rounds, ripups, scratch resets,
+# lengths, completion) against the committed
 # BENCH_flow.json baseline. Wall-clock fields are machine-local and
 # ignored — except the per-stage budget rule: a fresh stage_ms more
 # than 25% AND more than 25 ms over its committed baseline fails (the
@@ -69,8 +68,8 @@ bench-check:
 	$(CARGO) run --release -p pacor-bench --bin tables -- regress BENCH_flow.json --chip B4-dense256
 
 # The run-digest / ledger / differ loop, end to end: route the same
-# chip twice across an equivalence axis (serial 1-thread vs parallel
-# 4-thread) — the two digests must be byte-identical up to the
+# chip twice across an equivalence axis (1 thread vs 4 threads) — the
+# two digests must be byte-identical up to the
 # trailing `wall` object (it is rendered last precisely so this is a
 # string-prefix check), the ledger must hold both runs, and `tables
 # compare` must find no verdicts. Then a genuinely perturbed config
@@ -80,8 +79,7 @@ ledger-smoke:
 	rm -f target/ledger_smoke.jsonl
 	$(CARGO) run --release --bin pacor-cli -- route --quiet \
 		--digest-out target/ledger_smoke_a.json --ledger target/ledger_smoke.jsonl B1-dense24
-	$(CARGO) run --release --bin pacor-cli -- route --quiet \
-		--negotiation-mode parallel --threads 4 \
+	$(CARGO) run --release --bin pacor-cli -- route --quiet --threads 4 \
 		--digest-out target/ledger_smoke_b.json --ledger target/ledger_smoke.jsonl B1-dense24
 	python3 -c "\
 	import json; \
@@ -102,29 +100,11 @@ ledger-smoke:
 		target/ledger_smoke_a.json target/ledger_smoke_c.json > target/ledger_smoke_diff.txt
 	@echo "ledger-smoke: perturbed config flagged with non-zero exit"
 
-# Cheap harness exercise for CI: one tiny chip (2 policies x 3
-# negotiation configs = 6 entries), result discarded.
+# Cheap harness exercise for CI: one tiny chip (one entry per rip-up
+# policy = 2 entries), result discarded.
 bench-smoke:
 	$(CARGO) run --release -p pacor-bench --bin bench_flow -- --smoke --repeat 1 --out target/bench_flow_smoke.json
-	python3 -c "import json; r = json.load(open('target/bench_flow_smoke.json')); assert len(r['entries']) == 6, r; print('bench-smoke: harness produced', len(r['entries']), 'entries')"
-
-# Serial vs speculative-parallel negotiation must produce the identical
-# routed report (wall-clock fields and work counters aside), and the
-# parallel run must actually speculate.
-negotiate-smoke:
-	$(CARGO) run --release --bin pacor-cli -- route --negotiation-mode serial \
-		--metrics-out target/neg_ser_metrics.json S2 > target/neg_ser_report.json
-	$(CARGO) run --release --bin pacor-cli -- route --negotiation-mode parallel --threads 2 \
-		--metrics-out target/neg_par_metrics.json S2 > target/neg_par_report.json
-	python3 -c "\
-	import json; \
-	s = json.load(open('target/neg_ser_report.json')); \
-	p = json.load(open('target/neg_par_report.json')); \
-	[d.pop(k) for d in (s, p) for k in ('runtime', 'metrics')]; \
-	assert s == p, 'serial and parallel reports diverge'; \
-	m = json.load(open('target/neg_par_metrics.json')); \
-	assert m['counters'].get('negotiate.speculative', 0) > 0, m['counters']; \
-	print('negotiate-smoke: identical reports,', m['counters']['negotiate.speculative'], 'speculative routes')"
+	python3 -c "import json; r = json.load(open('target/bench_flow_smoke.json')); assert len(r['entries']) == 2, r; print('bench-smoke: harness produced', len(r['entries']), 'entries')"
 
 # A gcell larger than the chip degenerates the hierarchy to a single
 # region, and DESIGN.md §15 promises that case is *byte-identical* to

@@ -1,16 +1,9 @@
-//! Negotiation-router benchmark: serial vs speculative-parallel round
-//! execution, under both rip-up policies, on a dense crossing workload.
-//!
-//! The two modes produce byte-identical routed results (see
-//! `crates/route/tests/properties.rs` and `tests/determinism.rs`), so
-//! these numbers compare cost only. On a single-core host the parallel
-//! mode cannot win wall-clock — it measures the speculation overhead
-//! (snapshot searches plus commit bookkeeping) that a multi-core host
-//! would amortize across workers.
+//! Negotiation-router benchmark: a full `route_all` under both rip-up
+//! policies on a dense crossing workload.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pacor::grid::{Grid, ObsMap, Point};
-use pacor::route::{NegotiationMode, NegotiationRouter, RipUpPolicy, RouteRequest};
+use pacor::route::{NegotiationRouter, RipUpPolicy, RouteRequest};
 
 /// Deterministic scattered obstacles, ~5% density (the kernels bench's
 /// recipe), on a 48×48 grid — the B2-dense48 scale where negotiation
@@ -50,22 +43,13 @@ fn bench_negotiation_round(c: &mut Criterion) {
     let edges = crossing_requests(n as i32, 40);
     let mut group = c.benchmark_group("negotiation_round");
     for policy in [RipUpPolicy::Full, RipUpPolicy::Incremental] {
-        for (mode, threads) in [
-            (NegotiationMode::Serial, 1usize),
-            (NegotiationMode::Parallel, 4),
-        ] {
-            let label = format!("{}-{}", policy.label(), mode.label());
-            let router = NegotiationRouter::new()
-                .with_ripup_policy(policy)
-                .with_mode(mode)
-                .with_threads(threads);
-            group.bench_with_input(BenchmarkId::new(label, n), &obs, |b, obs| {
-                b.iter(|| {
-                    let mut fresh = obs.clone();
-                    router.route_all(&mut fresh, &edges)
-                })
-            });
-        }
+        let router = NegotiationRouter::new().with_ripup_policy(policy);
+        group.bench_with_input(BenchmarkId::new(policy.label(), n), &obs, |b, obs| {
+            b.iter(|| {
+                let mut fresh = obs.clone();
+                router.route_all(&mut fresh, &edges)
+            })
+        });
     }
     group.finish();
 }

@@ -1,5 +1,5 @@
 //! `bench_flow` — end-to-end PACOR flow benchmark over both rip-up
-//! policies and both negotiation modes, writing `BENCH_flow.json`.
+//! policies, writing `BENCH_flow.json`.
 //!
 //! ```text
 //! bench_flow [--out FILE] [--repeat N] [--smoke] [--huge] [--chip NAME] [--events] [--ledger FILE]
@@ -7,23 +7,21 @@
 //!
 //! Runs the full flow (clustering → LM routing → MST routing → escape →
 //! detour) over the dense synthesized chips of
-//! [`pacor_bench::FLOW_BENCH_CHIPS`], once per rip-up policy ×
-//! negotiation configuration (serial, plus speculative-parallel at 2
-//! and 4 threads), and records wall-clock (end-to-end and inside the
+//! [`pacor_bench::FLOW_BENCH_CHIPS`], once per rip-up policy on one
+//! thread, and records wall-clock (end-to-end and inside the
 //! `negotiate` spans; best of `--repeat` runs, default 3), a per-stage
 //! `stage_ms` breakdown (span-summed clustering / lm_routing /
 //! mst_routing / escape / detour wall-clock, so speedups attribute to
 //! the stage that earned them), an `escape_ms` sub-breakdown of the
 //! escape stage (net_build / net_solve / phase1 / phase2 / phase3,
 //! span-summed and min-across-repeats like `stage_ms`), plus the
-//! `negotiate.rounds` /
-//! `negotiate.ripups` / `astar.scratch_resets`
-//! counter totals and the speculation counters.
+//! `negotiate.rounds` / `negotiate.ripups` / `astar.scratch_resets`
+//! counter totals.
 //!
 //! **Large chips** (width ≥ 256, i.e. the B4-dense256 tier and the
 //! opt-in `--huge` B5-dense512) run a reduced schedule — repeats capped
-//! at 2 and a three-entry routing comparison instead of the policy ×
-//! mode matrix: flat serial, hierarchical serial, and hierarchical with
+//! at 2 and a three-entry routing comparison instead of one entry per
+//! policy: flat serial, hierarchical serial, and hierarchical with
 //! 4 region-parallel threads (see DESIGN.md §15). Every multi-thread
 //! entry gets a `scaling_efficiency` (serial wall / its wall) relative
 //! to the 1-thread entry with the same chip, policy and routing mode;
@@ -48,7 +46,7 @@
 //! JSONL, so bench runs accumulate history that `tables compare` can
 //! diff (see docs/OBSERVABILITY.md §"Run digests").
 
-use pacor::route::{NegotiationMode, RipUpPolicy};
+use pacor::route::RipUpPolicy;
 use pacor::{DesignParams, RoutingMode};
 use pacor_bench::{
     collect_telemetry, fill_scaling_efficiency, run_flow_bench_with_digest, FlowBenchEntry,
@@ -123,7 +121,6 @@ fn main() {
                 let (entry, digest) = run_flow_bench_with_digest(
                     chip,
                     RipUpPolicy::Incremental,
-                    NegotiationMode::Serial,
                     routing,
                     threads,
                     BENCH_SEED,
@@ -134,47 +131,39 @@ fn main() {
                 digests.push(digest);
             }
         } else {
-            let configs = [
-                (NegotiationMode::Serial, 1usize),
-                (NegotiationMode::Parallel, 2),
-                (NegotiationMode::Parallel, 4),
-            ];
             for policy in [RipUpPolicy::Full, RipUpPolicy::Incremental] {
-                for (mode, threads) in configs {
-                    // Counter totals come from the flow's own per-run obs
-                    // session (carried in the report), so entries cannot
-                    // bleed.
-                    let (entry, digest) = run_flow_bench_with_digest(
-                        chip,
-                        policy,
-                        mode,
-                        RoutingMode::Flat,
-                        threads,
-                        BENCH_SEED,
-                        repeat,
+                // Counter totals come from the flow's own per-run obs
+                // session (carried in the report), so entries cannot
+                // bleed.
+                let (entry, digest) = run_flow_bench_with_digest(
+                    chip,
+                    policy,
+                    RoutingMode::Flat,
+                    1,
+                    BENCH_SEED,
+                    repeat,
+                );
+                // Opt-in telemetry sanity: one extra untimed run with
+                // the deterministic stream installed; its round events
+                // must agree with the counters the timed runs report.
+                let events_col = if events {
+                    let lines = collect_telemetry(chip, policy, 1, BENCH_SEED);
+                    let round_events = lines
+                        .iter()
+                        .filter(|l| l.contains("\"kind\":\"round_progress\""))
+                        .count() as u64;
+                    assert_eq!(
+                        round_events, entry.rounds,
+                        "{} {}: round_progress events diverge from negotiate.rounds",
+                        entry.chip, entry.policy
                     );
-                    // Opt-in telemetry sanity: one extra untimed run with
-                    // the deterministic stream installed; its round events
-                    // must agree with the counters the timed runs report.
-                    let events_col = if events {
-                        let lines = collect_telemetry(chip, policy, mode, threads, BENCH_SEED);
-                        let round_events = lines
-                            .iter()
-                            .filter(|l| l.contains("\"kind\":\"round_progress\""))
-                            .count() as u64;
-                        assert_eq!(
-                            round_events, entry.rounds,
-                            "{} {} {} t={}: round_progress events diverge from negotiate.rounds",
-                            entry.chip, entry.policy, entry.mode, entry.threads
-                        );
-                        format!("  events {:>5}", lines.len())
-                    } else {
-                        String::new()
-                    };
-                    print_entry(&entry, events_col);
-                    chip_entries.push(entry);
-                    digests.push(digest);
-                }
+                    format!("  events {:>5}", lines.len())
+                } else {
+                    String::new()
+                };
+                print_entry(&entry, events_col);
+                chip_entries.push(entry);
+                digests.push(digest);
             }
         }
         for (chip, policy, routing, threads, eff) in fill_scaling_efficiency(&mut chip_entries) {
@@ -214,10 +203,9 @@ fn print_entry(entry: &FlowBenchEntry, events_col: String) {
     let s = &entry.stage_ms;
     let e = &entry.escape_ms;
     eprintln!(
-        "{:<12} {:<12} {:<9} {:<13} t={} {:>9.1} ms  neg {:>8.1} ms  stages clu {:>6.1} lm {:>7.1} mst {:>6.1} esc {:>6.1} det {:>6.1}  esc[bld {:>5.1} slv {:>6.1} p1 {:>6.1} p2 {:>5.1} p3 {:>5.1}]  rounds {:>4}  ripups {:>5}  spec {:>5}  complete {:>5.1}%{}",
+        "{:<12} {:<12} {:<13} t={} {:>9.1} ms  neg {:>8.1} ms  stages clu {:>6.1} lm {:>7.1} mst {:>6.1} esc {:>6.1} det {:>6.1}  esc[bld {:>5.1} slv {:>6.1} p1 {:>6.1} p2 {:>5.1} p3 {:>5.1}]  rounds {:>4}  ripups {:>5}  complete {:>5.1}%{}",
         entry.chip,
         entry.policy,
-        entry.mode,
         entry.routing,
         entry.threads,
         entry.wall_ms,
@@ -234,7 +222,6 @@ fn print_entry(entry: &FlowBenchEntry, events_col: String) {
         e.phase3,
         entry.rounds,
         entry.ripups,
-        entry.speculative,
         entry.completion_rate * 100.0,
         events_col
     );

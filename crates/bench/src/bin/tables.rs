@@ -2,7 +2,7 @@
 //!
 //! ```sh
 //! cargo run --release -p pacor-bench --bin tables -- table1
-//! cargo run --release -p pacor-bench --bin tables -- table2 [--full] [--parallel]
+//! cargo run --release -p pacor-bench --bin tables -- table2 [--full]
 //! cargo run --release -p pacor-bench --bin tables -- fig3
 //! cargo run --release -p pacor-bench --bin tables -- ablation
 //! cargo run --release -p pacor-bench --bin tables -- stages [--full]
@@ -13,9 +13,7 @@
 //! ```
 //!
 //! `--full` includes the Chip1/Chip2-scale designs (minutes instead of
-//! seconds). `--parallel` runs table2 under the speculative-parallel
-//! negotiation mode (4 threads), populating the Spec/Cnfl/Fallb
-//! counter columns; the paper columns are identical either way.
+//! seconds).
 //! `stages` prints the span-summed per-stage wall-clock breakdown
 //! (clustering / LM / MST / escape / detour) per design, the same
 //! attribution `bench_flow` records as `stage_ms`, so a wall-clock
@@ -39,7 +37,7 @@
 //! completion / 4-thread-presence / scaling gates for chips at or
 //! above the large tier. Exits 1 on any failure.
 
-use pacor::route::{NegotiationMode, RipUpPolicy};
+use pacor::route::RipUpPolicy;
 use pacor::{BenchDesign, FlowConfig, FlowVariant, RouteReport, RoutingMode};
 use pacor_bench::{
     fill_scaling_efficiency, metrics_header, metrics_row, run_config, run_flow_bench, run_variant,
@@ -50,12 +48,11 @@ use pacor_bench::{
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let full = args.iter().any(|a| a == "--full");
-    let parallel = args.iter().any(|a| a == "--parallel");
     let what = args.first().map(String::as_str).unwrap_or("all");
 
     match what {
         "table1" => table1(),
-        "table2" => table2(full, parallel),
+        "table2" => table2(full),
         "fig3" => fig3(),
         "ablation" => ablation(),
         "sweep" => sweep(),
@@ -66,7 +63,7 @@ fn main() {
         "all" => {
             table1();
             println!();
-            table2(full, parallel);
+            table2(full);
             println!();
             fig3();
             println!();
@@ -135,13 +132,10 @@ type FieldOf<T> = (&'static str, fn(&FlowBenchEntry) -> T);
 
 /// The deterministic per-entry fields `regress` holds byte-equal
 /// against the baseline, mirroring the old Makefile Python gate.
-const REGRESS_FIELDS: [FieldOf<u64>; 7] = [
+const REGRESS_FIELDS: [FieldOf<u64>; 4] = [
     ("rounds", |e| e.rounds),
     ("ripups", |e| e.ripups),
     ("scratch_resets", |e| e.scratch_resets),
-    ("speculative", |e| e.speculative),
-    ("conflicts", |e| e.conflicts),
-    ("serial_fallbacks", |e| e.serial_fallbacks),
     ("total_length", |e| e.total_length),
 ];
 
@@ -163,11 +157,10 @@ const REGRESS_ESCAPE: [FieldOf<f64>; 5] = [
     ("escape.phase3", |e| e.escape_ms.phase3),
 ];
 
-fn entry_key(e: &FlowBenchEntry) -> (String, String, String, String, usize) {
+fn entry_key(e: &FlowBenchEntry) -> (String, String, String, usize) {
     (
         e.chip.clone(),
         e.policy.clone(),
-        e.mode.clone(),
         e.routing.clone(),
         e.threads,
     )
@@ -192,7 +185,6 @@ fn bench_chip_entries(chip_name: &str) -> Vec<FlowBenchEntry> {
             entries.push(run_flow_bench(
                 chip,
                 RipUpPolicy::Incremental,
-                NegotiationMode::Serial,
                 routing,
                 threads,
                 BENCH_SEED,
@@ -201,21 +193,14 @@ fn bench_chip_entries(chip_name: &str) -> Vec<FlowBenchEntry> {
         }
     } else {
         for policy in [RipUpPolicy::Full, RipUpPolicy::Incremental] {
-            for (mode, threads) in [
-                (NegotiationMode::Serial, 1usize),
-                (NegotiationMode::Parallel, 2),
-                (NegotiationMode::Parallel, 4),
-            ] {
-                entries.push(run_flow_bench(
-                    chip,
-                    policy,
-                    mode,
-                    RoutingMode::Flat,
-                    threads,
-                    BENCH_SEED,
-                    1,
-                ));
-            }
+            entries.push(run_flow_bench(
+                chip,
+                policy,
+                RoutingMode::Flat,
+                1,
+                BENCH_SEED,
+                1,
+            ));
         }
     }
     fill_scaling_efficiency(&mut entries);
@@ -226,10 +211,11 @@ fn bench_chip_entries(chip_name: &str) -> Vec<FlowBenchEntry> {
 /// determinism and performance-budget gate formerly inlined as Python
 /// in the Makefile's `bench-check` recipe. Same rules, same pass/fail:
 ///
-/// * every fresh entry must match its baseline entry (keyed by chip ×
-///   policy × mode × routing × threads) on the deterministic fields,
-///   including exact `completion_rate` equality, with matching entry
-///   counts;
+/// * every fresh entry of the chip must match its baseline entry
+///   (keyed by chip × policy × routing × threads) on the deterministic
+///   fields, including exact `completion_rate` equality, with matching
+///   entry counts — a `--current` file is filtered to the chip just
+///   like the baseline, so a full `bench_flow` output checks cleanly;
 /// * chips below [`LARGE_WIDTH`] get the per-stage and escape
 ///   sub-stage wall-clock budgets (fail when > 25% AND > 25 ms over
 ///   baseline — [`pacor::obs::timing_regressed`]);
@@ -285,7 +271,11 @@ fn regress(args: &[String]) {
         fail(&format!("baseline has no {chip} entries"));
     }
     let current: Vec<FlowBenchEntry> = match &current_path {
-        Some(path) => load_report(path).entries,
+        Some(path) => load_report(path)
+            .entries
+            .into_iter()
+            .filter(|e| e.chip == chip)
+            .collect(),
         None => bench_chip_entries(&chip),
     };
 
@@ -405,11 +395,7 @@ fn table1() {
 }
 
 /// Table 2: three-variant self-comparison over every design.
-///
-/// With `parallel`, every run uses the speculative-parallel negotiation
-/// mode at 4 threads — the routed results (and so the paper columns)
-/// are identical, but the Spec/Cnfl/Fallb counter columns light up.
-fn table2(full: bool, parallel: bool) {
+fn table2(full: bool) {
     println!("== Table 2: computational simulation (seed {BENCH_SEED}, δ=1) ==");
     println!("{}", RouteReport::table_header());
     let designs: Vec<BenchDesign> = if full {
@@ -422,14 +408,7 @@ fn table2(full: bool, parallel: bool) {
     let mut reports: Vec<RouteReport> = Vec::new();
     for d in designs {
         for (k, v) in FlowVariant::ALL.into_iter().enumerate() {
-            let r = if parallel {
-                let cfg = FlowConfig::for_variant(v)
-                    .with_negotiation_mode(NegotiationMode::Parallel)
-                    .with_threads(4);
-                run_config(d, cfg, BENCH_SEED)
-            } else {
-                run_variant(d, v, BENCH_SEED)
-            };
+            let r = run_variant(d, v, BENCH_SEED);
             matched[k] += r.matched_clusters;
             total_len[k] += r.total_length;
             println!("{}", r.table_row());

@@ -11,7 +11,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use pacor::route::{NegotiationMode, RipUpPolicy};
+use pacor::route::RipUpPolicy;
 use pacor::{
     synthesize_params, BenchDesign, DesignParams, FlowConfig, FlowVariant, PacorFlow, RouteReport,
     RoutingMode,
@@ -22,8 +22,8 @@ use serde::{Deserialize, Serialize};
 pub const BENCH_SEED: u64 = 42;
 
 /// Chips at or above this width get the reduced large-chip benchmark
-/// schedule (routing-mode comparison at capped repeats instead of the
-/// full policy × mode matrix), and the large-tier rules in
+/// schedule (routing-mode comparison at capped repeats instead of one
+/// entry per rip-up policy), and the large-tier rules in
 /// `tables regress` (completion + scaling gates instead of per-stage
 /// wall-clock budgets).
 pub const LARGE_WIDTH: u32 = 256;
@@ -71,19 +71,13 @@ pub fn table1_header() -> String {
 }
 
 /// The hot-path counters printed alongside Table 2, in column order.
-/// The last three are the speculative-negotiation counters — all zero
-/// under the default serial mode, populated under
-/// `--negotiation-mode parallel` (see docs/GUIDE.md §"Threads").
-const METRIC_COLUMNS: [(&str, &str); 9] = [
+const METRIC_COLUMNS: [(&str, &str); 6] = [
     ("astar.queries", "A*qry"),
     ("astar.expansions", "A*exp"),
     ("negotiate.rounds", "NegRnd"),
     ("negotiate.ripups", "RipUp"),
     ("escape.declustered", "Declus"),
     ("detour.segments", "DetSeg"),
-    ("negotiate.speculative", "Spec"),
-    ("negotiate.conflicts", "Cnfl"),
-    ("negotiate.serial_fallbacks", "Fallb"),
 ];
 
 /// Formats a counter row for a report: the deterministic hot-path
@@ -128,8 +122,8 @@ pub const LM_CONGESTED_CHIP: DesignParams = DesignParams {
     pairs_only: false,
 };
 
-/// One (chip × rip-up policy × negotiation mode) measurement of the
-/// end-to-end flow.
+/// One (chip × rip-up policy × routing mode × threads) measurement of
+/// the end-to-end flow.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FlowBenchEntry {
     /// Chip name (see [`FLOW_BENCH_CHIPS`]).
@@ -142,8 +136,6 @@ pub struct FlowBenchEntry {
     pub valves: u32,
     /// Rip-up policy label (`full` / `incremental`).
     pub policy: String,
-    /// Negotiation mode label (`serial` / `parallel`).
-    pub mode: String,
     /// Routing mode label (`flat` / `hierarchical`).
     pub routing: String,
     /// Worker threads configured for the run.
@@ -160,7 +152,7 @@ pub struct FlowBenchEntry {
     /// itself, and for entries with no baseline in the same run).
     pub scaling_efficiency: f64,
     /// Wall-clock spent inside `negotiate` spans on the best-negotiate
-    /// repeat, in milliseconds (the phase the parallel mode targets).
+    /// repeat, in milliseconds.
     pub negotiate_ms: f64,
     /// `negotiate.rounds` counter total.
     pub rounds: u64,
@@ -168,12 +160,6 @@ pub struct FlowBenchEntry {
     pub ripups: u64,
     /// `astar.scratch_resets` counter total.
     pub scratch_resets: u64,
-    /// `negotiate.speculative` counter total (0 in serial mode).
-    pub speculative: u64,
-    /// `negotiate.conflicts` counter total (0 in serial mode).
-    pub conflicts: u64,
-    /// `negotiate.serial_fallbacks` counter total (0 in serial mode).
-    pub serial_fallbacks: u64,
     /// Total routed control-channel length, grid units.
     pub total_length: u64,
     /// Fraction of valves connected (1.0 = everything routed).
@@ -276,7 +262,8 @@ impl EscapeMs {
     }
 }
 
-/// The `BENCH_flow.json` document: one entry per chip × policy × mode.
+/// The `BENCH_flow.json` document: one entry per benchmark configuration
+/// of each chip (see `bench_flow`).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FlowBenchReport {
     /// Synthesis seed shared by every entry.
@@ -344,8 +331,8 @@ fn span_ms_of(report: &pacor::obs::ObsReport, span: &str) -> f64 {
         / 1e3
 }
 
-/// Runs the full flow on one synthesized chip under one rip-up policy
-/// and negotiation mode, `repeat` times, and reports the best
+/// Runs the full flow on one synthesized chip under one rip-up policy,
+/// routing mode and thread count, `repeat` times, and reports the best
 /// wall-clock (end-to-end, and inside the `negotiate` spans) alongside
 /// the (repeat-invariant) counter totals. One untimed warm-up run
 /// precedes the timed repeats so first-touch costs (page faults,
@@ -359,13 +346,12 @@ fn span_ms_of(report: &pacor::obs::ObsReport, span: &str) -> f64 {
 pub fn run_flow_bench(
     params: DesignParams,
     policy: RipUpPolicy,
-    mode: NegotiationMode,
     routing: RoutingMode,
     threads: usize,
     seed: u64,
     repeat: u32,
 ) -> FlowBenchEntry {
-    run_flow_bench_with_digest(params, policy, mode, routing, threads, seed, repeat).0
+    run_flow_bench_with_digest(params, policy, routing, threads, seed, repeat).0
 }
 
 /// [`run_flow_bench`], additionally returning the `pacor-rundigest-v1`
@@ -380,7 +366,6 @@ pub fn run_flow_bench(
 pub fn run_flow_bench_with_digest(
     params: DesignParams,
     policy: RipUpPolicy,
-    mode: NegotiationMode,
     routing: RoutingMode,
     threads: usize,
     seed: u64,
@@ -389,7 +374,6 @@ pub fn run_flow_bench_with_digest(
     let problem = synthesize_params(params, seed);
     let config = FlowConfig::default()
         .with_ripup_policy(policy)
-        .with_negotiation_mode(mode)
         .with_routing_mode(routing)
         .with_threads(threads);
     PacorFlow::new(config)
@@ -419,7 +403,6 @@ pub fn run_flow_bench_with_digest(
                     height: params.height,
                     valves: params.valves,
                     policy: policy.label().to_string(),
-                    mode: mode.label().to_string(),
                     routing: routing.label().to_string(),
                     threads,
                     host_cpus: host_cpus(),
@@ -429,9 +412,6 @@ pub fn run_flow_bench_with_digest(
                     rounds: report.metrics.counter("negotiate.rounds"),
                     ripups: report.metrics.counter("negotiate.ripups"),
                     scratch_resets: report.metrics.counter("astar.scratch_resets"),
-                    speculative: report.metrics.counter("negotiate.speculative"),
-                    conflicts: report.metrics.counter("negotiate.conflicts"),
-                    serial_fallbacks: report.metrics.counter("negotiate.serial_fallbacks"),
                     total_length: report.total_length,
                     completion_rate: report.completion_rate(),
                     stage_ms,
@@ -452,7 +432,7 @@ pub fn run_flow_bench_with_digest(
 
 /// Runs the flow once with a deterministic in-memory telemetry stream
 /// installed and returns the raw JSONL lines. This is the event stream
-/// the invariance tests byte-compare across thread counts and modes,
+/// the invariance tests byte-compare across thread counts and policies,
 /// and the one `bench_flow --events` sanity-checks against the entry's
 /// counters.
 ///
@@ -463,14 +443,12 @@ pub fn run_flow_bench_with_digest(
 pub fn collect_telemetry(
     params: DesignParams,
     policy: RipUpPolicy,
-    mode: NegotiationMode,
     threads: usize,
     seed: u64,
 ) -> Vec<String> {
     let problem = synthesize_params(params, seed);
     let config = FlowConfig::default()
         .with_ripup_policy(policy)
-        .with_negotiation_mode(mode)
         .with_threads(threads);
     let sink = pacor::obs::MemorySink::new();
     let lines = sink.lines();

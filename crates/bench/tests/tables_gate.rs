@@ -127,7 +127,7 @@ fn regress_accepts_the_committed_baseline_fixture_and_flags_drift() {
     );
     let out = String::from_utf8_lossy(&ok.stdout);
     assert!(
-        out.contains("8 deterministic fields"),
+        out.contains("5 deterministic fields"),
         "summary must count the gated fields: {out}"
     );
 
@@ -151,6 +151,29 @@ fn regress_accepts_the_committed_baseline_fixture_and_flags_drift() {
     let err = String::from_utf8_lossy(&fail.stderr);
     assert!(err.contains("drift"), "{err}");
     assert!(err.contains("rounds"), "{err}");
+}
+
+#[test]
+fn regress_accepts_the_whole_committed_baseline_as_current() {
+    // A full `bench_flow` output carries every chip; `--current` must be
+    // filtered to the gated chip like the baseline, or the other chips'
+    // entries would count as drift (and, for a small chip, trip the
+    // large-tier gates).
+    let baseline = committed_baseline();
+    let path = baseline.to_str().unwrap();
+    for (chip, summary) in [
+        ("B1-dense24", "2 B1-dense24 entries match the baseline"),
+        ("B4-dense256", "B4-dense256 tier matches the baseline"),
+    ] {
+        let out = tables(&["regress", path, "--chip", chip, "--current", path]);
+        assert!(
+            out.status.success(),
+            "{chip}: the baseline must pass against itself: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains(summary), "{chip}: {stdout}");
+    }
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Flow configuration and self-comparison variants.
 
-use pacor_route::{NegotiationMode, RipUpPolicy};
+use pacor_route::RipUpPolicy;
 use serde::{Deserialize, Serialize};
 
 /// Which version of the flow to run — the paper's Table 2 compares three.
@@ -145,11 +145,6 @@ pub struct FlowConfig {
     /// (the default) keeps converged paths; `Full` is the paper's
     /// Algorithm 1 verbatim, kept for ablation.
     pub ripup_policy: RipUpPolicy,
-    /// How each negotiation round attempts its pending nets. `Parallel`
-    /// speculates all of them concurrently over `thread_count` workers
-    /// and commits deterministically, producing the identical routed
-    /// result as `Serial` (the default) at any thread count.
-    pub negotiation_mode: NegotiationMode,
     /// Escape-stage solver: the grid-native solver (default) or the
     /// explicit-network reference.
     pub escape_solver: EscapeSolver,
@@ -191,7 +186,6 @@ impl Default for FlowConfig {
             detour_node_budget: 200_000,
             thread_count: 1,
             ripup_policy: RipUpPolicy::default(),
-            negotiation_mode: NegotiationMode::default(),
             escape_solver: EscapeSolver::default(),
             recorder_capacity: pacor_obs::RecorderConfig::default().capacity,
             recorder_cadence: pacor_obs::RecorderConfig::default().snapshot_cadence,
@@ -222,12 +216,6 @@ impl FlowConfig {
     /// Sets the negotiation rip-up policy.
     pub fn with_ripup_policy(mut self, ripup_policy: RipUpPolicy) -> Self {
         self.ripup_policy = ripup_policy;
-        self
-    }
-
-    /// Sets the negotiation round-attempt mode.
-    pub fn with_negotiation_mode(mut self, negotiation_mode: NegotiationMode) -> Self {
-        self.negotiation_mode = negotiation_mode;
         self
     }
 
@@ -300,7 +288,6 @@ mod tests {
         assert_eq!(c.theta, 10);
         assert_eq!(c.thread_count, 1, "parallelism is opt-in");
         assert_eq!(c.ripup_policy, RipUpPolicy::Incremental);
-        assert_eq!(c.negotiation_mode, NegotiationMode::Serial);
         assert_eq!(c.escape_solver, EscapeSolver::Incremental);
         assert_eq!(c.recorder_config(), pacor_obs::RecorderConfig::default());
         assert_eq!(c.routing_mode, RoutingMode::Flat, "hierarchy is opt-in");

@@ -22,8 +22,8 @@ pub fn problem_hash(problem: &Problem) -> u64 {
 
 /// The deterministic `FlowConfig` fields as ordered (name, value)
 /// pairs — exactly the knobs that change the routed result. The
-/// equivalence axes (threads, negotiation mode, rip-up policy, escape
-/// solver, routing mode and its tiling knobs, recorder knobs) are
+/// equivalence axes (threads, rip-up policy, escape solver, routing
+/// mode and its tiling knobs, recorder knobs) are
 /// excluded by design: they are recorded in the digest's `wall`
 /// sub-object instead, so runs across those axes share a fingerprint
 /// and diff cleanly against each other.
@@ -114,7 +114,6 @@ pub fn run_digest(
         histograms,
         wall: WallFacts {
             threads: config.thread_count.max(1) as u64,
-            mode: config.negotiation_mode.label().to_string(),
             policy: config.ripup_policy.label().to_string(),
             escape_solver: config.escape_solver.label().to_string(),
             routing: config.routing_mode.label().to_string(),
@@ -204,7 +203,6 @@ mod tests {
         let base = FlowConfig::default();
         let same = [
             base.with_threads(8),
-            base.with_negotiation_mode(pacor_route::NegotiationMode::Parallel),
             base.with_ripup_policy(pacor_route::RipUpPolicy::Full),
             base.with_escape_solver(EscapeSolver::Reference),
             base.with_routing_mode(crate::RoutingMode::Hierarchical)

@@ -80,7 +80,6 @@ impl PacorFlow {
             lm_clusters: problem.lm_clusters.len() as u64,
             variant: self.config.variant.label().to_string(),
             policy: self.config.ripup_policy.label().to_string(),
-            mode: self.config.negotiation_mode.label().to_string(),
             threads: crate::effective_threads(self.config.thread_count) as u64,
         });
 

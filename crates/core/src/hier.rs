@@ -1,10 +1,10 @@
 //! Hierarchical global-then-detailed routing (ROADMAP item 4).
 //!
 //! Large valve arrays (256², 512²) overwhelm a single flat pass: every
-//! negotiation round touches the whole chip, and the fine-grained
-//! speculative parallelism of `--negotiation-mode parallel` pays more
-//! in conflict retries than it wins (DESIGN §10). The hierarchical
-//! mode splits the problem the way classical VLSI routers do:
+//! negotiation round touches the whole chip, and a round routes its
+//! nets one by one, so parallelism has to come from coarser units
+//! (DESIGN §10). The hierarchical mode splits the problem the way
+//! classical VLSI routers do:
 //!
 //! 1. **Global stage** — coarsen the chip into a [`GcellGrid`] of
 //!    `gcell_size`-sided tiles whose edges carry boundary-crossing

@@ -72,9 +72,10 @@ pub use detour::detour_cluster;
 pub use digest::{config_fingerprint, problem_hash, run_digest};
 pub use error::FlowError;
 pub use flow::PacorFlow;
-// The deterministic fan-out primitives live in `pacor-route` (the
-// negotiation router's speculative mode needs them below this crate in
-// the dependency graph); re-exported here for continuity.
+// The deterministic fan-out primitives live in `pacor-route`, below
+// every stage crate in the dependency graph; the flow stages (DME
+// candidates, MWCP pair scoring, hierarchical regions) are their only
+// users, and reach them through this re-export.
 pub use pacor_route::{effective_threads, parallel_map, parallel_map_with};
 pub use physics::PropagationModel;
 pub use problem::{Problem, ProblemBuilder};

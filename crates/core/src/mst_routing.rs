@@ -1,18 +1,11 @@
 //! MST-based routing of clusters without the length-matching constraint
 //! (paper Section 3, "MST-based cluster routing").
-//!
-//! The batch entry point ([`route_ordinary_clusters`]) honors the flow's
-//! [`NegotiationMode`]: in `Parallel` mode each de-clustering wave is
-//! routed speculatively — every cluster against a private clone of the
-//! wave-start obstacle state — and committed in queue order under the
-//! same expanded-cells disjointness rule as the negotiation router, so
-//! the routed result is identical to the serial queue at any thread
-//! count.
 
 use crate::{FlowConfig, RoutedCluster, RoutedKind};
 use pacor_grid::{GridPath, ObsMap, Point};
-use pacor_route::{parallel_map_with, AStar, AStarScratch, NegotiationMode};
+use pacor_route::{AStar, AStarScratch};
 use pacor_valves::Cluster;
+use std::collections::VecDeque;
 
 /// Routes one ordinary cluster: valves are connected in minimum-spanning-
 /// tree order, each new valve joining the already-routed net by
@@ -27,24 +20,17 @@ pub fn route_mst_cluster(
     positions: &[Point],
 ) -> Option<RoutedCluster> {
     let mut scratch = AStarScratch::new();
-    route_mst_owned(obs, cluster.clone(), positions.to_vec(), &mut scratch, None).ok()
+    route_mst_owned(obs, cluster.clone(), positions.to_vec(), &mut scratch).ok()
 }
 
 /// Owned-input worker behind [`route_mst_cluster`]: consumes the cluster
 /// and positions (handing them back on failure, so the batch loop never
 /// clones) and reuses the caller's A\* scratch across clusters.
-///
-/// When `spec_expanded` is given, every search's expanded-cell set
-/// (including the failing search's flood) is accumulated into it — the
-/// speculative batch's conflict footprint. Only valid when every
-/// position is in bounds (the flat kernel must run for the scratch
-/// views to be meaningful).
 fn route_mst_owned(
     obs: &mut ObsMap,
     cluster: Cluster,
     positions: Vec<Point>,
     scratch: &mut AStarScratch,
-    mut spec_expanded: Option<&mut Vec<Point>>,
 ) -> Result<RoutedCluster, (Cluster, Vec<Point>)> {
     assert_eq!(cluster.len(), positions.len(), "positions per member");
     if cluster.len() == 1 {
@@ -84,11 +70,7 @@ fn route_mst_owned(
     let mut net_cells: Vec<Point> = vec![positions[0]];
     let mut paths: Vec<GridPath> = Vec::new();
     for &i in &order {
-        let path = AStar::new(obs).route_with_scratch(&[positions[i]], &net_cells, scratch);
-        if let Some(acc) = spec_expanded.as_deref_mut() {
-            acc.extend(scratch.expanded_cells());
-        }
-        match path {
+        match AStar::new(obs).route_with_scratch(&[positions[i]], &net_cells, scratch) {
             Some(p) => {
                 obs.block_all(p.cells().iter().copied());
                 net_cells.extend(p.cells().iter().copied());
@@ -112,31 +94,34 @@ fn route_mst_owned(
     })
 }
 
-/// Routes a batch of ordinary clusters with de-clustering on failure:
-/// a cluster that fails is split in half (recursively, down to
-/// singletons, which always succeed). Cluster ids of split-off parts are
-/// assigned from `next_id` upward.
+/// Routes a batch of ordinary clusters one by one in FIFO order, with
+/// de-clustering on failure: a cluster that fails is split in half
+/// (recursively, down to singletons, which always succeed), and both
+/// halves rejoin the back of the queue. Cluster ids of split-off parts
+/// are assigned from `next_id` upward.
 ///
-/// `config` supplies the [`NegotiationMode`] (serial queue vs
-/// speculative waves) and the speculation thread count; both modes
-/// produce the identical routed result.
+/// No `config` field changes MST routing; the parameter keeps the
+/// stage signatures uniform.
 pub fn route_ordinary_clusters(
     obs: &mut ObsMap,
     clusters: Vec<(Cluster, Vec<Point>)>,
     next_id: &mut u32,
-    config: &FlowConfig,
+    _config: &FlowConfig,
 ) -> Vec<RoutedCluster> {
     pacor_obs::counter_add("mst.clusters", clusters.len() as u64);
     let batch = clusters.len() as u64;
-    let out = match config.negotiation_mode {
-        NegotiationMode::Serial => route_batch_serial(obs, clusters, next_id),
-        NegotiationMode::Parallel => {
-            route_batch_speculative(obs, clusters, next_id, config.thread_count.max(1))
+    let mut queue: VecDeque<(Cluster, Vec<Point>)> = clusters.into();
+    let mut out = Vec::new();
+    let mut scratch = AStarScratch::new();
+    while let Some((cluster, positions)) = queue.pop_front() {
+        match route_mst_owned(obs, cluster, positions, &mut scratch) {
+            Ok(rc) => {
+                count_edges(&rc);
+                out.push(rc)
+            }
+            Err((cluster, positions)) => split_into(&mut queue, cluster, positions, next_id),
         }
-    };
-    // Telemetry aggregates only: the wave structure differs between
-    // modes (though the committed order does not), so per-wave events
-    // would break the stream's mode invariance.
+    }
     if pacor_obs::telemetry_active() {
         let edges: u64 = out
             .iter()
@@ -159,7 +144,7 @@ pub fn route_ordinary_clusters(
 /// Splits a failed cluster in half and appends both halves (with their
 /// member positions) to `queue`. Panics on singletons, which cannot fail.
 fn split_into(
-    queue: &mut impl Extend<(Cluster, Vec<Point>)>,
+    queue: &mut VecDeque<(Cluster, Vec<Point>)>,
     cluster: Cluster,
     positions: Vec<Point>,
     next_id: &mut u32,
@@ -208,151 +193,6 @@ fn count_edges(rc: &RoutedCluster) {
         edges: edges as u32,
         length: rc.total_length(),
     });
-}
-
-/// The serial FIFO queue: route each cluster against the live state,
-/// splits rejoin the back of the queue.
-fn route_batch_serial(
-    obs: &mut ObsMap,
-    clusters: Vec<(Cluster, Vec<Point>)>,
-    next_id: &mut u32,
-) -> Vec<RoutedCluster> {
-    let mut queue: std::collections::VecDeque<(Cluster, Vec<Point>)> = clusters.into();
-    let mut out = Vec::new();
-    let mut scratch = AStarScratch::new();
-    while let Some((cluster, positions)) = queue.pop_front() {
-        match route_mst_owned(obs, cluster, positions, &mut scratch, None) {
-            Ok(rc) => {
-                count_edges(&rc);
-                out.push(rc)
-            }
-            Err((cluster, positions)) => split_into(&mut queue, cluster, positions, next_id),
-        }
-    }
-    out
-}
-
-/// Speculative wave batch: every cluster of the current wave is routed
-/// concurrently against a private clone of the wave-start obstacle
-/// state; results commit in queue order, accepted iff no cell any of the
-/// cluster's searches *expanded* was blocked by an earlier commit this
-/// wave (the negotiation router's rule, applied to the whole per-cluster
-/// search sequence). Rejected or opaque items re-route against the live
-/// state; failures split into the next wave.
-///
-/// A failed cluster blocks nothing, so committing wave items in order
-/// with splits deferred to the next wave replays the serial FIFO queue
-/// exactly — the output and every `mst.edges`/`mst.splits` increment
-/// land in the same order at any thread count.
-fn route_batch_speculative(
-    obs: &mut ObsMap,
-    clusters: Vec<(Cluster, Vec<Point>)>,
-    next_id: &mut u32,
-    threads: usize,
-) -> Vec<RoutedCluster> {
-    type SpecResult = Result<RoutedCluster, (Cluster, Vec<Point>)>;
-    let (width, height) = (obs.width() as usize, obs.height() as usize);
-    let in_bounds = move |p: &Point| {
-        p.x >= 0 && p.y >= 0 && (p.x as usize) < width && (p.y as usize) < height
-    };
-    let mut wave = clusters;
-    let mut out = Vec::new();
-    let mut scratch = AStarScratch::new();
-    // Per-wave dirty-cell set as an epoch-stamped flat grid: a cell is
-    // dirty this wave iff its stamp equals the wave epoch, so clearing
-    // between waves is a single increment. Out-of-bounds positions are
-    // never marked — they cannot collide with the (in-bounds) expanded
-    // cells the conflict check probes.
-    let mut dirty_at = vec![0u32; width * height];
-    let mut dirty_epoch = 0u32;
-    let cell_of = move |p: &Point| {
-        in_bounds(p).then(|| p.y as usize * width + p.x as usize)
-    };
-    while !wave.is_empty() {
-        // Phase 1 — speculate. Opaque items (an out-of-bounds valve
-        // bypasses the flat kernel, leaving no expanded-cell record) are
-        // not searched; they fall back to the live state below.
-        let snapshot: &ObsMap = obs;
-        let specs: Vec<Option<(SpecResult, Vec<Point>)>> = parallel_map_with(
-            threads,
-            &wave,
-            AStarScratch::new,
-            |ws, _, (cluster, positions)| {
-                if !positions.iter().all(in_bounds) {
-                    return None;
-                }
-                let mut private = snapshot.clone();
-                let mut expanded = Vec::new();
-                let r = route_mst_owned(
-                    &mut private,
-                    cluster.clone(),
-                    positions.clone(),
-                    ws,
-                    Some(&mut expanded),
-                );
-                Some((r, expanded))
-            },
-        );
-        pacor_obs::counter_add("mst.speculative", specs.iter().flatten().count() as u64);
-
-        // Phase 2 — commit in order.
-        dirty_epoch = dirty_epoch.wrapping_add(1);
-        if dirty_epoch == 0 {
-            // u32 wrap (unreachable in practice): old stamps would alias.
-            dirty_at.fill(0);
-            dirty_epoch = 1;
-        }
-        let mut next_wave: Vec<(Cluster, Vec<Point>)> = Vec::new();
-        for (spec, item) in specs.into_iter().zip(wave) {
-            let conflicted = matches!(&spec, Some((_, exp)) if exp
-                .iter()
-                .any(|c| matches!(cell_of(c), Some(i) if dirty_at[i] == dirty_epoch)));
-            let outcome: SpecResult = match (spec, conflicted) {
-                (Some((r, _)), false) => {
-                    if let Ok(rc) = &r {
-                        let mut cells = rc.net_cells();
-                        cells.push(rc.member_positions[0]);
-                        obs.block_all(cells.iter().copied());
-                        for c in &cells {
-                            if let Some(i) = cell_of(c) {
-                                dirty_at[i] = dirty_epoch;
-                            }
-                        }
-                    }
-                    r
-                }
-                (spec, _) => {
-                    if spec.is_some() {
-                        pacor_obs::counter_add("mst.conflicts", 1);
-                    }
-                    pacor_obs::counter_add("mst.serial_fallbacks", 1);
-                    let (cluster, positions) = item;
-                    let r = route_mst_owned(obs, cluster, positions, &mut scratch, None);
-                    if let Ok(rc) = &r {
-                        let mut cells = rc.net_cells();
-                        cells.push(rc.member_positions[0]);
-                        for c in &cells {
-                            if let Some(i) = cell_of(c) {
-                                dirty_at[i] = dirty_epoch;
-                            }
-                        }
-                    }
-                    r
-                }
-            };
-            match outcome {
-                Ok(rc) => {
-                    count_edges(&rc);
-                    out.push(rc);
-                }
-                Err((cluster, positions)) => {
-                    split_into(&mut next_wave, cluster, positions, next_id)
-                }
-            }
-        }
-        wave = next_wave;
-    }
-    out
 }
 
 #[cfg(test)]
@@ -477,62 +317,6 @@ mod tests {
         );
         assert_eq!(out.len(), 2);
         assert_eq!(next_id, 5);
-    }
-
-    #[test]
-    fn speculative_batch_matches_serial_queue() {
-        // A mix of routable clusters, a contended pair sharing a narrow
-        // region, and an unroutable cluster that de-clusters — the
-        // speculative waves must reproduce the serial queue exactly at
-        // every thread count (including splits and cluster-id assignment).
-        let build = || {
-            let mut grid = Grid::new(20, 20).unwrap();
-            for y in 0..19 {
-                grid.set_obstacle(Point::new(14, y));
-            }
-            ObsMap::new(&grid)
-        };
-        let clusters = || {
-            vec![
-                (
-                    Cluster::new(ClusterId(0), vec![ValveId(0), ValveId(1)], false),
-                    vec![Point::new(1, 1), Point::new(9, 1)],
-                ),
-                (
-                    Cluster::new(ClusterId(1), vec![ValveId(2), ValveId(3), ValveId(4)], false),
-                    vec![Point::new(2, 5), Point::new(9, 5), Point::new(5, 9)],
-                ),
-                // Straddles the wall (only a slit at y=19): usually forced
-                // to a long detour or a split.
-                (
-                    Cluster::new(ClusterId(2), vec![ValveId(5), ValveId(6)], false),
-                    vec![Point::new(12, 0), Point::new(17, 0)],
-                ),
-            ]
-        };
-        let mut serial_obs = build();
-        let mut serial_id = 10;
-        let serial = route_ordinary_clusters(
-            &mut serial_obs,
-            clusters(),
-            &mut serial_id,
-            &FlowConfig::default(),
-        );
-        for threads in [1, 2, 4] {
-            let mut obs = build();
-            let mut id = 10;
-            let cfg = FlowConfig::default()
-                .with_negotiation_mode(NegotiationMode::Parallel)
-                .with_threads(threads);
-            let spec = route_ordinary_clusters(&mut obs, clusters(), &mut id, &cfg);
-            assert_eq!(id, serial_id, "@{threads}");
-            assert_eq!(spec.len(), serial.len(), "@{threads}");
-            for (a, b) in spec.iter().zip(&serial) {
-                assert_eq!(a.cluster.id(), b.cluster.id(), "@{threads}");
-                assert_eq!(a.net_cells(), b.net_cells(), "@{threads}");
-            }
-            assert_eq!(obs.blocked_count(), serial_obs.blocked_count(), "@{threads}");
-        }
     }
 
     #[test]

@@ -348,7 +348,6 @@ pub fn diff_runs(base: &RunDigest, new: &RunDigest) -> RunDiff {
     wall.push(wall_entry);
     for (label, b, n) in [
         ("threads", base.wall.threads.to_string(), new.wall.threads.to_string()),
-        ("mode", base.wall.mode.clone(), new.wall.mode.clone()),
         ("policy", base.wall.policy.clone(), new.wall.policy.clone()),
         ("routing", base.wall.routing.clone(), new.wall.routing.clone()),
     ] {
@@ -531,7 +530,7 @@ mod tests {
         let mut new = base.clone();
         new.wall.wall_ms *= 1.2; // 20% slower but well under 25 ms absolute
         new.wall.threads = 1;
-        new.wall.mode = "serial".into();
+        new.wall.policy = "full".into();
         let diff = diff_runs(&base, &new);
         assert!(!diff.has_verdicts(), "{diff:?}");
     }

@@ -6,14 +6,13 @@
 //! per-cluster LM slack), the deterministic counter totals and
 //! histogram quantiles, and — isolated in the single `wall` sub-object
 //! — everything wall-clock- or mode-dependent: the run's thread count
-//! and mode/policy labels, end-to-end wall-clock, the work counters
-//! whose totals legitimately differ between serial and speculative
-//! negotiation (a rejected speculation is an A\* query the serial mode
-//! never ran), and the full span tree with inclusive/exclusive time.
+//! and policy/solver/routing labels, end-to-end wall-clock, the work
+//! counters (see [`is_work_metric`]), and the full span tree with
+//! inclusive/exclusive time.
 //!
 //! Everything outside `wall` is byte-identical at any worker-thread
-//! count, under either negotiation mode, and under either rip-up policy
-//! whenever the policies route the same result — the same guarantee the
+//! count, and under either rip-up policy whenever the policies route
+//! the same result — the same guarantee the
 //! post-mortem report makes, extended to a comparable cross-run record.
 //! [`RunDigest::deterministic_json`] renders exactly that invariant
 //! part, which is what ledger comparisons and `make ledger-smoke`
@@ -39,24 +38,19 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 /// Whether a counter/histogram name is a **work metric**: a total that
-/// legitimately differs between negotiation modes, routing modes or
-/// scheduling decisions even when the routed result is identical.
+/// measures how much searching or scheduling a run did rather than what
+/// it routed (A\* effort, fan-out tasks, hierarchical global planning).
 /// Work metrics live in the digest's `wall` sub-object; everything else
 /// is part of the deterministic, comparable record.
 pub fn is_work_metric(name: &str) -> bool {
-    name.starts_with("astar.")
-        || name.starts_with("parallel.")
-        || name.starts_with("global.")
-        || name.ends_with(".speculative")
-        || name.ends_with(".conflicts")
-        || name.ends_with(".serial_fallbacks")
+    name.starts_with("astar.") || name.starts_with("parallel.") || name.starts_with("global.")
 }
 
 /// What run a digest belongs to: the chip and the deterministic
 /// configuration fields. Two runs with equal fingerprints are expected
 /// to produce byte-identical deterministic sections — the equivalence
-/// axes (threads, negotiation mode, rip-up policy, escape solver,
-/// routing mode) are deliberately **excluded** and recorded in `wall`
+/// axes (threads, rip-up policy, escape solver, routing mode) are
+/// deliberately **excluded** and recorded in `wall`
 /// instead, so a re-run at a different thread count still finds its
 /// baseline in the ledger.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -210,8 +204,6 @@ impl SpanNode {
 pub struct WallFacts {
     /// Worker threads configured.
     pub threads: u64,
-    /// Negotiation mode label.
-    pub mode: String,
     /// Rip-up policy label.
     pub policy: String,
     /// Escape solver label.
@@ -468,9 +460,11 @@ impl RunDigest {
         if include_wall {
             out.push_str(sep);
             let w = &self.wall;
-            let _ = write!(out, "{ind}\"wall\": {{\"threads\": {}, \"mode\": ", w.threads);
-            crate::export::push_json_string(&mut out, &w.mode);
-            out.push_str(", \"policy\": ");
+            let _ = write!(
+                out,
+                "{ind}\"wall\": {{\"threads\": {}, \"policy\": ",
+                w.threads
+            );
             crate::export::push_json_string(&mut out, &w.policy);
             out.push_str(", \"escape_solver\": ");
             crate::export::push_json_string(&mut out, &w.escape_solver);
@@ -601,7 +595,6 @@ impl RunDigest {
         };
         let wall = WallFacts {
             threads: w.get("threads").and_then(Json::as_u64).ok_or("wall.threads")?,
-            mode: ws("mode")?,
             policy: ws("policy")?,
             escape_solver: ws("escape_solver")?,
             routing: ws("routing")?,
@@ -751,7 +744,6 @@ pub(crate) mod tests {
             )],
             wall: WallFacts {
                 threads: 4,
-                mode: "parallel".into(),
                 policy: "incremental".into(),
                 escape_solver: "incremental".into(),
                 routing: "flat".into(),
@@ -848,9 +840,6 @@ pub(crate) mod tests {
             "parallel.tasks",
             "global.regions",
             "global.corridor_len",
-            "negotiate.speculative",
-            "mst.conflicts",
-            "negotiate.serial_fallbacks",
         ] {
             assert!(is_work_metric(name), "{name} must be a work metric");
         }

@@ -20,8 +20,8 @@
 //!
 //! Every emit site sits at a session-thread commit point (the same
 //! points the flight recorder uses), so the event *sequence* is
-//! byte-identical across thread counts, negotiation modes and rip-up
-//! policies wherever the routed result is. Wall-clock fields
+//! byte-identical across thread counts and rip-up policies wherever the
+//! routed result is. Wall-clock fields
 //! (`elapsed_us`, `eta_us`) are the one exception; a
 //! [`TelemetryConfig::deterministic`] configuration zeroes them (and
 //! disables the watchdog), making the raw JSONL stream itself
@@ -76,8 +76,6 @@ pub enum ProgressEvent {
         variant: String,
         /// Rip-up policy label.
         policy: String,
-        /// Negotiation mode label.
-        mode: String,
         /// Effective worker-thread count.
         threads: u64,
     },
@@ -129,8 +127,7 @@ pub enum ProgressEvent {
         /// Total candidate Steiner trees across them.
         candidates: u64,
     },
-    /// The MST batch committed (aggregated — per-wave grouping differs
-    /// between modes, so only the mode-invariant totals are streamed).
+    /// The MST batch committed (totals over the whole batch).
     MstProgress {
         /// Clusters entering the batch.
         clusters: u64,
@@ -236,7 +233,6 @@ impl ProgressEvent {
                 lm_clusters,
                 variant,
                 policy,
-                mode,
                 threads,
             } => {
                 s.push_str(",\"design\":");
@@ -248,8 +244,6 @@ impl ProgressEvent {
                 push_json_string(&mut s, variant);
                 s.push_str(",\"policy\":");
                 push_json_string(&mut s, policy);
-                s.push_str(",\"mode\":");
-                push_json_string(&mut s, mode);
                 let _ = write!(s, ",\"threads\":{threads}");
             }
             ProgressEvent::StageEntered { stage } => {
@@ -1247,7 +1241,6 @@ mod tests {
                 lm_clusters: 0,
                 variant: "PACOR".into(),
                 policy: "full".into(),
-                mode: "serial".into(),
                 threads: 1,
             },
             ProgressEvent::StageEntered { stage: "escape" },

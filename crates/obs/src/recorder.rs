@@ -18,7 +18,7 @@
 //! deterministic commit points (the session thread's attempt loop,
 //! rip-up selection, MST commit order, escape/detour stages), never
 //! inside worker closures, so the log is identical at any worker-thread
-//! count and under either negotiation mode.
+//! count.
 //!
 //! # Bounding
 //!
@@ -140,23 +140,7 @@ pub enum FlightEvent {
         /// Why this victim was selected.
         reason: RipReason,
     },
-    /// A speculative parallel route was rejected (overlapping expansion).
-    ///
-    /// Mode-specific by nature: recorded for the log, excluded from the
-    /// post-mortem report so report bytes stay mode-invariant.
-    SpecConflict {
-        /// Net id of the conflicted request.
-        net: u32,
-    },
-    /// A conflicted/opaque net was re-routed serially in commit order.
-    ///
-    /// Mode-specific like [`FlightEvent::SpecConflict`]; log-only.
-    SerialFallback {
-        /// Net id of the fallen-back request.
-        net: u32,
-    },
-    /// An MST cluster's routing was committed (serial or speculative —
-    /// commit order is identical).
+    /// An MST cluster's routing was committed.
     MstCommit {
         /// Cluster id.
         cluster: u32,
@@ -165,7 +149,8 @@ pub enum FlightEvent {
         /// Total routed length of the cluster.
         length: u64,
     },
-    /// An unroutable MST cluster was split into two for the next wave.
+    /// An unroutable MST cluster was split in two; both halves rejoin
+    /// the back of the MST queue.
     MstSplit {
         /// Cluster id that failed to route whole.
         parent: u32,
@@ -254,8 +239,6 @@ impl FlightEvent {
             FlightEvent::NegotiationStart { .. } => "negotiation_start",
             FlightEvent::NetAttempt { .. } => "net_attempt",
             FlightEvent::RipUp { .. } => "rip_up",
-            FlightEvent::SpecConflict { .. } => "spec_conflict",
-            FlightEvent::SerialFallback { .. } => "serial_fallback",
             FlightEvent::MstCommit { .. } => "mst_commit",
             FlightEvent::MstSplit { .. } => "mst_split",
             FlightEvent::LmReconstructed { .. } => "lm_reconstructed",
@@ -415,8 +398,8 @@ pub fn flight_take() -> Option<FlightLog> {
 
 /// Whether a flight recorder is installed on the current thread.
 ///
-/// Emit sites that need to *compute* event fields (e.g. walk an A*
-/// scratch's expanded set) gate on this so the disabled cost stays one
+/// Emit sites that need to *compute* event fields (e.g. build a
+/// congestion snapshot) gate on this so the disabled cost stays one
 /// thread-local check.
 pub fn flight_active() -> bool {
     RECORDER.with(|r| r.borrow().is_some())
@@ -549,14 +532,14 @@ mod tests {
         {
             let _pause = flight_pause();
             assert!(!flight_active());
-            flight(|| FlightEvent::SpecConflict { net: 9 });
+            flight(|| FlightEvent::Declustered { cluster: 9 });
         }
         assert!(flight_active(), "guard drop must reinstall the recorder");
-        flight(|| FlightEvent::SpecConflict { net: 1 });
+        flight(|| FlightEvent::Declustered { cluster: 1 });
         let log = flight_take().unwrap();
         assert_eq!(log.sessions(), s, "session counter survives the pause");
         assert_eq!(log.events().len(), 2, "paused events must not be recorded");
-        assert_eq!(log.events()[1].kind(), "spec_conflict");
+        assert_eq!(log.events()[1].kind(), "declustered");
     }
 
     #[test]
@@ -569,20 +552,20 @@ mod tests {
     #[test]
     fn ring_drops_oldest_events() {
         flight_install(cfg(3));
-        for net in 0..5 {
-            flight(|| FlightEvent::SpecConflict { net });
+        for cluster in 0..5 {
+            flight(|| FlightEvent::Declustered { cluster });
         }
         let log = flight_take().unwrap();
         assert_eq!(log.dropped_events(), 2);
-        let nets: Vec<u32> = log
+        let clusters: Vec<u32> = log
             .events()
             .iter()
             .map(|e| match e {
-                FlightEvent::SpecConflict { net } => *net,
+                FlightEvent::Declustered { cluster } => *cluster,
                 _ => unreachable!(),
             })
             .collect();
-        assert_eq!(nets, vec![2, 3, 4], "newest events must survive");
+        assert_eq!(clusters, vec![2, 3, 4], "newest events must survive");
     }
 
     #[test]

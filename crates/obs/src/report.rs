@@ -11,12 +11,10 @@
 //!
 //! Both outputs are pure functions of the log. Because emit sites live
 //! only at the flow's deterministic commit points, the bytes are
-//! invariant across worker-thread counts and negotiation modes; the
-//! mode-specific events ([`FlightEvent::SpecConflict`],
-//! [`FlightEvent::SerialFallback`]) are deliberately **excluded** from
-//! the report. Across rip-up policies the report is identical whenever
-//! the policies produce the same routed state (they provably coincide
-//! while every negotiation session converges without a failed round).
+//! invariant across worker-thread counts. Across rip-up policies the
+//! report is identical whenever the policies produce the same routed
+//! state (they provably coincide while every negotiation session
+//! converges without a failed round).
 
 use crate::recorder::{FlightEvent, FlightLog, SnapshotKind};
 use crate::Histogram;
@@ -102,11 +100,8 @@ pub fn post_mortem_json(log: &FlightLog) -> String {
             }
             FlightEvent::MstCommit { .. } => mst_commits += 1,
             FlightEvent::MstSplit { .. } => mst_splits += 1,
-            // Mode-specific events stay out of the report (see module
-            // docs); session starts carry no aggregate of their own.
-            FlightEvent::SpecConflict { .. }
-            | FlightEvent::SerialFallback { .. }
-            | FlightEvent::NegotiationStart { .. }
+            // These carry no aggregate of their own.
+            FlightEvent::NegotiationStart { .. }
             | FlightEvent::LmReconstructed { .. }
             | FlightEvent::LmDemoted { .. } => {}
         }
@@ -529,16 +524,5 @@ mod tests {
         flight_install(RecorderConfig::default());
         let log = flight_take().unwrap();
         assert_eq!(render_heatmap(&log), "(no congestion snapshots recorded)\n");
-    }
-
-    #[test]
-    fn mode_specific_events_do_not_reach_the_report() {
-        flight_install(RecorderConfig::default());
-        let log_plain = flight_take().unwrap();
-        flight_install(RecorderConfig::default());
-        flight(|| FlightEvent::SpecConflict { net: 3 });
-        flight(|| FlightEvent::SerialFallback { net: 3 });
-        let log_spec = flight_take().unwrap();
-        assert_eq!(post_mortem_json(&log_plain), post_mortem_json(&log_spec));
     }
 }

@@ -23,9 +23,9 @@
 //! `PROBE_CELLS` cells, looks for a cell next to a source. When it runs
 //! out of cells first, the targets sit in a sealed pocket and no path
 //! exists; the query then floods the sources' free component with a
-//! plain BFS and returns `None`, leaving the same touched set, expanded
-//! set and expansion count as an A\* that expands everything it can
-//! reach (DESIGN.md §7).
+//! plain BFS and returns `None`, leaving the same touched set and
+//! expansion count as an A\* that expands everything it can reach
+//! (DESIGN.md §7).
 
 use crate::HistoryCost;
 use pacor_grid::{GridPath, ObsMap, Point};
@@ -61,6 +61,9 @@ struct Open {
 /// `pacor_obs::active()` check per query.
 #[derive(Debug, Clone, Copy, Default)]
 struct KernelStats {
+    /// Cells popped off the open list (or flooded). Unlike the other
+    /// counts, the flat kernel keeps this one in both instantiations,
+    /// for [`AStarScratch::expansions`].
     expansions: u64,
     bucket_pushes: u64,
     heap_pushes: u64,
@@ -133,10 +136,10 @@ pub struct AStarScratch {
     parent: Vec<u32>,
     stamp: Vec<u32>,
     target_stamp: Vec<u32>,
-    /// Cells the query actually *popped* (expanded), as opposed to merely
-    /// stamped into the open list — the speculative negotiation commit
-    /// rule is built on this set (see [`AStarScratch::expanded_cells`]).
-    expanded_stamp: Vec<u32>,
+    /// Marks of the two BFS passes: the reachability probe's visited
+    /// cells (cleared before the probe returns), then the flood's
+    /// deduplicated sources.
+    bfs_stamp: Vec<u32>,
     /// Bucket queue for unit-cost searches, indexed by f / SCALE.
     buckets: Vec<Vec<Open>>,
     /// Heap for history-weighted searches: `(f, g, point key, idx)`.
@@ -165,14 +168,14 @@ impl AStarScratch {
             self.parent = vec![NO_PARENT; n];
             self.stamp = vec![0; n];
             self.target_stamp = vec![0; n];
-            self.expanded_stamp = vec![0; n];
+            self.bfs_stamp = vec![0; n];
             self.generation = 0;
         }
         if self.generation == u32::MAX {
             // Stamp wrap-around: pay one full clear every 2^32 queries.
             self.stamp.fill(0);
             self.target_stamp.fill(0);
-            self.expanded_stamp.fill(0);
+            self.bfs_stamp.fill(0);
             self.generation = 0;
         }
         self.generation += 1;
@@ -207,33 +210,17 @@ impl AStarScratch {
             .map(|(i, _)| self.point_of(i))
     }
 
-    /// Iterates every cell the most recent query *expanded* (popped off
-    /// its open list), a subset of [`AStarScratch::touched_cells`].
-    ///
-    /// The A\* only reads the obstacle map at cells it expands and at
-    /// their immediate neighbors it steps into — so two runs of the same
-    /// query against obstacle maps that differ *only on cells outside
-    /// this set* pop the identical cell sequence and return the
-    /// identical result. The reachability probe also reads target-side
-    /// cells outside this set, but only to prove that no path exists.
-    /// That proof is sound, so when the second map only blocks extra
-    /// cells outside this set, as a negotiation round's commits do, the
-    /// result is still the same: a found path lies inside this set, and
-    /// a failure's flood is the sources' free component, which such
-    /// blocks leave intact. That containment is exactly what the parallel
-    /// negotiation mode's commit rule checks (DESIGN.md §10). After a
-    /// *failed* search the expanded set equals the touched set: the open
-    /// list drains completely, or the probe's flood marks both.
+    /// How many cells the most recent query *expanded*: popped off its
+    /// open list, or flooded on the probe-settled failure path. This is
+    /// the query's `astar.expansions` contribution, kept whether or not
+    /// a recording frame is active. After a *failed* search it equals
+    /// the number of [`AStarScratch::touched_cells`]: the open list
+    /// drains completely, or the flood expands every cell it touches.
     ///
     /// Same caveat as [`AStarScratch::touched_cells`]: only meaningful
     /// directly after the flat kernel ran on this scratch.
-    pub fn expanded_cells(&self) -> impl Iterator<Item = Point> + '_ {
-        let generation = self.generation;
-        self.expanded_stamp
-            .iter()
-            .enumerate()
-            .filter(move |(_, &s)| s == generation)
-            .map(|(i, _)| self.point_of(i))
+    pub fn expansions(&self) -> u64 {
+        self.stats.expansions
     }
 
     /// Follows the parent chain from `idx` back to a source and returns
@@ -442,9 +429,8 @@ impl<'a> AStar<'a> {
     /// out of cells without stepping next to a source, no path exists
     /// and the result is `true`. Reaching a source, or visiting more
     /// than [`PROBE_CELLS`] cells, gives `false` and the A\* runs as
-    /// before. The probe borrows `expanded_stamp` for its visited marks
-    /// and clears them before returning, so the A\* sees the scratch
-    /// exactly as if no probe had run.
+    /// before. The probe keeps its visited marks in `bfs_stamp` and
+    /// clears them before returning, so the flood can reuse it.
     fn targets_sealed(
         &self,
         targets: &[Point],
@@ -455,15 +441,15 @@ impl<'a> AStar<'a> {
         let blocked = self.obs.blocked_cells();
         let AStarScratch {
             stamp,
-            expanded_stamp,
+            bfs_stamp,
             probe,
             ..
         } = scratch;
         probe.clear();
         for &t in targets {
             let i = t.y as usize * width + t.x as usize;
-            if expanded_stamp[i] != generation {
-                expanded_stamp[i] = generation;
+            if bfs_stamp[i] != generation {
+                bfs_stamp[i] = generation;
                 probe.push(i as u32);
             }
         }
@@ -483,23 +469,23 @@ impl<'a> AStar<'a> {
                     sealed = false;
                     break 'bfs;
                 }
-                if !blocked[q] && expanded_stamp[q] != generation {
-                    expanded_stamp[q] = generation;
+                if !blocked[q] && bfs_stamp[q] != generation {
+                    bfs_stamp[q] = generation;
                     probe.push(q as u32);
                 }
             }
         }
         for &i in probe.iter() {
-            expanded_stamp[i as usize] = 0; // no live generation is 0
+            bfs_stamp[i as usize] = 0; // no live generation is 0
         }
         sealed
     }
 
     /// The failure path behind a sealing probe: floods the sources' free
     /// component with a plain BFS and marks it the way the exhausted
-    /// A\* would — every cell touched and expanded, one expansion each
-    /// (DESIGN.md §7). `parent` doubles as the BFS queue, since a failed
-    /// search never reads it.
+    /// A\* would — every cell touched, one expansion each (DESIGN.md §7).
+    /// `parent` doubles as the BFS queue, since a failed search never
+    /// reads it.
     fn flood_sources<const TRACK: bool>(
         &self,
         sources: &[Point],
@@ -511,15 +497,15 @@ impl<'a> AStar<'a> {
         let AStarScratch {
             stamp,
             target_stamp,
-            expanded_stamp,
+            bfs_stamp,
             parent,
             ..
         } = scratch;
         let mut len = 0;
         for &s in sources {
             let i = s.y as usize * width + s.x as usize;
-            if expanded_stamp[i] != generation {
-                expanded_stamp[i] = generation;
+            if bfs_stamp[i] != generation {
+                bfs_stamp[i] = generation;
                 parent[len] = i as u32;
                 len += 1;
             }
@@ -535,14 +521,13 @@ impl<'a> AStar<'a> {
                 );
                 if stamp[q] != generation && !blocked[q] {
                     stamp[q] = generation;
-                    expanded_stamp[q] = generation;
                     parent[len] = q as u32;
                     len += 1;
                 }
             }
         }
+        scratch.stats.expansions += len as u64;
         if TRACK {
-            scratch.stats.expansions += len as u64;
             scratch.stats.unreachable += 1;
         }
         None
@@ -592,10 +577,7 @@ impl<'a> AStar<'a> {
             };
             let e = scratch.buckets[cursor].swap_remove(pos);
             let p_idx = e.idx as usize;
-            scratch.expanded_stamp[p_idx] = generation;
-            if TRACK {
-                scratch.stats.expansions += 1;
-            }
+            scratch.stats.expansions += 1;
             if scratch.target_stamp[p_idx] == generation {
                 return Some(scratch.reconstruct(p_idx));
             }
@@ -656,10 +638,7 @@ impl<'a> AStar<'a> {
             if scratch.g[p_idx] < g {
                 continue; // stale entry
             }
-            scratch.expanded_stamp[p_idx] = generation;
-            if TRACK {
-                scratch.stats.expansions += 1;
-            }
+            scratch.stats.expansions += 1;
             if scratch.target_stamp[p_idx] == generation {
                 return Some(scratch.reconstruct(p_idx));
             }
@@ -1049,8 +1028,7 @@ mod tests {
     }
 
     #[test]
-    fn expanded_cells_contain_path_and_drain_on_failure() {
-        use std::collections::HashSet;
+    fn expansions_cover_path_and_drain_on_failure() {
         let mut g = Grid::new(9, 9).unwrap();
         for y in 0..8 {
             g.set_obstacle(Point::new(4, y));
@@ -1058,15 +1036,19 @@ mod tests {
         let obs = ObsMap::new(&g);
         let astar = AStar::new(&obs);
         let mut scratch = AStarScratch::new();
-        let p = astar
-            .route_with_scratch(&[Point::new(1, 1)], &[Point::new(7, 1)], &mut scratch)
-            .unwrap();
-        let expanded: HashSet<Point> = scratch.expanded_cells().collect();
-        let touched: HashSet<Point> = scratch.touched_cells().collect();
-        assert!(expanded.is_subset(&touched));
-        for c in p.iter() {
-            assert!(expanded.contains(c), "path cell {c} was never expanded");
-        }
+        let (s, t) = ([Point::new(1, 1)], [Point::new(7, 1)]);
+        let p = astar.route_with_scratch(&s, &t, &mut scratch).unwrap();
+        let untracked = scratch.expansions();
+        // Every path cell was popped, and nothing outside the touched set.
+        assert!(untracked >= p.cells().len() as u64);
+        assert!(untracked <= scratch.touched_cells().count() as u64);
+        // The recording instantiation counts the same pops and flushes
+        // exactly that many to the `astar.expansions` counter.
+        let session = pacor_obs::Session::begin();
+        astar.route_with_scratch(&s, &t, &mut scratch).unwrap();
+        let counted = session.finish().counter("astar.expansions");
+        assert_eq!(scratch.expansions(), untracked);
+        assert_eq!(counted, untracked);
         // Failed search: the open list drains, so every reached cell is
         // also expanded.
         for y in 0..9 {
@@ -1074,12 +1056,15 @@ mod tests {
         }
         let obs = ObsMap::new(&g);
         assert!(AStar::new(&obs)
-            .route_with_scratch(&[Point::new(1, 1)], &[Point::new(7, 1)], &mut scratch)
+            .route_with_scratch(&s, &t, &mut scratch)
             .is_none());
-        let expanded: HashSet<Point> = scratch.expanded_cells().collect();
-        let touched: HashSet<Point> = scratch.touched_cells().collect();
-        assert_eq!(expanded, touched, "failed search must drain its queue");
-        assert!(!expanded.is_empty());
+        let touched = scratch.touched_cells().count() as u64;
+        assert!(touched > 0);
+        assert_eq!(
+            scratch.expansions(),
+            touched,
+            "failed search must drain its queue"
+        );
     }
 
     #[test]

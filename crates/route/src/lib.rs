@@ -42,6 +42,6 @@ pub use astar::{AStar, AStarScratch};
 pub use bounded::BoundedAStar;
 pub use history::HistoryCost;
 pub use negotiation::{
-    NegotiationMode, NegotiationOutcome, NegotiationRouter, NetOrdering, RipUpPolicy, RouteRequest,
+    NegotiationOutcome, NegotiationRouter, NetOrdering, RipUpPolicy, RouteRequest,
 };
 pub use parallel::{effective_threads, parallel_map, parallel_map_with};

@@ -1,17 +1,11 @@
 //! Negotiation-based detailed routing — Algorithm 1 of the paper.
 //!
-//! The router runs in one of two [`NegotiationMode`]s. `Serial` routes
-//! the round's pending nets one by one against the live obstacle state.
-//! `Parallel` speculatively routes *all* pending nets concurrently
-//! against an immutable snapshot of the round-start state, then commits
-//! the results in the canonical attempt order: a speculation is accepted
-//! iff the cells blocked by earlier commits this round are disjoint from
-//! the cells its search *expanded*, and rejected speculations are
-//! re-routed serially against the live state. The accepted/fallback mix
-//! reproduces the serial router's routed state byte for byte at any
-//! thread count (see DESIGN.md §10 for the argument).
+//! Each round routes its pending nets one by one against the live
+//! obstacle state, so every net sees the paths committed before it in
+//! the round. Between rounds the [`RipUpPolicy`] decides which paths to
+//! rip up, and the history cost steers the retry. DESIGN.md §10 records
+//! why the round loop stays serial.
 
-use crate::parallel::parallel_map_with;
 use crate::{AStar, AStarScratch, HistoryCost};
 use pacor_grid::{GridPath, ObsMap, Point};
 use pacor_obs::{FlightEvent, RipReason, SnapshotKind};
@@ -198,45 +192,6 @@ impl RipUpPolicy {
     }
 }
 
-/// How the nets of one negotiation round are attempted.
-///
-/// Both modes produce the identical routed state; `Parallel` trades
-/// wasted speculative searches for wall-clock concurrency. The routed
-/// geometry, round/rip-up counts and convergence behavior are
-/// mode-invariant — only the `astar.*` work counters differ (a rejected
-/// speculation is a search the serial mode never ran).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum NegotiationMode {
-    /// Route pending nets one by one against the live state (default).
-    #[default]
-    Serial,
-    /// Speculatively route all pending nets against a round-start
-    /// snapshot, commit in attempt order, and re-route conflicted nets
-    /// serially. Deterministic at any thread count — including 1, where
-    /// the speculation still runs (inline) so every counter total is
-    /// thread-count invariant.
-    Parallel,
-}
-
-impl NegotiationMode {
-    /// Parses a command-line spelling (`serial` / `parallel`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "serial" => Some(NegotiationMode::Serial),
-            "parallel" => Some(NegotiationMode::Parallel),
-            _ => None,
-        }
-    }
-
-    /// The command-line spelling accepted by [`NegotiationMode::parse`].
-    pub fn label(self) -> &'static str {
-        match self {
-            NegotiationMode::Serial => "serial",
-            NegotiationMode::Parallel => "parallel",
-        }
-    }
-}
-
 /// "No owner" sentinel in [`OwnerIndex::primary`].
 const NO_OWNER: u32 = u32::MAX;
 
@@ -316,12 +271,9 @@ impl OwnerIndex {
 }
 
 /// Per-round set of grid cells; a generation counter makes per-round
-/// invalidation free, mirroring [`AStarScratch`].
-///
-/// Two uses: the parallel mode's conflict test marks the cells blocked
-/// by this round's earlier commits (a speculative result is valid iff
-/// none of its expanded cells is marked), and the incremental rip-up
-/// marks contended cells so that each is looked up once per round.
+/// invalidation free, mirroring [`AStarScratch`]. The incremental
+/// rip-up marks contended cells in it so that each is looked up once
+/// per round.
 #[derive(Debug)]
 struct RoundStamp {
     width: usize,
@@ -340,8 +292,7 @@ impl RoundStamp {
         }
     }
 
-    /// Clears the marks in O(1); call at the start of every round (the
-    /// commit phase, in parallel mode).
+    /// Clears the marks in O(1); call at the start of every round.
     fn begin_round(&mut self) {
         if self.generation == u32::MAX {
             self.stamp.fill(0);
@@ -356,17 +307,6 @@ impl RoundStamp {
             .then(|| p.y as usize * self.width + p.x as usize)
     }
 
-    /// Marks every cell of a just-committed path (out-of-bounds endpoint
-    /// cells from the reference-kernel fallback are ignored, matching
-    /// `ObsMap::block`).
-    fn mark_all(&mut self, cells: &[Point]) {
-        for &c in cells {
-            if let Some(i) = self.index_of(c) {
-                self.stamp[i] = self.generation;
-            }
-        }
-    }
-
     /// Marks `p`; `true` when it was not yet marked this round.
     /// Out-of-bounds cells are never marked.
     fn insert(&mut self, p: Point) -> bool {
@@ -378,25 +318,14 @@ impl RoundStamp {
             _ => false,
         }
     }
-
-    /// `true` when any cell of `cells` was marked this round.
-    fn hits(&self, cells: &[Point]) -> bool {
-        cells.iter().any(|&c| {
-            self.index_of(c)
-                .is_some_and(|i| self.stamp[i] == self.generation)
-        })
-    }
 }
 
 /// Outcome of one net's attempt within a round, produced in attempt
-/// order by [`RoundExec::attempt_round`]. Identical for both modes —
-/// the policy loops never see whether a result was speculated.
+/// order by [`attempt_round`].
 enum Attempt {
     /// Routed; the path's cells are already blocked in the obstacle map.
-    /// The second field is the search's expanded-cell count, computed
-    /// only while the flight recorder is active (0 otherwise) — an
-    /// accepted speculation ran step-identically to the serial search,
-    /// so the count is negotiation-mode invariant.
+    /// The second field is the search's expansion count, 0 when the
+    /// request bypassed the flat kernel.
     Routed(GridPath, u32),
     /// Unroutable this round. Carries the flooded free region the failed
     /// search reached (its contended cells) when the flat kernel
@@ -406,176 +335,52 @@ enum Attempt {
     Failed(Option<Vec<Point>>),
 }
 
-/// One speculative search result: the path found against the round-start
-/// snapshot plus every cell the search expanded (the commit rule's
-/// footprint). `None` path = the net failed against the snapshot.
-struct Speculation {
-    path: Option<GridPath>,
-    expanded: Vec<Point>,
+/// `true` when the flat kernel's scratch views (touched cells and
+/// expansion count) describe this request's search — in-bounds,
+/// non-empty terminals. Anything else bypasses the flat kernel.
+fn transparent(req: &RouteRequest, width: usize, height: usize) -> bool {
+    let in_bounds =
+        |p: &Point| p.x >= 0 && p.y >= 0 && (p.x as usize) < width && (p.y as usize) < height;
+    !req.sources.is_empty()
+        && !req.targets.is_empty()
+        && req.sources.iter().chain(&req.targets).all(in_bounds)
 }
 
-/// Round-attempt executor: the single point where the two negotiation
-/// modes diverge. Owned by `route_all`, reused across rounds.
-enum RoundExec {
-    Serial,
-    Parallel { threads: usize, dirty: RoundStamp },
-}
-
-impl RoundExec {
-    /// `true` when the flat kernel's scratch views (touched/expanded
-    /// cells) are meaningful for this request — in-bounds, non-empty
-    /// terminals. Anything else bypasses the flat kernel and must not be
-    /// speculated (nor trusted for flood extraction).
-    fn transparent(req: &RouteRequest, width: usize, height: usize) -> bool {
-        let in_bounds = |p: &Point| {
-            p.x >= 0 && p.y >= 0 && (p.x as usize) < width && (p.y as usize) < height
-        };
-        !req.sources.is_empty()
-            && !req.targets.is_empty()
-            && req.sources.iter().chain(&req.targets).all(in_bounds)
-    }
-
-    /// Extracts the contended-region flood of a just-failed live search.
-    fn flood_of(req: &RouteRequest, scratch: &AStarScratch, obs: &ObsMap) -> Option<Vec<Point>> {
-        Self::transparent(req, obs.width() as usize, obs.height() as usize)
-            .then(|| scratch.touched_cells().collect())
-    }
-
-    /// Attempts every net of `pending` (in order) for one round,
-    /// blocking successful paths in `obs`, and returns one [`Attempt`]
-    /// per pending net. Both modes leave `obs`, the returned attempts,
-    /// and the `negotiate.*` round counters byte-identical.
-    fn attempt_round(
-        &mut self,
-        obs: &mut ObsMap,
-        history: &HistoryCost,
-        edges: &[RouteRequest],
-        pending: &[usize],
-        scratch: &mut AStarScratch,
-    ) -> Vec<Attempt> {
-        match self {
-            RoundExec::Serial => {
-                let (width, height) = (obs.width() as usize, obs.height() as usize);
-                pending
-                    .iter()
-                    .map(|&e| {
-                        let req = &edges[e];
-                        let path = AStar::with_history(obs, history).route_with_scratch(
-                            &req.sources,
-                            &req.targets,
-                            scratch,
-                        );
-                        match path {
-                            Some(p) => {
-                                let expanded = if pacor_obs::flight_active()
-                                    && Self::transparent(req, width, height)
-                                {
-                                    scratch.expanded_cells().count() as u32
-                                } else {
-                                    0
-                                };
-                                obs.block_all(p.cells().iter().copied());
-                                Attempt::Routed(p, expanded)
-                            }
-                            None => Attempt::Failed(Self::flood_of(req, scratch, obs)),
-                        }
-                    })
-                    .collect()
-            }
-            RoundExec::Parallel { threads, dirty } => {
-                let (width, height) = (obs.width() as usize, obs.height() as usize);
-                // Phase 1 — speculate: route every transparent pending
-                // net against the frozen round-start state, one scratch
-                // per worker. The merge is item-ordered, so the vector
-                // (and the task-frame counter totals) are identical at
-                // any thread count.
-                let snapshot: &ObsMap = obs;
-                let specs: Vec<Option<Speculation>> = parallel_map_with(
-                    *threads,
-                    pending,
-                    AStarScratch::new,
-                    |ws, _, &e| {
-                        let req = &edges[e];
-                        if !Self::transparent(req, width, height) {
-                            return None;
-                        }
-                        let path = AStar::with_history(snapshot, history).route_with_scratch(
-                            &req.sources,
-                            &req.targets,
-                            ws,
-                        );
-                        Some(Speculation {
-                            path,
-                            expanded: ws.expanded_cells().collect(),
-                        })
-                    },
-                );
-                pacor_obs::counter_add(
-                    "negotiate.speculative",
-                    specs.iter().flatten().count() as u64,
-                );
-
-                // Phase 2 — commit in attempt order. A speculation whose
-                // expanded footprint dodges every earlier-committed cell
-                // would have run step-for-step identically against the
-                // live state, so its result (path *or* failure flood) is
-                // taken as-is; everything else re-routes serially.
-                dirty.begin_round();
-                let mut out = Vec::with_capacity(pending.len());
-                for (spec, &e) in specs.into_iter().zip(pending) {
-                    let req = &edges[e];
-                    let conflicted = match &spec {
-                        Some(s) => dirty.hits(&s.expanded),
-                        None => false,
+/// Attempts every net of `pending`, in order, against the live state:
+/// each routed path is blocked in `obs` before the next net searches.
+/// Returns one [`Attempt`] per pending net.
+fn attempt_round(
+    obs: &mut ObsMap,
+    history: &HistoryCost,
+    edges: &[RouteRequest],
+    pending: &[usize],
+    scratch: &mut AStarScratch,
+) -> Vec<Attempt> {
+    let (width, height) = (obs.width() as usize, obs.height() as usize);
+    pending
+        .iter()
+        .map(|&e| {
+            let req = &edges[e];
+            let path = AStar::with_history(obs, history).route_with_scratch(
+                &req.sources,
+                &req.targets,
+                scratch,
+            );
+            let transparent = transparent(req, width, height);
+            match path {
+                Some(p) => {
+                    let expanded = if transparent {
+                        scratch.expansions() as u32
+                    } else {
+                        0
                     };
-                    let attempt = match spec {
-                        Some(s) if !conflicted => match s.path {
-                            Some(p) => {
-                                obs.block_all(p.cells().iter().copied());
-                                dirty.mark_all(p.cells());
-                                Attempt::Routed(p, s.expanded.len() as u32)
-                            }
-                            None => Attempt::Failed(Some(s.expanded)),
-                        },
-                        spec => {
-                            if spec.is_some() {
-                                pacor_obs::counter_add("negotiate.conflicts", 1);
-                                pacor_obs::flight(|| FlightEvent::SpecConflict {
-                                    net: net_id(edges, e),
-                                });
-                            }
-                            pacor_obs::counter_add("negotiate.serial_fallbacks", 1);
-                            pacor_obs::flight(|| FlightEvent::SerialFallback {
-                                net: net_id(edges, e),
-                            });
-                            let path = AStar::with_history(obs, history).route_with_scratch(
-                                &req.sources,
-                                &req.targets,
-                                scratch,
-                            );
-                            match path {
-                                Some(p) => {
-                                    let expanded = if pacor_obs::flight_active()
-                                        && Self::transparent(req, width, height)
-                                    {
-                                        scratch.expanded_cells().count() as u32
-                                    } else {
-                                        0
-                                    };
-                                    obs.block_all(p.cells().iter().copied());
-                                    dirty.mark_all(p.cells());
-                                    Attempt::Routed(p, expanded)
-                                }
-                                None => Attempt::Failed(Self::flood_of(req, scratch, obs)),
-                            }
-                        }
-                    };
-                    out.push(attempt);
+                    obs.block_all(p.cells().iter().copied());
+                    Attempt::Routed(p, expanded)
                 }
-                out
+                None => Attempt::Failed(transparent.then(|| scratch.touched_cells().collect())),
             }
-        }
-    }
+        })
+        .collect()
 }
 
 /// Negotiation-based router (Algorithm 1): sequentially route every edge,
@@ -599,11 +404,6 @@ pub struct NegotiationRouter {
     pub ordering: NetOrdering,
     /// What to rip up between iterations.
     pub ripup: RipUpPolicy,
-    /// How each round's pending nets are attempted.
-    pub mode: NegotiationMode,
-    /// Worker threads for [`NegotiationMode::Parallel`] speculation
-    /// (ignored in serial mode; results are identical at any count).
-    pub threads: usize,
 }
 
 impl Default for NegotiationRouter {
@@ -614,8 +414,6 @@ impl Default for NegotiationRouter {
             alpha: 0.1,
             ordering: NetOrdering::AsGiven,
             ripup: RipUpPolicy::default(),
-            mode: NegotiationMode::default(),
-            threads: 1,
         }
     }
 }
@@ -651,18 +449,6 @@ impl NegotiationRouter {
         self
     }
 
-    /// Overrides the negotiation mode.
-    pub fn with_mode(mut self, mode: NegotiationMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// Overrides the speculation thread count (parallel mode only).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
     /// Routes every request in `edges`; successful paths are left blocked
     /// in `obs` **only** when the whole set completes (so the caller can
     /// stack stages); on failure `obs` is restored.
@@ -675,18 +461,9 @@ impl NegotiationRouter {
         let fs = pacor_obs::flight_begin_session(edges.len() as u32);
         let ts = pacor_obs::telemetry_begin_session();
         let mut scratch = AStarScratch::new();
-        let mut exec = match self.mode {
-            NegotiationMode::Serial => RoundExec::Serial,
-            NegotiationMode::Parallel => RoundExec::Parallel {
-                threads: self.threads.max(1),
-                dirty: RoundStamp::new(obs.width() as usize, obs.height() as usize),
-            },
-        };
         match self.ripup {
-            RipUpPolicy::Full => self.route_full(obs, edges, &mut scratch, &mut exec, fs, ts),
-            RipUpPolicy::Incremental => {
-                self.route_incremental(obs, edges, &mut scratch, &mut exec, fs, ts)
-            }
+            RipUpPolicy::Full => self.route_full(obs, edges, &mut scratch, fs, ts),
+            RipUpPolicy::Incremental => self.route_incremental(obs, edges, &mut scratch, fs, ts),
         }
     }
 
@@ -697,7 +474,6 @@ impl NegotiationRouter {
         obs: &mut ObsMap,
         edges: &[RouteRequest],
         scratch: &mut AStarScratch,
-        exec: &mut RoundExec,
         fs: u32,
         ts: u32,
     ) -> NegotiationOutcome {
@@ -715,7 +491,7 @@ impl NegotiationRouter {
             let mut paths: Vec<Option<GridPath>> = vec![None; edges.len()];
             let mut done = true;
 
-            let attempts = exec.attempt_round(obs, &history, edges, &order, scratch);
+            let attempts = attempt_round(obs, &history, edges, &order, scratch);
             for (attempt, &e) in attempts.into_iter().zip(&order) {
                 match attempt {
                     Attempt::Routed(p, expanded) => {
@@ -818,7 +594,6 @@ impl NegotiationRouter {
         obs: &mut ObsMap,
         edges: &[RouteRequest],
         scratch: &mut AStarScratch,
-        exec: &mut RoundExec,
         fs: u32,
         ts: u32,
     ) -> NegotiationOutcome {
@@ -863,7 +638,7 @@ impl NegotiationRouter {
             let mut rip_all = false;
 
             let mut opaque = false;
-            let attempts = exec.attempt_round(obs, &history, edges, &pending, scratch);
+            let attempts = attempt_round(obs, &history, edges, &pending, scratch);
             for (attempt, &e) in attempts.into_iter().zip(&pending) {
                 match attempt {
                     Attempt::Routed(p, expanded) => {
@@ -1242,99 +1017,63 @@ mod tests {
         assert_eq!(RipUpPolicy::default(), RipUpPolicy::Incremental);
     }
 
-    #[test]
-    fn mode_parse_roundtrip() {
-        for mode in [NegotiationMode::Serial, NegotiationMode::Parallel] {
-            assert_eq!(NegotiationMode::parse(mode.label()), Some(mode));
-        }
-        assert_eq!(NegotiationMode::parse("bogus"), None);
-        assert_eq!(NegotiationMode::default(), NegotiationMode::Serial);
-    }
-
-    #[test]
-    fn parallel_mode_matches_serial_exactly() {
-        // Crossing demand forces conflicts and rip-up rounds; the
-        // parallel mode must land on the identical outcome (paths,
-        // rounds, rip-ups) at every thread count, for both policies.
-        let edges = vec![
-            RouteRequest::point_to_point(Point::new(1, 4), Point::new(7, 4)),
-            RouteRequest::point_to_point(Point::new(4, 1), Point::new(4, 7)),
-            RouteRequest::point_to_point(Point::new(0, 0), Point::new(8, 8)),
-        ];
-        for policy in [RipUpPolicy::Full, RipUpPolicy::Incremental] {
-            let mut serial_obs = open(9, 9);
-            let serial = NegotiationRouter::new()
-                .with_ripup_policy(policy)
-                .route_all(&mut serial_obs, &edges);
-            for threads in [1, 2, 4, 8] {
-                let mut obs = open(9, 9);
-                let par = NegotiationRouter::new()
-                    .with_ripup_policy(policy)
-                    .with_mode(NegotiationMode::Parallel)
-                    .with_threads(threads)
-                    .route_all(&mut obs, &edges);
-                assert_eq!(par.complete, serial.complete, "{policy:?}@{threads}");
-                assert_eq!(par.iterations, serial.iterations, "{policy:?}@{threads}");
-                assert_eq!(par.ripups, serial.ripups, "{policy:?}@{threads}");
-                for (a, b) in par.paths.iter().zip(&serial.paths) {
-                    assert_eq!(
-                        a.as_ref().map(|p| p.cells()),
-                        b.as_ref().map(|p| p.cells()),
-                        "{policy:?}@{threads}"
-                    );
-                }
-                assert_eq!(
-                    obs.blocked_count(),
-                    serial_obs.blocked_count(),
-                    "{policy:?}@{threads}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_mode_restores_obsmap_on_failure() {
-        let mut g = Grid::new(7, 3).unwrap();
-        for x in 0..7 {
-            g.set_obstacle(Point::new(x, 0));
-            g.set_obstacle(Point::new(x, 2));
-        }
-        let mut obs = ObsMap::new(&g);
-        let before = obs.blocked_count();
-        let edges = vec![
-            RouteRequest::point_to_point(Point::new(0, 1), Point::new(6, 1)),
-            RouteRequest::point_to_point(Point::new(1, 1), Point::new(5, 1)),
-        ];
-        let out = NegotiationRouter::new()
-            .with_gamma(3)
-            .with_mode(NegotiationMode::Parallel)
-            .with_threads(4)
-            .route_all(&mut obs, &edges);
-        assert!(!out.complete);
-        assert_eq!(obs.blocked_count(), before);
-    }
-
-    #[test]
-    fn parallel_mode_counts_speculation() {
-        // Every attempted transparent net is one speculative search, so
-        // the counter must appear in the session metrics.
+    /// Routes `edges` once (γ = 1) under an obs session and a flight
+    /// recorder; returns the `net_attempt` events and `astar.expansions`.
+    fn recorded_single_round(obs: &mut ObsMap, edges: &[RouteRequest]) -> (Vec<FlightEvent>, u64) {
         let session = pacor_obs::Session::begin();
-        let mut obs = open(9, 9);
-        let edges = vec![
-            RouteRequest::point_to_point(Point::new(1, 4), Point::new(7, 4)),
-            RouteRequest::point_to_point(Point::new(4, 1), Point::new(4, 7)),
-        ];
-        let out = NegotiationRouter::new()
-            .with_mode(NegotiationMode::Parallel)
-            .with_threads(2)
-            .route_all(&mut obs, &edges);
-        assert!(out.complete);
-        let report = session.finish();
-        let metrics = pacor_obs::metrics_json(&report);
-        assert!(
-            metrics.contains("negotiate.speculative"),
-            "speculation counter missing from {metrics}"
-        );
+        pacor_obs::flight_install(pacor_obs::RecorderConfig::default());
+        NegotiationRouter::new().with_gamma(1).route_all(obs, edges);
+        let log = pacor_obs::flight_take().expect("recorder installed");
+        let expansions = session.finish().counter("astar.expansions");
+        let attempts = log
+            .events()
+            .iter()
+            .filter(|e| e.kind() == "net_attempt")
+            .cloned()
+            .collect();
+        (attempts, expansions)
+    }
+
+    #[test]
+    fn net_attempt_expanded_counts_the_search() {
+        let edge = [RouteRequest::point_to_point(
+            Point::new(1, 1),
+            Point::new(7, 1),
+        )];
+        // Routable: a wall with a gap at the bottom row forces a detour.
+        let mut g = Grid::new(9, 9).unwrap();
+        for y in 0..8 {
+            g.set_obstacle(Point::new(4, y));
+        }
+        let (attempts, expansions) = recorded_single_round(&mut ObsMap::new(&g), &edge);
+        match attempts.as_slice() {
+            [FlightEvent::NetAttempt {
+                routed: true,
+                expanded,
+                flood: 0,
+                ..
+            }] => {
+                assert!(expansions > 0);
+                assert_eq!(*expanded as u64, expansions);
+            }
+            other => panic!("expected one routed attempt, got {other:?}"),
+        }
+        // Walled in: the failed attempt reports its flood as expanded.
+        g.set_obstacle(Point::new(4, 8));
+        let (attempts, expansions) = recorded_single_round(&mut ObsMap::new(&g), &edge);
+        match attempts.as_slice() {
+            [FlightEvent::NetAttempt {
+                routed: false,
+                expanded,
+                flood,
+                ..
+            }] => {
+                assert!(*flood > 0);
+                assert_eq!(expanded, flood);
+                assert_eq!(*flood as u64, expansions);
+            }
+            other => panic!("expected one failed attempt, got {other:?}"),
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Deterministic scoped-thread fan-out.
 //!
 //! The flow's data-parallel stages (DME candidate generation, MWCP
-//! pair scoring, speculative negotiation rounds) fan work out through
+//! pair scoring, hierarchical region stripes) fan work out through
 //! [`parallel_map`] / [`parallel_map_with`]: scoped worker threads
 //! claim items off a shared atomic counter and the results are merged
 //! back **by item index**, so the output vector is identical to the
@@ -14,9 +14,9 @@
 //! and the captured frames are absorbed back in item order, so counter
 //! and histogram totals inherit the same any-thread-count determinism.
 //!
-//! This module lives in `pacor-route` (rather than the flow crate)
-//! because the negotiation router's speculative parallel mode fans out
-//! through it; the flow crate re-exports both functions unchanged.
+//! This module lives in `pacor-route`, below every stage crate in the
+//! dependency graph, so any stage can fan out through it; the flow
+//! crate re-exports the functions unchanged.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;

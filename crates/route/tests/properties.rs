@@ -1,9 +1,7 @@
 //! Property-based tests for the routers.
 
 use pacor_grid::{Grid, ObsMap, Point};
-use pacor_route::{
-    AStar, BoundedAStar, NegotiationMode, NegotiationRouter, RipUpPolicy, RouteRequest,
-};
+use pacor_route::{AStar, BoundedAStar, NegotiationRouter, RipUpPolicy, RouteRequest};
 use proptest::prelude::*;
 use std::collections::{HashSet, VecDeque};
 
@@ -205,61 +203,6 @@ proptest! {
                 prop_assert_eq!(obs.blocked_count(), base.blocked_count(),
                     "{label}: failed negotiation must restore the map");
             }
-        }
-    }
-
-    #[test]
-    fn parallel_negotiation_matches_serial(
-        obst in prop::collection::hash_set((0i32..14, 0i32..14), 0..30),
-        terminals in prop::collection::hash_set((0i32..14, 0i32..14), 4..10),
-        threads in 1usize..=8,
-    ) {
-        // The speculative-parallel mode must be observationally
-        // indistinguishable from the serial mode on arbitrary problems
-        // at any thread count, under both rip-up policies: same
-        // outcome, same round/rip-up counts, same paths cell-for-cell,
-        // same final obstacle map.
-        let mut obst = obst;
-        for t in &terminals {
-            obst.remove(t);
-        }
-        let cells: Vec<Point> = terminals.iter().map(|&(x, y)| Point::new(x, y)).collect();
-        let edges: Vec<RouteRequest> = cells
-            .chunks_exact(2)
-            .map(|c| RouteRequest::point_to_point(c[0], c[1]))
-            .collect();
-        prop_assume!(!edges.is_empty());
-
-        let base = build_map(&obst, 14, 14);
-        for policy in [RipUpPolicy::Full, RipUpPolicy::Incremental] {
-            let mut obs_serial = base.clone();
-            let mut obs_parallel = base.clone();
-            let serial = NegotiationRouter::new()
-                .with_ripup_policy(policy)
-                .route_all(&mut obs_serial, &edges);
-            let parallel = NegotiationRouter::new()
-                .with_ripup_policy(policy)
-                .with_mode(NegotiationMode::Parallel)
-                .with_threads(threads)
-                .route_all(&mut obs_parallel, &edges);
-
-            prop_assert_eq!(serial.complete, parallel.complete,
-                "{policy:?}/{threads}t: completion diverges");
-            prop_assert_eq!(serial.iterations, parallel.iterations,
-                "{policy:?}/{threads}t: round counts diverge");
-            prop_assert_eq!(serial.ripups, parallel.ripups,
-                "{policy:?}/{threads}t: rip-up counts diverge");
-            for (e, (ps, pp)) in serial.paths.iter().zip(&parallel.paths).enumerate() {
-                match (ps, pp) {
-                    (Some(a), Some(b)) => prop_assert_eq!(a.cells(), b.cells(),
-                        "{policy:?}/{threads}t edge {e}: paths diverge"),
-                    (None, None) => {}
-                    _ => prop_assert!(false,
-                        "{policy:?}/{threads}t edge {e}: routability diverges"),
-                }
-            }
-            prop_assert_eq!(obs_serial.blocked_count(), obs_parallel.blocked_count(),
-                "{policy:?}/{threads}t: final obstacle maps diverge");
         }
     }
 

@@ -27,15 +27,11 @@
 //! * `--report-out <path>` — install the flight recorder around the run
 //!   and write the post-mortem report JSON (hottest cells, contended
 //!   nets, per-cluster LM slack, escape bottlenecks; byte-identical at
-//!   any `--threads`, either negotiation mode, and either rip-up policy
-//!   whenever those settings route the same result).
+//!   any `--threads`, and under either rip-up policy whenever both route
+//!   the same result).
 //! * `--ripup-policy full|incremental` — what negotiation rips up between
 //!   failed rounds (default `incremental`; `full` is the paper's
 //!   Algorithm 1, kept for ablation).
-//! * `--negotiation-mode serial|parallel` — how each negotiation round
-//!   attempts its pending nets (default `serial`; `parallel` speculates
-//!   over the `--threads` workers and commits deterministically, landing
-//!   on the identical routed result).
 //! * `--escape-solver incremental|reference` — which solver drives the
 //!   escape stage (default `incremental`: the grid-native solver, which
 //!   keeps the node-split flow network implicit in per-cell flags;
@@ -68,9 +64,8 @@
 //!   record (config fingerprint, deterministic outcome/counters/
 //!   histograms, per-cluster LM slack, span tree). Everything outside
 //!   the trailing `wall` sub-object is byte-identical at any
-//!   `--threads`, either negotiation mode, and either rip-up policy
-//!   whenever they route the same result; compare two digests with
-//!   `tables compare`.
+//!   `--threads`, and under either rip-up policy whenever both route
+//!   the same result; compare two digests with `tables compare`.
 //! * `--ledger <path>` — atomically append the same digest as one
 //!   compact line to an append-only `RUNS.jsonl` run ledger, so later
 //!   runs can find their baseline (`pacor_obs::latest_baseline`).
@@ -78,7 +73,7 @@
 //! Unknown `--flags` are rejected with an error rather than silently
 //! treated as file names.
 
-use pacor::route::{NegotiationMode, RipUpPolicy};
+use pacor::route::RipUpPolicy;
 use pacor::{
     BenchDesign, EscapeSolver, FlowConfig, FlowVariant, PacorFlow, Problem, RouteReport,
     RoutingMode,
@@ -93,7 +88,7 @@ fn main() {
         Some("table2") => cmd_table2(&args[1..]),
         _ => {
             eprintln!(
-                "usage: pacor synth <design> [seed]\n       pacor route [--threads N] [--trace-out FILE] [--metrics-out FILE] [--report-out FILE] [--digest-out FILE] [--ledger FILE] [--stream-out FILE|-] [--progress] [--watchdog BENCH.json] [--ripup-policy full|incremental] [--negotiation-mode serial|parallel] [--escape-solver incremental|reference] [--routing-mode flat|hierarchical] [--gcell-size N] [--quiet] <problem.json|design>\n       pacor render [--threads N] <problem.json|design>\n       pacor table2 [--full] [--threads N]"
+                "usage: pacor synth <design> [seed]\n       pacor route [--threads N] [--trace-out FILE] [--metrics-out FILE] [--report-out FILE] [--digest-out FILE] [--ledger FILE] [--stream-out FILE|-] [--progress] [--watchdog BENCH.json] [--ripup-policy full|incremental] [--escape-solver incremental|reference] [--routing-mode flat|hierarchical] [--gcell-size N] [--quiet] <problem.json|design>\n       pacor render [--threads N] <problem.json|design>\n       pacor table2 [--full] [--threads N]"
             );
             2
         }
@@ -127,7 +122,6 @@ struct Options {
     progress: bool,
     watchdog: Option<String>,
     ripup_policy: Option<RipUpPolicy>,
-    negotiation_mode: Option<NegotiationMode>,
     escape_solver: Option<EscapeSolver>,
     routing_mode: Option<RoutingMode>,
     gcell_size: Option<u32>,
@@ -179,12 +173,6 @@ fn parse_options(args: &[String], allowed: &[&str]) -> Result<Options, String> {
                 let v = value()?;
                 opts.ripup_policy = Some(RipUpPolicy::parse(&v).ok_or_else(|| {
                     format!("--ripup-policy: expected full or incremental, got {v:?}")
-                })?);
-            }
-            "--negotiation-mode" => {
-                let v = value()?;
-                opts.negotiation_mode = Some(NegotiationMode::parse(&v).ok_or_else(|| {
-                    format!("--negotiation-mode: expected serial or parallel, got {v:?}")
                 })?);
             }
             "--escape-solver" => {
@@ -334,7 +322,6 @@ fn cmd_route(args: &[String]) -> i32 {
             "--progress",
             "--watchdog",
             "--ripup-policy",
-            "--negotiation-mode",
             "--escape-solver",
             "--routing-mode",
             "--gcell-size",
@@ -368,7 +355,6 @@ fn cmd_route(args: &[String]) -> i32 {
     let mut config = FlowConfig::default()
         .with_threads(opts.threads)
         .with_ripup_policy(opts.ripup_policy.unwrap_or_default())
-        .with_negotiation_mode(opts.negotiation_mode.unwrap_or_default())
         .with_escape_solver(opts.escape_solver.unwrap_or_default())
         .with_routing_mode(opts.routing_mode.unwrap_or_default());
     if let Some(gcell) = opts.gcell_size {

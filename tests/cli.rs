@@ -164,23 +164,15 @@ fn route_rejects_bad_ripup_policy() {
 }
 
 #[test]
-fn route_accepts_both_negotiation_modes() {
-    for mode in ["serial", "parallel"] {
-        let out = pacor(&["route", "--negotiation-mode", mode, "--threads", "2", "S1"]);
-        assert!(out.status.success(), "--negotiation-mode {mode} must route");
-        let text = String::from_utf8_lossy(&out.stdout);
-        assert!(text.contains("\"valves_routed\": 5"), "{mode}: {text}");
-    }
-}
-
-#[test]
 fn route_rejects_bad_negotiation_mode() {
-    let out = pacor(&["route", "--negotiation-mode", "speculative", "S1"]);
-    assert!(!out.status.success());
+    // Negotiation is serial only, so `--negotiation-mode` is an unknown
+    // option (exit 2), never a file name.
+    let out = pacor(&["route", "--negotiation-mode", "serial", "S1"]);
+    assert_eq!(out.status.code(), Some(2));
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(
-        err.contains("expected serial or parallel"),
-        "must name the accepted values: {err}"
+        err.contains("unknown option --negotiation-mode"),
+        "must reject the flag as unknown: {err}"
     );
 }
 
@@ -211,32 +203,6 @@ fn escape_solvers_agree_on_report() {
     let reference = pacor(&["route", "--escape-solver", "reference", "S2"]);
     assert!(incremental.status.success() && reference.status.success());
     assert_eq!(strip(&incremental.stdout), strip(&reference.stdout));
-}
-
-#[test]
-fn negotiation_modes_agree_on_report() {
-    // The parallel mode must land on the identical routed result; the
-    // reports differ only in wall-clock fields and work counters (a
-    // rejected speculation is an A* search the serial mode never ran),
-    // so both are normalized away before comparing.
-    let strip = |bytes: &[u8]| {
-        let text = std::str::from_utf8(bytes).unwrap();
-        let mut r: pacor_repro::pacor::RouteReport = serde_json::from_str(text).unwrap();
-        r.runtime = std::time::Duration::ZERO;
-        r.metrics = pacor_repro::pacor::FlowMetrics::default();
-        r
-    };
-    let serial = pacor(&["route", "--negotiation-mode", "serial", "S2"]);
-    let parallel = pacor(&[
-        "route",
-        "--negotiation-mode",
-        "parallel",
-        "--threads",
-        "4",
-        "S2",
-    ]);
-    assert!(serial.status.success() && parallel.status.success());
-    assert_eq!(strip(&serial.stdout), strip(&parallel.stdout));
 }
 
 #[test]
@@ -499,13 +465,10 @@ fn digest_deterministic_prefix_identical_across_threads_and_modes() {
     };
     let base = run(&[], "d_base.json");
     let threaded = run(&["--threads", "4"], "d_t4.json");
-    let parallel = run(
-        &["--negotiation-mode", "parallel", "--threads", "2"],
-        "d_par.json",
-    );
+    let reference = run(&["--escape-solver", "reference"], "d_ref.json");
     let full = run(&["--ripup-policy", "full"], "d_full.json");
     assert_eq!(base, threaded, "threads must not move the digest prefix");
-    assert_eq!(base, parallel, "negotiation mode must not move the prefix");
+    assert_eq!(base, reference, "escape solver must not move the prefix");
     assert_eq!(base, full, "rip-up policy must not move the prefix");
 }
 

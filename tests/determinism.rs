@@ -6,7 +6,7 @@
 //! which are normalized away before comparing — the `metrics.counters`
 //! totals and task counts are deterministic and compared in full.
 
-use pacor_repro::pacor::route::{NegotiationMode, RipUpPolicy};
+use pacor_repro::pacor::route::RipUpPolicy;
 use pacor_repro::pacor::{
     synthesize_params, BenchDesign, DesignParams, FlowConfig, FlowMetrics, PacorFlow, RouteReport,
     RoutedCluster,
@@ -139,65 +139,12 @@ fn ripup_policies_are_thread_count_invariant() {
 
 #[test]
 fn negotiation_modes_are_thread_count_invariant() {
-    // The speculative-parallel negotiation mode commits results in
-    // canonical attempt order against an immutable snapshot, so the
-    // whole flow — report, geometry, and the observability counter
-    // totals (speculation counters included) — must be byte-identical
-    // at every worker-thread count, under both rip-up policies. The
-    // same dense chip as `ripup_policies_are_thread_count_invariant`:
-    // sparse designs converge in one round and would not exercise the
-    // conflict/fallback machinery at all.
-    let dense = DesignParams {
-        name: "D1-dense24",
-        width: 24,
-        height: 24,
-        valves: 18,
-        control_pins: 40,
-        obstacles: 50,
-        multi_clusters: 8,
-        pairs_only: false,
-    };
-    let problem = synthesize_params(dense, 42);
-    for mode in [NegotiationMode::Serial, NegotiationMode::Parallel] {
-        for policy in [RipUpPolicy::Full, RipUpPolicy::Incremental] {
-            let run = |threads: usize| {
-                let session = pacor_repro::pacor::obs::Session::begin();
-                let flow = PacorFlow::new(
-                    FlowConfig::default()
-                        .with_threads(threads)
-                        .with_ripup_policy(policy)
-                        .with_negotiation_mode(mode),
-                );
-                let (report, routed) = flow.run_detailed(&problem).expect("dense chip routes");
-                let metrics = pacor_repro::pacor::obs::metrics_json(&session.finish());
-                (normalized(&report), geometry(&routed), metrics)
-            };
-            let baseline = run(1);
-            for threads in [2, 4, 8] {
-                let multi = run(threads);
-                assert_eq!(
-                    baseline.0, multi.0,
-                    "{mode:?}/{policy:?} report differs between 1 and {threads} threads"
-                );
-                assert_eq!(
-                    baseline.1, multi.1,
-                    "{mode:?}/{policy:?} geometry differs between 1 and {threads} threads"
-                );
-                assert_eq!(
-                    baseline.2, multi.2,
-                    "{mode:?}/{policy:?} metrics bytes differ between 1 and {threads} threads"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn negotiation_modes_agree_on_routed_output() {
-    // Serial and parallel modes walk different search schedules (a
-    // rejected speculation is an A* query the serial mode never ran),
-    // so their work counters legitimately differ — but the routed
-    // geometry and every counter-free report field must match exactly.
+    // The whole flow — report, geometry, and the observability counter
+    // totals — must be byte-identical at every worker-thread count,
+    // under both rip-up policies. The same dense chip as
+    // `ripup_policies_are_thread_count_invariant`: sparse designs
+    // converge in one round and would not exercise rip-up at all. This
+    // is the test that byte-compares `metrics_json` on a contended chip.
     let dense = DesignParams {
         name: "D1-dense24",
         width: 24,
@@ -210,25 +157,33 @@ fn negotiation_modes_agree_on_routed_output() {
     };
     let problem = synthesize_params(dense, 42);
     for policy in [RipUpPolicy::Full, RipUpPolicy::Incremental] {
-        let run = |mode: NegotiationMode| {
+        let run = |threads: usize| {
+            let session = pacor_repro::pacor::obs::Session::begin();
             let flow = PacorFlow::new(
                 FlowConfig::default()
-                    .with_threads(4)
-                    .with_ripup_policy(policy)
-                    .with_negotiation_mode(mode),
+                    .with_threads(threads)
+                    .with_ripup_policy(policy),
             );
-            let (mut report, routed) = flow.run_detailed(&problem).expect("dense chip routes");
-            report.runtime = Duration::ZERO;
-            report.metrics = FlowMetrics::default();
-            (serde_json::to_string(&report).expect("reports serialize"), geometry(&routed))
+            let (report, routed) = flow.run_detailed(&problem).expect("dense chip routes");
+            let metrics = pacor_repro::pacor::obs::metrics_json(&session.finish());
+            (normalized(&report), geometry(&routed), metrics)
         };
-        let serial = run(NegotiationMode::Serial);
-        let parallel = run(NegotiationMode::Parallel);
-        assert_eq!(
-            serial.0, parallel.0,
-            "{policy:?} counter-free report differs between modes"
-        );
-        assert_eq!(serial.1, parallel.1, "{policy:?} geometry differs between modes");
+        let baseline = run(1);
+        for threads in [2, 4, 8] {
+            let multi = run(threads);
+            assert_eq!(
+                baseline.0, multi.0,
+                "{policy:?} report differs between 1 and {threads} threads"
+            );
+            assert_eq!(
+                baseline.1, multi.1,
+                "{policy:?} geometry differs between 1 and {threads} threads"
+            );
+            assert_eq!(
+                baseline.2, multi.2,
+                "{policy:?} metrics bytes differ between 1 and {threads} threads"
+            );
+        }
     }
 }
 

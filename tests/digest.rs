@@ -1,9 +1,9 @@
 //! Run-digest integration tests: the deterministic document must be
-//! byte-identical across every equivalence axis (threads × negotiation
-//! mode × rip-up policy), and the structural differ must stay quiet
-//! across those axes while flagging genuine quality regressions.
+//! byte-identical across every equivalence axis (threads × rip-up
+//! policy), and the structural differ must stay quiet across those
+//! axes while flagging genuine quality regressions.
 
-use pacor_repro::pacor::route::{NegotiationMode, RipUpPolicy};
+use pacor_repro::pacor::route::RipUpPolicy;
 use pacor_repro::pacor::{
     self, obs, synthesize_params, DesignParams, FlowConfig, PacorFlow,
 };
@@ -35,41 +35,38 @@ fn deterministic_json_is_byte_identical_across_the_full_equivalence_matrix() {
     let baseline = digest_with(FlowConfig::default()).deterministic_json();
     let mut combos = 0;
     for threads in [1usize, 2, 4, 8] {
-        for mode in [NegotiationMode::Serial, NegotiationMode::Parallel] {
-            for policy in [RipUpPolicy::Full, RipUpPolicy::Incremental] {
-                let config = FlowConfig::default()
-                    .with_threads(threads)
-                    .with_negotiation_mode(mode)
-                    .with_ripup_policy(policy);
-                let doc = digest_with(config).deterministic_json();
-                assert_eq!(
-                    doc, baseline,
-                    "deterministic digest diverged at threads={threads} \
-                     mode={mode:?} policy={policy:?}"
-                );
-                combos += 1;
-            }
+        for policy in [RipUpPolicy::Full, RipUpPolicy::Incremental] {
+            let config = FlowConfig::default()
+                .with_threads(threads)
+                .with_ripup_policy(policy);
+            let doc = digest_with(config).deterministic_json();
+            assert_eq!(
+                doc, baseline,
+                "deterministic digest diverged at threads={threads} policy={policy:?}"
+            );
+            combos += 1;
         }
     }
-    assert_eq!(combos, 16, "the matrix must cover all 16 combinations");
+    assert_eq!(combos, 8, "the matrix must cover all 8 combinations");
 }
 
 #[test]
 fn differ_stays_quiet_across_equivalence_axes() {
-    let serial = digest_with(FlowConfig::default());
-    let parallel = digest_with(
+    let base = digest_with(FlowConfig::default());
+    let other = digest_with(
         FlowConfig::default()
-            .with_negotiation_mode(NegotiationMode::Parallel)
+            .with_ripup_policy(RipUpPolicy::Full)
             .with_threads(4),
     );
-    let diff = obs::diff_runs(&serial, &parallel);
+    let diff = obs::diff_runs(&base, &other);
     assert!(
         !diff.has_verdicts(),
         "equivalence-axis runs must diff clean:\n{}",
         obs::render_diff(&diff, 20)
     );
     // The wall section still reports the axis change as information.
-    assert!(diff.wall.iter().any(|e| e.what == "wall.mode"));
+    assert!(diff.wall.iter().any(|e| e.what == "wall.policy"));
+    assert!(diff.wall.iter().any(|e| e.what == "wall.threads"));
 }
 
 #[test]

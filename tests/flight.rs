@@ -1,13 +1,13 @@
 //! Flight-recorder determinism (docs/OBSERVABILITY.md): the post-mortem
 //! report and the ASCII heatmap are **byte-identical** at any worker
-//! thread count and under either negotiation mode, because every event
-//! is emitted at a session-thread commit point. They are additionally
+//! thread count, because every event is emitted at a session-thread
+//! commit point. They are additionally
 //! identical across the two rip-up policies whenever the policies route
 //! the same result (they coincide while every negotiation session
 //! converges without a failed round — see DESIGN.md).
 
 use pacor_repro::pacor::obs;
-use pacor_repro::pacor::route::{NegotiationMode, RipUpPolicy};
+use pacor_repro::pacor::route::RipUpPolicy;
 use pacor_repro::pacor::{synthesize_params, DesignParams, FlowConfig, PacorFlow};
 
 /// A chip with more clusters than control pins: negotiation converges
@@ -26,7 +26,7 @@ const STARVED: DesignParams = DesignParams {
 
 /// The contended chip of `tests/determinism.rs`: negotiation rips up,
 /// so the two rip-up policies legitimately diverge — each must still be
-/// thread-count- and mode-invariant on its own.
+/// thread-count-invariant on its own.
 const DENSE: DesignParams = DesignParams {
     name: "D1-dense24",
     width: 24,
@@ -38,16 +38,10 @@ const DENSE: DesignParams = DesignParams {
     pairs_only: false,
 };
 
-fn run_recorded(
-    params: DesignParams,
-    threads: usize,
-    mode: NegotiationMode,
-    policy: RipUpPolicy,
-) -> (String, String) {
+fn run_recorded(params: DesignParams, threads: usize, policy: RipUpPolicy) -> (String, String) {
     let problem = synthesize_params(params, 42);
     let config = FlowConfig::default()
         .with_threads(threads)
-        .with_negotiation_mode(mode)
         .with_ripup_policy(policy);
     obs::flight_install(config.recorder_config());
     PacorFlow::new(config).run(&problem).expect("chip runs");
@@ -57,12 +51,7 @@ fn run_recorded(
 
 #[test]
 fn report_bytes_invariant_across_threads_modes_and_policies() {
-    let (base_report, base_heat) = run_recorded(
-        STARVED,
-        1,
-        NegotiationMode::Serial,
-        RipUpPolicy::Incremental,
-    );
+    let (base_report, base_heat) = run_recorded(STARVED, 1, RipUpPolicy::Incremental);
     // The report must be non-trivial: a failing chip names its unrouted
     // nets, and the run produced events and snapshots.
     assert!(
@@ -72,18 +61,16 @@ fn report_bytes_invariant_across_threads_modes_and_policies() {
     assert!(base_report.contains("\"schema\": \"pacor-postmortem-v1\""));
     assert!(base_heat.contains("congestion heatmap"));
     for threads in [1usize, 2, 4, 8] {
-        for mode in [NegotiationMode::Serial, NegotiationMode::Parallel] {
-            for policy in [RipUpPolicy::Full, RipUpPolicy::Incremental] {
-                let (report, heat) = run_recorded(STARVED, threads, mode, policy);
-                assert_eq!(
-                    report, base_report,
-                    "report drifted at threads={threads} {mode:?} {policy:?}"
-                );
-                assert_eq!(
-                    heat, base_heat,
-                    "heatmap drifted at threads={threads} {mode:?} {policy:?}"
-                );
-            }
+        for policy in [RipUpPolicy::Full, RipUpPolicy::Incremental] {
+            let (report, heat) = run_recorded(STARVED, threads, policy);
+            assert_eq!(
+                report, base_report,
+                "report drifted at threads={threads} {policy:?}"
+            );
+            assert_eq!(
+                heat, base_heat,
+                "heatmap drifted at threads={threads} {policy:?}"
+            );
         }
     }
 }
@@ -91,24 +78,21 @@ fn report_bytes_invariant_across_threads_modes_and_policies() {
 #[test]
 fn report_bytes_invariant_per_policy_on_contended_chip() {
     for policy in [RipUpPolicy::Full, RipUpPolicy::Incremental] {
-        let (base_report, base_heat) =
-            run_recorded(DENSE, 1, NegotiationMode::Serial, policy);
+        let (base_report, base_heat) = run_recorded(DENSE, 1, policy);
         assert!(
             base_report.contains("\"ripups\""),
             "dense chip report must carry negotiation data"
         );
         for threads in [2usize, 4] {
-            for mode in [NegotiationMode::Serial, NegotiationMode::Parallel] {
-                let (report, heat) = run_recorded(DENSE, threads, mode, policy);
-                assert_eq!(
-                    report, base_report,
-                    "{policy:?} report drifted at threads={threads} {mode:?}"
-                );
-                assert_eq!(
-                    heat, base_heat,
-                    "{policy:?} heatmap drifted at threads={threads} {mode:?}"
-                );
-            }
+            let (report, heat) = run_recorded(DENSE, threads, policy);
+            assert_eq!(
+                report, base_report,
+                "{policy:?} report drifted at threads={threads}"
+            );
+            assert_eq!(
+                heat, base_heat,
+                "{policy:?} heatmap drifted at threads={threads}"
+            );
         }
     }
 }
@@ -147,18 +131,8 @@ fn tiny_capacity_drops_events_but_keeps_a_valid_report() {
 
 #[test]
 fn report_is_a_pure_function_of_the_log() {
-    let (a, ha) = run_recorded(
-        STARVED,
-        1,
-        NegotiationMode::Serial,
-        RipUpPolicy::Incremental,
-    );
-    let (b, hb) = run_recorded(
-        STARVED,
-        1,
-        NegotiationMode::Serial,
-        RipUpPolicy::Incremental,
-    );
+    let (a, ha) = run_recorded(STARVED, 1, RipUpPolicy::Incremental);
+    let (b, hb) = run_recorded(STARVED, 1, RipUpPolicy::Incremental);
     assert_eq!(a, b, "same run, same bytes");
     assert_eq!(ha, hb);
 }

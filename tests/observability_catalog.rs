@@ -1,17 +1,23 @@
 //! Anti-rot guard for `docs/OBSERVABILITY.md`: run a smoke flow that
-//! exercises both negotiation modes and both rip-up policies with the
-//! flight recorder installed and the telemetry stream collecting, and
-//! assert that every counter, histogram, span, instant, recorder-event
-//! name, and telemetry event kind actually emitted appears in the
-//! catalog. Adding an emit site without cataloging it fails here.
+//! exercises both rip-up policies, hierarchical routing and length-
+//! matching detours with the flight recorder installed and the
+//! telemetry stream collecting, and assert that every counter,
+//! histogram, span, instant, recorder-event name, and telemetry event
+//! kind actually emitted appears in the catalog. Adding an emit site
+//! without cataloging it fails here. The Counters and Flight-recorder
+//! events tables are also checked the other way: each row must be
+//! emitted by the smoke flow or sit in [`NEVER_FIRES`], so a deleted
+//! emit site cannot leave a stale row behind.
 
 use pacor_repro::pacor::obs::{self, TraceEvent};
-use pacor_repro::pacor::route::{NegotiationMode, RipUpPolicy};
-use pacor_repro::pacor::{self, synthesize_params, DesignParams, FlowConfig, PacorFlow, RoutingMode};
+use pacor_repro::pacor::route::RipUpPolicy;
+use pacor_repro::pacor::{
+    self, synthesize_params, BenchDesign, DesignParams, FlowConfig, PacorFlow, RoutingMode,
+};
 use std::collections::BTreeSet;
 
 /// Dense enough that negotiation rips up and escape recovers, so the
-/// rarer emit sites (rip-up, de-clustering, detouring) all fire.
+/// rarer emit sites (rip-up, de-clustering) all fire.
 const DENSE: DesignParams = DesignParams {
     name: "D1-dense24",
     width: 24,
@@ -23,6 +29,20 @@ const DENSE: DesignParams = DesignParams {
     pairs_only: false,
 };
 
+/// Catalogued counters and flight-recorder events the smoke flow never
+/// emits, each with the reason it stays catalogued.
+const NEVER_FIRES: [(&str, &str); 2] = [
+    (
+        "lm.reconstructed",
+        "fires only when negotiation leaves an edge of a 3-6 valve LM tree \
+         unrouted; no smoke chip does (their failures demote 2-valve pairs)",
+    ),
+    (
+        "lm_reconstructed",
+        "the flight-recorder twin of `lm.reconstructed`",
+    ),
+];
+
 fn read_catalog() -> String {
     std::fs::read_to_string(concat!(
         env!("CARGO_MANIFEST_DIR"),
@@ -31,14 +51,27 @@ fn read_catalog() -> String {
     .expect("docs/OBSERVABILITY.md exists")
 }
 
-#[test]
-fn every_emitted_name_is_catalogued() {
+/// The backticked first-column names of the catalog table under the
+/// `## {heading}` section.
+fn table_names(catalog: &str, heading: &str) -> Vec<String> {
+    let section = catalog
+        .split("\n## ")
+        .find(|s| s.starts_with(heading))
+        .unwrap_or_else(|| panic!("catalog has a `## {heading}` section"));
+    section
+        .lines()
+        .filter_map(|l| l.strip_prefix("| `"))
+        .map(|l| l[..l.find('`').expect("name is backticked")].to_string())
+        .collect()
+}
+
+/// Runs the smoke flow and returns every counter, histogram, span,
+/// instant, flight-recorder event and telemetry event name it emits.
+fn smoke_flow_names() -> BTreeSet<String> {
     let problem = synthesize_params(DENSE, 42);
 
     let session = obs::Session::begin();
-    let config = FlowConfig::default()
-        .with_threads(4)
-        .with_negotiation_mode(NegotiationMode::Parallel);
+    let config = FlowConfig::default().with_threads(4);
     obs::flight_install(config.recorder_config());
     let sink = obs::MemorySink::new();
     let lines_handle = sink.lines();
@@ -59,6 +92,10 @@ fn every_emitted_name_is_catalogued() {
     )
     .run(&problem)
     .expect("dense chip routes hierarchically");
+    // S2 inserts length-matching detour segments; the dense chip does not.
+    PacorFlow::new(config)
+        .run(&BenchDesign::S2.synthesize(42))
+        .expect("S2 routes");
     let log = obs::flight_take().expect("recorder installed");
     obs::telemetry_take()
         .expect("telemetry installed")
@@ -100,10 +137,16 @@ fn every_emitted_name_is_catalogued() {
         names.contains("negotiate.ripups")
             && names.contains("rip_up")
             && names.contains("global.regions")
-            && names.contains("global.corridor_len"),
+            && names.contains("global.corridor_len")
+            && names.contains("detour_segment"),
         "smoke flow too tame to guard the catalog: {names:?}"
     );
+    names
+}
 
+#[test]
+fn every_emitted_name_is_catalogued() {
+    let names = smoke_flow_names();
     let catalog = read_catalog();
     let missing: Vec<&String> = names
         .iter()
@@ -113,6 +156,38 @@ fn every_emitted_name_is_catalogued() {
         missing.is_empty(),
         "emitted names missing from docs/OBSERVABILITY.md: {missing:?}"
     );
+}
+
+#[test]
+fn every_catalogued_counter_and_flight_event_is_emitted() {
+    let names = smoke_flow_names();
+    let catalog = read_catalog();
+    let mut rows = table_names(&catalog, "Counters");
+    let counter_rows = rows.len();
+    rows.extend(table_names(&catalog, "Flight-recorder events"));
+    assert!(
+        counter_rows > 10 && rows.len() > counter_rows + 10,
+        "catalog tables parsed too small: {rows:?}"
+    );
+    let never: BTreeSet<&str> = NEVER_FIRES.iter().map(|&(name, _)| name).collect();
+    let stale: Vec<&String> = rows
+        .iter()
+        .filter(|r| !names.contains(*r) && !never.contains(r.as_str()))
+        .collect();
+    assert!(
+        stale.is_empty(),
+        "catalogued names the smoke flow never emits (stale rows?): {stale:?}"
+    );
+    for name in never {
+        assert!(
+            rows.iter().any(|r| r == name),
+            "{name} is allowlisted but not catalogued"
+        );
+        assert!(
+            !names.contains(name),
+            "{name} now fires in the smoke flow; drop it from NEVER_FIRES"
+        );
+    }
 }
 
 /// Recursively collects every object key of a JSON value.

@@ -1,24 +1,24 @@
 //! Streaming-telemetry determinism (docs/OBSERVABILITY.md): the raw
 //! `pacor-telemetry-v1` JSONL stream, collected in deterministic mode
 //! (wall-clock fields zeroed), is **byte-identical** at any worker
-//! thread count and under either negotiation mode, because every event
-//! is emitted at a session-thread commit point — the same discipline
-//! the flight recorder follows (`tests/flight.rs`). It is additionally
-//! identical across the two rip-up policies whenever the policies route
-//! the same result. The sole exception is `flow_started`, which names
-//! the policy / mode / thread count on purpose (the stream
-//! self-describes its run) — the comparisons below mask exactly those
-//! three values and byte-compare everything else.
+//! thread count, because every event is emitted at a session-thread
+//! commit point — the same discipline the flight recorder follows
+//! (`tests/flight.rs`). It is additionally identical across the two
+//! rip-up policies whenever the policies route the same result. The
+//! sole exception is `flow_started`, which names the policy and thread
+//! count on purpose (the stream self-describes its run) — the
+//! comparisons below mask exactly those two values and byte-compare
+//! everything else.
 
 use pacor_bench::collect_telemetry;
 use pacor_repro::pacor::obs;
-use pacor_repro::pacor::route::{NegotiationMode, RipUpPolicy};
+use pacor_repro::pacor::route::RipUpPolicy;
 use pacor_repro::pacor::{synthesize_params, DesignParams, FlowConfig, PacorFlow};
 
 /// The starved chip of `tests/flight.rs`: converges in one round but
 /// leaves nets unrouted, and — crucially here — rips nothing up, so the
 /// two rip-up policies route identically and the stream must match
-/// across the full 16-combo matrix.
+/// across the full threads x policy matrix.
 const STARVED: DesignParams = DesignParams {
     name: "T1-starved",
     width: 20,
@@ -31,7 +31,7 @@ const STARVED: DesignParams = DesignParams {
 };
 
 /// The contended chip: negotiation rips up, so the policies diverge
-/// legitimately — each must still be thread- and mode-invariant on its
+/// legitimately — each must still be thread-count-invariant on its
 /// own.
 const DENSE: DesignParams = DesignParams {
     name: "D1-dense24",
@@ -50,18 +50,17 @@ fn kind_count(lines: &[String], kind: &str) -> usize {
 }
 
 /// Masks the run-configuration fields of the `flow_started` event.
-/// That event names the policy, mode, and thread count by design (the
-/// stream self-describes its run); every *behavioral* byte after it
-/// must still match, so the invariance comparison blanks exactly those
-/// three values and nothing else.
+/// That event names the policy and thread count by design (the stream
+/// self-describes its run); every *behavioral* byte after it must
+/// still match, so the invariance comparison blanks exactly those two
+/// values and nothing else.
 fn masked(mut lines: Vec<String>) -> Vec<String> {
     let first = lines.first_mut().expect("stream is non-empty");
     assert!(first.contains("\"kind\":\"flow_started\""), "got {first}");
-    for key in ["\"policy\":\"", "\"mode\":\""] {
-        let start = first.find(key).expect("flow_started carries config") + key.len();
-        let len = first[start..].find('"').expect("value is quoted");
-        first.replace_range(start..start + len, "*");
-    }
+    let key = "\"policy\":\"";
+    let start = first.find(key).expect("flow_started carries the policy") + key.len();
+    let len = first[start..].find('"').expect("value is quoted");
+    first.replace_range(start..start + len, "*");
     let key = "\"threads\":";
     let start = first.find(key).expect("flow_started carries threads") + key.len();
     let len = first[start..]
@@ -74,23 +73,15 @@ fn masked(mut lines: Vec<String>) -> Vec<String> {
 
 #[test]
 fn stream_bytes_invariant_across_threads_modes_and_policies() {
-    let base = masked(collect_telemetry(
-        STARVED,
-        RipUpPolicy::Incremental,
-        NegotiationMode::Serial,
-        1,
-        42,
-    ));
+    let base = masked(collect_telemetry(STARVED, RipUpPolicy::Incremental, 1, 42));
     assert!(base.len() > 1, "the stream must carry events");
     for threads in [1usize, 2, 4, 8] {
-        for mode in [NegotiationMode::Serial, NegotiationMode::Parallel] {
-            for policy in [RipUpPolicy::Full, RipUpPolicy::Incremental] {
-                let lines = masked(collect_telemetry(STARVED, policy, mode, threads, 42));
-                assert_eq!(
-                    lines, base,
-                    "stream drifted at threads={threads} {mode:?} {policy:?}"
-                );
-            }
+        for policy in [RipUpPolicy::Full, RipUpPolicy::Incremental] {
+            let lines = masked(collect_telemetry(STARVED, policy, threads, 42));
+            assert_eq!(
+                lines, base,
+                "stream drifted at threads={threads} {policy:?}"
+            );
         }
     }
 }
@@ -98,19 +89,17 @@ fn stream_bytes_invariant_across_threads_modes_and_policies() {
 #[test]
 fn stream_bytes_invariant_per_policy_on_contended_chip() {
     for policy in [RipUpPolicy::Full, RipUpPolicy::Incremental] {
-        let base = masked(collect_telemetry(DENSE, policy, NegotiationMode::Serial, 1, 42));
+        let base = masked(collect_telemetry(DENSE, policy, 1, 42));
         assert!(
             kind_count(&base, "round_progress") > 0,
             "dense chip stream must carry negotiation rounds"
         );
         for threads in [2usize, 4] {
-            for mode in [NegotiationMode::Serial, NegotiationMode::Parallel] {
-                let lines = masked(collect_telemetry(DENSE, policy, mode, threads, 42));
-                assert_eq!(
-                    lines, base,
-                    "{policy:?} stream drifted at threads={threads} {mode:?}"
-                );
-            }
+            let lines = masked(collect_telemetry(DENSE, policy, threads, 42));
+            assert_eq!(
+                lines, base,
+                "{policy:?} stream drifted at threads={threads}"
+            );
         }
     }
 }
