@@ -1,9 +1,12 @@
 //! Component micro-benchmarks: A\* search, negotiation routing, min-cost
-//! flow escape, bounded-length detouring, and the MWCP solvers — the
+//! flow escape, bounded-length detouring, and MWCP selection — the
 //! building blocks whose costs dominate the flow stages.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pacor::clique::{BitBranchAndBound, Solver, WeightedGraph};
+use pacor::clique::{
+    select_one_per_group, BitBranchAndBound, Greedy, SelectionInstance, TabuLocalSearch,
+    WeightedGraph,
+};
 use pacor::netflow::{EscapeSource, GridEscape, SourceKind};
 use pacor::grid::{Grid, ObsMap, Point};
 use pacor::route::{AStar, BoundedAStar, NegotiationRouter, RouteRequest};
@@ -120,17 +123,62 @@ fn bench_mwcp(c: &mut Criterion) {
             }
         }
     }
-    group.bench_function("exact_32_nodes", |b| {
-        b.iter(|| Solver::Exact.solve(&g))
-    });
     group.bench_function("bitset_exact_32_nodes", |b| {
         b.iter(|| BitBranchAndBound::new().solve(&g))
     });
-    group.bench_function("greedy_32_nodes", |b| {
-        b.iter(|| Solver::Greedy.solve(&g))
-    });
+    group.bench_function("greedy_32_nodes", |b| b.iter(|| Greedy.solve(&g)));
     group.bench_function("tabu_32_nodes", |b| {
-        b.iter(|| Solver::LocalSearch { iterations: 100 }.solve(&g))
+        b.iter(|| TabuLocalSearch::new(100).solve(&g))
+    });
+
+    // Chip1's shape: 40 clusters, 116 candidate trees, 9 overlap costs
+    // confined to two cluster pairs — 38 components of ≤ 2 groups.
+    let mut chip1 = SelectionInstance::new(
+        (0..40)
+            .map(|g| {
+                let k = if g % 10 == 0 { 2 } else { 3 };
+                (0..k)
+                    .map(|i| -(((g * 7 + i * 3) % 5) as f64) / 4.0)
+                    .collect()
+            })
+            .collect(),
+    );
+    for (ia, ib) in [(0, 0), (0, 1), (1, 1), (2, 0), (2, 2)] {
+        chip1.add_pair_cost((1, ia), (2, ib), -0.5);
+    }
+    for (ia, ib) in [(0, 2), (1, 0), (1, 2), (2, 1)] {
+        chip1.add_pair_cost((5, ia), (6, ib), -0.25);
+    }
+    group.bench_function("select_chip1_shaped_116_items", |b| {
+        b.iter(|| select_one_per_group(&chip1))
+    });
+
+    // One dense component (30 groups × 4 candidates, 30% of the
+    // cross-group pairs costed): the search stops at its node budget.
+    let mut seed = 3u64;
+    let mut next = move || {
+        seed = seed.wrapping_mul(6364136223846793005).wrapping_add(11);
+        (seed >> 33) as f64 / (1u64 << 31) as f64
+    };
+    let mut dense = SelectionInstance::new(
+        (0..30)
+            .map(|_| (0..4).map(|_| -next() * 2.0).collect())
+            .collect(),
+    );
+    for ga in 0..30 {
+        for gb in (ga + 1)..30 {
+            for ia in 0..4 {
+                for ib in 0..4 {
+                    if next() < 0.3 {
+                        dense.add_pair_cost((ga, ia), (gb, ib), -next() * 3.0);
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(select_one_per_group(&dense).budget_hits, 1);
+    group.bench_function("select_dense_budget_hit_120_items", |b| {
+        b.iter(|| select_one_per_group(&dense))
     });
     group.finish();
 }

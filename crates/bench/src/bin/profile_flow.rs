@@ -16,9 +16,7 @@
 //! **inclusive** and **exclusive** wall-clock (exclusive = inclusive
 //! minus the time spent in child spans on the same trace lane), sorted
 //! by exclusive time. This is the profile that decides which stage the
-//! next optimization PR attacks — `make profile` wraps it. The paper's
-//! Chip1 stalls in MWCP selection under `pacor` and `detour-first`;
-//! `--chip Chip1 --variant wo-sel` profiles its paper-scale escape solve.
+//! next optimization PR attacks — `make profile` wraps it.
 //!
 //! `--trace-out FILE` additionally writes the Chrome trace-event JSON
 //! for the run, loadable in Perfetto for a zoomable view of the same

@@ -12,8 +12,8 @@
 //! cargo run --release -p pacor-bench --bin tables -- regress BASELINE.json [--chip NAME] [--current FILE]
 //! ```
 //!
-//! `--full` includes the Chip1/Chip2-scale designs (minutes instead of
-//! seconds).
+//! `--full` includes the Chip1/Chip2-scale designs (about a second in
+//! release instead of a few milliseconds).
 //! `stages` prints the span-summed per-stage wall-clock breakdown
 //! (clustering / LM / MST / escape / detour) per design, the same
 //! attribution `bench_flow` records as `stage_ms`, so a wall-clock

@@ -1,16 +1,27 @@
-//! Bitset-accelerated exact maximum weight clique for graphs of up to
-//! 128 nodes — the fast path for PACOR-sized selection instances.
+//! Bitset-accelerated branch-and-bound maximum weight clique for graphs
+//! of up to 128 nodes — the exact solver behind PACOR's selection.
 //!
-//! Same optimality guarantee as [`BranchAndBound`](crate::BranchAndBound),
-//! but candidate sets are `u128` masks: adjacency filtering is a single
-//! AND, and the upper bound over a candidate set is a popcount-bounded
-//! prefix sum. On selection-shaped instances (dense cross-group
-//! adjacency) this is typically an order of magnitude faster than the
-//! vector-based solver.
+//! Candidate sets are `u128` masks: adjacency filtering is a single AND,
+//! and the coloring upper bound over a candidate set is a few mask
+//! sweeps. A greedy clique seeds the incumbent, and the search visits at
+//! most [`NODE_BUDGET`] nodes. Past that it stops and returns the best
+//! clique found so far, which is never worse than the greedy one.
 
 use crate::{CliqueSolution, Greedy, WeightedGraph};
 
-/// Exact MWCP solver over `u128` node masks (graphs of ≤ 128 nodes).
+/// Search nodes one [`BitBranchAndBound`] search may visit. A whole
+/// selection of a paper design needs a few dozen and one of the
+/// `lm_congested` bench chip's seeds up to ~80 000; a dense component the
+/// search cannot close within the budget stops after a fraction of a
+/// second (release build) with its incumbent instead of running for
+/// minutes.
+pub const NODE_BUDGET: u64 = 1_000_000;
+
+/// Largest graph the solver takes: the width of its `u128` node masks.
+pub(crate) const MAX_NODES: usize = 128;
+
+/// Exact MWCP solver over `u128` node masks (graphs of ≤ 128 nodes),
+/// exact up to [`NODE_BUDGET`] search nodes.
 ///
 /// # Examples
 ///
@@ -28,27 +39,53 @@ use crate::{CliqueSolution, Greedy, WeightedGraph};
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BitBranchAndBound;
 
+/// The outcome of one [`BitBranchAndBound::search`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct BitSearch {
+    /// The best clique found: the optimum unless `budget_hit`.
+    pub solution: CliqueSolution,
+    /// Search nodes visited (≤ [`NODE_BUDGET`]).
+    pub nodes: u64,
+    /// The search stopped at [`NODE_BUDGET`] before proving `solution`
+    /// optimal.
+    pub budget_hit: bool,
+}
+
 impl BitBranchAndBound {
     /// Creates the solver.
     pub fn new() -> Self {
         Self
     }
 
-    /// Solves the MWCP exactly.
+    /// Solves the MWCP: [`Self::search`] without its statistics.
     ///
     /// # Panics
     ///
-    /// Panics when the graph has more than 128 nodes; use
-    /// [`BranchAndBound`](crate::BranchAndBound) beyond that.
+    /// Panics when the graph has more than 128 nodes.
     pub fn solve(&self, graph: &WeightedGraph) -> CliqueSolution {
+        self.search(graph).solution
+    }
+
+    /// Searches for a maximum weight clique, stopping after
+    /// [`NODE_BUDGET`] search nodes.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the graph has more than 128 nodes.
+    pub fn search(&self, graph: &WeightedGraph) -> BitSearch {
         let n = graph.len();
-        assert!(n <= 128, "bitset solver supports at most 128 nodes");
+        assert!(n <= MAX_NODES, "bitset solver supports at most 128 nodes");
         if n == 0 {
-            return CliqueSolution::empty();
+            return BitSearch {
+                solution: CliqueSolution::empty(),
+                nodes: 0,
+                budget_hit: false,
+            };
         }
 
-        // Branch order: descending optimistic potential, as in the
-        // vector solver; `order[i]` is the node branched at depth rank i.
+        // Branch order: descending optimistic potential
+        // `max(0, node_w(v) + Σ_u max(0, edge_w(v, u)))`;
+        // `order[i]` is the node branched at depth rank i.
         let pot: Vec<f64> = (0..n)
             .map(|v| {
                 let edge_pot: f64 = (0..n)
@@ -74,45 +111,54 @@ impl BitBranchAndBound {
         let pot_ranked: Vec<f64> = order.iter().map(|&v| pot[v]).collect();
 
         let warm = Greedy.solve(graph);
-        let mut best = if warm.weight > 0.0 {
-            warm
-        } else {
-            CliqueSolution::empty()
-        };
-
-        let mut current: Vec<usize> = Vec::new(); // node ids
-        let all = if n == 128 { u128::MAX } else { (1u128 << n) - 1 };
-        self.branch(
+        let mut search = Search {
             graph,
-            &order,
-            &pot_ranked,
-            &adj,
-            all,
-            0.0,
-            &mut current,
-            &mut best,
-        );
-        best.nodes.sort_unstable();
-        best
+            order,
+            pot_ranked,
+            adj,
+            current: Vec::new(),
+            best: if warm.weight > 0.0 {
+                warm
+            } else {
+                CliqueSolution::empty()
+            },
+            nodes: 0,
+        };
+        let finished = search.branch(u128::MAX >> (MAX_NODES - n), 0.0);
+        let mut solution = search.best;
+        solution.nodes.sort_unstable();
+        BitSearch {
+            solution,
+            nodes: search.nodes,
+            budget_hit: !finished,
+        }
     }
+}
 
+/// The state of one branch-and-bound search.
+struct Search<'a> {
+    graph: &'a WeightedGraph,
+    order: Vec<usize>,
+    pot_ranked: Vec<f64>,
+    adj: Vec<u128>,
+    /// Node ids of the clique under construction.
+    current: Vec<usize>,
+    best: CliqueSolution,
+    nodes: u64,
+}
+
+impl Search<'_> {
     /// `candidates` holds the ranks still eligible; every member is
-    /// adjacent to everything in `current`.
-    #[allow(clippy::too_many_arguments)]
-    fn branch(
-        &self,
-        g: &WeightedGraph,
-        order: &[usize],
-        pot_ranked: &[f64],
-        adj: &[u128],
-        candidates: u128,
-        cur_weight: f64,
-        current: &mut Vec<usize>,
-        best: &mut CliqueSolution,
-    ) {
-        if cur_weight > best.weight {
-            *best = CliqueSolution {
-                nodes: current.clone(),
+    /// adjacent to everything in `current`. Returns `false` when the node
+    /// budget ran out, which unwinds the whole search.
+    fn branch(&mut self, candidates: u128, cur_weight: f64) -> bool {
+        if self.nodes == NODE_BUDGET {
+            return false;
+        }
+        self.nodes += 1;
+        if cur_weight > self.best.weight {
+            self.best = CliqueSolution {
+                nodes: self.current.clone(),
                 weight: cur_weight,
             };
         }
@@ -130,44 +176,38 @@ impl BitBranchAndBound {
             while avail != 0 {
                 let r = avail.trailing_zeros() as usize;
                 avail &= avail - 1;
-                if adj[r] & class_members == 0 {
+                if self.adj[r] & class_members == 0 {
                     class_members |= 1 << r;
-                    class_max = class_max.max(pot_ranked[r]);
+                    class_max = class_max.max(self.pot_ranked[r]);
                 }
             }
             rem &= !class_members;
             bound += class_max;
         }
-        if bound <= best.weight {
-            return;
+        if bound <= self.best.weight {
+            return true;
         }
 
         let mut m = candidates;
         while m != 0 {
             let r = m.trailing_zeros() as usize;
             m &= m - 1; // ranks > r remain in m
-            let v = order[r];
-            let gain = g.marginal_gain(current, v);
-            current.push(v);
-            self.branch(
-                g,
-                order,
-                pot_ranked,
-                adj,
-                m & adj[r],
-                cur_weight + gain,
-                current,
-                best,
-            );
-            current.pop();
+            let v = self.order[r];
+            let gain = self.graph.marginal_gain(&self.current, v);
+            self.current.push(v);
+            let finished = self.branch(m & self.adj[r], cur_weight + gain);
+            self.current.pop();
+            if !finished {
+                return false;
+            }
         }
+        true
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::BranchAndBound;
 
     fn random_graph(seed: u128, n: usize, density: f64) -> WeightedGraph {
         let mut s = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
@@ -191,27 +231,40 @@ mod tests {
         g
     }
 
+    /// The best clique weight over all node subsets.
+    fn subset_brute_force(g: &WeightedGraph) -> f64 {
+        let n = g.len();
+        (0u32..1 << n)
+            .map(|mask| (0..n).filter(|&v| mask & (1 << v) != 0).collect::<Vec<_>>())
+            .filter(|nodes| g.is_clique(nodes))
+            .map(|nodes| g.weight_of(&nodes))
+            .fold(0.0, f64::max)
+    }
+
     #[test]
-    fn agrees_with_vector_solver() {
+    fn agrees_with_subset_brute_force() {
         for seed in 0..20 {
             let n = 6 + (seed as usize % 9);
             let g = random_graph(seed, n, 0.55);
-            let a = BitBranchAndBound::new().solve(&g);
-            let b = BranchAndBound::new().solve(&g);
+            let search = BitBranchAndBound::new().search(&g);
+            let a = &search.solution;
+            let best = subset_brute_force(&g);
             assert!(
-                (a.weight - b.weight).abs() < 1e-9,
-                "seed {seed}: bitset {} vs vector {}",
+                (a.weight - best).abs() < 1e-9,
+                "seed {seed}: bitset {} vs brute force {best}",
                 a.weight,
-                b.weight
             );
             assert!(g.is_clique(&a.nodes));
+            assert!((g.weight_of(&a.nodes) - a.weight).abs() < 1e-9);
+            assert!(!search.budget_hit && search.nodes >= 1);
         }
     }
 
     #[test]
     fn empty_and_singleton() {
-        let s = BitBranchAndBound::new().solve(&WeightedGraph::new(0));
-        assert!(s.nodes.is_empty());
+        let s = BitBranchAndBound::new().search(&WeightedGraph::new(0));
+        assert!(s.solution.nodes.is_empty());
+        assert_eq!((s.nodes, s.budget_hit), (0, false));
         let mut g = WeightedGraph::new(1);
         g.set_node_weight(0, 5.0);
         let s = BitBranchAndBound::new().solve(&g);
@@ -247,9 +300,10 @@ mod tests {
                 }
             }
         }
-        let s = BitBranchAndBound::new().solve(&g);
-        assert_eq!(s.nodes.len(), groups, "one pick per group");
-        assert!(g.is_clique(&s.nodes));
+        let s = BitBranchAndBound::new().search(&g);
+        assert_eq!(s.solution.nodes.len(), groups, "one pick per group");
+        assert!(g.is_clique(&s.solution.nodes));
+        assert!(!s.budget_hit);
     }
 
     #[test]

@@ -5,8 +5,8 @@ use crate::{CliqueSolution, WeightedGraph};
 /// Greedy MWCP constructor: repeatedly add the feasible node with the
 /// largest positive marginal gain.
 ///
-/// Used as a warm start for [`BranchAndBound`](crate::BranchAndBound) and
-/// as the first phase of [`TabuLocalSearch`](crate::TabuLocalSearch).
+/// Used as the warm start of [`BitBranchAndBound`](crate::BitBranchAndBound)
+/// and as the first phase of [`TabuLocalSearch`](crate::TabuLocalSearch).
 /// Deterministic: ties break toward the smaller node index.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Greedy;

@@ -8,85 +8,40 @@
 //! clique picks at most one tree per cluster; the maximum weight clique is
 //! the selection.
 //!
-//! The paper solves the MWCP with a Gurobi ILP. This crate substitutes an
-//! exact **branch-and-bound** solver (plus a greedy constructor and a tabu
-//! local search used both as B&B warm start and as a fallback for large
-//! instances). At the benchmark sizes of the paper (≤ ~40 clusters × a few
-//! candidates each) the exact solver returns the same optimum the ILP
-//! would.
+//! The paper solves the MWCP with a Gurobi ILP. This crate substitutes a
+//! bitset **branch-and-bound** solver, seeded by a greedy clique, plus a
+//! tabu local search for instances wider than its 128-node masks.
+//! [`select_one_per_group`] first splits a selection into the connected
+//! components of its pair-cost graph, which keeps each search small: on
+//! the paper's designs it returns the optimum the ILP would. A search
+//! that exceeds [`NODE_BUDGET`] nodes stops and keeps its best clique, so
+//! one dense component degrades the selection instead of stalling it.
 //!
 //! # Examples
 //!
 //! ```
-//! use pacor_clique::{Solver, WeightedGraph};
+//! use pacor_clique::{select_one_per_group, SelectionInstance};
 //!
-//! let mut g = WeightedGraph::new(3);
-//! g.set_node_weight(0, 5.0);
-//! g.set_node_weight(1, 4.0);
-//! g.set_node_weight(2, 10.0);
-//! g.add_edge(0, 1, -1.0); // 0 and 1 can coexist at a small penalty
-//! let best = Solver::exact().solve(&g);
-//! assert_eq!(best.nodes, vec![2]); // {0,1} weighs 8, {2} weighs 10
+//! // Two clusters with two candidate trees each; candidate 0 of both
+//! // is the better-matched tree, but those two trees overlap.
+//! let mut inst = SelectionInstance::new(vec![vec![0.0, -0.4], vec![0.0, -0.2]]);
+//! inst.add_pair_cost((0, 0), (1, 0), -1.0);
+//! let sel = select_one_per_group(&inst);
+//! assert_eq!(sel.picks, vec![0, 1]); // -0.2 beats -0.4 and -1.0
+//! assert_eq!(sel.budget_hits, 0);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod annealing;
 mod bitset;
-mod exact;
 mod graph;
 mod greedy;
 mod local_search;
 mod selection;
 
-pub use annealing::QuboAnnealer;
-pub use bitset::BitBranchAndBound;
-pub use exact::BranchAndBound;
+pub use bitset::{BitBranchAndBound, BitSearch, NODE_BUDGET};
 pub use graph::{CliqueSolution, WeightedGraph};
 pub use greedy::Greedy;
 pub use local_search::TabuLocalSearch;
-pub use selection::{
-    select_one_per_group, select_with_solver, GroupSelection, PairCost, SelectionInstance,
-};
-
-/// Unified front-end over the clique solvers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Solver {
-    /// Exact branch-and-bound (optimal; exponential worst case).
-    Exact,
-    /// Greedy construction only.
-    Greedy,
-    /// Greedy construction refined by tabu local search.
-    LocalSearch {
-        /// Number of improvement iterations.
-        iterations: usize,
-    },
-    /// QUBO formulation solved by simulated annealing (the paper's
-    /// "unconstrained quadratic programming based method").
-    Annealing {
-        /// RNG seed (deterministic results per seed).
-        seed: u64,
-        /// Number of annealing sweeps.
-        sweeps: usize,
-    },
-}
-
-impl Solver {
-    /// The exact solver.
-    pub fn exact() -> Self {
-        Solver::Exact
-    }
-
-    /// Runs the chosen algorithm on `graph`.
-    pub fn solve(self, graph: &WeightedGraph) -> CliqueSolution {
-        match self {
-            Solver::Exact => BranchAndBound::new().solve(graph),
-            Solver::Greedy => Greedy.solve(graph),
-            Solver::LocalSearch { iterations } => TabuLocalSearch::new(iterations).solve(graph),
-            Solver::Annealing { seed, sweeps } => {
-                QuboAnnealer::new(seed).with_sweeps(sweeps).solve(graph)
-            }
-        }
-    }
-}
+pub use selection::{select_one_per_group, GroupSelection, PairCost, SelectionInstance};

@@ -5,10 +5,10 @@ use crate::{CliqueSolution, Greedy, WeightedGraph};
 /// Local search over clique space with add / drop / swap moves and a
 /// short-term tabu list, seeded by [`Greedy`].
 ///
-/// This is the anytime fallback for selection instances too large for the
-/// exact branch and bound; PACOR's paper mentions having implemented
-/// "graph-based" and "unconstrained quadratic programming based"
-/// heuristics alongside the ILP — this plays that role.
+/// This is the anytime fallback for selection components wider than the
+/// 128-node masks of [`BitBranchAndBound`](crate::BitBranchAndBound);
+/// PACOR's paper mentions having implemented "graph-based" heuristics
+/// alongside the ILP — this plays that role.
 #[derive(Debug, Clone, Copy)]
 pub struct TabuLocalSearch {
     iterations: usize,
@@ -119,7 +119,7 @@ impl TabuLocalSearch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::BranchAndBound;
+    use crate::BitBranchAndBound;
 
     #[test]
     fn refines_past_greedy_trap() {
@@ -177,7 +177,7 @@ mod tests {
                 }
             }
         }
-        let exact = BranchAndBound::new().solve(&g);
+        let exact = BitBranchAndBound::new().solve(&g);
         let tabu = TabuLocalSearch::new(300).solve(&g);
         assert!(tabu.weight <= exact.weight + 1e-9);
         assert!(tabu.weight >= 0.8 * exact.weight);

@@ -1,8 +1,8 @@
 //! Property-based tests for the MWCP solvers.
 
 use pacor_clique::{
-    select_one_per_group, BranchAndBound, Greedy, QuboAnnealer, SelectionInstance, Solver,
-    TabuLocalSearch, WeightedGraph,
+    select_one_per_group, BitBranchAndBound, Greedy, SelectionInstance, TabuLocalSearch,
+    WeightedGraph,
 };
 use proptest::prelude::*;
 
@@ -47,19 +47,17 @@ proptest! {
 
     #[test]
     fn exact_matches_brute_force(g in arb_graph(9)) {
-        let exact = BranchAndBound::new().solve(&g);
+        let search = BitBranchAndBound::new().search(&g);
+        let exact = &search.solution;
         prop_assert!(g.is_clique(&exact.nodes));
         prop_assert!((exact.weight - brute_force(&g)).abs() < 1e-9);
+        prop_assert!(!search.budget_hit);
     }
 
     #[test]
     fn heuristics_are_feasible_and_bounded_by_exact(g in arb_graph(10)) {
-        let exact = BranchAndBound::new().solve(&g);
-        for sol in [
-            Greedy.solve(&g),
-            TabuLocalSearch::new(60).solve(&g),
-            QuboAnnealer::new(11).with_sweeps(120).solve(&g),
-        ] {
+        let exact = BitBranchAndBound::new().solve(&g);
+        for sol in [Greedy.solve(&g), TabuLocalSearch::new(60).solve(&g)] {
             prop_assert!(g.is_clique(&sol.nodes));
             prop_assert!(sol.weight <= exact.weight + 1e-9);
             prop_assert!(sol.weight >= 0.0);
@@ -75,13 +73,6 @@ proptest! {
     }
 
     #[test]
-    fn solver_enum_routes_to_algorithms(g in arb_graph(8)) {
-        let exact = Solver::Exact.solve(&g);
-        let annealed = Solver::Annealing { seed: 5, sweeps: 100 }.solve(&g);
-        prop_assert!(annealed.weight <= exact.weight + 1e-9);
-    }
-
-    #[test]
     fn selection_always_picks_one_per_group(
         sizes in prop::collection::vec(1usize..4, 1..5),
         costs in prop::collection::vec(-3.0f64..0.0, 16),
@@ -92,7 +83,7 @@ proptest! {
             .map(|(g, &k)| (0..k).map(|i| costs[(g * 3 + i) % costs.len()]).collect())
             .collect();
         let inst = SelectionInstance::new(groups.clone());
-        let sel = select_one_per_group(&inst, 64);
+        let sel = select_one_per_group(&inst);
         prop_assert_eq!(sel.picks.len(), groups.len());
         for (g, &pick) in sel.picks.iter().enumerate() {
             prop_assert!(pick < groups[g].len());
@@ -119,7 +110,7 @@ proptest! {
                 inst.add_pair_cost((ga, 0), (gb, 0), next().min(0.0));
             }
         }
-        let sel = select_one_per_group(&inst, 64);
+        let sel = select_one_per_group(&inst);
         // Compare against the all-zeros and all-lasts fixed choices.
         for fixed in [[0usize, 0, 0], [1, 1, 0]] {
             let mut cost: f64 = fixed

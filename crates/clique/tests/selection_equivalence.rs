@@ -64,7 +64,7 @@ proptest! {
         pair_density in 0u32..50,
     ) {
         let inst = setup(seed, ngroups, pair_density);
-        let sel = select_one_per_group(&inst, 64);
+        let sel = select_one_per_group(&inst);
         prop_assert_eq!(sel.picks.len(), ngroups);
         for (g, &p) in sel.picks.iter().enumerate() {
             prop_assert!(p < inst.groups[g].len());

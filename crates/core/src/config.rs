@@ -130,10 +130,6 @@ pub struct FlowConfig {
     pub max_ripup_rounds: u32,
     /// Candidate Steiner trees per cluster.
     pub max_candidates: usize,
-    /// Use the exact MWCP solver up to this many candidate nodes; larger
-    /// instances fall back to tabu local search (the paper's Gurobi ILP
-    /// has no such limit, but behaves identically at benchmark scale).
-    pub exact_selection_limit: usize,
     /// DFS node budget per exact-length attempt in the bounded router.
     pub detour_node_budget: u64,
     /// Worker threads for the data-parallel stages (DME candidate
@@ -182,7 +178,6 @@ impl Default for FlowConfig {
             theta: 10,
             max_ripup_rounds: 5,
             max_candidates: 6,
-            exact_selection_limit: 128,
             detour_node_budget: 200_000,
             thread_count: 1,
             ripup_policy: RipUpPolicy::default(),

@@ -38,10 +38,6 @@ pub fn config_fingerprint(config: &FlowConfig) -> Vec<(String, String)> {
         pair("theta", format!("{}", config.theta)),
         pair("max_ripup_rounds", format!("{}", config.max_ripup_rounds)),
         pair("max_candidates", format!("{}", config.max_candidates)),
-        pair(
-            "exact_selection_limit",
-            format!("{}", config.exact_selection_limit),
-        ),
         pair("detour_node_budget", format!("{}", config.detour_node_budget)),
     ]
 }

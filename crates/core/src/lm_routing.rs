@@ -2,7 +2,7 @@
 //! MWCP selection, negotiation-based wiring.
 
 use crate::{FlowConfig, FlowVariant, RoutedCluster, RoutedKind};
-use pacor_clique::{select_one_per_group, SelectionInstance};
+use pacor_clique::{select_one_per_group, PairCost, SelectionInstance};
 use pacor_dme::{candidates, candidates_with_alternates, CandidateConfig, SteinerTree};
 use pacor_grid::{olcost, GridPath, ObsMap, Point};
 use pacor_route::{effective_threads, parallel_map, NegotiationRouter, RouteRequest};
@@ -237,9 +237,6 @@ pub fn reroute_lm_cluster(
 ///
 /// `scoring_tasks` reports how many cluster-pair scoring items were
 /// fanned out (for the stage's parallelism accounting).
-/// A scored candidate pair: (group, candidate) × 2 plus the `Co` cost.
-type PairCost = ((usize, usize), (usize, usize), f64);
-
 fn select_trees(
     tree_clusters: Vec<(usize, Vec<SteinerTree>)>,
     config: &FlowConfig,
@@ -248,6 +245,7 @@ fn select_trees(
     if tree_clusters.is_empty() {
         return Vec::new();
     }
+    let _span = pacor_obs::span_with("lm.select", &[("clusters", tree_clusters.len() as u64)]);
     // Normalizing constant: max ΔL over all candidates of all clusters.
     let max_dl = tree_clusters
         .iter()
@@ -298,7 +296,13 @@ fn select_trees(
         inst.add_pair_cost(a, b, cost);
     }
 
-    let sel = select_one_per_group(&inst, config.exact_selection_limit);
+    let sel = select_one_per_group(&inst);
+    pacor_obs::counter_add("mwcp.components", sel.components as u64);
+    pacor_obs::counter_add("mwcp.nodes", sel.nodes);
+    // Only a degraded selection lists `mwcp.budget_hits` in the metrics.
+    if sel.budget_hits > 0 {
+        pacor_obs::counter_add("mwcp.budget_hits", sel.budget_hits as u64);
+    }
     tree_clusters
         .into_iter()
         .zip(&sel.picks)

@@ -31,7 +31,7 @@ const DENSE: DesignParams = DesignParams {
 
 /// Catalogued counters and flight-recorder events the smoke flow never
 /// emits, each with the reason it stays catalogued.
-const NEVER_FIRES: [(&str, &str); 2] = [
+const NEVER_FIRES: [(&str, &str); 3] = [
     (
         "lm.reconstructed",
         "fires only when negotiation leaves an edge of a 3-6 valve LM tree \
@@ -40,6 +40,13 @@ const NEVER_FIRES: [(&str, &str); 2] = [
     (
         "lm_reconstructed",
         "the flight-recorder twin of `lm.reconstructed`",
+    ),
+    (
+        "mwcp.budget_hits",
+        "fires only when one selection component needs more than \
+         `NODE_BUDGET` search nodes, far more than the smoke chips' \
+         selections need (crates/bench/tests/lm_congested_chip.rs pins a \
+         route that hits it)",
     ),
 ];
 
