@@ -5,14 +5,16 @@ CARGO ?= cargo
 .PHONY: verify build test clippy bench tables obs-smoke stream-smoke bench-flow bench-smoke hier-smoke bench-check ledger-smoke golden profile
 
 # The acceptance gate: release build, full test suite (which includes
-# the grid-vs-reference escape solver equivalence check on B2-dense48,
-# tests/escape_solvers.rs), zero-warning lints, the golden end-to-end
-# snapshots (all chips, release mode), a smoke-run of the observability
-# exports, a smoke-run of the streaming telemetry, a smoke-run of the
-# end-to-end flow benchmark harness, a flat-vs-hierarchical
-# single-region equivalence check, a determinism check of the B1 and
-# B4 benchmark tiers against the committed BENCH_flow.json baseline,
-# and a smoke-run of the run-digest / ledger / differ loop.
+# the escape solver's min-cost-flow optimality certificate on 300
+# random scenarios, crates/flow/src/certificate.rs, and the
+# EXPERIMENTS.md gate, tests/chips.rs), zero-warning lints, the golden
+# end-to-end snapshots (all chips, release mode), a smoke-run of the
+# observability exports, a smoke-run of the streaming telemetry, a
+# smoke-run of the end-to-end flow benchmark harness, a
+# flat-vs-hierarchical single-region equivalence check, a determinism
+# check of the B1 and B4 benchmark tiers against the committed
+# BENCH_flow.json baseline, and a smoke-run of the run-digest / ledger
+# / differ loop.
 verify: build test clippy golden obs-smoke stream-smoke bench-smoke hier-smoke bench-check ledger-smoke
 
 build:
@@ -41,8 +43,7 @@ bench-flow:
 # than 25% AND more than 25 ms over its committed baseline fails (the
 # absolute floor keeps sub-millisecond stages from flaking on
 # scheduler jitter). The same rule gates the escape_ms sub-stages
-# (net_build — the reference solver's network construction, 0 under the
-# default grid solver — / net_solve / phase1-3), so an escape-internal
+# (net_solve — the round solves — / phase1-3), so an escape-internal
 # regression cannot hide inside a stage that still fits its overall
 # budget.
 # Re-baseline with `make bench-flow` after an intentional routing or

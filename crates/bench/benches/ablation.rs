@@ -7,12 +7,13 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pacor::{BenchDesign, FlowConfig, PacorFlow};
+use pacor_bench::{ALPHAS, GAMMAS, LAMBDAS};
 
 fn bench_lambda(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_lambda");
     group.sample_size(10);
     let problem = BenchDesign::S3.synthesize(42);
-    for lambda in [0.0f64, 0.1, 0.5, 0.9] {
+    for lambda in LAMBDAS {
         group.bench_with_input(
             BenchmarkId::from_parameter(lambda),
             &lambda,
@@ -33,7 +34,7 @@ fn bench_negotiation_params(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_negotiation");
     group.sample_size(10);
     let problem = BenchDesign::S4.synthesize(42);
-    for gamma in [1u32, 3, 10] {
+    for gamma in GAMMAS {
         group.bench_with_input(BenchmarkId::new("gamma", gamma), &gamma, |b, &gamma| {
             let cfg = FlowConfig {
                 gamma,
@@ -43,7 +44,7 @@ fn bench_negotiation_params(c: &mut Criterion) {
             b.iter(|| flow.run(&problem).expect("valid"))
         });
     }
-    for alpha in [0.05f64, 0.1, 0.5] {
+    for alpha in ALPHAS {
         group.bench_with_input(BenchmarkId::new("alpha", alpha), &alpha, |b, &alpha| {
             let cfg = FlowConfig {
                 history_alpha: alpha,

@@ -1,17 +1,11 @@
-//! Escape-solver benchmarks: the reference explicit-network build +
-//! min-cost-flow solve against the grid-native `GridEscape` solve on the
-//! same synthetic occupancy — one cold escape round, which is what every
-//! escape round of the flow pays. Sizes bracket the dense flow-benchmark
-//! chips (48², 96²) and reach the paper's Chip2 (231 × 265).
-//!
-//! Both solvers route identical results (the randomized equivalence
-//! test in `crates/flow/src/escape.rs` and the
-//! `incremental_escape_matches_reference` proptest), so these numbers
-//! compare cost only.
+//! Escape-solver benchmark: one cold `GridEscape` solve on a synthetic
+//! occupancy — what every escape round of the flow pays. Sizes bracket
+//! the dense flow-benchmark chips (48², 96²) and reach the paper's
+//! Chip2 (231 × 265).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pacor::grid::{Grid, ObsMap, Point};
-use pacor::netflow::{EscapeNetwork, EscapeSource, GridEscape, SourceKind};
+use pacor::netflow::{EscapeSource, GridEscape, SourceKind};
 
 /// Synthetic escape occupancy on a `w × h` grid: ~5% scattered
 /// obstacles, singleton valve sources on a 7 × 7 lattice over the
@@ -54,11 +48,6 @@ fn bench_escape_solve(c: &mut Criterion) {
     for (w, h) in [(48u32, 48u32), (96, 96), (231, 265)] {
         let (obs, sources, pins) = scenario(w, h);
         let size = format!("{w}x{h}");
-        group.bench_with_input(
-            BenchmarkId::new("reference_build_solve", &size),
-            &size,
-            |b, _| b.iter(|| EscapeNetwork::build(&obs, &sources, &pins).solve().routed),
-        );
         let mut grid = GridEscape::new();
         group.bench_with_input(BenchmarkId::new("grid_solve", &size), &size, |b, _| {
             b.iter(|| grid.solve(&obs, &sources, &pins).routed)

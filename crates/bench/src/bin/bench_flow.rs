@@ -13,7 +13,7 @@
 //! `stage_ms` breakdown (span-summed clustering / lm_routing /
 //! mst_routing / escape / detour wall-clock, so speedups attribute to
 //! the stage that earned them), an `escape_ms` sub-breakdown of the
-//! escape stage (net_build / net_solve / phase1 / phase2 / phase3,
+//! escape stage (net_solve / phase1 / phase2 / phase3,
 //! span-summed and min-across-repeats like `stage_ms`), plus the
 //! `negotiate.rounds` / `negotiate.ripups` / `astar.scratch_resets`
 //! counter totals.
@@ -203,7 +203,7 @@ fn print_entry(entry: &FlowBenchEntry, events_col: String) {
     let s = &entry.stage_ms;
     let e = &entry.escape_ms;
     eprintln!(
-        "{:<12} {:<12} {:<13} t={} {:>9.1} ms  neg {:>8.1} ms  stages clu {:>6.1} lm {:>7.1} mst {:>6.1} esc {:>6.1} det {:>6.1}  esc[bld {:>5.1} slv {:>6.1} p1 {:>6.1} p2 {:>5.1} p3 {:>5.1}]  rounds {:>4}  ripups {:>5}  complete {:>5.1}%{}",
+        "{:<12} {:<12} {:<13} t={} {:>9.1} ms  neg {:>8.1} ms  stages clu {:>6.1} lm {:>7.1} mst {:>6.1} esc {:>6.1} det {:>6.1}  esc[slv {:>6.1} p1 {:>6.1} p2 {:>5.1} p3 {:>5.1}]  rounds {:>4}  ripups {:>5}  complete {:>5.1}%{}",
         entry.chip,
         entry.policy,
         entry.routing,
@@ -215,7 +215,6 @@ fn print_entry(entry: &FlowBenchEntry, events_col: String) {
         s.mst_routing,
         s.escape,
         s.detour,
-        e.net_build,
         e.net_solve,
         e.phase1,
         e.phase2,

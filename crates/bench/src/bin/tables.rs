@@ -5,6 +5,7 @@
 //! cargo run --release -p pacor-bench --bin tables -- table2 [--full]
 //! cargo run --release -p pacor-bench --bin tables -- fig3
 //! cargo run --release -p pacor-bench --bin tables -- ablation
+//! cargo run --release -p pacor-bench --bin tables -- sweep
 //! cargo run --release -p pacor-bench --bin tables -- stages [--full]
 //! cargo run --release -p pacor-bench --bin tables -- heatmap [design]
 //! cargo run --release -p pacor-bench --bin tables -- all [--full]
@@ -40,9 +41,10 @@
 use pacor::route::RipUpPolicy;
 use pacor::{BenchDesign, FlowConfig, FlowVariant, RouteReport, RoutingMode};
 use pacor_bench::{
-    fill_scaling_efficiency, metrics_header, metrics_row, run_config, run_flow_bench, run_variant,
-    table1_header, table1_row, FlowBenchEntry, FlowBenchReport, StageMs, BENCH_SEED,
-    FLOW_BENCH_CHIPS, FLOW_HUGE_CHIP, LARGE_WIDTH,
+    fill_scaling_efficiency, lambda_ablation, metrics_header, metrics_row, negotiation_ablation,
+    run_config, run_flow_bench, run_variant, seed_sweep, table1_header, table1_row, FlowBenchEntry,
+    FlowBenchReport, StageMs, SweepCell, BENCH_SEED, FLOW_BENCH_CHIPS, FLOW_HUGE_CHIP, LAMBDAS,
+    LARGE_WIDTH, ROBUSTNESS_SEEDS, VARIANT_SWEEP_SEEDS,
 };
 
 fn main() {
@@ -149,8 +151,7 @@ const REGRESS_STAGES: [FieldOf<f64>; 5] = [
 ];
 
 /// The escape sub-stage budgets, as (name, accessor) pairs.
-const REGRESS_ESCAPE: [FieldOf<f64>; 5] = [
-    ("escape.net_build", |e| e.escape_ms.net_build),
+const REGRESS_ESCAPE: [FieldOf<f64>; 4] = [
     ("escape.net_solve", |e| e.escape_ms.net_solve),
     ("escape.phase1", |e| e.escape_ms.phase1),
     ("escape.phase2", |e| e.escape_ms.phase2),
@@ -467,34 +468,44 @@ fn fig3() {
     );
 }
 
-/// Seed sweep: Table 2 metrics aggregated over 10 seeds per design —
-/// robustness of the single-seed numbers.
+/// Seed sweeps: PACOR over [`ROBUSTNESS_SEEDS`] per design — robustness
+/// of the single-seed numbers — then the three variants summed over
+/// [`VARIANT_SWEEP_SEEDS`] and every synthetic design.
 fn sweep() {
-    const SEEDS: std::ops::Range<u64> = 0..10;
-    println!("== Seed sweep: 10 seeds per design, PACOR variant ==");
+    let seeds = ROBUSTNESS_SEEDS.end - ROBUSTNESS_SEEDS.start;
+    println!("== Seed sweep: {seeds} seeds per design, PACOR variant ==");
     println!(
         "{:<8} {:>14} {:>18} {:>10}",
         "Design", "matched (avg)", "completion (min)", "len (avg)"
     );
-    for d in BenchDesign::SYNTH {
-        let mut matched = 0usize;
-        let mut total_len = 0u64;
-        let mut min_completion = 1.0f64;
-        let mut n = 0usize;
-        for seed in SEEDS {
-            let r = run_variant(d, FlowVariant::Pacor, seed);
-            matched += r.matched_clusters;
-            total_len += r.total_length;
-            min_completion = min_completion.min(r.completion_rate());
-            n += 1;
-        }
+    for c in seed_sweep(&[FlowVariant::Pacor], ROBUSTNESS_SEEDS) {
         println!(
             "{:<8} {:>11.1}/{:<2} {:>17.0}% {:>10.0}",
-            d.params().name,
-            matched as f64 / n as f64,
-            d.params().multi_clusters,
-            min_completion * 100.0,
-            total_len as f64 / n as f64
+            c.design.params().name,
+            c.matched as f64 / c.runs as f64,
+            c.design.params().multi_clusters,
+            c.min_completion * 100.0,
+            c.total_length as f64 / c.runs as f64
+        );
+    }
+
+    let seeds = VARIANT_SWEEP_SEEDS.end - VARIANT_SWEEP_SEEDS.start;
+    println!();
+    println!("== Variant sweep: S1–S5 × {seeds} seeds, summed ==");
+    println!(
+        "{:<13} {:>9} {:>9} {:>10} {:>17}",
+        "Method", "matched", "clusters", "total len", "completion (min)"
+    );
+    let cells = seed_sweep(&FlowVariant::ALL, VARIANT_SWEEP_SEEDS);
+    for v in FlowVariant::ALL {
+        let of_v: Vec<&SweepCell> = cells.iter().filter(|c| c.variant == v).collect();
+        println!(
+            "{:<13} {:>9} {:>9} {:>10} {:>16.0}%",
+            v.label(),
+            of_v.iter().map(|c| c.matched).sum::<usize>(),
+            of_v.iter().map(|c| c.clusters()).sum::<usize>(),
+            of_v.iter().map(|c| c.total_length).sum::<u64>(),
+            of_v.iter().map(|c| c.min_completion).fold(1.0, f64::min) * 100.0
         );
     }
 }
@@ -597,42 +608,30 @@ fn ablation() {
         "{:<8} {:>6} {:>9} {:>10}",
         "Design", "λ", "#Matched", "TotalLen"
     );
-    for d in [BenchDesign::S3, BenchDesign::S4, BenchDesign::S5] {
-        for lambda in [0.0, 0.1, 0.5, 0.9] {
-            let cfg = FlowConfig {
-                lambda,
-                ..FlowConfig::default()
-            };
-            let r = run_config(d, cfg, BENCH_SEED);
-            println!(
-                "{:<8} {:>6.1} {:>9} {:>10}",
-                r.design, lambda, r.matched_clusters, r.total_length
-            );
+    for (k, (lambda, r)) in lambda_ablation().into_iter().enumerate() {
+        if k > 0 && k % LAMBDAS.len() == 0 {
+            println!();
         }
-        println!();
+        println!(
+            "{:<8} {:>6.1} {:>9} {:>10}",
+            r.design, lambda, r.matched_clusters, r.total_length
+        );
     }
+    println!();
 
     println!("== Ablation A2: negotiation γ and history α (S5) ==");
     println!(
         "{:<6} {:>6} {:>9} {:>10} {:>7}",
         "γ", "α", "#Matched", "TotalLen", "Compl"
     );
-    for gamma in [1u32, 3, 10] {
-        for alpha in [0.05f64, 0.1, 0.5] {
-            let cfg = FlowConfig {
-                gamma,
-                history_alpha: alpha,
-                ..FlowConfig::default()
-            };
-            let r = run_config(BenchDesign::S5, cfg, BENCH_SEED);
-            println!(
-                "{:<6} {:>6.2} {:>9} {:>10} {:>6.0}%",
-                gamma,
-                alpha,
-                r.matched_clusters,
-                r.total_length,
-                r.completion_rate() * 100.0
-            );
-        }
+    for (gamma, alpha, r) in negotiation_ablation() {
+        println!(
+            "{:<6} {:>6.2} {:>9} {:>10} {:>6.0}%",
+            gamma,
+            alpha,
+            r.matched_clusters,
+            r.total_length,
+            r.completion_rate() * 100.0
+        );
     }
 }

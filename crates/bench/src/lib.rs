@@ -6,7 +6,8 @@
 //! * `tables table1` — design parameters (Table 1),
 //! * `tables table2` — the three-variant self-comparison (Table 2),
 //! * `tables fig3`   — DME candidate Steiner trees (Figure 3),
-//! * `tables ablation` — λ / negotiation-parameter ablations (A1/A2).
+//! * `tables ablation` — λ / negotiation-parameter ablations (A1/A2),
+//! * `tables sweep` — the Table 2 metrics over many design seeds.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -100,6 +101,119 @@ pub fn metrics_header() -> String {
 }
 
 // ---------------------------------------------------------------------------
+// Ablations and seed sweeps (`tables ablation` / `tables sweep`), also
+// gated against EXPERIMENTS.md by the root package's `tests/chips.rs`.
+
+/// Designs of ablation A1.
+pub const LAMBDA_DESIGNS: [BenchDesign; 3] = [BenchDesign::S3, BenchDesign::S4, BenchDesign::S5];
+
+/// λ values of ablation A1; the paper fixes 0.1.
+pub const LAMBDAS: [f64; 4] = [0.0, 0.1, 0.5, 0.9];
+
+/// Negotiation iteration thresholds γ of ablation A2.
+pub const GAMMAS: [u32; 3] = [1, 3, 10];
+
+/// History decays α of ablation A2.
+pub const ALPHAS: [f64; 3] = [0.05, 0.1, 0.5];
+
+/// Ablation A1: every [`LAMBDA_DESIGNS`] design routed at every λ of
+/// [`LAMBDAS`] (seed [`BENCH_SEED`]), design-major.
+pub fn lambda_ablation() -> Vec<(f64, RouteReport)> {
+    LAMBDA_DESIGNS
+        .into_iter()
+        .flat_map(|d| {
+            LAMBDAS.map(|lambda| {
+                let cfg = FlowConfig {
+                    lambda,
+                    ..FlowConfig::default()
+                };
+                (lambda, run_config(d, cfg, BENCH_SEED))
+            })
+        })
+        .collect()
+}
+
+/// Ablation A2: S5 routed under every (γ, α) of [`GAMMAS`] ×
+/// [`ALPHAS`] (seed [`BENCH_SEED`]), γ-major.
+pub fn negotiation_ablation() -> Vec<(u32, f64, RouteReport)> {
+    GAMMAS
+        .into_iter()
+        .flat_map(|gamma| {
+            ALPHAS.map(|history_alpha| {
+                let cfg = FlowConfig {
+                    gamma,
+                    history_alpha,
+                    ..FlowConfig::default()
+                };
+                (
+                    gamma,
+                    history_alpha,
+                    run_config(BenchDesign::S5, cfg, BENCH_SEED),
+                )
+            })
+        })
+        .collect()
+}
+
+/// Design seeds of the robustness sweep (PACOR only).
+pub const ROBUSTNESS_SEEDS: std::ops::Range<u64> = 0..10;
+
+/// Design seeds of the three-variant sweep.
+pub const VARIANT_SWEEP_SEEDS: std::ops::Range<u64> = 0..12;
+
+/// One synthetic design under one variant, summed over a seed sweep.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SweepCell {
+    /// The design.
+    pub design: BenchDesign,
+    /// The flow variant.
+    pub variant: FlowVariant,
+    /// Routes run, one per seed.
+    pub runs: usize,
+    /// Matched clusters, summed over the runs.
+    pub matched: usize,
+    /// Total channel length, summed over the runs.
+    pub total_length: u64,
+    /// The lowest completion rate of any run.
+    pub min_completion: f64,
+}
+
+impl SweepCell {
+    /// Multi-valve clusters routed over the runs: the most `matched`
+    /// can reach.
+    pub fn clusters(&self) -> usize {
+        self.runs * self.design.params().multi_clusters as usize
+    }
+}
+
+/// Routes every synthetic design (S1–S5) under each of `variants` at
+/// every seed of `seeds`; one cell per design and variant, design-major.
+pub fn seed_sweep(variants: &[FlowVariant], seeds: std::ops::Range<u64>) -> Vec<SweepCell> {
+    let mut cells = Vec::new();
+    for design in BenchDesign::SYNTH {
+        for &variant in variants {
+            let mut cell = SweepCell {
+                design,
+                variant,
+                runs: 0,
+                matched: 0,
+                total_length: 0,
+                min_completion: 1.0,
+            };
+            for seed in seeds.clone() {
+                let r = run_variant(design, variant, seed);
+                cell.runs += 1;
+                cell.matched += r.matched_clusters;
+                cell.total_length += r.total_length;
+                cell.min_completion = cell.min_completion.min(r.completion_rate());
+            }
+            cells.push(cell);
+        }
+    }
+    cells
+}
+
+// ---------------------------------------------------------------------------
 // End-to-end flow benchmark (`bench_flow` binary → BENCH_flow.json).
 
 // The dense flow-benchmark chip definitions live in `pacor`'s bench
@@ -169,8 +283,8 @@ pub struct FlowBenchEntry {
     /// earned them.
     pub stage_ms: StageMs,
     /// Escape-stage sub-breakdown (best across repeats, like
-    /// `stage_ms`), attributing the escape wall-clock to network
-    /// construction, min-cost-flow solves, and the three phases.
+    /// `stage_ms`), attributing the escape wall-clock to the
+    /// min-cost-flow solves and the three phases.
     pub escape_ms: EscapeMs,
 }
 
@@ -218,16 +332,13 @@ impl StageMs {
 /// Escape-stage wall-clock sub-breakdown of one flow run, in
 /// milliseconds. Each field sums the durations of the matching
 /// `escape.*` span, so an escape regression (or speedup) attributes to
-/// network construction, flow solves, or a specific phase. The two
-/// axes overlap: `net_build`/`net_solve` slice the stage by activity,
-/// `phase1`–`phase3` slice it by protocol phase (each phase span
-/// encloses its build and solve spans, plus phase-local work such as
-/// blocker analysis and re-routing ripped victims).
+/// the round solves or to a specific phase. The two axes overlap:
+/// `net_solve` slices the stage by activity, `phase1`–`phase3` slice it
+/// by protocol phase (each phase span encloses its solve spans, plus
+/// phase-local work such as blocker analysis and re-routing ripped
+/// victims).
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 pub struct EscapeMs {
-    /// `escape.net_build` spans (the reference solver's explicit network
-    /// builds; 0 under the default grid solver).
-    pub net_build: f64,
     /// `escape.net_solve` spans (one cold min-cost-flow solve per round).
     pub net_solve: f64,
     /// `escape.phase1` spans (global rounds with de-clustering).
@@ -242,7 +353,6 @@ impl EscapeMs {
     /// Extracts the sub-breakdown from an observability report.
     pub fn of(report: &pacor::obs::ObsReport) -> Self {
         Self {
-            net_build: span_ms_of(report, "escape.net_build"),
             net_solve: span_ms_of(report, "escape.net_solve"),
             phase1: span_ms_of(report, "escape.phase1"),
             phase2: span_ms_of(report, "escape.phase2"),
@@ -253,7 +363,6 @@ impl EscapeMs {
     /// Field-wise minimum, mirroring the best-of-repeats `wall_ms` rule.
     fn min(self, other: Self) -> Self {
         Self {
-            net_build: self.net_build.min(other.net_build),
             net_solve: self.net_solve.min(other.net_solve),
             phase1: self.phase1.min(other.phase1),
             phase2: self.phase2.min(other.phase2),

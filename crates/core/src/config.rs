@@ -45,39 +45,6 @@ impl FlowVariant {
     }
 }
 
-/// Which escape-stage solver drives `escape_all`. Both solve every
-/// round cold and route identical escapes; the names are kept so run
-/// digests and ledgers stay comparable across versions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum EscapeSolver {
-    /// The grid-native solver (`pacor_flow::GridEscape`): the node-split
-    /// network kept implicit in per-cell flags (the default).
-    #[default]
-    Incremental,
-    /// Explicit network build plus the generic min-cost-flow solver —
-    /// the reference the grid solver is checked against.
-    Reference,
-}
-
-impl EscapeSolver {
-    /// Parses a CLI-style name (`incremental` / `reference`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "incremental" => Some(EscapeSolver::Incremental),
-            "reference" => Some(EscapeSolver::Reference),
-            _ => None,
-        }
-    }
-
-    /// The CLI-facing name (matches [`EscapeSolver::parse`]).
-    pub fn label(self) -> &'static str {
-        match self {
-            EscapeSolver::Incremental => "incremental",
-            EscapeSolver::Reference => "reference",
-        }
-    }
-}
-
 /// How the flow traverses the chip: one flat pass, or a hierarchical
 /// global-then-detailed split.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -141,9 +108,6 @@ pub struct FlowConfig {
     /// (the default) keeps converged paths; `Full` is the paper's
     /// Algorithm 1 verbatim, kept for ablation.
     pub ripup_policy: RipUpPolicy,
-    /// Escape-stage solver: the grid-native solver (default) or the
-    /// explicit-network reference.
-    pub escape_solver: EscapeSolver,
     /// Flight-recorder event-ring capacity (oldest events dropped on
     /// overflow). Only read when a recorder is installed.
     pub recorder_capacity: usize,
@@ -181,7 +145,6 @@ impl Default for FlowConfig {
             detour_node_budget: 200_000,
             thread_count: 1,
             ripup_policy: RipUpPolicy::default(),
-            escape_solver: EscapeSolver::default(),
             recorder_capacity: pacor_obs::RecorderConfig::default().capacity,
             recorder_cadence: pacor_obs::RecorderConfig::default().snapshot_cadence,
             routing_mode: RoutingMode::Flat,
@@ -211,12 +174,6 @@ impl FlowConfig {
     /// Sets the negotiation rip-up policy.
     pub fn with_ripup_policy(mut self, ripup_policy: RipUpPolicy) -> Self {
         self.ripup_policy = ripup_policy;
-        self
-    }
-
-    /// Sets the escape-stage solver.
-    pub fn with_escape_solver(mut self, escape_solver: EscapeSolver) -> Self {
-        self.escape_solver = escape_solver;
         self
     }
 
@@ -283,7 +240,6 @@ mod tests {
         assert_eq!(c.theta, 10);
         assert_eq!(c.thread_count, 1, "parallelism is opt-in");
         assert_eq!(c.ripup_policy, RipUpPolicy::Incremental);
-        assert_eq!(c.escape_solver, EscapeSolver::Incremental);
         assert_eq!(c.recorder_config(), pacor_obs::RecorderConfig::default());
         assert_eq!(c.routing_mode, RoutingMode::Flat, "hierarchy is opt-in");
         assert_eq!(c.gcell_size, 64);
@@ -323,25 +279,6 @@ mod tests {
                 .recorder_cadence,
             1,
             "cadence 0 would divide by zero; clamp to every round"
-        );
-    }
-
-    #[test]
-    fn escape_solver_parse() {
-        assert_eq!(
-            EscapeSolver::parse("incremental"),
-            Some(EscapeSolver::Incremental)
-        );
-        assert_eq!(
-            EscapeSolver::parse("reference"),
-            Some(EscapeSolver::Reference)
-        );
-        assert_eq!(EscapeSolver::parse("Reference"), None);
-        assert_eq!(
-            FlowConfig::default()
-                .with_escape_solver(EscapeSolver::Reference)
-                .escape_solver,
-            EscapeSolver::Reference
         );
     }
 

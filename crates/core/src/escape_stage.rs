@@ -21,9 +21,9 @@
 
 use crate::lm_routing::reroute_lm_cluster;
 use crate::mst_routing::route_mst_cluster;
-use crate::{EscapeSolver, FlowConfig, RoutedCluster, RoutedKind};
-use pacor_flow::{EscapeNetwork, EscapeOutcome, EscapeSource, GridEscape};
-use pacor_grid::{ObsMap, Point};
+use crate::{FlowConfig, RoutedCluster, RoutedKind};
+use pacor_flow::{EscapeOutcome, EscapeSource, GridEscape};
+use pacor_grid::{GridPath, ObsMap, Point};
 use pacor_valves::{Cluster, ClusterId};
 use std::collections::{HashMap, HashSet, VecDeque};
 
@@ -38,53 +38,6 @@ pub struct EscapeStats {
     pub ripped: usize,
 }
 
-/// The min-cost-flow solver behind every escape round. Each round is
-/// one cold solve over the current obstacle map; both solvers route
-/// identical escapes.
-enum Solver {
-    /// The grid-native solver, reusing its scratch across rounds.
-    Grid(Box<GridEscape>),
-    /// Explicit network build plus the generic min-cost-flow solver.
-    Reference,
-}
-
-/// `(build, solve)` span names of a round solve and of a freed-corridor
-/// solo solve. Only the reference solver has a build step to span.
-const ROUND_SPANS: [&str; 2] = ["escape.net_build", "escape.net_solve"];
-const SOLO_SPANS: [&str; 2] = ["escape.solo_build", "escape.solo_solve"];
-
-impl Solver {
-    fn new(kind: EscapeSolver) -> Self {
-        match kind {
-            EscapeSolver::Incremental => Solver::Grid(Box::default()),
-            EscapeSolver::Reference => Solver::Reference,
-        }
-    }
-
-    fn solve(
-        &mut self,
-        obs: &ObsMap,
-        sources: &[EscapeSource],
-        pins: &[Point],
-        [build_span, solve_span]: [&'static str; 2],
-    ) -> EscapeOutcome {
-        match self {
-            Solver::Grid(grid) => {
-                let _s = pacor_obs::span(solve_span);
-                grid.solve(obs, sources, pins)
-            }
-            Solver::Reference => {
-                let net = {
-                    let _b = pacor_obs::span(build_span);
-                    EscapeNetwork::build(obs, sources, pins)
-                };
-                let _s = pacor_obs::span(solve_span);
-                net.solve()
-            }
-        }
-    }
-}
-
 /// Valves whose cluster currently holds an escape — escape progress in
 /// the objective's units (cluster counts change as de-clustering splits
 /// clusters).
@@ -94,6 +47,63 @@ fn valves_escaped(routed: &[RoutedCluster]) -> u64 {
         .filter(|rc| rc.escape.is_some())
         .map(|rc| rc.cluster.len() as u64)
         .sum()
+}
+
+/// One cold min-cost-flow solve over the current obstacle map, inside
+/// the span `name`.
+fn solve(
+    solver: &mut GridEscape,
+    obs: &ObsMap,
+    sources: &[EscapeSource],
+    pins: &[Point],
+    name: &'static str,
+) -> EscapeOutcome {
+    let _s = pacor_obs::span(name);
+    solver.solve(obs, sources, pins)
+}
+
+/// Records an escape route and blocks its cells. Cell 0 lies on the
+/// cluster net, which is already blocked.
+fn commit(obs: &mut ObsMap, rc: &mut RoutedCluster, (path, pin): (GridPath, Point)) {
+    obs.block_all(path.cells().iter().skip(1).copied());
+    rc.commit_escape(path, pin);
+}
+
+/// Takes every committed escape back and frees its cells past cell 0.
+fn rip_all_escapes(obs: &mut ObsMap, routed: &mut [RoutedCluster]) {
+    for rc in routed.iter_mut() {
+        if let Some((esc, _)) = rc.escape.take() {
+            obs.unblock_all(esc.cells().iter().skip(1).copied());
+        }
+    }
+}
+
+/// Dissolves a multi-valve cluster into singletons, appended to `routed`
+/// with fresh ids from `next_id`; its valve cells stay blocked.
+/// `free_nets` unblocks its internal nets. A rip-up victim passes
+/// `false`: its nets were freed at rip time, and victims re-routed
+/// since may hold those cells.
+fn decluster(
+    obs: &mut ObsMap,
+    routed: &mut Vec<RoutedCluster>,
+    rc: RoutedCluster,
+    free_nets: bool,
+    next_id: &mut u32,
+    stats: &mut EscapeStats,
+) {
+    stats.declustered += 1;
+    pacor_obs::counter_add("escape.declustered", 1);
+    pacor_obs::flight(|| pacor_obs::FlightEvent::Declustered {
+        cluster: rc.cluster.id().0,
+    });
+    if free_nets {
+        obs.unblock_all(rc.net_cells());
+    }
+    for (&m, &pos) in rc.cluster.members().iter().zip(&rc.member_positions) {
+        obs.block(pos);
+        routed.push(singleton(ClusterId(*next_id), m, pos));
+        *next_id += 1;
+    }
 }
 
 /// Connects every routed cluster to a control pin; see the module docs
@@ -108,7 +118,7 @@ pub fn escape_all(
     config: &FlowConfig,
     next_id: &mut u32,
 ) -> EscapeStats {
-    let mut solver = Solver::new(config.escape_solver);
+    let mut solver = GridEscape::new();
     let mut stats = EscapeStats::default();
     // Anti-thrash: how often each cluster id has been ripped. A cluster
     // ripped three times becomes off-limits to further rip-up — two nets
@@ -124,22 +134,14 @@ pub fn escape_all(
     for _ in 0..config.max_ripup_rounds {
         stats.rounds += 1;
         pacor_obs::counter_add("escape.rounds", 1);
-        for rc in routed.iter_mut() {
-            if let Some((esc, _)) = rc.escape.take() {
-                // Escape cell 0 lies on the cluster net and stays blocked.
-                obs.unblock_all(esc.cells().iter().skip(1).copied());
-            }
-        }
+        rip_all_escapes(obs, routed);
         let n_sources = routed.len();
         let sources: Vec<_> = routed.iter().map(|rc| rc.escape_source()).collect();
-        let outcome = solver.solve(obs, &sources, pins, ROUND_SPANS);
+        let outcome = solve(&mut solver, obs, &sources, pins, "escape.net_solve");
         let mut failed: Vec<usize> = Vec::new();
         for (i, route) in outcome.routes.into_iter().enumerate() {
             match route {
-                Some((path, pin)) => {
-                    obs.block_all(path.cells().iter().skip(1).copied());
-                    routed[i].commit_escape(path, pin);
-                }
+                Some(route) => commit(obs, &mut routed[i], route),
                 None => failed.push(i),
             }
         }
@@ -174,19 +176,8 @@ pub fn escape_all(
         for &i in failed.iter().rev() {
             if routed[i].cluster.len() >= 2 {
                 any_multi = true;
-                stats.declustered += 1;
-                pacor_obs::counter_add("escape.declustered", 1);
                 let rc = routed.remove(i);
-                pacor_obs::flight(|| pacor_obs::FlightEvent::Declustered {
-                    cluster: rc.cluster.id().0,
-                });
-                obs.unblock_all(rc.net_cells());
-                for (k, &m) in rc.cluster.members().iter().enumerate() {
-                    let pos = rc.member_positions[k];
-                    obs.block(pos);
-                    routed.push(singleton(ClusterId(*next_id), m, pos));
-                    *next_id += 1;
-                }
+                decluster(obs, routed, rc, true, next_id, &mut stats);
             }
         }
         if !any_multi {
@@ -211,15 +202,12 @@ pub fn escape_all(
         stats.rounds += 1;
         pacor_obs::counter_add("escape.rounds", 1);
         let sources: Vec<_> = pending.iter().map(|&i| routed[i].escape_source()).collect();
-        let outcome = solver.solve(obs, &sources, pins, ROUND_SPANS);
+        let outcome = solve(&mut solver, obs, &sources, pins, "escape.net_solve");
         let mut failed: Vec<usize> = Vec::new();
         for (k, route) in outcome.routes.into_iter().enumerate() {
             let i = pending[k];
             match route {
-                Some((path, pin)) => {
-                    obs.block_all(path.cells().iter().skip(1).copied());
-                    routed[i].commit_escape(path, pin);
-                }
+                Some(route) => commit(obs, &mut routed[i], route),
                 None => failed.push(i),
             }
         }
@@ -248,19 +236,8 @@ pub fn escape_all(
             });
             if routed[i].cluster.len() >= 2 {
                 progress = true;
-                stats.declustered += 1;
-                pacor_obs::counter_add("escape.declustered", 1);
                 let rc = routed.remove(i);
-                pacor_obs::flight(|| pacor_obs::FlightEvent::Declustered {
-                    cluster: rc.cluster.id().0,
-                });
-                obs.unblock_all(rc.net_cells());
-                for (k, &m) in rc.cluster.members().iter().enumerate() {
-                    let pos = rc.member_positions[k];
-                    obs.block(pos);
-                    routed.push(singleton(ClusterId(*next_id), m, pos));
-                    *next_id += 1;
-                }
+                decluster(obs, routed, rc, true, next_id, &mut stats);
             } else {
                 singles_failed.push(routed[i].member_positions[0]);
             }
@@ -324,10 +301,10 @@ pub fn escape_all(
                 }
                 cur = find(routed).expect("failed singleton still present");
                 // Claim the freed corridor before the victims re-route.
-                let solo = solver.solve(obs, &[routed[cur].escape_source()], pins, SOLO_SPANS);
-                if let Some(Some((path, pin))) = solo.routes.into_iter().next() {
-                    obs.block_all(path.cells().iter().skip(1).copied());
-                    routed[cur].commit_escape(path, pin);
+                let sources = [routed[cur].escape_source()];
+                let solo = solve(&mut solver, obs, &sources, pins, "escape.solo_solve");
+                if let Some(Some(route)) = solo.routes.into_iter().next() {
+                    commit(obs, &mut routed[cur], route);
                     break;
                 }
                 pacor_obs::instant("escape.solo_failed", &[("shell", shell as u64)]);
@@ -348,8 +325,7 @@ pub fn escape_all(
             // in the next pending-only iteration. Victims that cannot
             // re-route are de-clustered.
             for rc in victims {
-                let members = rc.cluster.members().to_vec();
-                let positions = rc.member_positions.clone();
+                let positions = &rc.member_positions;
                 let rerouted = match &rc.kind {
                     RoutedKind::Singleton => {
                         obs.block(positions[0]);
@@ -359,31 +335,20 @@ pub fn escape_all(
                         })
                     }
                     RoutedKind::Mst { .. } => {
-                        let demoted = Cluster::new(rc.cluster.id(), members.clone(), false);
-                        route_mst_cluster(obs, &demoted, &positions)
+                        let members = rc.cluster.members().to_vec();
+                        let demoted = Cluster::new(rc.cluster.id(), members, false);
+                        route_mst_cluster(obs, &demoted, positions)
                     }
                     RoutedKind::LmPair { .. } | RoutedKind::LmTree { .. } => {
                         reroute_lm_cluster(obs, rc.cluster.clone(), positions.clone(), config)
                     }
                 };
                 match rerouted {
-                    Some(new_rc) => {
-                        let mut new_rc = new_rc;
+                    Some(mut new_rc) => {
                         new_rc.escape = None;
                         routed.push(new_rc);
                     }
-                    None => {
-                        stats.declustered += 1;
-                        pacor_obs::counter_add("escape.declustered", 1);
-                        pacor_obs::flight(|| pacor_obs::FlightEvent::Declustered {
-                            cluster: rc.cluster.id().0,
-                        });
-                        for (k, &m) in members.iter().enumerate() {
-                            obs.block(positions[k]);
-                            routed.push(singleton(ClusterId(*next_id), m, positions[k]));
-                            *next_id += 1;
-                        }
-                    }
+                    None => decluster(obs, routed, rc, false, next_id, &mut stats),
                 }
             }
             obs.unblock_all(guards);
@@ -415,14 +380,10 @@ pub fn escape_all(
     // everything physically reachable past valves and hard obstacles.
     let _phase_span = pacor_obs::span("escape.phase3");
     for _ in 0..routed.len() + 4 {
-        for rc in routed.iter_mut() {
-            if let Some((esc, _)) = rc.escape.take() {
-                obs.unblock_all(esc.cells().iter().skip(1).copied());
-            }
-        }
+        rip_all_escapes(obs, routed);
         let n_sources = routed.len();
         let sources: Vec<_> = routed.iter().map(|rc| rc.escape_source()).collect();
-        let outcome = solver.solve(obs, &sources, pins, ROUND_SPANS);
+        let outcome = solve(&mut solver, obs, &sources, pins, "escape.net_solve");
         let valves_routed: u64 = outcome
             .routes
             .iter()
@@ -467,19 +428,8 @@ pub fn escape_all(
                         continue;
                     }
                     progress = true;
-                    stats.declustered += 1;
-                    pacor_obs::counter_add("escape.declustered", 1);
                     let rc = routed.remove(b);
-                    pacor_obs::flight(|| pacor_obs::FlightEvent::Declustered {
-                        cluster: rc.cluster.id().0,
-                    });
-                    obs.unblock_all(rc.net_cells());
-                    for (k, &m) in rc.cluster.members().iter().enumerate() {
-                        let pos = rc.member_positions[k];
-                        obs.block(pos);
-                        routed.push(singleton(ClusterId(*next_id), m, pos));
-                        *next_id += 1;
-                    }
+                    decluster(obs, routed, rc, true, next_id, &mut stats);
                 }
             }
         }
@@ -497,9 +447,8 @@ pub fn escape_all(
         }
         // Complete, or no wall left to dissolve: commit and finish.
         for (i, route) in outcome.routes.into_iter().enumerate() {
-            if let Some((path, pin)) = route {
-                obs.block_all(path.cells().iter().skip(1).copied());
-                routed[i].commit_escape(path, pin);
+            if let Some(route) = route {
+                commit(obs, &mut routed[i], route);
             }
         }
         return stats;

@@ -22,9 +22,12 @@
 //!   prohibitive cost `β` realizes the `−β·(Σx)` objective term: the
 //!   solver maximizes the number of truly routed sources first and total
 //!   channel length second (Theorem 1 behaviour).
+//!
+//! [`GridEscape`](crate::GridEscape) solves this network without
+//! building it; only the tests' optimality certificate builds it
+//! explicitly.
 
-use crate::{EdgeId, MinCostFlow};
-use pacor_grid::{GridPath, ObsMap, Point};
+use pacor_grid::{GridPath, Point};
 use serde::{Deserialize, Serialize};
 
 /// What a source represents, per Section 5 of the paper.
@@ -73,7 +76,7 @@ impl EscapeSource {
     }
 }
 
-/// Result of solving an [`EscapeNetwork`].
+/// Result of one escape solve ([`GridEscape::solve`](crate::GridEscape::solve)).
 #[derive(Debug, Clone)]
 pub struct EscapeOutcome {
     /// Per source (input order): the escape path (from exit cell to pin,
@@ -139,266 +142,22 @@ pub(crate) fn walk_route(
     (GridPath::new(cells).expect("flow walk is connected"), pin)
 }
 
-/// Grid-to-flow-network construction for escape routing, solved by the
-/// generic [`MinCostFlow`]. This is the reference the grid-native
-/// [`GridEscape`](crate::GridEscape) must reproduce route for route.
-#[derive(Debug)]
-pub struct EscapeNetwork {
-    mcf: MinCostFlow,
-    super_source: usize,
-    super_sink: usize,
-    n_sources: usize,
-    /// Grid width, for cell-index ↔ point conversion during extraction.
-    width: usize,
-    /// Total grid cells (`width * height`).
-    n_cells: usize,
-    /// The overflow cost: augmentations reaching this true path cost are
-    /// pure overflow (no grid arcs), so the solve bails out instead.
-    beta: i64,
-    /// Per source: (exit cell, edge source-node → out(cell)).
-    exit_edges: Vec<Vec<(Point, EdgeId)>>,
-    /// Per source: overflow edge id.
-    overflow_edges: Vec<EdgeId>,
-    /// Per source: direct source → sink edge when an exit cell is itself a
-    /// pin (zero-length escape).
-    direct_pin_edges: Vec<Vec<(Point, EdgeId)>>,
-    /// Movement arcs: from cell, to cell, edge.
-    move_edges: Vec<(Point, Point, EdgeId)>,
-    /// Pin drain arcs: pin cell, edge out(pin) → sink.
-    pin_edges: Vec<(Point, EdgeId)>,
-}
-
-impl EscapeNetwork {
-    /// Builds the network.
-    ///
-    /// `obs` must already have every routed cluster path and every
-    /// permanent obstacle blocked. `pins` are the candidate control pin
-    /// cells; pins blocked in `obs` or off the map are skipped. Cells in
-    /// `sources` may (and normally do) appear blocked in `obs` — they are
-    /// exit points, not transit cells.
-    pub fn build(obs: &ObsMap, sources: &[EscapeSource], pins: &[Point]) -> Self {
-        let (w, h) = (obs.width() as i32, obs.height() as i32);
-        let n_cells = (w * h) as usize;
-
-        // Node ids: in(cell) = 2*cell_idx, out(cell) = 2*cell_idx + 1,
-        // then one node per source, then super source / sink.
-        let cell_idx = |p: Point| (p.y * w + p.x) as usize;
-
-        // Cells eligible for transit: in bounds, unblocked, and — for
-        // boundary cells — a candidate pin (constraint (8), Gb).
-        // Precomputed as flat per-cell masks: the build queries each cell
-        // up to five times (own pass + four neighbors).
-        let mut pin_mask = vec![false; n_cells];
-        for &p in pins {
-            if p.x >= 0 && p.y >= 0 && p.x < w && p.y < h {
-                pin_mask[cell_idx(p)] = true;
-            }
-        }
-        let is_boundary = |p: Point| p.x == 0 || p.y == 0 || p.x == w - 1 || p.y == h - 1;
-        let mut transit = vec![false; n_cells];
-        for y in 0..h {
-            for x in 0..w {
-                let p = Point::new(x, y);
-                transit[cell_idx(p)] =
-                    !obs.is_blocked(p) && (!is_boundary(p) || pin_mask[cell_idx(p)]);
-            }
-        }
-        // In-bounds points only — callers bounds-check first.
-        let transit_ok = |p: Point| transit[cell_idx(p)];
-        let pin_set = |p: Point| pin_mask[cell_idx(p)];
-        let n_sources = sources.len();
-        let super_source = 2 * n_cells + n_sources;
-        let super_sink = super_source + 1;
-        let mut mcf = MinCostFlow::new(2 * n_cells + n_sources + 2);
-
-        // Split arcs + movement arcs.
-        let mut move_edges = Vec::new();
-        for y in 0..h {
-            for x in 0..w {
-                let p = Point::new(x, y);
-                if !transit_ok(p) {
-                    continue;
-                }
-                let ci = cell_idx(p);
-                mcf.add_edge(2 * ci, 2 * ci + 1, 1, 0);
-                for q in p.neighbors4() {
-                    if q.x >= 0 && q.y >= 0 && q.x < w && q.y < h && transit_ok(q) {
-                        let e = mcf.add_edge(2 * ci + 1, 2 * cell_idx(q), 1, 1);
-                        move_edges.push((p, q, e));
-                    }
-                }
-            }
-        }
-
-        // Pins drain to the super sink (unit capacity: one cluster per pin).
-        let mut pin_edges = Vec::new();
-        for &p in pins {
-            if p.x < 0 || p.y < 0 || p.x >= w || p.y >= h || obs.is_blocked(p) {
-                continue;
-            }
-            let e = mcf.add_edge(2 * cell_idx(p) + 1, super_sink, 1, 0);
-            pin_edges.push((p, e));
-        }
-
-        let (tier, beta) = costs(n_cells, sources);
-        let mut exit_edges = Vec::new();
-        let mut overflow_edges = Vec::new();
-        let mut direct_pin_edges = Vec::new();
-        for (si, src) in sources.iter().enumerate() {
-            let s_node = 2 * n_cells + si;
-            mcf.add_edge(super_source, s_node, 1, 0);
-            let mut exits = Vec::new();
-            let mut directs = Vec::new();
-            for (k, &c) in src.cells.iter().enumerate() {
-                if c.x < 0 || c.y < 0 || c.x >= w || c.y >= h {
-                    continue;
-                }
-                if pin_set(c) && !obs.is_blocked(c) {
-                    // The source already sits on a usable pin.
-                    let e = mcf.add_edge(s_node, super_sink, 1, src.tap_cost(k) * tier);
-                    directs.push((c, e));
-                    continue;
-                }
-                // Exit into the cell's out-node: flow originates on the
-                // routed path but transit through it stays impossible.
-                let ci = cell_idx(c);
-                let e = mcf.add_edge(s_node, 2 * ci + 1, 1, src.tap_cost(k) * tier);
-                exits.push((c, e));
-                // Blocked exit cells (routed cluster paths) were skipped by
-                // the transit pass above; give their out-node movement arcs
-                // so the escape can actually leave the path.
-                if !transit_ok(c) {
-                    for q in c.neighbors4() {
-                        if q.x >= 0 && q.y >= 0 && q.x < w && q.y < h && transit_ok(q) {
-                            let e = mcf.add_edge(2 * ci + 1, 2 * cell_idx(q), 1, 1);
-                            move_edges.push((c, q, e));
-                        }
-                    }
-                }
-            }
-            overflow_edges.push(mcf.add_edge(s_node, super_sink, 1, beta));
-            exit_edges.push(exits);
-            direct_pin_edges.push(directs);
-        }
-
-        Self {
-            mcf,
-            super_source,
-            super_sink,
-            n_sources,
-            width: w as usize,
-            n_cells,
-            beta,
-            exit_edges,
-            overflow_edges,
-            direct_pin_edges,
-            move_edges,
-            pin_edges,
-        }
-    }
-
-    /// Solves the flow and extracts per-source escape paths.
-    ///
-    /// The flow solve bails out once the cheapest augmenting path costs
-    /// `β`: the only paths at that price are pure source → sink overflow
-    /// arcs (every real route is strictly cheaper by construction), and
-    /// SSP path costs never decrease, so each source left without flow
-    /// would have overflowed anyway — it is reported unrouted exactly as
-    /// if its overflow arc had been saturated.
-    pub fn solve(mut self) -> EscapeOutcome {
-        let want = self.n_sources as i64;
-        let result = self
-            .mcf
-            .solve_until(self.super_source, self.super_sink, want, self.beta);
-
-        let w = self.width;
-        let idx = |p: Point| p.y as usize * w + p.x as usize;
-
-        // Adjacency of saturated movement arcs, and the set of pins used,
-        // as flat per-cell arrays (`u32::MAX` = no outgoing flow).
-        let mut next_of = vec![u32::MAX; self.n_cells];
-        for &(from, to, e) in &self.move_edges {
-            if self.mcf.edge_flow(e) > 0 {
-                next_of[idx(from)] = idx(to) as u32;
-            }
-        }
-        let mut pin_at = vec![false; self.n_cells];
-        for &(p, e) in &self.pin_edges {
-            if self.mcf.edge_flow(e) > 0 {
-                pin_at[idx(p)] = true;
-            }
-        }
-
-        let mut routes = Vec::with_capacity(self.n_sources);
-        let mut total_length = 0u64;
-        let mut routed = 0usize;
-        let mut overflowed = 0usize;
-        for si in 0..self.n_sources {
-            if self.mcf.edge_flow(self.overflow_edges[si]) > 0 {
-                overflowed += 1;
-                routes.push(None);
-                continue;
-            }
-            // Zero-length direct pin?
-            if let Some(&(pin, _)) = self.direct_pin_edges[si]
-                .iter()
-                .find(|(_, e)| self.mcf.edge_flow(*e) > 0)
-            {
-                routes.push(Some((GridPath::singleton(pin), pin)));
-                routed += 1;
-                continue;
-            }
-            // Walk the unit flow from the chosen exit cell to a pin.
-            let Some(exit) = self.exit_edges[si]
-                .iter()
-                .find(|(_, e)| self.mcf.edge_flow(*e) > 0)
-                .map(|(c, _)| *c)
-            else {
-                // No flow at all: the source was cut off by the β
-                // bail-out. Unrouted, same as a saturated overflow arc.
-                routes.push(None);
-                continue;
-            };
-            let route = walk_route(
-                exit,
-                w,
-                |c| (next_of[c] != u32::MAX).then_some(next_of[c] as usize),
-                |c| pin_at[c],
-            );
-            total_length += route.0.len();
-            routed += 1;
-            routes.push(Some(route));
-        }
-        debug_assert_eq!(
-            result.flow,
-            (routed + overflowed) as i64,
-            "every flow unit ends at a pin, a direct pin, or an overflow arc"
-        );
-
-        EscapeOutcome {
-            routes,
-            total_length,
-            routed,
-        }
-    }
-}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::certificate::certify;
     use crate::GridEscape;
-    use pacor_grid::Grid;
+    use pacor_grid::{Grid, ObsMap};
 
     fn open_map(w: u32, h: u32) -> ObsMap {
         ObsMap::new(&Grid::new(w, h).unwrap())
     }
 
-    /// Solves with the reference network and the grid solver, asserting
-    /// identical routes.
+    /// Solves with the grid solver and certifies the outcome optimal.
     fn solve(obs: &ObsMap, sources: &[EscapeSource], pins: &[Point]) -> EscapeOutcome {
-        let reference = EscapeNetwork::build(obs, sources, pins).solve();
-        let grid = GridEscape::new().solve(obs, sources, pins);
-        assert_eq!(shape(&reference), shape(&grid), "grid solve diverged");
-        reference
+        let out = GridEscape::new().solve(obs, sources, pins);
+        certify(obs, sources, pins, &out).unwrap_or_else(|e| panic!("not optimal: {e}"));
+        out
     }
 
     #[test]
@@ -600,19 +359,6 @@ mod tests {
         assert_eq!(out.completion_rate(), 1.0);
     }
 
-    /// Comparable form of an outcome: per-source (cells, pin) or None.
-    #[allow(clippy::type_complexity)]
-    fn shape(out: &EscapeOutcome) -> (Vec<Option<(Vec<Point>, Point)>>, u64, usize) {
-        (
-            out.routes
-                .iter()
-                .map(|r| r.as_ref().map(|(p, pin)| (p.cells().to_vec(), *pin)))
-                .collect(),
-            out.total_length,
-            out.routed,
-        )
-    }
-
     fn lcg(state: &mut u64) -> u64 {
         *state = state
             .wrapping_mul(6364136223846793005)
@@ -713,8 +459,7 @@ mod tests {
         (obs, sources, pins)
     }
 
-    /// Two sources offering the same cell interleave the reference's
-    /// movement arcs per source — outside the grid solver's contract.
+    /// Two sources offering the same cell.
     fn sources_share_a_cell(sources: &[EscapeSource]) -> bool {
         let mut seen: Vec<Point> = Vec::new();
         for src in sources {
@@ -729,26 +474,21 @@ mod tests {
         false
     }
 
+    const SCENARIOS: u64 = 300;
+
     #[test]
-    fn grid_solver_matches_reference_on_random_scenarios() {
-        // Covered features, counted per compared scenario.
-        let (mut compared, mut no_pins, mut contested, mut direct, mut blocked_pin_exit) =
-            (0, 0, 0, 0, 0);
+    fn grid_solver_is_certified_optimal_on_random_scenarios() {
+        // Covered features, counted per scenario.
+        let (mut no_pins, mut contested, mut direct, mut blocked_pin_exit) = (0, 0, 0, 0);
         let (mut repeated_cell, mut tiered, mut free_exit, mut unrouted) = (0, 0, 0, 0);
+        let mut shared_cell = 0;
         let mut solver = GridEscape::new();
-        for seed in 0..300u64 {
+        for seed in 0..SCENARIOS {
             let (obs, sources, pins) = random_scenario(seed * 7 + 1);
-            if sources_share_a_cell(&sources) {
-                continue;
+            let out = solver.solve(&obs, &sources, &pins);
+            if let Err(e) = certify(&obs, &sources, &pins, &out) {
+                panic!("seed {seed}: grid solve not optimal: {e}");
             }
-            let reference = EscapeNetwork::build(&obs, &sources, &pins).solve();
-            let grid = solver.solve(&obs, &sources, &pins);
-            assert_eq!(
-                shape(&reference),
-                shape(&grid),
-                "seed {seed}: grid solve diverged"
-            );
-            compared += 1;
             no_pins += pins.is_empty() as usize;
             contested += (pins.len() == 1 && sources.len() >= 2) as usize;
             let on_pin = |c: &Point| pins.contains(c);
@@ -769,9 +509,9 @@ mod tests {
                 .iter()
                 .any(|s| s.cells.iter().any(|c| !on_pin(c) && !obs.is_blocked(*c)))
                 as usize;
-            unrouted += (reference.routed < sources.len()) as usize;
+            unrouted += (out.routed < sources.len()) as usize;
+            shared_cell += sources_share_a_cell(&sources) as usize;
         }
-        assert!(compared >= 200, "only {compared} scenarios compared");
         for (feature, hits) in [
             ("no pins", no_pins),
             ("one contested pin", contested),
@@ -781,8 +521,85 @@ mod tests {
             ("tap tiers", tiered),
             ("free exit cell", free_exit),
             ("unrouted source", unrouted),
+            ("cell shared by two sources", shared_cell),
         ] {
             assert!(hits >= 5, "{feature}: only {hits} scenarios");
         }
+    }
+
+    /// Dropping any routed source's route frees a path cheaper than its
+    /// overflow arc, so the certificate must reject the outcome.
+    #[test]
+    fn certificate_rejects_a_dropped_route() {
+        let mut solver = GridEscape::new();
+        let mut mutated = 0;
+        for seed in 0..SCENARIOS {
+            let (obs, sources, pins) = random_scenario(seed * 7 + 1);
+            let mut out = solver.solve(&obs, &sources, &pins);
+            let Some(i) = out.routes.iter().position(Option::is_some) else {
+                continue;
+            };
+            let (path, _) = out.routes[i].take().unwrap();
+            out.routed -= 1;
+            out.total_length -= path.len();
+            let err = certify(&obs, &sources, &pins, &out)
+                .expect_err(&format!("seed {seed}: dropping source {i} went unnoticed"));
+            assert!(err.contains("negative-cost cycle"), "seed {seed}: {err}");
+            mutated += 1;
+        }
+        assert!(mutated >= 200, "only {mutated} scenarios route a source");
+    }
+
+    /// A one-source outcome routed along `cells`, in place of the
+    /// solver's.
+    fn routed_along(cells: impl IntoIterator<Item = (i32, i32)>) -> EscapeOutcome {
+        let cells = cells.into_iter().map(|(x, y)| Point::new(x, y)).collect();
+        let path = GridPath::new(cells).unwrap();
+        EscapeOutcome {
+            total_length: path.len(),
+            routes: vec![Some((path.clone(), path.target()))],
+            routed: 1,
+        }
+    }
+
+    #[test]
+    fn certificate_rejects_a_longer_detour() {
+        let obs = open_map(9, 9);
+        let sources = [EscapeSource::at(SourceKind::SingleValve, Point::new(4, 4))];
+        let pins = [Point::new(0, 4)];
+        assert_eq!(solve(&obs, &sources, &pins).total_length, 4);
+        // Six steps via row 5, where four along row 4 suffice.
+        let detour = routed_along([(4, 4), (4, 5), (3, 5), (2, 5), (1, 5), (1, 4), (0, 4)]);
+        let err = certify(&obs, &sources, &pins, &detour).unwrap_err();
+        assert!(err.contains("negative-cost cycle"), "{err}");
+    }
+
+    #[test]
+    fn certificate_rejects_a_route_through_a_blocked_cell() {
+        let mut grid = Grid::new(9, 9).unwrap();
+        grid.set_obstacle(Point::new(2, 4));
+        let obs = ObsMap::new(&grid);
+        let sources = [EscapeSource::at(SourceKind::SingleValve, Point::new(4, 4))];
+        let pins = [Point::new(0, 4)];
+        solve(&obs, &sources, &pins);
+        let straight = routed_along((0..=4).rev().map(|x| (x, 4)));
+        let err = certify(&obs, &sources, &pins, &straight).unwrap_err();
+        assert!(err.contains("no free arc"), "{err}");
+    }
+
+    #[test]
+    fn certificate_rejects_a_costed_tap_beside_an_equal_free_tap() {
+        // `tap_costs_steer_the_exit_choice`, with the costed tap taken.
+        let obs = open_map(9, 9);
+        let sources = [EscapeSource {
+            kind: SourceKind::PathMidpoint,
+            cells: vec![Point::new(4, 3), Point::new(4, 5)],
+            tap_costs: vec![10, 0],
+        }];
+        let pins = [Point::new(0, 3), Point::new(0, 5)];
+        solve(&obs, &sources, &pins);
+        let costed = routed_along((0..=4).rev().map(|x| (x, 3)));
+        let err = certify(&obs, &sources, &pins, &costed).unwrap_err();
+        assert!(err.contains("negative-cost cycle"), "{err}");
     }
 }

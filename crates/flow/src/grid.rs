@@ -1,34 +1,29 @@
 //! The grid-native cold escape solver.
 //!
-//! [`GridEscape`] solves the node-split network of
-//! [`EscapeNetwork::build`](crate::EscapeNetwork::build) without
-//! materializing it. The cell part of the network is implicit: per cell
-//! one flag word holds the transit and neighbour bits, the movement and
-//! pin-drain capacities, and the unit-flow bits of the split arc, the
-//! four movement arcs in each direction, and the pin drain; neighbours
-//! are found by index arithmetic. Only each source's feed, exit,
-//! direct-pin and overflow arcs are explicit. Every call solves cold —
-//! zero flow, zero potentials — by the same exact-order
-//! successive-shortest-path loop as [`MinCostFlow`](crate::MinCostFlow),
-//! so it returns exactly the reference's routes:
+//! [`GridEscape`] solves the node-split network of the escape
+//! formulation (module docs of `escape.rs`) without materializing it.
+//! The cell part of the network is implicit: per cell one flag word
+//! holds the transit and neighbour bits, the movement and pin-drain
+//! capacities, and the unit-flow bits of the split arc, the four
+//! movement arcs in each direction, and the pin drain; neighbours are
+//! found by index arithmetic. Only each source's feed, exit, direct-pin
+//! and overflow arcs are explicit. Every call solves cold — zero flow,
+//! zero potentials — by successive shortest paths with Dijkstra and
+//! Johnson potentials. Which of several optimal flows comes out is
+//! fixed by these rules, and the golden snapshots pin the routes they
+//! give:
 //!
 //! * **Node order.** `in(c) = 2c` and `out(c) = 2c + 1` over row-major
 //!   cells, then one node per source in input order, then the super
 //!   source and the sink. The queue pops ascending `(distance, node)`.
-//! * **Arc order** matters only between parallel arcs (strict
-//!   improvement keeps the first of equal offers). The only parallel
-//!   arcs that are not interchangeable are a source's: they are tried in
-//!   its cell-list order with the overflow arc last, as the reference
-//!   adds them. Parallel copies of a movement or drain arc (a cell
-//!   listed twice) are one arc of capacity ≥ 2 here: every such arc
-//!   carries at most one unit, because the node it enters passes at
-//!   most one.
+//! * **Arc order.** Strict improvement keeps the first of equal offers,
+//!   so among parallel arcs the first one tried wins: a source's arcs
+//!   are tried in its cell-list order with the overflow arc last.
+//!   Parallel copies of a movement or drain arc (a cell listed twice)
+//!   are one arc of capacity ≥ 2: every such arc carries at most one
+//!   unit, because the node it enters passes at most one.
 //! * **Costs.** One tap tier is the chip's cell count + 1; β dominates
-//!   every tier a source can stack (shared with the reference).
-//!
-//! Two sources that list the same cell make the reference's movement
-//! arcs interleave per source; that case is outside the equivalence
-//! contract (verify-clean flows never produce it).
+//!   every tier a source can stack (`costs` in `escape.rs`).
 
 use crate::escape::{costs, walk_route, EscapeOutcome, EscapeSource};
 use crate::queue::{assert_potential_drift, LevelQueue, NodeState};
@@ -120,7 +115,8 @@ impl GridEscape {
     }
 
     /// Routes `sources` to `pins` over `obs` and extracts the per-source
-    /// paths — exactly `EscapeNetwork::build(obs, sources, pins).solve()`.
+    /// paths: a min-cost flow, so the most sources routed, then the least
+    /// channel length plus tap tiers.
     pub fn solve(
         &mut self,
         obs: &ObsMap,
@@ -239,10 +235,11 @@ impl GridEscape {
         beta
     }
 
-    /// The SSP loop of `MinCostFlow::solve_until` on the implicit
-    /// network: augments up to `want` unit paths, stopping early when the
-    /// sink is unreachable or the next path costs `β` (pure overflow).
-    /// Returns the units routed.
+    /// The successive-shortest-path loop on the implicit network:
+    /// augments up to `want` unit paths, stopping early when the sink is
+    /// unreachable or the next path costs `β`. Every real route is
+    /// cheaper than β and path costs never decrease, so each source left
+    /// without flow would only have overflowed. Returns the units routed.
     fn augment(&mut self, want: i64, beta: i64) -> i64 {
         let n2 = 2 * self.cells.len();
         let ns = self.feed.len();
@@ -282,8 +279,12 @@ impl GridEscape {
                                 self.node[v].dist = nd;
                                 self.prev[v] = $code;
                                 if nd == d && v == t {
-                                    // Tight relaxation into the sink settles
-                                    // it (see `MinCostFlow::augment`).
+                                    // Tight relaxation into the sink: no
+                                    // later settle can improve it or (by
+                                    // strict improvement) reassign its
+                                    // parent, and the remaining plateau
+                                    // settles shift every potential by
+                                    // zero, so settle it here.
                                     break 'search;
                                 }
                                 if nd == d && $next {
@@ -457,8 +458,8 @@ impl GridEscape {
         let w = self.width;
         let point_of = |c: usize| Point::new((c % w) as i32, (c / w) as i32);
         // A cell can pass two units only when an unblocked exit cell also
-        // carries transit flow; like the reference, the walk then takes
-        // the last movement arc in `neighbors4` order.
+        // carries transit flow; the walk then takes the last movement arc
+        // in `neighbors4` order.
         let next_of = |c: usize| {
             let m = (self.cells[c] >> OUT) & 0xF;
             (m != 0).then(|| {

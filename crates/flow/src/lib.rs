@@ -1,4 +1,4 @@
-//! Minimum-cost flow and the PACOR escape-routing network.
+//! The PACOR escape-routing network and its grid-native solver.
 //!
 //! Section 5 of the paper formulates escape routing — connecting the
 //! already-routed clusters to boundary control pins — as a minimum cost
@@ -10,38 +10,36 @@
 //! constraint matrix is an (integral) network matrix, so the LP optimum is
 //! attained at an integral point and the substitution is exact.
 //!
-//! * [`GridEscape`] — the escape solver the flow runs: the node-split
-//!   network realizing constraints (6)–(12) of the paper, kept implicit
-//!   in per-cell flag words and solved cold, plus flow-to-path
-//!   extraction;
-//! * [`EscapeNetwork`] — the same network built explicitly for the
-//!   general [`MinCostFlow`] solver, kept as the reference that
-//!   [`GridEscape`] must reproduce route for route.
+//! [`GridEscape`] solves the node-split network realizing constraints
+//! (6)–(12) of the paper, kept implicit in per-cell flag words and
+//! solved cold, and extracts one path per routed source. Its tests
+//! check every outcome against the min-cost-flow optimality conditions
+//! on an explicitly rebuilt network.
 //!
 //! # Examples
 //!
 //! ```
-//! use pacor_flow::MinCostFlow;
+//! use pacor_flow::{EscapeSource, GridEscape, SourceKind};
+//! use pacor_grid::{Grid, ObsMap, Point};
 //!
-//! let mut mcf = MinCostFlow::new(4);
-//! let s = 0; let t = 3;
-//! mcf.add_edge(s, 1, 1, 1);
-//! mcf.add_edge(s, 2, 1, 2);
-//! mcf.add_edge(1, t, 1, 1);
-//! mcf.add_edge(2, t, 1, 2);
-//! let result = mcf.solve(s, t, 2);
-//! assert_eq!(result.flow, 2);
-//! assert_eq!(result.cost, 6); // 1+1 via node 1, 2+2 via node 2
+//! let obs = ObsMap::new(&Grid::new(9, 9).unwrap());
+//! let sources = [EscapeSource::at(SourceKind::SingleValve, Point::new(4, 4))];
+//! let pins = [Point::new(0, 4), Point::new(8, 8)];
+//! let out = GridEscape::new().solve(&obs, &sources, &pins);
+//! assert_eq!(out.routed, 1);
+//! let (path, pin) = out.routes[0].as_ref().unwrap();
+//! assert_eq!(*pin, Point::new(0, 4)); // the nearer pin
+//! assert_eq!(path.len(), 4);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+#[cfg(test)]
+mod certificate;
 mod escape;
 mod grid;
-mod mcf;
 mod queue;
 
-pub use escape::{EscapeNetwork, EscapeOutcome, EscapeSource, SourceKind};
+pub use escape::{EscapeOutcome, EscapeSource, SourceKind};
 pub use grid::GridEscape;
-pub use mcf::{EdgeId, FlowResult, MinCostFlow};

@@ -1,8 +1,7 @@
-//! The successive-shortest-path Dijkstra queue shared by
-//! [`MinCostFlow`](crate::MinCostFlow) and
+//! The successive-shortest-path Dijkstra queue of
 //! [`GridEscape`](crate::GridEscape).
 //!
-//! Both solvers push only on strict improvement, so the queue never
+//! The solver pushes only on strict improvement, so the queue never
 //! holds two live entries with equal `(distance, node)`; any structure
 //! that pops ascending `(distance, node)` therefore reproduces the
 //! binary-heap pop order exactly. Grid escape networks relax most arcs

@@ -1,116 +1,12 @@
-//! Property-based tests for the min-cost flow solver and the escape
-//! network.
+//! Property-based tests for the grid-native escape solver.
 
-use pacor_flow::{EscapeNetwork, EscapeSource, MinCostFlow, SourceKind};
+use pacor_flow::{EscapeSource, GridEscape, SourceKind};
 use pacor_grid::{Grid, ObsMap, Point};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
-/// Brute-force min cost for routing `want` units on a small network by
-/// enumerating per-edge flows (edges have capacity ≤ 2, few edges).
-#[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
-fn brute_force_min_cost(
-    n: usize,
-    edges: &[(usize, usize, i64, i64)],
-    s: usize,
-    t: usize,
-    want: i64,
-) -> Option<i64> {
-    // Enumerate flow values per edge: 0..=cap.
-    fn rec(
-        k: usize,
-        edges: &[(usize, usize, i64, i64)],
-        flows: &mut Vec<i64>,
-        n: usize,
-        s: usize,
-        t: usize,
-        want: i64,
-        best: &mut Option<i64>,
-    ) {
-        if k == edges.len() {
-            // Check conservation.
-            let mut net = vec![0i64; n];
-            let mut cost = 0i64;
-            for (i, &(u, v, _, c)) in edges.iter().enumerate() {
-                net[u] -= flows[i];
-                net[v] += flows[i];
-                cost += flows[i] * c;
-            }
-            for x in 0..n {
-                let expect = if x == s {
-                    -want
-                } else if x == t {
-                    want
-                } else {
-                    0
-                };
-                if net[x] != expect {
-                    return;
-                }
-            }
-            if best.map(|b| cost < b).unwrap_or(true) {
-                *best = Some(cost);
-            }
-            return;
-        }
-        for f in 0..=edges[k].2 {
-            flows.push(f);
-            rec(k + 1, edges, flows, n, s, t, want, best);
-            flows.pop();
-        }
-    }
-    let mut best = None;
-    rec(0, edges, &mut Vec::new(), n, s, t, want, &mut best);
-    best
-}
-
-fn arb_network() -> impl Strategy<Value = (usize, Vec<(usize, usize, i64, i64)>)> {
-    (3usize..6).prop_flat_map(|n| {
-        let edges = prop::collection::vec(
-            ((0..n), (0..n), 1i64..3, 0i64..6),
-            1..8,
-        );
-        edges.prop_map(move |es| {
-            let es: Vec<_> = es.into_iter().filter(|&(u, v, _, _)| u != v).collect();
-            (n, es)
-        })
-    })
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn ssp_matches_brute_force((n, edges) in arb_network()) {
-        let mut mcf = MinCostFlow::new(n);
-        for &(u, v, cap, cost) in &edges {
-            mcf.add_edge(u, v, cap, cost);
-        }
-        let (s, t) = (0, n - 1);
-        // Find the max feasible flow first (ask for a lot).
-        let r = mcf.solve(s, t, 100);
-        // Brute force the same flow value.
-        if r.flow <= 3 {
-            let brute = brute_force_min_cost(n, &edges, s, t, r.flow);
-            prop_assert_eq!(Some(r.cost), brute, "flow {}", r.flow);
-        }
-    }
-
-    #[test]
-    fn flow_monotone_in_request((n, edges) in arb_network()) {
-        let run = |want: i64| {
-            let mut mcf = MinCostFlow::new(n);
-            for &(u, v, cap, cost) in &edges {
-                mcf.add_edge(u, v, cap, cost);
-            }
-            mcf.solve(0, n - 1, want)
-        };
-        let r1 = run(1);
-        let r2 = run(2);
-        prop_assert!(r1.flow <= r2.flow);
-        prop_assert!(r1.cost <= r2.cost);
-        prop_assert!(r1.flow <= 1 && r2.flow <= 2);
-    }
 
     #[test]
     fn escape_paths_are_valid_and_disjoint(
@@ -134,7 +30,7 @@ proptest! {
             .map(|&s| EscapeSource::at(SourceKind::SingleValve, s))
             .collect();
         let pins: Vec<Point> = (1..15).step_by(2).map(|x| Point::new(x, 0)).collect();
-        let out = EscapeNetwork::build(&obs, &escape_sources, &pins).solve();
+        let out = GridEscape::new().solve(&obs, &escape_sources, &pins);
 
         let mut used: HashSet<Point> = HashSet::new();
         let mut pins_used: HashSet<Point> = HashSet::new();
@@ -168,12 +64,11 @@ proptest! {
         let s = Point::new(sx, sy);
         obs.block(s);
         let pins = vec![Point::new(0, 8)];
-        let out = EscapeNetwork::build(
+        let out = GridEscape::new().solve(
             &obs,
             &[EscapeSource::at(SourceKind::SingleValve, s)],
             &pins,
-        )
-        .solve();
+        );
         prop_assert_eq!(out.routed, 1);
         // And its length is the Manhattan distance (open grid optimality).
         let (path, _) = out.routes[0].as_ref().unwrap();

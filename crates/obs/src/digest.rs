@@ -6,7 +6,7 @@
 //! per-cluster LM slack), the deterministic counter totals and
 //! histogram quantiles, and — isolated in the single `wall` sub-object
 //! — everything wall-clock- or mode-dependent: the run's thread count
-//! and policy/solver/routing labels, end-to-end wall-clock, the work
+//! and policy/routing labels, end-to-end wall-clock, the work
 //! counters (see [`is_work_metric`]), and the full span tree with
 //! inclusive/exclusive time.
 //!
@@ -49,10 +49,9 @@ pub fn is_work_metric(name: &str) -> bool {
 /// What run a digest belongs to: the chip and the deterministic
 /// configuration fields. Two runs with equal fingerprints are expected
 /// to produce byte-identical deterministic sections — the equivalence
-/// axes (threads, rip-up policy, escape solver, routing mode) are
-/// deliberately **excluded** and recorded in `wall`
-/// instead, so a re-run at a different thread count still finds its
-/// baseline in the ledger.
+/// axes (threads, rip-up policy, routing mode) are deliberately
+/// **excluded** and recorded in `wall` instead, so a re-run at a
+/// different thread count still finds its baseline in the ledger.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Fingerprint {
     /// Chip/design name.
@@ -206,8 +205,6 @@ pub struct WallFacts {
     pub threads: u64,
     /// Rip-up policy label.
     pub policy: String,
-    /// Escape solver label.
-    pub escape_solver: String,
     /// Routing mode label.
     pub routing: String,
     /// End-to-end wall-clock, milliseconds.
@@ -466,8 +463,6 @@ impl RunDigest {
                 w.threads
             );
             crate::export::push_json_string(&mut out, &w.policy);
-            out.push_str(", \"escape_solver\": ");
-            crate::export::push_json_string(&mut out, &w.escape_solver);
             out.push_str(", \"routing\": ");
             crate::export::push_json_string(&mut out, &w.routing);
             let _ = write!(out, ", \"wall_ms\": {:.3}, \"work_counters\": {{", w.wall_ms);
@@ -596,7 +591,6 @@ impl RunDigest {
         let wall = WallFacts {
             threads: w.get("threads").and_then(Json::as_u64).ok_or("wall.threads")?,
             policy: ws("policy")?,
-            escape_solver: ws("escape_solver")?,
             routing: ws("routing")?,
             wall_ms: w.get("wall_ms").and_then(Json::as_f64).ok_or("wall.wall_ms")?,
             work_counters: parse_counter_map(
@@ -745,7 +739,6 @@ pub(crate) mod tests {
             wall: WallFacts {
                 threads: 4,
                 policy: "incremental".into(),
-                escape_solver: "incremental".into(),
                 routing: "flat".into(),
                 wall_ms: 12.345,
                 work_counters: vec![("astar.expansions".into(), 999)],
@@ -773,6 +766,22 @@ pub(crate) mod tests {
         for text in [d.to_json(), d.to_jsonl()] {
             let back = RunDigest::from_json(&text).expect("parses");
             assert_eq!(back, d, "round-trip drift in: {text}");
+        }
+    }
+
+    #[test]
+    fn digests_with_the_retired_escape_solver_label_still_parse() {
+        // Ledger lines written while the escape solver was selectable
+        // carry `wall.escape_solver` between `policy` and `routing`.
+        let d = sample_digest();
+        for text in [d.to_json(), d.to_jsonl()] {
+            let old = text.replacen(
+                ", \"routing\": ",
+                ", \"escape_solver\": \"incremental\", \"routing\": ",
+                1,
+            );
+            assert_ne!(old, text, "wall object has a routing label");
+            assert_eq!(RunDigest::from_json(&old).expect("parses"), d);
         }
     }
 

@@ -32,12 +32,6 @@
 //! * `--ripup-policy full|incremental` — what negotiation rips up between
 //!   failed rounds (default `incremental`; `full` is the paper's
 //!   Algorithm 1, kept for ablation).
-//! * `--escape-solver incremental|reference` — which solver drives the
-//!   escape stage (default `incremental`: the grid-native solver, which
-//!   keeps the node-split flow network implicit in per-cell flags;
-//!   `reference` builds the network explicitly for the generic
-//!   min-cost-flow solver — kept for ablation, routes the identical
-//!   result). Both solve every round cold.
 //! * `--routing-mode flat|hierarchical` — one detailed pass over the
 //!   whole chip (default `flat`), or the global-then-detailed split:
 //!   gcell corridor planning, region-parallel detailed routing over
@@ -74,10 +68,7 @@
 //! treated as file names.
 
 use pacor::route::RipUpPolicy;
-use pacor::{
-    BenchDesign, EscapeSolver, FlowConfig, FlowVariant, PacorFlow, Problem, RouteReport,
-    RoutingMode,
-};
+use pacor::{BenchDesign, FlowConfig, FlowVariant, PacorFlow, Problem, RouteReport, RoutingMode};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -88,7 +79,7 @@ fn main() {
         Some("table2") => cmd_table2(&args[1..]),
         _ => {
             eprintln!(
-                "usage: pacor synth <design> [seed]\n       pacor route [--threads N] [--trace-out FILE] [--metrics-out FILE] [--report-out FILE] [--digest-out FILE] [--ledger FILE] [--stream-out FILE|-] [--progress] [--watchdog BENCH.json] [--ripup-policy full|incremental] [--escape-solver incremental|reference] [--routing-mode flat|hierarchical] [--gcell-size N] [--quiet] <problem.json|design>\n       pacor render [--threads N] <problem.json|design>\n       pacor table2 [--full] [--threads N]"
+                "usage: pacor synth <design> [seed]\n       pacor route [--threads N] [--trace-out FILE] [--metrics-out FILE] [--report-out FILE] [--digest-out FILE] [--ledger FILE] [--stream-out FILE|-] [--progress] [--watchdog BENCH.json] [--ripup-policy full|incremental] [--routing-mode flat|hierarchical] [--gcell-size N] [--quiet] <problem.json|design>\n       pacor render [--threads N] <problem.json|design>\n       pacor table2 [--full] [--threads N]"
             );
             2
         }
@@ -122,7 +113,6 @@ struct Options {
     progress: bool,
     watchdog: Option<String>,
     ripup_policy: Option<RipUpPolicy>,
-    escape_solver: Option<EscapeSolver>,
     routing_mode: Option<RoutingMode>,
     gcell_size: Option<u32>,
     quiet: bool,
@@ -173,12 +163,6 @@ fn parse_options(args: &[String], allowed: &[&str]) -> Result<Options, String> {
                 let v = value()?;
                 opts.ripup_policy = Some(RipUpPolicy::parse(&v).ok_or_else(|| {
                     format!("--ripup-policy: expected full or incremental, got {v:?}")
-                })?);
-            }
-            "--escape-solver" => {
-                let v = value()?;
-                opts.escape_solver = Some(EscapeSolver::parse(&v).ok_or_else(|| {
-                    format!("--escape-solver: expected incremental or reference, got {v:?}")
                 })?);
             }
             "--routing-mode" => {
@@ -322,7 +306,6 @@ fn cmd_route(args: &[String]) -> i32 {
             "--progress",
             "--watchdog",
             "--ripup-policy",
-            "--escape-solver",
             "--routing-mode",
             "--gcell-size",
             "--quiet",
@@ -355,7 +338,6 @@ fn cmd_route(args: &[String]) -> i32 {
     let mut config = FlowConfig::default()
         .with_threads(opts.threads)
         .with_ripup_policy(opts.ripup_policy.unwrap_or_default())
-        .with_escape_solver(opts.escape_solver.unwrap_or_default())
         .with_routing_mode(opts.routing_mode.unwrap_or_default());
     if let Some(gcell) = opts.gcell_size {
         config = config.with_gcell_size(gcell);

@@ -1,9 +1,14 @@
 //! The paper's Table 2 designs at full scale: every route of Chip1,
 //! Chip2 and S1–S5 under the three variants must complete, keep the
 //! paper's shape claims, and reproduce EXPERIMENTS.md's "This
-//! reproduction" table, which is parsed from the file so the doc cannot
-//! drift from the code.
+//! reproduction" table. The ablation and seed-sweep tables are checked
+//! against the loops `tables ablation` and `tables sweep` print. Every
+//! table is parsed from the file, so the doc cannot drift from the code.
 
+use pacor_bench::{
+    lambda_ablation, negotiation_ablation, seed_sweep, SweepCell, ALPHAS, GAMMAS, LAMBDAS,
+    LAMBDA_DESIGNS, ROBUSTNESS_SEEDS, VARIANT_SWEEP_SEEDS,
+};
 use pacor_repro::pacor::{BenchDesign, FlowConfig, FlowVariant, PacorFlow, RouteReport};
 
 /// Design seed of the Table 2 runs (`pacor_bench::BENCH_SEED`).
@@ -15,17 +20,15 @@ fn route(design: BenchDesign, variant: FlowVariant) -> RouteReport {
         .expect("valid")
 }
 
-/// The `(design, variant label, matched clusters, total length)` cells of
-/// EXPERIMENTS.md's "This reproduction" table; the runtime after the
-/// second `/` of each cell is ignored.
-fn documented_table2() -> Vec<(String, String, usize, u64)> {
+/// The cells of the first table after `marker` in EXPERIMENTS.md, header
+/// row first; the `|---|` separator row is dropped.
+fn doc_table(marker: &str) -> Vec<Vec<String>> {
     let doc = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/EXPERIMENTS.md"))
         .expect("EXPERIMENTS.md exists");
-    let table = doc
-        .split("\nThis reproduction")
-        .nth(1)
-        .expect("EXPERIMENTS.md has a \"This reproduction\" table");
-    let mut rows = table
+    let (_, after) = doc
+        .split_once(marker)
+        .unwrap_or_else(|| panic!("EXPERIMENTS.md has a {marker:?} table"));
+    let mut rows: Vec<Vec<String>> = after
         .lines()
         .skip_while(|l| !l.starts_with('|'))
         .take_while(|l| l.starts_with('|'))
@@ -33,11 +36,22 @@ fn documented_table2() -> Vec<(String, String, usize, u64)> {
             l.trim_matches('|')
                 .split('|')
                 .map(|c| c.trim().to_string())
-                .collect::<Vec<_>>()
-        });
+                .collect()
+        })
+        .collect();
+    assert!(rows.len() > 2, "{marker:?}: no table rows");
+    rows.remove(1);
+    rows
+}
+
+/// The `(design, variant label, matched clusters, total length)` cells of
+/// EXPERIMENTS.md's "This reproduction" table; the runtime after the
+/// second `/` of each cell is ignored.
+fn documented_table2() -> Vec<(String, String, usize, u64)> {
+    let mut rows = doc_table("\nThis reproduction").into_iter();
     let header = rows.next().expect("table header");
     let mut cells = Vec::new();
-    for row in rows.skip(1) {
+    for row in rows {
         for (label, cell) in header.iter().zip(&row).skip(2) {
             let fields: Vec<&str> = cell.split('/').map(str::trim).collect();
             assert_eq!(
@@ -141,4 +155,106 @@ fn chip1_matched_clusters_satisfy_delta() {
             }
         }
     }
+}
+
+/// A `#Matched / total length` cell, as the ablation tables print it.
+fn matched_length(r: &RouteReport) -> String {
+    format!("{} / {}", r.matched_clusters, r.total_length)
+}
+
+#[test]
+fn ablations_match_experiments_md() {
+    // A1: one row per design, one column per λ.
+    let mut expected = vec![std::iter::once("Design".to_string())
+        .chain(LAMBDAS.map(|l| format!("λ = {l}")))
+        .collect::<Vec<_>>()];
+    for (design, runs) in LAMBDA_DESIGNS
+        .iter()
+        .zip(lambda_ablation().chunks(LAMBDAS.len()))
+    {
+        let mut row = vec![design.params().name.to_string()];
+        row.extend(runs.iter().map(|(_, r)| matched_length(r)));
+        expected.push(row);
+    }
+    assert_eq!(
+        doc_table("## A1"),
+        expected,
+        "A1 table vs `tables ablation`"
+    );
+
+    // A2: one row per γ, one column per α; every route completes.
+    let mut expected = vec![std::iter::once("γ \\ α".to_string())
+        .chain(ALPHAS.map(|a| a.to_string()))
+        .collect::<Vec<_>>()];
+    for (gamma, runs) in GAMMAS
+        .iter()
+        .zip(negotiation_ablation().chunks(ALPHAS.len()))
+    {
+        assert!(runs.iter().all(|(_, _, r)| r.completion_rate() == 1.0));
+        let mut row = vec![gamma.to_string()];
+        row.extend(runs.iter().map(|(_, _, r)| matched_length(r)));
+        expected.push(row);
+    }
+    assert_eq!(
+        doc_table("## A2"),
+        expected,
+        "A2 table vs `tables ablation`"
+    );
+}
+
+fn percent(completion: f64) -> String {
+    format!("{:.0} %", completion * 100.0)
+}
+
+#[test]
+fn seed_sweeps_match_experiments_md() {
+    let mut expected = vec![vec![
+        "Design".to_string(),
+        "Mean matched".into(),
+        "Min completion".into(),
+        "Mean length".into(),
+    ]];
+    for c in seed_sweep(&[FlowVariant::Pacor], ROBUSTNESS_SEEDS) {
+        expected.push(vec![
+            c.design.params().name.to_string(),
+            format!(
+                "{:.1} / {}",
+                c.matched as f64 / c.runs as f64,
+                c.design.params().multi_clusters
+            ),
+            percent(c.min_completion),
+            format!("{:.0}", c.total_length as f64 / c.runs as f64),
+        ]);
+    }
+    assert_eq!(
+        doc_table("Robustness of the single-seed numbers"),
+        expected,
+        "robustness table vs `tables sweep`"
+    );
+
+    let cells = seed_sweep(&FlowVariant::ALL, VARIANT_SWEEP_SEEDS);
+    let mut expected = vec![vec![
+        "Variant".to_string(),
+        "Matched".into(),
+        "Total length".into(),
+        "Min completion".into(),
+    ]];
+    for v in FlowVariant::ALL {
+        let of_v: Vec<&SweepCell> = cells.iter().filter(|c| c.variant == v).collect();
+        expected.push(vec![
+            v.label().to_string(),
+            format!(
+                "{} / {}",
+                of_v.iter().map(|c| c.matched).sum::<usize>(),
+                of_v.iter().map(|c| c.clusters()).sum::<usize>()
+            ),
+            of_v.iter().map(|c| c.total_length).sum::<u64>().to_string(),
+            percent(of_v.iter().map(|c| c.min_completion).fold(1.0, f64::min)),
+        ]);
+    }
+    assert_eq!(
+        doc_table("Variant sweep"),
+        expected,
+        "variant-sweep table vs `tables sweep`"
+    );
 }

@@ -4,8 +4,7 @@
 //! the length-matching guarantee on matched clusters.
 
 use pacor_repro::grid::Point;
-use pacor_repro::pacor::{EscapeSolver, FlowConfig, FlowVariant, PacorFlow, Problem};
-use pacor_repro::route::RipUpPolicy;
+use pacor_repro::pacor::{FlowConfig, FlowVariant, PacorFlow, Problem};
 use pacor_repro::valves::{ActivationSequence, ActivationStatus, Valve, ValveId};
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
@@ -126,32 +125,6 @@ proptest! {
                 if let Some(prev) = owner.insert(c, i) {
                     prop_assert_eq!(prev, i, "cell {} shared by two nets", c);
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn incremental_escape_matches_reference(problem in arb_problem()) {
-        // The grid-native escape solver must route the *identical*
-        // geometry as the explicit-network reference, across the
-        // de-cluster and rip-up sequences these dense random instances
-        // provoke, under either negotiation rip-up policy.
-        for policy in [RipUpPolicy::Incremental, RipUpPolicy::Full] {
-            let base = FlowConfig::default().with_ripup_policy(policy);
-            let (_, inc) = PacorFlow::new(base.with_escape_solver(EscapeSolver::Incremental))
-                .run_detailed(&problem)
-                .expect("valid problem");
-            let (_, reference) = PacorFlow::new(base.with_escape_solver(EscapeSolver::Reference))
-                .run_detailed(&problem)
-                .expect("valid problem");
-            prop_assert_eq!(inc.len(), reference.len());
-            for (a, b) in inc.iter().zip(reference.iter()) {
-                prop_assert_eq!(a.cluster.id(), b.cluster.id());
-                prop_assert_eq!(a.net_cells(), b.net_cells(), "net geometry diverged");
-                let esc = |rc: &pacor_repro::pacor::RoutedCluster| {
-                    rc.escape.as_ref().map(|(p, pin)| (p.cells().to_vec(), *pin))
-                };
-                prop_assert_eq!(esc(a), esc(b), "escape geometry diverged");
             }
         }
     }

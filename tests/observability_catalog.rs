@@ -4,10 +4,11 @@
 //! telemetry stream collecting, and assert that every counter,
 //! histogram, span, instant, recorder-event name, and telemetry event
 //! kind actually emitted appears in the catalog. Adding an emit site
-//! without cataloging it fails here. The Counters and Flight-recorder
-//! events tables are also checked the other way: each row must be
-//! emitted by the smoke flow or sit in [`NEVER_FIRES`], so a deleted
-//! emit site cannot leave a stale row behind.
+//! without cataloging it fails here. The Counters, Histograms, Spans,
+//! Instants and Flight-recorder events tables are also checked the
+//! other way: each row must be emitted by the smoke flow or sit in
+//! [`NEVER_FIRES`], so a deleted emit site cannot leave a stale row
+//! behind.
 
 use pacor_repro::pacor::obs::{self, TraceEvent};
 use pacor_repro::pacor::route::RipUpPolicy;
@@ -15,6 +16,7 @@ use pacor_repro::pacor::{
     self, synthesize_params, BenchDesign, DesignParams, FlowConfig, PacorFlow, RoutingMode,
 };
 use std::collections::BTreeSet;
+use std::sync::OnceLock;
 
 /// Dense enough that negotiation rips up and escape recovers, so the
 /// rarer emit sites (rip-up, de-clustering) all fire.
@@ -29,9 +31,9 @@ const DENSE: DesignParams = DesignParams {
     pairs_only: false,
 };
 
-/// Catalogued counters and flight-recorder events the smoke flow never
-/// emits, each with the reason it stays catalogued.
-const NEVER_FIRES: [(&str, &str); 3] = [
+/// Catalogued names the smoke flow never emits, each with the reason it
+/// stays catalogued.
+const NEVER_FIRES: [(&str, &str); 4] = [
     (
         "lm.reconstructed",
         "fires only when negotiation leaves an edge of a 3-6 valve LM tree \
@@ -48,6 +50,21 @@ const NEVER_FIRES: [(&str, &str); 3] = [
          selections need (crates/bench/tests/lm_congested_chip.rs pins a \
          route that hits it)",
     ),
+    (
+        "escape.solo_failed",
+        "fires only when a freed-corridor solo solve fails after its \
+         blockers are ripped; no smoke chip gets there",
+    ),
+];
+
+/// The catalog tables checked both ways, each with the fewest rows a
+/// correct parse can yield.
+const TWO_WAY_TABLES: [(&str, usize); 5] = [
+    ("Counters", 10),
+    ("Flight-recorder events", 10),
+    ("Spans", 10),
+    ("Instants", 3),
+    ("Histograms", 3),
 ];
 
 fn read_catalog() -> String {
@@ -72,9 +89,14 @@ fn table_names(catalog: &str, heading: &str) -> Vec<String> {
         .collect()
 }
 
-/// Runs the smoke flow and returns every counter, histogram, span,
-/// instant, flight-recorder event and telemetry event name it emits.
-fn smoke_flow_names() -> BTreeSet<String> {
+/// Every counter, histogram, span, instant, flight-recorder event and
+/// telemetry event name the smoke flow emits (run once per test binary).
+fn smoke_flow_names() -> &'static BTreeSet<String> {
+    static NAMES: OnceLock<BTreeSet<String>> = OnceLock::new();
+    NAMES.get_or_init(run_smoke_flow)
+}
+
+fn run_smoke_flow() -> BTreeSet<String> {
     let problem = synthesize_params(DENSE, 42);
 
     let session = obs::Session::begin();
@@ -165,17 +187,21 @@ fn every_emitted_name_is_catalogued() {
     );
 }
 
-#[test]
-fn every_catalogued_counter_and_flight_event_is_emitted() {
+/// Checks the named catalog tables the other way round: every row is
+/// emitted by the smoke flow or allowlisted in [`NEVER_FIRES`], and no
+/// allowlisted name fires.
+fn assert_rows_are_emitted(headings: &[&str]) {
     let names = smoke_flow_names();
     let catalog = read_catalog();
-    let mut rows = table_names(&catalog, "Counters");
-    let counter_rows = rows.len();
-    rows.extend(table_names(&catalog, "Flight-recorder events"));
-    assert!(
-        counter_rows > 10 && rows.len() > counter_rows + 10,
-        "catalog tables parsed too small: {rows:?}"
-    );
+    let mut rows = Vec::new();
+    for &(heading, min_rows) in TWO_WAY_TABLES.iter().filter(|(h, _)| headings.contains(h)) {
+        let table = table_names(&catalog, heading);
+        assert!(
+            table.len() >= min_rows,
+            "`## {heading}` table parsed too small: {table:?}"
+        );
+        rows.extend(table);
+    }
     let never: BTreeSet<&str> = NEVER_FIRES.iter().map(|&(name, _)| name).collect();
     let stale: Vec<&String> = rows
         .iter()
@@ -187,7 +213,9 @@ fn every_catalogued_counter_and_flight_event_is_emitted() {
     );
     for name in never {
         assert!(
-            rows.iter().any(|r| r == name),
+            TWO_WAY_TABLES
+                .iter()
+                .any(|&(heading, _)| table_names(&catalog, heading).iter().any(|r| r == name)),
             "{name} is allowlisted but not catalogued"
         );
         assert!(
@@ -195,6 +223,16 @@ fn every_catalogued_counter_and_flight_event_is_emitted() {
             "{name} now fires in the smoke flow; drop it from NEVER_FIRES"
         );
     }
+}
+
+#[test]
+fn every_catalogued_counter_and_flight_event_is_emitted() {
+    assert_rows_are_emitted(&["Counters", "Flight-recorder events"]);
+}
+
+#[test]
+fn every_catalogued_span_instant_and_histogram_is_emitted() {
+    assert_rows_are_emitted(&["Spans", "Instants", "Histograms"]);
 }
 
 /// Recursively collects every object key of a JSON value.
