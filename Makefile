@@ -2,7 +2,7 @@
 
 CARGO ?= cargo
 
-.PHONY: verify build test clippy bench tables obs-smoke stream-smoke bench-flow bench-smoke hier-smoke bench-check ledger-smoke golden profile
+.PHONY: verify build test clippy bench tables obs-smoke stream-smoke bench-flow bench-smoke bench-check ledger-smoke golden profile
 
 # The acceptance gate: release build, full test suite (which includes
 # the escape solver's min-cost-flow optimality certificate on 300
@@ -10,12 +10,11 @@ CARGO ?= cargo
 # EXPERIMENTS.md gate, tests/chips.rs), zero-warning lints, the golden
 # end-to-end snapshots (all chips, release mode), a smoke-run of the
 # observability exports, a smoke-run of the streaming telemetry, a
-# smoke-run of the end-to-end flow benchmark harness, a
-# flat-vs-hierarchical single-region equivalence check, a determinism
+# smoke-run of the end-to-end flow benchmark harness, a determinism
 # check of the B1 and B4 benchmark tiers against the committed
 # BENCH_flow.json baseline, and a smoke-run of the run-digest / ledger
 # / differ loop.
-verify: build test clippy golden obs-smoke stream-smoke bench-smoke hier-smoke bench-check ledger-smoke
+verify: build test clippy golden obs-smoke stream-smoke bench-smoke bench-check ledger-smoke
 
 build:
 	$(CARGO) build --release --workspace
@@ -45,19 +44,15 @@ bench-flow:
 # scheduler jitter). The same rule gates the escape_ms sub-stages
 # (net_solve — the round solves — / phase1-3), so an escape-internal
 # regression cannot hide inside a stage that still fits its overall
-# budget.
+# budget. Every fresh entry's stage times must also add up to its
+# wall-clock: more than 5% AND more than 1 ms of wall_ms outside every
+# stage fails.
 # Re-baseline with `make bench-flow` after an intentional routing or
 # performance change.
 #
-# The second run gates the large-chip tier: B4-dense256's flat /
-# hierarchical-serial / hierarchical-4-thread entries must match the
-# baseline on the same deterministic fields (hierarchical results are
-# thread-count invariant by design, so the fields hold on any host),
-# and on hosts with >= 4 CPUs the 4-thread region-parallel entry must
-# come in at >= 2x the hierarchical-serial wall-clock
-# (scaling_efficiency >= 2.0). Hosts that cannot parallelize (the
-# entry's own host_cpus says so) skip the scaling gate — every thread
-# count serializes there, so the ratio only measures noise.
+# The second run gates the large-chip tier: B4-dense256's one flat
+# incremental entry must match the baseline on the same deterministic
+# fields, route every valve and add up, with no per-stage budgets.
 #
 # The rules live in `tables regress` (crates/bench/src/bin/tables.rs),
 # which re-runs the chip's schedule in-process; pass `--current FILE`
@@ -74,8 +69,8 @@ bench-check:
 # trailing `wall` object (it is rendered last precisely so this is a
 # string-prefix check), the ledger must hold both runs, and `tables
 # compare` must find no verdicts. Then a genuinely perturbed config
-# (hierarchical routing with 8-cell tiles changes the routed result on
-# this chip) must make `tables compare` exit non-zero.
+# (the full rip-up policy changes the routed result on this chip) must
+# make `tables compare` exit non-zero.
 ledger-smoke:
 	rm -f target/ledger_smoke.jsonl
 	$(CARGO) run --release --bin pacor-cli -- route --quiet \
@@ -95,7 +90,7 @@ ledger-smoke:
 	$(CARGO) run --release -p pacor-bench --bin tables -- compare \
 		target/ledger_smoke_a.json target/ledger_smoke_b.json
 	$(CARGO) run --release --bin pacor-cli -- route --quiet \
-		--routing-mode hierarchical --gcell-size 8 \
+		--ripup-policy full \
 		--digest-out target/ledger_smoke_c.json B1-dense24
 	! $(CARGO) run --release -p pacor-bench --bin tables -- compare \
 		target/ledger_smoke_a.json target/ledger_smoke_c.json > target/ledger_smoke_diff.txt
@@ -106,23 +101,6 @@ ledger-smoke:
 bench-smoke:
 	$(CARGO) run --release -p pacor-bench --bin bench_flow -- --smoke --repeat 1 --out target/bench_flow_smoke.json
 	python3 -c "import json; r = json.load(open('target/bench_flow_smoke.json')); assert len(r['entries']) == 2, r; print('bench-smoke: harness produced', len(r['entries']), 'entries')"
-
-# A gcell larger than the chip degenerates the hierarchy to a single
-# region, and DESIGN.md §15 promises that case is *byte-identical* to
-# the flat flow — same stage pipeline, same report. Wall-clock fields
-# aside, any diff is a mode-dispatch bug.
-hier-smoke:
-	$(CARGO) run --release --bin pacor-cli -- route --routing-mode flat \
-		B0-smoke16 > target/hier_flat_report.json
-	$(CARGO) run --release --bin pacor-cli -- route --routing-mode hierarchical \
-		B0-smoke16 > target/hier_hier_report.json
-	python3 -c "\
-	import json; \
-	f = json.load(open('target/hier_flat_report.json')); \
-	h = json.load(open('target/hier_hier_report.json')); \
-	[d.pop(k) for d in (f, h) for k in ('runtime', 'metrics')]; \
-	assert f == h, 'flat and single-region hierarchical reports diverge'; \
-	print('hier-smoke: identical reports, completion', f['valves_routed'], '/', f['valves_total'])"
 
 # Golden end-to-end snapshots for every bench chip, including the
 # debug-`#[ignore]`d B3-dense96 (minutes in debug, seconds in release).

@@ -19,14 +19,8 @@
 //! counter totals.
 //!
 //! **Large chips** (width ≥ 256, i.e. the B4-dense256 tier and the
-//! opt-in `--huge` B5-dense512) run a reduced schedule — repeats capped
-//! at 2 and a three-entry routing comparison instead of one entry per
-//! policy: flat serial, hierarchical serial, and hierarchical with
-//! 4 region-parallel threads (see DESIGN.md §15). Every multi-thread
-//! entry gets a `scaling_efficiency` (serial wall / its wall) relative
-//! to the 1-thread entry with the same chip, policy and routing mode;
-//! entries that scale *backwards* on a host with more than one CPU are
-//! warned about on stderr.
+//! opt-in `--huge` B5-dense512) run a reduced schedule: one entry under
+//! the incremental policy, with repeats capped at 2.
 //!
 //! `--smoke` swaps the chip list for the single tiny
 //! [`pacor_bench::FLOW_SMOKE_CHIP`] so CI can exercise the harness
@@ -46,11 +40,10 @@
 //! JSONL, so bench runs accumulate history that `tables compare` can
 //! diff (see docs/OBSERVABILITY.md §"Run digests").
 
-use pacor::route::RipUpPolicy;
-use pacor::{DesignParams, RoutingMode};
+use pacor::DesignParams;
 use pacor_bench::{
-    collect_telemetry, fill_scaling_efficiency, run_flow_bench_with_digest, FlowBenchEntry,
-    FlowBenchReport, BENCH_SEED, FLOW_BENCH_CHIPS, FLOW_HUGE_CHIP, FLOW_SMOKE_CHIP, LARGE_WIDTH,
+    bench_policies, collect_telemetry, run_flow_bench_with_digest, FlowBenchEntry, FlowBenchReport,
+    BENCH_SEED, FLOW_BENCH_CHIPS, FLOW_HUGE_CHIP, FLOW_SMOKE_CHIP, LARGE_WIDTH,
 };
 
 fn main() {
@@ -109,72 +102,38 @@ fn main() {
     };
     let mut digests: Vec<pacor::obs::RunDigest> = Vec::new();
     for chip in chips {
-        let mut chip_entries: Vec<FlowBenchEntry> = Vec::new();
-        if chip.width >= LARGE_WIDTH {
-            // Large tier: routing-mode comparison at capped repeats.
-            let configs = [
-                (RoutingMode::Flat, 1usize),
-                (RoutingMode::Hierarchical, 1),
-                (RoutingMode::Hierarchical, 4),
-            ];
-            for (routing, threads) in configs {
-                let (entry, digest) = run_flow_bench_with_digest(
-                    chip,
-                    RipUpPolicy::Incremental,
-                    routing,
-                    threads,
-                    BENCH_SEED,
-                    repeat.min(2),
-                );
-                print_entry(&entry, String::new());
-                chip_entries.push(entry);
-                digests.push(digest);
-            }
+        let chip_repeat = if chip.width >= LARGE_WIDTH {
+            repeat.min(2)
         } else {
-            for policy in [RipUpPolicy::Full, RipUpPolicy::Incremental] {
-                // Counter totals come from the flow's own per-run obs
-                // session (carried in the report), so entries cannot
-                // bleed.
-                let (entry, digest) = run_flow_bench_with_digest(
-                    chip,
-                    policy,
-                    RoutingMode::Flat,
-                    1,
-                    BENCH_SEED,
-                    repeat,
+            repeat
+        };
+        for &policy in bench_policies(&chip) {
+            // Counter totals come from the flow's own per-run obs
+            // session (carried in the report), so entries cannot bleed.
+            let (entry, digest) =
+                run_flow_bench_with_digest(chip, policy, 1, BENCH_SEED, chip_repeat);
+            // Opt-in telemetry sanity: one extra untimed run with the
+            // deterministic stream installed; its round events must
+            // agree with the counters the timed runs report.
+            let events_col = if events {
+                let lines = collect_telemetry(chip, policy, 1, BENCH_SEED);
+                let round_events = lines
+                    .iter()
+                    .filter(|l| l.contains("\"kind\":\"round_progress\""))
+                    .count() as u64;
+                assert_eq!(
+                    round_events, entry.rounds,
+                    "{} {}: round_progress events diverge from negotiate.rounds",
+                    entry.chip, entry.policy
                 );
-                // Opt-in telemetry sanity: one extra untimed run with
-                // the deterministic stream installed; its round events
-                // must agree with the counters the timed runs report.
-                let events_col = if events {
-                    let lines = collect_telemetry(chip, policy, 1, BENCH_SEED);
-                    let round_events = lines
-                        .iter()
-                        .filter(|l| l.contains("\"kind\":\"round_progress\""))
-                        .count() as u64;
-                    assert_eq!(
-                        round_events, entry.rounds,
-                        "{} {}: round_progress events diverge from negotiate.rounds",
-                        entry.chip, entry.policy
-                    );
-                    format!("  events {:>5}", lines.len())
-                } else {
-                    String::new()
-                };
-                print_entry(&entry, events_col);
-                chip_entries.push(entry);
-                digests.push(digest);
-            }
+                format!("  events {:>5}", lines.len())
+            } else {
+                String::new()
+            };
+            print_entry(&entry, events_col);
+            report.entries.push(entry);
+            digests.push(digest);
         }
-        for (chip, policy, routing, threads, eff) in fill_scaling_efficiency(&mut chip_entries) {
-            eprintln!(
-                "bench_flow: WARNING: {chip} {policy} {routing} t={threads} ran {:.2}x the serial \
-                 wall-clock — parallel slower than serial on a {}-CPU host",
-                1.0 / eff,
-                pacor_bench::host_cpus(),
-            );
-        }
-        report.entries.extend(chip_entries);
     }
 
     let json = serde_json::to_string_pretty(&report).expect("reports serialize");
@@ -203,10 +162,9 @@ fn print_entry(entry: &FlowBenchEntry, events_col: String) {
     let s = &entry.stage_ms;
     let e = &entry.escape_ms;
     eprintln!(
-        "{:<12} {:<12} {:<13} t={} {:>9.1} ms  neg {:>8.1} ms  stages clu {:>6.1} lm {:>7.1} mst {:>6.1} esc {:>6.1} det {:>6.1}  esc[slv {:>6.1} p1 {:>6.1} p2 {:>5.1} p3 {:>5.1}]  rounds {:>4}  ripups {:>5}  complete {:>5.1}%{}",
+        "{:<12} {:<12} t={} {:>9.1} ms  neg {:>8.1} ms  stages clu {:>6.1} lm {:>7.1} mst {:>6.1} esc {:>6.1} det {:>6.1}  esc[slv {:>6.1} p1 {:>6.1} p2 {:>5.1} p3 {:>5.1}]  rounds {:>4}  ripups {:>5}  complete {:>5.1}%{}",
         entry.chip,
         entry.policy,
-        entry.routing,
         entry.threads,
         entry.wall_ms,
         entry.negotiate_ms,

@@ -33,16 +33,16 @@
 //! `make bench-check` gate: it re-runs one benchmark chip's schedule
 //! (or reads a prior `bench_flow` output via `--current FILE`) and
 //! checks it against the committed BENCH_flow.json baseline —
-//! deterministic-field equality for every entry, the 25%-and-25ms
+//! deterministic-field equality and stage attribution (Σ `stage_ms`
+//! within 5% or 1 ms of `wall_ms`) for every entry, the 25%-and-25ms
 //! stage and escape sub-stage budgets for small chips, and the
-//! completion / 4-thread-presence / scaling gates for chips at or
-//! above the large tier. Exits 1 on any failure.
+//! completion gate for chips at or above the large tier. Exits 1 on
+//! any failure.
 
-use pacor::route::RipUpPolicy;
-use pacor::{BenchDesign, FlowConfig, FlowVariant, RouteReport, RoutingMode};
+use pacor::{BenchDesign, FlowConfig, FlowVariant, RouteReport};
 use pacor_bench::{
-    fill_scaling_efficiency, lambda_ablation, metrics_header, metrics_row, negotiation_ablation,
-    run_config, run_flow_bench, run_variant, seed_sweep, table1_header, table1_row, FlowBenchEntry,
+    bench_policies, lambda_ablation, metrics_header, metrics_row, negotiation_ablation, run_config,
+    run_flow_bench, run_variant, seed_sweep, table1_header, table1_row, FlowBenchEntry,
     FlowBenchReport, StageMs, SweepCell, BENCH_SEED, FLOW_BENCH_CHIPS, FLOW_HUGE_CHIP, LAMBDAS,
     LARGE_WIDTH, ROBUSTNESS_SEEDS, VARIANT_SWEEP_SEEDS,
 };
@@ -158,13 +158,8 @@ const REGRESS_ESCAPE: [FieldOf<f64>; 4] = [
     ("escape.phase3", |e| e.escape_ms.phase3),
 ];
 
-fn entry_key(e: &FlowBenchEntry) -> (String, String, String, usize) {
-    (
-        e.chip.clone(),
-        e.policy.clone(),
-        e.routing.clone(),
-        e.threads,
-    )
+fn entry_key(e: &FlowBenchEntry) -> (String, String, usize) {
+    (e.chip.clone(), e.policy.clone(), e.threads)
 }
 
 /// Re-runs one chip's `bench_flow` schedule in-process at repeat 1 —
@@ -176,36 +171,10 @@ fn bench_chip_entries(chip_name: &str) -> Vec<FlowBenchEntry> {
         .find(|c| c.name == chip_name)
         .copied()
         .unwrap_or_else(|| die(&format!("regress: no benchmark chip named {chip_name:?}")));
-    let mut entries = Vec::new();
-    if chip.width >= LARGE_WIDTH {
-        for (routing, threads) in [
-            (RoutingMode::Flat, 1usize),
-            (RoutingMode::Hierarchical, 1),
-            (RoutingMode::Hierarchical, 4),
-        ] {
-            entries.push(run_flow_bench(
-                chip,
-                RipUpPolicy::Incremental,
-                routing,
-                threads,
-                BENCH_SEED,
-                1,
-            ));
-        }
-    } else {
-        for policy in [RipUpPolicy::Full, RipUpPolicy::Incremental] {
-            entries.push(run_flow_bench(
-                chip,
-                policy,
-                RoutingMode::Flat,
-                1,
-                BENCH_SEED,
-                1,
-            ));
-        }
-    }
-    fill_scaling_efficiency(&mut entries);
-    entries
+    bench_policies(&chip)
+        .iter()
+        .map(|&policy| run_flow_bench(chip, policy, 1, BENCH_SEED, 1))
+        .collect()
 }
 
 /// `regress BASELINE.json [--chip NAME] [--current FILE]` — the
@@ -213,18 +182,18 @@ fn bench_chip_entries(chip_name: &str) -> Vec<FlowBenchEntry> {
 /// in the Makefile's `bench-check` recipe. Same rules, same pass/fail:
 ///
 /// * every fresh entry of the chip must match its baseline entry
-///   (keyed by chip × policy × routing × threads) on the deterministic
-///   fields, including exact `completion_rate` equality, with matching
-///   entry counts — a `--current` file is filtered to the chip just
-///   like the baseline, so a full `bench_flow` output checks cleanly;
+///   (keyed by chip × policy × threads) on the deterministic fields,
+///   including exact `completion_rate` equality, with matching entry
+///   counts — a `--current` file is filtered to the chip just like the
+///   baseline, so a full `bench_flow` output checks cleanly;
+/// * every fresh entry's stage times must add up to its wall-clock:
+///   the unattributed `wall_ms − Σ stage_ms` fails when it is over 5%
+///   of `wall_ms` AND over 1 ms;
 /// * chips below [`LARGE_WIDTH`] get the per-stage and escape
 ///   sub-stage wall-clock budgets (fail when > 25% AND > 25 ms over
 ///   baseline — [`pacor::obs::timing_regressed`]);
-/// * chips at or above it get the large-tier gates instead: full
-///   completion everywhere, the 4-thread hierarchical entry must
-///   exist, and `scaling_efficiency >= 2.0` when that entry's own
-///   `host_cpus >= 4` (skipped, with a note, on hosts that cannot
-///   parallelize).
+/// * chips at or above it get the large-tier completion gate instead:
+///   every entry must route every valve.
 fn regress(args: &[String]) {
     let mut baseline_path: Option<&str> = None;
     let mut chip = "B1-dense24".to_string();
@@ -290,6 +259,22 @@ fn regress(args: &[String]) {
     }
     for e in &current {
         let key = entry_key(e);
+        let attributed: f64 = REGRESS_STAGES.iter().map(|(_, get)| get(e)).sum();
+        let gap = e.wall_ms - attributed;
+        if gap > 0.05 * e.wall_ms && gap > 1.0 {
+            failures.push(format!(
+                "attribution gap (>5% and >1ms of wall_ms outside every stage): {key:?}: \
+                 wall {:.1} ms - stages {attributed:.1} ms = {gap:.1} ms ({:.1}%)",
+                e.wall_ms,
+                100.0 * gap / e.wall_ms
+            ));
+        }
+        if e.width >= LARGE_WIDTH && e.completion_rate != 1.0 {
+            failures.push(format!(
+                "{chip} must fully route: {key:?} completed {:.1}%",
+                e.completion_rate * 100.0
+            ));
+        }
         let Some(base) = baseline.iter().find(|b| entry_key(b) == key) else {
             failures.push(format!("baseline has no entry for {key:?}"));
             continue;
@@ -323,61 +308,27 @@ fn regress(args: &[String]) {
             }
         }
     }
-    let large: Vec<&FlowBenchEntry> =
-        current.iter().filter(|e| e.width >= LARGE_WIDTH).collect();
-    let mut scaling_note = String::new();
-    if !large.is_empty() {
-        for e in &large {
-            if e.completion_rate != 1.0 {
-                failures.push(format!(
-                    "{chip} must fully route: {:?} completed {:.1}%",
-                    entry_key(e),
-                    e.completion_rate * 100.0
-                ));
-            }
-        }
-        let par = large
-            .iter()
-            .find(|e| e.routing == "hierarchical" && e.threads == 4);
-        match par {
-            None => failures.push(format!(
-                "{chip} tier is missing the 4-thread hierarchical entry"
-            )),
-            Some(e) if e.host_cpus >= 4 => {
-                if e.scaling_efficiency < 2.0 {
-                    failures.push(format!(
-                        "region-parallel speedup below 2x on a {}-CPU host: {:.2}x",
-                        e.host_cpus, e.scaling_efficiency
-                    ));
-                } else {
-                    scaling_note = format!("scaling gate passed ({:.2}x)", e.scaling_efficiency);
-                }
-            }
-            Some(e) => {
-                scaling_note = format!(
-                    "scaling gate skipped (host_cpus={} cannot parallelize)",
-                    e.host_cpus
-                );
-            }
-        }
-    }
     if !failures.is_empty() {
         for f in &failures {
             eprintln!("regress: FAIL: {f}");
         }
         fail(&format!("{} check(s) failed for {chip}", failures.len()));
     }
-    if large.is_empty() {
+    if current.iter().all(|e| e.width < LARGE_WIDTH) {
         println!(
             "regress: {} {chip} entries match the baseline on {} deterministic fields, \
-             {} stage budgets and {} escape sub-stage budgets",
+             {} stage budgets and {} escape sub-stage budgets; stage times add up",
             current.len(),
             REGRESS_FIELDS.len() + 1,
             REGRESS_STAGES.len(),
             REGRESS_ESCAPE.len()
         );
     } else {
-        println!("regress: {chip} tier matches the baseline; {scaling_note}");
+        println!(
+            "regress: {chip} tier matches the baseline on {} deterministic fields and \
+             completes; stage times add up",
+            REGRESS_FIELDS.len() + 1
+        );
     }
 }
 

@@ -15,7 +15,6 @@
 use pacor::route::RipUpPolicy;
 use pacor::{
     synthesize_params, BenchDesign, DesignParams, FlowConfig, FlowVariant, PacorFlow, RouteReport,
-    RoutingMode,
 };
 use serde::{Deserialize, Serialize};
 
@@ -23,11 +22,21 @@ use serde::{Deserialize, Serialize};
 pub const BENCH_SEED: u64 = 42;
 
 /// Chips at or above this width get the reduced large-chip benchmark
-/// schedule (routing-mode comparison at capped repeats instead of one
-/// entry per rip-up policy), and the large-tier rules in
-/// `tables regress` (completion + scaling gates instead of per-stage
-/// wall-clock budgets).
+/// schedule (one flat incremental entry at capped repeats instead of
+/// one entry per rip-up policy), and the large-tier rules in
+/// `tables regress` (a completion gate instead of per-stage wall-clock
+/// budgets).
 pub const LARGE_WIDTH: u32 = 256;
+
+/// The rip-up policies `bench_flow` measures a chip under: both below
+/// [`LARGE_WIDTH`], the default incremental policy alone at or above it.
+pub fn bench_policies(chip: &DesignParams) -> &'static [RipUpPolicy] {
+    if chip.width >= LARGE_WIDTH {
+        &[RipUpPolicy::Incremental]
+    } else {
+        &[RipUpPolicy::Full, RipUpPolicy::Incremental]
+    }
+}
 
 /// Runs one design under one variant and returns its report.
 ///
@@ -236,8 +245,8 @@ pub const LM_CONGESTED_CHIP: DesignParams = DesignParams {
     pairs_only: false,
 };
 
-/// One (chip × rip-up policy × routing mode × threads) measurement of
-/// the end-to-end flow.
+/// One (chip × rip-up policy × threads) measurement of the end-to-end
+/// flow.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FlowBenchEntry {
     /// Chip name (see [`FLOW_BENCH_CHIPS`]).
@@ -250,21 +259,12 @@ pub struct FlowBenchEntry {
     pub valves: u32,
     /// Rip-up policy label (`full` / `incremental`).
     pub policy: String,
-    /// Routing mode label (`flat` / `hierarchical`).
-    pub routing: String,
     /// Worker threads configured for the run.
     pub threads: usize,
-    /// CPUs the measuring host exposed. The scaling gate in
-    /// `make bench-check` only applies where the hardware can actually
-    /// parallelize — a 1-CPU container serializes every thread count.
+    /// CPUs the measuring host exposed, recorded as measurement context.
     pub host_cpus: usize,
     /// End-to-end wall-clock of the best repeat, in milliseconds.
     pub wall_ms: f64,
-    /// Serial-baseline wall-clock divided by this entry's: the speedup
-    /// earned by this entry's extra threads over the 1-thread entry with
-    /// the same chip, policy and routing mode (1.0 for that baseline
-    /// itself, and for entries with no baseline in the same run).
-    pub scaling_efficiency: f64,
     /// Wall-clock spent inside `negotiate` spans on the best-negotiate
     /// repeat, in milliseconds.
     pub negotiate_ms: f64,
@@ -390,42 +390,6 @@ pub fn host_cpus() -> usize {
         .unwrap_or(1)
 }
 
-/// Fills in `scaling_efficiency` across one run's entries: each
-/// multi-thread entry is related to the 1-thread entry sharing its chip,
-/// policy and routing mode. Returns the (chip, policy, routing, threads,
-/// efficiency) tuples of every entry that scaled *backwards* — parallel
-/// slower than serial — on a host that could have parallelized, so the
-/// caller can warn about them.
-pub fn fill_scaling_efficiency(
-    entries: &mut [FlowBenchEntry],
-) -> Vec<(String, String, String, usize, f64)> {
-    let serial_walls: Vec<(String, String, String, f64)> = entries
-        .iter()
-        .filter(|e| e.threads == 1)
-        .map(|e| (e.chip.clone(), e.policy.clone(), e.routing.clone(), e.wall_ms))
-        .collect();
-    let mut regressions = Vec::new();
-    for e in entries.iter_mut().filter(|e| e.threads > 1) {
-        let Some((_, _, _, serial)) = serial_walls
-            .iter()
-            .find(|(c, p, r, _)| *c == e.chip && *p == e.policy && *r == e.routing)
-        else {
-            continue;
-        };
-        e.scaling_efficiency = serial / e.wall_ms;
-        if e.scaling_efficiency < 1.0 && e.host_cpus > 1 {
-            regressions.push((
-                e.chip.clone(),
-                e.policy.clone(),
-                e.routing.clone(),
-                e.threads,
-                e.scaling_efficiency,
-            ));
-        }
-    }
-    regressions
-}
-
 /// Sums the durations of every span with the given name in an
 /// observability report, in milliseconds.
 fn span_ms_of(report: &pacor::obs::ObsReport, span: &str) -> f64 {
@@ -440,8 +404,8 @@ fn span_ms_of(report: &pacor::obs::ObsReport, span: &str) -> f64 {
         / 1e3
 }
 
-/// Runs the full flow on one synthesized chip under one rip-up policy,
-/// routing mode and thread count, `repeat` times, and reports the best
+/// Runs the full flow on one synthesized chip under one rip-up policy
+/// and thread count, `repeat` times, and reports the best
 /// wall-clock (end-to-end, and inside the `negotiate` spans) alongside
 /// the (repeat-invariant) counter totals. One untimed warm-up run
 /// precedes the timed repeats so first-touch costs (page faults,
@@ -455,12 +419,11 @@ fn span_ms_of(report: &pacor::obs::ObsReport, span: &str) -> f64 {
 pub fn run_flow_bench(
     params: DesignParams,
     policy: RipUpPolicy,
-    routing: RoutingMode,
     threads: usize,
     seed: u64,
     repeat: u32,
 ) -> FlowBenchEntry {
-    run_flow_bench_with_digest(params, policy, routing, threads, seed, repeat).0
+    run_flow_bench_with_digest(params, policy, threads, seed, repeat).0
 }
 
 /// [`run_flow_bench`], additionally returning the `pacor-rundigest-v1`
@@ -475,7 +438,6 @@ pub fn run_flow_bench(
 pub fn run_flow_bench_with_digest(
     params: DesignParams,
     policy: RipUpPolicy,
-    routing: RoutingMode,
     threads: usize,
     seed: u64,
     repeat: u32,
@@ -483,7 +445,6 @@ pub fn run_flow_bench_with_digest(
     let problem = synthesize_params(params, seed);
     let config = FlowConfig::default()
         .with_ripup_policy(policy)
-        .with_routing_mode(routing)
         .with_threads(threads);
     PacorFlow::new(config)
         .run(&problem)
@@ -512,11 +473,9 @@ pub fn run_flow_bench_with_digest(
                     height: params.height,
                     valves: params.valves,
                     policy: policy.label().to_string(),
-                    routing: routing.label().to_string(),
                     threads,
                     host_cpus: host_cpus(),
                     wall_ms,
-                    scaling_efficiency: 1.0,
                     negotiate_ms,
                     rounds: report.metrics.counter("negotiate.rounds"),
                     ripups: report.metrics.counter("negotiate.ripups"),

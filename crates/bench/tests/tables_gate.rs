@@ -177,6 +177,47 @@ fn regress_accepts_the_whole_committed_baseline_as_current() {
 }
 
 #[test]
+fn regress_fails_an_entry_whose_stages_do_not_add_up_to_its_wall_clock() {
+    let dir = work_dir();
+    let baseline = committed_baseline();
+    let text = std::fs::read_to_string(&baseline).unwrap();
+    let report: FlowBenchReport = serde_json::from_str(&text).unwrap();
+    let mut fixture = FlowBenchReport {
+        seed: report.seed,
+        repeat: 1,
+        entries: report
+            .entries
+            .into_iter()
+            .filter(|e| e.chip == "B3-dense96")
+            .collect(),
+    };
+    // 2 ms outside every stage on a ~200 ms run: over 1 ms but under
+    // 5% of wall_ms, so within the rule.
+    fixture.entries[0].wall_ms += 2.0;
+    // 30% of wall_ms outside every stage: past both thresholds.
+    fixture.entries[1].wall_ms *= 1.3;
+    let path = dir.join("regress_attribution.json");
+    std::fs::write(&path, serde_json::to_string_pretty(&fixture).unwrap()).unwrap();
+    let out = tables(&[
+        "regress",
+        baseline.to_str().unwrap(),
+        "--chip",
+        "B3-dense96",
+        "--current",
+        path.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("attribution gap"), "{err}");
+    assert!(err.contains("\"incremental\""), "{err}");
+    assert!(
+        !err.contains("\"full\""),
+        "a 2 ms gap under 5% of wall_ms must pass: {err}"
+    );
+    assert!(err.contains("1 check(s) failed"), "{err}");
+}
+
+#[test]
 fn regress_enforces_the_stage_budget_rule() {
     let dir = work_dir();
     let baseline = committed_baseline();

@@ -221,8 +221,7 @@ pub const FLOW_BENCH_CHIPS: [DesignParams; 4] = [
         multi_clusters: 88,
         pairs_only: false,
     },
-    // FPVA-scale tier (arXiv:1705.04996): large enough that the flat
-    // flow visibly struggles and the hierarchical split pays off, but
+    // FPVA-scale tier (arXiv:1705.04996): the largest default chip,
     // pin-rich enough to finish at 100% completion so the tier can
     // gate correctness (verify-clean routing) as well as speed.
     DesignParams {

@@ -45,39 +45,6 @@ impl FlowVariant {
     }
 }
 
-/// How the flow traverses the chip: one flat pass, or a hierarchical
-/// global-then-detailed split.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum RoutingMode {
-    /// One detailed pass over the whole chip (the paper's flow).
-    #[default]
-    Flat,
-    /// Coarsen the chip into capacity-tracked gcells, assign each
-    /// cluster a congestion-aware corridor, then run the detailed flow
-    /// per vertical region stripe — deterministically in parallel —
-    /// and stitch cross-region clusters in a final repair pass.
-    Hierarchical,
-}
-
-impl RoutingMode {
-    /// Parses a CLI-style name (`flat` / `hierarchical`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "flat" => Some(RoutingMode::Flat),
-            "hierarchical" => Some(RoutingMode::Hierarchical),
-            _ => None,
-        }
-    }
-
-    /// The CLI-facing name.
-    pub fn label(self) -> &'static str {
-        match self {
-            RoutingMode::Flat => "flat",
-            RoutingMode::Hierarchical => "hierarchical",
-        }
-    }
-}
-
 /// Tunable parameters of the flow, defaulting to the paper's values.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FlowConfig {
@@ -114,21 +81,6 @@ pub struct FlowConfig {
     /// Negotiation rounds between flight-recorder congestion snapshots
     /// (round 1 and final rounds are always captured).
     pub recorder_cadence: u32,
-    /// Flat single-pass routing (the default) or the hierarchical
-    /// global-then-detailed split for large chips.
-    pub routing_mode: RoutingMode,
-    /// Gcell tile side in grid cells for the hierarchical global stage.
-    /// A tile at least as large as the chip degenerates to one region
-    /// and reproduces the flat flow byte-for-byte.
-    pub gcell_size: u32,
-    /// Halo in grid cells added around each cluster's bounding box when
-    /// deciding whether it fits a single region stripe.
-    pub region_halo: u32,
-    /// The escape stage is running inside a hierarchical region/stitch
-    /// window: skip the last-resort phase — a pin-starved window would
-    /// churn through hopeless global rounds there; failures bubble up to
-    /// the whole-chip repair pass instead, which runs with this off.
-    pub escape_windowed: bool,
 }
 
 impl Default for FlowConfig {
@@ -147,10 +99,6 @@ impl Default for FlowConfig {
             ripup_policy: RipUpPolicy::default(),
             recorder_capacity: pacor_obs::RecorderConfig::default().capacity,
             recorder_cadence: pacor_obs::RecorderConfig::default().snapshot_cadence,
-            routing_mode: RoutingMode::Flat,
-            gcell_size: 64,
-            region_halo: 2,
-            escape_windowed: false,
         }
     }
 }
@@ -189,31 +137,6 @@ impl FlowConfig {
         self
     }
 
-    /// Sets the routing mode (flat or hierarchical).
-    pub fn with_routing_mode(mut self, routing_mode: RoutingMode) -> Self {
-        self.routing_mode = routing_mode;
-        self
-    }
-
-    /// Sets the gcell tile side for the hierarchical global stage
-    /// (0 is treated as 1).
-    pub fn with_gcell_size(mut self, gcell_size: u32) -> Self {
-        self.gcell_size = gcell_size.max(1);
-        self
-    }
-
-    /// Sets the region halo for the hierarchical partitioner.
-    pub fn with_region_halo(mut self, region_halo: u32) -> Self {
-        self.region_halo = region_halo;
-        self
-    }
-
-    /// Enables or disables the escape stage's last-resort phase.
-    pub fn with_escape_windowed(mut self, on: bool) -> Self {
-        self.escape_windowed = on;
-        self
-    }
-
     /// The [`pacor_obs::RecorderConfig`] these knobs describe, for
     /// callers that install a flight recorder around the flow.
     pub fn recorder_config(&self) -> pacor_obs::RecorderConfig {
@@ -241,29 +164,6 @@ mod tests {
         assert_eq!(c.thread_count, 1, "parallelism is opt-in");
         assert_eq!(c.ripup_policy, RipUpPolicy::Incremental);
         assert_eq!(c.recorder_config(), pacor_obs::RecorderConfig::default());
-        assert_eq!(c.routing_mode, RoutingMode::Flat, "hierarchy is opt-in");
-        assert_eq!(c.gcell_size, 64);
-        assert_eq!(c.region_halo, 2);
-        assert!(!c.escape_windowed, "flat escape always runs to the end");
-    }
-
-    #[test]
-    fn routing_mode_parse() {
-        assert_eq!(RoutingMode::parse("flat"), Some(RoutingMode::Flat));
-        assert_eq!(
-            RoutingMode::parse("hierarchical"),
-            Some(RoutingMode::Hierarchical)
-        );
-        assert_eq!(RoutingMode::parse("Hierarchical"), None);
-        assert_eq!(RoutingMode::Flat.label(), "flat");
-        assert_eq!(RoutingMode::Hierarchical.label(), "hierarchical");
-        let c = FlowConfig::default()
-            .with_routing_mode(RoutingMode::Hierarchical)
-            .with_gcell_size(0)
-            .with_region_halo(5);
-        assert_eq!(c.routing_mode, RoutingMode::Hierarchical);
-        assert_eq!(c.gcell_size, 1, "a zero tile would loop forever");
-        assert_eq!(c.region_halo, 5);
     }
 
     #[test]

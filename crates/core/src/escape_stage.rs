@@ -362,12 +362,6 @@ pub fn escape_all(
     if routed.iter().all(|rc| rc.escape.is_some()) {
         return stats; // phase 2's final round completed everything
     }
-    if config.escape_windowed {
-        // Windowed hierarchical runs stop here: a failure inside a
-        // pin-starved window is better retried by the whole-chip repair
-        // pass than by ripping the window's every escape.
-        return stats;
-    }
 
     // ---- Phase 3: last resort ------------------------------------------
     // Re-routing around the walls failed (wall-shaped nets *must* span

@@ -5,7 +5,7 @@ use crate::lm_routing::route_lm_clusters;
 use crate::mst_routing::route_ordinary_clusters;
 use crate::{
     detour_cluster, ClusterReport, FlowConfig, FlowError, FlowVariant, Problem, RouteReport,
-    RoutedCluster, RoutingMode,
+    RoutedCluster,
 };
 use pacor_grid::{GridLen, ObsMap, Point};
 use pacor_valves::Cluster;
@@ -123,28 +123,15 @@ impl PacorFlow {
             .collect();
 
         // ---- Stages 2–6: detailed routing -----------------------------
-        // Flat mode runs the pipeline once over the whole chip; the
-        // hierarchical mode plans corridors on a coarse gcell graph and
-        // runs the same pipeline per region stripe.
-        let (routed, escape_stats) = match self.config.routing_mode {
-            RoutingMode::Flat => run_stage_pipeline(
-                &mut obs,
-                paired,
-                &problem.pins,
-                problem.delta,
-                &self.config,
-                &mut next_cluster_id,
-                &mut timings,
-            ),
-            RoutingMode::Hierarchical => crate::hier::run_hierarchical(
-                &mut obs,
-                paired,
-                problem,
-                &self.config,
-                &mut next_cluster_id,
-                &mut timings,
-            ),
-        };
+        let (routed, escape_stats) = run_stage_pipeline(
+            &mut obs,
+            paired,
+            &problem.pins,
+            problem.delta,
+            &self.config,
+            &mut next_cluster_id,
+            &mut timings,
+        );
 
         // ---- Flight-recorder epilogue ---------------------------------
         // Per-cluster outcomes (in routed order, which is deterministic)
@@ -266,12 +253,7 @@ impl PacorFlow {
 /// variant's early detour, escape routing with rip-up/de-clustering,
 /// and final detouring — over `obs`, consuming `clusters` paired with
 /// their precomputed member positions.
-///
-/// This is the one detailed pipeline both routing modes execute: flat
-/// mode calls it once over the whole chip, hierarchical mode once per
-/// region stripe (against a windowed obstacle view) plus once per
-/// stitch group, so the two modes can never diverge in stage behavior.
-pub(crate) fn run_stage_pipeline(
+fn run_stage_pipeline(
     obs: &mut ObsMap,
     clusters: Vec<(Cluster, Vec<Point>)>,
     pins: &[Point],

@@ -44,7 +44,6 @@ mod digest;
 mod error;
 mod escape_stage;
 mod flow;
-mod hier;
 mod lm_routing;
 mod mst_routing;
 mod physics;
@@ -67,16 +66,16 @@ pub mod stages {
     pub use crate::mst_routing::{route_mst_cluster, route_ordinary_clusters};
 }
 
-pub use config::{FlowConfig, FlowVariant, RoutingMode};
+pub use config::{FlowConfig, FlowVariant};
 pub use detour::detour_cluster;
 pub use digest::{config_fingerprint, problem_hash, run_digest};
 pub use error::FlowError;
 pub use flow::PacorFlow;
 // The deterministic fan-out primitives live in `pacor-route`, below
 // every stage crate in the dependency graph; the flow stages (DME
-// candidates, MWCP pair scoring, hierarchical regions) are their only
-// users, and reach them through this re-export.
-pub use pacor_route::{effective_threads, parallel_map, parallel_map_with};
+// candidates, MWCP pair scoring) are their only users, and reach them
+// through this re-export.
+pub use pacor_route::{effective_threads, parallel_map};
 pub use physics::PropagationModel;
 pub use problem::{Problem, ProblemBuilder};
 pub use render::{render_ascii, render_svg};

@@ -29,7 +29,6 @@
 
 mod analysis;
 mod error;
-mod gcell;
 mod grid;
 mod obsmap;
 mod overlap;
@@ -40,7 +39,6 @@ mod rules;
 
 pub use analysis::{corridor_capacity, grid_components, Components};
 pub use error::GridError;
-pub use gcell::GcellGrid;
 pub use grid::{Cell, Grid};
 pub use obsmap::ObsMap;
 pub use overlap::{bbox_of_edge, olcost};

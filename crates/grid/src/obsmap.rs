@@ -7,7 +7,7 @@
 //! same mechanics, so the map records a journal of set bits that can be
 //! rolled back to a checkpoint in O(#changes).
 
-use crate::{Grid, Point, Rect};
+use crate::{Grid, Point};
 
 /// Journal entry for a cell whose transient block was removed again via
 /// [`ObsMap::unblock`] — skipped during rollback.
@@ -183,38 +183,6 @@ impl ObsMap {
     pub fn blocked_count(&self) -> usize {
         self.blocked.iter().filter(|b| **b).count()
     }
-
-    /// A region-windowed view for hierarchical detailed routing: a
-    /// fresh full-size map whose blocked state snapshots this map's
-    /// *current* state, with every cell outside `window` additionally
-    /// blocked. All inherited blocks (including this map's transient
-    /// ones) behave as permanent in the view — they cannot be
-    /// unblocked and survive [`ObsMap::reset`] — so a region router
-    /// can rip up only what it routed itself. The view starts with an
-    /// empty journal.
-    pub fn windowed(&self, window: Rect) -> ObsMap {
-        let mut blocked = self.blocked.clone();
-        let (w, h) = (self.width as i32, self.height as i32);
-        for y in 0..h {
-            let row = y as usize * self.width as usize;
-            if y < window.min().y || y > window.max().y {
-                blocked[row..row + self.width as usize].fill(true);
-            } else {
-                for x in 0..w {
-                    if x < window.min().x || x > window.max().x {
-                        blocked[row + x as usize] = true;
-                    }
-                }
-            }
-        }
-        ObsMap {
-            width: self.width,
-            height: self.height,
-            blocked,
-            journal: Vec::new(),
-            slot: vec![TOMBSTONE; self.slot.len()],
-        }
-    }
 }
 
 #[cfg(test)]
@@ -336,29 +304,6 @@ mod tests {
         obs.rollback(cp);
         assert!(!obs.is_blocked(Point::new(3, 3)));
         assert_eq!(obs.blocked_count(), 0);
-    }
-
-    #[test]
-    fn windowed_blocks_outside_and_freezes_inherited_state() {
-        let mut obs = ObsMap::new(&grid_with_obstacle());
-        obs.block(Point::new(2, 2)); // transient in the parent
-        let view = obs.windowed(Rect::from_corners(Point::new(1, 1), Point::new(3, 3)));
-        // Outside the window: blocked, even where the parent was free.
-        assert!(view.is_blocked(Point::new(4, 4)));
-        assert!(view.is_blocked(Point::new(0, 2)));
-        // Inside: parent state carried over.
-        assert!(view.is_blocked(Point::new(2, 2)));
-        assert!(!view.is_blocked(Point::new(1, 1)));
-        // Inherited blocks are permanent in the view...
-        let mut view = view;
-        view.unblock(Point::new(2, 2));
-        assert!(view.is_blocked(Point::new(2, 2)));
-        view.block(Point::new(1, 1));
-        view.reset();
-        assert!(!view.is_blocked(Point::new(1, 1)));
-        assert!(view.is_blocked(Point::new(4, 4)), "window frame survives reset");
-        // ...and the parent is untouched throughout.
-        assert!(!obs.is_blocked(Point::new(4, 4)));
     }
 
     #[test]

@@ -349,7 +349,6 @@ pub fn diff_runs(base: &RunDigest, new: &RunDigest) -> RunDiff {
     for (label, b, n) in [
         ("threads", base.wall.threads.to_string(), new.wall.threads.to_string()),
         ("policy", base.wall.policy.clone(), new.wall.policy.clone()),
-        ("routing", base.wall.routing.clone(), new.wall.routing.clone()),
     ] {
         if b != n {
             wall.push(DiffEntry::info(format!("wall.{label}"), b, n));

@@ -6,9 +6,9 @@
 //! per-cluster LM slack), the deterministic counter totals and
 //! histogram quantiles, and — isolated in the single `wall` sub-object
 //! — everything wall-clock- or mode-dependent: the run's thread count
-//! and policy/routing labels, end-to-end wall-clock, the work
-//! counters (see [`is_work_metric`]), and the full span tree with
-//! inclusive/exclusive time.
+//! and policy label, end-to-end wall-clock, the work counters (see
+//! [`is_work_metric`]), and the full span tree with inclusive/exclusive
+//! time.
 //!
 //! Everything outside `wall` is byte-identical at any worker-thread
 //! count, and under either rip-up policy whenever the policies route
@@ -39,19 +39,19 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 
 /// Whether a counter/histogram name is a **work metric**: a total that
 /// measures how much searching or scheduling a run did rather than what
-/// it routed (A\* effort, fan-out tasks, hierarchical global planning).
-/// Work metrics live in the digest's `wall` sub-object; everything else
-/// is part of the deterministic, comparable record.
+/// it routed (A\* effort, fan-out tasks). Work metrics live in the
+/// digest's `wall` sub-object; everything else is part of the
+/// deterministic, comparable record.
 pub fn is_work_metric(name: &str) -> bool {
-    name.starts_with("astar.") || name.starts_with("parallel.") || name.starts_with("global.")
+    name.starts_with("astar.") || name.starts_with("parallel.")
 }
 
 /// What run a digest belongs to: the chip and the deterministic
 /// configuration fields. Two runs with equal fingerprints are expected
 /// to produce byte-identical deterministic sections — the equivalence
-/// axes (threads, rip-up policy, routing mode) are deliberately
-/// **excluded** and recorded in `wall` instead, so a re-run at a
-/// different thread count still finds its baseline in the ledger.
+/// axes (threads, rip-up policy) are deliberately **excluded** and
+/// recorded in `wall` instead, so a re-run at a different thread count
+/// still finds its baseline in the ledger.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Fingerprint {
     /// Chip/design name.
@@ -205,8 +205,6 @@ pub struct WallFacts {
     pub threads: u64,
     /// Rip-up policy label.
     pub policy: String,
-    /// Routing mode label.
-    pub routing: String,
     /// End-to-end wall-clock, milliseconds.
     pub wall_ms: f64,
     /// Work-counter totals (see [`is_work_metric`]).
@@ -463,8 +461,6 @@ impl RunDigest {
                 w.threads
             );
             crate::export::push_json_string(&mut out, &w.policy);
-            out.push_str(", \"routing\": ");
-            crate::export::push_json_string(&mut out, &w.routing);
             let _ = write!(out, ", \"wall_ms\": {:.3}, \"work_counters\": {{", w.wall_ms);
             for (i, (name, v)) in w.work_counters.iter().enumerate() {
                 if i > 0 {
@@ -591,7 +587,6 @@ impl RunDigest {
         let wall = WallFacts {
             threads: w.get("threads").and_then(Json::as_u64).ok_or("wall.threads")?,
             policy: ws("policy")?,
-            routing: ws("routing")?,
             wall_ms: w.get("wall_ms").and_then(Json::as_f64).ok_or("wall.wall_ms")?,
             work_counters: parse_counter_map(
                 w.get("work_counters").ok_or("wall.work_counters")?,
@@ -739,7 +734,6 @@ pub(crate) mod tests {
             wall: WallFacts {
                 threads: 4,
                 policy: "incremental".into(),
-                routing: "flat".into(),
                 wall_ms: 12.345,
                 work_counters: vec![("astar.expansions".into(), 999)],
                 work_histograms: vec![],
@@ -770,17 +764,18 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn digests_with_the_retired_escape_solver_label_still_parse() {
-        // Ledger lines written while the escape solver was selectable
-        // carry `wall.escape_solver` between `policy` and `routing`.
+    fn digests_with_retired_wall_labels_still_parse() {
+        // Ledger lines written while the escape solver and the routing
+        // mode were selectable carry `wall.escape_solver` and
+        // `wall.routing` between `policy` and `wall_ms`.
         let d = sample_digest();
         for text in [d.to_json(), d.to_jsonl()] {
             let old = text.replacen(
-                ", \"routing\": ",
-                ", \"escape_solver\": \"incremental\", \"routing\": ",
+                ", \"wall_ms\": ",
+                ", \"escape_solver\": \"incremental\", \"routing\": \"hierarchical\", \"wall_ms\": ",
                 1,
             );
-            assert_ne!(old, text, "wall object has a routing label");
+            assert_ne!(old, text, "wall object has a wall_ms field");
             assert_eq!(RunDigest::from_json(&old).expect("parses"), d);
         }
     }
@@ -844,12 +839,7 @@ pub(crate) mod tests {
 
     #[test]
     fn work_metric_split_matches_the_documented_rule() {
-        for name in [
-            "astar.expansions",
-            "parallel.tasks",
-            "global.regions",
-            "global.corridor_len",
-        ] {
+        for name in ["astar.expansions", "parallel.tasks"] {
             assert!(is_work_metric(name), "{name} must be a work metric");
         }
         for name in [

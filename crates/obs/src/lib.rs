@@ -100,15 +100,14 @@ pub use frame::{Frame, TraceEvent};
 pub use histogram::Histogram;
 pub use progress::{
     progress, telemetry_active, telemetry_begin_session, telemetry_flow_finished,
-    telemetry_install, telemetry_pause, telemetry_round, telemetry_stage_enter,
-    telemetry_stage_exit, telemetry_take, MemorySink, NullSink, ProgressEvent, RoundStats,
-    StageBudgets, StreamWriter, TelemetryConfig, TelemetryPause, TelemetrySink, TickerSink,
-    WriterSink, TELEMETRY_SCHEMA,
+    telemetry_install, telemetry_round, telemetry_stage_enter, telemetry_stage_exit,
+    telemetry_take, MemorySink, NullSink, ProgressEvent, RoundStats, StageBudgets, StreamWriter,
+    TelemetryConfig, TelemetrySink, TickerSink, WriterSink, TELEMETRY_SCHEMA,
 };
 pub use recorder::{
-    flight, flight_active, flight_begin_session, flight_install, flight_pause, flight_snapshot,
-    flight_snapshot_due, flight_take, CongestionSnapshot, FlightEvent, FlightLog, FlightPause,
-    FrontierCell, RecorderConfig, RipReason, SnapshotKind,
+    flight, flight_active, flight_begin_session, flight_install, flight_snapshot,
+    flight_snapshot_due, flight_take, CongestionSnapshot, FlightEvent, FlightLog, FrontierCell,
+    RecorderConfig, RipReason, SnapshotKind,
 };
 pub use report::{post_mortem_json, render_heatmap};
 

@@ -835,37 +835,6 @@ pub fn telemetry_active() -> bool {
     TELEMETRY.with(|t| t.borrow().is_some())
 }
 
-/// RAII guard from [`telemetry_pause`]: reinstalls the suspended
-/// stream on drop.
-#[must_use = "dropping the guard immediately resumes the stream"]
-pub struct TelemetryPause {
-    handle: Option<TelemetryHandle>,
-}
-
-impl Drop for TelemetryPause {
-    fn drop(&mut self) {
-        if let Some(handle) = self.handle.take() {
-            TELEMETRY.with(|t| *t.borrow_mut() = Some(handle));
-        }
-    }
-}
-
-/// Suspends the current thread's telemetry stream until the returned
-/// guard drops: emits in between are no-ops, but — unlike
-/// [`telemetry_take`] — the watchdog keeps running and no sink is
-/// finished, so the stream resumes exactly where it left off (same
-/// `seq` chain, same sinks). The hierarchical flow wraps its
-/// region-parallel fan-out in this so per-region stage events never
-/// reach the stream, whether a region runs inline on the session
-/// thread or on a worker (workers have no stream installed either
-/// way). Pausing with nothing installed — or pausing twice — is a
-/// harmless no-op.
-pub fn telemetry_pause() -> TelemetryPause {
-    TelemetryPause {
-        handle: TELEMETRY.with(|t| t.borrow_mut().take()),
-    }
-}
-
 /// Runs `core_op` against the installed stream core, if any.
 fn with_core(core_op: impl FnOnce(&mut StreamCore)) {
     TELEMETRY.with(|t| {
@@ -1031,35 +1000,6 @@ mod tests {
         assert!(got[1].contains("\"items\":7"));
         assert!(got[1].contains("\"elapsed_us\":0"), "deterministic: {}", got[1]);
         assert!(got[2].contains("\"events\":2"));
-    }
-
-    #[test]
-    fn pause_suspends_and_resumes_the_stream() {
-        let sink = MemorySink::new();
-        let lines = sink.lines();
-        telemetry_install(TelemetryConfig::deterministic(), vec![Box::new(sink)]);
-        telemetry_stage_enter("before");
-        {
-            let _pause = telemetry_pause();
-            assert!(!telemetry_active());
-            telemetry_stage_enter("hidden");
-            telemetry_stage_exit("hidden", 99);
-            let _double = telemetry_pause(); // no-op: nothing left to take
-        }
-        assert!(telemetry_active(), "guard drop must reinstall the stream");
-        telemetry_stage_exit("before", 1);
-        telemetry_take().unwrap().unwrap();
-        let got = drain(&lines);
-        assert_eq!(got.len(), 2, "paused events must not be emitted: {got:?}");
-        assert!(got[0].contains("\"stage\":\"before\""));
-        assert!(got[1].contains("\"seq\":1"), "seq chain resumes: {}", got[1]);
-    }
-
-    #[test]
-    fn pause_without_stream_is_a_noop() {
-        assert!(!telemetry_active());
-        drop(telemetry_pause());
-        assert!(!telemetry_active());
     }
 
     #[test]

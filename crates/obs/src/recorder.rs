@@ -405,32 +405,6 @@ pub fn flight_active() -> bool {
     RECORDER.with(|r| r.borrow().is_some())
 }
 
-/// RAII guard from [`flight_pause`]: reinstalls the suspended recorder
-/// on drop.
-#[must_use = "dropping the guard immediately resumes recording"]
-pub struct FlightPause {
-    handle: Option<Recorder>,
-}
-
-impl Drop for FlightPause {
-    fn drop(&mut self) {
-        if let Some(handle) = self.handle.take() {
-            RECORDER.with(|r| *r.borrow_mut() = Some(handle));
-        }
-    }
-}
-
-/// Temporarily suspends the current thread's flight recorder.
-///
-/// Unlike [`flight_take`], the recorder's rings, drop counters and
-/// session counter are preserved intact: events emitted while the
-/// guard lives are simply not recorded, and recording resumes where it
-/// left off when the guard drops. Pausing with no recorder installed
-/// (or pausing twice) is a no-op.
-pub fn flight_pause() -> FlightPause {
-    FlightPause { handle: RECORDER.with(|r| r.borrow_mut().take()) }
-}
-
 /// Records the event built by `f` when a recorder is active. The
 /// closure only runs (and the event is only allocated) when recording.
 pub fn flight(f: impl FnOnce() -> FlightEvent) {
@@ -523,30 +497,6 @@ mod tests {
         assert_eq!(log.events()[0].kind(), "negotiation_start");
         assert_eq!(log.events()[1].kind(), "net_attempt");
         assert_eq!(log.dropped_events(), 0);
-    }
-
-    #[test]
-    fn pause_suspends_and_resumes_recording() {
-        flight_install(cfg(16));
-        let s = flight_begin_session(1);
-        {
-            let _pause = flight_pause();
-            assert!(!flight_active());
-            flight(|| FlightEvent::Declustered { cluster: 9 });
-        }
-        assert!(flight_active(), "guard drop must reinstall the recorder");
-        flight(|| FlightEvent::Declustered { cluster: 1 });
-        let log = flight_take().unwrap();
-        assert_eq!(log.sessions(), s, "session counter survives the pause");
-        assert_eq!(log.events().len(), 2, "paused events must not be recorded");
-        assert_eq!(log.events()[1].kind(), "declustered");
-    }
-
-    #[test]
-    fn pause_without_recorder_is_a_noop() {
-        assert!(!flight_active());
-        drop(flight_pause());
-        assert!(!flight_active());
     }
 
     #[test]

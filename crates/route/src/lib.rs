@@ -44,4 +44,4 @@ pub use history::HistoryCost;
 pub use negotiation::{
     NegotiationOutcome, NegotiationRouter, NetOrdering, RipUpPolicy, RouteRequest,
 };
-pub use parallel::{effective_threads, parallel_map, parallel_map_with};
+pub use parallel::{effective_threads, parallel_map};

@@ -1,11 +1,10 @@
 //! Deterministic scoped-thread fan-out.
 //!
 //! The flow's data-parallel stages (DME candidate generation, MWCP
-//! pair scoring, hierarchical region stripes) fan work out through
-//! [`parallel_map`] / [`parallel_map_with`]: scoped worker threads
-//! claim items off a shared atomic counter and the results are merged
-//! back **by item index**, so the output vector is identical to the
-//! sequential map at any thread count. Determinism therefore needs
+//! pair scoring) fan work out through [`parallel_map`]: scoped worker
+//! threads claim items off a shared atomic counter and the results are
+//! merged back **by item index**, so the output vector is identical to
+//! the sequential map at any thread count. Determinism therefore needs
 //! nothing from the workers beyond the mapped function itself being
 //! pure — scheduling order never leaks into the result.
 //!
@@ -49,33 +48,6 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    parallel_map_with(threads, items, || (), |(), i, t| f(i, t))
-}
-
-/// [`parallel_map`] with per-worker scratch state: every worker thread
-/// creates one `S` via `init` and threads it through each item it
-/// claims, so reusable buffers (an `AStarScratch`, say) warm up across
-/// a worker's items instead of being rebuilt per item.
-///
-/// `f` receives `(&mut state, index, &item)`. The inline path
-/// (`threads <= 1` or fewer than two items) creates a single state and
-/// maps sequentially — identical results, identical `init` semantics.
-///
-/// Determinism contract: `f` must derive its result from `(index,
-/// item)` and read-only captures alone. The state is a cache, not an
-/// input — which items share a state depends on scheduling.
-///
-/// # Panics
-///
-/// Propagates a panic from `init` or `f` (the scope joins all workers
-/// first).
-pub fn parallel_map_with<T, R, S, I, F>(threads: usize, items: &[T], init: I, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &T) -> R + Sync,
-{
     // Observability: when the caller records, every item runs in a
     // private task frame (whatever thread it lands on) and the frames
     // are absorbed in item order — never completion order — so metric
@@ -89,17 +61,16 @@ where
         )
     });
     if threads <= 1 || items.len() <= 1 {
-        let mut state = init();
         return items
             .iter()
             .enumerate()
             .map(|(i, t)| {
                 if recording {
-                    let (r, frame) = pacor_obs::task_frame(i as u32 + 1, || f(&mut state, i, t));
+                    let (r, frame) = pacor_obs::task_frame(i as u32 + 1, || f(i, t));
                     pacor_obs::absorb(frame);
                     r
                 } else {
-                    f(&mut state, i, t)
+                    f(i, t)
                 }
             })
             .collect();
@@ -112,7 +83,6 @@ where
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 scope.spawn(|| {
-                    let mut state = init();
                     let mut produced = Vec::new();
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
@@ -121,10 +91,10 @@ where
                         }
                         if recording {
                             let (r, frame) =
-                                pacor_obs::task_frame(i as u32 + 1, || f(&mut state, i, &items[i]));
+                                pacor_obs::task_frame(i as u32 + 1, || f(i, &items[i]));
                             produced.push((i, r, Some(frame)));
                         } else {
-                            produced.push((i, f(&mut state, i, &items[i]), None));
+                            produced.push((i, f(i, &items[i]), None));
                         }
                     }
                     produced
@@ -218,40 +188,5 @@ mod tests {
         assert!(parallel_map(4, &empty, |_, &x| x).is_empty());
         assert_eq!(parallel_map(0, &[7u8], |_, &x| x), vec![7]);
         assert_eq!(parallel_map(16, &[1u8, 2], |_, &x| x + 1), vec![2, 3]);
-    }
-
-    #[test]
-    fn with_state_creates_one_state_per_worker() {
-        let created = AtomicUsize::new(0);
-        let items: Vec<u32> = (0..40).collect();
-        let out = parallel_map_with(
-            3,
-            &items,
-            || {
-                created.fetch_add(1, Ordering::Relaxed);
-                Vec::<u32>::new()
-            },
-            |scratch, _, &x| {
-                scratch.push(x); // warm buffer reused across the worker's items
-                x + 1
-            },
-        );
-        assert_eq!(out, (1..=40).collect::<Vec<_>>());
-        let n = created.load(Ordering::Relaxed);
-        assert!((1..=3).contains(&n), "expected 1..=3 states, got {n}");
-    }
-
-    #[test]
-    fn with_state_inline_path_shares_one_state() {
-        let created = AtomicUsize::new(0);
-        let items = [1u8, 2, 3];
-        let out = parallel_map_with(
-            1,
-            &items,
-            || created.fetch_add(1, Ordering::Relaxed),
-            |_, i, &x| (i, x),
-        );
-        assert_eq!(out, vec![(0, 1), (1, 2), (2, 3)]);
-        assert_eq!(created.load(Ordering::Relaxed), 1);
     }
 }

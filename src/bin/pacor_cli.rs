@@ -32,14 +32,6 @@
 //! * `--ripup-policy full|incremental` — what negotiation rips up between
 //!   failed rounds (default `incremental`; `full` is the paper's
 //!   Algorithm 1, kept for ablation).
-//! * `--routing-mode flat|hierarchical` — one detailed pass over the
-//!   whole chip (default `flat`), or the global-then-detailed split:
-//!   gcell corridor planning, region-parallel detailed routing over
-//!   the `--threads` workers (byte-identical at any count), and a
-//!   stitch/repair pass for cross-region clusters (see DESIGN §15).
-//! * `--gcell-size N` — gcell tile side in grid cells for the
-//!   hierarchical global stage (default 32; a tile ≥ the chip width
-//!   degenerates to the flat flow).
 //! * `--quiet` — suppress the report JSON on stdout (and the
 //!   `--progress` ticker).
 //! * `--stream-out <path|->` — stream live telemetry events as
@@ -68,7 +60,7 @@
 //! treated as file names.
 
 use pacor::route::RipUpPolicy;
-use pacor::{BenchDesign, FlowConfig, FlowVariant, PacorFlow, Problem, RouteReport, RoutingMode};
+use pacor::{BenchDesign, FlowConfig, FlowVariant, PacorFlow, Problem, RouteReport};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -79,7 +71,7 @@ fn main() {
         Some("table2") => cmd_table2(&args[1..]),
         _ => {
             eprintln!(
-                "usage: pacor synth <design> [seed]\n       pacor route [--threads N] [--trace-out FILE] [--metrics-out FILE] [--report-out FILE] [--digest-out FILE] [--ledger FILE] [--stream-out FILE|-] [--progress] [--watchdog BENCH.json] [--ripup-policy full|incremental] [--routing-mode flat|hierarchical] [--gcell-size N] [--quiet] <problem.json|design>\n       pacor render [--threads N] <problem.json|design>\n       pacor table2 [--full] [--threads N]"
+                "usage: pacor synth <design> [seed]\n       pacor route [--threads N] [--trace-out FILE] [--metrics-out FILE] [--report-out FILE] [--digest-out FILE] [--ledger FILE] [--stream-out FILE|-] [--progress] [--watchdog BENCH.json] [--ripup-policy full|incremental] [--quiet] <problem.json|design>\n       pacor render [--threads N] <problem.json|design>\n       pacor table2 [--full] [--threads N]"
             );
             2
         }
@@ -113,8 +105,6 @@ struct Options {
     progress: bool,
     watchdog: Option<String>,
     ripup_policy: Option<RipUpPolicy>,
-    routing_mode: Option<RoutingMode>,
-    gcell_size: Option<u32>,
     quiet: bool,
     full: bool,
     positional: Vec<String>,
@@ -164,19 +154,6 @@ fn parse_options(args: &[String], allowed: &[&str]) -> Result<Options, String> {
                 opts.ripup_policy = Some(RipUpPolicy::parse(&v).ok_or_else(|| {
                     format!("--ripup-policy: expected full or incremental, got {v:?}")
                 })?);
-            }
-            "--routing-mode" => {
-                let v = value()?;
-                opts.routing_mode = Some(RoutingMode::parse(&v).ok_or_else(|| {
-                    format!("--routing-mode: expected flat or hierarchical, got {v:?}")
-                })?);
-            }
-            "--gcell-size" => {
-                let v = value()?;
-                opts.gcell_size =
-                    Some(v.parse::<u32>().ok().filter(|&n| n >= 1).ok_or_else(|| {
-                        format!("--gcell-size: expected a positive integer, got {v:?}")
-                    })?);
             }
             "--quiet" => opts.quiet = true,
             "--full" => opts.full = true,
@@ -306,8 +283,6 @@ fn cmd_route(args: &[String]) -> i32 {
             "--progress",
             "--watchdog",
             "--ripup-policy",
-            "--routing-mode",
-            "--gcell-size",
             "--quiet",
         ],
     ) {
@@ -335,13 +310,9 @@ fn cmd_route(args: &[String]) -> i32 {
         || opts.digest_out.is_some()
         || opts.ledger.is_some();
     let session = wants_obs.then(pacor::obs::Session::begin);
-    let mut config = FlowConfig::default()
+    let config = FlowConfig::default()
         .with_threads(opts.threads)
-        .with_ripup_policy(opts.ripup_policy.unwrap_or_default())
-        .with_routing_mode(opts.routing_mode.unwrap_or_default());
-    if let Some(gcell) = opts.gcell_size {
-        config = config.with_gcell_size(gcell);
-    }
+        .with_ripup_policy(opts.ripup_policy.unwrap_or_default());
     if opts.report_out.is_some() {
         pacor::obs::flight_install(config.recorder_config());
     }

@@ -190,6 +190,22 @@ fn route_rejects_bad_escape_solver() {
 }
 
 #[test]
+fn route_rejects_the_retired_routing_mode_flags() {
+    // Routing is flat only, so `--routing-mode` and `--gcell-size` are
+    // unknown options (exit 2), never file names.
+    for flag in [["--routing-mode", "flat"], ["--gcell-size", "8"]] {
+        let out = pacor(&["route", flag[0], flag[1], "S1"]);
+        assert_eq!(out.status.code(), Some(2), "{flag:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("unknown option {}", flag[0])),
+            "must reject {} as unknown: {err}",
+            flag[0]
+        );
+    }
+}
+
+#[test]
 fn render_emits_svg() {
     let out = pacor(&["render", "S1"]);
     assert!(out.status.success());

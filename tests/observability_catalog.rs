@@ -1,19 +1,19 @@
 //! Anti-rot guard for `docs/OBSERVABILITY.md`: run a smoke flow that
-//! exercises both rip-up policies, hierarchical routing and length-
-//! matching detours with the flight recorder installed and the
-//! telemetry stream collecting, and assert that every counter,
-//! histogram, span, instant, recorder-event name, and telemetry event
-//! kind actually emitted appears in the catalog. Adding an emit site
-//! without cataloging it fails here. The Counters, Histograms, Spans,
-//! Instants and Flight-recorder events tables are also checked the
-//! other way: each row must be emitted by the smoke flow or sit in
-//! [`NEVER_FIRES`], so a deleted emit site cannot leave a stale row
-//! behind.
+//! exercises both rip-up policies, MST splits, the last-resort escape
+//! phase and length-matching detours with the flight recorder
+//! installed and the telemetry stream collecting, and assert that
+//! every counter, histogram, span, instant, recorder-event name, and
+//! telemetry event kind actually emitted appears in the catalog.
+//! Adding an emit site without cataloging it fails here. The
+//! Counters, Histograms, Spans, Instants and Flight-recorder events
+//! tables are also checked the other way: each row must be emitted by
+//! the smoke flow or sit in [`NEVER_FIRES`], so a deleted emit site
+//! cannot leave a stale row behind.
 
 use pacor_repro::pacor::obs::{self, TraceEvent};
 use pacor_repro::pacor::route::RipUpPolicy;
 use pacor_repro::pacor::{
-    self, synthesize_params, BenchDesign, DesignParams, FlowConfig, PacorFlow, RoutingMode,
+    self, synthesize_params, BenchDesign, DesignParams, FlowConfig, PacorFlow, FLOW_BENCH_CHIPS,
 };
 use std::collections::BTreeSet;
 use std::sync::OnceLock;
@@ -64,7 +64,7 @@ const TWO_WAY_TABLES: [(&str, usize); 5] = [
     ("Flight-recorder events", 10),
     ("Spans", 10),
     ("Instants", 3),
-    ("Histograms", 3),
+    ("Histograms", 2),
 ];
 
 fn read_catalog() -> String {
@@ -111,16 +111,16 @@ fn run_smoke_flow() -> BTreeSet<String> {
             .run(&problem)
             .expect("dense chip routes");
     }
-    // A multi-region hierarchical run (gcell smaller than the chip), so
-    // the `global.*` counters/histogram and the global/regions/stitch/
-    // repair emit sites are guarded too.
-    PacorFlow::new(
-        config
-            .with_routing_mode(RoutingMode::Hierarchical)
-            .with_gcell_size(8),
-    )
-    .run(&problem)
-    .expect("dense chip routes hierarchically");
+    // B2-dense48 splits MST clusters and reaches the last-resort escape
+    // phase (`mst.splits`, `mst_split`, `escape.phase3`); the 24² chip
+    // does neither.
+    let b2 = FLOW_BENCH_CHIPS
+        .iter()
+        .find(|c| c.name == "B2-dense48")
+        .expect("B2-dense48 is a bench chip");
+    PacorFlow::new(config)
+        .run(&synthesize_params(*b2, 42))
+        .expect("B2 routes");
     // S2 inserts length-matching detour segments; the dense chip does not.
     PacorFlow::new(config)
         .run(&BenchDesign::S2.synthesize(42))
@@ -165,8 +165,6 @@ fn run_smoke_flow() -> BTreeSet<String> {
     assert!(
         names.contains("negotiate.ripups")
             && names.contains("rip_up")
-            && names.contains("global.regions")
-            && names.contains("global.corridor_len")
             && names.contains("detour_segment"),
         "smoke flow too tame to guard the catalog: {names:?}"
     );
