@@ -36,8 +36,8 @@ bench-flow:
 
 # Determinism regression gate: re-run the smallest benchmark chip and
 # compare every deterministic field (rounds, ripups, scratch resets,
-# lengths, completion) against the committed
-# BENCH_flow.json baseline. Wall-clock fields are machine-local and
+# escape searches and node labels, lengths, completion) against the
+# committed BENCH_flow.json baseline. Wall-clock fields are machine-local and
 # ignored — except the per-stage budget rule: a fresh stage_ms more
 # than 25% AND more than 25 ms over its committed baseline fails (the
 # absolute floor keeps sub-millisecond stages from flaking on

@@ -2,6 +2,13 @@
 //! occupancy — what every escape round of the flow pays. Sizes bracket
 //! the dense flow-benchmark chips (48², 96²) and reach the paper's
 //! Chip2 (231 × 265).
+//!
+//! Two pin layouts per size. `grid_solve` has pins on every third row
+//! of the west and east edges. `grid_solve_oversubscribed` has pins on
+//! every sixth row of the west edge only, fewer than the sources: the
+//! shape of a late recovery solve, where sources that lose the race
+//! for a pin are found dead by every later search. That is the case
+//! the solver's search rewind (DESIGN §14.5) saves most on.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pacor::grid::{Grid, ObsMap, Point};
@@ -9,9 +16,14 @@ use pacor::netflow::{EscapeSource, GridEscape, SourceKind};
 
 /// Synthetic escape occupancy on a `w × h` grid: ~5% scattered
 /// obstacles, singleton valve sources on a 7 × 7 lattice over the
-/// interior, pins along the west and east edges — the shape of a
-/// phase-1 escape round after MST routing committed its nets.
-fn scenario(w: u32, h: u32) -> (ObsMap, Vec<EscapeSource>, Vec<Point>) {
+/// interior, and pins every `pin_step` rows along the west edge, and
+/// the east edge too when `east` is set.
+fn scenario(
+    w: u32,
+    h: u32,
+    pin_step: usize,
+    east: bool,
+) -> (ObsMap, Vec<EscapeSource>, Vec<Point>) {
     let mut grid = Grid::new(w, h).unwrap();
     for k in 0..(w * h / 20) {
         let x = (k * 37) % w;
@@ -30,9 +42,10 @@ fn scenario(w: u32, h: u32) -> (ObsMap, Vec<EscapeSource>, Vec<Point>) {
             }
         }
     }
+    let edges: &[i32] = if east { &[0, w as i32 - 1] } else { &[0] };
     let mut pins = Vec::new();
-    for y in (1..h as i32 - 1).step_by(3) {
-        for x in [0, w as i32 - 1] {
+    for y in (1..h as i32 - 1).step_by(pin_step) {
+        for &x in edges {
             let p = Point::new(x, y);
             if !obs.is_blocked(p) {
                 pins.push(p);
@@ -46,12 +59,23 @@ fn bench_escape_solve(c: &mut Criterion) {
     let mut group = c.benchmark_group("escape_solve");
     group.sample_size(20);
     for (w, h) in [(48u32, 48u32), (96, 96), (231, 265)] {
-        let (obs, sources, pins) = scenario(w, h);
         let size = format!("{w}x{h}");
-        let mut grid = GridEscape::new();
-        group.bench_with_input(BenchmarkId::new("grid_solve", &size), &size, |b, _| {
-            b.iter(|| grid.solve(&obs, &sources, &pins).routed)
-        });
+        for (name, pin_step, east) in [
+            ("grid_solve", 3, true),
+            ("grid_solve_oversubscribed", 6, false),
+        ] {
+            let (obs, sources, pins) = scenario(w, h, pin_step, east);
+            assert!(
+                east || pins.len() < sources.len(),
+                "{name} {size}: {} pins for {} sources",
+                pins.len(),
+                sources.len()
+            );
+            let mut grid = GridEscape::new();
+            group.bench_with_input(BenchmarkId::new(name, &size), &size, |b, _| {
+                b.iter(|| grid.solve(&obs, &sources, &pins).routed)
+            });
+        }
     }
     group.finish();
 }

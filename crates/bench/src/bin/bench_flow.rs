@@ -15,8 +15,8 @@
 //! the stage that earned them), an `escape_ms` sub-breakdown of the
 //! escape stage (net_solve / phase1 / phase2 / phase3,
 //! span-summed and min-across-repeats like `stage_ms`), plus the
-//! `negotiate.rounds` / `negotiate.ripups` / `astar.scratch_resets`
-//! counter totals.
+//! `negotiate.rounds` / `negotiate.ripups` / `astar.scratch_resets` /
+//! `escape.dijkstras` / `escape.touched` counter totals.
 //!
 //! **Large chips** (width ≥ 256, i.e. the B4-dense256 tier and the
 //! opt-in `--huge` B5-dense512) run a reduced schedule: one entry under

@@ -15,8 +15,10 @@
 //! chosen variant (default `pacor`), and prints every span name's
 //! **inclusive** and **exclusive** wall-clock (exclusive = inclusive
 //! minus the time spent in child spans on the same trace lane), sorted
-//! by exclusive time. This is the profile that decides which stage the
-//! next optimization PR attacks — `make profile` wraps it.
+//! by exclusive time, then the escape solver's work counters
+//! (`escape.dijkstras`, `escape.touched`). This is the profile that
+//! decides which stage the next optimization PR attacks — `make
+//! profile` wraps it.
 //!
 //! `--trace-out FILE` additionally writes the Chrome trace-event JSON
 //! for the run, loadable in Perfetto for a zoomable view of the same
@@ -119,6 +121,11 @@ fn main() {
             100.0 * row.exclusive_us as f64 / (wall_ms * 1e3)
         );
     }
+    println!(
+        "escape work: {} searches, {} node labels",
+        report.counter("escape.dijkstras"),
+        report.counter("escape.touched")
+    );
 }
 
 /// Aggregated timing of every span sharing one name.

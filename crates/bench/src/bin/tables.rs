@@ -133,11 +133,14 @@ fn compare(args: &[String]) {
 type FieldOf<T> = (&'static str, fn(&FlowBenchEntry) -> T);
 
 /// The deterministic per-entry fields `regress` holds byte-equal
-/// against the baseline, mirroring the old Makefile Python gate.
-const REGRESS_FIELDS: [FieldOf<u64>; 4] = [
+/// against the baseline: the old Makefile Python gate's four plus the
+/// escape solver's work counters.
+const REGRESS_FIELDS: [FieldOf<u64>; 6] = [
     ("rounds", |e| e.rounds),
     ("ripups", |e| e.ripups),
     ("scratch_resets", |e| e.scratch_resets),
+    ("escape_dijkstras", |e| e.escape_dijkstras),
+    ("escape_touched", |e| e.escape_touched),
     ("total_length", |e| e.total_length),
 ];
 

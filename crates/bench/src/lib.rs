@@ -274,6 +274,11 @@ pub struct FlowBenchEntry {
     pub ripups: u64,
     /// `astar.scratch_resets` counter total.
     pub scratch_resets: u64,
+    /// `escape.dijkstras` counter total: escape searches run.
+    pub escape_dijkstras: u64,
+    /// `escape.touched` counter total: node labels those searches
+    /// assigned.
+    pub escape_touched: u64,
     /// Total routed control-channel length, grid units.
     pub total_length: u64,
     /// Fraction of valves connected (1.0 = everything routed).
@@ -480,6 +485,8 @@ pub fn run_flow_bench_with_digest(
                     rounds: report.metrics.counter("negotiate.rounds"),
                     ripups: report.metrics.counter("negotiate.ripups"),
                     scratch_resets: report.metrics.counter("astar.scratch_resets"),
+                    escape_dijkstras: report.metrics.counter("escape.dijkstras"),
+                    escape_touched: report.metrics.counter("escape.touched"),
                     total_length: report.total_length,
                     completion_rate: report.completion_rate(),
                     stage_ms,

@@ -50,7 +50,7 @@ fn valves_escaped(routed: &[RoutedCluster]) -> u64 {
 }
 
 /// One cold min-cost-flow solve over the current obstacle map, inside
-/// the span `name`.
+/// the span `name`, counting its searches and node labels.
 fn solve(
     solver: &mut GridEscape,
     obs: &ObsMap,
@@ -59,7 +59,10 @@ fn solve(
     name: &'static str,
 ) -> EscapeOutcome {
     let _s = pacor_obs::span(name);
-    solver.solve(obs, sources, pins)
+    let outcome = solver.solve(obs, sources, pins);
+    pacor_obs::counter_add("escape.dijkstras", outcome.work.dijkstras);
+    pacor_obs::counter_add("escape.touched", outcome.work.touched);
+    outcome
 }
 
 /// Records an escape route and blocks its cells. Cell 0 lies on the
@@ -510,7 +513,6 @@ struct BlockScratch {
     /// Per routed-cluster index: already recorded as a frontier owner.
     front_at: Vec<u32>,
     epoch: u32,
-    queue: VecDeque<Point>,
 }
 
 thread_local! {
@@ -524,7 +526,6 @@ thread_local! {
                 seen_at: Vec::new(),
                 front_at: Vec::new(),
                 epoch: 0,
-                queue: VecDeque::new(),
             })
         };
 }
@@ -603,28 +604,28 @@ fn blocking_clusters_flat(
         }
     }
 
-    // BFS over free cells from the source.
+    // BFS over free cells from the source; `pocket` is the queue, its
+    // cells before `head` expanded.
     let mut pocket: Vec<Point> = vec![source];
     let mut frontier_owners: Vec<usize> = Vec::new();
     let mut frontier_cells: Vec<(Point, usize)> = Vec::new();
-    s.queue.clear();
-    s.queue.push_back(source);
     if let Some(ci) = idx(source) {
         s.seen_at[ci] = epoch;
     }
+    let blocked = obs.blocked_cells();
     // Bound the flood to a local neighbourhood: blockage is local, and a
     // full-chip flood on every failure would be wasteful.
     let limit = 4096usize;
-    while let Some(p) = s.queue.pop_front() {
-        if pocket.len() > limit {
-            break;
-        }
+    let mut head = 0;
+    while head < pocket.len() && pocket.len() <= limit {
+        let p = pocket[head];
+        head += 1;
         for q in p.neighbors4() {
             let Some(qi) = idx(q) else { continue };
             if s.seen_at[qi] == epoch {
                 continue;
             }
-            if obs.is_blocked(q) {
+            if blocked[qi] {
                 if s.owner_at[qi] == epoch {
                     let o = s.owner[qi] as usize;
                     if s.front_at[o] != epoch {
@@ -637,7 +638,6 @@ fn blocking_clusters_flat(
             }
             s.seen_at[qi] = epoch;
             pocket.push(q);
-            s.queue.push_back(q);
         }
     }
 

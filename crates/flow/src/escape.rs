@@ -77,7 +77,7 @@ impl EscapeSource {
 }
 
 /// Result of one escape solve ([`GridEscape::solve`](crate::GridEscape::solve)).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EscapeOutcome {
     /// Per source (input order): the escape path (from exit cell to pin,
     /// inclusive) and the pin reached, or `None` when the source
@@ -87,6 +87,19 @@ pub struct EscapeOutcome {
     pub total_length: u64,
     /// Number of successfully routed sources.
     pub routed: usize,
+    /// The search effort the solve took.
+    pub work: EscapeWork,
+}
+
+/// Search effort of one escape solve, reported by the flow as the
+/// `escape.dijkstras` and `escape.touched` counters.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EscapeWork {
+    /// Shortest-path searches run, fresh or resumed.
+    pub dijkstras: u64,
+    /// Node labels those searches assigned: each node counts once per
+    /// search that labels it.
+    pub touched: u64,
 }
 
 impl EscapeOutcome {
@@ -425,38 +438,46 @@ mod tests {
                     }
                     sources.push(EscapeSource::at(SourceKind::SingleValve, pin));
                 }
-                _ => {
-                    // Short random-walk path source with optional tap tiers.
-                    let mut cells = vec![start];
-                    let mut cur = start;
-                    for _ in 0..2 + next(5) {
-                        let q = cur.neighbors4()[next(4)];
-                        if q.x <= 0 || q.y <= 0 || q.x >= w as i32 - 1 || q.y >= h as i32 - 1 {
-                            continue;
-                        }
-                        if !cells.contains(&q) {
-                            cells.push(q);
-                            cur = q;
-                        }
-                    }
-                    obs.block_all(cells.iter().copied());
-                    if next(4) == 0 {
-                        cells.push(cells[next(cells.len())]);
-                    }
-                    let tap_costs = if next(2) == 0 {
-                        cells.iter().map(|_| next(3) as i64).collect()
-                    } else {
-                        Vec::new()
-                    };
-                    sources.push(EscapeSource {
-                        kind: SourceKind::AnyPathPoint,
-                        cells,
-                        tap_costs,
-                    });
-                }
+                _ => sources.push(path_source(&mut next, &mut obs, start)),
             }
         }
         (obs, sources, pins)
+    }
+
+    /// Short random-walk path source from `start`, blocked in `obs`,
+    /// with the odd repeated cell and optional tap tiers.
+    fn path_source(
+        next: &mut impl FnMut(usize) -> usize,
+        obs: &mut ObsMap,
+        start: Point,
+    ) -> EscapeSource {
+        let (w, h) = (obs.width() as i32, obs.height() as i32);
+        let mut cells = vec![start];
+        let mut cur = start;
+        for _ in 0..2 + next(5) {
+            let q = cur.neighbors4()[next(4)];
+            if q.x <= 0 || q.y <= 0 || q.x >= w - 1 || q.y >= h - 1 {
+                continue;
+            }
+            if !cells.contains(&q) {
+                cells.push(q);
+                cur = q;
+            }
+        }
+        obs.block_all(cells.iter().copied());
+        if next(4) == 0 {
+            cells.push(cells[next(cells.len())]);
+        }
+        let tap_costs = if next(2) == 0 {
+            cells.iter().map(|_| next(3) as i64).collect()
+        } else {
+            Vec::new()
+        };
+        EscapeSource {
+            kind: SourceKind::AnyPathPoint,
+            cells,
+            tap_costs,
+        }
     }
 
     /// Two sources offering the same cell.
@@ -527,6 +548,101 @@ mod tests {
         }
     }
 
+    /// Oversubscribed scenario: more sources than pins, every pin on the
+    /// west edge, and disjoint sources that are singletons or
+    /// random-walk paths. Sources that lose the race for a pin, or sit
+    /// walled in, are popped and found dead by the searches that route
+    /// the others; a routed path source can be re-routed through
+    /// another of its cells.
+    fn oversubscribed_scenario(seed: u64) -> (ObsMap, Vec<EscapeSource>, Vec<Point>) {
+        let mut st = seed;
+        let mut next = move |m: usize| (lcg(&mut st) as usize) % m;
+        let (w, h) = (12 + next(24), 12 + next(24));
+        let mut obs = ObsMap::new(&Grid::new(w as u32, h as u32).unwrap());
+        for _ in 0..w * h / 10 {
+            obs.block(Point::new(next(w) as i32, next(h) as i32));
+        }
+        let pins: Vec<Point> = (1..h as i32 - 1)
+            .map(|y| Point::new(0, y))
+            .filter(|&p| next(3) == 0 && !obs.is_blocked(p))
+            .collect();
+        let want = pins.len() + 2 + next(pins.len() + 3);
+        let mut sources = Vec::new();
+        for _ in 0..4 * want {
+            if sources.len() == want {
+                break;
+            }
+            let p = Point::new(1 + next(w - 2) as i32, 1 + next(h - 2) as i32);
+            if obs.is_blocked(p) {
+                continue;
+            }
+            let src = if next(2) == 0 {
+                obs.block(p);
+                EscapeSource::at(SourceKind::SingleValve, p)
+            } else {
+                path_source(&mut next, &mut obs, p)
+            };
+            // Sources stay disjoint; a walk into another source's cells
+            // stays an obstacle. Two sources routed out of one shared
+            // exit cell are extracted onto the same route (ROADMAP
+            // item 3), a defect this test is not about.
+            if !sources
+                .iter()
+                .any(|s: &EscapeSource| s.cells.iter().any(|c| src.cells.contains(c)))
+            {
+                sources.push(src);
+            }
+        }
+        (obs, sources, pins)
+    }
+
+    /// A search that reaches the sink at distance 0 is resumed from the
+    /// routed source's pop instead of started over. The resumed search
+    /// must pop exactly what a fresh one would, so both solvers return
+    /// the same outcome, search count included, and resuming never
+    /// labels more nodes.
+    #[test]
+    fn rewound_searches_equal_fresh_ones() {
+        let mut fresh = GridEscape::fresh_only();
+        let mut random = GridEscape::new();
+        let mut oversubscribed = GridEscape::new();
+        for seed in 0..SCENARIOS {
+            for (family, rewound, (obs, sources, pins)) in [
+                ("random", &mut random, random_scenario(seed * 7 + 1)),
+                (
+                    "oversubscribed",
+                    &mut oversubscribed,
+                    oversubscribed_scenario(seed * 11 + 5),
+                ),
+            ] {
+                let want = fresh.solve(&obs, &sources, &pins);
+                let mut got = rewound.solve(&obs, &sources, &pins);
+                certify(&obs, &sources, &pins, &got)
+                    .unwrap_or_else(|e| panic!("{family} seed {seed}: not optimal: {e}"));
+                assert!(
+                    got.work.touched <= want.work.touched,
+                    "{family} seed {seed}: resuming labelled more nodes"
+                );
+                got.work.touched = want.work.touched;
+                assert_eq!(got, want, "{family} seed {seed}");
+                if family == "oversubscribed" {
+                    assert!(
+                        sources.len() > pins.len(),
+                        "seed {seed}: not oversubscribed"
+                    );
+                }
+            }
+        }
+        assert_eq!(fresh.rewinds(), (0, 0));
+        // Most rewinds must skip the flood of a source found dead before
+        // the routed one, or the test would pass with a trivial rewind.
+        let (rewinds, after_dead) = oversubscribed.rewinds();
+        assert!(
+            after_dead >= 150,
+            "only {after_dead} of {rewinds} rewinds skip a dead source"
+        );
+    }
+
     /// Dropping any routed source's route frees a path cheaper than its
     /// overflow arc, so the certificate must reject the outcome.
     #[test]
@@ -559,6 +675,7 @@ mod tests {
             total_length: path.len(),
             routes: vec![Some((path.clone(), path.target()))],
             routed: 1,
+            work: EscapeWork::default(),
         }
     }
 

@@ -25,8 +25,8 @@
 //! * **Costs.** One tap tier is the chip's cell count + 1; β dominates
 //!   every tier a source can stack (`costs` in `escape.rs`).
 
-use crate::escape::{costs, walk_route, EscapeOutcome, EscapeSource};
-use crate::queue::{assert_potential_drift, LevelQueue, NodeState};
+use crate::escape::{costs, walk_route, EscapeOutcome, EscapeSource, EscapeWork};
+use crate::queue::{assert_potential_drift, LevelQueue, NodeState, QueueMark};
 use pacor_grid::{GridPath, ObsMap, Point};
 
 // Per-cell flag word. Directions follow `Point::neighbors4`: 0 = x − 1,
@@ -88,6 +88,19 @@ struct Arc {
     flow: bool,
 }
 
+/// The search state at a level-0 pop of a fed source: where the search
+/// rewinds to once a zero-distance path fills that source's feed.
+#[derive(Debug, Clone, Copy)]
+struct Mark {
+    /// Index of the popped source.
+    src: u32,
+    /// `touched` length at the pop.
+    touched: u32,
+    /// `undo` length at the pop.
+    undo: u32,
+    queue: QueueMark,
+}
+
 /// Cold escape solver over the implicit node-split grid network; see the
 /// module docs. Reusing one value across calls reuses its scratch.
 #[derive(Debug, Default)]
@@ -106,12 +119,40 @@ pub struct GridEscape {
     prev: Vec<u32>,
     touched: Vec<u32>,
     queue: LevelQueue,
+    /// The current search's fed-source pops at level 0, in pop order.
+    marks: Vec<Mark>,
+    /// `(node, dist, prev)` before each level-0 improvement of a
+    /// labelled node, so a rewind can restore the labels.
+    undo: Vec<(u32, i32, u32)>,
+    work: EscapeWork,
+    /// Never rewind: every search starts fresh.
+    #[cfg(test)]
+    fresh_only: bool,
+    /// Rewinds so far, and those that skip a dead source's flood.
+    #[cfg(test)]
+    rewinds: (u64, u64),
 }
 
 impl GridEscape {
     /// An empty solver; scratch grows on first use.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// A solver that never rewinds, so every search starts fresh.
+    #[cfg(test)]
+    pub(crate) fn fresh_only() -> Self {
+        Self {
+            fresh_only: true,
+            ..Self::default()
+        }
+    }
+
+    /// Rewinds so far, and how many of them skip the flood of a source
+    /// popped before the routed one.
+    #[cfg(test)]
+    pub(crate) fn rewinds(&self) -> (u64, u64) {
+        self.rewinds
     }
 
     /// Routes `sources` to `pins` over `obs` and extracts the per-source
@@ -149,10 +190,14 @@ impl GridEscape {
                 bump_cap(&mut self.cells[idx(p)], DRAIN_CAP);
             }
         }
-        for y in 0..h {
-            let row = &mut self.cells[y * w..(y + 1) * w];
-            for (x, f) in row.iter_mut().enumerate() {
-                if obs.is_blocked(Point::new(x as i32, y as i32)) {
+        for (y, (row, blocked)) in self
+            .cells
+            .chunks_exact_mut(w)
+            .zip(obs.blocked_cells().chunks_exact(w))
+            .enumerate()
+        {
+            for (x, (f, &blocked)) in row.iter_mut().zip(blocked).enumerate() {
+                if blocked {
                     *f &= !(3 << DRAIN_CAP);
                 } else if cap_of(*f, DRAIN_CAP) != 0 || (x > 0 && y > 0 && x + 1 < w && y + 1 < h) {
                     *f |= TRANSIT | 1 << MOVE_CAP;
@@ -232,6 +277,7 @@ impl GridEscape {
         self.node.resize(n_nodes, NodeState::CLEAN);
         self.prev.resize(n_nodes, NONE);
         self.touched.clear();
+        self.work = EscapeWork::default();
         beta
     }
 
@@ -240,6 +286,11 @@ impl GridEscape {
     /// unreachable or the next path costs `β`. Every real route is
     /// cheaper than β and path costs never decrease, so each source left
     /// without flow would only have overflowed. Returns the units routed.
+    ///
+    /// A search that reaches the sink at distance 0 leaves every
+    /// potential as it is, so the next search resumes it from where it
+    /// popped the routed source instead of starting over ([`Self::rewind`],
+    /// DESIGN §14.5); it pops the same nodes in the same order.
     fn augment(&mut self, want: i64, beta: i64) -> i64 {
         let n2 = 2 * self.cells.len();
         let ns = self.feed.len();
@@ -247,13 +298,20 @@ impl GridEscape {
         let w = self.width as isize;
         let step = [-1, 1, -w, w];
         let mut flow = 0;
+        let mut resume = false;
         while flow < want {
-            // `touched` lists exactly the nodes whose `dist` is set; the
-            // potential update below resets them.
-            self.queue.reset(t + 1);
-            self.node[s].dist = 0;
-            self.touched.push(s as u32);
-            self.queue.push(s, 0);
+            // `touched` lists the nodes whose `dist` is set (a rewound
+            // source may be listed twice); the potential update below
+            // resets them.
+            let labelled = self.touched.len();
+            if !resume {
+                self.queue.reset(t + 1);
+                self.marks.clear();
+                self.undo.clear();
+                self.node[s].dist = 0;
+                self.touched.push(s as u32);
+                self.queue.push(s, 0);
+            }
             'search: while let Some((popped, d)) = {
                 let node = &self.node;
                 self.queue.pop(|v| node[v].dist, node[t].dist)
@@ -275,6 +333,8 @@ impl GridEscape {
                             if nd < st.dist {
                                 if st.dist == i32::MAX {
                                     self.touched.push(v as u32);
+                                } else if d == 0 {
+                                    self.undo.push((v as u32, st.dist, self.prev[v]));
                                 }
                                 self.node[v].dist = nd;
                                 self.prev[v] = $code;
@@ -350,6 +410,14 @@ impl GridEscape {
                         }
                     } else if u < s {
                         let si = u - n2;
+                        if d == 0 && self.prev[u] == TAG_FEED {
+                            self.marks.push(Mark {
+                                src: si as u32,
+                                touched: self.touched.len() as u32,
+                                undo: self.undo.len() as u32,
+                                queue: self.queue.mark(),
+                            });
+                        }
                         for a in self.arc_start[si]..self.arc_start[si + 1] {
                             let arc = self.arcs[a as usize];
                             if !arc.flow {
@@ -369,6 +437,8 @@ impl GridEscape {
                     break;
                 }
             }
+            self.work.dijkstras += 1;
+            self.work.touched += (self.touched.len() - labelled) as u64;
             let dt = self.node[t].dist;
             if dt == i32::MAX {
                 break; // t unreachable: maximal flow attained
@@ -376,22 +446,71 @@ impl GridEscape {
             if (dt as i64) + (self.node[t].pot as i64) - (self.node[s].pot as i64) >= beta {
                 break;
             }
-            for &v in &self.touched {
-                let st = &mut self.node[v as usize];
-                if st.dist < dt {
-                    st.pot += st.dist - dt;
+            #[cfg(test)]
+            let rewind = dt == 0 && !self.fresh_only;
+            #[cfg(not(test))]
+            let rewind = dt == 0;
+            if !rewind {
+                for &v in &self.touched {
+                    let st = &mut self.node[v as usize];
+                    if st.dist < dt {
+                        st.pot += st.dist - dt;
+                    }
+                    st.dist = i32::MAX;
                 }
-                st.dist = i32::MAX;
+                self.touched.clear();
+                assert_potential_drift(self.node[s].pot);
             }
-            self.touched.clear();
-            assert_potential_drift(self.node[s].pot);
-            let mut v = t;
+            // `routed`: the node the path leaves `s` through.
+            let (mut v, mut routed) = (t, t);
             while v != s {
+                routed = v;
                 v = self.flip(v, &step);
             }
+            if rewind {
+                self.rewind(routed - n2);
+            }
+            resume = rewind;
             flow += 1;
         }
         flow
+    }
+
+    /// Rewinds the search that just routed source `si` along a
+    /// zero-distance path to where it popped `si`, and drops `si`.
+    /// Every node popped before `si` keeps its arcs and reduced costs,
+    /// so a fresh search would repeat those pops and reach this state,
+    /// except that `si`'s feed is now full (DESIGN §14.5).
+    fn rewind(&mut self, si: usize) {
+        let n2 = 2 * self.cells.len();
+        let k = self
+            .marks
+            .iter()
+            .rposition(|m| m.src as usize == si)
+            .expect("a zero-distance path leaves through a marked source");
+        #[cfg(test)]
+        {
+            self.rewinds.0 += 1;
+            self.rewinds.1 += u64::from(k > 0);
+        }
+        let mark = self.marks[k];
+        self.marks.truncate(k);
+        for &(v, dist, prev) in self.undo[mark.undo as usize..].iter().rev() {
+            self.node[v as usize].dist = dist;
+            self.prev[v as usize] = prev;
+        }
+        self.undo.truncate(mark.undo as usize);
+        for &v in &self.touched[mark.touched as usize..] {
+            self.node[v as usize].dist = i32::MAX;
+        }
+        self.touched.truncate(mark.touched as usize);
+        // `si` stays listed in `touched`; the reset skips it unlabelled.
+        self.node[n2 + si].dist = i32::MAX;
+        // At `si`'s pop every queued level-0 node was a source above it:
+        // each cell id is lower and would have popped first.
+        let node = &self.node;
+        let plateau = (n2 + si + 1..n2 + self.feed.len()).filter(|&v| node[v].dist == 0);
+        self.queue.rewind(&mark.queue, plateau);
     }
 
     /// Pushes one unit across the arc that reached `v` on the current
@@ -504,6 +623,7 @@ impl GridEscape {
             routes,
             total_length,
             routed,
+            work: self.work,
         }
     }
 }

@@ -41,5 +41,5 @@ mod escape;
 mod grid;
 mod queue;
 
-pub use escape::{EscapeOutcome, EscapeSource, SourceKind};
+pub use escape::{EscapeOutcome, EscapeSource, EscapeWork, SourceKind};
 pub use grid::GridEscape;

@@ -12,6 +12,10 @@
 //! the highest bit in which their distance differs from the level
 //! (Dijkstra distances never drop below the level, so the buckets stay
 //! valid as it rises) and move into the bitset one level at a time.
+//!
+//! While the queue stays at level 0 its buckets only grow, so a
+//! [`QueueMark`] of their lengths lets the solver rewind a search that
+//! never left level 0 (DESIGN §14.5).
 
 /// Per-node Dijkstra state: tentative distance and Johnson potential in
 /// one 8-byte record, so the two random reads per relaxed arc share a
@@ -45,6 +49,15 @@ pub(crate) fn assert_potential_drift(source_pot: i32) {
     );
 }
 
+/// The radix-bucket lengths of a level-0 [`LevelQueue`], taken by
+/// [`LevelQueue::mark`] for [`LevelQueue::rewind`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct QueueMark([u32; BUCKETS]);
+
+/// Bucket `b` holds distances whose highest bit differing from the
+/// level is bit `b − 1`; bucket 0 stays empty.
+const BUCKETS: usize = 33;
+
 /// Monotone `(distance, node)` priority queue: plateau bitset plus
 /// radix buckets.
 #[derive(Debug, Clone, Default)]
@@ -68,6 +81,15 @@ impl LevelQueue {
             self.bits.resize(words, 0);
             self.sum.resize(words.div_ceil(64), 0);
         }
+        self.clear_plateau();
+        self.buckets.resize(BUCKETS, Vec::new());
+        for b in &mut self.buckets {
+            b.clear();
+        }
+        self.level = 0;
+    }
+
+    fn clear_plateau(&mut self) {
         for si in 0..self.sum.len() {
             let mut sw = self.sum[si];
             while sw != 0 {
@@ -77,11 +99,26 @@ impl LevelQueue {
             self.sum[si] = 0;
         }
         self.lo = self.sum.len();
-        self.buckets.resize(33, Vec::new());
-        for b in &mut self.buckets {
-            b.clear();
+    }
+
+    /// The bucket lengths now; valid for [`Self::rewind`] while the
+    /// level stays 0.
+    pub(crate) fn mark(&self) -> QueueMark {
+        QueueMark(std::array::from_fn(|b| self.buckets[b].len() as u32))
+    }
+
+    /// Drops every bucket entry pushed since `mark` and makes `plateau`
+    /// the queued level-0 nodes. The queue must not have left level 0
+    /// since the mark: only then have its buckets only grown.
+    pub(crate) fn rewind(&mut self, mark: &QueueMark, plateau: impl IntoIterator<Item = usize>) {
+        debug_assert_eq!(self.level, 0, "rewind past a level change");
+        self.clear_plateau();
+        for (b, &len) in self.buckets.iter_mut().zip(&mark.0) {
+            b.truncate(len as usize);
         }
-        self.level = 0;
+        for v in plateau {
+            self.push(v, 0);
+        }
     }
 
     /// Queues `v` at tentative distance `d` (never below the level).
@@ -229,5 +266,28 @@ mod tests {
             order.push(e);
         }
         assert_eq!(order, vec![(1, 4), (2, 4)]);
+    }
+
+    #[test]
+    fn rewind_drops_later_bucket_pushes_and_requeues_the_plateau() {
+        let dist = [0, 0, 0, 5, 3, 0, 7];
+        let mut q = LevelQueue::default();
+        q.reset(dist.len());
+        q.push(0, 0);
+        q.push(5, 0);
+        q.push(3, 5);
+        assert_eq!(q.pop(|v| dist[v], i32::MAX), Some((0, 0)));
+        let mark = q.mark();
+        q.push(4, 3);
+        q.push(6, 7);
+        q.push(1, 0);
+        assert_eq!(q.pop(|v| dist[v], i32::MAX), Some((1, 0)));
+        // Back to the mark, with node 2 queued in place of node 5.
+        q.rewind(&mark, [2]);
+        let mut order = Vec::new();
+        while let Some(e) = q.pop(|v| dist[v], i32::MAX) {
+            order.push(e);
+        }
+        assert_eq!(order, vec![(2, 0), (3, 5)]);
     }
 }
