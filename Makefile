@@ -103,7 +103,9 @@ bench-smoke:
 	python3 -c "import json; r = json.load(open('target/bench_flow_smoke.json')); assert len(r['entries']) == 2, r; print('bench-smoke: harness produced', len(r['entries']), 'entries')"
 
 # Golden end-to-end snapshots for every bench chip, including the
-# debug-`#[ignore]`d B3-dense96 (minutes in debug, seconds in release).
+# debug-`#[ignore]`d B3-dense96 (minutes in debug, seconds in release):
+# metrics and post-mortem per chip and rip-up policy, plus the
+# deterministic telemetry stream (`*.telemetry.jsonl`) of B0-B2.
 # Regenerate fixtures after an intentional routing change with
 # `UPDATE_GOLDEN=1 make golden`.
 golden:

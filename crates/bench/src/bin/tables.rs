@@ -534,7 +534,7 @@ fn heatmap(design: Option<&str>) {
         std::process::exit(2);
     };
     let cfg = FlowConfig::default();
-    pacor::obs::flight_install(cfg.recorder_config());
+    pacor::obs::flight_install(pacor::obs::RecorderConfig::default());
     let r = run_config(d, cfg, BENCH_SEED);
     let log = pacor::obs::flight_take().expect("recorder installed");
     println!("== Congestion heatmap: {name} (seed {BENCH_SEED}) ==");

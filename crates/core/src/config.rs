@@ -75,12 +75,6 @@ pub struct FlowConfig {
     /// (the default) keeps converged paths; `Full` is the paper's
     /// Algorithm 1 verbatim, kept for ablation.
     pub ripup_policy: RipUpPolicy,
-    /// Flight-recorder event-ring capacity (oldest events dropped on
-    /// overflow). Only read when a recorder is installed.
-    pub recorder_capacity: usize,
-    /// Negotiation rounds between flight-recorder congestion snapshots
-    /// (round 1 and final rounds are always captured).
-    pub recorder_cadence: u32,
 }
 
 impl Default for FlowConfig {
@@ -97,8 +91,6 @@ impl Default for FlowConfig {
             detour_node_budget: 200_000,
             thread_count: 1,
             ripup_policy: RipUpPolicy::default(),
-            recorder_capacity: pacor_obs::RecorderConfig::default().capacity,
-            recorder_cadence: pacor_obs::RecorderConfig::default().snapshot_cadence,
         }
     }
 }
@@ -124,28 +116,6 @@ impl FlowConfig {
         self.ripup_policy = ripup_policy;
         self
     }
-
-    /// Sets the flight-recorder event capacity.
-    pub fn with_recorder_capacity(mut self, capacity: usize) -> Self {
-        self.recorder_capacity = capacity;
-        self
-    }
-
-    /// Sets the flight-recorder snapshot cadence (0 is treated as 1).
-    pub fn with_recorder_cadence(mut self, cadence: u32) -> Self {
-        self.recorder_cadence = cadence.max(1);
-        self
-    }
-
-    /// The [`pacor_obs::RecorderConfig`] these knobs describe, for
-    /// callers that install a flight recorder around the flow.
-    pub fn recorder_config(&self) -> pacor_obs::RecorderConfig {
-        pacor_obs::RecorderConfig {
-            capacity: self.recorder_capacity,
-            snapshot_cadence: self.recorder_cadence,
-            ..pacor_obs::RecorderConfig::default()
-        }
-    }
 }
 
 #[cfg(test)]
@@ -163,23 +133,6 @@ mod tests {
         assert_eq!(c.theta, 10);
         assert_eq!(c.thread_count, 1, "parallelism is opt-in");
         assert_eq!(c.ripup_policy, RipUpPolicy::Incremental);
-        assert_eq!(c.recorder_config(), pacor_obs::RecorderConfig::default());
-    }
-
-    #[test]
-    fn recorder_knobs_reach_the_recorder_config() {
-        let c = FlowConfig::default()
-            .with_recorder_capacity(128)
-            .with_recorder_cadence(2);
-        assert_eq!(c.recorder_config().capacity, 128);
-        assert_eq!(c.recorder_config().snapshot_cadence, 2);
-        assert_eq!(
-            FlowConfig::default()
-                .with_recorder_cadence(0)
-                .recorder_cadence,
-            1,
-            "cadence 0 would divide by zero; clamp to every round"
-        );
     }
 
     #[test]

@@ -101,9 +101,7 @@ pub fn detour_cluster(
                     .route_at_least(seg.source(), seg.target(), lt);
                 match result {
                     Some(new_path) => {
-                        pacor_obs::counter_add("detour.segments", 1);
-                        pacor_obs::record("detour.delta", new_path.len().saturating_sub(seg.len()));
-                        pacor_obs::flight(|| pacor_obs::FlightEvent::DetourSegment {
+                        pacor_obs::emit(pacor_obs::Event::DetourSegment {
                             cluster: rc.cluster.id().0,
                             added: new_path.len().saturating_sub(seg.len()),
                         });

@@ -38,6 +38,28 @@ pub struct EscapeStats {
     pub ripped: usize,
 }
 
+impl EscapeStats {
+    /// The `escape_progress` event of a phase-`phase` round whose solve
+    /// routed `pending - failed` of `pending` escapes.
+    fn round_event(
+        &self,
+        phase: u32,
+        pending: usize,
+        failed: usize,
+        valves_routed: u64,
+    ) -> pacor_obs::Event {
+        pacor_obs::Event::EscapeProgress {
+            phase,
+            round: self.rounds,
+            pending: pending as u64,
+            failed: failed as u64,
+            valves_routed,
+            declustered: self.declustered as u64,
+            ripped: self.ripped as u64,
+        }
+    }
+}
+
 /// Valves whose cluster currently holds an escape — escape progress in
 /// the objective's units (cluster counts change as de-clustering splits
 /// clusters).
@@ -95,8 +117,7 @@ fn decluster(
     stats: &mut EscapeStats,
 ) {
     stats.declustered += 1;
-    pacor_obs::counter_add("escape.declustered", 1);
-    pacor_obs::flight(|| pacor_obs::FlightEvent::Declustered {
+    pacor_obs::emit(pacor_obs::Event::Declustered {
         cluster: rc.cluster.id().0,
     });
     if free_nets {
@@ -148,27 +169,12 @@ pub fn escape_all(
                 None => failed.push(i),
             }
         }
-        pacor_obs::progress(|| pacor_obs::ProgressEvent::EscapeProgress {
-            phase: 1,
-            round: stats.rounds,
-            pending: n_sources as u64,
-            failed: failed.len() as u64,
-            valves_routed: valves_escaped(routed),
-            declustered: stats.declustered as u64,
-            ripped: stats.ripped as u64,
-        });
+        pacor_obs::emit(stats.round_event(1, n_sources, failed.len(), valves_escaped(routed)));
         if failed.is_empty() {
             return stats;
         }
         for &i in &failed {
-            pacor_obs::instant(
-                "escape.phase1_failed",
-                &[
-                    ("round", stats.rounds as u64),
-                    ("cluster", routed[i].cluster.id().0 as u64),
-                ],
-            );
-            pacor_obs::flight(|| pacor_obs::FlightEvent::EscapeFailed {
+            pacor_obs::emit(pacor_obs::Event::EscapeFailed {
                 phase: 1,
                 round: stats.rounds,
                 cluster: routed[i].cluster.id().0,
@@ -214,15 +220,7 @@ pub fn escape_all(
                 None => failed.push(i),
             }
         }
-        pacor_obs::progress(|| pacor_obs::ProgressEvent::EscapeProgress {
-            phase: 2,
-            round: stats.rounds,
-            pending: pending.len() as u64,
-            failed: failed.len() as u64,
-            valves_routed: valves_escaped(routed),
-            declustered: stats.declustered as u64,
-            ripped: stats.ripped as u64,
-        });
+        pacor_obs::emit(stats.round_event(2, pending.len(), failed.len(), valves_escaped(routed)));
         if failed.is_empty() {
             continue;
         }
@@ -232,7 +230,7 @@ pub fn escape_all(
         let mut singles_failed: Vec<Point> = Vec::new();
         failed.sort_unstable();
         for &i in failed.iter().rev() {
-            pacor_obs::flight(|| pacor_obs::FlightEvent::EscapeFailed {
+            pacor_obs::emit(pacor_obs::Event::EscapeFailed {
                 phase: 2,
                 round: stats.rounds,
                 cluster: routed[i].cluster.id().0,
@@ -261,16 +259,12 @@ pub fn escape_all(
             // tolerates duplicates, so a flat vec replaces the set.
             let mut victims: Vec<RoutedCluster> = Vec::new();
             let mut pocket: Vec<Point> = Vec::new();
-            for shell in 0..4 {
+            for _ in 0..4 {
                 let (blockers, shell_pocket, walls) =
                     blocking_clusters(obs, routed, cur, source, &rip_counts);
                 let blocked_id = routed[cur].cluster.id().0;
                 record_blocked(routed, blocked_id, &shell_pocket, &blockers, &walls);
                 pocket.extend(shell_pocket);
-                pacor_obs::instant(
-                    "escape.shell",
-                    &[("shell", shell as u64), ("blockers", blockers.len() as u64)],
-                );
                 if blockers.is_empty() {
                     break; // walled by hard obstacles / valves: unrecoverable
                 }
@@ -280,8 +274,7 @@ pub fn escape_all(
                 for &b in blockers.iter().rev() {
                     let rc = routed.remove(b);
                     stats.ripped += 1;
-                    pacor_obs::counter_add("escape.ripped", 1);
-                    pacor_obs::flight(|| pacor_obs::FlightEvent::EscapeRip {
+                    pacor_obs::emit(pacor_obs::Event::EscapeRip {
                         victim: rc.cluster.id().0,
                         blocked: blocked_id,
                     });
@@ -310,7 +303,6 @@ pub fn escape_all(
                     commit(obs, &mut routed[cur], route);
                     break;
                 }
-                pacor_obs::instant("escape.solo_failed", &[("shell", shell as u64)]);
             }
             // Guard the pocket and its one-cell rim while the victims
             // re-route, so a deterministic router cannot simply rebuild
@@ -412,7 +404,7 @@ pub fn escape_all(
                 // longer apply: completion outranks everything.
                 let (blockers, pocket, walls) = blocking_clusters(obs, routed, cur, source, &[]);
                 let blocked_id = routed[cur].cluster.id().0;
-                pacor_obs::flight(|| pacor_obs::FlightEvent::EscapeFailed {
+                pacor_obs::emit(pacor_obs::Event::EscapeFailed {
                     phase: 3,
                     round: stats.rounds,
                     cluster: blocked_id,
@@ -430,15 +422,7 @@ pub fn escape_all(
                 }
             }
         }
-        pacor_obs::progress(|| pacor_obs::ProgressEvent::EscapeProgress {
-            phase: 3,
-            round: stats.rounds,
-            pending: n_sources as u64,
-            failed: failed_sources.len() as u64,
-            valves_routed,
-            declustered: stats.declustered as u64,
-            ripped: stats.ripped as u64,
-        });
+        pacor_obs::emit(stats.round_event(3, n_sources, failed_sources.len(), valves_routed));
         if progress {
             continue; // discard this round's escapes; re-solve globally
         }
@@ -741,9 +725,9 @@ fn blocking_clusters_reference(
     (picks, seen, frontier_cells)
 }
 
-/// Records [`pacor_obs::FlightEvent::EscapeBlocked`] for a walled-in
-/// cluster: resolves blocker indices and frontier owners to cluster ids
-/// (only when a recorder is active).
+/// Emits [`pacor_obs::Event::EscapeBlocked`] for a walled-in cluster:
+/// resolves blocker indices and frontier owners to cluster ids (only
+/// when recording).
 fn record_blocked(
     routed: &[RoutedCluster],
     blocked: u32,
@@ -751,7 +735,7 @@ fn record_blocked(
     blockers: &[usize],
     frontier: &[(Point, usize)],
 ) {
-    if !pacor_obs::flight_active() {
+    if !pacor_obs::recording() {
         return;
     }
     let mut ids: Vec<u32> = blockers.iter().map(|&b| routed[b].cluster.id().0).collect();
@@ -764,10 +748,9 @@ fn record_blocked(
             owner: routed[o].cluster.id().0,
         })
         .collect();
-    let pocket = pocket.len() as u32;
-    pacor_obs::flight(move || pacor_obs::FlightEvent::EscapeBlocked {
+    pacor_obs::emit(pacor_obs::Event::EscapeBlocked {
         cluster: blocked,
-        pocket,
+        pocket: pocket.len() as u32,
         blockers: ids,
         frontier,
     });

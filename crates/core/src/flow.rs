@@ -71,7 +71,7 @@ impl PacorFlow {
         let mut timings = crate::FlowMetrics::default();
         let grid = problem.grid()?;
         let mut obs = ObsMap::new(&grid);
-        pacor_obs::progress(|| pacor_obs::ProgressEvent::FlowStarted {
+        pacor_obs::emit(pacor_obs::Event::FlowStarted {
             design: problem.name.clone(),
             width: grid.width(),
             height: grid.height(),
@@ -86,13 +86,9 @@ impl PacorFlow {
         // ---- Stage 1: valve clustering -------------------------------
         // Length-matching clusters are pinned; remaining valves cluster
         // greedily by compatibility (broadcast addressing).
-        pacor_obs::telemetry_stage_enter("clustering");
-        let stage = Instant::now();
-        let span = pacor_obs::span("stage.clustering");
+        let stage = pacor_obs::stage("clustering", &[]);
         let clusters = problem.valves.cluster_greedy(&problem.lm_clusters);
-        drop(span);
-        timings.clustering = stage.elapsed();
-        pacor_obs::telemetry_stage_exit("clustering", clusters.len() as u64);
+        timings.clustering = stage.exit(clusters.len() as u64);
         let positions_of = |c: &Cluster| {
             c.members()
                 .iter()
@@ -137,37 +133,28 @@ impl PacorFlow {
         // Per-cluster outcomes (in routed order, which is deterministic)
         // and a final occupancy snapshot — the post-mortem's ground truth
         // for what stayed unrouted and where the chip ended up congested.
-        if pacor_obs::flight_active() {
+        if pacor_obs::recording() {
             for rc in &routed {
-                let mismatch = rc.mismatch();
                 let complete = rc.is_complete();
                 let lm = rc.cluster.is_length_matched();
-                let matched = lm && complete && rc.is_matched(problem.delta);
-                pacor_obs::flight(|| pacor_obs::FlightEvent::ClusterOutcome {
+                pacor_obs::emit(pacor_obs::Event::ClusterOutcome {
                     cluster: rc.cluster.id().0,
                     valves: rc.cluster.len() as u32,
                     lm,
                     complete,
-                    matched,
+                    matched: lm && complete && rc.is_matched(problem.delta),
                     length: rc.total_length(),
-                    mismatch,
+                    mismatch: rc.mismatch(),
                     delta: problem.delta,
                 });
-            }
-            let (w, h) = (grid.width(), grid.height());
-            let mut occupancy = Vec::with_capacity((w as usize) * (h as usize));
-            for y in 0..h as i32 {
-                for x in 0..w as i32 {
-                    occupancy.push(u8::from(obs.is_blocked(pacor_grid::Point::new(x, y))));
-                }
             }
             pacor_obs::flight_snapshot(pacor_obs::CongestionSnapshot {
                 kind: pacor_obs::SnapshotKind::Final,
                 session: 0,
                 round: 0,
-                width: w,
-                height: h,
-                occupancy,
+                width: grid.width(),
+                height: grid.height(),
+                occupancy: obs.blocked_cells().iter().map(|&b| u8::from(b)).collect(),
                 heat_milli: Vec::new(),
             });
         }
@@ -185,16 +172,16 @@ impl PacorFlow {
             escape_stats.declustered,
             escape_stats.ripped,
         );
-        if pacor_obs::telemetry_active() {
-            let complete = report.clusters.iter().filter(|c| c.complete).count() as u64;
-            pacor_obs::telemetry_flow_finished(
-                complete,
-                report.clusters.len() as u64 - complete,
-                report.matched_clusters as u64,
-                report.total_length,
-                (report.completion_rate() * 1000.0).round() as u64,
-            );
-        }
+        let complete = report.clusters.iter().filter(|c| c.complete).count() as u64;
+        pacor_obs::emit(pacor_obs::Event::FlowFinished {
+            routed: complete,
+            failed: report.clusters.len() as u64 - complete,
+            matched: report.matched_clusters as u64,
+            total_length: report.total_length,
+            completion_milli: (report.completion_rate() * 1000.0).round() as u64,
+            events: 0,
+            elapsed_us: 0,
+        });
         Ok((report, routed))
     }
 
@@ -268,14 +255,10 @@ fn run_stage_pipeline(
 
     // ---- Stage 2: length-matching cluster routing -----------------
     let lm_count = lm_input.len() as u64;
-    pacor_obs::telemetry_stage_enter("lm_routing");
-    let stage = Instant::now();
-    let span = pacor_obs::span_with("stage.lm_routing", &[("clusters", lm_count)]);
+    let stage = pacor_obs::stage("lm_routing", &[("clusters", lm_count)]);
     let lm_out = route_lm_clusters(obs, lm_input, config);
-    drop(span);
+    timings.lm_routing = stage.exit(lm_count);
     pacor_obs::counter_sample("astar.expansions");
-    timings.lm_routing = stage.elapsed();
-    pacor_obs::telemetry_stage_exit("lm_routing", lm_count);
     timings.threads = crate::effective_threads(config.thread_count);
     timings.lm_candidate_tasks = lm_out.candidate_tasks;
     timings.lm_scoring_tasks = lm_out.scoring_tasks;
@@ -290,25 +273,19 @@ fn run_stage_pipeline(
         ordinary_input.push((demoted, p));
     }
     let mst_count = ordinary_input.len() as u64;
-    pacor_obs::telemetry_stage_enter("mst_routing");
-    let stage = Instant::now();
-    let span = pacor_obs::span_with("stage.mst_routing", &[("clusters", mst_count)]);
+    let stage = pacor_obs::stage("mst_routing", &[("clusters", mst_count)]);
     routed.extend(route_ordinary_clusters(
         obs,
         ordinary_input,
         next_cluster_id,
         config,
     ));
-    drop(span);
+    timings.mst_routing = stage.exit(mst_count);
     pacor_obs::counter_sample("astar.expansions");
-    timings.mst_routing = stage.elapsed();
-    pacor_obs::telemetry_stage_exit("mst_routing", mst_count);
 
     // ---- Stage 3.5: Detour-First variant --------------------------
     if config.variant == FlowVariant::DetourFirst {
-        pacor_obs::telemetry_stage_enter("detour");
-        let stage = Instant::now();
-        let span = pacor_obs::span("stage.detour");
+        let stage = pacor_obs::stage("detour", &[]);
         let mut detoured = 0u64;
         for rc in routed.iter_mut() {
             if rc.cluster.is_length_matched() {
@@ -316,26 +293,18 @@ fn run_stage_pipeline(
                 detoured += 1;
             }
         }
-        drop(span);
-        timings.detour = stage.elapsed();
-        pacor_obs::telemetry_stage_exit("detour", detoured);
+        timings.detour = stage.exit(detoured);
     }
 
     // ---- Stages 4–5: escape routing with rip-up/de-clustering -----
-    pacor_obs::telemetry_stage_enter("escape");
-    let stage = Instant::now();
-    let span = pacor_obs::span("stage.escape");
+    let stage = pacor_obs::stage("escape", &[]);
     let escape_stats = escape_all(obs, &mut routed, pins, config, next_cluster_id);
-    drop(span);
+    timings.escape = stage.exit(routed.len() as u64);
     pacor_obs::counter_sample("astar.expansions");
-    timings.escape = stage.elapsed();
-    pacor_obs::telemetry_stage_exit("escape", routed.len() as u64);
 
     // ---- Stage 6: final path detouring ----------------------------
     if config.variant != FlowVariant::DetourFirst {
-        pacor_obs::telemetry_stage_enter("detour");
-        let stage = Instant::now();
-        let span = pacor_obs::span("stage.detour");
+        let stage = pacor_obs::stage("detour", &[]);
         let mut detoured = 0u64;
         for rc in routed.iter_mut() {
             if rc.cluster.is_length_matched() && rc.is_complete() {
@@ -343,9 +312,7 @@ fn run_stage_pipeline(
                 detoured += 1;
             }
         }
-        drop(span);
-        timings.detour = stage.elapsed();
-        pacor_obs::telemetry_stage_exit("detour", detoured);
+        timings.detour = stage.exit(detoured);
     }
     pacor_obs::counter_sample("astar.expansions");
 

@@ -65,14 +65,13 @@ pub fn route_lm_clusters(
             pacor_obs::record("dme.candidates", cands.len() as u64);
             (i, cands)
         });
-    // Telemetry emits on the session thread only (the fan-out workers
-    // above record into private task frames), after the merge — so the
-    // event lands at the same commit point at any thread count.
-    if pacor_obs::telemetry_active() {
-        let candidates_total: u64 = tree_clusters.iter().map(|(_, c)| c.len() as u64).sum();
-        pacor_obs::progress(|| pacor_obs::ProgressEvent::DmeProgress {
+    // Events are emitted on the session thread only (the fan-out
+    // workers above record into private task frames), after the merge
+    // — so the event lands at the same commit point at any thread count.
+    if pacor_obs::recording() {
+        pacor_obs::emit(pacor_obs::Event::DmeProgress {
             clusters: candidate_tasks as u64,
-            candidates: candidates_total,
+            candidates: tree_clusters.iter().map(|(_, c)| c.len() as u64).sum(),
         });
     }
 
@@ -178,8 +177,7 @@ pub fn route_lm_clusters(
             let is_tree = matches!(net, LmNet::Tree { .. });
             if is_tree && !retried[ci] && positions.len() <= 6 {
                 retried[ci] = true;
-                pacor_obs::counter_add("lm.reconstructed", 1);
-                pacor_obs::flight(|| pacor_obs::FlightEvent::LmReconstructed { cluster: cid });
+                pacor_obs::emit(pacor_obs::Event::LmReconstructed { cluster: cid });
                 let alts = candidates_with_alternates(
                     positions,
                     Some(obs),
@@ -197,9 +195,7 @@ pub fn route_lm_clusters(
                     continue;
                 }
             }
-            pacor_obs::counter_add("lm.demoted", 1);
-            pacor_obs::instant("lm.demoted", &[("cluster", ci as u64)]);
-            pacor_obs::flight(|| pacor_obs::FlightEvent::LmDemoted { cluster: cid });
+            pacor_obs::emit(pacor_obs::Event::LmDemoted { cluster: cid });
             failed_idx.push(ci);
         }
         if active.is_empty() {

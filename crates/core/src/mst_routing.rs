@@ -116,26 +116,23 @@ pub fn route_ordinary_clusters(
     while let Some((cluster, positions)) = queue.pop_front() {
         match route_mst_owned(obs, cluster, positions, &mut scratch) {
             Ok(rc) => {
-                count_edges(&rc);
+                pacor_obs::emit(pacor_obs::Event::MstCommit {
+                    cluster: rc.cluster.id().0,
+                    edges: mst_edges(&rc) as u32,
+                    length: rc.total_length(),
+                });
                 out.push(rc)
             }
             Err((cluster, positions)) => split_into(&mut queue, cluster, positions, next_id),
         }
     }
-    if pacor_obs::telemetry_active() {
-        let edges: u64 = out
-            .iter()
-            .map(|rc| match &rc.kind {
-                RoutedKind::Mst { paths } => paths.len() as u64,
-                _ => 0,
-            })
-            .sum();
+    if pacor_obs::recording() {
         let committed = out.len() as u64;
-        pacor_obs::progress(|| pacor_obs::ProgressEvent::MstProgress {
+        pacor_obs::emit(pacor_obs::Event::MstProgress {
             clusters: batch,
             committed,
             splits: committed.saturating_sub(batch),
-            edges,
+            edges: out.iter().map(mst_edges).sum(),
         });
     }
     out
@@ -152,13 +149,12 @@ fn split_into(
     let parent = cluster.id().0;
     match cluster.split(*next_id) {
         Some((a, b)) => {
-            pacor_obs::flight(|| pacor_obs::FlightEvent::MstSplit {
+            pacor_obs::emit(pacor_obs::Event::MstSplit {
                 parent,
                 low: *next_id,
                 high: *next_id + 1,
             });
             *next_id += 2;
-            pacor_obs::counter_add("mst.splits", 1);
             let pos_of = |c: &Cluster| {
                 c.members()
                     .iter()
@@ -182,17 +178,12 @@ fn split_into(
     }
 }
 
-fn count_edges(rc: &RoutedCluster) {
-    let edges = match &rc.kind {
+/// Routed MST tree edges of `rc` (0 for other kinds).
+fn mst_edges(rc: &RoutedCluster) -> u64 {
+    match &rc.kind {
         RoutedKind::Mst { paths } => paths.len() as u64,
         _ => 0,
-    };
-    pacor_obs::counter_add("mst.edges", edges);
-    pacor_obs::flight(|| pacor_obs::FlightEvent::MstCommit {
-        cluster: rc.cluster.id().0,
-        edges: edges as u32,
-        length: rc.total_length(),
-    });
+    }
 }
 
 #[cfg(test)]

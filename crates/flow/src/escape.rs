@@ -188,6 +188,24 @@ mod tests {
     }
 
     #[test]
+    fn sources_sharing_an_exit_cell_leave_by_their_own_arcs() {
+        // Both sources list the blocked centre; one unit leaves it east,
+        // the other west, and each source gets its own route.
+        let mut obs = open_map(9, 9);
+        let hub = Point::new(4, 4);
+        obs.block(hub);
+        let sources = vec![
+            EscapeSource::at(SourceKind::SingleValve, hub),
+            EscapeSource::at(SourceKind::AnyPathPoint, hub),
+        ];
+        let pins = vec![Point::new(0, 4), Point::new(8, 4)];
+        let out = solve(&obs, &sources, &pins);
+        let ends: Vec<Point> = out.routes.iter().map(|r| r.as_ref().unwrap().1).collect();
+        assert_eq!(ends, [Point::new(8, 4), Point::new(0, 4)]);
+        assert_eq!(out.total_length, 8);
+    }
+
+    #[test]
     fn no_pins_overflows() {
         let obs = open_map(5, 5);
         let sources = vec![EscapeSource::at(SourceKind::SingleValve, Point::new(2, 2))];
@@ -548,6 +566,63 @@ mod tests {
         }
     }
 
+    /// Shared-exit scenario: a few blocked hub cells, each listed by two
+    /// or three sources (singletons on the hub, or random-walk paths
+    /// from it), so several units may leave one cell.
+    fn shared_exit_scenario(seed: u64) -> (ObsMap, Vec<EscapeSource>, Vec<Point>) {
+        let mut st = seed;
+        let mut next = move |m: usize| (lcg(&mut st) as usize) % m;
+        let (w, h) = (8 + next(12), 8 + next(12));
+        let mut obs = ObsMap::new(&Grid::new(w as u32, h as u32).unwrap());
+        for _ in 0..w * h / 12 {
+            obs.block(Point::new(next(w) as i32, next(h) as i32));
+        }
+        let mut pins = Vec::new();
+        for _ in 0..12 {
+            let p = if next(2) == 0 {
+                Point::new(next(w) as i32, if next(2) == 0 { 0 } else { h as i32 - 1 })
+            } else {
+                Point::new(if next(2) == 0 { 0 } else { w as i32 - 1 }, next(h) as i32)
+            };
+            if !pins.contains(&p) && !obs.is_blocked(p) {
+                pins.push(p);
+            }
+        }
+        let mut sources = Vec::new();
+        for _ in 0..1 + next(3) {
+            let hub = Point::new(1 + next(w - 2) as i32, 1 + next(h - 2) as i32);
+            obs.block(hub);
+            for _ in 0..2 + next(2) {
+                sources.push(if next(2) == 0 {
+                    EscapeSource::at(SourceKind::SingleValve, hub)
+                } else {
+                    path_source(&mut next, &mut obs, hub)
+                });
+            }
+        }
+        (obs, sources, pins)
+    }
+
+    #[test]
+    fn grid_solver_is_certified_optimal_on_shared_exit_scenarios() {
+        let mut solver = GridEscape::new();
+        let mut shared_exits = 0;
+        for seed in 0..SCENARIOS {
+            let (obs, sources, pins) = shared_exit_scenario(seed * 11 + 3);
+            let out = solver.solve(&obs, &sources, &pins);
+            if let Err(e) = certify(&obs, &sources, &pins, &out) {
+                panic!("seed {seed}: grid solve not optimal: {e}");
+            }
+            let mut exits: Vec<Point> = out.routes.iter().flatten().map(|r| r.0.source()).collect();
+            exits.sort();
+            shared_exits += exits.windows(2).any(|p| p[0] == p[1]) as usize;
+        }
+        assert!(
+            shared_exits >= 150,
+            "only {shared_exits} scenarios route two units out of one cell"
+        );
+    }
+
     /// Oversubscribed scenario: more sources than pins, every pin on the
     /// west edge, and disjoint sources that are singletons or
     /// random-walk paths. Sources that lose the race for a pin, or sit
@@ -583,9 +658,8 @@ mod tests {
                 path_source(&mut next, &mut obs, p)
             };
             // Sources stay disjoint; a walk into another source's cells
-            // stays an obstacle. Two sources routed out of one shared
-            // exit cell are extracted onto the same route (ROADMAP
-            // item 3), a defect this test is not about.
+            // stays an obstacle. Shared cells have their own family,
+            // `shared_exit_scenario`.
             if !sources
                 .iter()
                 .any(|s: &EscapeSource| s.cells.iter().any(|c| src.cells.contains(c)))

@@ -24,10 +24,15 @@
 //!   unit, because the node it enters passes at most one.
 //! * **Costs.** One tap tier is the chip's cell count + 1; β dominates
 //!   every tier a source can stack (`costs` in `escape.rs`).
+//! * **Extraction.** Sources walk their units out in input order, each
+//!   leaving a cell by its last flowing movement arc in `neighbors4`
+//!   order that no earlier walk took, so sources sharing an exit cell
+//!   get distinct routes.
 
 use crate::escape::{costs, walk_route, EscapeOutcome, EscapeSource, EscapeWork};
 use crate::queue::{assert_potential_drift, LevelQueue, NodeState, QueueMark};
 use pacor_grid::{GridPath, ObsMap, Point};
+use std::cell::Cell;
 
 // Per-cell flag word. Directions follow `Point::neighbors4`: 0 = x − 1,
 // 1 = x + 1, 2 = y − 1, 3 = y + 1; the opposite of `d` is `d ^ 1`.
@@ -573,20 +578,26 @@ impl GridEscape {
 
     /// Per-source routes from the flow bits: the source's first arc that
     /// carries flow, then the next hops from its exit cell to a pin.
-    fn extract(&self, flow: i64) -> EscapeOutcome {
+    /// Consumes the movement-flow bits it walks.
+    fn extract(&mut self, flow: i64) -> EscapeOutcome {
         let w = self.width;
         let point_of = |c: usize| Point::new((c % w) as i32, (c / w) as i32);
-        // A cell can pass two units only when an unblocked exit cell also
-        // carries transit flow; the walk then takes the last movement arc
-        // in `neighbors4` order.
+        // Several units leave a cell only at an exit cell: one listed by
+        // several sources, or an unblocked one that also carries transit
+        // flow. Each walk leaves a cell by its last flowing movement arc
+        // in `neighbors4` order and clears that arc's bit, so the next
+        // unit out of the cell takes another arc.
+        let cells = Cell::from_mut(&mut self.cells[..]).as_slice_of_cells();
         let next_of = |c: usize| {
-            let m = (self.cells[c] >> OUT) & 0xF;
+            let f = cells[c].get();
+            let m = (f >> OUT) & 0xF;
             (m != 0).then(|| {
                 let dir = 31 - m.leading_zeros() as usize;
+                cells[c].set(f & !(1 << (OUT as usize + dir)));
                 [c.wrapping_sub(1), c + 1, c.wrapping_sub(w), c + w][dir]
             })
         };
-        let pin_at = |c: usize| self.cells[c] & DRAIN_FLOW != 0;
+        let pin_at = |c: usize| cells[c].get() & DRAIN_FLOW != 0;
         let mut routes = Vec::with_capacity(self.feed.len());
         let mut total_length = 0u64;
         let mut routed = 0usize;

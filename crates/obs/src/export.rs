@@ -58,8 +58,8 @@ fn push_meta_event(out: &mut String, first: &mut bool, kind: &str, tid: Option<u
 /// array of objects each carrying `name`, `ph`, `ts`, `pid` and `tid`,
 /// loadable directly in `chrome://tracing` or [Perfetto](https://ui.perfetto.dev).
 ///
-/// Spans become complete events (`ph: "X"` with `dur`), instants
-/// `ph: "i"` markers, and counter samples `ph: "C"` series. The stream
+/// Spans become complete events (`ph: "X"` with `dur`) and counter
+/// samples `ph: "C"` series. The stream
 /// is self-describing: it opens with `ph: "M"` metadata naming the
 /// process (`pacor`) and every trace lane (`session` for tid 0, the
 /// parallel `task-N` lanes otherwise), and closes with a synthetic
@@ -78,9 +78,7 @@ pub fn chrome_trace(report: &ObsReport) -> String {
     let mut tids: Vec<u32> = events
         .iter()
         .map(|e| match e {
-            TraceEvent::Span { tid, .. }
-            | TraceEvent::Instant { tid, .. }
-            | TraceEvent::Counter { tid, .. } => *tid,
+            TraceEvent::Span { tid, .. } | TraceEvent::Counter { tid, .. } => *tid,
         })
         .collect();
     if has_counters {
@@ -115,20 +113,6 @@ pub fn chrome_trace(report: &ObsReport) -> String {
                 let _ = write!(
                     out,
                     ",\"ph\":\"X\",\"ts\":{ts},\"dur\":{dur},\"pid\":{PID},\"tid\":{tid},\"args\":"
-                );
-                push_args(&mut out, args);
-            }
-            TraceEvent::Instant {
-                name,
-                ts,
-                tid,
-                args,
-            } => {
-                out.push_str("\"name\":");
-                push_json_string(&mut out, name);
-                let _ = write!(
-                    out,
-                    ",\"ph\":\"i\",\"ts\":{ts},\"pid\":{PID},\"tid\":{tid},\"s\":\"t\",\"args\":"
                 );
                 push_args(&mut out, args);
             }
@@ -258,7 +242,6 @@ mod tests {
         let session = Session::begin();
         {
             let _s = crate::span_with("stage.test", &[("k", 1)]);
-            crate::instant("mark", &[]);
         }
         crate::counter_add("c", 3);
         crate::counter_sample("c");
@@ -266,13 +249,12 @@ mod tests {
         let json = crate::chrome_trace(&report);
         assert!(json.starts_with('['));
         assert!(json.trim_end().ends_with(']'));
-        // Three recorded events + process/thread metadata + the
+        // Two recorded events + process/thread metadata + the
         // synthetic run.totals span, every object carrying pid.
         assert_eq!(json.matches("\"ph\":\"M\"").count(), 2, "{json}");
         assert_eq!(json.matches("\"ph\":\"X\"").count(), 2, "{json}");
-        assert_eq!(json.matches("\"ph\":\"i\"").count(), 1);
         assert_eq!(json.matches("\"ph\":\"C\"").count(), 1);
-        assert_eq!(json.matches("\"pid\":").count(), 6);
+        assert_eq!(json.matches("\"pid\":").count(), 5);
         assert!(json.contains("\"process_name\""));
         assert!(json.contains("{\"name\":\"pacor\"}"));
         assert!(json.contains("\"thread_name\""));
@@ -286,7 +268,7 @@ mod tests {
     fn trace_metadata_names_every_task_lane() {
         let session = Session::begin();
         let (_, frame) = crate::task_frame(2, || {
-            crate::instant("task.work", &[]);
+            let _s = crate::span("task.work");
         });
         crate::absorb(frame);
         let report = session.finish();

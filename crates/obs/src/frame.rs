@@ -1,4 +1,4 @@
-//! Recording frames: the per-thread (and per-task) event buffers.
+//! Recording frames: the per-thread (and per-task) metric and trace buffers.
 
 use crate::Histogram;
 use std::collections::BTreeMap;
@@ -15,17 +15,6 @@ pub enum TraceEvent {
         /// Duration in µs.
         dur: u64,
         /// Lane: 0 for the session thread, task index + 1 for task frames.
-        tid: u32,
-        /// Key/value arguments.
-        args: Vec<(&'static str, u64)>,
-    },
-    /// An instant marker (`ph: "i"`).
-    Instant {
-        /// Event name.
-        name: &'static str,
-        /// Timestamp, µs since the process epoch.
-        ts: u64,
-        /// Lane (see [`TraceEvent::Span::tid`]).
         tid: u32,
         /// Key/value arguments.
         args: Vec<(&'static str, u64)>,
@@ -117,19 +106,20 @@ mod tests {
     fn merge_adds_counters_and_appends_events() {
         let mut a = Frame::new(0);
         a.counter_add("c", 1);
-        a.push_event(TraceEvent::Instant {
-            name: "first",
+        a.push_event(TraceEvent::Counter {
+            name: "c",
             ts: 1,
             tid: 0,
-            args: vec![],
+            value: 1,
         });
         let mut b = Frame::new(1);
         b.counter_add("c", 2);
         b.counter_add("d", 5);
         b.record("h", 9);
-        b.push_event(TraceEvent::Instant {
+        b.push_event(TraceEvent::Span {
             name: "second",
             ts: 2,
+            dur: 1,
             tid: 1,
             args: vec![],
         });

@@ -4,30 +4,30 @@
 //! a hand-rolled, zero-dependency stand-in for the `tracing`/`metrics`
 //! ecosystem, shaped around the flow's needs:
 //!
-//! * **Spans** ([`span`], [`span_with`]) — wall-clock intervals with
-//!   parent/child nesting, recorded per flow stage, per
+//! * **Spans** ([`span`], [`span_with`], [`stage`]) — wall-clock
+//!   intervals with parent/child nesting, recorded per flow stage, per
 //!   negotiation/rip-up round and per parallel task batch;
 //! * **Counters** ([`counter_add`]) and **histograms** ([`record`]) —
 //!   monotonic totals and value distributions for the hot paths (A\*
 //!   expansions, queue pushes, DME candidate counts, rip-up events,
 //!   detour deltas);
-//! * **Instants** ([`instant`]) — point events replacing the old
-//!   ad-hoc `eprintln!` diagnostics;
-//! * **Exporters** — [`chrome_trace`] renders the event stream as
-//!   Chrome trace-event JSON (loadable in `chrome://tracing` or
-//!   Perfetto) and [`metrics_json`] renders a flat, wall-clock-free
-//!   metrics document that is byte-identical at any worker-thread
-//!   count.
-//! * **Flight recorder** ([`flight_install`], [`flight`],
-//!   [`flight_take`]) — a bounded, deterministic log of typed events
-//!   (per-net search outcomes, rip-up victims with reasons, congestion
-//!   snapshots) feeding the [`post_mortem_json`] diagnostic report and
-//!   the [`render_heatmap`] ASCII view; see the `recorder` module docs.
-//! * **Streaming telemetry** ([`telemetry_install`], [`progress`],
+//! * **Events** ([`emit`]) — one typed [`Event`] per fact; this crate
+//!   routes each kind to the flight recorder or the telemetry stream
+//!   and derives its counter;
+//! * **Exporters** — [`chrome_trace`] renders the spans as Chrome
+//!   trace-event JSON (loadable in `chrome://tracing` or Perfetto) and
+//!   [`metrics_json`] renders a flat, wall-clock-free metrics document
+//!   that is byte-identical at any worker-thread count.
+//! * **Flight recorder** ([`flight_install`], [`flight_take`]) — a
+//!   bounded, deterministic ring of events (per-net search outcomes,
+//!   rip-up victims with reasons) plus congestion snapshots, feeding
+//!   the [`post_mortem_json`] diagnostic report and the
+//!   [`render_heatmap`] ASCII view; see the `recorder` module docs.
+//! * **Streaming telemetry** ([`telemetry_install`],
 //!   [`telemetry_take`]) — live, versioned (`pacor-telemetry-v1`)
-//!   JSONL progress events at stage and round boundaries, with an
-//!   optional watchdog (per-stage wall-clock budgets + heartbeat);
-//!   see the `progress` module docs.
+//!   JSONL events at stage and round boundaries, with an optional
+//!   watchdog (per-stage wall-clock budgets + heartbeat); see the
+//!   `progress` module docs.
 //! * **Run digests, ledger and diffing** ([`RunDigest`],
 //!   [`ledger_append`], [`diff_runs`]) — a versioned
 //!   (`pacor-rundigest-v1`) longitudinal record of one run (config
@@ -38,25 +38,28 @@
 //!
 //! # Recording model
 //!
-//! All recording goes through a **thread-local frame stack**. With no
-//! frame installed every recording call is a no-op behind one
-//! thread-local check, so unconfigured code pays near-zero cost.
-//! [`Session::begin`] pushes a frame; [`Session::finish`] pops it,
-//! returns the collected [`ObsReport`], and merges a copy of the data
-//! into the enclosing frame (if any) so nested sessions — the flow
-//! starts its own around every run — feed an outer CLI session
-//! transparently.
+//! All recording goes through one **thread-local recording context**:
+//! a frame stack, an optional flight-recorder ring and an optional
+//! telemetry stream. With nothing installed every recording call is a
+//! no-op behind one thread-local check, so unconfigured code pays
+//! near-zero cost. [`Session::begin`] pushes a frame; [`Session::finish`]
+//! pops it, returns the collected [`ObsReport`], and merges a copy of
+//! the data into the enclosing frame (if any) so nested sessions — the
+//! flow starts its own around every run — feed an outer CLI session
+//! transparently. The ring and the stream share the context, and with
+//! it one negotiation-session counter.
 //!
 //! # Determinism
 //!
 //! Worker threads have no frame of their own. A data-parallel caller
 //! wraps each work item in [`task_frame`], which captures that item's
-//! events into a private frame, and merges the frames back with
+//! counters into a private frame, and merges the frames back with
 //! [`absorb`] **in fixed item order** — never in thread completion
 //! order. Counter and histogram totals are therefore bit-identical at
 //! any thread count, extending the flow's determinism guarantee to the
-//! metrics themselves. Wall-clock timestamps appear only in the trace
-//! export, never in [`metrics_json`].
+//! metrics themselves; events are emitted only at session-thread commit
+//! points. Wall-clock timestamps appear only in the trace export and
+//! the stream's timing fields, never in [`metrics_json`].
 //!
 //! # Examples
 //!
@@ -67,8 +70,10 @@
 //!     pacor_obs::counter_add("demo.work", 3);
 //!     pacor_obs::record("demo.size", 17);
 //! }
+//! pacor_obs::emit(pacor_obs::Event::LmDemoted { cluster: 4 });
 //! let report = session.finish();
 //! assert_eq!(report.counter("demo.work"), 3);
+//! assert_eq!(report.counter("lm.demoted"), 1);
 //! assert!(pacor_obs::chrome_trace(&report).contains("stage.demo"));
 //! ```
 
@@ -77,6 +82,7 @@
 
 mod diff;
 mod digest;
+mod event;
 mod export;
 mod frame;
 mod histogram;
@@ -94,38 +100,72 @@ pub use digest::{
     fnv1a64, is_work_metric, span_tree, ClusterDigest, Fingerprint, HistogramSummary, Outcome,
     RunDigest, SpanNode, WallFacts, DIGEST_SCHEMA,
 };
+pub use event::{Event, FrontierCell, RipReason};
 pub use export::{atomic_write, chrome_trace, metrics_json};
 pub use ledger::{latest_baseline, ledger_append, ledger_load};
 pub use frame::{Frame, TraceEvent};
 pub use histogram::Histogram;
 pub use progress::{
-    progress, telemetry_active, telemetry_begin_session, telemetry_flow_finished,
-    telemetry_install, telemetry_round, telemetry_stage_enter, telemetry_stage_exit,
-    telemetry_take, MemorySink, NullSink, ProgressEvent, RoundStats, StageBudgets, StreamWriter,
+    telemetry_install, telemetry_take, MemorySink, NullSink, StageBudgets, StreamWriter,
     TelemetryConfig, TelemetrySink, TickerSink, WriterSink, TELEMETRY_SCHEMA,
 };
 pub use recorder::{
-    flight, flight_active, flight_begin_session, flight_install, flight_snapshot,
-    flight_snapshot_due, flight_take, CongestionSnapshot, FlightEvent, FlightLog, FrontierCell,
-    RecorderConfig, RipReason, SnapshotKind,
+    flight_install, flight_snapshot, flight_snapshot_due, flight_take, CongestionSnapshot,
+    FlightLog, RecorderConfig, SnapshotKind,
 };
 pub use report::{post_mortem_json, render_heatmap};
 
+use event::Dest;
+use progress::Stream;
+use recorder::Recorder;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+/// A thread's recording context: where every recording call lands.
+pub(crate) struct Context {
+    /// The frame stack; recording targets the top.
+    frames: Vec<Frame>,
+    /// The flight-recorder ring, when installed.
+    pub(crate) ring: Option<Recorder>,
+    /// The telemetry stream, when installed.
+    pub(crate) stream: Option<Stream>,
+    /// Negotiation sessions opened since the ring or stream was
+    /// installed alone.
+    pub(crate) sessions: u32,
+}
 
 thread_local! {
-    /// The frame stack of the current thread; recording targets the top.
-    static STACK: RefCell<Vec<Frame>> = const { RefCell::new(Vec::new()) };
+    static CONTEXT: RefCell<Context> = const {
+        RefCell::new(Context {
+            frames: Vec::new(),
+            ring: None,
+            stream: None,
+            sessions: 0,
+        })
+    };
+}
+
+/// Runs `f` on the current thread's recording context.
+pub(crate) fn with_context<R>(f: impl FnOnce(&mut Context) -> R) -> R {
+    CONTEXT.with(|c| f(&mut c.borrow_mut()))
+}
+
+/// Runs `f` on the current thread's top frame, if any.
+fn with_frame(f: impl FnOnce(&mut Frame)) {
+    with_context(|c| {
+        if let Some(frame) = c.frames.last_mut() {
+            f(frame);
+        }
+    });
 }
 
 /// Process-wide epoch all trace timestamps are relative to.
 static EPOCH: OnceLock<Instant> = OnceLock::new();
 
 /// Microseconds since the process epoch (first observability call).
-fn micros_now() -> u64 {
+pub(crate) fn micros_now() -> u64 {
     EPOCH.get_or_init(Instant::now).elapsed().as_micros() as u64
 }
 
@@ -135,60 +175,98 @@ fn micros_now() -> u64 {
 /// before flushing, keeping the unconfigured cost to a single
 /// thread-local read.
 pub fn active() -> bool {
-    STACK.with(|s| !s.borrow().is_empty())
+    with_context(|c| !c.frames.is_empty())
+}
+
+/// Whether the current thread has a flight-recorder ring or a telemetry
+/// stream installed. Emit sites whose event costs more to build than
+/// its fields (a grid scan, a vector) check this first.
+pub fn recording() -> bool {
+    with_context(|c| c.ring.is_some() || c.stream.is_some())
 }
 
 /// Adds `delta` to the monotonic counter `name` (no-op when inactive).
 pub fn counter_add(name: &'static str, delta: u64) {
-    STACK.with(|s| {
-        if let Some(frame) = s.borrow_mut().last_mut() {
-            frame.counter_add(name, delta);
-        }
-    });
+    with_frame(|frame| frame.counter_add(name, delta));
 }
 
 /// Records `value` into the histogram `name` (no-op when inactive).
 pub fn record(name: &'static str, value: u64) {
-    STACK.with(|s| {
-        if let Some(frame) = s.borrow_mut().last_mut() {
-            frame.record(name, value);
+    with_frame(|frame| frame.record(name, value));
+}
+
+/// Reports one fact. The routing table ([`Event::kind`] lists the
+/// kinds; `docs/OBSERVABILITY.md` the table) adds its derived counter
+/// or histogram sample to the current frame and keeps the event in the
+/// flight-recorder ring or on the telemetry stream, whichever its kind
+/// goes to and is installed. With none of them present it is a no-op
+/// behind one thread-local check.
+pub fn emit(event: Event) {
+    emit_at(event, None);
+}
+
+/// [`emit`] with the stream's clock reading supplied (`None` reads the
+/// clock when the event streams).
+fn emit_at(event: Event, now_us: Option<u64>) {
+    let (_, dest, counter, histogram) = event.route();
+    with_context(|c| {
+        if let Some(frame) = c.frames.last_mut() {
+            if let Some((name, delta)) = counter {
+                frame.counter_add(name, delta);
+            }
+            if let Some((name, value)) = histogram {
+                frame.record(name, value);
+            }
+        }
+        match dest {
+            Dest::Ring => {
+                if let Some(ring) = c.ring.as_mut() {
+                    ring.push(event);
+                }
+            }
+            Dest::Stream => {
+                if let Some(stream) = c.stream.as_ref() {
+                    stream.emit(event, now_us.unwrap_or_else(micros_now));
+                }
+            }
         }
     });
 }
 
-/// Emits an instant trace event (a point-in-time marker, `ph: "i"`),
-/// replacing ad-hoc `eprintln!` diagnostics (no-op when inactive).
-pub fn instant(name: &'static str, args: &[(&'static str, u64)]) {
-    STACK.with(|s| {
-        let mut stack = s.borrow_mut();
-        if let Some(frame) = stack.last_mut() {
-            let (ts, tid) = (micros_now(), frame.tid());
-            frame.push_event(TraceEvent::Instant {
-                name,
-                ts,
-                tid,
-                args: args.to_vec(),
-            });
+/// Opens a negotiation session over `edges` route requests: allocates
+/// the next session id, emits [`Event::NegotiationStart`] and restarts
+/// the stream's round-ETA timer. The ring and the stream share the one
+/// counter. Returns 0 when neither is installed.
+pub fn negotiation_start(edges: u32) -> u32 {
+    let session = with_context(|c| {
+        if c.ring.is_none() && c.stream.is_none() {
+            return 0;
         }
+        c.sessions += 1;
+        if let Some(stream) = c.stream.as_ref() {
+            stream.begin_session();
+        }
+        c.sessions
     });
+    if session > 0 {
+        emit(Event::NegotiationStart { session, edges });
+    }
+    session
 }
 
 /// Emits a counter-series sample (`ph: "C"`) carrying the current total
 /// of counter `name`, so the trace viewer can plot it over time (no-op
 /// when inactive).
 pub fn counter_sample(name: &'static str) {
-    STACK.with(|s| {
-        let mut stack = s.borrow_mut();
-        if let Some(frame) = stack.last_mut() {
-            let value = frame.counter(name);
-            let (ts, tid) = (micros_now(), frame.tid());
-            frame.push_event(TraceEvent::Counter {
-                name,
-                ts,
-                tid,
-                value,
-            });
-        }
+    with_frame(|frame| {
+        let value = frame.counter(name);
+        let (ts, tid) = (micros_now(), frame.tid());
+        frame.push_event(TraceEvent::Counter {
+            name,
+            ts,
+            tid,
+            value,
+        });
     });
 }
 
@@ -220,48 +298,107 @@ pub struct SpanGuard {
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        if !self.live {
-            return;
+        if self.live {
+            push_span(
+                self.name,
+                self.start,
+                micros_now(),
+                std::mem::take(&mut self.args),
+            );
         }
-        let end = micros_now();
-        STACK.with(|s| {
-            if let Some(frame) = s.borrow_mut().last_mut() {
-                let tid = frame.tid();
-                frame.push_event(TraceEvent::Span {
-                    name: self.name,
-                    ts: self.start,
-                    dur: end - self.start,
-                    tid,
-                    args: std::mem::take(&mut self.args),
-                });
-            }
+    }
+}
+
+/// Records a complete span from `start` to `end` (µs since the epoch)
+/// in the current frame.
+fn push_span(name: &'static str, start: u64, end: u64, args: Vec<(&'static str, u64)>) {
+    with_frame(|frame| {
+        let tid = frame.tid();
+        frame.push_event(TraceEvent::Span {
+            name,
+            ts: start,
+            dur: end - start,
+            tid,
+            args,
         });
+    });
+}
+
+/// Enters the flow stage `name` (`clustering`, `lm_routing`,
+/// `mst_routing`, `escape` or `detour`): emits
+/// [`Event::StageEntered`] and starts the stream watchdog's timer for
+/// it. `args` go on the `stage.<name>` span [`Stage::exit`] records.
+pub fn stage(name: &'static str, args: &[(&'static str, u64)]) -> Stage {
+    let start = micros_now();
+    emit_at(Event::StageEntered { stage: name }, Some(start));
+    Stage {
+        name,
+        args: args.to_vec(),
+        start,
+    }
+}
+
+/// A running flow stage, opened by [`stage`].
+#[derive(Debug)]
+#[must_use = "a stage records nothing until `exit`"]
+pub struct Stage {
+    name: &'static str,
+    args: Vec<(&'static str, u64)>,
+    start: u64,
+}
+
+impl Stage {
+    /// Leaves the stage after it processed `items` items and returns
+    /// its wall-clock. One clock reading gives the `stage.<name>` span's
+    /// duration, [`Event::StageExited`]'s `elapsed_us` (which the
+    /// stream's budget check reads) and the returned duration.
+    pub fn exit(self, items: u64) -> Duration {
+        let end = micros_now();
+        let elapsed_us = end - self.start;
+        push_span(stage_span(self.name), self.start, end, self.args);
+        emit_at(
+            Event::StageExited {
+                stage: self.name,
+                items,
+                elapsed_us,
+            },
+            Some(end),
+        );
+        Duration::from_micros(elapsed_us)
+    }
+}
+
+/// The span name of a flow stage.
+fn stage_span(stage: &str) -> &'static str {
+    match stage {
+        "clustering" => "stage.clustering",
+        "lm_routing" => "stage.lm_routing",
+        "mst_routing" => "stage.mst_routing",
+        "escape" => "stage.escape",
+        "detour" => "stage.detour",
+        _ => "stage",
     }
 }
 
 /// Runs `f` with a private recording frame and returns its result
 /// together with the captured frame.
 ///
-/// Data-parallel callers use this to isolate each work item's events —
-/// on whichever thread it runs — and later merge the frames back with
-/// [`absorb`] in fixed item order, keeping the aggregate deterministic
-/// at any thread count. `tid` labels the frame's trace events (task
-/// lanes in the trace viewer).
+/// Data-parallel callers use this to isolate each work item's counters
+/// — on whichever thread it runs — and later merge the frames back
+/// with [`absorb`] in fixed item order, keeping the aggregate
+/// deterministic at any thread count. `tid` labels the frame's trace
+/// events (task lanes in the trace viewer).
 pub fn task_frame<R>(tid: u32, f: impl FnOnce() -> R) -> (R, Frame) {
-    STACK.with(|s| s.borrow_mut().push(Frame::new(tid)));
+    with_context(|c| c.frames.push(Frame::new(tid)));
     let result = f();
-    let frame = STACK.with(|s| s.borrow_mut().pop().expect("task frame still on stack"));
+    let frame = with_context(|c| c.frames.pop().expect("task frame still on stack"));
     (result, frame)
 }
 
 /// Merges a frame captured by [`task_frame`] into the current thread's
 /// active frame (dropped silently when none is active).
 pub fn absorb(frame: Frame) {
-    STACK.with(|s| {
-        if let Some(top) = s.borrow_mut().last_mut() {
-            top.merge(frame);
-        }
-    });
+    with_frame(|top| top.merge(frame));
 }
 
 /// An active recording session on the current thread.
@@ -278,10 +415,9 @@ pub struct Session {
 impl Session {
     /// Pushes a fresh recording frame onto this thread's stack.
     pub fn begin() -> Self {
-        let depth = STACK.with(|s| {
-            let mut stack = s.borrow_mut();
-            stack.push(Frame::new(0));
-            stack.len()
+        let depth = with_context(|c| {
+            c.frames.push(Frame::new(0));
+            c.frames.len()
         });
         Session { depth }
     }
@@ -292,14 +428,13 @@ impl Session {
     ///
     /// Panics when sessions are finished out of nesting order.
     pub fn finish(self) -> ObsReport {
-        let frame = STACK.with(|s| {
-            let mut stack = s.borrow_mut();
+        let frame = with_context(|c| {
             assert_eq!(
-                stack.len(),
+                c.frames.len(),
                 self.depth,
                 "sessions must be finished innermost-first"
             );
-            stack.pop().expect("session frame present")
+            c.frames.pop().expect("session frame present")
         });
         let report = ObsReport::from_frame(frame.clone());
         absorb(frame);
@@ -362,9 +497,11 @@ mod tests {
     #[test]
     fn inactive_recording_is_a_noop() {
         assert!(!active());
+        assert!(!recording());
         counter_add("noop", 1);
         record("noop", 1);
-        instant("noop", &[]);
+        emit(Event::LmDemoted { cluster: 1 });
+        assert_eq!(negotiation_start(3), 0);
         let _s = span("noop");
         // Nothing panics and nothing is observable: a fresh session
         // starts empty.
@@ -433,7 +570,7 @@ mod tests {
         let (_, f1) = task_frame(2, || counter_add("t", 10));
         let (_, f0) = task_frame(1, || {
             counter_add("t", 1);
-            instant("task.event", &[("item", 0)]);
+            let _s = span_with("task.event", &[("item", 0)]);
         });
         absorb(f0);
         absorb(f1);
@@ -458,6 +595,28 @@ mod tests {
         }
         let report = session.finish();
         assert_eq!(report.counter("w"), 1 + 2 + 3 + 4);
+    }
+
+    #[test]
+    fn emit_derives_counters_and_histograms() {
+        let session = Session::begin();
+        emit(Event::MstCommit {
+            cluster: 1,
+            edges: 0,
+            length: 0,
+        });
+        emit(Event::DetourSegment {
+            cluster: 2,
+            added: 6,
+        });
+        let report = session.finish();
+        // An event that adds 0 still creates its counter's key.
+        assert_eq!(
+            report.counters().collect::<Vec<_>>(),
+            [("detour.segments", 1), ("mst.edges", 0)]
+        );
+        let (name, delta) = report.histograms().next().expect("detour.delta sampled");
+        assert_eq!((name, delta.sum()), ("detour.delta", 6));
     }
 
     #[test]

@@ -2,19 +2,20 @@
 //! at stage and round boundaries.
 //!
 //! Everything else in this crate is post-hoc — nothing is visible
-//! until the flow exits. This module streams [`ProgressEvent`]s as they
-//! happen to a set of [`TelemetrySink`]s (JSONL to a writer, an
-//! in-memory buffer for tests, a human ticker, or nothing), so a
-//! long-running route is observable while it runs.
+//! until the flow exits. This module streams the stream kinds of
+//! [`Event`] as they happen to a set of [`TelemetrySink`]s (JSONL to a
+//! writer, an in-memory buffer for tests, a human ticker, or nothing),
+//! so a long-running route is observable while it runs.
 //!
 //! # Recording model
 //!
-//! [`telemetry_install`] stores a shared stream core in a thread-local
-//! slot (separate from the frame stack and the flight recorder);
+//! [`telemetry_install`] puts a stream into the thread's recording
+//! context, beside the frame stack and the flight-recorder ring;
 //! [`telemetry_take`] removes it, finishes every sink and returns the
-//! event count. With nothing installed every emit helper is a no-op
-//! behind a single thread-local check — the disabled cost of an emit
-//! site is one branch.
+//! event count. Events reach it through [`crate::emit`] (and the stage
+//! guard, [`crate::stage`]); the stream fills in the fields only it
+//! knows — wall-clock, round ETA and the terminal event count. With
+//! nothing installed an emit is a no-op behind one thread-local check.
 //!
 //! # Determinism
 //!
@@ -32,15 +33,16 @@
 //! With timing enabled, per-stage wall-clock budgets and a heartbeat
 //! cadence can be configured. A watchdog thread (sharing the stream
 //! core, so a stalled session thread cannot starve it) emits a
-//! structured [`ProgressEvent::BudgetExceeded`] the moment a stage
-//! overruns its budget — carrying the last observed negotiation round
-//! and history pressure as a live congestion summary — and
-//! [`ProgressEvent::Heartbeat`]s whenever the stream has been silent
-//! for the cadence, so a stalled run is distinguishable from a slow
-//! one.
+//! structured [`Event::BudgetExceeded`] the moment a stage overruns its
+//! budget — carrying the last observed negotiation round and history
+//! pressure as a live congestion summary — and [`Event::Heartbeat`]s
+//! whenever the stream has been silent for the cadence, so a stalled
+//! run is distinguishable from a slow one. Dropping the stream — taken,
+//! replaced by another install, or left behind by an exiting thread —
+//! stops and joins its watchdog.
 
 use crate::export::push_json_string;
-use std::cell::RefCell;
+use crate::{micros_now, with_context, Event};
 use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
@@ -48,175 +50,16 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Schema identifier stamped on every emitted JSONL line.
 pub const TELEMETRY_SCHEMA: &str = "pacor-telemetry-v1";
 
-/// A typed telemetry event. One JSONL line per event; every line
-/// carries `schema`, a monotonically increasing `seq`, and `kind`
-/// (the [`ProgressEvent::kind`] name) ahead of the per-kind fields.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ProgressEvent {
-    /// The flow accepted a problem and is about to run stage 1.
-    FlowStarted {
-        /// Design name.
-        design: String,
-        /// Chip width in cells.
-        width: u32,
-        /// Chip height in cells.
-        height: u32,
-        /// Total valve count.
-        valves: u64,
-        /// Escape pin count.
-        pins: u64,
-        /// Declared length-matching cluster count.
-        lm_clusters: u64,
-        /// Flow variant label (`PACOR`, `w/o Sel`, `Detour First`).
-        variant: String,
-        /// Rip-up policy label.
-        policy: String,
-        /// Effective worker-thread count.
-        threads: u64,
-    },
-    /// A flow stage began.
-    StageEntered {
-        /// Stage name (`clustering`, `lm_routing`, `mst_routing`,
-        /// `escape`, `detour`).
-        stage: &'static str,
-    },
-    /// A flow stage finished.
-    StageExited {
-        /// Stage name.
-        stage: &'static str,
-        /// Items the stage processed (clusters, routed clusters, …).
-        items: u64,
-        /// Wall-clock spent in the stage (0 in deterministic mode).
-        elapsed_us: u64,
-    },
-    /// One negotiation round completed.
-    RoundProgress {
-        /// Telemetry session id (one per `route_all` call, 1-based).
-        session: u32,
-        /// Round number within the session (1-based).
-        round: u32,
-        /// Rounds left before the γ threshold (0 on convergence).
-        rounds_left: u32,
-        /// Nets attempted this round.
-        attempted: u64,
-        /// Nets currently routed after this round.
-        routed: u64,
-        /// Nets that failed this round.
-        failed: u64,
-        /// Cumulative rip-ups in this session so far.
-        ripups: u64,
-        /// History pressure: cells carrying nonzero history cost.
-        pressure: u64,
-        /// Completion permille (`routed * 1000 / nets`).
-        completion_milli: u64,
-        /// Wall-clock since the session began (0 in deterministic mode).
-        elapsed_us: u64,
-        /// Worst-case ETA from the round-over-round trend
-        /// (`elapsed_us / round * rounds_left`; 0 in deterministic mode).
-        eta_us: u64,
-    },
-    /// DME candidate generation finished for the LM stage.
-    DmeProgress {
-        /// Length-matching clusters that generated candidates.
-        clusters: u64,
-        /// Total candidate Steiner trees across them.
-        candidates: u64,
-    },
-    /// The MST batch committed (totals over the whole batch).
-    MstProgress {
-        /// Clusters entering the batch.
-        clusters: u64,
-        /// Routed clusters leaving the batch (splits included).
-        committed: u64,
-        /// De-clustering splits performed.
-        splits: u64,
-        /// MST edges committed.
-        edges: u64,
-    },
-    /// One escape-stage recovery round completed.
-    EscapeProgress {
-        /// Escape phase (1 = pending-only, 2 = rip-up, 3 = last resort).
-        phase: u32,
-        /// Cumulative escape round counter.
-        round: u32,
-        /// Escapes solved for this round.
-        pending: u64,
-        /// Escapes still failing after this round's solve.
-        failed: u64,
-        /// Valves whose cluster holds an escape after this round's solve
-        /// — progress in the objective's units, unlike the escape counts
-        /// above, whose meaning shifts as de-clustering splits clusters.
-        valves_routed: u64,
-        /// Cumulative de-clustered victims so far.
-        declustered: u64,
-        /// Cumulative ripped escapes so far.
-        ripped: u64,
-    },
-    /// Watchdog liveness tick: the stream has been silent for the
-    /// heartbeat cadence but the flow is still running (timing mode
-    /// only).
-    Heartbeat {
-        /// Stage currently running (`flow` between stages).
-        stage: &'static str,
-        /// Wall-clock spent in that stage so far.
-        elapsed_us: u64,
-    },
-    /// A stage overran its wall-clock budget (timing mode only).
-    BudgetExceeded {
-        /// The overrunning stage.
-        stage: &'static str,
-        /// The budget it exceeded, in milliseconds.
-        budget_ms: u64,
-        /// Wall-clock spent in the stage when the overrun was detected.
-        elapsed_us: u64,
-        /// Last observed negotiation round (live congestion summary).
-        round: u32,
-        /// Last observed history pressure (live congestion summary).
-        pressure: u64,
-    },
-    /// Terminal summary; always the last event of a flow.
-    FlowFinished {
-        /// Clusters that routed completely.
-        routed: u64,
-        /// Clusters left incomplete.
-        failed: u64,
-        /// Length-matched clusters within δ.
-        matched: u64,
-        /// Total wire length.
-        total_length: u64,
-        /// Completion permille over valves.
-        completion_milli: u64,
-        /// Events emitted before this one (== this event's `seq`).
-        events: u64,
-        /// Flow wall-clock (0 in deterministic mode).
-        elapsed_us: u64,
-    },
-}
-
-impl ProgressEvent {
-    /// The event's kind name as it appears on the JSONL line.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            ProgressEvent::FlowStarted { .. } => "flow_started",
-            ProgressEvent::StageEntered { .. } => "stage_entered",
-            ProgressEvent::StageExited { .. } => "stage_exited",
-            ProgressEvent::RoundProgress { .. } => "round_progress",
-            ProgressEvent::DmeProgress { .. } => "dme_progress",
-            ProgressEvent::MstProgress { .. } => "mst_progress",
-            ProgressEvent::EscapeProgress { .. } => "escape_progress",
-            ProgressEvent::Heartbeat { .. } => "heartbeat",
-            ProgressEvent::BudgetExceeded { .. } => "budget_exceeded",
-            ProgressEvent::FlowFinished { .. } => "flow_finished",
-        }
-    }
-
-    /// Renders the event as one JSONL line (no trailing newline).
-    fn render(&self, seq: u64) -> String {
+impl Event {
+    /// Renders a stream event as one JSONL line (no trailing newline):
+    /// `schema`, `seq` and `kind` ahead of the per-kind fields. Ring
+    /// kinds never stream and render no fields.
+    pub(crate) fn render(&self, seq: u64) -> String {
         let mut s = String::with_capacity(192);
         let _ = write!(
             s,
@@ -224,7 +67,7 @@ impl ProgressEvent {
             self.kind()
         );
         match self {
-            ProgressEvent::FlowStarted {
+            Event::FlowStarted {
                 design,
                 width,
                 height,
@@ -246,10 +89,10 @@ impl ProgressEvent {
                 push_json_string(&mut s, policy);
                 let _ = write!(s, ",\"threads\":{threads}");
             }
-            ProgressEvent::StageEntered { stage } => {
+            Event::StageEntered { stage } => {
                 let _ = write!(s, ",\"stage\":\"{stage}\"");
             }
-            ProgressEvent::StageExited {
+            Event::StageExited {
                 stage,
                 items,
                 elapsed_us,
@@ -259,7 +102,7 @@ impl ProgressEvent {
                     ",\"stage\":\"{stage}\",\"items\":{items},\"elapsed_us\":{elapsed_us}"
                 );
             }
-            ProgressEvent::RoundProgress {
+            Event::RoundProgress {
                 session,
                 round,
                 rounds_left,
@@ -277,13 +120,13 @@ impl ProgressEvent {
                     ",\"session\":{session},\"round\":{round},\"rounds_left\":{rounds_left},\"attempted\":{attempted},\"routed\":{routed},\"failed\":{failed},\"ripups\":{ripups},\"pressure\":{pressure},\"completion_milli\":{completion_milli},\"elapsed_us\":{elapsed_us},\"eta_us\":{eta_us}"
                 );
             }
-            ProgressEvent::DmeProgress {
+            Event::DmeProgress {
                 clusters,
                 candidates,
             } => {
                 let _ = write!(s, ",\"clusters\":{clusters},\"candidates\":{candidates}");
             }
-            ProgressEvent::MstProgress {
+            Event::MstProgress {
                 clusters,
                 committed,
                 splits,
@@ -294,7 +137,7 @@ impl ProgressEvent {
                     ",\"clusters\":{clusters},\"committed\":{committed},\"splits\":{splits},\"edges\":{edges}"
                 );
             }
-            ProgressEvent::EscapeProgress {
+            Event::EscapeProgress {
                 phase,
                 round,
                 pending,
@@ -308,10 +151,10 @@ impl ProgressEvent {
                     ",\"phase\":{phase},\"round\":{round},\"pending\":{pending},\"failed\":{failed},\"valves_routed\":{valves_routed},\"declustered\":{declustered},\"ripped\":{ripped}"
                 );
             }
-            ProgressEvent::Heartbeat { stage, elapsed_us } => {
+            Event::Heartbeat { stage, elapsed_us } => {
                 let _ = write!(s, ",\"stage\":\"{stage}\",\"elapsed_us\":{elapsed_us}");
             }
-            ProgressEvent::BudgetExceeded {
+            Event::BudgetExceeded {
                 stage,
                 budget_ms,
                 elapsed_us,
@@ -323,7 +166,7 @@ impl ProgressEvent {
                     ",\"stage\":\"{stage}\",\"budget_ms\":{budget_ms},\"elapsed_us\":{elapsed_us},\"round\":{round},\"pressure\":{pressure}"
                 );
             }
-            ProgressEvent::FlowFinished {
+            Event::FlowFinished {
                 routed,
                 failed,
                 matched,
@@ -337,34 +180,19 @@ impl ProgressEvent {
                     ",\"routed\":{routed},\"failed\":{failed},\"matched\":{matched},\"total_length\":{total_length},\"completion_milli\":{completion_milli},\"events\":{events},\"elapsed_us\":{elapsed_us}"
                 );
             }
+            _ => {}
         }
         s.push('}');
         s
-    }
-
-    /// Zeroes every wall-clock field (deterministic mode).
-    fn strip_timing(&mut self) {
-        match self {
-            ProgressEvent::StageExited { elapsed_us, .. }
-            | ProgressEvent::Heartbeat { elapsed_us, .. }
-            | ProgressEvent::BudgetExceeded { elapsed_us, .. }
-            | ProgressEvent::FlowFinished { elapsed_us, .. } => *elapsed_us = 0,
-            ProgressEvent::RoundProgress {
-                elapsed_us, eta_us, ..
-            } => {
-                *elapsed_us = 0;
-                *eta_us = 0;
-            }
-            _ => {}
-        }
     }
 }
 
 /// Destination for the event stream. `emit` receives both the typed
 /// event (for human renderings) and the prerendered JSONL line.
 pub trait TelemetrySink: Send {
-    /// Consumes one event.
-    fn emit(&mut self, event: &ProgressEvent, line: &str);
+    /// Consumes one event. It runs inside the recording context, so it
+    /// must not call back into this crate's recording functions.
+    fn emit(&mut self, event: &Event, line: &str);
 
     /// Flushes / finalizes the sink at [`telemetry_take`] time.
     ///
@@ -382,7 +210,7 @@ pub trait TelemetrySink: Send {
 pub struct NullSink;
 
 impl TelemetrySink for NullSink {
-    fn emit(&mut self, _event: &ProgressEvent, _line: &str) {}
+    fn emit(&mut self, _event: &Event, _line: &str) {}
 }
 
 /// Collects rendered lines into shared memory, for tests: keep the
@@ -406,7 +234,7 @@ impl MemorySink {
 }
 
 impl TelemetrySink for MemorySink {
-    fn emit(&mut self, _event: &ProgressEvent, line: &str) {
+    fn emit(&mut self, _event: &Event, line: &str) {
         lock(&self.lines).push(line.to_string());
     }
 }
@@ -437,7 +265,7 @@ impl WriterSink {
 }
 
 impl TelemetrySink for WriterSink {
-    fn emit(&mut self, _event: &ProgressEvent, line: &str) {
+    fn emit(&mut self, _event: &Event, line: &str) {
         if self.error.is_some() {
             return;
         }
@@ -490,7 +318,7 @@ impl StreamWriter {
 }
 
 impl TelemetrySink for StreamWriter {
-    fn emit(&mut self, _event: &ProgressEvent, line: &str) {
+    fn emit(&mut self, _event: &Event, line: &str) {
         if self.error.is_some() {
             return;
         }
@@ -534,10 +362,10 @@ impl Drop for StreamWriter {
 pub struct TickerSink;
 
 impl TelemetrySink for TickerSink {
-    fn emit(&mut self, event: &ProgressEvent, _line: &str) {
+    fn emit(&mut self, event: &Event, _line: &str) {
         match event {
-            ProgressEvent::StageEntered { stage } => eprintln!("[pacor] stage {stage}"),
-            ProgressEvent::RoundProgress {
+            Event::StageEntered { stage } => eprintln!("[pacor] stage {stage}"),
+            Event::RoundProgress {
                 session,
                 round,
                 routed,
@@ -550,7 +378,7 @@ impl TelemetrySink for TickerSink {
                 completion_milli / 10,
                 completion_milli % 10
             ),
-            ProgressEvent::BudgetExceeded {
+            Event::BudgetExceeded {
                 stage,
                 budget_ms,
                 elapsed_us,
@@ -559,10 +387,10 @@ impl TelemetrySink for TickerSink {
                 "[pacor] WATCHDOG: stage {stage} over budget ({budget_ms} ms), at {} ms",
                 elapsed_us / 1000
             ),
-            ProgressEvent::Heartbeat { stage, elapsed_us } => {
+            Event::Heartbeat { stage, elapsed_us } => {
                 eprintln!("[pacor] heartbeat: {stage} still running ({} ms)", elapsed_us / 1000)
             }
-            ProgressEvent::FlowFinished {
+            Event::FlowFinished {
                 routed,
                 failed,
                 total_length,
@@ -655,63 +483,80 @@ impl TelemetryConfig {
     }
 }
 
-/// Snapshot of per-round negotiation progress handed to
-/// [`telemetry_round`]; wall-clock fields are filled in by the stream
-/// core.
-#[derive(Debug, Clone, Copy)]
-pub struct RoundStats {
-    /// Telemetry session id from [`telemetry_begin_session`].
-    pub session: u32,
-    /// Round number (1-based).
-    pub round: u32,
-    /// Rounds left before γ (0 on convergence).
-    pub rounds_left: u32,
-    /// Nets attempted this round.
-    pub attempted: u64,
-    /// Nets currently routed.
-    pub routed: u64,
-    /// Nets that failed this round.
-    pub failed: u64,
-    /// Cumulative rip-ups so far.
-    pub ripups: u64,
-    /// Cells carrying nonzero history cost.
-    pub pressure: u64,
-    /// Completion permille.
-    pub completion_milli: u64,
-}
-
 /// Shared stream state: config, sinks and the counters/timers the
-/// emit helpers and the watchdog both need.
+/// session thread and the watchdog both need. Times are µs since the
+/// process epoch.
 struct StreamCore {
     cfg: TelemetryConfig,
     sinks: Vec<Box<dyn TelemetrySink>>,
     seq: u64,
-    start: Instant,
-    stage: Option<(&'static str, Instant)>,
-    sessions: u32,
-    session_start: Instant,
+    start: u64,
+    /// The running stage and when it was entered.
+    stage: Option<(&'static str, u64)>,
+    session_start: u64,
     last_round: u32,
     last_pressure: u64,
     budget_fired: Vec<&'static str>,
-    last_emit: Instant,
+    last_emit: u64,
 }
 
 impl StreamCore {
-    fn emit(&mut self, mut event: ProgressEvent) {
-        if self.cfg.deterministic {
-            event.strip_timing();
+    /// Streams `event` at time `now`, first filling in the fields only
+    /// the stream knows — wall-clock (0 in deterministic mode, which
+    /// also zeroes a stage's elapsed time), the round ETA and the
+    /// terminal event count — and tracking the stage and round it
+    /// reports. The watchdog's events only exist in timing mode.
+    fn emit(&mut self, mut event: Event, now: u64) {
+        let timing = !self.cfg.deterministic;
+        let since = |start: u64| if timing { now.saturating_sub(start) } else { 0 };
+        match &mut event {
+            Event::StageEntered { stage } => {
+                let stage = *stage;
+                self.stage = Some((stage, now));
+                self.budget_fired.retain(|s| *s != stage);
+            }
+            Event::StageExited {
+                stage, elapsed_us, ..
+            } => {
+                self.stage = None;
+                self.check_budget(stage, *elapsed_us, now);
+                if !timing {
+                    *elapsed_us = 0;
+                }
+            }
+            Event::RoundProgress {
+                round,
+                rounds_left,
+                pressure,
+                elapsed_us,
+                eta_us,
+                ..
+            } => {
+                self.last_round = *round;
+                self.last_pressure = *pressure;
+                *elapsed_us = since(self.session_start);
+                *eta_us = *elapsed_us / u64::from((*round).max(1)) * u64::from(*rounds_left);
+            }
+            Event::FlowFinished {
+                events, elapsed_us, ..
+            } => {
+                *events = self.seq;
+                *elapsed_us = since(self.start);
+            }
+            _ => {}
         }
         let line = event.render(self.seq);
         self.seq += 1;
-        self.last_emit = Instant::now();
+        self.last_emit = now;
         for sink in &mut self.sinks {
             sink.emit(&event, &line);
         }
     }
 
-    /// Synchronous budget check (stage-exit path), so an overrun is
-    /// reported even when the watchdog thread never got a tick in.
-    fn check_budget(&mut self, stage: &'static str, elapsed_us: u64) {
+    /// Budget check for `stage` after `elapsed_us` in it: at stage exit
+    /// (so an overrun is reported even when the watchdog never got a
+    /// tick in) and on every watchdog tick.
+    fn check_budget(&mut self, stage: &'static str, elapsed_us: u64, now: u64) {
         if self.cfg.deterministic {
             return;
         }
@@ -719,25 +564,67 @@ impl StreamCore {
         if elapsed_us >= budget_ms.saturating_mul(1000) && !self.budget_fired.contains(&stage) {
             self.budget_fired.push(stage);
             let (round, pressure) = (self.last_round, self.last_pressure);
-            self.emit(ProgressEvent::BudgetExceeded {
-                stage,
-                budget_ms,
-                elapsed_us,
-                round,
-                pressure,
-            });
+            self.emit(
+                Event::BudgetExceeded {
+                    stage,
+                    budget_ms,
+                    elapsed_us,
+                    round,
+                    pressure,
+                },
+                now,
+            );
         }
     }
 }
 
-/// The installed telemetry stream of the current thread.
-struct TelemetryHandle {
+/// The recording context's telemetry part: the shared core and the
+/// watchdog thread, which dropping the stream stops.
+pub(crate) struct Stream {
     core: Arc<Mutex<StreamCore>>,
     watchdog: Option<(Arc<AtomicBool>, JoinHandle<()>)>,
 }
 
-thread_local! {
-    static TELEMETRY: RefCell<Option<TelemetryHandle>> = const { RefCell::new(None) };
+impl Stream {
+    pub(crate) fn emit(&self, event: Event, now: u64) {
+        lock(&self.core).emit(event, now);
+    }
+
+    /// Restarts the round-ETA timer for a new negotiation session.
+    pub(crate) fn begin_session(&self) {
+        lock(&self.core).session_start = micros_now();
+    }
+
+    fn stop_watchdog(&mut self) {
+        if let Some((stop, thread)) = self.watchdog.take() {
+            stop.store(true, Ordering::Relaxed);
+            thread.thread().unpark();
+            let _ = thread.join();
+        }
+    }
+
+    /// Stops the watchdog and finishes every sink: the emitted-event
+    /// count, or the first sink error.
+    fn finish(mut self) -> io::Result<u64> {
+        self.stop_watchdog();
+        let mut core = lock(&self.core);
+        let mut first_err = None;
+        for sink in &mut core.sinks {
+            if let Err(e) = sink.finish() {
+                first_err.get_or_insert(e);
+            }
+        }
+        match first_err {
+            Some(e) => Err(e),
+            None => Ok(core.seq),
+        }
+    }
+}
+
+impl Drop for Stream {
+    fn drop(&mut self) {
+        self.stop_watchdog();
+    }
 }
 
 /// Locks a mutex, recovering from poisoning (a sink panic must not
@@ -746,19 +633,20 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Installs a telemetry stream on the current thread, replacing (and
-/// silently dropping) any previous one. Spawns the watchdog thread
-/// when timing is live and a heartbeat cadence or stage budget is
-/// configured.
+/// Installs a telemetry stream on the current thread, replacing any
+/// previous one (whose watchdog stops; its sinks are dropped
+/// unfinished). Spawns the watchdog thread when timing is live and a
+/// heartbeat cadence or stage budget is configured. The
+/// negotiation-session counter restarts unless a flight-recorder ring
+/// is already installed (the two share it).
 pub fn telemetry_install(cfg: TelemetryConfig, sinks: Vec<Box<dyn TelemetrySink>>) {
-    let now = Instant::now();
+    let now = micros_now();
     let core = Arc::new(Mutex::new(StreamCore {
         cfg,
         sinks,
         seq: 0,
         start: now,
         stage: None,
-        sessions: 0,
         session_start: now,
         last_round: 0,
         last_pressure: 0,
@@ -774,7 +662,12 @@ pub fn telemetry_install(cfg: TelemetryConfig, sinks: Vec<Box<dyn TelemetrySink>
     } else {
         None
     };
-    TELEMETRY.with(|t| *t.borrow_mut() = Some(TelemetryHandle { core, watchdog }));
+    with_context(|c| {
+        if c.ring.is_none() {
+            c.sessions = 0;
+        }
+        c.stream = Some(Stream { core, watchdog });
+    });
 }
 
 /// Watchdog body: ticks a few times per heartbeat period, emitting
@@ -790,17 +683,15 @@ fn watchdog_loop(core: &Mutex<StreamCore>, stop: &AtomicBool) {
     while !stop.load(Ordering::Relaxed) {
         std::thread::park_timeout(tick);
         let mut core = lock(core);
-        if let Some((stage, started)) = core.stage {
-            let elapsed_us = started.elapsed().as_micros() as u64;
-            core.check_budget(stage, elapsed_us);
+        let now = micros_now();
+        if let Some((stage, entered)) = core.stage {
+            core.check_budget(stage, now.saturating_sub(entered), now);
         }
         let hb = core.cfg.heartbeat_ms;
-        if hb > 0 && core.last_emit.elapsed() >= Duration::from_millis(hb) {
-            let (stage, elapsed_us) = match core.stage {
-                Some((stage, started)) => (stage, started.elapsed().as_micros() as u64),
-                None => ("flow", core.start.elapsed().as_micros() as u64),
-            };
-            core.emit(ProgressEvent::Heartbeat { stage, elapsed_us });
+        if hb > 0 && now.saturating_sub(core.last_emit) >= hb * 1000 {
+            let (stage, since) = core.stage.unwrap_or(("flow", core.start));
+            let elapsed_us = now.saturating_sub(since);
+            core.emit(Event::Heartbeat { stage, elapsed_us }, now);
         }
     }
 }
@@ -809,144 +700,13 @@ fn watchdog_loop(core: &Mutex<StreamCore>, stop: &AtomicBool) {
 /// finishes every sink, and returns the emitted-event count — or the
 /// first sink error. `None` when nothing was installed.
 pub fn telemetry_take() -> Option<io::Result<u64>> {
-    let handle = TELEMETRY.with(|t| t.borrow_mut().take())?;
-    if let Some((stop, join)) = handle.watchdog {
-        stop.store(true, Ordering::Relaxed);
-        join.thread().unpark();
-        let _ = join.join();
-    }
-    let mut core = lock(&handle.core);
-    let mut first_err = None;
-    for sink in &mut core.sinks {
-        if let Err(e) = sink.finish() {
-            first_err.get_or_insert(e);
-        }
-    }
-    Some(match first_err {
-        Some(e) => Err(e),
-        None => Ok(core.seq),
-    })
-}
-
-/// Whether the current thread has a telemetry stream installed. Emit
-/// sites with non-trivial argument computation check this first, so
-/// the disabled cost stays at one branch.
-pub fn telemetry_active() -> bool {
-    TELEMETRY.with(|t| t.borrow().is_some())
-}
-
-/// Runs `core_op` against the installed stream core, if any.
-fn with_core(core_op: impl FnOnce(&mut StreamCore)) {
-    TELEMETRY.with(|t| {
-        if let Some(handle) = t.borrow().as_ref() {
-            core_op(&mut lock(&handle.core));
-        }
-    });
-}
-
-/// Emits the event built by `f` (called only when telemetry is
-/// installed; the disabled cost is one thread-local check).
-pub fn progress(f: impl FnOnce() -> ProgressEvent) {
-    with_core(|core| core.emit(f()));
-}
-
-/// Marks a flow stage as entered: starts its watchdog timer and
-/// emits [`ProgressEvent::StageEntered`].
-pub fn telemetry_stage_enter(stage: &'static str) {
-    with_core(|core| {
-        core.stage = Some((stage, Instant::now()));
-        core.budget_fired.retain(|s| *s != stage);
-        core.emit(ProgressEvent::StageEntered { stage });
-    });
-}
-
-/// Marks a flow stage as exited: emits a synchronous budget check
-/// plus [`ProgressEvent::StageExited`] with the stage's wall-clock,
-/// and clears the watchdog timer.
-pub fn telemetry_stage_exit(stage: &'static str, items: u64) {
-    with_core(|core| {
-        let elapsed_us = match core.stage.take() {
-            Some((_, started)) => started.elapsed().as_micros() as u64,
-            None => 0,
-        };
-        core.check_budget(stage, elapsed_us);
-        core.emit(ProgressEvent::StageExited {
-            stage,
-            items,
-            elapsed_us,
-        });
-    });
-}
-
-/// Allocates the next telemetry session id (one per negotiation
-/// `route_all` call) and restarts the per-session ETA timer. Returns 0
-/// when telemetry is inactive.
-pub fn telemetry_begin_session() -> u32 {
-    let mut id = 0;
-    with_core(|core| {
-        core.sessions += 1;
-        core.session_start = Instant::now();
-        id = core.sessions;
-    });
-    id
-}
-
-/// Emits [`ProgressEvent::RoundProgress`] for one negotiation round,
-/// filling the wall-clock and trend-ETA fields from the session timer
-/// (zeroed in deterministic mode).
-pub fn telemetry_round(stats: RoundStats) {
-    with_core(|core| {
-        core.last_round = stats.round;
-        core.last_pressure = stats.pressure;
-        let elapsed_us = if core.cfg.deterministic {
-            0
-        } else {
-            core.session_start.elapsed().as_micros() as u64
-        };
-        let eta_us = elapsed_us / u64::from(stats.round.max(1)) * u64::from(stats.rounds_left);
-        core.emit(ProgressEvent::RoundProgress {
-            session: stats.session,
-            round: stats.round,
-            rounds_left: stats.rounds_left,
-            attempted: stats.attempted,
-            routed: stats.routed,
-            failed: stats.failed,
-            ripups: stats.ripups,
-            pressure: stats.pressure,
-            completion_milli: stats.completion_milli,
-            elapsed_us,
-            eta_us,
-        });
-    });
-}
-
-/// Emits the terminal [`ProgressEvent::FlowFinished`], stamping the
-/// prior-event count and the flow wall-clock.
-pub fn telemetry_flow_finished(
-    routed: u64,
-    failed: u64,
-    matched: u64,
-    total_length: u64,
-    completion_milli: u64,
-) {
-    with_core(|core| {
-        let events = core.seq;
-        let elapsed_us = core.start.elapsed().as_micros() as u64;
-        core.emit(ProgressEvent::FlowFinished {
-            routed,
-            failed,
-            matched,
-            total_length,
-            completion_milli,
-            events,
-            elapsed_us,
-        });
-    });
+    with_context(|c| c.stream.take()).map(Stream::finish)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{emit, negotiation_start, stage};
 
     fn drain(lines: &Arc<Mutex<Vec<String>>>) -> Vec<String> {
         lock(lines).clone()
@@ -954,27 +714,14 @@ mod tests {
 
     #[test]
     fn inactive_emits_are_noops() {
-        assert!(!telemetry_active());
-        let mut built = false;
-        progress(|| {
-            built = true;
-            ProgressEvent::StageEntered { stage: "noop" }
-        });
-        assert!(!built, "event constructor must not run when inactive");
-        telemetry_stage_enter("noop");
-        telemetry_stage_exit("noop", 0);
-        telemetry_round(RoundStats {
-            session: 0,
-            round: 1,
-            rounds_left: 0,
-            attempted: 0,
-            routed: 0,
-            failed: 0,
-            ripups: 0,
-            pressure: 0,
-            completion_milli: 0,
-        });
-        assert_eq!(telemetry_begin_session(), 0);
+        assert!(!crate::recording());
+        emit(Event::StageEntered { stage: "noop" });
+        let elapsed = stage("noop", &[]).exit(0);
+        assert!(
+            elapsed < Duration::from_secs(1),
+            "stages time without a stream"
+        );
+        assert_eq!(negotiation_start(0), 0);
         assert!(telemetry_take().is_none());
     }
 
@@ -983,10 +730,17 @@ mod tests {
         let sink = MemorySink::new();
         let lines = sink.lines();
         telemetry_install(TelemetryConfig::deterministic(), vec![Box::new(sink)]);
-        assert!(telemetry_active());
-        telemetry_stage_enter("clustering");
-        telemetry_stage_exit("clustering", 7);
-        telemetry_flow_finished(3, 0, 2, 44, 1000);
+        assert!(crate::recording());
+        stage("clustering", &[]).exit(7);
+        emit(Event::FlowFinished {
+            routed: 3,
+            failed: 0,
+            matched: 2,
+            total_length: 44,
+            completion_milli: 1000,
+            events: 0,
+            elapsed_us: 0,
+        });
         let n = telemetry_take().unwrap().unwrap();
         assert_eq!(n, 3);
         let got = drain(&lines);
@@ -1007,9 +761,10 @@ mod tests {
         let sink = MemorySink::new();
         let lines = sink.lines();
         telemetry_install(TelemetryConfig::deterministic(), vec![Box::new(sink)]);
-        let s = telemetry_begin_session();
+        let s = negotiation_start(5);
         assert_eq!(s, 1);
-        telemetry_round(RoundStats {
+        // Whatever timing a site passes, the deterministic stream zeroes.
+        emit(Event::RoundProgress {
             session: s,
             round: 2,
             rounds_left: 8,
@@ -1019,6 +774,8 @@ mod tests {
             ripups: 1,
             pressure: 9,
             completion_milli: 600,
+            elapsed_us: 7,
+            eta_us: 9,
         });
         telemetry_take().unwrap().unwrap();
         let got = drain(&lines);
@@ -1041,10 +798,8 @@ mod tests {
             },
         };
         telemetry_install(cfg, vec![Box::new(sink)]);
-        telemetry_stage_enter("escape");
-        telemetry_stage_exit("escape", 1);
-        telemetry_stage_enter("detour");
-        telemetry_stage_exit("detour", 1);
+        stage("escape", &[]).exit(1);
+        stage("detour", &[]).exit(1);
         telemetry_take().unwrap().unwrap();
         let got = drain(&lines);
         let exceeded: Vec<_> = got
@@ -1076,8 +831,8 @@ mod tests {
             },
         };
         telemetry_install(cfg, vec![Box::new(sink)]);
-        telemetry_stage_enter("lm_routing");
-        // Give the watchdog a few ticks while the "stage" stalls.
+        let _stalled = stage("lm_routing", &[]);
+        // Give the watchdog a few ticks while the stage stalls.
         std::thread::sleep(Duration::from_millis(120));
         telemetry_take().unwrap().unwrap();
         let got = drain(&lines);
@@ -1105,9 +860,9 @@ mod tests {
             },
         };
         telemetry_install(cfg, vec![Box::new(sink)]);
-        telemetry_stage_enter("clustering");
+        let clustering = stage("clustering", &[]);
         std::thread::sleep(Duration::from_millis(30));
-        telemetry_stage_exit("clustering", 1);
+        clustering.exit(1);
         telemetry_take().unwrap().unwrap();
         let got = drain(&lines);
         assert!(
@@ -1122,7 +877,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("events.jsonl");
         let mut w = StreamWriter::create(&path).unwrap();
-        w.emit(&ProgressEvent::StageEntered { stage: "escape" }, "{\"k\":1}");
+        w.emit(&Event::StageEntered { stage: "escape" }, "{\"k\":1}");
         assert!(!path.exists(), "final file must not exist mid-stream");
         assert!(dir.join("events.jsonl.tmp").exists());
         w.finish().unwrap();
@@ -1139,7 +894,7 @@ mod tests {
         let path = dir.join("events.jsonl");
         {
             let mut w = StreamWriter::create(&path).unwrap();
-            w.emit(&ProgressEvent::StageEntered { stage: "escape" }, "{\"k\":1}");
+            w.emit(&Event::StageEntered { stage: "escape" }, "{\"k\":1}");
             // Dropped without finish — the simulated kill.
         }
         assert!(!path.exists(), "torn final file left behind");
@@ -1160,19 +915,66 @@ mod tests {
     fn sessions_count_up_and_reset_per_install() {
         let sink = MemorySink::new();
         telemetry_install(TelemetryConfig::deterministic(), vec![Box::new(sink)]);
-        assert_eq!(telemetry_begin_session(), 1);
-        assert_eq!(telemetry_begin_session(), 2);
+        assert_eq!(negotiation_start(1), 1);
+        // A ring installed beside the stream shares its counter.
+        crate::flight_install(crate::RecorderConfig::default());
+        assert_eq!(negotiation_start(1), 2);
         telemetry_take().unwrap().unwrap();
+        assert_eq!(negotiation_start(1), 3, "the ring alone keeps counting");
+        assert_eq!(crate::flight_take().unwrap().sessions(), 3);
         let sink = MemorySink::new();
         telemetry_install(TelemetryConfig::deterministic(), vec![Box::new(sink)]);
-        assert_eq!(telemetry_begin_session(), 1);
+        assert_eq!(negotiation_start(1), 1);
+        telemetry_take().unwrap().unwrap();
+    }
+
+    /// A 10 ms heartbeat stream, returned once its watchdog has beaten.
+    fn heartbeat_stream() -> Arc<Mutex<Vec<String>>> {
+        let sink = MemorySink::new();
+        let lines = sink.lines();
+        let cfg = TelemetryConfig {
+            deterministic: false,
+            heartbeat_ms: 10,
+            budgets: StageBudgets::UNLIMITED,
+        };
+        telemetry_install(cfg, vec![Box::new(sink)]);
+        for _ in 0..1000 {
+            if !drain(&lines).is_empty() {
+                return lines;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        panic!("the watchdog never beat");
+    }
+
+    #[test]
+    fn dropped_streams_stop_their_watchdog() {
+        // Replaced by a second install: the first watchdog must stop
+        // writing heartbeats into the first stream's sinks.
+        let first = heartbeat_stream();
+        telemetry_install(TelemetryConfig::deterministic(), Vec::new());
+        let replaced_at = drain(&first).len();
+        // The installing thread exits without taking its stream.
+        let orphan = std::thread::spawn(heartbeat_stream).join().unwrap();
+        let exited_at = drain(&orphan).len();
+        std::thread::sleep(Duration::from_millis(200));
+        assert_eq!(
+            drain(&first).len(),
+            replaced_at,
+            "replaced stream kept beating"
+        );
+        assert_eq!(
+            drain(&orphan).len(),
+            exited_at,
+            "orphaned stream kept beating"
+        );
         telemetry_take().unwrap().unwrap();
     }
 
     #[test]
     fn every_kind_renders_with_schema_and_kind() {
         let events = [
-            ProgressEvent::FlowStarted {
+            Event::FlowStarted {
                 design: "T\"1".into(),
                 width: 4,
                 height: 4,
@@ -1183,13 +985,13 @@ mod tests {
                 policy: "full".into(),
                 threads: 1,
             },
-            ProgressEvent::StageEntered { stage: "escape" },
-            ProgressEvent::StageExited {
+            Event::StageEntered { stage: "escape" },
+            Event::StageExited {
                 stage: "escape",
                 items: 2,
                 elapsed_us: 3,
             },
-            ProgressEvent::RoundProgress {
+            Event::RoundProgress {
                 session: 1,
                 round: 1,
                 rounds_left: 9,
@@ -1202,17 +1004,17 @@ mod tests {
                 elapsed_us: 0,
                 eta_us: 0,
             },
-            ProgressEvent::DmeProgress {
+            Event::DmeProgress {
                 clusters: 2,
                 candidates: 8,
             },
-            ProgressEvent::MstProgress {
+            Event::MstProgress {
                 clusters: 3,
                 committed: 4,
                 splits: 1,
                 edges: 5,
             },
-            ProgressEvent::EscapeProgress {
+            Event::EscapeProgress {
                 phase: 1,
                 round: 1,
                 pending: 3,
@@ -1221,18 +1023,18 @@ mod tests {
                 declustered: 0,
                 ripped: 0,
             },
-            ProgressEvent::Heartbeat {
+            Event::Heartbeat {
                 stage: "escape",
                 elapsed_us: 5,
             },
-            ProgressEvent::BudgetExceeded {
+            Event::BudgetExceeded {
                 stage: "escape",
                 budget_ms: 1,
                 elapsed_us: 2000,
                 round: 3,
                 pressure: 4,
             },
-            ProgressEvent::FlowFinished {
+            Event::FlowFinished {
                 routed: 5,
                 failed: 0,
                 matched: 2,

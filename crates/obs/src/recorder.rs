@@ -4,21 +4,23 @@
 //! the flight recorder answers *what happened to whom*: which nets
 //! fought over which cells, why a rip-up picked its victims, and what
 //! the congestion landscape looked like when the flow gave up. Events
-//! are **typed records keyed by net/cluster/round ids** — not stringly
-//! trace args — so a post-mortem generator ([`crate::post_mortem_json`])
-//! can aggregate them without parsing.
+//! are **typed records keyed by net/cluster/round ids** ([`Event`]) —
+//! not stringly trace args — so a post-mortem generator
+//! ([`crate::post_mortem_json`]) can aggregate them without parsing.
 //!
 //! # Recording model
 //!
-//! A recorder is installed on the flow's **session thread** with
-//! [`flight_install`] and drained with [`flight_take`]. Hot paths emit
-//! through [`flight`], which takes a closure so the event is only
-//! constructed when a recorder is active — the disabled cost is one
-//! thread-local check. Emit sites live exclusively at the flow's
-//! deterministic commit points (the session thread's attempt loop,
-//! rip-up selection, MST commit order, escape/detour stages), never
-//! inside worker closures, so the log is identical at any worker-thread
-//! count.
+//! A ring is installed on the flow's **session thread** with
+//! [`flight_install`] and drained with [`flight_take`]; it lives in the
+//! thread's recording context beside the frame stack and the telemetry
+//! stream. Events reach it through [`crate::emit`], whose routing table
+//! sends every ring kind here. Emit sites live exclusively at the
+//! flow's deterministic commit points (the session thread's attempt
+//! loop, rip-up selection, MST commit order, escape/detour stages),
+//! never inside worker closures, so the log is identical at any
+//! worker-thread count. Sites whose event is costly to build check
+//! [`crate::recording`] first, so the disabled cost stays one
+//! thread-local check.
 //!
 //! # Bounding
 //!
@@ -30,13 +32,8 @@
 //! on every final round. Both drop counts are themselves recorded and
 //! deterministic, because the emission sequence is.
 
-use std::cell::RefCell;
+use crate::{with_context, Event};
 use std::collections::VecDeque;
-
-thread_local! {
-    /// The active flight recorder of the current thread, if any.
-    static RECORDER: RefCell<Option<Recorder>> = const { RefCell::new(None) };
-}
 
 /// Sizing and cadence knobs for the flight recorder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,199 +53,6 @@ impl Default for RecorderConfig {
             capacity: 4096,
             snapshot_cadence: 4,
             snapshot_capacity: 8,
-        }
-    }
-}
-
-/// Why a rip-up victim was selected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RipReason {
-    /// The net owned cells on a failed search's contended frontier.
-    ContendedWall,
-    /// Incremental escalation: more failures than the previous round.
-    Escalated,
-    /// A failed search produced no contended-cell information.
-    Opaque,
-    /// The full rip-up policy rips every routed net on any failure.
-    FullPolicy,
-}
-
-impl RipReason {
-    /// Stable lower-case label used in the post-mortem JSON.
-    pub fn label(self) -> &'static str {
-        match self {
-            RipReason::ContendedWall => "contended_wall",
-            RipReason::Escalated => "escalated",
-            RipReason::Opaque => "opaque",
-            RipReason::FullPolicy => "full_policy",
-        }
-    }
-}
-
-/// A blocked cell on the BFS frontier of an escape-routing pocket,
-/// with the cluster that owns it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FrontierCell {
-    /// Cell x coordinate.
-    pub x: i32,
-    /// Cell y coordinate.
-    pub y: i32,
-    /// Id of the routed cluster occupying the cell.
-    pub owner: u32,
-}
-
-/// One structured flight-recorder event.
-///
-/// `net` ids are the LM-cluster ids the negotiation requests were
-/// tagged with (or the request index when untagged); `cluster` ids are
-/// `ClusterId` values; `session` counts negotiation sessions in flow
-/// order; `round` is the 1-based negotiation round within a session.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FlightEvent {
-    /// A negotiation session opened over `edges` requests.
-    NegotiationStart {
-        /// Flow-ordered session id (1-based).
-        session: u32,
-        /// Number of route requests in the session.
-        edges: u32,
-    },
-    /// One per-net search outcome inside a negotiation round.
-    NetAttempt {
-        /// Enclosing negotiation session.
-        session: u32,
-        /// 1-based round within the session.
-        round: u32,
-        /// Net id the request was tagged with.
-        net: u32,
-        /// Whether the search found a path.
-        routed: bool,
-        /// Path length in cells when routed, 0 otherwise.
-        length: u64,
-        /// Cells the A* search expanded (0 when unavailable).
-        expanded: u32,
-        /// Contended-frontier size for failed searches, 0 otherwise.
-        flood: u32,
-    },
-    /// A routed net was ripped up, with the selection reason.
-    RipUp {
-        /// Enclosing negotiation session.
-        session: u32,
-        /// Round in which the victim was selected.
-        round: u32,
-        /// Net id of the victim.
-        net: u32,
-        /// Why this victim was selected.
-        reason: RipReason,
-    },
-    /// An MST cluster's routing was committed.
-    MstCommit {
-        /// Cluster id.
-        cluster: u32,
-        /// Number of routed tree edges.
-        edges: u32,
-        /// Total routed length of the cluster.
-        length: u64,
-    },
-    /// An unroutable MST cluster was split in two; both halves rejoin
-    /// the back of the MST queue.
-    MstSplit {
-        /// Cluster id that failed to route whole.
-        parent: u32,
-        /// Id of the first half.
-        low: u32,
-        /// Id of the second half.
-        high: u32,
-    },
-    /// An LM cluster's tree was rebuilt from scratch after negotiation
-    /// failed on the DME-selected topology.
-    LmReconstructed {
-        /// Cluster id.
-        cluster: u32,
-    },
-    /// An LM cluster was demoted to the ordinary MST stage.
-    LmDemoted {
-        /// Cluster id.
-        cluster: u32,
-    },
-    /// An escape-routing phase could not connect a cluster to any pin.
-    EscapeFailed {
-        /// Escape phase (1 = clustered, 2 = de-clustered, 3 = solo).
-        phase: u8,
-        /// Escape-stage round.
-        round: u32,
-        /// Cluster id that failed.
-        cluster: u32,
-    },
-    /// A routed cluster was ripped up to open a path for `blocked`.
-    EscapeRip {
-        /// Cluster id of the ripped victim.
-        victim: u32,
-        /// Cluster id whose escape was blocked.
-        blocked: u32,
-    },
-    /// A multi-valve cluster was de-clustered into singletons.
-    Declustered {
-        /// Cluster id.
-        cluster: u32,
-    },
-    /// A cluster's escape flood was walled in: the pocket it could
-    /// reach, and the routed cells (with owners) on its frontier.
-    EscapeBlocked {
-        /// Cluster id whose escape was blocked.
-        cluster: u32,
-        /// Free cells reachable before hitting routed walls.
-        pocket: u32,
-        /// Cluster ids selected as rip candidates.
-        blockers: Vec<u32>,
-        /// Frontier cells (sorted by y, x; capped), with owners.
-        frontier: Vec<FrontierCell>,
-    },
-    /// A length-matching detour segment was inserted.
-    DetourSegment {
-        /// Cluster id being padded.
-        cluster: u32,
-        /// Cells of length the segment added.
-        added: u64,
-    },
-    /// Final per-cluster outcome, emitted once per cluster at flow end.
-    ClusterOutcome {
-        /// Cluster id.
-        cluster: u32,
-        /// Number of valves in the cluster.
-        valves: u32,
-        /// Whether the cluster is under the LM constraint.
-        lm: bool,
-        /// Whether every edge (and its escape) routed.
-        complete: bool,
-        /// Whether the LM window was met (false for non-LM clusters).
-        matched: bool,
-        /// Total routed length.
-        length: u64,
-        /// Worst pairwise length mismatch, when defined.
-        mismatch: Option<u64>,
-        /// The chip's δ window.
-        delta: u64,
-    },
-}
-
-impl FlightEvent {
-    /// Stable snake_case name of the event kind (catalogued in
-    /// `docs/OBSERVABILITY.md`).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            FlightEvent::NegotiationStart { .. } => "negotiation_start",
-            FlightEvent::NetAttempt { .. } => "net_attempt",
-            FlightEvent::RipUp { .. } => "rip_up",
-            FlightEvent::MstCommit { .. } => "mst_commit",
-            FlightEvent::MstSplit { .. } => "mst_split",
-            FlightEvent::LmReconstructed { .. } => "lm_reconstructed",
-            FlightEvent::LmDemoted { .. } => "lm_demoted",
-            FlightEvent::EscapeFailed { .. } => "escape_failed",
-            FlightEvent::EscapeRip { .. } => "escape_rip",
-            FlightEvent::Declustered { .. } => "declustered",
-            FlightEvent::EscapeBlocked { .. } => "escape_blocked",
-            FlightEvent::DetourSegment { .. } => "detour_segment",
-            FlightEvent::ClusterOutcome { .. } => "cluster_outcome",
         }
     }
 }
@@ -287,7 +91,7 @@ pub struct CongestionSnapshot {
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlightLog {
     config: RecorderConfig,
-    events: Vec<FlightEvent>,
+    events: Vec<Event>,
     snapshots: Vec<CongestionSnapshot>,
     dropped_events: u64,
     dropped_snapshots: u64,
@@ -296,7 +100,7 @@ pub struct FlightLog {
 
 impl FlightLog {
     /// The retained events, oldest first.
-    pub fn events(&self) -> &[FlightEvent] {
+    pub fn events(&self) -> &[Event] {
         &self.events
     }
 
@@ -326,14 +130,14 @@ impl FlightLog {
     }
 }
 
+/// The ring: the recording context's flight-recorder part.
 #[derive(Debug)]
-struct Recorder {
+pub(crate) struct Recorder {
     config: RecorderConfig,
-    events: VecDeque<FlightEvent>,
+    events: VecDeque<Event>,
     snapshots: VecDeque<CongestionSnapshot>,
     dropped_events: u64,
     dropped_snapshots: u64,
-    sessions: u32,
 }
 
 impl Recorder {
@@ -344,11 +148,10 @@ impl Recorder {
             snapshots: VecDeque::new(),
             dropped_events: 0,
             dropped_snapshots: 0,
-            sessions: 0,
         }
     }
 
-    fn push(&mut self, event: FlightEvent) {
+    pub(crate) fn push(&mut self, event: Event) {
         if self.config.capacity == 0 {
             self.dropped_events += 1;
             return;
@@ -372,80 +175,59 @@ impl Recorder {
         self.snapshots.push_back(snapshot);
     }
 
-    fn into_log(self) -> FlightLog {
+    fn into_log(self, sessions: u32) -> FlightLog {
         FlightLog {
             config: self.config,
             events: self.events.into(),
             snapshots: self.snapshots.into(),
             dropped_events: self.dropped_events,
             dropped_snapshots: self.dropped_snapshots,
-            sessions: self.sessions,
+            sessions,
         }
     }
 }
 
-/// Installs a flight recorder on the current thread, replacing (and
-/// discarding) any previous one. Pair with [`flight_take`].
+/// Installs a flight-recorder ring on the current thread, replacing
+/// (and discarding) any previous one. Pair with [`flight_take`]. The
+/// negotiation-session counter restarts unless a telemetry stream is
+/// already installed (the two share it).
 pub fn flight_install(config: RecorderConfig) {
-    RECORDER.with(|r| *r.borrow_mut() = Some(Recorder::new(config)));
-}
-
-/// Removes the current thread's recorder and returns its log, or
-/// `None` when no recorder is installed.
-pub fn flight_take() -> Option<FlightLog> {
-    RECORDER.with(|r| r.borrow_mut().take()).map(Recorder::into_log)
-}
-
-/// Whether a flight recorder is installed on the current thread.
-///
-/// Emit sites that need to *compute* event fields (e.g. build a
-/// congestion snapshot) gate on this so the disabled cost stays one
-/// thread-local check.
-pub fn flight_active() -> bool {
-    RECORDER.with(|r| r.borrow().is_some())
-}
-
-/// Records the event built by `f` when a recorder is active. The
-/// closure only runs (and the event is only allocated) when recording.
-pub fn flight(f: impl FnOnce() -> FlightEvent) {
-    RECORDER.with(|r| {
-        if let Some(rec) = r.borrow_mut().as_mut() {
-            let event = f();
-            rec.push(event);
+    with_context(|c| {
+        if c.stream.is_none() {
+            c.sessions = 0;
         }
+        c.ring = Some(Recorder::new(config));
     });
 }
 
-/// Opens a negotiation session in the log: bumps the deterministic
-/// session counter, records [`FlightEvent::NegotiationStart`] and
-/// returns the new session id (0 when not recording).
-pub fn flight_begin_session(edges: u32) -> u32 {
-    RECORDER.with(|r| {
-        let mut rec = r.borrow_mut();
-        let Some(rec) = rec.as_mut() else { return 0 };
-        rec.sessions += 1;
-        let session = rec.sessions;
-        rec.push(FlightEvent::NegotiationStart { session, edges });
-        session
+/// Removes the current thread's ring and returns its log, or `None`
+/// when no ring is installed.
+pub fn flight_take() -> Option<FlightLog> {
+    with_context(|c| {
+        let sessions = c.sessions;
+        c.ring.take().map(|ring| ring.into_log(sessions))
     })
 }
 
 /// Whether round `round` (1-based) of a negotiation session should take
-/// a congestion snapshot: recording must be active and either the
+/// a congestion snapshot: a ring must be installed and either the
 /// cadence hits or `force` is set (final rounds are always captured).
 pub fn flight_snapshot_due(round: u32, force: bool) -> bool {
-    RECORDER.with(|r| {
-        let rec = r.borrow();
-        let Some(rec) = rec.as_ref() else { return false };
-        force || round.saturating_sub(1).is_multiple_of(rec.config.snapshot_cadence.max(1))
+    with_context(|c| {
+        c.ring.as_ref().is_some_and(|ring| {
+            force
+                || round
+                    .saturating_sub(1)
+                    .is_multiple_of(ring.config.snapshot_cadence.max(1))
+        })
     })
 }
 
-/// Records a congestion snapshot (no-op when not recording).
+/// Records a congestion snapshot (no-op when no ring is installed).
 pub fn flight_snapshot(snapshot: CongestionSnapshot) {
-    RECORDER.with(|r| {
-        if let Some(rec) = r.borrow_mut().as_mut() {
-            rec.push_snapshot(snapshot);
+    with_context(|c| {
+        if let Some(ring) = c.ring.as_mut() {
+            ring.push_snapshot(snapshot);
         }
     });
 }
@@ -453,6 +235,7 @@ pub fn flight_snapshot(snapshot: CongestionSnapshot) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{emit, negotiation_start, recording};
 
     fn cfg(capacity: usize) -> RecorderConfig {
         RecorderConfig {
@@ -463,14 +246,9 @@ mod tests {
 
     #[test]
     fn inactive_recorder_records_nothing() {
-        assert!(!flight_active());
-        let mut ran = false;
-        flight(|| {
-            ran = true;
-            FlightEvent::LmDemoted { cluster: 1 }
-        });
-        assert!(!ran, "event closure must not run without a recorder");
-        assert_eq!(flight_begin_session(3), 0);
+        assert!(!recording());
+        emit(Event::LmDemoted { cluster: 1 });
+        assert_eq!(negotiation_start(3), 0);
         assert!(!flight_snapshot_due(1, true));
         assert!(flight_take().is_none());
     }
@@ -478,10 +256,10 @@ mod tests {
     #[test]
     fn events_round_trip_through_take() {
         flight_install(cfg(16));
-        assert!(flight_active());
-        let s = flight_begin_session(2);
+        assert!(recording());
+        let s = negotiation_start(2);
         assert_eq!(s, 1);
-        flight(|| FlightEvent::NetAttempt {
+        emit(Event::NetAttempt {
             session: s,
             round: 1,
             net: 7,
@@ -490,8 +268,10 @@ mod tests {
             expanded: 30,
             flood: 0,
         });
+        // Stream kinds never enter the ring.
+        emit(Event::StageEntered { stage: "escape" });
         let log = flight_take().expect("recorder installed");
-        assert!(!flight_active());
+        assert!(!recording());
         assert_eq!(log.sessions(), 1);
         assert_eq!(log.events().len(), 2);
         assert_eq!(log.events()[0].kind(), "negotiation_start");
@@ -503,7 +283,7 @@ mod tests {
     fn ring_drops_oldest_events() {
         flight_install(cfg(3));
         for cluster in 0..5 {
-            flight(|| FlightEvent::Declustered { cluster });
+            emit(Event::Declustered { cluster });
         }
         let log = flight_take().unwrap();
         assert_eq!(log.dropped_events(), 2);
@@ -511,7 +291,7 @@ mod tests {
             .events()
             .iter()
             .map(|e| match e {
-                FlightEvent::Declustered { cluster } => *cluster,
+                Event::Declustered { cluster } => *cluster,
                 _ => unreachable!(),
             })
             .collect();
@@ -529,6 +309,11 @@ mod tests {
         assert!(!flight_snapshot_due(4, false));
         assert!(flight_snapshot_due(5, false));
         assert!(flight_snapshot_due(3, true), "final rounds are forced");
+        flight_install(RecorderConfig {
+            snapshot_cadence: 0,
+            ..RecorderConfig::default()
+        });
+        assert!(flight_snapshot_due(2, false), "cadence 0 means every round");
         flight_take();
     }
 
@@ -562,7 +347,7 @@ mod tests {
             snapshot_capacity: 0,
             ..RecorderConfig::default()
         });
-        flight(|| FlightEvent::LmDemoted { cluster: 1 });
+        emit(Event::LmDemoted { cluster: 1 });
         flight_snapshot(CongestionSnapshot {
             kind: SnapshotKind::Final,
             session: 0,

@@ -16,7 +16,8 @@
 //! state (they provably coincide while every negotiation session
 //! converges without a failed round).
 
-use crate::recorder::{FlightEvent, FlightLog, SnapshotKind};
+use crate::recorder::{FlightLog, SnapshotKind};
+use crate::Event;
 use crate::Histogram;
 use std::collections::BTreeMap;
 use std::fmt::Write;
@@ -45,7 +46,7 @@ pub fn post_mortem_json(log: &FlightLog) -> String {
     // Per-net and aggregate negotiation statistics.
     let mut nets: BTreeMap<u32, NetStats> = BTreeMap::new();
     let mut ripups_by_reason: BTreeMap<&'static str, u64> = BTreeMap::new();
-    let mut outcomes: Vec<&FlightEvent> = Vec::new();
+    let mut outcomes: Vec<&Event> = Vec::new();
     let mut escape_failed = 0u64;
     let mut declustered = 0u64;
     let mut escape_rips = 0u64;
@@ -54,7 +55,7 @@ pub fn post_mortem_json(log: &FlightLog) -> String {
     let mut mst_commits = 0u64;
     let mut mst_splits = 0u64;
     // (blocked cluster id) -> the walls around its pocket.
-    let mut blocked: BTreeMap<u32, &FlightEvent> = BTreeMap::new();
+    let mut blocked: BTreeMap<u32, &Event> = BTreeMap::new();
     // (y, x) -> number of EscapeBlocked frontiers the cell appears in.
     let mut bottleneck: BTreeMap<(i32, i32), u64> = BTreeMap::new();
     // Session id of the last round seen per session, to count rounds.
@@ -62,7 +63,7 @@ pub fn post_mortem_json(log: &FlightLog) -> String {
 
     for event in log.events() {
         match event {
-            FlightEvent::NetAttempt {
+            Event::NetAttempt {
                 session,
                 round,
                 net,
@@ -78,15 +79,15 @@ pub fn post_mortem_json(log: &FlightLog) -> String {
                 let r = session_rounds.entry(*session).or_default();
                 *r = (*r).max(*round);
             }
-            FlightEvent::RipUp { net, reason, .. } => {
+            Event::RipUp { net, reason, .. } => {
                 nets.entry(*net).or_default().ripups += 1;
                 *ripups_by_reason.entry(reason.label()).or_default() += 1;
             }
-            FlightEvent::ClusterOutcome { .. } => outcomes.push(event),
-            FlightEvent::EscapeFailed { .. } => escape_failed += 1,
-            FlightEvent::Declustered { .. } => declustered += 1,
-            FlightEvent::EscapeRip { .. } => escape_rips += 1,
-            FlightEvent::EscapeBlocked {
+            Event::ClusterOutcome { .. } => outcomes.push(event),
+            Event::EscapeFailed { .. } => escape_failed += 1,
+            Event::Declustered { .. } => declustered += 1,
+            Event::EscapeRip { .. } => escape_rips += 1,
+            Event::EscapeBlocked {
                 cluster, frontier, ..
             } => {
                 blocked.insert(*cluster, event);
@@ -94,16 +95,15 @@ pub fn post_mortem_json(log: &FlightLog) -> String {
                     *bottleneck.entry((cell.y, cell.x)).or_default() += 1;
                 }
             }
-            FlightEvent::DetourSegment { added, .. } => {
+            Event::DetourSegment { added, .. } => {
                 detour_segments += 1;
                 detour_added += added;
             }
-            FlightEvent::MstCommit { .. } => mst_commits += 1,
-            FlightEvent::MstSplit { .. } => mst_splits += 1,
-            // These carry no aggregate of their own.
-            FlightEvent::NegotiationStart { .. }
-            | FlightEvent::LmReconstructed { .. }
-            | FlightEvent::LmDemoted { .. } => {}
+            Event::MstCommit { .. } => mst_commits += 1,
+            Event::MstSplit { .. } => mst_splits += 1,
+            // The rest carry no aggregate of their own (stream kinds
+            // never reach the ring).
+            _ => {}
         }
     }
     let rounds: u64 = session_rounds.values().map(|&r| r as u64).sum();
@@ -115,7 +115,7 @@ pub fn post_mortem_json(log: &FlightLog) -> String {
     let mut lm_total = 0u64;
     let mut total_length = 0u64;
     for o in &outcomes {
-        if let FlightEvent::ClusterOutcome {
+        if let Event::ClusterOutcome {
             cluster,
             lm,
             complete: c,
@@ -155,7 +155,7 @@ pub fn post_mortem_json(log: &FlightLog) -> String {
         let (valves, lm) = outcomes
             .iter()
             .find_map(|o| match o {
-                FlightEvent::ClusterOutcome {
+                Event::ClusterOutcome {
                     cluster: c,
                     valves,
                     lm,
@@ -168,7 +168,7 @@ pub fn post_mortem_json(log: &FlightLog) -> String {
             out,
             "\n    {{\"cluster\": {cluster}, \"valves\": {valves}, \"lm\": {lm}"
         );
-        if let Some(FlightEvent::EscapeBlocked {
+        if let Some(Event::EscapeBlocked {
             pocket,
             blockers,
             frontier,
@@ -273,7 +273,7 @@ pub fn post_mortem_json(log: &FlightLog) -> String {
     out.push_str("  \"lm_clusters\": [");
     let mut first = true;
     for o in &outcomes {
-        if let FlightEvent::ClusterOutcome {
+        if let Event::ClusterOutcome {
             cluster,
             lm: true,
             matched,
@@ -371,7 +371,7 @@ pub fn render_heatmap(log: &FlightLog) -> String {
         .unwrap_or(0);
     let mut walls: Vec<(i32, i32)> = Vec::new();
     for event in log.events() {
-        if let FlightEvent::EscapeBlocked { frontier, .. } = event {
+        if let Event::EscapeBlocked { frontier, .. } = event {
             walls.extend(frontier.iter().map(|c| (c.x, c.y)));
         }
     }
@@ -415,16 +415,14 @@ pub fn render_heatmap(log: &FlightLog) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::{
-        flight, flight_begin_session, flight_install, flight_snapshot, flight_take,
-        CongestionSnapshot, FrontierCell, RecorderConfig, RipReason,
-    };
+    use crate::recorder::{flight_install, flight_snapshot, flight_take, RecorderConfig};
+    use crate::{emit, negotiation_start, CongestionSnapshot, FrontierCell, RipReason};
 
     fn sample_log() -> FlightLog {
         flight_install(RecorderConfig::default());
-        let s = flight_begin_session(2);
+        let s = negotiation_start(2);
         for (net, routed) in [(4u32, true), (9u32, false)] {
-            flight(|| FlightEvent::NetAttempt {
+            emit(Event::NetAttempt {
                 session: s,
                 round: 1,
                 net,
@@ -434,7 +432,7 @@ mod tests {
                 flood: if routed { 0 } else { 5 },
             });
         }
-        flight(|| FlightEvent::RipUp {
+        emit(Event::RipUp {
             session: s,
             round: 1,
             net: 4,
@@ -449,14 +447,14 @@ mod tests {
             occupancy: vec![1, 0, 0, 0, 1, 0],
             heat_milli: vec![0, 1500, 0, 0, 300, 0],
         });
-        flight(|| FlightEvent::EscapeBlocked {
+        emit(Event::EscapeBlocked {
             cluster: 9,
             pocket: 4,
             blockers: vec![4],
             frontier: vec![FrontierCell { x: 1, y: 0, owner: 4 }],
         });
         for (cluster, complete) in [(4u32, true), (9u32, false)] {
-            flight(|| FlightEvent::ClusterOutcome {
+            emit(Event::ClusterOutcome {
                 cluster,
                 valves: 2,
                 lm: true,

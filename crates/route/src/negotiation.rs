@@ -8,7 +8,7 @@
 
 use crate::{AStar, AStarScratch, HistoryCost};
 use pacor_grid::{GridPath, ObsMap, Point};
-use pacor_obs::{FlightEvent, RipReason, SnapshotKind};
+use pacor_obs::{Event, RipReason, SnapshotKind};
 use serde::{Deserialize, Serialize};
 
 /// "Untagged" sentinel for [`RouteRequest::net`].
@@ -335,6 +335,30 @@ enum Attempt {
     Failed(Option<Vec<Point>>),
 }
 
+impl Attempt {
+    /// The `net_attempt` event reporting this outcome for `net` in
+    /// round `round` of negotiation session `session`. A failed search
+    /// reports its flood as both its expansions and its frontier.
+    fn event(&self, session: u32, round: u32, net: u32) -> Event {
+        let (routed, length, expanded, flood) = match self {
+            Attempt::Routed(p, expanded) => (true, p.len(), *expanded, 0),
+            Attempt::Failed(flood) => {
+                let cells = flood.as_ref().map_or(0, |f| f.len() as u32);
+                (false, 0, cells, cells)
+            }
+        };
+        Event::NetAttempt {
+            session,
+            round,
+            net,
+            routed,
+            length,
+            expanded,
+            flood,
+        }
+    }
+}
+
 /// `true` when the flat kernel's scratch views (touched cells and
 /// expansion count) describe this request's search — in-bounds,
 /// non-empty terminals. Anything else bypasses the flat kernel.
@@ -458,12 +482,11 @@ impl NegotiationRouter {
     /// thread-local scratch.
     pub fn route_all(&self, obs: &mut ObsMap, edges: &[RouteRequest]) -> NegotiationOutcome {
         let _span = pacor_obs::span_with("negotiate", &[("edges", edges.len() as u64)]);
-        let fs = pacor_obs::flight_begin_session(edges.len() as u32);
-        let ts = pacor_obs::telemetry_begin_session();
+        let session = pacor_obs::negotiation_start(edges.len() as u32);
         let mut scratch = AStarScratch::new();
         match self.ripup {
-            RipUpPolicy::Full => self.route_full(obs, edges, &mut scratch, fs, ts),
-            RipUpPolicy::Incremental => self.route_incremental(obs, edges, &mut scratch, fs, ts),
+            RipUpPolicy::Full => self.route_full(obs, edges, &mut scratch, session),
+            RipUpPolicy::Incremental => self.route_incremental(obs, edges, &mut scratch, session),
         }
     }
 
@@ -474,8 +497,7 @@ impl NegotiationRouter {
         obs: &mut ObsMap,
         edges: &[RouteRequest],
         scratch: &mut AStarScratch,
-        fs: u32,
-        ts: u32,
+        session: u32,
     ) -> NegotiationOutcome {
         let mut history = HistoryCost::with_params(obs.width(), obs.height(), self.base, self.alpha);
         let outer_cp = obs.checkpoint();
@@ -493,40 +515,19 @@ impl NegotiationRouter {
 
             let attempts = attempt_round(obs, &history, edges, &order, scratch);
             for (attempt, &e) in attempts.into_iter().zip(&order) {
+                pacor_obs::emit(attempt.event(session, iterations, net_id(edges, e)));
                 match attempt {
-                    Attempt::Routed(p, expanded) => {
-                        pacor_obs::flight(|| FlightEvent::NetAttempt {
-                            session: fs,
-                            round: iterations,
-                            net: net_id(edges, e),
-                            routed: true,
-                            length: p.len(),
-                            expanded,
-                            flood: 0,
-                        });
-                        paths[e] = Some(p);
-                    }
-                    Attempt::Failed(flood) => {
-                        pacor_obs::flight(|| FlightEvent::NetAttempt {
-                            session: fs,
-                            round: iterations,
-                            net: net_id(edges, e),
-                            routed: false,
-                            length: 0,
-                            expanded: flood.as_ref().map_or(0, |f| f.len() as u32),
-                            flood: flood.as_ref().map_or(0, |f| f.len() as u32),
-                        });
-                        done = false;
-                    }
+                    Attempt::Routed(p, _) => paths[e] = Some(p),
+                    Attempt::Failed(_) => done = false,
                 }
             }
             if pacor_obs::flight_snapshot_due(iterations, done || iterations >= self.gamma) {
-                pacor_obs::flight_snapshot(congestion_snapshot(fs, iterations, obs, &history));
+                pacor_obs::flight_snapshot(congestion_snapshot(session, iterations, obs, &history));
             }
-            if pacor_obs::telemetry_active() {
+            if pacor_obs::recording() {
                 let routed_now = paths.iter().flatten().count() as u64;
-                pacor_obs::telemetry_round(pacor_obs::RoundStats {
-                    session: ts,
+                pacor_obs::emit(Event::RoundProgress {
+                    session,
                     round: iterations,
                     rounds_left: if done { 0 } else { self.gamma.saturating_sub(iterations) },
                     attempted: order.len() as u64,
@@ -535,6 +536,8 @@ impl NegotiationRouter {
                     ripups,
                     pressure: history.pressure_cells(),
                     completion_milli: routed_now * 1000 / edges.len().max(1) as u64,
+                    elapsed_us: 0,
+                    eta_us: 0,
                 });
             }
 
@@ -560,16 +563,14 @@ impl NegotiationRouter {
             // Steps 17–19: bump history along every routed path, then rip
             // all paths up.
             let round_ripups = paths.iter().flatten().count() as u64;
-            if pacor_obs::flight_active() {
-                for (e, p) in paths.iter().enumerate() {
-                    if p.is_some() {
-                        pacor_obs::flight(|| FlightEvent::RipUp {
-                            session: fs,
-                            round: iterations,
-                            net: net_id(edges, e),
-                            reason: RipReason::FullPolicy,
-                        });
-                    }
+            for (e, p) in paths.iter().enumerate() {
+                if p.is_some() {
+                    pacor_obs::emit(Event::RipUp {
+                        session,
+                        round: iterations,
+                        net: net_id(edges, e),
+                        reason: RipReason::FullPolicy,
+                    });
                 }
             }
             ripups += round_ripups;
@@ -594,8 +595,7 @@ impl NegotiationRouter {
         obs: &mut ObsMap,
         edges: &[RouteRequest],
         scratch: &mut AStarScratch,
-        fs: u32,
-        ts: u32,
+        session: u32,
     ) -> NegotiationOutcome {
         let (width, height) = (obs.width() as usize, obs.height() as usize);
         let mut history = HistoryCost::with_params(obs.width(), obs.height(), self.base, self.alpha);
@@ -640,43 +640,17 @@ impl NegotiationRouter {
             let mut opaque = false;
             let attempts = attempt_round(obs, &history, edges, &pending, scratch);
             for (attempt, &e) in attempts.into_iter().zip(&pending) {
+                pacor_obs::emit(attempt.event(session, iterations, net_id(edges, e)));
                 match attempt {
-                    Attempt::Routed(p, expanded) => {
-                        pacor_obs::flight(|| FlightEvent::NetAttempt {
-                            session: fs,
-                            round: iterations,
-                            net: net_id(edges, e),
-                            routed: true,
-                            length: p.len(),
-                            expanded,
-                            flood: 0,
-                        });
+                    Attempt::Routed(p, _) => {
                         owners.add(e as u32, p.cells());
                         paths[e] = Some(p);
                     }
                     Attempt::Failed(Some(flood)) => {
-                        pacor_obs::flight(|| FlightEvent::NetAttempt {
-                            session: fs,
-                            round: iterations,
-                            net: net_id(edges, e),
-                            routed: false,
-                            length: 0,
-                            expanded: flood.len() as u32,
-                            flood: flood.len() as u32,
-                        });
                         failed.push(e);
                         contended.extend(flood.into_iter().filter(|&c| contended_seen.insert(c)));
                     }
                     Attempt::Failed(None) => {
-                        pacor_obs::flight(|| FlightEvent::NetAttempt {
-                            session: fs,
-                            round: iterations,
-                            net: net_id(edges, e),
-                            routed: false,
-                            length: 0,
-                            expanded: 0,
-                            flood: 0,
-                        });
                         failed.push(e);
                         rip_all = true;
                         opaque = true;
@@ -687,12 +661,12 @@ impl NegotiationRouter {
                 iterations,
                 failed.is_empty() || iterations >= self.gamma,
             ) {
-                pacor_obs::flight_snapshot(congestion_snapshot(fs, iterations, obs, &history));
+                pacor_obs::flight_snapshot(congestion_snapshot(session, iterations, obs, &history));
             }
-            if pacor_obs::telemetry_active() {
+            if pacor_obs::recording() {
                 let routed_total = paths.iter().flatten().count() as u64;
-                pacor_obs::telemetry_round(pacor_obs::RoundStats {
-                    session: ts,
+                pacor_obs::emit(Event::RoundProgress {
+                    session,
                     round: iterations,
                     rounds_left: if failed.is_empty() {
                         0
@@ -705,6 +679,8 @@ impl NegotiationRouter {
                     ripups,
                     pressure: history.pressure_cells(),
                     completion_milli: routed_total * 1000 / edges.len().max(1) as u64,
+                    elapsed_us: 0,
+                    eta_us: 0,
                 });
             }
 
@@ -765,8 +741,8 @@ impl NegotiationRouter {
                 }
                 if let Some(p) = slot.take() {
                     round_ripups += 1;
-                    pacor_obs::flight(|| FlightEvent::RipUp {
-                        session: fs,
+                    pacor_obs::emit(Event::RipUp {
+                        session,
                         round: iterations,
                         net: net_id(edges, e),
                         reason: victim_reason,
@@ -1019,7 +995,7 @@ mod tests {
 
     /// Routes `edges` once (γ = 1) under an obs session and a flight
     /// recorder; returns the `net_attempt` events and `astar.expansions`.
-    fn recorded_single_round(obs: &mut ObsMap, edges: &[RouteRequest]) -> (Vec<FlightEvent>, u64) {
+    fn recorded_single_round(obs: &mut ObsMap, edges: &[RouteRequest]) -> (Vec<Event>, u64) {
         let session = pacor_obs::Session::begin();
         pacor_obs::flight_install(pacor_obs::RecorderConfig::default());
         NegotiationRouter::new().with_gamma(1).route_all(obs, edges);
@@ -1047,7 +1023,7 @@ mod tests {
         }
         let (attempts, expansions) = recorded_single_round(&mut ObsMap::new(&g), &edge);
         match attempts.as_slice() {
-            [FlightEvent::NetAttempt {
+            [Event::NetAttempt {
                 routed: true,
                 expanded,
                 flood: 0,
@@ -1062,7 +1038,7 @@ mod tests {
         g.set_obstacle(Point::new(4, 8));
         let (attempts, expansions) = recorded_single_round(&mut ObsMap::new(&g), &edge);
         match attempts.as_slice() {
-            [FlightEvent::NetAttempt {
+            [Event::NetAttempt {
                 routed: false,
                 expanded,
                 flood,

@@ -314,7 +314,7 @@ fn cmd_route(args: &[String]) -> i32 {
         .with_threads(opts.threads)
         .with_ripup_policy(opts.ripup_policy.unwrap_or_default());
     if opts.report_out.is_some() {
-        pacor::obs::flight_install(config.recorder_config());
+        pacor::obs::flight_install(pacor::obs::RecorderConfig::default());
     }
     // Streaming telemetry: a JSONL sink for `--stream-out`, a human
     // ticker for `--progress` (unless `--quiet`), and watchdog budgets

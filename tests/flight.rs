@@ -43,7 +43,7 @@ fn run_recorded(params: DesignParams, threads: usize, policy: RipUpPolicy) -> (S
     let config = FlowConfig::default()
         .with_threads(threads)
         .with_ripup_policy(policy);
-    obs::flight_install(config.recorder_config());
+    obs::flight_install(obs::RecorderConfig::default());
     PacorFlow::new(config).run(&problem).expect("chip runs");
     let log = obs::flight_take().expect("recorder installed");
     (obs::post_mortem_json(&log), obs::render_heatmap(&log))
@@ -112,11 +112,14 @@ fn no_recorder_means_no_log() {
 #[test]
 fn tiny_capacity_drops_events_but_keeps_a_valid_report() {
     let problem = synthesize_params(DENSE, 42);
-    let config = FlowConfig::default()
-        .with_recorder_capacity(8)
-        .with_recorder_cadence(1);
-    obs::flight_install(config.recorder_config());
-    PacorFlow::new(config).run(&problem).expect("chip runs");
+    obs::flight_install(obs::RecorderConfig {
+        capacity: 8,
+        snapshot_cadence: 1,
+        ..obs::RecorderConfig::default()
+    });
+    PacorFlow::new(FlowConfig::default())
+        .run(&problem)
+        .expect("chip runs");
     let log = obs::flight_take().expect("recorder installed");
     assert!(
         log.dropped_events() > 0,

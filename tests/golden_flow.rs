@@ -2,7 +2,8 @@
 //!
 //! Every stage rewrite in this repository must be behavior-identical:
 //! same routed lengths, same completion, same negotiation/escape work,
-//! byte-identical post-mortem report. These tests lock each bench chip
+//! byte-identical post-mortem report and deterministic telemetry
+//! stream. These tests lock each bench chip
 //! (at the shared `BENCH_SEED`) against fixtures committed under
 //! `tests/fixtures/golden/`, so an optimization PR can swap a kernel
 //! and prove nothing observable moved.
@@ -15,9 +16,10 @@
 //!
 //! The largest chip (`B3-dense96`) is `#[ignore]`d because a debug-mode
 //! run takes minutes; `make golden` runs it in release as part of
-//! `make verify`.
+//! `make verify`. Its two telemetry streams (~244 KB) are not pinned;
+//! B0–B2's are, B2's reaching escape phase 3.
 
-use pacor_bench::{BENCH_SEED, FLOW_BENCH_CHIPS, FLOW_SMOKE_CHIP};
+use pacor_bench::{collect_telemetry, BENCH_SEED, FLOW_BENCH_CHIPS, FLOW_SMOKE_CHIP};
 use pacor_repro::pacor::obs;
 use pacor_repro::pacor::route::RipUpPolicy;
 use pacor_repro::pacor::{synthesize_params, DesignParams, FlowConfig, PacorFlow};
@@ -76,7 +78,7 @@ fn metrics_snapshot(params: DesignParams, policy: RipUpPolicy) -> String {
 fn postmortem_snapshot(params: DesignParams, policy: RipUpPolicy) -> String {
     let problem = synthesize_params(params, BENCH_SEED);
     let config = FlowConfig::default().with_ripup_policy(policy);
-    obs::flight_install(config.recorder_config());
+    obs::flight_install(obs::RecorderConfig::default());
     PacorFlow::new(config)
         .run(&problem)
         .expect("bench chips route");
@@ -107,7 +109,17 @@ fn check_or_update(name: &str, actual: &str) {
     );
 }
 
-fn check_chip(params: DesignParams) {
+/// The deterministic-mode `pacor-telemetry-v1` stream of one run, one
+/// event per line.
+fn telemetry_snapshot(params: DesignParams, policy: RipUpPolicy) -> String {
+    let mut lines = collect_telemetry(params, policy, 1, BENCH_SEED).join("\n");
+    lines.push('\n');
+    lines
+}
+
+/// Checks the chip's metrics and post-mortem fixtures under both
+/// rip-up policies, plus its telemetry stream when `stream` is set.
+fn check_chip(params: DesignParams, stream: bool) {
     for policy in [RipUpPolicy::Full, RipUpPolicy::Incremental] {
         check_or_update(
             &format!("{}-{}.json", params.name, policy.label()),
@@ -117,26 +129,32 @@ fn check_chip(params: DesignParams) {
             &format!("{}-{}.report.json", params.name, policy.label()),
             &postmortem_snapshot(params, policy),
         );
+        if stream {
+            check_or_update(
+                &format!("{}-{}.telemetry.jsonl", params.name, policy.label()),
+                &telemetry_snapshot(params, policy),
+            );
+        }
     }
 }
 
 #[test]
 fn golden_b0_smoke16() {
-    check_chip(FLOW_SMOKE_CHIP);
+    check_chip(FLOW_SMOKE_CHIP, true);
 }
 
 #[test]
 fn golden_b1_dense24() {
-    check_chip(FLOW_BENCH_CHIPS[0]);
+    check_chip(FLOW_BENCH_CHIPS[0], true);
 }
 
 #[test]
 fn golden_b2_dense48() {
-    check_chip(FLOW_BENCH_CHIPS[1]);
+    check_chip(FLOW_BENCH_CHIPS[1], true);
 }
 
 #[test]
 #[ignore = "minutes in debug; `make golden` runs it in release"]
 fn golden_b3_dense96() {
-    check_chip(FLOW_BENCH_CHIPS[2]);
+    check_chip(FLOW_BENCH_CHIPS[2], false);
 }

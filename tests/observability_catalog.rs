@@ -2,13 +2,12 @@
 //! exercises both rip-up policies, MST splits, the last-resort escape
 //! phase and length-matching detours with the flight recorder
 //! installed and the telemetry stream collecting, and assert that
-//! every counter, histogram, span, instant, recorder-event name, and
-//! telemetry event kind actually emitted appears in the catalog.
-//! Adding an emit site without cataloging it fails here. The
-//! Counters, Histograms, Spans, Instants and Flight-recorder events
-//! tables are also checked the other way: each row must be emitted by
-//! the smoke flow or sit in [`NEVER_FIRES`], so a deleted emit site
-//! cannot leave a stale row behind.
+//! every counter, histogram, span and event kind actually emitted
+//! appears in the catalog. Adding an emit site without cataloging it
+//! fails here. The Counters, Histograms, Spans and Events tables are
+//! also checked the other way: each row must be emitted by the smoke
+//! flow or sit in [`NEVER_FIRES`], so a deleted emit site cannot leave
+//! a stale row behind.
 
 use pacor_repro::pacor::obs::{self, TraceEvent};
 use pacor_repro::pacor::route::RipUpPolicy;
@@ -33,7 +32,7 @@ const DENSE: DesignParams = DesignParams {
 
 /// Catalogued names the smoke flow never emits, each with the reason it
 /// stays catalogued.
-const NEVER_FIRES: [(&str, &str); 4] = [
+const NEVER_FIRES: [(&str, &str); 5] = [
     (
         "lm.reconstructed",
         "fires only when negotiation leaves an edge of a 3-6 valve LM tree \
@@ -41,7 +40,7 @@ const NEVER_FIRES: [(&str, &str); 4] = [
     ),
     (
         "lm_reconstructed",
-        "the flight-recorder twin of `lm.reconstructed`",
+        "the event `lm.reconstructed` is derived from",
     ),
     (
         "mwcp.budget_hits",
@@ -50,20 +49,16 @@ const NEVER_FIRES: [(&str, &str); 4] = [
          selections need (crates/bench/tests/lm_congested_chip.rs pins a \
          route that hits it)",
     ),
-    (
-        "escape.solo_failed",
-        "fires only when a freed-corridor solo solve fails after its \
-         blockers are ripped; no smoke chip gets there",
-    ),
+    ("heartbeat", "timing mode only"),
+    ("budget_exceeded", "timing mode only"),
 ];
 
 /// The catalog tables checked both ways, each with the fewest rows a
 /// correct parse can yield.
-const TWO_WAY_TABLES: [(&str, usize); 5] = [
+const TWO_WAY_TABLES: [(&str, usize); 4] = [
     ("Counters", 10),
-    ("Flight-recorder events", 10),
+    ("Events", 20),
     ("Spans", 10),
-    ("Instants", 3),
     ("Histograms", 2),
 ];
 
@@ -89,8 +84,8 @@ fn table_names(catalog: &str, heading: &str) -> Vec<String> {
         .collect()
 }
 
-/// Every counter, histogram, span, instant, flight-recorder event and
-/// telemetry event name the smoke flow emits (run once per test binary).
+/// Every counter, histogram, span and event kind the smoke flow emits
+/// (run once per test binary).
 fn smoke_flow_names() -> &'static BTreeSet<String> {
     static NAMES: OnceLock<BTreeSet<String>> = OnceLock::new();
     NAMES.get_or_init(run_smoke_flow)
@@ -101,7 +96,7 @@ fn run_smoke_flow() -> BTreeSet<String> {
 
     let session = obs::Session::begin();
     let config = FlowConfig::default().with_threads(4);
-    obs::flight_install(config.recorder_config());
+    obs::flight_install(obs::RecorderConfig::default());
     let sink = obs::MemorySink::new();
     let lines_handle = sink.lines();
     obs::telemetry_install(obs::TelemetryConfig::deterministic(), vec![Box::new(sink)]);
@@ -132,8 +127,8 @@ fn run_smoke_flow() -> BTreeSet<String> {
     kinds.extend(log.events().iter().map(|e| e.kind()));
     let report = session.finish();
 
-    // Telemetry event kinds pulled from the raw JSONL stream, so the
-    // doc's streaming-telemetry section rots as loudly as the rest.
+    // Stream kinds pulled from the raw JSONL stream, so the doc's
+    // Events table rots as loudly for them as for the ring kinds.
     let telemetry_kinds: BTreeSet<String> = lines_handle
         .lock()
         .expect("sink lines")
@@ -153,9 +148,7 @@ fn run_smoke_flow() -> BTreeSet<String> {
     names.extend(report.histograms().map(|(n, _)| n.to_string()));
     for event in report.events() {
         match event {
-            TraceEvent::Span { name, .. }
-            | TraceEvent::Instant { name, .. }
-            | TraceEvent::Counter { name, .. } => {
+            TraceEvent::Span { name, .. } | TraceEvent::Counter { name, .. } => {
                 names.insert(name.to_string());
             }
         }
@@ -224,13 +217,13 @@ fn assert_rows_are_emitted(headings: &[&str]) {
 }
 
 #[test]
-fn every_catalogued_counter_and_flight_event_is_emitted() {
-    assert_rows_are_emitted(&["Counters", "Flight-recorder events"]);
+fn every_catalogued_counter_and_event_is_emitted() {
+    assert_rows_are_emitted(&["Counters", "Events"]);
 }
 
 #[test]
-fn every_catalogued_span_instant_and_histogram_is_emitted() {
-    assert_rows_are_emitted(&["Spans", "Instants", "Histograms"]);
+fn every_catalogued_span_and_histogram_is_emitted() {
+    assert_rows_are_emitted(&["Spans", "Histograms"]);
 }
 
 /// Recursively collects every object key of a JSON value.

@@ -13,7 +13,7 @@
 use pacor_bench::collect_telemetry;
 use pacor_repro::pacor::obs;
 use pacor_repro::pacor::route::RipUpPolicy;
-use pacor_repro::pacor::{synthesize_params, DesignParams, FlowConfig, PacorFlow};
+use pacor_repro::pacor::{synthesize_params, BenchDesign, DesignParams, FlowConfig, PacorFlow};
 
 /// The starved chip of `tests/flight.rs`: converges in one round but
 /// leaves nets unrouted, and — crucially here — rips nothing up, so the
@@ -228,4 +228,63 @@ fn zero_budgets_fire_once_per_stage_on_a_real_run() {
             .expect("stage exits");
         assert!(alarms[0] < exit, "{stage} alarm must precede its exit");
     }
+}
+
+#[test]
+fn each_stage_reports_one_clock_reading() {
+    // Timing mode: the stage's exit event, its trace span and the
+    // report's stage metric must all carry the same duration.
+    let problem = BenchDesign::S2.synthesize(42);
+    let sink = obs::MemorySink::new();
+    let lines_handle = sink.lines();
+    let session = obs::Session::begin();
+    obs::telemetry_install(obs::TelemetryConfig::default(), vec![Box::new(sink)]);
+    let report = PacorFlow::new(FlowConfig::default())
+        .run(&problem)
+        .expect("S2 routes");
+    obs::telemetry_take()
+        .expect("telemetry installed")
+        .expect("no sink errors");
+    let trace = session.finish();
+    let lines = lines_handle.lock().expect("sink lines").clone();
+    let m = &report.metrics;
+    let stages = [
+        ("clustering", m.clustering),
+        ("lm_routing", m.lm_routing),
+        ("mst_routing", m.mst_routing),
+        ("escape", m.escape),
+        ("detour", m.detour),
+    ];
+    let mut summed_us = 0u64;
+    for (stage, metric) in stages {
+        let prefix = format!("\"kind\":\"stage_exited\",\"stage\":\"{stage}\"");
+        let exited: Vec<&String> = lines.iter().filter(|l| l.contains(&prefix)).collect();
+        assert_eq!(exited.len(), 1, "{stage} exits once");
+        let rest = exited[0]
+            .split("\"elapsed_us\":")
+            .nth(1)
+            .expect("elapsed_us");
+        let elapsed_us: u64 = rest.trim_end_matches('}').parse().expect("integer µs");
+        let span = format!("stage.{stage}");
+        let durs: Vec<u64> = trace
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                obs::TraceEvent::Span { name, dur, .. } if *name == span => Some(*dur),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(durs, [elapsed_us], "{span} span vs stage_exited");
+        assert_eq!(
+            metric.as_micros() as u64,
+            elapsed_us,
+            "{stage} metric vs stage_exited"
+        );
+        summed_us += elapsed_us;
+    }
+    let total = m.clustering + m.lm_routing + m.mst_routing + m.escape + m.detour;
+    assert!(
+        summed_us.abs_diff(total.as_micros() as u64) <= 1000,
+        "stages sum to {summed_us} µs, the run's stage total is {total:?}"
+    );
 }
