@@ -28,6 +28,7 @@ clippy:
 bench:
 	$(CARGO) bench -p pacor-bench --bench kernels
 	$(CARGO) bench -p pacor-bench --bench escape_solve
+	$(CARGO) bench -p pacor-bench --bench components
 
 # The full end-to-end flow benchmark: every chip under both rip-up
 # policies, written to BENCH_flow.json at the repo root (takes minutes).
@@ -114,11 +115,14 @@ golden:
 # Per-stage wall-clock attribution for the largest bench chip: prints
 # the top spans by exclusive time and writes a Perfetto-loadable Chrome
 # trace. This profile decides which stage an optimization PR attacks.
-# profile_flow also takes the paper's designs and a variant, e.g.
+# PROFILE_ARGS picks another design, variant or seed, e.g.
+# `make profile PROFILE_ARGS='--chip lm_congested --variant wo-sel --seed 10'`
+# for the negotiation- and detour-heavy workload, or
 # `--chip Chip1 --variant wo-sel` for the paper-scale escape solve.
+PROFILE_ARGS ?= --chip B3-dense96 --top 5
 profile:
 	$(CARGO) run --release -p pacor-bench --bin profile_flow -- \
-		--chip B3-dense96 --top 5 --trace-out target/profile_flow_trace.json
+		$(PROFILE_ARGS) --trace-out target/profile_flow_trace.json
 
 tables:
 	$(CARGO) run --release -p pacor-bench --bin tables -- all

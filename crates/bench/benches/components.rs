@@ -103,6 +103,34 @@ fn bench_bounded_router(c: &mut Criterion) {
             })
         });
     }
+    // A detour asked for more length than its walled pocket holds: no
+    // length in the window exists, and each one searches until the node
+    // budget runs out. This is the failure that dominates the detour
+    // stage of `lm_congested`.
+    let mut grid = Grid::new(32, 32).unwrap();
+    for i in 8..=16 {
+        for wall in [
+            Point::new(i, 8),
+            Point::new(i, 16),
+            Point::new(8, i),
+            Point::new(16, i),
+        ] {
+            grid.set_obstacle(wall);
+        }
+    }
+    let pocket = ObsMap::new(&grid);
+    group.bench_function("exhausted", |b| {
+        // 7x7 = 49 free cells: no path of 50 or more steps fits. Five
+        // lengths (50..=58) at 20 000 nodes each: 100 000 per iteration.
+        let router = BoundedAStar::new(&pocket)
+            .with_node_budget(20_000)
+            .with_max_overshoot(8);
+        b.iter(|| {
+            assert!(router
+                .route_at_least(Point::new(10, 12), Point::new(14, 12), 50)
+                .is_none())
+        })
+    });
     group.finish();
 }
 

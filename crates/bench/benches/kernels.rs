@@ -53,6 +53,26 @@ fn bench_astar_kernels(c: &mut Criterion) {
             })
         });
     }
+    // History-weighted corner-to-corner queries, the form every
+    // negotiation round issues: fractional step costs spread the open
+    // list over many distinct f values.
+    for n in [64u32, 128] {
+        let obs = obstacle_grid(n);
+        let mut history = HistoryCost::new(n, n);
+        for k in 0..n as i32 * 4 {
+            history.bump(Point::new((k * 7) % n as i32, (k * 13) % n as i32));
+        }
+        let far = Point::new(n as i32 - 2, n as i32 - 2);
+        group.bench_with_input(BenchmarkId::new("flat_history", n), &obs, |b, obs| {
+            let astar = AStar::with_history(obs, &history);
+            let mut scratch = AStarScratch::new();
+            b.iter(|| {
+                astar
+                    .route_with_scratch(&[Point::new(1, 1)], &[far], &mut scratch)
+                    .expect("scattered obstacles leave a path")
+            })
+        });
+    }
     // Multi-target form (point-to-path): many targets stress the target
     // bookkeeping that moved from a HashSet to stamped flat arrays.
     let n = 64u32;

@@ -16,7 +16,8 @@
 //! **inclusive** and **exclusive** wall-clock (exclusive = inclusive
 //! minus the time spent in child spans on the same trace lane), sorted
 //! by exclusive time, then the escape solver's work counters
-//! (`escape.dijkstras`, `escape.touched`). This is the profile that
+//! (`escape.dijkstras`, `escape.touched`) and the bounded detour DFS's
+//! (`detour.dfs_nodes`, `detour.exhausted`). This is the profile that
 //! decides which stage the next optimization PR attacks — `make
 //! profile` wraps it.
 //!
@@ -125,6 +126,11 @@ fn main() {
         "escape work: {} searches, {} node labels",
         report.counter("escape.dijkstras"),
         report.counter("escape.touched")
+    );
+    println!(
+        "detour work: {} DFS nodes, {} lengths exhausted the node budget",
+        report.counter("detour.dfs_nodes"),
+        report.counter("detour.exhausted")
     );
 }
 

@@ -14,10 +14,21 @@
 //! without violating the minimum-spacing design rule, so revisiting a
 //! cell is forbidden (the plain A\* of the paper implicitly guarantees
 //! this only for shortest paths).
+//!
+//! The DFS keeps its visited marks in a thread-local grid vector
+//! (DESIGN.md §13.2) sized once per grid, so a length attempt costs in
+//! proportion to the nodes it visits. Its work shows in the
+//! `detour.dfs_nodes` and `detour.exhausted` counters, flushed once per
+//! call.
 
 use pacor_grid::{GridLen, GridPath, ObsMap, Point};
+use std::cell::RefCell;
 
 /// Minimum-length bounded router.
+///
+/// Both endpoints must lie on the obstacle map: the DFS indexes its
+/// visited marks by grid cell, so a call with an endpoint outside the
+/// map returns `None`.
 ///
 /// # Examples
 ///
@@ -40,7 +51,7 @@ pub struct BoundedAStar<'a> {
     obs: &'a ObsMap,
     /// DFS node budget per exact-length attempt.
     node_budget: u64,
-    /// How far above the bound to keep trying before giving up.
+    /// How far above max(lt, d) to keep trying before giving up.
     max_overshoot: GridLen,
 }
 
@@ -61,8 +72,9 @@ impl<'a> BoundedAStar<'a> {
         self
     }
 
-    /// Overrides the overshoot window: lengths in
-    /// `[lt, lt + max_overshoot]` are attempted.
+    /// Overrides the overshoot window: with `d` the Manhattan distance
+    /// between the endpoints, lengths in `[max(lt, d), max(lt, d) +
+    /// max_overshoot]` are attempted.
     pub fn with_max_overshoot(mut self, overshoot: GridLen) -> Self {
         self.max_overshoot = overshoot;
         self
@@ -73,98 +85,212 @@ impl<'a> BoundedAStar<'a> {
     /// are exempt from blockage (they sit on the net being detoured).
     ///
     /// Returns `None` when no such path exists within the overshoot
-    /// window and node budget.
+    /// window and node budget, or when an endpoint lies outside the map.
     pub fn route_at_least(
         &self,
         source: Point,
         target: Point,
         lt: GridLen,
     ) -> Option<GridPath> {
+        // The window starts at the first length a path can have; grid
+        // parity makes every path length ≡ d (mod 2).
         let d = source.manhattan(target);
-        // Grid parity: any path length ≡ d (mod 2).
-        let mut len = lt.max(d);
-        if (len - d) % 2 == 1 {
-            len += 1;
-        }
-        let limit = lt + self.max_overshoot;
-        while len <= limit {
-            if let Some(path) = self.route_exact(source, target, len) {
-                return Some(path);
-            }
-            len += 2;
-        }
-        None
+        let base = lt.max(d);
+        self.search(
+            source,
+            target,
+            base + (base - d) % 2,
+            base + self.max_overshoot,
+        )
     }
 
     /// Finds a self-avoiding path of *exactly* `len` grid units, or
-    /// `None` when none exists (or the node budget runs out).
+    /// `None` when none exists (or the node budget runs out, or an
+    /// endpoint lies outside the map).
     pub fn route_exact(&self, source: Point, target: Point, len: GridLen) -> Option<GridPath> {
         let d = source.manhattan(target);
         if len < d || (len - d) % 2 == 1 {
             return None;
         }
+        self.search(source, target, len, len)
+    }
+
+    /// Tries the lengths `first, first + 2, …` up to `limit` and returns
+    /// the first path found; `first` has the parity of the endpoints'
+    /// distance.
+    fn search(
+        &self,
+        source: Point,
+        target: Point,
+        first: GridLen,
+        limit: GridLen,
+    ) -> Option<GridPath> {
+        let (width, height) = (self.obs.width() as usize, self.obs.height() as usize);
+        let on_map =
+            |p: Point| p.x >= 0 && p.y >= 0 && (p.x as usize) < width && (p.y as usize) < height;
+        if !on_map(source) || !on_map(target) {
+            return None;
+        }
+        let mut stats = DfsStats::default();
+        let found = DFS_SCRATCH.with(|scratch| {
+            let mut scratch = scratch.borrow_mut();
+            scratch.fit(width, height);
+            let mut len = first;
+            while len <= limit {
+                if let Some(path) = self.exact(source, target, len, &mut scratch, &mut stats) {
+                    return Some(path);
+                }
+                len += 2;
+            }
+            None
+        });
+        pacor_obs::counter_add("detour.dfs_nodes", stats.nodes);
+        pacor_obs::counter_add("detour.exhausted", stats.exhausted);
+        found
+    }
+
+    /// One exact-length attempt; `len` is feasible by distance and parity.
+    fn exact(
+        &self,
+        source: Point,
+        target: Point,
+        len: GridLen,
+        scratch: &mut DfsScratch,
+        stats: &mut DfsStats,
+    ) -> Option<GridPath> {
         if len == 0 {
             return Some(GridPath::singleton(source));
         }
-        let mut visited = std::collections::HashSet::new();
-        visited.insert(source);
-        let mut stack = vec![source];
-        let mut budget = self.node_budget;
-        if self.dfs(target, len, &mut stack, &mut visited, &mut budget) {
-            return Some(GridPath::new(stack).expect("DFS path is connected"));
+        let mut dfs = Dfs {
+            blocked: self.obs.blocked_cells(),
+            width: scratch.width,
+            height: scratch.height,
+            visited: &mut scratch.visited,
+            target,
+            stack: Vec::with_capacity(len as usize + 1),
+            budget: self.node_budget,
+            cut: false,
+        };
+        let i = dfs.index(source);
+        dfs.visited[i] = true;
+        dfs.stack.push(source);
+        let found = dfs.step(len);
+        stats.nodes += self.node_budget - dfs.budget;
+        stats.exhausted += u64::from(dfs.cut);
+        // Backtracking unmarked every cell it left, so the marks still
+        // set are the stack's: the found path, or just the source.
+        for &p in &dfs.stack {
+            let i = dfs.index(p);
+            dfs.visited[i] = false;
         }
-        None
+        found.then(|| GridPath::new(dfs.stack).expect("DFS path is connected"))
+    }
+}
+
+/// DFS work of one call, flushed to `pacor-obs` when the call returns.
+#[derive(Debug, Default)]
+struct DfsStats {
+    /// [`Dfs::step`] entries: one per node charged to a length's budget.
+    nodes: u64,
+    /// Lengths whose search stopped at the node budget.
+    exhausted: u64,
+}
+
+/// Reusable visited marks: a cell is marked while it is on the current
+/// DFS path. Every attempt clears its marks before it returns.
+#[derive(Debug, Default)]
+struct DfsScratch {
+    width: usize,
+    height: usize,
+    visited: Vec<bool>,
+}
+
+impl DfsScratch {
+    /// Sizes the marks for a `width × height` grid; a new size starts a
+    /// fresh unmarked vector.
+    fn fit(&mut self, width: usize, height: usize) {
+        if self.width != width || self.height != height {
+            self.width = width;
+            self.height = height;
+            self.visited = vec![false; width * height];
+        }
+    }
+}
+
+thread_local! {
+    /// Per-thread DFS marks, reused by every bounded route on the thread.
+    static DFS_SCRATCH: RefCell<DfsScratch> = RefCell::new(DfsScratch::default());
+}
+
+/// The state of one exact-length attempt.
+struct Dfs<'s> {
+    blocked: &'s [bool],
+    width: usize,
+    height: usize,
+    visited: &'s mut [bool],
+    target: Point,
+    /// The path so far, source first.
+    stack: Vec<Point>,
+    budget: u64,
+    /// Set when a node found the budget spent.
+    cut: bool,
+}
+
+impl Dfs<'_> {
+    #[inline]
+    fn index(&self, p: Point) -> usize {
+        p.y as usize * self.width + p.x as usize
     }
 
-    fn dfs(
-        &self,
-        target: Point,
-        remaining: GridLen,
-        stack: &mut Vec<Point>,
-        visited: &mut std::collections::HashSet<Point>,
-        budget: &mut u64,
-    ) -> bool {
-        if *budget == 0 {
+    /// Extends the path by exactly `remaining` steps to the target;
+    /// `true` when it succeeds, with the path left on the stack.
+    fn step(&mut self, remaining: GridLen) -> bool {
+        if self.budget == 0 {
+            self.cut = true;
             return false;
         }
-        *budget -= 1;
-        let cur = *stack.last().expect("stack nonempty");
+        self.budget -= 1;
+        let cur = *self.stack.last().expect("stack nonempty");
+        let target = self.target;
         if remaining == 0 {
             return cur == target;
         }
-        // Neighbor order: when we still need slack (remaining > distance),
-        // prefer moves that *preserve* slack-burning options; otherwise
-        // head straight for the target.
-        let mut neighbors = cur.neighbors4();
+        // Neighbour order: every neighbour is one step closer to the
+        // target or one step farther. When the path must beeline (no
+        // slack left), closer ones go first; otherwise farther ones go
+        // first, burning slack while the tail can still reach the
+        // target. Each group keeps `Point::neighbors4` order.
         let need = cur.manhattan(target);
-        if need == remaining {
-            // Must beeline: sort by distance-to-target ascending.
-            neighbors.sort_by_key(|n| n.manhattan(target));
-        } else {
-            // Burn slack: prefer stepping away first so the tail of the
-            // path can still reach the target.
-            neighbors.sort_by_key(|n| std::cmp::Reverse(n.manhattan(target)));
-        }
-        for n in neighbors {
-            if visited.contains(&n) {
-                continue;
+        let closer_first = need == remaining;
+        let rem = remaining - 1;
+        for closer in [closer_first, !closer_first] {
+            for n in cur.neighbors4() {
+                let nd = n.manhattan(target);
+                if (nd < need) != closer {
+                    continue;
+                }
+                if n.x < 0 || n.y < 0 || n.x as usize >= self.width || n.y as usize >= self.height {
+                    continue; // off the map: never the (on-map) target
+                }
+                let i = self.index(n);
+                if self.visited[i] {
+                    continue;
+                }
+                // Target is exempt from blockage; transit must be free.
+                if self.blocked[i] && n != target {
+                    continue;
+                }
+                if nd > rem || (rem - nd) % 2 == 1 {
+                    continue; // unreachable in exactly `rem` steps
+                }
+                self.stack.push(n);
+                self.visited[i] = true;
+                if self.step(rem) {
+                    return true;
+                }
+                self.stack.pop();
+                self.visited[i] = false;
             }
-            // Target is exempt from blockage; transit must be free.
-            if self.obs.is_blocked(n) && n != target {
-                continue;
-            }
-            let nd = n.manhattan(target);
-            let rem = remaining - 1;
-            if nd > rem || (rem - nd) % 2 == 1 {
-                continue; // unreachable in exactly `rem` steps
-            }
-            stack.push(n);
-            visited.insert(n);
-            if self.dfs(target, rem, stack, visited, budget) {
-                return true;
-            }
-            stack.pop();
-            visited.remove(&n);
         }
         false
     }
@@ -296,6 +422,124 @@ mod tests {
         let obs = open(10, 10);
         let r = BoundedAStar::new(&obs).with_node_budget(3);
         assert!(r.route_exact(Point::new(0, 0), Point::new(5, 5), 20).is_none());
+    }
+
+    #[test]
+    fn window_starts_at_the_first_feasible_length() {
+        // d = 90 exceeds the bound plus the default overshoot of 64.
+        let obs = open(100, 3);
+        let p = BoundedAStar::new(&obs)
+            .route_at_least(Point::new(0, 1), Point::new(90, 1), 0)
+            .expect("open grid routes straight");
+        assert_eq!(p.len(), 90);
+        // d = 10 against a bound of 5 and an overshoot of 2.
+        let obs = open(14, 4);
+        let p = BoundedAStar::new(&obs)
+            .with_max_overshoot(2)
+            .route_at_least(Point::new(1, 1), Point::new(11, 1), 5)
+            .expect("open grid routes straight");
+        assert_eq!(p.len(), 10);
+        // With the bound above d, the window still ends at lt + overshoot.
+        let r = BoundedAStar::new(&obs).with_max_overshoot(2);
+        assert_eq!(
+            r.route_at_least(Point::new(1, 1), Point::new(2, 1), 4)
+                .unwrap()
+                .len(),
+            5
+        );
+    }
+
+    #[test]
+    fn out_of_map_endpoints_are_rejected() {
+        let obs = open(6, 6);
+        let r = BoundedAStar::new(&obs);
+        let inside = Point::new(2, 2);
+        for outside in [
+            Point::new(-1, 2),
+            Point::new(6, 2),
+            Point::new(2, -1),
+            Point::new(2, 6),
+        ] {
+            assert!(r.route_at_least(inside, outside, 0).is_none(), "{outside}");
+            assert!(r.route_at_least(outside, inside, 0).is_none(), "{outside}");
+            assert!(r.route_exact(outside, outside, 0).is_none(), "{outside}");
+        }
+        assert_eq!(
+            r.route_at_least(inside, Point::new(5, 2), 0).unwrap().len(),
+            3
+        );
+    }
+
+    #[test]
+    fn counters_report_dfs_nodes_and_exhausted_lengths() {
+        // A 3x3 pocket holds at most 9 cells, so no path of length 12 or
+        // more exists inside it; a budget of 40 nodes cuts each such
+        // length off, while length 2 is found in 3 nodes.
+        let mut g = Grid::new(7, 7).unwrap();
+        for i in 0..7 {
+            for edge in [
+                Point::new(i, 1),
+                Point::new(i, 5),
+                Point::new(1, i),
+                Point::new(5, i),
+            ] {
+                g.set_obstacle(edge);
+            }
+        }
+        let obs = ObsMap::new(&g);
+        let r = BoundedAStar::new(&obs)
+            .with_node_budget(40)
+            .with_max_overshoot(4);
+        let (s, t) = (Point::new(2, 3), Point::new(4, 3));
+        let session = pacor_obs::Session::begin();
+        assert!(r.route_at_least(s, t, 12).is_none());
+        assert_eq!(r.route_at_least(s, t, 0).unwrap().len(), 2);
+        let report = session.finish();
+        assert_eq!(
+            report.counter("detour.exhausted"),
+            3,
+            "lengths 12, 14 and 16"
+        );
+        assert_eq!(report.counter("detour.dfs_nodes"), 3 * 40 + 3);
+    }
+
+    #[test]
+    fn scratch_follows_grid_size_changes() {
+        let (small, large) = (open(4, 4), open(12, 12));
+        for _ in 0..2 {
+            let p = BoundedAStar::new(&large)
+                .route_at_least(Point::new(0, 0), Point::new(11, 11), 30)
+                .unwrap();
+            assert_eq!(p.len(), 30);
+            assert_self_avoiding(&p);
+            let q = BoundedAStar::new(&small)
+                .route_at_least(Point::new(0, 0), Point::new(3, 0), 9)
+                .unwrap();
+            assert_eq!(q.len(), 9);
+            assert_self_avoiding(&q);
+        }
+    }
+
+    #[test]
+    fn every_attempt_leaves_the_marks_clear() {
+        let marked = || DFS_SCRATCH.with(|s| s.borrow().visited.iter().filter(|&&v| v).count());
+        let obs = open(8, 8);
+        let (s, t) = (Point::new(1, 1), Point::new(6, 6));
+        // Found, impossible (longer than the grid's 64 cells allow) and
+        // cut off by the node budget.
+        assert!(BoundedAStar::new(&obs).route_at_least(s, t, 20).is_some());
+        assert_eq!(marked(), 0);
+        assert!(BoundedAStar::new(&obs)
+            .with_max_overshoot(0)
+            .route_at_least(s, t, 70)
+            .is_none());
+        assert_eq!(marked(), 0);
+        assert!(BoundedAStar::new(&obs)
+            .with_node_budget(5)
+            .with_max_overshoot(0)
+            .route_at_least(s, t, 40)
+            .is_none());
+        assert_eq!(marked(), 0);
     }
 
     #[test]

@@ -11,10 +11,11 @@
 //!
 //! Walled-terminal cases pin the flat kernel's failure path: whether a
 //! failure is settled by the target-side probe and its flood or by
-//! draining the A\* open list, the touched cells must equal an
-//! independent BFS of the sources' free component, and the
-//! `astar.expansions` counter must equal its size. On every query the
-//! scratch's own expansion count must equal that counter.
+//! draining the A\* open list, the failed cells must list, once each,
+//! the cells of an independent BFS of the sources' free component, and
+//! the `astar.expansions` counter must equal its size. On every query
+//! the scratch's own expansion count must equal that counter, and a
+//! routed query must expand as many cells as the reference kernel.
 
 use pacor_grid::{Grid, GridPath, ObsMap, Point};
 use pacor_route::{AStar, AStarScratch, HistoryCost};
@@ -214,8 +215,9 @@ enum Outcome {
 
 /// Runs one flat-kernel query in a recording session and checks it: the
 /// path equals the reference kernel's, the scratch's expansion count
-/// equals the counter, and a failure leaves touched cells and the
-/// expansion counter exactly as the BFS oracle predicts.
+/// equals the counter (and, when routed, the reference kernel's), and a
+/// failure leaves failed cells and the expansion counter exactly as the
+/// BFS oracle predicts.
 fn check_query(
     obs: &ObsMap,
     hist: Option<&HistoryCost>,
@@ -230,7 +232,9 @@ fn check_query(
     let session = pacor_obs::Session::begin();
     let flat = astar.route_with_scratch(sources, targets, &mut scratch);
     let counters = session.finish();
+    let session = pacor_obs::Session::begin();
     let reference = astar.route_reference(sources, targets);
+    let reference_counters = session.finish();
     prop_assert_eq!(&flat, &reference, "kernels returned different paths");
     prop_assert_eq!(
         scratch.expansions(),
@@ -239,15 +243,33 @@ fn check_query(
     );
     if flat.is_some() {
         prop_assert_eq!(counters.counter("astar.unreachable"), 0);
+        // Both kernels pop in (f, g, Point) order and skip stale
+        // entries, so they expand the same cells: a cell expanded twice,
+        // or one popped out of order, changes the count. Only the
+        // reference expands a repeated source once per copy.
+        let distinct: HashSet<Point> = sources.iter().copied().collect();
+        if distinct.len() == sources.len() {
+            prop_assert_eq!(
+                scratch.expansions(),
+                reference_counters.counter("astar.expansions"),
+                "routed query expanded a different number of cells than the reference"
+            );
+        }
         return Ok(Outcome::Routed);
     }
 
     let want = source_component(obs, sources);
-    let touched: HashSet<Point> = scratch.touched_cells().collect();
+    let width = obs.width() as usize;
+    let cells = scratch.failed_cells();
+    let touched: HashSet<Point> = cells
+        .iter()
+        .map(|&i| Point::new((i as usize % width) as i32, (i as usize / width) as i32))
+        .collect();
+    prop_assert_eq!(touched.len(), cells.len(), "a failed cell is listed twice");
     prop_assert_eq!(
         &touched,
         &want,
-        "touched cells differ from the source component"
+        "failed cells differ from the source component"
     );
     prop_assert_eq!(
         counters.counter("astar.expansions"),
