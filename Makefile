@@ -65,18 +65,18 @@ bench-check:
 	$(CARGO) run --release -p pacor-bench --bin tables -- regress BENCH_flow.json --chip B4-dense256
 
 # The run-digest / ledger / differ loop, end to end: route the same
-# chip twice across an equivalence axis (1 thread vs 4 threads) — the
-# two digests must be byte-identical up to the
-# trailing `wall` object (it is rendered last precisely so this is a
-# string-prefix check), the ledger must hold both runs, and `tables
-# compare` must find no verdicts. Then a genuinely perturbed config
-# (the full rip-up policy changes the routed result on this chip) must
-# make `tables compare` exit non-zero.
+# chip twice with the same flags — the two digests must be
+# byte-identical up to the trailing `wall` object (it is rendered last
+# precisely so this is a string-prefix check), the ledger must hold
+# both runs under one fingerprint, and `tables compare` must find no
+# verdicts. Then a genuinely perturbed config (the full rip-up policy
+# changes the routed result on this chip) must make `tables compare`
+# exit non-zero.
 ledger-smoke:
 	rm -f target/ledger_smoke.jsonl
 	$(CARGO) run --release --bin pacor-cli -- route --quiet \
 		--digest-out target/ledger_smoke_a.json --ledger target/ledger_smoke.jsonl B1-dense24
-	$(CARGO) run --release --bin pacor-cli -- route --quiet --threads 4 \
+	$(CARGO) run --release --bin pacor-cli -- route --quiet \
 		--digest-out target/ledger_smoke_b.json --ledger target/ledger_smoke.jsonl B1-dense24
 	python3 -c "\
 	import json; \

@@ -1,6 +1,6 @@
 //! Routing-engine kernel benchmarks: the flat-array A\* kernel against
-//! the `HashMap` reference kernel it replaced, the DME candidate fan-out
-//! at different worker-thread counts, and the whole flow 1-vs-N threads.
+//! the `HashMap` reference kernel it replaced, and DME candidate
+//! generation, the LM routing stage's `lm.candidates` work.
 //!
 //! The kernels return bit-identical paths (see the equivalence proptests
 //! in `crates/route/tests/astar_equivalence.rs`), so these numbers
@@ -10,7 +10,6 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pacor::dme::{candidates, CandidateConfig};
 use pacor::grid::{Grid, ObsMap, Point};
 use pacor::route::{AStar, AStarScratch, HistoryCost};
-use pacor::{effective_threads, parallel_map, BenchDesign, FlowConfig, PacorFlow};
 
 /// An `n`×`n` grid with deterministic scattered obstacles, ~5% density.
 fn scattered_grid(n: u32) -> Grid {
@@ -144,12 +143,10 @@ fn sealed_target_grid(n: u32) -> (ObsMap, Point, Point) {
     (ObsMap::new(&grid), Point::new(1, 1), target)
 }
 
-/// DME candidate generation fanned out over worker threads — the
-/// dominant data-parallel work item of the LM routing stage. The width
-/// is capped at the host's parallelism, exactly as the flow caps it, so
-/// on a single-core box every entry measures the sequential path.
-fn bench_candidate_fanout(c: &mut Criterion) {
-    let mut group = c.benchmark_group("candidate_fanout");
+/// DME candidate generation for a batch of clusters, one after the
+/// other, as the LM routing stage runs it.
+fn bench_dme_candidates(c: &mut Criterion) {
+    let mut group = c.benchmark_group("dme_candidates");
     let obs = obstacle_grid(96);
     // Twelve 4-sink clusters scattered over the chip.
     let clusters: Vec<Vec<Point>> = (0..12)
@@ -164,45 +161,16 @@ fn bench_candidate_fanout(c: &mut Criterion) {
             ]
         })
         .collect();
-    for threads in [1usize, 2, 4] {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(threads),
-            &threads,
-            |b, &threads| {
-                b.iter(|| {
-                    parallel_map(effective_threads(threads), &clusters, |_, sinks| {
-                        candidates(sinks, Some(&obs), CandidateConfig::default())
-                    })
-                })
-            },
-        );
-    }
+    group.bench_function("12x4_sinks", |b| {
+        b.iter(|| {
+            clusters
+                .iter()
+                .map(|sinks| candidates(sinks, Some(&obs), CandidateConfig::default()))
+                .collect::<Vec<_>>()
+        })
+    });
     group.finish();
 }
 
-/// The whole flow at 1, 2 and 4 worker threads — same RouteReport at
-/// every value, only the wall clock may move.
-fn bench_flow_threads(c: &mut Criterion) {
-    let mut group = c.benchmark_group("flow_threads");
-    group.sample_size(10);
-    let problem = BenchDesign::S3.synthesize(42);
-    for threads in [1usize, 2, 4] {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(threads),
-            &threads,
-            |b, &threads| {
-                let flow = PacorFlow::new(FlowConfig::default().with_threads(threads));
-                b.iter(|| flow.run(&problem).expect("S3 routes"))
-            },
-        );
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_astar_kernels,
-    bench_candidate_fanout,
-    bench_flow_threads
-);
+criterion_group!(benches, bench_astar_kernels, bench_dme_candidates);
 criterion_main!(benches);

@@ -7,8 +7,8 @@
 //!
 //! Runs the full flow (clustering → LM routing → MST routing → escape →
 //! detour) over the dense synthesized chips of
-//! [`pacor_bench::FLOW_BENCH_CHIPS`], once per rip-up policy on one
-//! thread, and records wall-clock (end-to-end and inside the
+//! [`pacor_bench::FLOW_BENCH_CHIPS`], once per rip-up policy, and
+//! records wall-clock (end-to-end and inside the
 //! `negotiate` spans; best of `--repeat` runs, default 3), a per-stage
 //! `stage_ms` breakdown (span-summed clustering / lm_routing /
 //! mst_routing / escape / detour wall-clock, so speedups attribute to
@@ -110,13 +110,12 @@ fn main() {
         for &policy in bench_policies(&chip) {
             // Counter totals come from the flow's own per-run obs
             // session (carried in the report), so entries cannot bleed.
-            let (entry, digest) =
-                run_flow_bench_with_digest(chip, policy, 1, BENCH_SEED, chip_repeat);
+            let (entry, digest) = run_flow_bench_with_digest(chip, policy, BENCH_SEED, chip_repeat);
             // Opt-in telemetry sanity: one extra untimed run with the
             // deterministic stream installed; its round events must
             // agree with the counters the timed runs report.
             let events_col = if events {
-                let lines = collect_telemetry(chip, policy, 1, BENCH_SEED);
+                let lines = collect_telemetry(chip, policy, BENCH_SEED);
                 let round_events = lines
                     .iter()
                     .filter(|l| l.contains("\"kind\":\"round_progress\""))
@@ -162,10 +161,9 @@ fn print_entry(entry: &FlowBenchEntry, events_col: String) {
     let s = &entry.stage_ms;
     let e = &entry.escape_ms;
     eprintln!(
-        "{:<12} {:<12} t={} {:>9.1} ms  neg {:>8.1} ms  stages clu {:>6.1} lm {:>7.1} mst {:>6.1} esc {:>6.1} det {:>6.1}  esc[slv {:>6.1} p1 {:>6.1} p2 {:>5.1} p3 {:>5.1}]  rounds {:>4}  ripups {:>5}  complete {:>5.1}%{}",
+        "{:<12} {:<12} {:>9.1} ms  neg {:>8.1} ms  stages clu {:>6.1} lm {:>7.1} mst {:>6.1} esc {:>6.1} det {:>6.1}  esc[slv {:>6.1} p1 {:>6.1} p2 {:>5.1} p3 {:>5.1}]  rounds {:>4}  ripups {:>5}  complete {:>5.1}%{}",
         entry.chip,
         entry.policy,
-        entry.threads,
         entry.wall_ms,
         entry.negotiate_ms,
         s.clustering,

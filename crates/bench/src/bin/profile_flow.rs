@@ -14,7 +14,7 @@
 //! It runs the full flow once under an observability session with the
 //! chosen variant (default `pacor`), and prints every span name's
 //! **inclusive** and **exclusive** wall-clock (exclusive = inclusive
-//! minus the time spent in child spans on the same trace lane), sorted
+//! minus the time spent in child spans), sorted
 //! by exclusive time, then the escape solver's work counters
 //! (`escape.dijkstras`, `escape.touched`) and the bounded detour DFS's
 //! (`detour.dfs_nodes`, `detour.exhausted`). This is the profile that
@@ -25,7 +25,7 @@
 //! for the run, loadable in Perfetto for a zoomable view of the same
 //! data.
 
-use pacor::obs::TraceEvent;
+use pacor::obs::{span_tree, TraceEvent};
 use pacor::{synthesize_params, BenchDesign, DesignParams, FlowConfig, FlowVariant, PacorFlow};
 use pacor_bench::{BENCH_SEED, FLOW_BENCH_CHIPS, FLOW_SMOKE_CHIP, LM_CONGESTED_CHIP};
 use std::collections::BTreeMap;
@@ -135,62 +135,36 @@ fn main() {
 }
 
 /// Aggregated timing of every span sharing one name.
+#[derive(Default)]
 struct SpanRow {
-    name: &'static str,
-    count: usize,
+    name: String,
+    count: u64,
     inclusive_us: u64,
     exclusive_us: u64,
 }
 
-/// Reconstructs span nesting per trace lane (`tid`) from the flat event
-/// stream and attributes exclusive time: each span's duration minus the
-/// durations of its *direct* children. Spans are recorded at close time
-/// (children precede parents in the stream), so a span's children are
-/// the maximal earlier spans on the same lane contained in its
-/// `[ts, ts + dur]` window that no intermediate span already claimed.
+/// Sums [`span_tree`]'s nodes by span name, wherever they nest: each
+/// span's exclusive time is its duration minus the durations of its
+/// *direct* children. Sorted by exclusive time, largest first.
 fn span_profile(events: &[TraceEvent]) -> Vec<SpanRow> {
-    #[derive(Clone, Copy)]
-    struct Open {
-        ts: u64,
-        end: u64,
+    let mut by_name: BTreeMap<String, SpanRow> = BTreeMap::new();
+    for root in span_tree(events) {
+        root.walk("", &mut |_, node| {
+            let row = by_name.entry(node.name.clone()).or_default();
+            row.count += node.count;
+            row.inclusive_us += node.incl_us;
+            row.exclusive_us += node.excl_us;
+        });
     }
-    let mut inclusive: BTreeMap<&'static str, (usize, u64)> = BTreeMap::new();
-    let mut exclusive: BTreeMap<&'static str, u64> = BTreeMap::new();
-    // Per-lane stack of spans whose parent has not closed yet.
-    let mut lanes: BTreeMap<u32, Vec<(Open, &'static str)>> = BTreeMap::new();
-    for e in events {
-        let TraceEvent::Span { name, ts, dur, tid, .. } = e else {
-            continue;
-        };
-        let end = ts + dur;
-        let lane = lanes.entry(*tid).or_default();
-        // Pop every earlier span this one contains: they are its direct
-        // children (transitive children were already claimed by them).
-        let mut child_us = 0u64;
-        while let Some((open, _)) = lane.last() {
-            if open.ts >= *ts && open.end <= end {
-                child_us += open.end - open.ts;
-                lane.pop();
-            } else {
-                break;
-            }
-        }
-        let entry = inclusive.entry(name).or_insert((0, 0));
-        entry.0 += 1;
-        entry.1 += dur;
-        *exclusive.entry(name).or_insert(0) += dur.saturating_sub(child_us);
-        lane.push((Open { ts: *ts, end }, name));
-    }
-    let mut rows: Vec<SpanRow> = inclusive
+    let mut rows: Vec<SpanRow> = by_name
         .into_iter()
-        .map(|(name, (count, inclusive_us))| SpanRow {
-            name,
-            count,
-            inclusive_us,
-            exclusive_us: exclusive.get(name).copied().unwrap_or(0),
-        })
+        .map(|(name, row)| SpanRow { name, ..row })
         .collect();
-    rows.sort_by(|a, b| b.exclusive_us.cmp(&a.exclusive_us).then(a.name.cmp(b.name)));
+    rows.sort_by(|a, b| {
+        b.exclusive_us
+            .cmp(&a.exclusive_us)
+            .then(a.name.cmp(&b.name))
+    });
     rows
 }
 

@@ -161,8 +161,8 @@ const REGRESS_ESCAPE: [FieldOf<f64>; 4] = [
     ("escape.phase3", |e| e.escape_ms.phase3),
 ];
 
-fn entry_key(e: &FlowBenchEntry) -> (String, String, usize) {
-    (e.chip.clone(), e.policy.clone(), e.threads)
+fn entry_key(e: &FlowBenchEntry) -> (String, String) {
+    (e.chip.clone(), e.policy.clone())
 }
 
 /// Re-runs one chip's `bench_flow` schedule in-process at repeat 1 —
@@ -176,7 +176,7 @@ fn bench_chip_entries(chip_name: &str) -> Vec<FlowBenchEntry> {
         .unwrap_or_else(|| die(&format!("regress: no benchmark chip named {chip_name:?}")));
     bench_policies(&chip)
         .iter()
-        .map(|&policy| run_flow_bench(chip, policy, 1, BENCH_SEED, 1))
+        .map(|&policy| run_flow_bench(chip, policy, BENCH_SEED, 1))
         .collect()
 }
 
@@ -185,7 +185,7 @@ fn bench_chip_entries(chip_name: &str) -> Vec<FlowBenchEntry> {
 /// in the Makefile's `bench-check` recipe. Same rules, same pass/fail:
 ///
 /// * every fresh entry of the chip must match its baseline entry
-///   (keyed by chip × policy × threads) on the deterministic fields,
+///   (keyed by chip × policy) on the deterministic fields,
 ///   including exact `completion_rate` equality, with matching entry
 ///   counts — a `--current` file is filtered to the chip just like the
 ///   baseline, so a full `bench_flow` output checks cleanly;

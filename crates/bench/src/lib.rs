@@ -245,8 +245,7 @@ pub const LM_CONGESTED_CHIP: DesignParams = DesignParams {
     pairs_only: false,
 };
 
-/// One (chip × rip-up policy × threads) measurement of the end-to-end
-/// flow.
+/// One (chip × rip-up policy) measurement of the end-to-end flow.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FlowBenchEntry {
     /// Chip name (see [`FLOW_BENCH_CHIPS`]).
@@ -259,8 +258,6 @@ pub struct FlowBenchEntry {
     pub valves: u32,
     /// Rip-up policy label (`full` / `incremental`).
     pub policy: String,
-    /// Worker threads configured for the run.
-    pub threads: usize,
     /// CPUs the measuring host exposed, recorded as measurement context.
     pub host_cpus: usize,
     /// End-to-end wall-clock of the best repeat, in milliseconds.
@@ -409,8 +406,8 @@ fn span_ms_of(report: &pacor::obs::ObsReport, span: &str) -> f64 {
         / 1e3
 }
 
-/// Runs the full flow on one synthesized chip under one rip-up policy
-/// and thread count, `repeat` times, and reports the best
+/// Runs the full flow on one synthesized chip under one rip-up policy,
+/// `repeat` times, and reports the best
 /// wall-clock (end-to-end, and inside the `negotiate` spans) alongside
 /// the (repeat-invariant) counter totals. One untimed warm-up run
 /// precedes the timed repeats so first-touch costs (page faults,
@@ -424,11 +421,10 @@ fn span_ms_of(report: &pacor::obs::ObsReport, span: &str) -> f64 {
 pub fn run_flow_bench(
     params: DesignParams,
     policy: RipUpPolicy,
-    threads: usize,
     seed: u64,
     repeat: u32,
 ) -> FlowBenchEntry {
-    run_flow_bench_with_digest(params, policy, threads, seed, repeat).0
+    run_flow_bench_with_digest(params, policy, seed, repeat).0
 }
 
 /// [`run_flow_bench`], additionally returning the `pacor-rundigest-v1`
@@ -443,14 +439,11 @@ pub fn run_flow_bench(
 pub fn run_flow_bench_with_digest(
     params: DesignParams,
     policy: RipUpPolicy,
-    threads: usize,
     seed: u64,
     repeat: u32,
 ) -> (FlowBenchEntry, pacor::obs::RunDigest) {
     let problem = synthesize_params(params, seed);
-    let config = FlowConfig::default()
-        .with_ripup_policy(policy)
-        .with_threads(threads);
+    let config = FlowConfig::default().with_ripup_policy(policy);
     PacorFlow::new(config)
         .run(&problem)
         .expect("synthesized designs are valid");
@@ -478,7 +471,6 @@ pub fn run_flow_bench_with_digest(
                     height: params.height,
                     valves: params.valves,
                     policy: policy.label().to_string(),
-                    threads,
                     host_cpus: host_cpus(),
                     wall_ms,
                     negotiate_ms,
@@ -507,7 +499,7 @@ pub fn run_flow_bench_with_digest(
 
 /// Runs the flow once with a deterministic in-memory telemetry stream
 /// installed and returns the raw JSONL lines. This is the event stream
-/// the invariance tests byte-compare across thread counts and policies,
+/// the invariance tests byte-compare run to run and across policies,
 /// and the one `bench_flow --events` sanity-checks against the entry's
 /// counters.
 ///
@@ -515,16 +507,9 @@ pub fn run_flow_bench_with_digest(
 ///
 /// Panics when the flow errors out — a harness bug, not an experiment
 /// outcome.
-pub fn collect_telemetry(
-    params: DesignParams,
-    policy: RipUpPolicy,
-    threads: usize,
-    seed: u64,
-) -> Vec<String> {
+pub fn collect_telemetry(params: DesignParams, policy: RipUpPolicy, seed: u64) -> Vec<String> {
     let problem = synthesize_params(params, seed);
-    let config = FlowConfig::default()
-        .with_ripup_policy(policy)
-        .with_threads(threads);
+    let config = FlowConfig::default().with_ripup_policy(policy);
     let sink = pacor::obs::MemorySink::new();
     let lines = sink.lines();
     pacor::obs::telemetry_install(

@@ -66,11 +66,6 @@ pub struct FlowConfig {
     pub max_candidates: usize,
     /// DFS node budget per exact-length attempt in the bounded router.
     pub detour_node_budget: u64,
-    /// Worker threads for the data-parallel stages (DME candidate
-    /// generation, MWCP pair scoring). Results are merged in fixed
-    /// cluster order, so any value yields bit-identical routing; 1
-    /// disables the fan-out entirely.
-    pub thread_count: usize,
     /// What negotiation rips up between failed rounds. `Incremental`
     /// (the default) keeps converged paths; `Full` is the paper's
     /// Algorithm 1 verbatim, kept for ablation.
@@ -89,7 +84,6 @@ impl Default for FlowConfig {
             max_ripup_rounds: 5,
             max_candidates: 6,
             detour_node_budget: 200_000,
-            thread_count: 1,
             ripup_policy: RipUpPolicy::default(),
         }
     }
@@ -102,13 +96,6 @@ impl FlowConfig {
             variant,
             ..Self::default()
         }
-    }
-
-    /// Sets the worker-thread count for the data-parallel stages
-    /// (0 is treated as 1).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.thread_count = threads.max(1);
-        self
     }
 
     /// Sets the negotiation rip-up policy.
@@ -131,7 +118,6 @@ mod tests {
         assert_eq!(c.history_base, 1.0);
         assert_eq!(c.history_alpha, 0.1);
         assert_eq!(c.theta, 10);
-        assert_eq!(c.thread_count, 1, "parallelism is opt-in");
         assert_eq!(c.ripup_policy, RipUpPolicy::Incremental);
     }
 

@@ -22,10 +22,10 @@ pub fn problem_hash(problem: &Problem) -> u64 {
 
 /// The deterministic `FlowConfig` fields as ordered (name, value)
 /// pairs — exactly the knobs that change the routed result. The
-/// equivalence axes (threads, rip-up policy, recorder knobs) are
-/// excluded by design: they are recorded in the digest's `wall`
-/// sub-object instead, so runs across those axes share a fingerprint
-/// and diff cleanly against each other.
+/// equivalence axis (the rip-up policy) is excluded by design: it is
+/// recorded in the digest's `wall` sub-object instead, so runs under
+/// either policy share a fingerprint and diff cleanly against each
+/// other.
 pub fn config_fingerprint(config: &FlowConfig) -> Vec<(String, String)> {
     let pair = |k: &str, v: String| (k.to_string(), v);
     vec![
@@ -108,7 +108,6 @@ pub fn run_digest(
         counters,
         histograms,
         wall: WallFacts {
-            threads: config.thread_count.max(1) as u64,
             policy: config.ripup_policy.label().to_string(),
             // Quantized to the rendered precision (3 decimals) so a
             // digest re-parsed from disk compares equal to the
@@ -194,17 +193,11 @@ mod tests {
     #[test]
     fn fingerprint_excludes_equivalence_axes() {
         let base = FlowConfig::default();
-        let same = [
-            base.with_threads(8),
-            base.with_ripup_policy(pacor_route::RipUpPolicy::Full),
-        ];
-        for cfg in same {
-            assert_eq!(
-                config_fingerprint(&base),
-                config_fingerprint(&cfg),
-                "equivalence axes must not move the fingerprint"
-            );
-        }
+        assert_eq!(
+            config_fingerprint(&base),
+            config_fingerprint(&base.with_ripup_policy(pacor_route::RipUpPolicy::Full)),
+            "the rip-up policy must not move the fingerprint"
+        );
         let mut tuned = base;
         tuned.lambda = 0.5;
         assert_ne!(config_fingerprint(&base), config_fingerprint(&tuned));

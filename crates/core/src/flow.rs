@@ -80,7 +80,6 @@ impl PacorFlow {
             lm_clusters: problem.lm_clusters.len() as u64,
             variant: self.config.variant.label().to_string(),
             policy: self.config.ripup_policy.label().to_string(),
-            threads: crate::effective_threads(self.config.thread_count) as u64,
         });
 
         // ---- Stage 1: valve clustering -------------------------------
@@ -259,9 +258,6 @@ fn run_stage_pipeline(
     let lm_out = route_lm_clusters(obs, lm_input, config);
     timings.lm_routing = stage.exit(lm_count);
     pacor_obs::counter_sample("astar.expansions");
-    timings.threads = crate::effective_threads(config.thread_count);
-    timings.lm_candidate_tasks = lm_out.candidate_tasks;
-    timings.lm_scoring_tasks = lm_out.scoring_tasks;
     let mut routed: Vec<RoutedCluster> = lm_out.routed;
 
     // ---- Stage 3: MST routing (ordinary + failed LM clusters) -----

@@ -71,11 +71,6 @@ pub use detour::detour_cluster;
 pub use digest::{config_fingerprint, problem_hash, run_digest};
 pub use error::FlowError;
 pub use flow::PacorFlow;
-// The deterministic fan-out primitives live in `pacor-route`, below
-// every stage crate in the dependency graph; the flow stages (DME
-// candidates, MWCP pair scoring) are their only users, and reach them
-// through this re-export.
-pub use pacor_route::{effective_threads, parallel_map};
 pub use physics::PropagationModel;
 pub use problem::{Problem, ProblemBuilder};
 pub use render::{render_ascii, render_svg};

@@ -2,10 +2,10 @@
 //! MWCP selection, negotiation-based wiring.
 
 use crate::{FlowConfig, FlowVariant, RoutedCluster, RoutedKind};
-use pacor_clique::{select_one_per_group, PairCost, SelectionInstance};
+use pacor_clique::{select_one_per_group, SelectionInstance};
 use pacor_dme::{candidates, candidates_with_alternates, CandidateConfig, SteinerTree};
 use pacor_grid::{olcost, GridPath, ObsMap, Point};
-use pacor_route::{effective_threads, parallel_map, NegotiationRouter, RouteRequest};
+use pacor_route::{NegotiationRouter, RouteRequest};
 use pacor_valves::Cluster;
 
 /// Result of the length-matching routing stage.
@@ -17,12 +17,6 @@ pub struct LmOutcome {
     /// Clusters that could not be routed under the constraint; the caller
     /// re-routes them as ordinary clusters (paper Section 7).
     pub failed: Vec<(Cluster, Vec<Point>)>,
-    /// Work items fanned out to the candidate-generation threads
-    /// (one per ≥3-valve cluster).
-    pub candidate_tasks: usize,
-    /// Work items fanned out to the MWCP pair-scoring threads
-    /// (one per cluster pair).
-    pub scoring_tasks: usize,
 }
 
 /// Routes all length-matching clusters.
@@ -39,51 +33,23 @@ pub fn route_lm_clusters(
     clusters: Vec<(Cluster, Vec<Point>)>,
     config: &FlowConfig,
 ) -> LmOutcome {
-    // Phase 1: candidates for every ≥3-valve cluster. Generation is
-    // independent per cluster (the obstacle map is only read), so it
-    // fans out over the worker threads; merging by cluster index keeps
-    // the result identical to the sequential loop.
-    let big: Vec<(usize, &[Point])> = clusters
-        .iter()
-        .enumerate()
-        .filter(|(_, (cluster, _))| cluster.len() >= 3)
-        .map(|(i, (_, positions))| (i, positions.as_slice()))
-        .collect();
-    let candidate_tasks = big.len();
-    let threads = effective_threads(config.thread_count);
-    let obs_read: &ObsMap = obs;
-    let tree_clusters: Vec<(usize, Vec<SteinerTree>)> =
-        parallel_map(threads, &big, |_, &(i, positions)| {
-            let cands = candidates(
-                positions,
-                Some(obs_read),
-                CandidateConfig {
-                    max_candidates: config.max_candidates,
-                    ..CandidateConfig::default()
-                },
-            );
-            pacor_obs::record("dme.candidates", cands.len() as u64);
-            (i, cands)
-        });
-    // Events are emitted on the session thread only (the fan-out
-    // workers above record into private task frames), after the merge
-    // — so the event lands at the same commit point at any thread count.
+    // Phase 1: candidates for every ≥3-valve cluster, in cluster order.
+    let tree_clusters = dme_candidates(obs, &clusters, config);
     if pacor_obs::recording() {
         pacor_obs::emit(pacor_obs::Event::DmeProgress {
-            clusters: candidate_tasks as u64,
+            clusters: tree_clusters.len() as u64,
             candidates: tree_clusters.iter().map(|(_, c)| c.len() as u64).sum(),
         });
     }
 
     // Phase 2: selection (Eqs. 2–4) or first-candidate. Either way the
     // picked tree is moved out of its candidate list, not cloned.
-    let mut scoring_tasks = 0usize;
     let selected: Vec<(usize, SteinerTree)> = match config.variant {
         FlowVariant::WithoutSelection => tree_clusters
             .into_iter()
             .map(|(i, mut c)| (i, c.swap_remove(0)))
             .collect(),
-        _ => select_trees(tree_clusters, config, &mut scoring_tasks),
+        _ => select_trees(tree_clusters, config),
     };
 
     // Phase 3: negotiation routing of all cluster edges together, dropping
@@ -207,12 +173,7 @@ pub fn route_lm_clusters(
         .into_iter()
         .map(|i| slots[i].take().expect("cluster failed once"))
         .collect();
-    LmOutcome {
-        routed,
-        failed,
-        candidate_tasks,
-        scoring_tasks,
-    }
+    LmOutcome { routed, failed }
 }
 
 /// Re-routes a single length-matching cluster in the current obstacle
@@ -229,14 +190,40 @@ pub fn reroute_lm_cluster(
     out.routed.pop()
 }
 
+/// DME candidate trees (Section 4.1) for every ≥3-valve cluster, keyed
+/// by cluster index, inside one `lm.candidates` span.
+fn dme_candidates(
+    obs: &ObsMap,
+    clusters: &[(Cluster, Vec<Point>)],
+    config: &FlowConfig,
+) -> Vec<(usize, Vec<SteinerTree>)> {
+    let big: Vec<(usize, &Vec<Point>)> = clusters
+        .iter()
+        .enumerate()
+        .filter(|(_, (cluster, _))| cluster.len() >= 3)
+        .map(|(i, (_, positions))| (i, positions))
+        .collect();
+    if big.is_empty() {
+        return Vec::new();
+    }
+    let _span = pacor_obs::span_with("lm.candidates", &[("clusters", big.len() as u64)]);
+    let dme = CandidateConfig {
+        max_candidates: config.max_candidates,
+        ..CandidateConfig::default()
+    };
+    big.into_iter()
+        .map(|(i, positions)| {
+            let cands = candidates(positions, Some(obs), dme);
+            pacor_obs::record("dme.candidates", cands.len() as u64);
+            (i, cands)
+        })
+        .collect()
+}
+
 /// Candidate Steiner tree selection via the MWCP (Section 4.2).
-///
-/// `scoring_tasks` reports how many cluster-pair scoring items were
-/// fanned out (for the stage's parallelism accounting).
 fn select_trees(
     tree_clusters: Vec<(usize, Vec<SteinerTree>)>,
     config: &FlowConfig,
-    scoring_tasks: &mut usize,
 ) -> Vec<(usize, SteinerTree)> {
     if tree_clusters.is_empty() {
         return Vec::new();
@@ -262,34 +249,27 @@ fn select_trees(
         .collect();
     let mut inst = SelectionInstance::new(groups);
 
-    // Pair costs: Co = −(1−λ) · Σ olcost over edge pairs (Eqs. 3–4).
-    // Each cluster pair is an independent scoring task; the instance is
-    // populated afterwards in pair order, so the fan-out does not
-    // change which costs get added or in what order.
-    let pairs: Vec<(usize, usize)> = (0..tree_clusters.len())
-        .flat_map(|ga| ((ga + 1)..tree_clusters.len()).map(move |gb| (ga, gb)))
-        .collect();
-    *scoring_tasks = pairs.len();
-    let scored = parallel_map(effective_threads(config.thread_count), &pairs, |_, &(ga, gb)| {
-        let mut costs: Vec<PairCost> = Vec::new();
-        for (ia, ta) in tree_clusters[ga].1.iter().enumerate() {
-            for (ib, tb) in tree_clusters[gb].1.iter().enumerate() {
-                let mut overlap = 0.0;
-                for ea in ta.edges() {
-                    for eb in tb.edges() {
-                        overlap += olcost(ea, eb);
+    // Pair costs: Co = −(1−λ) · Σ olcost over edge pairs (Eqs. 3–4),
+    // added cluster pair by cluster pair.
+    for ga in 0..tree_clusters.len() {
+        for gb in (ga + 1)..tree_clusters.len() {
+            let mut scored = 0;
+            for (ia, ta) in tree_clusters[ga].1.iter().enumerate() {
+                for (ib, tb) in tree_clusters[gb].1.iter().enumerate() {
+                    let mut overlap = 0.0;
+                    for ea in ta.edges() {
+                        for eb in tb.edges() {
+                            overlap += olcost(ea, eb);
+                        }
+                    }
+                    if overlap > 0.0 {
+                        inst.add_pair_cost((ga, ia), (gb, ib), -(1.0 - config.lambda) * overlap);
+                        scored += 1;
                     }
                 }
-                if overlap > 0.0 {
-                    costs.push(((ga, ia), (gb, ib), -(1.0 - config.lambda) * overlap));
-                }
             }
+            pacor_obs::counter_add("mwcp.pair_scores", scored);
         }
-        pacor_obs::counter_add("mwcp.pair_scores", costs.len() as u64);
-        costs
-    });
-    for (a, b, cost) in scored.into_iter().flatten() {
-        inst.add_pair_cost(a, b, cost);
     }
 
     let sel = select_one_per_group(&inst);

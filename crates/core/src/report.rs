@@ -10,9 +10,8 @@ use std::time::Duration;
 /// [`pacor_obs`] during the run; stages not run by a variant report
 /// zero.
 ///
-/// The `counters` totals are deterministic — byte-identical at any
-/// worker-thread count — while the `Duration` fields and `threads` are
-/// wall-clock/configuration facts that vary run to run.
+/// The `counters` totals are deterministic — byte-identical run to run
+/// — while the `Duration` fields are wall-clock facts that vary.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct FlowMetrics {
     /// Stage 1: valve clustering.
@@ -25,15 +24,6 @@ pub struct FlowMetrics {
     pub escape: Duration,
     /// Stage 6 (or 3.5 for Detour-First): path detouring.
     pub detour: Duration,
-    /// Worker threads configured for the data-parallel stages
-    /// ([`FlowConfig::thread_count`](crate::FlowConfig), floored at 1).
-    pub threads: usize,
-    /// Work items fanned out during DME candidate generation (one per
-    /// ≥3-valve length-matching cluster, over all negotiation rounds).
-    pub lm_candidate_tasks: usize,
-    /// Work items fanned out during MWCP pair scoring (one per cluster
-    /// pair, over all negotiation rounds).
-    pub lm_scoring_tasks: usize,
     /// Name-sorted `(counter, total)` pairs from the observability layer
     /// (A\* expansions, queue pushes, rip-ups, detour deltas, …).
     ///

@@ -27,7 +27,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod analysis;
 mod error;
 mod grid;
 mod obsmap;
@@ -37,7 +36,6 @@ mod point;
 mod rect;
 mod rules;
 
-pub use analysis::{corridor_capacity, grid_components, Components};
 pub use error::GridError;
 pub use grid::{Cell, Grid};
 pub use obsmap::ObsMap;

@@ -306,8 +306,7 @@ pub fn diff_runs(base: &RunDigest, new: &RunDigest) -> RunDiff {
                 });
             }
             None => {
-                // Removed lanes (e.g. parallel batches gone at
-                // --threads 1) are context unless real time vanished.
+                // Removed spans are context unless real time vanished.
                 let entry = if ms(*b_excl) > NOISE_ABS_MS {
                     DiffEntry::verdict(format!("span -{path}"), format!("{:.1} ms", ms(*b_excl)), "(absent)")
                 } else {
@@ -346,13 +345,12 @@ pub fn diff_runs(base: &RunDigest, new: &RunDigest) -> RunDiff {
         DiffEntry::info("wall_ms", format!("{bw:.1}"), format!("{nw:.1}"))
     };
     wall.push(wall_entry);
-    for (label, b, n) in [
-        ("threads", base.wall.threads.to_string(), new.wall.threads.to_string()),
-        ("policy", base.wall.policy.clone(), new.wall.policy.clone()),
-    ] {
-        if b != n {
-            wall.push(DiffEntry::info(format!("wall.{label}"), b, n));
-        }
+    if base.wall.policy != new.wall.policy {
+        wall.push(DiffEntry::info(
+            "wall.policy",
+            base.wall.policy.clone(),
+            new.wall.policy.clone(),
+        ));
     }
 
     RunDiff {
@@ -528,7 +526,6 @@ mod tests {
         let base = sample_digest();
         let mut new = base.clone();
         new.wall.wall_ms *= 1.2; // 20% slower but well under 25 ms absolute
-        new.wall.threads = 1;
         new.wall.policy = "full".into();
         let diff = diff_runs(&base, &new);
         assert!(!diff.has_verdicts(), "{diff:?}");
@@ -589,7 +586,7 @@ mod tests {
         let base = sample_digest();
         let mut new = base.clone();
         new.wall.spans.push(SpanNode {
-            name: "parallel.batch".into(),
+            name: "lm.candidates".into(),
             count: 8,
             incl_us: 2_000,
             excl_us: 2_000,

@@ -5,15 +5,14 @@
 //! the deterministic outcome (completion, lengths, rounds, rip-ups,
 //! per-cluster LM slack), the deterministic counter totals and
 //! histogram quantiles, and — isolated in the single `wall` sub-object
-//! — everything wall-clock- or mode-dependent: the run's thread count
-//! and policy label, end-to-end wall-clock, the work counters (see
-//! [`is_work_metric`]), and the full span tree with inclusive/exclusive
-//! time.
+//! — everything wall-clock- or mode-dependent: the run's policy label,
+//! end-to-end wall-clock, the work counters (see [`is_work_metric`]),
+//! and the full span tree with inclusive/exclusive time.
 //!
-//! Everything outside `wall` is byte-identical at any worker-thread
-//! count, and under either rip-up policy whenever the policies route
-//! the same result — the same guarantee the
-//! post-mortem report makes, extended to a comparable cross-run record.
+//! Everything outside `wall` is byte-identical run to run, and under
+//! either rip-up policy whenever the policies route the same result —
+//! the same guarantee the post-mortem report makes, extended to a
+//! comparable cross-run record.
 //! [`RunDigest::deterministic_json`] renders exactly that invariant
 //! part, which is what ledger comparisons and `make ledger-smoke`
 //! byte-compare.
@@ -38,20 +37,19 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 /// Whether a counter/histogram name is a **work metric**: a total that
-/// measures how much searching or scheduling a run did rather than what
-/// it routed (A\* effort, fan-out tasks). Work metrics live in the
-/// digest's `wall` sub-object; everything else is part of the
-/// deterministic, comparable record.
+/// measures how much searching a run did rather than what it routed
+/// (A\* effort). Work metrics live in the digest's `wall` sub-object;
+/// everything else is part of the deterministic, comparable record.
 pub fn is_work_metric(name: &str) -> bool {
-    name.starts_with("astar.") || name.starts_with("parallel.")
+    name.starts_with("astar.")
 }
 
 /// What run a digest belongs to: the chip and the deterministic
 /// configuration fields. Two runs with equal fingerprints are expected
 /// to produce byte-identical deterministic sections — the equivalence
-/// axes (threads, rip-up policy) are deliberately **excluded** and
-/// recorded in `wall` instead, so a re-run at a different thread count
-/// still finds its baseline in the ledger.
+/// axis (the rip-up policy) is deliberately **excluded** and recorded
+/// in `wall` instead, so a re-run under the other policy still finds
+/// its baseline in the ledger.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Fingerprint {
     /// Chip/design name.
@@ -201,8 +199,6 @@ impl SpanNode {
 /// of the digest can be byte-compared across runs.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct WallFacts {
-    /// Worker threads configured.
-    pub threads: u64,
     /// Rip-up policy label.
     pub policy: String,
     /// End-to-end wall-clock, milliseconds.
@@ -234,10 +230,10 @@ pub struct RunDigest {
 }
 
 /// Reconstructs the aggregated span tree from a flat close-ordered
-/// event stream: per trace lane, a closing span claims every maximal
-/// earlier span its `[ts, ts + dur]` window contains as a direct child
-/// (the same containment rule `profile_flow` uses); the lanes' root
-/// spans then aggregate recursively by name.
+/// event stream: a closing span claims every maximal earlier span its
+/// `[ts, ts + dur]` window contains as a direct child; the root spans
+/// then aggregate recursively by name. `profile_flow` sums the nodes
+/// by span name for its per-span table.
 pub fn span_tree(events: &[TraceEvent]) -> Vec<SpanNode> {
     struct Raw {
         name: &'static str,
@@ -245,26 +241,22 @@ pub fn span_tree(events: &[TraceEvent]) -> Vec<SpanNode> {
         end: u64,
         children: Vec<Raw>,
     }
-    let mut lanes: BTreeMap<u32, Vec<Raw>> = BTreeMap::new();
+    let mut roots: Vec<Raw> = Vec::new();
     for e in events {
-        let TraceEvent::Span {
-            name, ts, dur, tid, ..
-        } = e
-        else {
+        let TraceEvent::Span { name, ts, dur, .. } = e else {
             continue;
         };
         let end = ts + dur;
-        let lane = lanes.entry(*tid).or_default();
         let mut children = Vec::new();
-        while let Some(last) = lane.last() {
+        while let Some(last) = roots.last() {
             if last.ts >= *ts && last.end <= end {
-                children.push(lane.pop().expect("peeked"));
+                children.push(roots.pop().expect("peeked"));
             } else {
                 break;
             }
         }
         children.reverse();
-        lane.push(Raw {
+        roots.push(Raw {
             name,
             ts: *ts,
             end,
@@ -292,7 +284,6 @@ pub fn span_tree(events: &[TraceEvent]) -> Vec<SpanNode> {
             })
             .collect()
     }
-    let roots: Vec<Raw> = lanes.into_values().flatten().collect();
     aggregate(roots)
 }
 
@@ -455,11 +446,7 @@ impl RunDigest {
         if include_wall {
             out.push_str(sep);
             let w = &self.wall;
-            let _ = write!(
-                out,
-                "{ind}\"wall\": {{\"threads\": {}, \"policy\": ",
-                w.threads
-            );
+            let _ = write!(out, "{ind}\"wall\": {{\"policy\": ");
             crate::export::push_json_string(&mut out, &w.policy);
             let _ = write!(out, ", \"wall_ms\": {:.3}, \"work_counters\": {{", w.wall_ms);
             for (i, (name, v)) in w.work_counters.iter().enumerate() {
@@ -585,7 +572,6 @@ impl RunDigest {
                 .ok_or_else(|| format!("wall.{key}"))
         };
         let wall = WallFacts {
-            threads: w.get("threads").and_then(Json::as_u64).ok_or("wall.threads")?,
             policy: ws("policy")?,
             wall_ms: w.get("wall_ms").and_then(Json::as_f64).ok_or("wall.wall_ms")?,
             work_counters: parse_counter_map(
@@ -732,7 +718,6 @@ pub(crate) mod tests {
                 },
             )],
             wall: WallFacts {
-                threads: 4,
                 policy: "incremental".into(),
                 wall_ms: 12.345,
                 work_counters: vec![("astar.expansions".into(), 999)],
@@ -767,7 +752,9 @@ pub(crate) mod tests {
     fn digests_with_retired_wall_labels_still_parse() {
         // Ledger lines written while the escape solver and the routing
         // mode were selectable carry `wall.escape_solver` and
-        // `wall.routing` between `policy` and `wall_ms`.
+        // `wall.routing` between `policy` and `wall_ms`; those written
+        // while the thread count was configurable open `wall` with
+        // `threads`.
         let d = sample_digest();
         for text in [d.to_json(), d.to_jsonl()] {
             let old = text.replacen(
@@ -776,6 +763,9 @@ pub(crate) mod tests {
                 1,
             );
             assert_ne!(old, text, "wall object has a wall_ms field");
+            assert_eq!(RunDigest::from_json(&old).expect("parses"), d);
+            let old = text.replacen("\"wall\": {", "\"wall\": {\"threads\": 4, ", 1);
+            assert_ne!(old, text, "wall object present");
             assert_eq!(RunDigest::from_json(&old).expect("parses"), d);
         }
     }
@@ -794,7 +784,7 @@ pub(crate) mod tests {
         assert!(!det.contains("wall_ms"));
         let mut other = d.clone();
         other.wall.wall_ms = 99999.0;
-        other.wall.threads = 1;
+        other.wall.policy = "full".into();
         other.wall.spans.clear();
         assert_eq!(det, other.deterministic_json());
     }
@@ -802,27 +792,24 @@ pub(crate) mod tests {
     #[test]
     fn span_tree_reconstructs_nesting_and_exclusive_time() {
         // Close-ordered stream: child (10..40) closes before parent
-        // (0..100); a second lane's root must merge by name.
+        // (0..100); a second root of the same name must merge with it.
         let events = vec![
             TraceEvent::Span {
                 name: "inner",
                 ts: 10,
                 dur: 30,
-                tid: 0,
                 args: vec![],
             },
             TraceEvent::Span {
                 name: "outer",
                 ts: 0,
                 dur: 100,
-                tid: 0,
                 args: vec![],
             },
             TraceEvent::Span {
                 name: "outer",
-                ts: 0,
+                ts: 100,
                 dur: 50,
-                tid: 1,
                 args: vec![],
             },
         ];
@@ -839,7 +826,7 @@ pub(crate) mod tests {
 
     #[test]
     fn work_metric_split_matches_the_documented_rule() {
-        for name in ["astar.expansions", "parallel.tasks"] {
+        for name in ["astar.expansions", "astar.queries"] {
             assert!(is_work_metric(name), "{name} must be a work metric");
         }
         for name in [

@@ -198,8 +198,6 @@ pub enum Event {
         variant: String,
         /// Rip-up policy label.
         policy: String,
-        /// Effective worker-thread count.
-        threads: u64,
     },
     /// A flow stage began (emitted by [`crate::stage`]).
     StageEntered {

@@ -11,6 +11,10 @@ use std::path::{Path, PathBuf};
 /// Process id used for every trace event (the flow is one process).
 const PID: u32 = 1;
 
+/// Thread id used for every trace event (the flow records from one
+/// thread).
+const TID: u32 = 0;
+
 pub(crate) fn push_json_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
@@ -61,9 +65,8 @@ fn push_meta_event(out: &mut String, first: &mut bool, kind: &str, tid: Option<u
 /// Spans become complete events (`ph: "X"` with `dur`) and counter
 /// samples `ph: "C"` series. The stream
 /// is self-describing: it opens with `ph: "M"` metadata naming the
-/// process (`pacor`) and every trace lane (`session` for tid 0, the
-/// parallel `task-N` lanes otherwise), and closes with a synthetic
-/// zero-duration `run.totals` span at tid 0 whose args carry every
+/// process (`pacor`) and its one thread (`session`), and closes with a
+/// synthetic zero-duration `run.totals` span whose args carry every
 /// counter total, so Perfetto shows the aggregate metrics without a
 /// separate `--metrics-out` file.
 pub fn chrome_trace(report: &ObsReport) -> String {
@@ -75,25 +78,7 @@ pub fn chrome_trace(report: &ObsReport) -> String {
     let mut out = String::from("[");
     let mut first = true;
     push_meta_event(&mut out, &mut first, "process_name", None, "pacor");
-    let mut tids: Vec<u32> = events
-        .iter()
-        .map(|e| match e {
-            TraceEvent::Span { tid, .. } | TraceEvent::Counter { tid, .. } => *tid,
-        })
-        .collect();
-    if has_counters {
-        tids.push(0); // the synthetic run.totals span lives on lane 0
-    }
-    tids.sort_unstable();
-    tids.dedup();
-    for tid in tids {
-        let label = if tid == 0 {
-            "session".to_string()
-        } else {
-            format!("task-{tid}")
-        };
-        push_meta_event(&mut out, &mut first, "thread_name", Some(tid), &label);
-    }
+    push_meta_event(&mut out, &mut first, "thread_name", Some(TID), "session");
     for event in events {
         if !first {
             out.push(',');
@@ -105,28 +90,22 @@ pub fn chrome_trace(report: &ObsReport) -> String {
                 name,
                 ts,
                 dur,
-                tid,
                 args,
             } => {
                 out.push_str("\"name\":");
                 push_json_string(&mut out, name);
                 let _ = write!(
                     out,
-                    ",\"ph\":\"X\",\"ts\":{ts},\"dur\":{dur},\"pid\":{PID},\"tid\":{tid},\"args\":"
+                    ",\"ph\":\"X\",\"ts\":{ts},\"dur\":{dur},\"pid\":{PID},\"tid\":{TID},\"args\":"
                 );
                 push_args(&mut out, args);
             }
-            TraceEvent::Counter {
-                name,
-                ts,
-                tid,
-                value,
-            } => {
+            TraceEvent::Counter { name, ts, value } => {
                 out.push_str("\"name\":");
                 push_json_string(&mut out, name);
                 let _ = write!(
                     out,
-                    ",\"ph\":\"C\",\"ts\":{ts},\"pid\":{PID},\"tid\":{tid},\"args\":{{\"value\":{value}}}"
+                    ",\"ph\":\"C\",\"ts\":{ts},\"pid\":{PID},\"tid\":{TID},\"args\":{{\"value\":{value}}}"
                 );
             }
         }
@@ -139,7 +118,7 @@ pub fn chrome_trace(report: &ObsReport) -> String {
         }
         let _ = write!(
             out,
-            "\n  {{\"name\":\"run.totals\",\"ph\":\"X\",\"ts\":0,\"dur\":0,\"pid\":{PID},\"tid\":0,\"args\":"
+            "\n  {{\"name\":\"run.totals\",\"ph\":\"X\",\"ts\":0,\"dur\":0,\"pid\":{PID},\"tid\":{TID},\"args\":"
         );
         push_args(&mut out, &totals);
         out.push('}');
@@ -152,10 +131,9 @@ pub fn chrome_trace(report: &ObsReport) -> String {
 /// `{"counters": {...}, "histograms": {name: {count, sum, min, max,
 /// buckets}}}`.
 ///
-/// Deliberately contains **no wall-clock data** — no timestamps,
-/// durations or thread counts — so for a deterministic flow the output
-/// is byte-identical run-to-run and at any worker-thread count (keys
-/// iterate in sorted `BTreeMap` order).
+/// Deliberately contains **no wall-clock data** — no timestamps or
+/// durations — so for a deterministic flow the output is byte-identical
+/// run-to-run (keys iterate in sorted `BTreeMap` order).
 pub fn metrics_json(report: &ObsReport) -> String {
     let mut out = String::from("{\n  \"counters\": {");
     for (i, (name, value)) in report.counters().enumerate() {
@@ -265,22 +243,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_metadata_names_every_task_lane() {
-        let session = Session::begin();
-        let (_, frame) = crate::task_frame(2, || {
-            let _s = crate::span("task.work");
-        });
-        crate::absorb(frame);
-        let report = session.finish();
-        let json = crate::chrome_trace(&report);
-        assert!(json.contains("{\"name\":\"task-2\"}"), "{json}");
-        assert!(
-            !json.contains("\"run.totals\""),
-            "no counters means no totals span"
-        );
-    }
-
-    #[test]
     fn metrics_json_is_wall_clock_free_and_sorted() {
         let session = Session::begin();
         crate::counter_add("zeta", 1);
@@ -341,5 +303,11 @@ mod tests {
         let metrics = crate::metrics_json(&report);
         assert!(metrics.contains("\"counters\""));
         assert!(metrics.contains("\"histograms\""));
+        // Spans without counters: no totals span.
+        let session = Session::begin();
+        drop(crate::span("only.span"));
+        let json = crate::chrome_trace(&session.finish());
+        assert!(json.contains("\"only.span\""), "{json}");
+        assert!(!json.contains("\"run.totals\""), "{json}");
     }
 }

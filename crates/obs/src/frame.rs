@@ -1,4 +1,4 @@
-//! Recording frames: the per-thread (and per-task) metric and trace buffers.
+//! Recording frames: the per-session metric and trace buffers.
 
 use crate::Histogram;
 use std::collections::BTreeMap;
@@ -14,8 +14,6 @@ pub enum TraceEvent {
         ts: u64,
         /// Duration in µs.
         dur: u64,
-        /// Lane: 0 for the session thread, task index + 1 for task frames.
-        tid: u32,
         /// Key/value arguments.
         args: Vec<(&'static str, u64)>,
     },
@@ -25,39 +23,21 @@ pub enum TraceEvent {
         name: &'static str,
         /// Timestamp, µs since the process epoch.
         ts: u64,
-        /// Lane (see [`TraceEvent::Span::tid`]).
-        tid: u32,
         /// The counter's running total at `ts`.
         value: u64,
     },
 }
 
 /// An event buffer: counters, histograms and trace events recorded by
-/// one session or one parallel task.
-///
-/// Frames are deliberately cheap to create (three empty collections) —
-/// the data-parallel stages make one per work item.
+/// one session.
 #[derive(Debug, Clone, Default)]
-pub struct Frame {
-    tid: u32,
+pub(crate) struct Frame {
     counters: BTreeMap<&'static str, u64>,
     histograms: BTreeMap<&'static str, Histogram>,
     events: Vec<TraceEvent>,
 }
 
 impl Frame {
-    /// Creates an empty frame labelled with trace lane `tid`.
-    pub(crate) fn new(tid: u32) -> Self {
-        Self {
-            tid,
-            ..Self::default()
-        }
-    }
-
-    pub(crate) fn tid(&self) -> u32 {
-        self.tid
-    }
-
     pub(crate) fn counter_add(&mut self, name: &'static str, delta: u64) {
         *self.counters.entry(name).or_insert(0) += delta;
     }
@@ -75,8 +55,7 @@ impl Frame {
     }
 
     /// Merges `other` into `self`: counters add, histograms combine,
-    /// events append in `other`'s recording order. Callers merging many
-    /// task frames must do so in fixed task order to stay deterministic.
+    /// events append in `other`'s recording order.
     pub(crate) fn merge(&mut self, other: Frame) {
         for (name, delta) in other.counters {
             *self.counters.entry(name).or_insert(0) += delta;
@@ -104,15 +83,14 @@ mod tests {
 
     #[test]
     fn merge_adds_counters_and_appends_events() {
-        let mut a = Frame::new(0);
+        let mut a = Frame::default();
         a.counter_add("c", 1);
         a.push_event(TraceEvent::Counter {
             name: "c",
             ts: 1,
-            tid: 0,
             value: 1,
         });
-        let mut b = Frame::new(1);
+        let mut b = Frame::default();
         b.counter_add("c", 2);
         b.counter_add("d", 5);
         b.record("h", 9);
@@ -120,7 +98,6 @@ mod tests {
             name: "second",
             ts: 2,
             dur: 1,
-            tid: 1,
             args: vec![],
         });
         a.merge(b);

@@ -100,8 +100,8 @@ impl Histogram {
     ///
     /// The 0-based rank is `⌊(count−1)·percent/100⌋`; the estimate is
     /// the lower bound of the bucket holding that rank, clamped to the
-    /// observed `[min, max]`. Entirely integral, so merging order and
-    /// thread count cannot perturb it. When every sample lands on its
+    /// observed `[min, max]`. Entirely integral, so merging order
+    /// cannot perturb it. When every sample lands on its
     /// bucket's lower bound (powers of two, zeros, or a constant
     /// sample) the estimate is **exact**; otherwise it under-reports by
     /// less than one bucket width.

@@ -6,7 +6,7 @@
 //!
 //! * **Spans** ([`span`], [`span_with`], [`stage`]) — wall-clock
 //!   intervals with parent/child nesting, recorded per flow stage, per
-//!   negotiation/rip-up round and per parallel task batch;
+//!   negotiation/rip-up round and per DME candidate batch;
 //! * **Counters** ([`counter_add`]) and **histograms** ([`record`]) —
 //!   monotonic totals and value distributions for the hot paths (A\*
 //!   expansions, queue pushes, DME candidate counts, rip-up events,
@@ -17,7 +17,7 @@
 //! * **Exporters** — [`chrome_trace`] renders the spans as Chrome
 //!   trace-event JSON (loadable in `chrome://tracing` or Perfetto) and
 //!   [`metrics_json`] renders a flat, wall-clock-free metrics document
-//!   that is byte-identical at any worker-thread count.
+//!   that is byte-identical run to run.
 //! * **Flight recorder** ([`flight_install`], [`flight_take`]) — a
 //!   bounded, deterministic ring of events (per-net search outcomes,
 //!   rip-up victims with reasons) plus congestion snapshots, feeding
@@ -51,15 +51,10 @@
 //!
 //! # Determinism
 //!
-//! Worker threads have no frame of their own. A data-parallel caller
-//! wraps each work item in [`task_frame`], which captures that item's
-//! counters into a private frame, and merges the frames back with
-//! [`absorb`] **in fixed item order** — never in thread completion
-//! order. Counter and histogram totals are therefore bit-identical at
-//! any thread count, extending the flow's determinism guarantee to the
-//! metrics themselves; events are emitted only at session-thread commit
-//! points. Wall-clock timestamps appear only in the trace export and
-//! the stream's timing fields, never in [`metrics_json`].
+//! The flow records from one thread, in program order, so counter and
+//! histogram totals are as deterministic as the routing itself.
+//! Wall-clock timestamps appear only in the trace export and the
+//! stream's timing fields, never in [`metrics_json`].
 //!
 //! # Examples
 //!
@@ -103,7 +98,7 @@ pub use digest::{
 pub use event::{Event, FrontierCell, RipReason};
 pub use export::{atomic_write, chrome_trace, metrics_json};
 pub use ledger::{latest_baseline, ledger_append, ledger_load};
-pub use frame::{Frame, TraceEvent};
+pub use frame::TraceEvent;
 pub use histogram::Histogram;
 pub use progress::{
     telemetry_install, telemetry_take, MemorySink, NullSink, StageBudgets, StreamWriter,
@@ -116,6 +111,7 @@ pub use recorder::{
 pub use report::{post_mortem_json, render_heatmap};
 
 use event::Dest;
+use frame::Frame;
 use progress::Stream;
 use recorder::Recorder;
 use std::cell::RefCell;
@@ -260,11 +256,9 @@ pub fn negotiation_start(edges: u32) -> u32 {
 pub fn counter_sample(name: &'static str) {
     with_frame(|frame| {
         let value = frame.counter(name);
-        let (ts, tid) = (micros_now(), frame.tid());
         frame.push_event(TraceEvent::Counter {
             name,
-            ts,
-            tid,
+            ts: micros_now(),
             value,
         });
     });
@@ -313,12 +307,10 @@ impl Drop for SpanGuard {
 /// in the current frame.
 fn push_span(name: &'static str, start: u64, end: u64, args: Vec<(&'static str, u64)>) {
     with_frame(|frame| {
-        let tid = frame.tid();
         frame.push_event(TraceEvent::Span {
             name,
             ts: start,
             dur: end - start,
-            tid,
             args,
         });
     });
@@ -380,27 +372,6 @@ fn stage_span(stage: &str) -> &'static str {
     }
 }
 
-/// Runs `f` with a private recording frame and returns its result
-/// together with the captured frame.
-///
-/// Data-parallel callers use this to isolate each work item's counters
-/// — on whichever thread it runs — and later merge the frames back
-/// with [`absorb`] in fixed item order, keeping the aggregate
-/// deterministic at any thread count. `tid` labels the frame's trace
-/// events (task lanes in the trace viewer).
-pub fn task_frame<R>(tid: u32, f: impl FnOnce() -> R) -> (R, Frame) {
-    with_context(|c| c.frames.push(Frame::new(tid)));
-    let result = f();
-    let frame = with_context(|c| c.frames.pop().expect("task frame still on stack"));
-    (result, frame)
-}
-
-/// Merges a frame captured by [`task_frame`] into the current thread's
-/// active frame (dropped silently when none is active).
-pub fn absorb(frame: Frame) {
-    with_frame(|top| top.merge(frame));
-}
-
 /// An active recording session on the current thread.
 ///
 /// Sessions nest: finishing an inner session merges its data into the
@@ -416,7 +387,7 @@ impl Session {
     /// Pushes a fresh recording frame onto this thread's stack.
     pub fn begin() -> Self {
         let depth = with_context(|c| {
-            c.frames.push(Frame::new(0));
+            c.frames.push(Frame::default());
             c.frames.len()
         });
         Session { depth }
@@ -437,7 +408,7 @@ impl Session {
             c.frames.pop().expect("session frame present")
         });
         let report = ObsReport::from_frame(frame.clone());
-        absorb(frame);
+        with_frame(|outer| outer.merge(frame));
         report
     }
 }
@@ -560,41 +531,6 @@ mod tests {
         counter_add("x", 1);
         let outer_report = outer.finish();
         assert_eq!(outer_report.counter("x"), 8);
-    }
-
-    #[test]
-    fn task_frames_merge_in_caller_order() {
-        let session = Session::begin();
-        // Simulate out-of-order completion: capture frames, then absorb
-        // in fixed item order.
-        let (_, f1) = task_frame(2, || counter_add("t", 10));
-        let (_, f0) = task_frame(1, || {
-            counter_add("t", 1);
-            let _s = span_with("task.event", &[("item", 0)]);
-        });
-        absorb(f0);
-        absorb(f1);
-        let report = session.finish();
-        assert_eq!(report.counter("t"), 11);
-        assert_eq!(report.events().len(), 1);
-    }
-
-    #[test]
-    fn task_frames_capture_worker_thread_events() {
-        let session = Session::begin();
-        let frames: Vec<Frame> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..4)
-                .map(|i| {
-                    scope.spawn(move || task_frame(i as u32 + 1, || counter_add("w", i + 1)).1)
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        for f in frames {
-            absorb(f);
-        }
-        let report = session.finish();
-        assert_eq!(report.counter("w"), 1 + 2 + 3 + 4);
     }
 
     #[test]

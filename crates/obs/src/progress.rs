@@ -19,10 +19,10 @@
 //!
 //! # Determinism
 //!
-//! Every emit site sits at a session-thread commit point (the same
-//! points the flight recorder uses), so the event *sequence* is
-//! byte-identical across thread counts and rip-up policies wherever the
-//! routed result is. Wall-clock fields
+//! Every emit site sits at a fixed commit point (the same points the
+//! flight recorder uses), so the event *sequence* is byte-identical
+//! run to run, and across rip-up policies wherever the routed result
+//! is. Wall-clock fields
 //! (`elapsed_us`, `eta_us`) are the one exception; a
 //! [`TelemetryConfig::deterministic`] configuration zeroes them (and
 //! disables the watchdog), making the raw JSONL stream itself
@@ -76,7 +76,6 @@ impl Event {
                 lm_clusters,
                 variant,
                 policy,
-                threads,
             } => {
                 s.push_str(",\"design\":");
                 push_json_string(&mut s, design);
@@ -87,7 +86,6 @@ impl Event {
                 push_json_string(&mut s, variant);
                 s.push_str(",\"policy\":");
                 push_json_string(&mut s, policy);
-                let _ = write!(s, ",\"threads\":{threads}");
             }
             Event::StageEntered { stage } => {
                 let _ = write!(s, ",\"stage\":\"{stage}\"");
@@ -983,7 +981,6 @@ mod tests {
                 lm_clusters: 0,
                 variant: "PACOR".into(),
                 policy: "full".into(),
-                threads: 1,
             },
             Event::StageEntered { stage: "escape" },
             Event::StageExited {

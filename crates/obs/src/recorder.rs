@@ -15,10 +15,9 @@
 //! thread's recording context beside the frame stack and the telemetry
 //! stream. Events reach it through [`crate::emit`], whose routing table
 //! sends every ring kind here. Emit sites live exclusively at the
-//! flow's deterministic commit points (the session thread's attempt
-//! loop, rip-up selection, MST commit order, escape/detour stages),
-//! never inside worker closures, so the log is identical at any
-//! worker-thread count. Sites whose event is costly to build check
+//! flow's deterministic commit points (the negotiation attempt loop,
+//! rip-up selection, MST commit order, escape/detour stages), so the
+//! log repeats run to run. Sites whose event is costly to build check
 //! [`crate::recording`] first, so the disabled cost stays one
 //! thread-local check.
 //!

@@ -10,8 +10,8 @@
 //! # Determinism
 //!
 //! Both outputs are pure functions of the log. Because emit sites live
-//! only at the flow's deterministic commit points, the bytes are
-//! invariant across worker-thread counts. Across rip-up policies the
+//! only at the flow's deterministic commit points, the bytes repeat
+//! run to run. Across rip-up policies the
 //! report is identical whenever the policies produce the same routed
 //! state (they provably coincide while every negotiation session
 //! converges without a failed round).

@@ -217,7 +217,7 @@ impl OpenQueue {
 /// Allocates grid-sized vectors once and reuses them across queries; a
 /// generation counter makes cross-query invalidation free (a cell's
 /// `g`/`parent` entries are live only when its `stamp` equals the
-/// current generation). Create one per worker thread and feed it to
+/// current generation). Hold one and feed it to
 /// [`AStar::route_with_scratch`], or use [`AStar::route`] which keeps
 /// one in thread-local storage.
 #[derive(Debug, Default)]
@@ -393,7 +393,8 @@ impl<'a> AStar<'a> {
 
     /// Routes from any cell of `sources` to any cell of `targets`,
     /// minimizing total (history-weighted) cost. Returns `None` when no
-    /// path exists.
+    /// path exists, and when any source or target lies outside the
+    /// obstacle map.
     ///
     /// The returned path starts on a source cell and ends on a target
     /// cell. When a source *is* a target, the result is that single cell.
@@ -407,11 +408,13 @@ impl<'a> AStar<'a> {
     }
 
     /// [`AStar::route`] with an explicit scratch, for callers that hold
-    /// one per worker thread.
+    /// their own.
     ///
-    /// Terminals outside the obstacle map cannot be grid-indexed and
-    /// fall back to the reference kernel (which treats out-of-bounds
-    /// cells as blocked-but-targetable, like any other blocked cell).
+    /// Terminals outside the obstacle map cannot be grid-indexed, so a
+    /// query with any source or target off the map returns `None`.
+    /// (The reference kernel instead treats such a cell as
+    /// blocked-but-targetable; the flow never asks, since valves and
+    /// pins are validated in bounds.)
     pub fn route_with_scratch(
         &self,
         sources: &[Point],
@@ -427,7 +430,7 @@ impl<'a> AStar<'a> {
             p.x >= 0 && p.y >= 0 && (p.x as usize) < width && (p.y as usize) < height
         };
         if !sources.iter().chain(targets).all(|&p| in_bounds(p)) {
-            return self.route_reference(sources, targets);
+            return None;
         }
 
         scratch.begin(width, height);
@@ -1100,16 +1103,22 @@ mod tests {
     }
 
     #[test]
-    fn out_of_bounds_terminals_fall_back() {
-        // The reference kernel treats an out-of-bounds target like any
-        // blocked cell: reachable as an endpoint. The flat kernel must
-        // give the same answer through its fallback.
+    fn out_of_bounds_terminals_return_none() {
+        // An off-map source or target cannot be grid-indexed: the query
+        // has no answer, even where the reference kernel would reach
+        // the cell as a blocked endpoint.
         let obs = open(5, 5);
         let astar = AStar::new(&obs);
+        let on = Point::new(0, 2);
         let oob = Point::new(5, 2); // one column past the right edge
-        let flat = astar.point_to_point(Point::new(0, 2), oob);
-        let reference = astar.route_reference(&[Point::new(0, 2)], &[oob]);
-        assert_eq!(flat, reference);
-        assert_eq!(flat.unwrap().target(), oob);
+        assert!(astar.route_reference(&[on], &[oob]).is_some());
+        assert_eq!(astar.point_to_point(on, oob), None, "off-map target");
+        assert_eq!(astar.point_to_point(oob, on), None, "off-map source");
+        let mut scratch = AStarScratch::default();
+        assert_eq!(
+            astar.route_with_scratch(&[on, Point::new(-1, 0)], &[Point::new(4, 4)], &mut scratch),
+            None,
+            "one off-map source among several"
+        );
     }
 }

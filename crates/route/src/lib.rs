@@ -36,7 +36,6 @@ mod astar;
 mod bounded;
 mod history;
 mod negotiation;
-mod parallel;
 
 pub use astar::{AStar, AStarScratch};
 pub use bounded::BoundedAStar;
@@ -44,4 +43,3 @@ pub use history::HistoryCost;
 pub use negotiation::{
     NegotiationOutcome, NegotiationRouter, NetOrdering, RipUpPolicy, RouteRequest,
 };
-pub use parallel::{effective_threads, parallel_map};

@@ -9,6 +9,9 @@
 //!   heuristic, no shared code) the returned path must have the same
 //!   **cost** — this guards against both kernels sharing a bug.
 //!
+//! A query with an off-map target has no route: the flat kernel returns
+//! `None` without consulting either oracle.
+//!
 //! Walled-terminal cases pin the flat kernel's failure path: whether a
 //! failure is settled by the target-side probe and its flood or by
 //! draining the A\* open list, the failed cells must list, once each,
@@ -89,6 +92,8 @@ struct Setup {
     hist: HistoryCost,
     sources: Vec<Point>,
     targets: Vec<Point>,
+    /// Whether one target lies off the map.
+    off_map: bool,
 }
 
 /// Deterministically derives a random obstacle grid plus terminals from
@@ -107,9 +112,10 @@ fn setup(w: u32, h: u32, seed: u64, density: u32, nsrc: usize, ntgt: usize) -> S
         |rng: &mut StdRng| Point::new(rng.gen_range(0..w as i32), rng.gen_range(0..h as i32));
     let sources: Vec<Point> = (0..nsrc).map(|_| rand_point(&mut rng)).collect();
     let mut targets: Vec<Point> = (0..ntgt).map(|_| rand_point(&mut rng)).collect();
-    if seed.is_multiple_of(5) {
+    let off_map = seed.is_multiple_of(5);
+    if off_map {
         // Occasionally aim at an off-map target: the flat kernel must
-        // fall back to the reference kernel and still agree with it.
+        // refuse the query.
         targets.push(Point::new(w as i32, rng.gen_range(0..h as i32)));
     }
     let mut hist = HistoryCost::new(w, h);
@@ -124,6 +130,7 @@ fn setup(w: u32, h: u32, seed: u64, density: u32, nsrc: usize, ntgt: usize) -> S
         hist,
         sources,
         targets,
+        off_map,
     }
 }
 
@@ -140,6 +147,10 @@ proptest! {
         let s = setup(w, h, seed, density, nsrc, ntgt);
         let astar = AStar::new(&s.obs);
         let flat = astar.route(&s.sources, &s.targets);
+        if s.off_map {
+            prop_assert_eq!(flat, None, "an off-map target has no route");
+            return Ok(());
+        }
         let reference = astar.route_reference(&s.sources, &s.targets);
         prop_assert_eq!(&flat, &reference, "kernels returned different paths");
 
@@ -169,6 +180,10 @@ proptest! {
         let s = setup(w, h, seed, density, nsrc, ntgt);
         let astar = AStar::with_history(&s.obs, &s.hist);
         let flat = astar.route(&s.sources, &s.targets);
+        if s.off_map {
+            prop_assert_eq!(flat, None, "an off-map target has no route");
+            return Ok(());
+        }
         let reference = astar.route_reference(&s.sources, &s.targets);
         prop_assert_eq!(&flat, &reference, "history kernels returned different paths");
 

@@ -3,8 +3,8 @@
 //! ```text
 //! pacor synth <design> [seed]                    write a problem JSON to stdout
 //! pacor route [options] <problem.json|design>    run the flow, report JSON to stdout
-//! pacor render [--threads N] <problem.json|design>  run the flow, SVG to stdout
-//! pacor table2 [--full] [--threads N]            regenerate the paper's Table 2
+//! pacor render <problem.json|design>             run the flow, SVG to stdout
+//! pacor table2 [--full]                          regenerate the paper's Table 2
 //! ```
 //!
 //! `<design>` is one of `Chip1 Chip2 S1 S2 S3 S4 S5`; `route` and
@@ -16,19 +16,16 @@
 //!
 //! `route` options:
 //!
-//! * `--threads N` — fan the data-parallel flow stages out over `N`
-//!   worker threads; results are bit-identical at any value (see
-//!   docs/GUIDE.md).
 //! * `--trace-out <path>` — write the run's Chrome trace-event JSON
 //!   (loadable in `chrome://tracing` or Perfetto).
 //! * `--metrics-out <path>` — write the run's flat metrics JSON
-//!   (counters + histograms with quantiles; byte-identical at any
-//!   `--threads`).
+//!   (counters + histograms with quantiles; byte-identical run to
+//!   run).
 //! * `--report-out <path>` — install the flight recorder around the run
 //!   and write the post-mortem report JSON (hottest cells, contended
-//!   nets, per-cluster LM slack, escape bottlenecks; byte-identical at
-//!   any `--threads`, and under either rip-up policy whenever both route
-//!   the same result).
+//!   nets, per-cluster LM slack, escape bottlenecks; byte-identical run
+//!   to run, and under either rip-up policy whenever both route the
+//!   same result).
 //! * `--ripup-policy full|incremental` — what negotiation rips up between
 //!   failed rounds (default `incremental`; `full` is the paper's
 //!   Algorithm 1, kept for ablation).
@@ -49,9 +46,9 @@
 //! * `--digest-out <path>` — write the run's `pacor-rundigest-v1`
 //!   record (config fingerprint, deterministic outcome/counters/
 //!   histograms, per-cluster LM slack, span tree). Everything outside
-//!   the trailing `wall` sub-object is byte-identical at any
-//!   `--threads`, and under either rip-up policy whenever both route
-//!   the same result; compare two digests with `tables compare`.
+//!   the trailing `wall` sub-object is byte-identical run to run, and
+//!   under either rip-up policy whenever both route the same result;
+//!   compare two digests with `tables compare`.
 //! * `--ledger <path>` — atomically append the same digest as one
 //!   compact line to an append-only `RUNS.jsonl` run ledger, so later
 //!   runs can find their baseline (`pacor_obs::latest_baseline`).
@@ -71,7 +68,7 @@ fn main() {
         Some("table2") => cmd_table2(&args[1..]),
         _ => {
             eprintln!(
-                "usage: pacor synth <design> [seed]\n       pacor route [--threads N] [--trace-out FILE] [--metrics-out FILE] [--report-out FILE] [--digest-out FILE] [--ledger FILE] [--stream-out FILE|-] [--progress] [--watchdog BENCH.json] [--ripup-policy full|incremental] [--quiet] <problem.json|design>\n       pacor render [--threads N] <problem.json|design>\n       pacor table2 [--full] [--threads N]"
+                "usage: pacor synth <design> [seed]\n       pacor route [--trace-out FILE] [--metrics-out FILE] [--report-out FILE] [--digest-out FILE] [--ledger FILE] [--stream-out FILE|-] [--progress] [--watchdog BENCH.json] [--ripup-policy full|incremental] [--quiet] <problem.json|design>\n       pacor render <problem.json|design>\n       pacor table2 [--full]"
             );
             2
         }
@@ -95,7 +92,6 @@ fn design_of(name: &str) -> Option<BenchDesign> {
 /// Parsed command options.
 #[derive(Debug, Default)]
 struct Options {
-    threads: usize,
     trace_out: Option<String>,
     metrics_out: Option<String>,
     report_out: Option<String>,
@@ -114,10 +110,7 @@ struct Options {
 /// `--flag` — including an allowed flag's typo — is an error, so a
 /// mistyped option can never be swallowed as a file name.
 fn parse_options(args: &[String], allowed: &[&str]) -> Result<Options, String> {
-    let mut opts = Options {
-        threads: 1,
-        ..Options::default()
-    };
+    let mut opts = Options::default();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         let flag = a.as_str();
@@ -134,13 +127,6 @@ fn parse_options(args: &[String], allowed: &[&str]) -> Result<Options, String> {
                 .ok_or_else(|| format!("{flag} requires a value"))
         };
         match flag {
-            "--threads" => {
-                let v = value()?;
-                opts.threads =
-                    v.parse::<usize>().ok().filter(|&n| n >= 1).ok_or_else(|| {
-                        format!("--threads: expected a positive integer, got {v:?}")
-                    })?;
-            }
             "--trace-out" => opts.trace_out = Some(value()?),
             "--metrics-out" => opts.metrics_out = Some(value()?),
             "--report-out" => opts.report_out = Some(value()?),
@@ -273,7 +259,6 @@ fn cmd_route(args: &[String]) -> i32 {
     let opts = match parse_options(
         args,
         &[
-            "--threads",
             "--trace-out",
             "--metrics-out",
             "--report-out",
@@ -310,9 +295,7 @@ fn cmd_route(args: &[String]) -> i32 {
         || opts.digest_out.is_some()
         || opts.ledger.is_some();
     let session = wants_obs.then(pacor::obs::Session::begin);
-    let config = FlowConfig::default()
-        .with_threads(opts.threads)
-        .with_ripup_policy(opts.ripup_policy.unwrap_or_default());
+    let config = FlowConfig::default().with_ripup_policy(opts.ripup_policy.unwrap_or_default());
     if opts.report_out.is_some() {
         pacor::obs::flight_install(pacor::obs::RecorderConfig::default());
     }
@@ -411,7 +394,7 @@ fn cmd_route(args: &[String]) -> i32 {
 }
 
 fn cmd_render(args: &[String]) -> i32 {
-    let opts = match parse_options(args, &["--threads"]) {
+    let opts = match parse_options(args, &[]) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("render: {e}");
@@ -429,7 +412,7 @@ fn cmd_render(args: &[String]) -> i32 {
             return 1;
         }
     };
-    match PacorFlow::new(FlowConfig::default().with_threads(opts.threads)).run_detailed(&problem) {
+    match PacorFlow::default().run_detailed(&problem) {
         Ok((_, routed)) => {
             print!("{}", pacor::render_svg(&problem, &routed, 12));
             0
@@ -442,7 +425,7 @@ fn cmd_render(args: &[String]) -> i32 {
 }
 
 fn cmd_table2(args: &[String]) -> i32 {
-    let opts = match parse_options(args, &["--full", "--threads"]) {
+    let opts = match parse_options(args, &["--full"]) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("table2: {e}");
@@ -458,8 +441,7 @@ fn cmd_table2(args: &[String]) -> i32 {
     for d in designs {
         let problem = d.synthesize(42);
         for v in FlowVariant::ALL {
-            let config = FlowConfig::for_variant(v).with_threads(opts.threads);
-            match PacorFlow::new(config).run(&problem) {
+            match PacorFlow::new(FlowConfig::for_variant(v)).run(&problem) {
                 Ok(r) => println!("{}", r.table_row()),
                 Err(e) => {
                     eprintln!("table2: {e}");

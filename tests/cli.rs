@@ -120,29 +120,6 @@ fn route_writes_trace_and_metrics_files() {
 }
 
 #[test]
-fn metrics_out_identical_at_one_and_four_threads() {
-    let dir = std::env::temp_dir().join("pacor_cli_test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let run = |threads: &str, file: &str| {
-        let path = dir.join(file);
-        let out = pacor(&[
-            "route",
-            "--quiet",
-            "--threads",
-            threads,
-            "--metrics-out",
-            path.to_str().unwrap(),
-            "S2",
-        ]);
-        assert!(out.status.success());
-        std::fs::read(&path).unwrap()
-    };
-    let single = run("1", "m1.json");
-    let multi = run("4", "m4.json");
-    assert_eq!(single, multi, "metrics bytes must not depend on --threads");
-}
-
-#[test]
 fn route_accepts_both_ripup_policies() {
     for policy in ["full", "incremental"] {
         let out = pacor(&["route", "--ripup-policy", policy, "S1"]);
@@ -191,17 +168,24 @@ fn route_rejects_bad_escape_solver() {
 
 #[test]
 fn route_rejects_the_retired_routing_mode_flags() {
-    // Routing is flat only, so `--routing-mode` and `--gcell-size` are
-    // unknown options (exit 2), never file names.
-    for flag in [["--routing-mode", "flat"], ["--gcell-size", "8"]] {
-        let out = pacor(&["route", flag[0], flag[1], "S1"]);
-        assert_eq!(out.status.code(), Some(2), "{flag:?}");
-        let err = String::from_utf8_lossy(&out.stderr);
-        assert!(
-            err.contains(&format!("unknown option {}", flag[0])),
-            "must reject {} as unknown: {err}",
-            flag[0]
-        );
+    // Routing is flat only and single-threaded, so `--routing-mode`,
+    // `--gcell-size` and `--threads` are unknown options (exit 2),
+    // never file names.
+    for cmd in ["route", "render", "table2"] {
+        for flag in [
+            ["--routing-mode", "flat"],
+            ["--gcell-size", "8"],
+            ["--threads", "2"],
+        ] {
+            let out = pacor(&[cmd, flag[0], flag[1], "S1"]);
+            assert_eq!(out.status.code(), Some(2), "{cmd} {flag:?}");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                err.contains(&format!("unknown option {}", flag[0])),
+                "{cmd} must reject {} as unknown: {err}",
+                flag[0]
+            );
+        }
     }
 }
 
@@ -449,7 +433,7 @@ fn digest_out_writes_versioned_digest() {
 }
 
 #[test]
-fn digest_deterministic_prefix_identical_across_threads_and_modes() {
+fn digest_deterministic_prefix_identical_across_policies() {
     let dir = std::env::temp_dir().join("pacor_cli_test");
     std::fs::create_dir_all(&dir).unwrap();
     let run = |extra: &[&str], file: &str| {
@@ -464,9 +448,7 @@ fn digest_deterministic_prefix_identical_across_threads_and_modes() {
         text[..wall].to_string()
     };
     let base = run(&[], "d_base.json");
-    let threaded = run(&["--threads", "4"], "d_t4.json");
     let full = run(&["--ripup-policy", "full"], "d_full.json");
-    assert_eq!(base, threaded, "threads must not move the digest prefix");
     assert_eq!(base, full, "rip-up policy must not move the prefix");
 }
 
@@ -476,16 +458,8 @@ fn ledger_accumulates_one_line_per_run() {
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("runs.jsonl");
     let _ = std::fs::remove_file(&path);
-    for threads in ["1", "4"] {
-        let out = pacor(&[
-            "route",
-            "--quiet",
-            "--threads",
-            threads,
-            "--ledger",
-            path.to_str().unwrap(),
-            "S1",
-        ]);
+    for _ in 0..2 {
+        let out = pacor(&["route", "--quiet", "--ledger", path.to_str().unwrap(), "S1"]);
         assert!(out.status.success());
     }
     let text = std::fs::read_to_string(&path).unwrap();

@@ -1,10 +1,9 @@
 //! Flight-recorder determinism (docs/OBSERVABILITY.md): the post-mortem
-//! report and the ASCII heatmap are **byte-identical** at any worker
-//! thread count, because every event is emitted at a session-thread
-//! commit point. They are additionally
-//! identical across the two rip-up policies whenever the policies route
-//! the same result (they coincide while every negotiation session
-//! converges without a failed round — see DESIGN.md).
+//! report and the ASCII heatmap are **byte-identical** run to run. They
+//! are additionally identical across the two rip-up policies whenever
+//! the policies route the same result (they coincide while every
+//! negotiation session converges without a failed round — see
+//! DESIGN.md).
 
 use pacor_repro::pacor::obs;
 use pacor_repro::pacor::route::RipUpPolicy;
@@ -25,8 +24,8 @@ const STARVED: DesignParams = DesignParams {
 };
 
 /// The contended chip of `tests/determinism.rs`: negotiation rips up,
-/// so the two rip-up policies legitimately diverge — each must still be
-/// thread-count-invariant on its own.
+/// so the two rip-up policies legitimately diverge — each must still
+/// repeat exactly on its own.
 const DENSE: DesignParams = DesignParams {
     name: "D1-dense24",
     width: 24,
@@ -38,11 +37,9 @@ const DENSE: DesignParams = DesignParams {
     pairs_only: false,
 };
 
-fn run_recorded(params: DesignParams, threads: usize, policy: RipUpPolicy) -> (String, String) {
+fn run_recorded(params: DesignParams, policy: RipUpPolicy) -> (String, String) {
     let problem = synthesize_params(params, 42);
-    let config = FlowConfig::default()
-        .with_threads(threads)
-        .with_ripup_policy(policy);
+    let config = FlowConfig::default().with_ripup_policy(policy);
     obs::flight_install(obs::RecorderConfig::default());
     PacorFlow::new(config).run(&problem).expect("chip runs");
     let log = obs::flight_take().expect("recorder installed");
@@ -50,8 +47,8 @@ fn run_recorded(params: DesignParams, threads: usize, policy: RipUpPolicy) -> (S
 }
 
 #[test]
-fn report_bytes_invariant_across_threads_modes_and_policies() {
-    let (base_report, base_heat) = run_recorded(STARVED, 1, RipUpPolicy::Incremental);
+fn report_bytes_invariant_across_policies() {
+    let (base_report, base_heat) = run_recorded(STARVED, RipUpPolicy::Incremental);
     // The report must be non-trivial: a failing chip names its unrouted
     // nets, and the run produced events and snapshots.
     assert!(
@@ -60,40 +57,24 @@ fn report_bytes_invariant_across_threads_modes_and_policies() {
     );
     assert!(base_report.contains("\"schema\": \"pacor-postmortem-v1\""));
     assert!(base_heat.contains("congestion heatmap"));
-    for threads in [1usize, 2, 4, 8] {
-        for policy in [RipUpPolicy::Full, RipUpPolicy::Incremental] {
-            let (report, heat) = run_recorded(STARVED, threads, policy);
-            assert_eq!(
-                report, base_report,
-                "report drifted at threads={threads} {policy:?}"
-            );
-            assert_eq!(
-                heat, base_heat,
-                "heatmap drifted at threads={threads} {policy:?}"
-            );
-        }
+    for policy in [RipUpPolicy::Full, RipUpPolicy::Incremental] {
+        let (report, heat) = run_recorded(STARVED, policy);
+        assert_eq!(report, base_report, "report drifted under {policy:?}");
+        assert_eq!(heat, base_heat, "heatmap drifted under {policy:?}");
     }
 }
 
 #[test]
 fn report_bytes_invariant_per_policy_on_contended_chip() {
     for policy in [RipUpPolicy::Full, RipUpPolicy::Incremental] {
-        let (base_report, base_heat) = run_recorded(DENSE, 1, policy);
+        let (base_report, base_heat) = run_recorded(DENSE, policy);
         assert!(
             base_report.contains("\"ripups\""),
             "dense chip report must carry negotiation data"
         );
-        for threads in [2usize, 4] {
-            let (report, heat) = run_recorded(DENSE, threads, policy);
-            assert_eq!(
-                report, base_report,
-                "{policy:?} report drifted at threads={threads}"
-            );
-            assert_eq!(
-                heat, base_heat,
-                "{policy:?} heatmap drifted at threads={threads}"
-            );
-        }
+        let (report, heat) = run_recorded(DENSE, policy);
+        assert_eq!(report, base_report, "{policy:?} report drifted across runs");
+        assert_eq!(heat, base_heat, "{policy:?} heatmap drifted across runs");
     }
 }
 
@@ -134,8 +115,8 @@ fn tiny_capacity_drops_events_but_keeps_a_valid_report() {
 
 #[test]
 fn report_is_a_pure_function_of_the_log() {
-    let (a, ha) = run_recorded(STARVED, 1, RipUpPolicy::Incremental);
-    let (b, hb) = run_recorded(STARVED, 1, RipUpPolicy::Incremental);
+    let (a, ha) = run_recorded(STARVED, RipUpPolicy::Incremental);
+    let (b, hb) = run_recorded(STARVED, RipUpPolicy::Incremental);
     assert_eq!(a, b, "same run, same bytes");
     assert_eq!(ha, hb);
 }

@@ -112,7 +112,7 @@ fn check_or_update(name: &str, actual: &str) {
 /// The deterministic-mode `pacor-telemetry-v1` stream of one run, one
 /// event per line.
 fn telemetry_snapshot(params: DesignParams, policy: RipUpPolicy) -> String {
-    let mut lines = collect_telemetry(params, policy, 1, BENCH_SEED).join("\n");
+    let mut lines = collect_telemetry(params, policy, BENCH_SEED).join("\n");
     lines.push('\n');
     lines
 }

@@ -6,10 +6,10 @@ use serde::Value;
 
 /// Runs a design under an outer observability session (the way the CLI
 /// wires `--trace-out`) and returns the session's report.
-fn traced_run(design: BenchDesign, threads: usize) -> obs::ObsReport {
+fn traced_run(design: BenchDesign) -> obs::ObsReport {
     let problem = design.synthesize(42);
     let session = obs::Session::begin();
-    PacorFlow::new(FlowConfig::default().with_threads(threads))
+    PacorFlow::default()
         .run(&problem)
         .expect("bench designs route");
     session.finish()
@@ -17,7 +17,7 @@ fn traced_run(design: BenchDesign, threads: usize) -> obs::ObsReport {
 
 #[test]
 fn chrome_trace_is_an_array_of_well_formed_events() {
-    let report = traced_run(BenchDesign::S1, 1);
+    let report = traced_run(BenchDesign::S1);
     let json = obs::chrome_trace(&report);
     let value: Value = serde_json::from_str(&json).expect("trace is valid JSON");
     let Value::Array(events) = &value else {
@@ -49,7 +49,7 @@ fn chrome_trace_is_an_array_of_well_formed_events() {
             "unknown phase {ph}"
         );
     }
-    // The trace names its process and every thread lane, and carries
+    // The trace names its process and its thread, and carries
     // the counter totals as a zero-duration `run.totals` span.
     let names: Vec<&str> = events
         .iter()
@@ -65,7 +65,7 @@ fn chrome_trace_is_an_array_of_well_formed_events() {
 
 #[test]
 fn trace_spans_cover_every_stage() {
-    let report = traced_run(BenchDesign::S1, 1);
+    let report = traced_run(BenchDesign::S1);
     for stage in [
         "stage.clustering",
         "stage.lm_routing",
@@ -86,13 +86,13 @@ fn trace_spans_cover_every_stage() {
 }
 
 #[test]
-fn metrics_json_is_byte_identical_across_thread_counts() {
+fn metrics_json_is_byte_identical_run_to_run() {
     for design in [BenchDesign::S1, BenchDesign::S2] {
-        let single = obs::metrics_json(&traced_run(design, 1));
-        let multi = obs::metrics_json(&traced_run(design, 4));
-        assert_eq!(single, multi, "{design:?} metrics differ by thread count");
+        let first = obs::metrics_json(&traced_run(design));
+        let second = obs::metrics_json(&traced_run(design));
+        assert_eq!(first, second, "{design:?} metrics differ between runs");
         // And it must be valid JSON with the two expected sections.
-        let value: Value = serde_json::from_str(&single).expect("metrics JSON parses");
+        let value: Value = serde_json::from_str(&first).expect("metrics JSON parses");
         value.field("counters").expect("counters section");
         value.field("histograms").expect("histograms section");
     }

@@ -95,7 +95,7 @@ fn run_smoke_flow() -> BTreeSet<String> {
     let problem = synthesize_params(DENSE, 42);
 
     let session = obs::Session::begin();
-    let config = FlowConfig::default().with_threads(4);
+    let config = FlowConfig::default();
     obs::flight_install(obs::RecorderConfig::default());
     let sink = obs::MemorySink::new();
     let lines_handle = sink.lines();

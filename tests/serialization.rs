@@ -82,9 +82,6 @@ fn flow_metrics_roundtrip() {
     let metrics = FlowMetrics {
         clustering: std::time::Duration::from_micros(120),
         lm_routing: std::time::Duration::from_millis(3),
-        threads: 4,
-        lm_candidate_tasks: 2,
-        lm_scoring_tasks: 1,
         counters: vec![
             ("astar.expansions".to_string(), 12345),
             ("negotiate.rounds".to_string(), 2),

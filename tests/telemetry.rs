@@ -1,14 +1,12 @@
 //! Streaming-telemetry determinism (docs/OBSERVABILITY.md): the raw
 //! `pacor-telemetry-v1` JSONL stream, collected in deterministic mode
-//! (wall-clock fields zeroed), is **byte-identical** at any worker
-//! thread count, because every event is emitted at a session-thread
-//! commit point — the same discipline the flight recorder follows
-//! (`tests/flight.rs`). It is additionally identical across the two
-//! rip-up policies whenever the policies route the same result. The
-//! sole exception is `flow_started`, which names the policy and thread
-//! count on purpose (the stream self-describes its run) — the
-//! comparisons below mask exactly those two values and byte-compare
-//! everything else.
+//! (wall-clock fields zeroed), is **byte-identical** run to run — the
+//! same guarantee the flight recorder makes (`tests/flight.rs`). It is
+//! additionally identical across the two rip-up policies whenever the
+//! policies route the same result. The sole exception is
+//! `flow_started`, which names the policy on purpose (the stream
+//! self-describes its run) — the comparisons below mask exactly that
+//! value and byte-compare everything else.
 
 use pacor_bench::collect_telemetry;
 use pacor_repro::pacor::obs;
@@ -18,7 +16,7 @@ use pacor_repro::pacor::{synthesize_params, BenchDesign, DesignParams, FlowConfi
 /// The starved chip of `tests/flight.rs`: converges in one round but
 /// leaves nets unrouted, and — crucially here — rips nothing up, so the
 /// two rip-up policies route identically and the stream must match
-/// across the full threads x policy matrix.
+/// across them.
 const STARVED: DesignParams = DesignParams {
     name: "T1-starved",
     width: 20,
@@ -31,8 +29,7 @@ const STARVED: DesignParams = DesignParams {
 };
 
 /// The contended chip: negotiation rips up, so the policies diverge
-/// legitimately — each must still be thread-count-invariant on its
-/// own.
+/// legitimately — each must still repeat exactly on its own.
 const DENSE: DesignParams = DesignParams {
     name: "D1-dense24",
     width: 24,
@@ -49,11 +46,10 @@ fn kind_count(lines: &[String], kind: &str) -> usize {
     lines.iter().filter(|l| l.contains(&needle)).count()
 }
 
-/// Masks the run-configuration fields of the `flow_started` event.
-/// That event names the policy and thread count by design (the stream
-/// self-describes its run); every *behavioral* byte after it must
-/// still match, so the invariance comparison blanks exactly those two
-/// values and nothing else.
+/// Masks the run-configuration field of the `flow_started` event. That
+/// event names the policy by design (the stream self-describes its
+/// run); every *behavioral* byte after it must still match, so the
+/// invariance comparison blanks exactly that value and nothing else.
 fn masked(mut lines: Vec<String>) -> Vec<String> {
     let first = lines.first_mut().expect("stream is non-empty");
     assert!(first.contains("\"kind\":\"flow_started\""), "got {first}");
@@ -61,46 +57,29 @@ fn masked(mut lines: Vec<String>) -> Vec<String> {
     let start = first.find(key).expect("flow_started carries the policy") + key.len();
     let len = first[start..].find('"').expect("value is quoted");
     first.replace_range(start..start + len, "*");
-    let key = "\"threads\":";
-    let start = first.find(key).expect("flow_started carries threads") + key.len();
-    let len = first[start..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .count();
-    first.replace_range(start..start + len, "*");
     lines
 }
 
 #[test]
-fn stream_bytes_invariant_across_threads_modes_and_policies() {
-    let base = masked(collect_telemetry(STARVED, RipUpPolicy::Incremental, 1, 42));
+fn stream_bytes_invariant_across_policies() {
+    let base = masked(collect_telemetry(STARVED, RipUpPolicy::Incremental, 42));
     assert!(base.len() > 1, "the stream must carry events");
-    for threads in [1usize, 2, 4, 8] {
-        for policy in [RipUpPolicy::Full, RipUpPolicy::Incremental] {
-            let lines = masked(collect_telemetry(STARVED, policy, threads, 42));
-            assert_eq!(
-                lines, base,
-                "stream drifted at threads={threads} {policy:?}"
-            );
-        }
+    for policy in [RipUpPolicy::Full, RipUpPolicy::Incremental] {
+        let lines = masked(collect_telemetry(STARVED, policy, 42));
+        assert_eq!(lines, base, "stream drifted under {policy:?}");
     }
 }
 
 #[test]
 fn stream_bytes_invariant_per_policy_on_contended_chip() {
     for policy in [RipUpPolicy::Full, RipUpPolicy::Incremental] {
-        let base = masked(collect_telemetry(DENSE, policy, 1, 42));
+        let base = masked(collect_telemetry(DENSE, policy, 42));
         assert!(
             kind_count(&base, "round_progress") > 0,
             "dense chip stream must carry negotiation rounds"
         );
-        for threads in [2usize, 4] {
-            let lines = masked(collect_telemetry(DENSE, policy, threads, 42));
-            assert_eq!(
-                lines, base,
-                "{policy:?} stream drifted at threads={threads}"
-            );
-        }
+        let lines = masked(collect_telemetry(DENSE, policy, 42));
+        assert_eq!(lines, base, "{policy:?} stream drifted across runs");
     }
 }
 
@@ -110,7 +89,7 @@ fn stream_shape_matches_run_counters() {
     // outer obs session absorbs the flow's counters while the
     // deterministic telemetry stream records into memory.
     let problem = synthesize_params(DENSE, 42);
-    let config = FlowConfig::default().with_threads(2);
+    let config = FlowConfig::default();
     let sink = obs::MemorySink::new();
     let lines_handle = sink.lines();
     let session = obs::Session::begin();
