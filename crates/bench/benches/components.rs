@@ -7,8 +7,8 @@ use pacor::clique::{
     select_one_per_group, BitBranchAndBound, Greedy, SelectionInstance, TabuLocalSearch,
     WeightedGraph,
 };
-use pacor::netflow::{EscapeSource, GridEscape, SourceKind};
 use pacor::grid::{Grid, ObsMap, Point};
+use pacor::netflow::{EscapeSource, GridEscape, SourceKind};
 use pacor::route::{AStar, BoundedAStar, NegotiationRouter, RouteRequest};
 
 fn obstacle_grid(n: u32) -> ObsMap {
@@ -49,10 +49,7 @@ fn bench_negotiation(c: &mut Criterion) {
                     let edges: Vec<RouteRequest> = (0..nets)
                         .map(|k| {
                             let y = 2 + (k as i32 * 58) / nets as i32;
-                            RouteRequest::point_to_point(
-                                Point::new(2, y),
-                                Point::new(61, 61 - y),
-                            )
+                            RouteRequest::point_to_point(Point::new(2, y), Point::new(61, 61 - y))
                         })
                         .collect();
                     (obs, edges)

@@ -71,9 +71,7 @@ fn main() {
         .collect();
     let Some(chip) = chips.iter().find(|c| c.name == chip_name) else {
         let names: Vec<&str> = chips.iter().map(|c| c.name).collect();
-        return usage(&format!(
-            "unknown chip {chip_name:?}; available: {names:?}"
-        ));
+        return usage(&format!("unknown chip {chip_name:?}; available: {names:?}"));
     };
 
     let problem = synthesize_params(*chip, seed);

@@ -105,13 +105,12 @@ fn regress_accepts_the_committed_baseline_fixture_and_flags_drift() {
             .filter(|e| e.chip == "B1-dense24")
             .collect(),
     };
-    assert!(!fixture.entries.is_empty(), "baseline must carry B1 entries");
+    assert!(
+        !fixture.entries.is_empty(),
+        "baseline must carry B1 entries"
+    );
     let clean_path = dir.join("regress_clean.json");
-    std::fs::write(
-        &clean_path,
-        serde_json::to_string_pretty(&fixture).unwrap(),
-    )
-    .unwrap();
+    std::fs::write(&clean_path, serde_json::to_string_pretty(&fixture).unwrap()).unwrap();
     let ok = tables(&[
         "regress",
         baseline.to_str().unwrap(),
@@ -239,8 +238,7 @@ fn regress_enforces_the_stage_budget_rule() {
     // 25% over but under the 25 ms absolute floor: within budget.
     fixture.entries[0].stage_ms.escape += fixture.entries[0].stage_ms.escape * 0.3 + 1.0;
     // Past both gates: over budget.
-    fixture.entries[1].stage_ms.lm_routing =
-        fixture.entries[1].stage_ms.lm_routing * 1.3 + 30.0;
+    fixture.entries[1].stage_ms.lm_routing = fixture.entries[1].stage_ms.lm_routing * 1.3 + 30.0;
     let path = dir.join("regress_budget.json");
     std::fs::write(&path, serde_json::to_string_pretty(&fixture).unwrap()).unwrap();
     let out = tables(&[

@@ -10,10 +10,8 @@ use proptest::prelude::*;
 fn arb_graph(max_n: usize) -> impl Strategy<Value = WeightedGraph> {
     (2..=max_n).prop_flat_map(|n| {
         let weights = prop::collection::vec(-4.0f64..8.0, n);
-        let edges = prop::collection::vec(
-            ((0..n), (0..n), -3.0f64..3.0),
-            0..(n * (n - 1) / 2).max(1),
-        );
+        let edges =
+            prop::collection::vec(((0..n), (0..n), -3.0f64..3.0), 0..(n * (n - 1) / 2).max(1));
         (weights, edges).prop_map(move |(ws, es)| {
             let mut g = WeightedGraph::new(n);
             for (v, w) in ws.into_iter().enumerate() {

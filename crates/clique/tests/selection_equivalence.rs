@@ -21,7 +21,11 @@ fn setup(seed: u64, ngroups: usize, pair_density: u32) -> SelectionInstance {
     let mut groups = Vec::with_capacity(ngroups);
     for _ in 0..ngroups {
         let k = rng.gen_range(1usize..=4);
-        groups.push((0..k).map(|_| -(rng.gen_range(0u32..2000) as f64) / 1000.0).collect());
+        groups.push(
+            (0..k)
+                .map(|_| -(rng.gen_range(0u32..2000) as f64) / 1000.0)
+                .collect(),
+        );
     }
     let mut inst = SelectionInstance::new(groups);
     for ga in 0..ngroups {
@@ -29,7 +33,11 @@ fn setup(seed: u64, ngroups: usize, pair_density: u32) -> SelectionInstance {
             for ia in 0..inst.groups[ga].len() {
                 for ib in 0..inst.groups[gb].len() {
                     if rng.gen_range(0u32..100) < pair_density {
-                        inst.add_pair_cost((ga, ia), (gb, ib), -(rng.gen_range(0u32..3000) as f64) / 1000.0);
+                        inst.add_pair_cost(
+                            (ga, ia),
+                            (gb, ib),
+                            -(rng.gen_range(0u32..3000) as f64) / 1000.0,
+                        );
                     }
                 }
             }

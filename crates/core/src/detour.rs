@@ -128,7 +128,6 @@ pub fn detour_cluster(
     }
 }
 
-
 /// Interior cells of a segment (everything but the two endpoints); empty
 /// for segments of fewer than three cells, including the zero-length
 /// segments a degenerate tree edge produces.
@@ -331,8 +330,8 @@ mod tests {
             grid.set_obstacle(Point::new(x, 6));
         }
         grid.set_obstacle(Point::new(3, 5)); // also wall the junction side?
-        // Build the asymmetric pair at y=5 with a 1-wide corridor that
-        // cannot absorb any detour.
+                                             // Build the asymmetric pair at y=5 with a 1-wide corridor that
+                                             // cannot absorb any detour.
         let mut grid = Grid::new(16, 16).unwrap();
         for x in 0..=2 {
             grid.set_obstacle(Point::new(x, 4));
@@ -361,7 +360,12 @@ mod tests {
             kind: RoutedKind::Singleton,
             escape: None,
         };
-        assert!(!detour_cluster(&mut obs, &mut rc, 1, &FlowConfig::default()));
+        assert!(!detour_cluster(
+            &mut obs,
+            &mut rc,
+            1,
+            &FlowConfig::default()
+        ));
     }
 
     #[test]

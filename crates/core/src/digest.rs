@@ -37,7 +37,10 @@ pub fn config_fingerprint(config: &FlowConfig) -> Vec<(String, String)> {
         pair("theta", format!("{}", config.theta)),
         pair("max_ripup_rounds", format!("{}", config.max_ripup_rounds)),
         pair("max_candidates", format!("{}", config.max_candidates)),
-        pair("detour_node_budget", format!("{}", config.detour_node_budget)),
+        pair(
+            "detour_node_budget",
+            format!("{}", config.detour_node_budget),
+        ),
     ]
 }
 

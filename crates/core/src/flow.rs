@@ -197,9 +197,8 @@ impl PacorFlow {
         let mut total_length = 0;
         let mut valves_routed = 0usize;
         for rc in routed {
-            let matched = rc.cluster.is_length_matched()
-                && rc.is_complete()
-                && rc.is_matched(problem.delta);
+            let matched =
+                rc.cluster.is_length_matched() && rc.is_complete() && rc.is_matched(problem.delta);
             let len = rc.total_length();
             total_length += len;
             if matched {
@@ -341,7 +340,9 @@ mod tests {
     fn all_variants_run_s2() {
         let problem = BenchDesign::S2.synthesize(7);
         for v in FlowVariant::ALL {
-            let report = PacorFlow::new(FlowConfig::for_variant(v)).run(&problem).unwrap();
+            let report = PacorFlow::new(FlowConfig::for_variant(v))
+                .run(&problem)
+                .unwrap();
             assert!(
                 report.completion_rate() > 0.9,
                 "{} incomplete: {report}",

@@ -54,8 +54,7 @@ mod routed;
 mod verify;
 
 pub use bench_suite::{
-    synthesize_params, BenchDesign, DesignParams, FLOW_BENCH_CHIPS, FLOW_HUGE_CHIP,
-    FLOW_SMOKE_CHIP,
+    synthesize_params, BenchDesign, DesignParams, FLOW_BENCH_CHIPS, FLOW_HUGE_CHIP, FLOW_SMOKE_CHIP,
 };
 
 /// Individual flow stages, exposed for advanced composition (custom

@@ -440,11 +440,7 @@ mod tests {
             cluster(2, 3, true),
             vec![Point::new(20, 20), Point::new(27, 20), Point::new(23, 27)],
         );
-        let out = route_lm_clusters(
-            &mut obs,
-            vec![c0, c1, c2],
-            &FlowConfig::default(),
-        );
+        let out = route_lm_clusters(&mut obs, vec![c0, c1, c2], &FlowConfig::default());
         assert_eq!(out.routed.len(), 3);
         assert!(out.failed.is_empty());
         // Nets are pairwise disjoint.

@@ -211,12 +211,8 @@ mod tests {
     #[test]
     fn pair_routes_direct() {
         let mut obs = open(10, 10);
-        let rc = route_mst_cluster(
-            &mut obs,
-            &cluster(2),
-            &[Point::new(1, 1), Point::new(7, 1)],
-        )
-        .unwrap();
+        let rc = route_mst_cluster(&mut obs, &cluster(2), &[Point::new(1, 1), Point::new(7, 1)])
+            .unwrap();
         assert_eq!(rc.total_length(), 6);
         for c in rc.net_cells() {
             assert!(obs.is_blocked(c));
@@ -255,11 +251,7 @@ mod tests {
         }
         let mut obs = ObsMap::new(&grid);
         let before = obs.blocked_count();
-        let r = route_mst_cluster(
-            &mut obs,
-            &cluster(2),
-            &[Point::new(1, 1), Point::new(7, 1)],
-        );
+        let r = route_mst_cluster(&mut obs, &cluster(2), &[Point::new(1, 1), Point::new(7, 1)]);
         assert!(r.is_none());
         assert_eq!(obs.blocked_count(), before);
     }
@@ -274,16 +266,15 @@ mod tests {
         let mut next_id = 10;
         let out = route_ordinary_clusters(
             &mut obs,
-            vec![(
-                cluster(2),
-                vec![Point::new(1, 1), Point::new(7, 1)],
-            )],
+            vec![(cluster(2), vec![Point::new(1, 1), Point::new(7, 1)])],
             &mut next_id,
             &FlowConfig::default(),
         );
         // Split into two singletons.
         assert_eq!(out.len(), 2);
-        assert!(out.iter().all(|rc| matches!(rc.kind, RoutedKind::Singleton)));
+        assert!(out
+            .iter()
+            .all(|rc| matches!(rc.kind, RoutedKind::Singleton)));
         assert_eq!(next_id, 12);
     }
 

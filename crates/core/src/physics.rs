@@ -105,7 +105,7 @@ impl PropagationModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{RoutedKind};
+    use crate::RoutedKind;
     use pacor_grid::{GridPath, Point};
     use pacor_valves::{Cluster, ClusterId, ValveId};
 

@@ -184,7 +184,9 @@ mod tests {
         let (problem, routed) = routed_s1();
         let art = render_ascii(&problem, &routed);
         assert_eq!(art.lines().count(), problem.height as usize);
-        assert!(art.lines().all(|l| l.chars().count() == problem.width as usize));
+        assert!(art
+            .lines()
+            .all(|l| l.chars().count() == problem.width as usize));
     }
 
     #[test]
@@ -209,13 +211,15 @@ mod tests {
         let svg = render_svg(&problem, &routed, 10);
         assert!(svg.starts_with("<svg"));
         assert!(svg.ends_with("</svg>\n"));
-        assert_eq!(svg.matches("<polyline").count(), svg.matches("/>").count() - svg.matches("<rect").count() - svg.matches("<circle").count());
+        assert_eq!(
+            svg.matches("<polyline").count(),
+            svg.matches("/>").count()
+                - svg.matches("<rect").count()
+                - svg.matches("<circle").count()
+        );
         // One valve rect per valve (plus background + obstacle rects).
         let rects = svg.matches("<rect").count();
-        assert_eq!(
-            rects,
-            1 + problem.obstacles.len() + problem.valve_count()
-        );
+        assert_eq!(rects, 1 + problem.obstacles.len() + problem.valve_count());
     }
 
     #[test]

@@ -123,7 +123,14 @@ impl RouteReport {
     pub fn table_header() -> String {
         format!(
             "{:<8} {:<13} {:>9} {:>8} {:>14} {:>12} {:>10} {:>7}",
-            "Design", "Method", "#Clusters", "#Matched", "MatchedLen", "TotalLen", "Runtime", "Compl"
+            "Design",
+            "Method",
+            "#Clusters",
+            "#Matched",
+            "MatchedLen",
+            "TotalLen",
+            "Runtime",
+            "Compl"
         )
     }
 }

@@ -164,11 +164,17 @@ pub fn verify_layout(problem: &Problem, routed: &[RoutedCluster]) -> Vec<Violati
 
         for c in cells {
             if !in_bounds(c) {
-                violations.push(Violation::OutOfBounds { cell: c, cluster: i });
+                violations.push(Violation::OutOfBounds {
+                    cell: c,
+                    cluster: i,
+                });
                 continue;
             }
             if obstacle_set.contains(&c) {
-                violations.push(Violation::ObstructedCell { cell: c, cluster: i });
+                violations.push(Violation::ObstructedCell {
+                    cell: c,
+                    cluster: i,
+                });
             }
             if let Some(&prev) = owner.get(&c) {
                 if prev != i {
@@ -243,8 +249,16 @@ mod tests {
     fn toy_problem() -> Problem {
         use pacor_valves::Valve;
         Problem::builder("toy", 10, 10)
-            .valve(Valve::new(ValveId(0), Point::new(3, 3), "0".parse().unwrap()))
-            .valve(Valve::new(ValveId(1), Point::new(6, 3), "0".parse().unwrap()))
+            .valve(Valve::new(
+                ValveId(0),
+                Point::new(3, 3),
+                "0".parse().unwrap(),
+            ))
+            .valve(Valve::new(
+                ValveId(1),
+                Point::new(6, 3),
+                "0".parse().unwrap(),
+            ))
             .pin(Point::new(0, 3))
             .pin(Point::new(0, 5))
             .obstacle(Point::new(5, 5))
@@ -291,7 +305,9 @@ mod tests {
         ];
         let rc = singleton_with_escape(1, Point::new(6, 3), esc, Point::new(4, 5));
         let v = verify_layout(&problem, &[rc]);
-        assert!(v.iter().any(|x| matches!(x, Violation::ObstructedCell { .. })));
+        assert!(v
+            .iter()
+            .any(|x| matches!(x, Violation::ObstructedCell { .. })));
         assert!(v.iter().any(|x| matches!(x, Violation::BadPin { .. })));
     }
 
@@ -302,7 +318,9 @@ mod tests {
         let esc = vec![Point::new(2, 3), Point::new(1, 3), Point::new(0, 3)];
         let rc = singleton_with_escape(0, Point::new(3, 3), esc, Point::new(0, 3));
         let v = verify_layout(&problem, &[rc]);
-        assert!(v.iter().any(|x| matches!(x, Violation::DetachedEscape { .. })));
+        assert!(v
+            .iter()
+            .any(|x| matches!(x, Violation::DetachedEscape { .. })));
     }
 
     #[test]

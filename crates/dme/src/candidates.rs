@@ -423,9 +423,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one candidate")]
     fn zero_max_panics() {
-        candidates(&[Point::new(0, 0)], None, CandidateConfig {
-            max_candidates: 0,
-            ..CandidateConfig::default()
-        });
+        candidates(
+            &[Point::new(0, 0)],
+            None,
+            CandidateConfig {
+                max_candidates: 0,
+                ..CandidateConfig::default()
+            },
+        );
     }
 }

@@ -254,9 +254,10 @@ impl<'a> DmeBuilder<'a> {
                         EmbedPolicy::Closest => region.closest_to(pu, pv),
                         p => {
                             let cand = p.region_point(&region);
-                            if region.distance_to(pu, pv).max(
-                                (cand.0 - pu).abs().max((cand.1 - pv).abs()),
-                            ) <= radius
+                            if region
+                                .distance_to(pu, pv)
+                                .max((cand.0 - pu).abs().max((cand.1 - pv).abs()))
+                                <= radius
                             {
                                 cand
                             } else {
@@ -268,7 +269,15 @@ impl<'a> DmeBuilder<'a> {
                 };
                 self.materialize(&region, qu, qv, snap_slack)
             };
-            self.place(child, target, Some(idx), arena, nodes, sink_nodes, snap_slack);
+            self.place(
+                child,
+                target,
+                Some(idx),
+                arena,
+                nodes,
+                sink_nodes,
+                snap_slack,
+            );
         }
     }
 
@@ -329,7 +338,11 @@ mod tests {
     fn two_sinks_odd_distance_snaps_within_one() {
         // Manhattan distance 5: the exact midpoint is off-grid (Lemma 1).
         let t = embed_simple(&[Point::new(0, 0), Point::new(5, 0)]);
-        assert!(t.mismatch() <= 1, "mismatch {} exceeds rounding", t.mismatch());
+        assert!(
+            t.mismatch() <= 1,
+            "mismatch {} exceeds rounding",
+            t.mismatch()
+        );
         assert_eq!(t.full_path_length(0) + t.full_path_length(1), 5);
     }
 
@@ -436,7 +449,10 @@ mod tests {
             .iter()
             .map(|&p| DmeBuilder::new(&sinks).with_policy(p).embed(&topo).root())
             .collect();
-        assert!(roots.len() >= 2, "policies should explore the merging region");
+        assert!(
+            roots.len() >= 2,
+            "policies should explore the merging region"
+        );
     }
 
     #[test]

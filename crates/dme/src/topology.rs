@@ -288,7 +288,14 @@ mod tests {
     #[test]
     fn all_topologies_counts_match_double_factorial() {
         // (2n-3)!! = 1, 1, 3, 15, 105, 945 for n = 1..6.
-        for (n, count) in [(1usize, 1usize), (2, 1), (3, 3), (4, 15), (5, 105), (6, 945)] {
+        for (n, count) in [
+            (1usize, 1usize),
+            (2, 1),
+            (3, 3),
+            (4, 15),
+            (5, 105),
+            (6, 945),
+        ] {
             assert_eq!(all_topologies(n).len(), count, "n = {n}");
         }
     }

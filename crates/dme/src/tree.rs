@@ -216,13 +216,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "root must not have a parent")]
     fn parented_root_panics() {
-        let nodes = vec![
-            TreeNode {
-                point: Point::new(0, 0),
-                parent: Some(0),
-                sink: None,
-            },
-        ];
+        let nodes = vec![TreeNode {
+            point: Point::new(0, 0),
+            parent: Some(0),
+            sink: None,
+        }];
         SteinerTree::new(nodes, 0, vec![]);
     }
 

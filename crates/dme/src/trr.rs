@@ -77,8 +77,12 @@ impl Trr {
     /// twice the minimum Manhattan distance between the underlying tilted
     /// regions.
     pub fn distance(&self, other: &Trr) -> i64 {
-        let du = (other.u_min - self.u_max).max(self.u_min - other.u_max).max(0);
-        let dv = (other.v_min - self.v_max).max(self.v_min - other.v_max).max(0);
+        let du = (other.u_min - self.u_max)
+            .max(self.u_min - other.u_max)
+            .max(0);
+        let dv = (other.v_min - self.v_max)
+            .max(self.v_min - other.v_max)
+            .max(0);
         du.max(dv)
     }
 
@@ -91,7 +95,10 @@ impl Trr {
 
     /// The point of the region closest (Chebyshev) to `(u, v)`.
     pub fn closest_to(&self, u: i64, v: i64) -> (i64, i64) {
-        (u.clamp(self.u_min, self.u_max), v.clamp(self.v_min, self.v_max))
+        (
+            u.clamp(self.u_min, self.u_max),
+            v.clamp(self.v_min, self.v_max),
+        )
     }
 
     /// Center of the region (rounded toward `u_min`/`v_min`).

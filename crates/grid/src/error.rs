@@ -43,7 +43,11 @@ impl fmt::Display for GridError {
                 height,
             } => write!(f, "point {point} outside {width}x{height} grid"),
             GridError::DisconnectedPath { at } => {
-                write!(f, "path cells at indices {at} and {} are not adjacent", at + 1)
+                write!(
+                    f,
+                    "path cells at indices {at} and {} are not adjacent",
+                    at + 1
+                )
             }
         }
     }

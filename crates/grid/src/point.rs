@@ -18,7 +18,9 @@ use std::fmt;
 /// let b = Point::new(4, 6);
 /// assert_eq!(a.manhattan(b), 7);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(
+    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
+)]
 pub struct Point {
     /// Horizontal grid coordinate.
     pub x: i32,
@@ -92,10 +94,7 @@ impl Point {
         let x = (u - v).div_euclid(2);
         let y = (u + v + ((u + v).rem_euclid(2))) / 2; // round y up on odd sum
         let x = if exact { x } else { (u - v + 1).div_euclid(2) };
-        (
-            Point::new(x as i32, y as i32),
-            !exact,
-        )
+        (Point::new(x as i32, y as i32), !exact)
     }
 }
 

@@ -194,17 +194,37 @@ pub fn diff_runs(base: &RunDigest, new: &RunDigest) -> RunDiff {
     let bo = &base.outcome;
     let no = &new.outcome;
     for (name, b, n) in [
-        ("outcome.completion_milli", bo.completion_milli, no.completion_milli),
+        (
+            "outcome.completion_milli",
+            bo.completion_milli,
+            no.completion_milli,
+        ),
         ("outcome.total_length", bo.total_length, no.total_length),
-        ("outcome.matched_clusters", bo.matched_clusters, no.matched_clusters),
-        ("outcome.matched_length", bo.matched_length, no.matched_length),
-        ("outcome.clusters_multi", bo.clusters_multi, no.clusters_multi),
+        (
+            "outcome.matched_clusters",
+            bo.matched_clusters,
+            no.matched_clusters,
+        ),
+        (
+            "outcome.matched_length",
+            bo.matched_length,
+            no.matched_length,
+        ),
+        (
+            "outcome.clusters_multi",
+            bo.clusters_multi,
+            no.clusters_multi,
+        ),
         ("outcome.valves_routed", bo.valves_routed, no.valves_routed),
         ("outcome.valves_total", bo.valves_total, no.valves_total),
         ("outcome.rounds", bo.rounds, no.rounds),
         ("outcome.ripups", bo.ripups, no.ripups),
         ("outcome.escape_rounds", bo.escape_rounds, no.escape_rounds),
-        ("outcome.escape_declustered", bo.escape_declustered, no.escape_declustered),
+        (
+            "outcome.escape_declustered",
+            bo.escape_declustered,
+            no.escape_declustered,
+        ),
         ("outcome.escape_ripped", bo.escape_ripped, no.escape_ripped),
     ] {
         if b != n {
@@ -241,12 +261,13 @@ pub fn diff_runs(base: &RunDigest, new: &RunDigest) -> RunDiff {
         .iter()
         .map(|(k, v)| (k.as_str(), *v))
         .collect();
-    let new_counters: BTreeMap<&str, u64> = new
-        .counters
-        .iter()
-        .map(|(k, v)| (k.as_str(), *v))
+    let new_counters: BTreeMap<&str, u64> =
+        new.counters.iter().map(|(k, v)| (k.as_str(), *v)).collect();
+    let mut counter_names: Vec<&str> = base_counters
+        .keys()
+        .chain(new_counters.keys())
+        .copied()
         .collect();
-    let mut counter_names: Vec<&str> = base_counters.keys().chain(new_counters.keys()).copied().collect();
     counter_names.sort_unstable();
     counter_names.dedup();
     for name in counter_names {
@@ -308,9 +329,17 @@ pub fn diff_runs(base: &RunDigest, new: &RunDigest) -> RunDiff {
             None => {
                 // Removed spans are context unless real time vanished.
                 let entry = if ms(*b_excl) > NOISE_ABS_MS {
-                    DiffEntry::verdict(format!("span -{path}"), format!("{:.1} ms", ms(*b_excl)), "(absent)")
+                    DiffEntry::verdict(
+                        format!("span -{path}"),
+                        format!("{:.1} ms", ms(*b_excl)),
+                        "(absent)",
+                    )
                 } else {
-                    DiffEntry::info(format!("span -{path}"), format!("{:.1} ms", ms(*b_excl)), "(absent)")
+                    DiffEntry::info(
+                        format!("span -{path}"),
+                        format!("{:.1} ms", ms(*b_excl)),
+                        "(absent)",
+                    )
                 };
                 span_removed.push(entry);
             }
@@ -319,9 +348,17 @@ pub fn diff_runs(base: &RunDigest, new: &RunDigest) -> RunDiff {
     for (path, (_, n_excl)) in &new_spans {
         if !base_spans.contains_key(path) {
             let entry = if ms(*n_excl) > NOISE_ABS_MS {
-                DiffEntry::verdict(format!("span +{path}"), "(absent)", format!("{:.1} ms", ms(*n_excl)))
+                DiffEntry::verdict(
+                    format!("span +{path}"),
+                    "(absent)",
+                    format!("{:.1} ms", ms(*n_excl)),
+                )
             } else {
-                DiffEntry::info(format!("span +{path}"), "(absent)", format!("{:.1} ms", ms(*n_excl)))
+                DiffEntry::info(
+                    format!("span +{path}"),
+                    "(absent)",
+                    format!("{:.1} ms", ms(*n_excl)),
+                )
             };
             span_added.push(entry);
         }
@@ -378,11 +415,7 @@ pub fn diff_json(diff: &RunDiff) -> String {
             crate::export::push_json_string(out, &e.base);
             out.push_str(", \"new\": ");
             crate::export::push_json_string(out, &e.new);
-            let _ = write!(
-                out,
-                ", \"verdict\": {}}}",
-                e.severity == Severity::Verdict
-            );
+            let _ = write!(out, ", \"verdict\": {}}}", e.severity == Severity::Verdict);
         }
         if !entries.is_empty() {
             out.push_str("\n  ");
@@ -431,8 +464,18 @@ pub fn render_diff(diff: &RunDiff, max_span_rows: usize) -> String {
             return;
         }
         let _ = writeln!(out, "== {title} ==");
-        let what_w = entries.iter().map(|e| e.what.len()).max().unwrap_or(4).max(4);
-        let base_w = entries.iter().map(|e| e.base.len()).max().unwrap_or(4).max(4);
+        let what_w = entries
+            .iter()
+            .map(|e| e.what.len())
+            .max()
+            .unwrap_or(4)
+            .max(4);
+        let base_w = entries
+            .iter()
+            .map(|e| e.base.len())
+            .max()
+            .unwrap_or(4)
+            .max(4);
         for e in entries {
             let mark = if e.severity == Severity::Verdict {
                 "!!"
@@ -489,8 +532,7 @@ pub fn render_diff(diff: &RunDiff, max_span_rows: usize) -> String {
     }
     section(&mut out, "wall clock", &diff.wall);
 
-    let verdicts = diff.verdicts().len()
-        + diff.span_changed.iter().filter(|s| s.regressed).count();
+    let verdicts = diff.verdicts().len() + diff.span_changed.iter().filter(|s| s.regressed).count();
     if verdicts == 0 {
         let _ = writeln!(out, "OK: no differences beyond noise");
     } else {

@@ -349,12 +349,13 @@ impl RunDigest {
         out.push_str(sep);
 
         // -- fingerprint --------------------------------------------------
+        let _ = write!(out, "{ind}\"fingerprint\": {{\"chip\": ");
+        crate::export::push_json_string(&mut out, &self.fingerprint.chip);
         let _ = write!(
             out,
-            "{ind}\"fingerprint\": {{\"chip\": "
+            ", \"chip_hash\": {}, \"config\": {{",
+            self.fingerprint.chip_hash
         );
-        crate::export::push_json_string(&mut out, &self.fingerprint.chip);
-        let _ = write!(out, ", \"chip_hash\": {}, \"config\": {{", self.fingerprint.chip_hash);
         for (i, (k, v)) in self.fingerprint.config.iter().enumerate() {
             if i > 0 {
                 out.push_str(", ");
@@ -448,7 +449,11 @@ impl RunDigest {
             let w = &self.wall;
             let _ = write!(out, "{ind}\"wall\": {{\"policy\": ");
             crate::export::push_json_string(&mut out, &w.policy);
-            let _ = write!(out, ", \"wall_ms\": {:.3}, \"work_counters\": {{", w.wall_ms);
+            let _ = write!(
+                out,
+                ", \"wall_ms\": {:.3}, \"work_counters\": {{",
+                w.wall_ms
+            );
             for (i, (name, v)) in w.work_counters.iter().enumerate() {
                 if i > 0 {
                     out.push_str(", ");
@@ -573,10 +578,11 @@ impl RunDigest {
         };
         let wall = WallFacts {
             policy: ws("policy")?,
-            wall_ms: w.get("wall_ms").and_then(Json::as_f64).ok_or("wall.wall_ms")?,
-            work_counters: parse_counter_map(
-                w.get("work_counters").ok_or("wall.work_counters")?,
-            )?,
+            wall_ms: w
+                .get("wall_ms")
+                .and_then(Json::as_f64)
+                .ok_or("wall.wall_ms")?,
+            work_counters: parse_counter_map(w.get("work_counters").ok_or("wall.work_counters")?)?,
             work_histograms: parse_hist_map(
                 w.get("work_histograms").ok_or("wall.work_histograms")?,
             )?,
@@ -704,7 +710,10 @@ pub(crate) mod tests {
                     slack: None,
                 },
             ],
-            counters: vec![("detour.segments".into(), 3), ("negotiate.rounds".into(), 2)],
+            counters: vec![
+                ("detour.segments".into(), 3),
+                ("negotiate.rounds".into(), 2),
+            ],
             histograms: vec![(
                 "dme.candidates".into(),
                 HistogramSummary {
@@ -863,9 +872,6 @@ pub(crate) mod tests {
         for s in &d.wall.spans {
             s.walk("", &mut |p, _| paths.push(p));
         }
-        assert_eq!(
-            paths,
-            vec!["stage.escape", "stage.escape/escape.net_solve"]
-        );
+        assert_eq!(paths, vec!["stage.escape", "stage.escape/escape.net_solve"]);
     }
 }

@@ -178,14 +178,11 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                             .get(*pos + 1..*pos + 5)
                             .ok_or("truncated \\u escape")?;
                         let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
-                        let code =
-                            u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
+                        let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
                         out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                         *pos += 4;
                     }
-                    other => {
-                        return Err(format!("bad escape {:?}", other.map(|&c| c as char)))
-                    }
+                    other => return Err(format!("bad escape {:?}", other.map(|&c| c as char))),
                 }
                 *pos += 1;
             }
@@ -271,10 +268,7 @@ mod tests {
         let v = parse(doc).unwrap();
         assert_eq!(v.get("a").unwrap().as_arr().unwrap().len(), 3);
         assert_eq!(v.get("a").unwrap().as_arr().unwrap()[0].as_u64(), Some(1));
-        assert_eq!(
-            v.get("a").unwrap().as_arr().unwrap()[1].as_f64(),
-            Some(2.5)
-        );
+        assert_eq!(v.get("a").unwrap().as_arr().unwrap()[1].as_f64(), Some(2.5));
         assert_eq!(v.get("a").unwrap().as_arr().unwrap()[2].as_i64(), Some(-3));
         let b = v.get("b").unwrap();
         assert_eq!(b.get("c").unwrap().as_str(), Some("x\ny"));

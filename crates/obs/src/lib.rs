@@ -97,9 +97,9 @@ pub use digest::{
 };
 pub use event::{Event, FrontierCell, RipReason};
 pub use export::{atomic_write, chrome_trace, metrics_json};
-pub use ledger::{latest_baseline, ledger_append, ledger_load};
 pub use frame::TraceEvent;
 pub use histogram::Histogram;
+pub use ledger::{latest_baseline, ledger_append, ledger_load};
 pub use progress::{
     telemetry_install, telemetry_take, MemorySink, NullSink, StageBudgets, StreamWriter,
     TelemetryConfig, TelemetrySink, TickerSink, WriterSink, TELEMETRY_SCHEMA,

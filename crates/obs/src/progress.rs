@@ -246,7 +246,9 @@ pub struct WriterSink {
 
 impl std::fmt::Debug for WriterSink {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WriterSink").field("error", &self.error).finish()
+        f.debug_struct("WriterSink")
+            .field("error", &self.error)
+            .finish()
     }
 }
 
@@ -675,7 +677,11 @@ pub fn telemetry_install(cfg: TelemetryConfig, sinks: Vec<Box<dyn TelemetrySink>
 fn watchdog_loop(core: &Mutex<StreamCore>, stop: &AtomicBool) {
     let tick = {
         let cfg = lock(core).cfg;
-        let hb = if cfg.heartbeat_ms > 0 { cfg.heartbeat_ms / 4 } else { 50 };
+        let hb = if cfg.heartbeat_ms > 0 {
+            cfg.heartbeat_ms / 4
+        } else {
+            50
+        };
         Duration::from_millis(hb.clamp(5, 50))
     };
     while !stop.load(Ordering::Relaxed) {
@@ -750,7 +756,11 @@ mod tests {
             assert!(line.ends_with('}'));
         }
         assert!(got[1].contains("\"items\":7"));
-        assert!(got[1].contains("\"elapsed_us\":0"), "deterministic: {}", got[1]);
+        assert!(
+            got[1].contains("\"elapsed_us\":0"),
+            "deterministic: {}",
+            got[1]
+        );
         assert!(got[2].contains("\"events\":2"));
     }
 
@@ -778,7 +788,11 @@ mod tests {
         telemetry_take().unwrap().unwrap();
         let got = drain(&lines);
         assert_eq!(got.len(), 1);
-        assert!(got[0].contains("\"elapsed_us\":0,\"eta_us\":0"), "{}", got[0]);
+        assert!(
+            got[0].contains("\"elapsed_us\":0,\"eta_us\":0"),
+            "{}",
+            got[0]
+        );
         assert!(got[0].contains("\"rounds_left\":8"));
         assert!(got[0].contains("\"pressure\":9"));
     }
@@ -808,7 +822,10 @@ mod tests {
         assert!(exceeded[0].contains("\"stage\":\"escape\""));
         assert!(exceeded[0].contains("\"budget_ms\":0"));
         // The alarm precedes the stage_exited line for the same stage.
-        let alarm = got.iter().position(|l| l.contains("budget_exceeded")).unwrap();
+        let alarm = got
+            .iter()
+            .position(|l| l.contains("budget_exceeded"))
+            .unwrap();
         let exit = got
             .iter()
             .position(|l| l.contains("stage_exited") && l.contains("escape"))
@@ -839,8 +856,9 @@ mod tests {
             "no heartbeat in {got:?}"
         );
         assert!(
-            got.iter().any(|l| l.contains("\"kind\":\"budget_exceeded\"")
-                && l.contains("\"stage\":\"lm_routing\"")),
+            got.iter()
+                .any(|l| l.contains("\"kind\":\"budget_exceeded\"")
+                    && l.contains("\"stage\":\"lm_routing\"")),
             "no mid-stage budget alarm in {got:?}"
         );
     }
@@ -864,7 +882,8 @@ mod tests {
         telemetry_take().unwrap().unwrap();
         let got = drain(&lines);
         assert!(
-            got.iter().all(|l| !l.contains("heartbeat") && !l.contains("budget_exceeded")),
+            got.iter()
+                .all(|l| !l.contains("heartbeat") && !l.contains("budget_exceeded")),
             "wall-clock events leaked into deterministic stream: {got:?}"
         );
     }
@@ -896,7 +915,10 @@ mod tests {
             // Dropped without finish — the simulated kill.
         }
         assert!(!path.exists(), "torn final file left behind");
-        assert!(!dir.join("events.jsonl.tmp").exists(), "temp file left behind");
+        assert!(
+            !dir.join("events.jsonl.tmp").exists(),
+            "temp file left behind"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

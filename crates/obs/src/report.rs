@@ -218,9 +218,7 @@ pub fn post_mortem_json(log: &FlightLog) -> String {
         .iter()
         .filter(|(_, s)| s.failures + s.ripups > 0)
         .collect();
-    contended.sort_by(|a, b| {
-        (b.1.failures, b.1.ripups, a.0).cmp(&(a.1.failures, a.1.ripups, b.0))
-    });
+    contended.sort_by(|a, b| (b.1.failures, b.1.ripups, a.0).cmp(&(a.1.failures, a.1.ripups, b.0)));
     out.push_str("  \"contended_nets\": [");
     for (i, (net, s)) in contended.iter().take(TOP_K).enumerate() {
         if i > 0 {
@@ -384,16 +382,13 @@ pub fn render_heatmap(log: &FlightLog) -> String {
         "congestion heatmap {w}x{h} ({}, max heat {max_heat} milli)",
         match occ.kind {
             SnapshotKind::Final => String::from("final occupancy"),
-            SnapshotKind::Round =>
-                format!("session {} round {}", occ.session, occ.round),
+            SnapshotKind::Round => format!("session {} round {}", occ.session, occ.round),
         }
     );
     for y in 0..h {
         for x in 0..w {
             let i = y * w + x;
-            let cell_heat = heat
-                .and_then(|s| s.heat_milli.get(i).copied())
-                .unwrap_or(0);
+            let cell_heat = heat.and_then(|s| s.heat_milli.get(i).copied()).unwrap_or(0);
             let c = if walls.binary_search(&(x as i32, y as i32)).is_ok() {
                 'B'
             } else if occ.occupancy.get(i).copied().unwrap_or(0) != 0 {
@@ -451,7 +446,11 @@ mod tests {
             cluster: 9,
             pocket: 4,
             blockers: vec![4],
-            frontier: vec![FrontierCell { x: 1, y: 0, owner: 4 }],
+            frontier: vec![FrontierCell {
+                x: 1,
+                y: 0,
+                owner: 4,
+            }],
         });
         for (cluster, complete) in [(4u32, true), (9u32, false)] {
             emit(Event::ClusterOutcome {

@@ -86,12 +86,7 @@ impl<'a> BoundedAStar<'a> {
     ///
     /// Returns `None` when no such path exists within the overshoot
     /// window and node budget, or when an endpoint lies outside the map.
-    pub fn route_at_least(
-        &self,
-        source: Point,
-        target: Point,
-        lt: GridLen,
-    ) -> Option<GridPath> {
+    pub fn route_at_least(&self, source: Point, target: Point, lt: GridLen) -> Option<GridPath> {
         // The window starts at the first length a path can have; grid
         // parity makes every path length ≡ d (mod 2).
         let d = source.manhattan(target);
@@ -375,9 +370,13 @@ mod tests {
         let obs = open(6, 6);
         let r = BoundedAStar::new(&obs);
         // Shorter than Manhattan distance.
-        assert!(r.route_exact(Point::new(0, 0), Point::new(3, 0), 2).is_none());
+        assert!(r
+            .route_exact(Point::new(0, 0), Point::new(3, 0), 2)
+            .is_none());
         // Wrong parity.
-        assert!(r.route_exact(Point::new(0, 0), Point::new(3, 0), 4).is_none());
+        assert!(r
+            .route_exact(Point::new(0, 0), Point::new(3, 0), 4)
+            .is_none());
     }
 
     #[test]
@@ -400,8 +399,12 @@ mod tests {
         }
         let obs = ObsMap::new(&g);
         let r = BoundedAStar::new(&obs).with_max_overshoot(10);
-        assert!(r.route_at_least(Point::new(0, 1), Point::new(7, 1), 0).is_some());
-        assert!(r.route_at_least(Point::new(0, 1), Point::new(7, 1), 9).is_none());
+        assert!(r
+            .route_at_least(Point::new(0, 1), Point::new(7, 1), 0)
+            .is_some());
+        assert!(r
+            .route_at_least(Point::new(0, 1), Point::new(7, 1), 9)
+            .is_none());
     }
 
     #[test]
@@ -421,7 +424,9 @@ mod tests {
     fn budget_exhaustion_returns_none() {
         let obs = open(10, 10);
         let r = BoundedAStar::new(&obs).with_node_budget(3);
-        assert!(r.route_exact(Point::new(0, 0), Point::new(5, 5), 20).is_none());
+        assert!(r
+            .route_exact(Point::new(0, 0), Point::new(5, 5), 20)
+            .is_none());
     }
 
     #[test]

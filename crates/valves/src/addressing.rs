@@ -85,7 +85,13 @@ mod tests {
     fn set(seqs: &[&str]) -> ValveSet {
         seqs.iter()
             .enumerate()
-            .map(|(i, s)| Valve::new(ValveId(i as u32), Point::new(i as i32, 0), s.parse().unwrap()))
+            .map(|(i, s)| {
+                Valve::new(
+                    ValveId(i as u32),
+                    Point::new(i as i32, 0),
+                    s.parse().unwrap(),
+                )
+            })
             .collect()
     }
 

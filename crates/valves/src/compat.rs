@@ -134,7 +134,13 @@ mod tests {
     fn valves(seqs: &[&str]) -> Vec<Valve> {
         seqs.iter()
             .enumerate()
-            .map(|(i, s)| Valve::new(ValveId(i as u32), Point::new(i as i32, 0), s.parse().unwrap()))
+            .map(|(i, s)| {
+                Valve::new(
+                    ValveId(i as u32),
+                    Point::new(i as i32, 0),
+                    s.parse().unwrap(),
+                )
+            })
             .collect()
     }
 

@@ -17,9 +17,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 /// Identifier of a device in a control program.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct DeviceId(pub u32);
 
 impl fmt::Display for DeviceId {
@@ -302,7 +300,13 @@ mod tests {
         prog.activate(a, 0..1).unwrap();
         prog.activate(b, 0..1).unwrap();
         let err = prog.try_sequences().unwrap_err();
-        assert!(matches!(err, ScheduleError::Conflict { valve: ValveId(7), step: 0 }));
+        assert!(matches!(
+            err,
+            ScheduleError::Conflict {
+                valve: ValveId(7),
+                step: 0
+            }
+        ));
         assert!(err.to_string().contains("v7"));
     }
 
@@ -311,7 +315,10 @@ mod tests {
         let mut prog = ControlProgram::new(3);
         let d = prog.add_device(vec![(ValveId(0), Closed)], IdlePolicy::DontCare);
         let err = prog.activate(d, 2..5).unwrap_err();
-        assert!(matches!(err, ScheduleError::StepOutOfRange { step: 5, steps: 3 }));
+        assert!(matches!(
+            err,
+            ScheduleError::StepOutOfRange { step: 5, steps: 3 }
+        ));
     }
 
     #[test]

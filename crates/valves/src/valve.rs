@@ -150,7 +150,10 @@ impl ValveSet {
         for (k, ids) in pinned.iter().enumerate() {
             let members: Vec<&Valve> = ids
                 .iter()
-                .map(|id| self.get(*id).expect("pinned cluster references unknown valve"))
+                .map(|id| {
+                    self.get(*id)
+                        .expect("pinned cluster references unknown valve")
+                })
                 .collect();
             for i in 0..members.len() {
                 for j in (i + 1)..members.len() {
@@ -215,7 +218,10 @@ impl ValveSet {
         if n == 0 {
             return 0;
         }
-        assert!(n <= 20, "exact clique cover is exponential; use ≤ 20 valves");
+        assert!(
+            n <= 20,
+            "exact clique cover is exponential; use ≤ 20 valves"
+        );
         let compat: Vec<Vec<bool>> = (0..n)
             .map(|i| {
                 (0..n)

@@ -6,10 +6,10 @@
 //! cargo run --release --example render_layout -- S3      # any design
 //! ```
 
+use pacor_repro::grid::DesignRules;
 use pacor_repro::pacor::{
     render_ascii, render_svg, BenchDesign, FlowConfig, PacorFlow, PropagationModel,
 };
-use pacor_repro::grid::DesignRules;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let which = std::env::args().nth(1).unwrap_or_else(|| "S1".into());

@@ -36,7 +36,9 @@ impl Default for Criterion {
             .unwrap_or(300u64);
         Self {
             budget: Duration::from_millis(budget_ms),
-            filter: std::env::var("PACOR_BENCH_FILTER").ok().filter(|f| !f.is_empty()),
+            filter: std::env::var("PACOR_BENCH_FILTER")
+                .ok()
+                .filter(|f| !f.is_empty()),
         }
     }
 }
@@ -126,12 +128,17 @@ impl BenchmarkGroup<'_> {
     }
 
     /// Runs one benchmark with an input value.
-    pub fn bench_with_input<I: ?Sized, F>(&mut self, id: impl Into<BenchmarkId>, input: &I, mut f: F)
-    where
+    pub fn bench_with_input<I: ?Sized, F>(
+        &mut self,
+        id: impl Into<BenchmarkId>,
+        input: &I,
+        mut f: F,
+    ) where
         F: FnMut(&mut Bencher, &I),
     {
         let full = format!("{}/{}", self.name, id.into().id);
-        self.criterion.run(&full, &mut |b: &mut Bencher| f(b, input));
+        self.criterion
+            .run(&full, &mut |b: &mut Bencher| f(b, input));
     }
 
     /// Ends the group (measurement already happened eagerly).
@@ -196,7 +203,8 @@ impl Bencher {
             for _ in 0..iters {
                 black_box(routine());
             }
-            self.samples.push(t0.elapsed().as_nanos() / u128::from(iters));
+            self.samples
+                .push(t0.elapsed().as_nanos() / u128::from(iters));
         }
         if self.samples.is_empty() {
             // Budget too small for even one sample: keep the calibration.

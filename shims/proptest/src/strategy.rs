@@ -96,7 +96,10 @@ pub struct Union<T> {
 impl<T> Union<T> {
     /// Creates a union; panics if `branches` is empty.
     pub fn new(branches: Vec<Box<dyn Strategy<Value = T>>>) -> Self {
-        assert!(!branches.is_empty(), "prop_oneof! needs at least one branch");
+        assert!(
+            !branches.is_empty(),
+            "prop_oneof! needs at least one branch"
+        );
         Self { branches }
     }
 }
@@ -209,9 +212,8 @@ mod tests {
     #[test]
     fn map_and_flat_map_compose() {
         let mut rng = TestRng::new(2);
-        let s = (1usize..4).prop_flat_map(|n| {
-            crate::collection::vec(0u8..10, n).prop_map(move |v| (n, v))
-        });
+        let s = (1usize..4)
+            .prop_flat_map(|n| crate::collection::vec(0u8..10, n).prop_map(move |v| (n, v)));
         for _ in 0..100 {
             let (n, v) = s.sample(&mut rng);
             assert_eq!(v.len(), n);

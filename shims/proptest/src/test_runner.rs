@@ -122,9 +122,7 @@ where
                 );
             }
             Err(TestCaseError::Fail(message)) => {
-                panic!(
-                    "proptest `{name}` failed at case {accepted} (seed {seed:#x}): {message}"
-                );
+                panic!("proptest `{name}` failed at case {accepted} (seed {seed:#x}): {message}");
             }
         }
     }

@@ -445,8 +445,7 @@ mod tests {
     #[test]
     fn tuple_roundtrip() {
         let t = ((1usize, 2usize), (3usize, 4usize), -0.5f64);
-        let back =
-            <((usize, usize), (usize, usize), f64)>::from_value(&t.to_value()).unwrap();
+        let back = <((usize, usize), (usize, usize), f64)>::from_value(&t.to_value()).unwrap();
         assert_eq!(back, t);
     }
 

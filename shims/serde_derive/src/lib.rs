@@ -61,7 +61,8 @@ fn skip_attributes(toks: &[TokenTree], mut i: usize) -> usize {
         if i < toks.len() && is_punct(&toks[i], '!') {
             i += 1;
         }
-        if i < toks.len() && matches!(&toks[i], TokenTree::Group(g) if g.delimiter() == Delimiter::Bracket)
+        if i < toks.len()
+            && matches!(&toks[i], TokenTree::Group(g) if g.delimiter() == Delimiter::Bracket)
         {
             i += 1;
         }
@@ -287,15 +288,16 @@ fn gen_deserialize(name: &str, shape: &Shape) -> String {
         Shape::NamedStruct(fields) => {
             let inits: Vec<String> = fields
                 .iter()
-                .map(|f| {
-                    format!("{f}: ::serde::Deserialize::from_value(value.field(\"{f}\")?)?,")
-                })
+                .map(|f| format!("{f}: ::serde::Deserialize::from_value(value.field(\"{f}\")?)?,"))
                 .collect();
-            format!("::std::result::Result::Ok({name} {{ {} }})", inits.join(" "))
+            format!(
+                "::std::result::Result::Ok({name} {{ {} }})",
+                inits.join(" ")
+            )
         }
-        Shape::TupleStruct(1) => format!(
-            "::std::result::Result::Ok({name}(::serde::Deserialize::from_value(value)?))"
-        ),
+        Shape::TupleStruct(1) => {
+            format!("::std::result::Result::Ok({name}(::serde::Deserialize::from_value(value)?))")
+        }
         Shape::TupleStruct(n) => {
             let items: Vec<String> = (0..*n)
                 .map(|i| format!("::serde::Deserialize::from_value(&items[{i}])?"))

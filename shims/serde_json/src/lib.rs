@@ -238,7 +238,12 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                     return Ok(Value::Array(items));
                 }
-                _ => return Err(Error::new(format!("expected `,` or `]` at byte {}", self.pos))),
+                _ => {
+                    return Err(Error::new(format!(
+                        "expected `,` or `]` at byte {}",
+                        self.pos
+                    )))
+                }
             }
         }
     }
@@ -266,7 +271,12 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                     return Ok(Value::Object(entries));
                 }
-                _ => return Err(Error::new(format!("expected `,` or `}}` at byte {}", self.pos))),
+                _ => {
+                    return Err(Error::new(format!(
+                        "expected `,` or `}}` at byte {}",
+                        self.pos
+                    )))
+                }
             }
         }
     }
@@ -327,10 +337,7 @@ impl<'a> Parser<'a> {
                             );
                         }
                         other => {
-                            return Err(Error::new(format!(
-                                "invalid escape `\\{}`",
-                                other as char
-                            )))
+                            return Err(Error::new(format!("invalid escape `\\{}`", other as char)))
                         }
                     }
                 }

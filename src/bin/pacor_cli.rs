@@ -371,8 +371,7 @@ fn cmd_route(args: &[String]) -> i32 {
                     }
                 }
                 if let Some(path) = &opts.ledger {
-                    if let Err(e) = pacor::obs::ledger_append(std::path::Path::new(path), &digest)
-                    {
+                    if let Err(e) = pacor::obs::ledger_append(std::path::Path::new(path), &digest) {
                         eprintln!("route: writing {path}: {e}");
                         return 1;
                     }

@@ -413,7 +413,10 @@ fn digest_out_writes_versioned_digest() {
     ]);
     assert!(out.status.success());
     let text = std::fs::read_to_string(&path).unwrap();
-    assert!(text.contains("\"schema\": \"pacor-rundigest-v1\""), "{text}");
+    assert!(
+        text.contains("\"schema\": \"pacor-rundigest-v1\""),
+        "{text}"
+    );
     for section in [
         "\"fingerprint\"",
         "\"outcome\"",

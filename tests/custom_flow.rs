@@ -4,9 +4,7 @@
 
 use pacor_repro::grid::ObsMap;
 use pacor_repro::pacor::stages::{escape_all, route_lm_clusters, route_ordinary_clusters};
-use pacor_repro::pacor::{
-    detour_cluster, verify_layout, BenchDesign, FlowConfig, Problem,
-};
+use pacor_repro::pacor::{detour_cluster, verify_layout, BenchDesign, FlowConfig, Problem};
 use pacor_repro::valves::{driver_sequence, AddressingStats, Cluster};
 
 /// A "no-detour" flow: everything PACOR does except stage 6.

@@ -30,17 +30,23 @@ fn assert_disjoint_nets(problem: &Problem) {
     let (lm, ordinary): (Vec<_>, Vec<_>) = clusters
         .into_iter()
         .partition(|c| c.is_length_matched() && c.len() >= 2);
-    let lm_input: Vec<_> = lm.into_iter().map(|c| {
-        let p = positions_of(&c);
-        (c, p)
-    }).collect();
+    let lm_input: Vec<_> = lm
+        .into_iter()
+        .map(|c| {
+            let p = positions_of(&c);
+            (c, p)
+        })
+        .collect();
     let cfg = FlowConfig::default();
     let lm_out = route_lm_clusters(&mut obs, lm_input, &cfg);
     let mut routed = lm_out.routed;
-    let mut ord: Vec<_> = ordinary.into_iter().map(|c| {
-        let p = positions_of(&c);
-        (c, p)
-    }).collect();
+    let mut ord: Vec<_> = ordinary
+        .into_iter()
+        .map(|c| {
+            let p = positions_of(&c);
+            (c, p)
+        })
+        .collect();
     for (c, p) in lm_out.failed {
         ord.push((Cluster::new(c.id(), c.members().to_vec(), false), p));
     }
@@ -92,7 +98,12 @@ fn assert_detailed_disjoint(design: BenchDesign, seed: u64) {
 
 #[test]
 fn detailed_flow_nets_disjoint() {
-    for design in [BenchDesign::S1, BenchDesign::S2, BenchDesign::S3, BenchDesign::S4] {
+    for design in [
+        BenchDesign::S1,
+        BenchDesign::S2,
+        BenchDesign::S3,
+        BenchDesign::S4,
+    ] {
         assert_detailed_disjoint(design, 42);
     }
 }
@@ -167,8 +178,16 @@ fn escape_paths_end_on_distinct_pins() {
 #[test]
 fn lm_pair_junction_lies_on_both_halves() {
     let problem = Problem::builder("pair", 16, 16)
-        .valve(Valve::new(ValveId(0), Point::new(3, 8), "0".parse().unwrap()))
-        .valve(Valve::new(ValveId(1), Point::new(11, 8), "0".parse().unwrap()))
+        .valve(Valve::new(
+            ValveId(0),
+            Point::new(3, 8),
+            "0".parse().unwrap(),
+        ))
+        .valve(Valve::new(
+            ValveId(1),
+            Point::new(11, 8),
+            "0".parse().unwrap(),
+        ))
         .lm_cluster(vec![ValveId(0), ValveId(1)])
         .pins([Point::new(0, 8)])
         .build()
@@ -179,7 +198,11 @@ fn lm_pair_junction_lies_on_both_halves() {
     let mut obs = pacor_repro::grid::ObsMap::new(&grid);
     obs.block(Point::new(3, 8));
     obs.block(Point::new(11, 8));
-    let c = Cluster::new(pacor_repro::valves::ClusterId(0), vec![ValveId(0), ValveId(1)], true);
+    let c = Cluster::new(
+        pacor_repro::valves::ClusterId(0),
+        vec![ValveId(0), ValveId(1)],
+        true,
+    );
     let out = route_lm_clusters(
         &mut obs,
         vec![(c, vec![Point::new(3, 8), Point::new(11, 8)])],

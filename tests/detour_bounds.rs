@@ -36,13 +36,15 @@ fn flow_detours_land_in_the_matching_window() {
             .expect("bench designs route");
         let mut checked = 0usize;
         for rc in &routed {
-            if rc.cluster.is_length_matched() && rc.is_complete() && rc.is_matched(problem.delta)
-            {
+            if rc.cluster.is_length_matched() && rc.is_complete() && rc.is_matched(problem.delta) {
                 assert_window(rc, problem.delta, &format!("{design:?}"));
                 checked += 1;
             }
         }
-        assert!(checked > 0, "{design:?} produced no matched clusters to check");
+        assert!(
+            checked > 0,
+            "{design:?} produced no matched clusters to check"
+        );
     }
 }
 

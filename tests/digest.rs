@@ -4,9 +4,7 @@
 //! while flagging genuine quality regressions.
 
 use pacor_repro::pacor::route::RipUpPolicy;
-use pacor_repro::pacor::{
-    self, obs, synthesize_params, DesignParams, FlowConfig, PacorFlow,
-};
+use pacor_repro::pacor::{self, obs, synthesize_params, DesignParams, FlowConfig, PacorFlow};
 
 /// A chip with more clusters than control pins: partial completion,
 /// so the digest's cluster and outcome fields exercise the unrouted

@@ -2,9 +2,7 @@
 //! gracefully — correct errors, partial results, never panics.
 
 use pacor_repro::grid::Point;
-use pacor_repro::pacor::{
-    verify_layout, BenchDesign, FlowConfig, FlowVariant, PacorFlow, Problem,
-};
+use pacor_repro::pacor::{verify_layout, BenchDesign, FlowConfig, FlowVariant, PacorFlow, Problem};
 use pacor_repro::valves::{Valve, ValveId};
 
 fn valve(id: u32, x: i32, y: i32, seq: &str) -> Valve {
@@ -96,7 +94,9 @@ fn tiny_grid_single_cluster() {
         .build()
         .unwrap();
     for v in FlowVariant::ALL {
-        let report = PacorFlow::new(FlowConfig::for_variant(v)).run(&problem).unwrap();
+        let report = PacorFlow::new(FlowConfig::for_variant(v))
+            .run(&problem)
+            .unwrap();
         assert_eq!(report.completion_rate(), 1.0, "{}", v.label());
     }
 }

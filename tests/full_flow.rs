@@ -105,10 +105,26 @@ fn hand_built_problem_with_obstacle_field() {
         builder = builder.obstacle(Point::new(k + 2, (k * 7) % 20 + 2));
     }
     let problem = builder
-        .valve(Valve::new(ValveId(0), Point::new(4, 12), "01".parse().unwrap()))
-        .valve(Valve::new(ValveId(1), Point::new(18, 12), "01".parse().unwrap()))
-        .valve(Valve::new(ValveId(2), Point::new(12, 4), "10".parse().unwrap()))
-        .valve(Valve::new(ValveId(3), Point::new(12, 18), "10".parse().unwrap()))
+        .valve(Valve::new(
+            ValveId(0),
+            Point::new(4, 12),
+            "01".parse().unwrap(),
+        ))
+        .valve(Valve::new(
+            ValveId(1),
+            Point::new(18, 12),
+            "01".parse().unwrap(),
+        ))
+        .valve(Valve::new(
+            ValveId(2),
+            Point::new(12, 4),
+            "10".parse().unwrap(),
+        ))
+        .valve(Valve::new(
+            ValveId(3),
+            Point::new(12, 18),
+            "10".parse().unwrap(),
+        ))
         .lm_cluster(vec![ValveId(0), ValveId(1)])
         .lm_cluster(vec![ValveId(2), ValveId(3)])
         .pins((1..23).step_by(2).map(|i| Point::new(i, 0)))
@@ -127,8 +143,16 @@ fn zero_delta_forces_exact_matching() {
     // match perfectly (odd ones carry a parity-forced mismatch of 1).
     let problem = Problem::builder("exact", 20, 20)
         .delta(0)
-        .valve(Valve::new(ValveId(0), Point::new(4, 10), "01".parse().unwrap()))
-        .valve(Valve::new(ValveId(1), Point::new(12, 10), "01".parse().unwrap()))
+        .valve(Valve::new(
+            ValveId(0),
+            Point::new(4, 10),
+            "01".parse().unwrap(),
+        ))
+        .valve(Valve::new(
+            ValveId(1),
+            Point::new(12, 10),
+            "01".parse().unwrap(),
+        ))
         .lm_cluster(vec![ValveId(0), ValveId(1)])
         .pins((1..19).step_by(2).map(|i| Point::new(0, i)))
         .build()
@@ -144,9 +168,21 @@ fn zero_delta_forces_exact_matching() {
 fn incompatible_valves_get_separate_pins() {
     // Three mutually incompatible valves: three clusters, three pins.
     let problem = Problem::builder("pins", 16, 16)
-        .valve(Valve::new(ValveId(0), Point::new(4, 4), "001".parse().unwrap()))
-        .valve(Valve::new(ValveId(1), Point::new(8, 8), "010".parse().unwrap()))
-        .valve(Valve::new(ValveId(2), Point::new(12, 4), "100".parse().unwrap()))
+        .valve(Valve::new(
+            ValveId(0),
+            Point::new(4, 4),
+            "001".parse().unwrap(),
+        ))
+        .valve(Valve::new(
+            ValveId(1),
+            Point::new(8, 8),
+            "010".parse().unwrap(),
+        ))
+        .valve(Valve::new(
+            ValveId(2),
+            Point::new(12, 4),
+            "100".parse().unwrap(),
+        ))
         .pins((1..15).step_by(2).map(|i| Point::new(i, 0)))
         .build()
         .expect("valid");

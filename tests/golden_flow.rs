@@ -101,8 +101,7 @@ fn check_or_update(name: &str, actual: &str) {
         )
     });
     assert_eq!(
-        actual,
-        expected,
+        actual, expected,
         "golden snapshot {name} drifted — a supposedly behavior-identical \
          change moved observable output (rerun with UPDATE_GOLDEN=1 only \
          if the change is intentional)"

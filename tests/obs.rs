@@ -73,15 +73,13 @@ fn trace_spans_cover_every_stage() {
         "stage.escape",
         "stage.detour",
     ] {
-        assert!(
-            report.span_count(stage) >= 1,
-            "missing span for {stage}"
-        );
+        assert!(report.span_count(stage) >= 1, "missing span for {stage}");
     }
     // The A* expansion counter is exported as a plottable series.
-    let has_series = report.events().iter().any(|e| {
-        matches!(e, obs::TraceEvent::Counter { name, .. } if *name == "astar.expansions")
-    });
+    let has_series = report
+        .events()
+        .iter()
+        .any(|e| matches!(e, obs::TraceEvent::Counter { name, .. } if *name == "astar.expansions"));
     assert!(has_series, "expected an astar.expansions counter series");
 }
 

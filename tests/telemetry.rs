@@ -115,7 +115,13 @@ fn stream_shape_matches_run_counters() {
 
     // Stage coverage: every stage enters exactly once and exits exactly
     // once, and entries precede exits pairwise.
-    for stage in ["clustering", "lm_routing", "mst_routing", "escape", "detour"] {
+    for stage in [
+        "clustering",
+        "lm_routing",
+        "mst_routing",
+        "escape",
+        "detour",
+    ] {
         let entered = lines
             .iter()
             .position(|l| l.contains(&format!("\"kind\":\"stage_entered\",\"stage\":\"{stage}\"")));
@@ -190,7 +196,13 @@ fn zero_budgets_fire_once_per_stage_on_a_real_run() {
         .expect("telemetry installed")
         .expect("no sink errors");
     let lines = lines_handle.lock().expect("sink lines").clone();
-    for stage in ["clustering", "lm_routing", "mst_routing", "escape", "detour"] {
+    for stage in [
+        "clustering",
+        "lm_routing",
+        "mst_routing",
+        "escape",
+        "detour",
+    ] {
         let alarms: Vec<usize> = lines
             .iter()
             .enumerate()

@@ -70,7 +70,9 @@ fn all_variants_complete_every_synth_design() {
     for design in BenchDesign::SYNTH {
         let problem = design.synthesize(42);
         for v in FlowVariant::ALL {
-            let report = PacorFlow::new(FlowConfig::for_variant(v)).run(&problem).unwrap();
+            let report = PacorFlow::new(FlowConfig::for_variant(v))
+                .run(&problem)
+                .unwrap();
             assert_eq!(
                 report.completion_rate(),
                 1.0,
