@@ -9,6 +9,8 @@
 //! * [`ObsMap`] — the boolean obstacle map used by the negotiation router
 //!   (Algorithm 1 of the paper), with checkpoint/rollback for rip-up,
 //! * [`DesignRules`] — physical-to-grid conversion,
+//! * [`CellRows`] — a cell set stored as `u64` bit rows, with flood
+//!   fill, 4-neighbour dilation and popcount over whole words,
 //! * [`GridPath`] — a routed channel segment with length accounting,
 //! * the [`olcost`] bounding-box overlap cost of Eq. (4).
 //!
@@ -34,6 +36,7 @@ mod overlap;
 mod path;
 mod point;
 mod rect;
+mod rows;
 mod rules;
 
 pub use error::GridError;
@@ -43,6 +46,7 @@ pub use overlap::{bbox_of_edge, olcost};
 pub use path::GridPath;
 pub use point::Point;
 pub use rect::Rect;
+pub use rows::CellRows;
 pub use rules::DesignRules;
 
 /// Length measured in routing-grid units (edges traversed).
