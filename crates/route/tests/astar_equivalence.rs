@@ -14,11 +14,12 @@
 //!
 //! Walled-terminal cases pin the flat kernel's failure path: whether a
 //! failure is settled by the target-side probe and its flood or by
-//! draining the A\* open list, the failed cells must list, once each,
-//! the cells of an independent BFS of the sources' free component, and
-//! the `astar.expansions` counter must equal its size. On every query
-//! the scratch's own expansion count must equal that counter, and a
-//! routed query must expand as many cells as the reference kernel.
+//! draining the A\* open list, the failed region must hold exactly the
+//! cells of an independent BFS of the sources' free component, and its
+//! popcount and the `astar.expansions` counter must both equal that
+//! component's size. On every query the scratch's own expansion count
+//! must equal that counter, and a routed query must expand as many
+//! cells as the reference kernel.
 
 use pacor_grid::{Grid, GridPath, ObsMap, Point};
 use pacor_route::{AStar, AStarScratch, HistoryCost};
@@ -231,8 +232,8 @@ enum Outcome {
 /// Runs one flat-kernel query in a recording session and checks it: the
 /// path equals the reference kernel's, the scratch's expansion count
 /// equals the counter (and, when routed, the reference kernel's), and a
-/// failure leaves failed cells and the expansion counter exactly as the
-/// BFS oracle predicts.
+/// failure leaves the failed region and the expansion counter exactly as
+/// the BFS oracle predicts.
 fn check_query(
     obs: &ObsMap,
     hist: Option<&HistoryCost>,
@@ -275,16 +276,20 @@ fn check_query(
 
     let want = source_component(obs, sources);
     let width = obs.width() as usize;
-    let cells = scratch.failed_cells();
-    let touched: HashSet<Point> = cells
+    let region = scratch.failed_region();
+    let touched: HashSet<Point> = region
         .iter()
-        .map(|&i| Point::new((i as usize % width) as i32, (i as usize / width) as i32))
+        .map(|i| Point::new((i % width) as i32, (i / width) as i32))
         .collect();
-    prop_assert_eq!(touched.len(), cells.len(), "a failed cell is listed twice");
     prop_assert_eq!(
         &touched,
         &want,
-        "failed cells differ from the source component"
+        "failed region differs from the source component"
+    );
+    prop_assert_eq!(
+        region.count(),
+        want.len() as u64,
+        "failed region's popcount differs from the component size"
     );
     prop_assert_eq!(
         counters.counter("astar.expansions"),
