@@ -260,8 +260,10 @@ pub fn escape_all(
             let mut victims: Vec<RoutedCluster> = Vec::new();
             let mut pocket: Vec<Point> = Vec::new();
             for _ in 0..4 {
-                let (blockers, shell_pocket, walls) =
-                    blocking_clusters(obs, routed, cur, source, &rip_counts);
+                let (blockers, shell_pocket, walls) = {
+                    let _blocking = pacor_obs::span("escape.blocking");
+                    blocking_clusters(obs, routed, cur, source, &rip_counts)
+                };
                 let blocked_id = routed[cur].cluster.id().0;
                 record_blocked(routed, blocked_id, &shell_pocket, &blockers, &walls);
                 pocket.extend(shell_pocket);
@@ -307,6 +309,7 @@ pub fn escape_all(
             // Guard the pocket and its one-cell rim while the victims
             // re-route, so a deterministic router cannot simply rebuild
             // the wall it was just evicted from.
+            let _reroute = pacor_obs::span("escape.reroute");
             let mut guards: Vec<Point> = Vec::new();
             for &p in &pocket {
                 for q in std::iter::once(p).chain(p.neighbors4()) {
@@ -402,7 +405,10 @@ pub fn escape_all(
                 // No escapes are blocked right now, so every attributed
                 // frontier cell belongs to an internal net. Rip limits no
                 // longer apply: completion outranks everything.
-                let (blockers, pocket, walls) = blocking_clusters(obs, routed, cur, source, &[]);
+                let (blockers, pocket, walls) = {
+                    let _blocking = pacor_obs::span("escape.blocking");
+                    blocking_clusters(obs, routed, cur, source, &[])
+                };
                 let blocked_id = routed[cur].cluster.id().0;
                 pacor_obs::emit(pacor_obs::Event::EscapeFailed {
                     phase: 3,
