@@ -2,25 +2,30 @@
 
 CARGO ?= cargo
 
-.PHONY: verify build test clippy bench tables obs-smoke stream-smoke bench-flow bench-smoke bench-check ledger-smoke golden profile
+.PHONY: verify build test fmt-check clippy bench tables obs-smoke stream-smoke bench-flow bench-smoke bench-check ledger-smoke golden profile
 
 # The acceptance gate: release build, full test suite (which includes
 # the escape solver's min-cost-flow optimality certificate on 300
 # random scenarios, crates/flow/src/certificate.rs, and the
-# EXPERIMENTS.md gate, tests/chips.rs), zero-warning lints, the golden
-# end-to-end snapshots (all chips, release mode), a smoke-run of the
-# observability exports, a smoke-run of the streaming telemetry, a
-# smoke-run of the end-to-end flow benchmark harness, a determinism
-# check of the B1 and B4 benchmark tiers against the committed
-# BENCH_flow.json baseline, and a smoke-run of the run-digest / ledger
-# / differ loop.
-verify: build test clippy golden obs-smoke stream-smoke bench-smoke bench-check ledger-smoke
+# EXPERIMENTS.md gate, tests/chips.rs), rustfmt-clean sources,
+# zero-warning lints, the golden end-to-end snapshots (all chips,
+# release mode), a smoke-run of the observability exports, a smoke-run
+# of the streaming telemetry, a smoke-run of the end-to-end flow
+# benchmark harness, a determinism check of the B1 and B4 benchmark
+# tiers against the committed BENCH_flow.json baseline, and a
+# smoke-run of the run-digest / ledger / differ loop.
+verify: build test fmt-check clippy golden obs-smoke stream-smoke bench-smoke bench-check ledger-smoke
 
 build:
 	$(CARGO) build --release --workspace
 
 test:
 	$(CARGO) test -q --workspace
+
+# Every workspace member must be rustfmt-clean (perfbench/ is a package
+# of its own and is not checked here).
+fmt-check:
+	$(CARGO) fmt --all -- --check
 
 clippy:
 	$(CARGO) clippy --workspace --all-targets -- -D warnings
