@@ -25,7 +25,6 @@ use crate::{FlowConfig, RoutedCluster, RoutedKind};
 use pacor_flow::{EscapeOutcome, EscapeSource, GridEscape};
 use pacor_grid::{GridPath, ObsMap, Point};
 use pacor_valves::{Cluster, ClusterId};
-use std::collections::{HashMap, HashSet, VecDeque};
 
 /// Statistics of the escape stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -647,90 +646,6 @@ fn blocking_clusters_flat(
     (picks, pocket, frontier_cells)
 }
 
-/// Pre-rewrite reference implementation of [`blocking_clusters`],
-/// retained for the equivalence tests below — the same pattern as
-/// `AStar::route_reference`. Builds per-call `HashMap`/`HashSet` state;
-/// the flat kernel must agree with it on picks (as a set), pocket, and
-/// frontier cells.
-#[allow(dead_code)]
-fn blocking_clusters_reference(
-    obs: &ObsMap,
-    routed: &[RoutedCluster],
-    exclude: usize,
-    source: Point,
-    rip_counts: &HashMap<u32, u32>,
-) -> (Vec<usize>, HashSet<Point>, Vec<(Point, usize)>) {
-    // Cells that can never be freed by a rip: every valve position.
-    let valve_cells: HashSet<Point> = routed
-        .iter()
-        .flat_map(|rc| rc.member_positions.iter().copied())
-        .collect();
-    // Cell ownership of committed geometry.
-    let mut owner: HashMap<Point, usize> = HashMap::new();
-    for (i, rc) in routed.iter().enumerate() {
-        if i == exclude || rip_counts.get(&rc.cluster.id().0).copied().unwrap_or(0) >= 3 {
-            continue;
-        }
-        for c in rc.net_cells() {
-            if !valve_cells.contains(&c) {
-                owner.insert(c, i);
-            }
-        }
-        if let Some((esc, _)) = &rc.escape {
-            for c in esc.cells() {
-                if !valve_cells.contains(c) {
-                    owner.insert(*c, i);
-                }
-            }
-        }
-    }
-
-    // BFS over free cells from the source.
-    let mut seen: HashSet<Point> = HashSet::new();
-    let mut frontier_owners: HashSet<usize> = HashSet::new();
-    let mut frontier_cells: Vec<(Point, usize)> = Vec::new();
-    let mut queue = VecDeque::new();
-    queue.push_back(source);
-    seen.insert(source);
-    // Bound the flood to a local neighbourhood: blockage is local, and a
-    // full-chip flood on every failure would be wasteful.
-    let limit = 4096usize;
-    while let Some(p) = queue.pop_front() {
-        if seen.len() > limit {
-            break;
-        }
-        for q in p.neighbors4() {
-            if seen.contains(&q) {
-                continue;
-            }
-            if obs.is_blocked(q) {
-                if let Some(&o) = owner.get(&q) {
-                    frontier_owners.insert(o);
-                    frontier_cells.push((q, o));
-                }
-                continue;
-            }
-            seen.insert(q);
-            queue.push_back(q);
-        }
-    }
-
-    let unconstrained: Vec<usize> = frontier_owners
-        .iter()
-        .copied()
-        .filter(|&i| !routed[i].cluster.is_length_matched())
-        .collect();
-    let picks = if !unconstrained.is_empty() {
-        unconstrained
-    } else {
-        frontier_owners.into_iter().collect()
-    };
-    frontier_cells.sort_unstable_by_key(|&(p, o)| (p.y, p.x, o));
-    frontier_cells.dedup();
-    frontier_cells.truncate(32);
-    (picks, seen, frontier_cells)
-}
-
 /// Emits [`pacor_obs::Event::EscapeBlocked`] for a walled-in cluster:
 /// resolves blocker indices and frontier owners to cluster ids (only
 /// when recording).
@@ -767,9 +682,92 @@ mod tests {
     use super::*;
     use pacor_grid::{Grid, GridPath};
     use pacor_valves::ValveId;
+    use std::collections::{HashMap, HashSet, VecDeque};
 
     fn mk_singleton(id: u32, p: Point) -> RoutedCluster {
         singleton(ClusterId(id), ValveId(id), p)
+    }
+
+    /// Pre-rewrite reference implementation of [`blocking_clusters`], the
+    /// oracle of the equivalence test below. Builds per-call
+    /// `HashMap`/`HashSet` state; the flat kernel must agree with it on
+    /// picks (as a set), pocket, and frontier cells.
+    fn blocking_clusters_reference(
+        obs: &ObsMap,
+        routed: &[RoutedCluster],
+        exclude: usize,
+        source: Point,
+        rip_counts: &HashMap<u32, u32>,
+    ) -> (Vec<usize>, HashSet<Point>, Vec<(Point, usize)>) {
+        // Cells that can never be freed by a rip: every valve position.
+        let valve_cells: HashSet<Point> = routed
+            .iter()
+            .flat_map(|rc| rc.member_positions.iter().copied())
+            .collect();
+        // Cell ownership of committed geometry.
+        let mut owner: HashMap<Point, usize> = HashMap::new();
+        for (i, rc) in routed.iter().enumerate() {
+            if i == exclude || rip_counts.get(&rc.cluster.id().0).copied().unwrap_or(0) >= 3 {
+                continue;
+            }
+            for c in rc.net_cells() {
+                if !valve_cells.contains(&c) {
+                    owner.insert(c, i);
+                }
+            }
+            if let Some((esc, _)) = &rc.escape {
+                for c in esc.cells() {
+                    if !valve_cells.contains(c) {
+                        owner.insert(*c, i);
+                    }
+                }
+            }
+        }
+
+        // BFS over free cells from the source.
+        let mut seen: HashSet<Point> = HashSet::new();
+        let mut frontier_owners: HashSet<usize> = HashSet::new();
+        let mut frontier_cells: Vec<(Point, usize)> = Vec::new();
+        let mut queue = VecDeque::new();
+        queue.push_back(source);
+        seen.insert(source);
+        // Bound the flood to a local neighbourhood: blockage is local, and a
+        // full-chip flood on every failure would be wasteful.
+        let limit = 4096usize;
+        while let Some(p) = queue.pop_front() {
+            if seen.len() > limit {
+                break;
+            }
+            for q in p.neighbors4() {
+                if seen.contains(&q) {
+                    continue;
+                }
+                if obs.is_blocked(q) {
+                    if let Some(&o) = owner.get(&q) {
+                        frontier_owners.insert(o);
+                        frontier_cells.push((q, o));
+                    }
+                    continue;
+                }
+                seen.insert(q);
+                queue.push_back(q);
+            }
+        }
+
+        let unconstrained: Vec<usize> = frontier_owners
+            .iter()
+            .copied()
+            .filter(|&i| !routed[i].cluster.is_length_matched())
+            .collect();
+        let picks = if !unconstrained.is_empty() {
+            unconstrained
+        } else {
+            frontier_owners.into_iter().collect()
+        };
+        frontier_cells.sort_unstable_by_key(|&(p, o)| (p.y, p.x, o));
+        frontier_cells.dedup();
+        frontier_cells.truncate(32);
+        (picks, seen, frontier_cells)
     }
 
     #[test]
@@ -1004,6 +1002,12 @@ mod tests {
     /// `HashMap`/`HashSet` reference on randomized routed layouts:
     /// identical pick *sets* (both callers sort), identical pockets,
     /// identical attributed frontier cells.
+    ///
+    /// The first 60 trials are small grids whose floods end on their
+    /// own. The last 24 are sparse grids of at least 72×72 where the
+    /// flood stops at its 4096-cell cap: there the BFS order decides
+    /// which cells enter the pocket and which walls it meets, so the
+    /// two kernels must expand cells in the same FIFO order.
     #[test]
     fn flat_blocking_clusters_matches_reference() {
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
@@ -1013,14 +1017,33 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             (state >> 33) as usize % m
         };
-        for trial in 0..60 {
-            let (w, h) = (10 + next(12), 10 + next(12));
+        let mut capped = 0;
+        for trial in 0..84 {
+            let large = trial >= 60;
+            let (w, h) = if large {
+                (72 + next(25), 72 + next(25))
+            } else {
+                (10 + next(12), 10 + next(12))
+            };
             let grid = Grid::new(w as u32, h as u32).unwrap();
             let mut obs = ObsMap::new(&grid);
-            for _ in 0..w * h / 6 {
+            for _ in 0..w * h / if large { 30 } else { 6 } {
                 obs.block(Point::new(next(w) as i32, next(h) as i32));
             }
-            let n = 3 + next(6);
+            let n = if large { 12 + next(20) } else { 3 + next(6) };
+            // Random walk from `cur`, occasionally revisiting cells.
+            let walk = |cur: &mut Point, steps: usize, next: &mut dyn FnMut(usize) -> usize| {
+                let mut cells = vec![*cur];
+                for _ in 0..steps {
+                    let q = cur.neighbors4()[next(4)];
+                    if q.x < 0 || q.y < 0 || q.x >= w as i32 || q.y >= h as i32 {
+                        continue;
+                    }
+                    cells.push(q);
+                    *cur = q;
+                }
+                cells
+            };
             let mut routed: Vec<RoutedCluster> = Vec::new();
             for id in 0..n as u32 {
                 let start = Point::new(next(w) as i32, next(h) as i32);
@@ -1029,22 +1052,21 @@ mod tests {
                     routed.push(mk_singleton(id, start));
                     continue;
                 }
-                // Random-walk net, occasionally revisiting cells.
-                let mut cells = vec![start];
                 let mut cur = start;
-                for _ in 0..3 + next(9) {
-                    let q = cur.neighbors4()[next(4)];
-                    if q.x < 0 || q.y < 0 || q.x >= w as i32 || q.y >= h as i32 {
-                        continue;
-                    }
-                    cells.push(q);
-                    cur = q;
-                }
+                let steps = if large { 8 + next(40) } else { 3 + next(9) };
+                let cells = walk(&mut cur, steps, &mut next);
                 obs.block_all(cells.iter().copied());
                 let path = GridPath::new(cells.clone()).unwrap();
                 let escape = (next(2) == 0).then(|| {
-                    let pin = *cells.last().unwrap();
-                    (GridPath::new(vec![pin]).unwrap(), pin)
+                    let mut pin = *cells.last().unwrap();
+                    let esc = if large {
+                        let steps = next(30);
+                        walk(&mut pin, steps, &mut next)
+                    } else {
+                        vec![pin]
+                    };
+                    obs.block_all(esc.iter().copied());
+                    (GridPath::new(esc).unwrap(), pin)
                 });
                 routed.push(RoutedCluster {
                     cluster: Cluster::new(
@@ -1082,6 +1104,11 @@ mod tests {
             );
             assert_eq!(pocket_set, pocket_r, "trial {trial}: pocket diverged");
             assert_eq!(walls_f, walls_r, "trial {trial}: frontier diverged");
+            capped += usize::from(pocket_f.len() > 4096);
         }
+        assert!(
+            capped >= 12,
+            "only {capped} of 24 large trials hit the flood cap"
+        );
     }
 }
