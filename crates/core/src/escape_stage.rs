@@ -141,305 +141,418 @@ pub fn escape_all(
     config: &FlowConfig,
     next_id: &mut u32,
 ) -> EscapeStats {
-    let mut solver = GridEscape::new();
-    let mut stats = EscapeStats::default();
-    // Anti-thrash: how often each cluster id has been ripped. A cluster
-    // ripped three times becomes off-limits to further rip-up — two nets
-    // cyclically evicting each other would otherwise burn every round.
-    // Ids are dense from `next_id`, so a flat id-indexed vec suffices.
-    let mut rip_counts: Vec<u32> = Vec::new();
-
-    // ---- Phase 1: global rounds ---------------------------------------
-    // Rip every escape and re-solve the whole min-cost flow, so early
-    // winners cannot starve late-declustered valves; recover multi-valve
-    // failures by de-clustering.
-    let phase_span = pacor_obs::span("escape.phase1");
-    for _ in 0..config.max_ripup_rounds {
-        stats.rounds += 1;
-        pacor_obs::counter_add("escape.rounds", 1);
-        rip_all_escapes(obs, routed);
-        let n_sources = routed.len();
-        let sources: Vec<_> = routed.iter().map(|rc| rc.escape_source()).collect();
-        let outcome = solve(&mut solver, obs, &sources, pins, "escape.net_solve");
-        let mut failed: Vec<usize> = Vec::new();
-        for (i, route) in outcome.routes.into_iter().enumerate() {
-            match route {
-                Some(route) => commit(obs, &mut routed[i], route),
-                None => failed.push(i),
-            }
-        }
-        pacor_obs::emit(stats.round_event(1, n_sources, failed.len(), valves_escaped(routed)));
-        if failed.is_empty() {
-            return stats;
-        }
-        for &i in &failed {
-            pacor_obs::emit(pacor_obs::Event::EscapeFailed {
-                phase: 1,
-                round: stats.rounds,
-                cluster: routed[i].cluster.id().0,
-            });
-        }
-        let mut any_multi = false;
-        failed.sort_unstable();
-        for &i in failed.iter().rev() {
-            if routed[i].cluster.len() >= 2 {
-                any_multi = true;
-                let rc = routed.remove(i);
-                decluster(obs, routed, rc, true, next_id, &mut stats);
-            }
-        }
-        if !any_multi {
-            break; // only walled-in singletons remain: phase 2
-        }
+    EscapeRun {
+        obs,
+        routed,
+        pins,
+        config,
+        next_id,
+        solver: GridEscape::new(),
+        stats: EscapeStats::default(),
+        rip_counts: Vec::new(),
+        scratch: BlockScratch::default(),
     }
-    drop(phase_span);
+    .run()
+}
 
-    // ---- Phase 2: incremental recovery --------------------------------
-    // Committed escapes now stay put. Remaining failures rip the nets
-    // walling them in, claim the freed corridor alone, and the victims
-    // re-route (internals immediately, escapes in the next iteration's
-    // pending-only solve).
-    let phase_span = pacor_obs::span("escape.phase2");
-    for _ in 0..config.max_ripup_rounds {
-        let pending: Vec<usize> = (0..routed.len())
-            .filter(|&i| routed[i].escape.is_none())
-            .collect();
-        if pending.is_empty() {
-            return stats;
-        }
-        stats.rounds += 1;
-        pacor_obs::counter_add("escape.rounds", 1);
-        let sources: Vec<_> = pending.iter().map(|&i| routed[i].escape_source()).collect();
-        let outcome = solve(&mut solver, obs, &sources, pins, "escape.net_solve");
-        let mut failed: Vec<usize> = Vec::new();
-        for (k, route) in outcome.routes.into_iter().enumerate() {
-            let i = pending[k];
-            match route {
-                Some(route) => commit(obs, &mut routed[i], route),
-                None => failed.push(i),
-            }
-        }
-        pacor_obs::emit(stats.round_event(2, pending.len(), failed.len(), valves_escaped(routed)));
-        if failed.is_empty() {
-            continue;
-        }
+/// One run of the escape stage: the state it routes, its solver and the
+/// recovery bookkeeping kept from the first round to the last.
+struct EscapeRun<'a> {
+    obs: &'a mut ObsMap,
+    routed: &'a mut Vec<RoutedCluster>,
+    pins: &'a [Point],
+    config: &'a FlowConfig,
+    /// Next fresh cluster id for de-clustered singletons.
+    next_id: &'a mut u32,
+    solver: GridEscape,
+    stats: EscapeStats,
+    /// Anti-thrash: how often each cluster id has been ripped. A cluster
+    /// ripped three times becomes off-limits to further rip-up — two nets
+    /// cyclically evicting each other would otherwise burn every round.
+    /// Ids are dense from `next_id`, so a flat id-indexed vec suffices.
+    rip_counts: Vec<u32>,
+    scratch: BlockScratch,
+}
 
-        let mut progress = false;
-        // De-cluster multi-valve failures (ripped victims re-enter here).
-        let mut singles_failed: Vec<Point> = Vec::new();
-        failed.sort_unstable();
-        for &i in failed.iter().rev() {
-            pacor_obs::emit(pacor_obs::Event::EscapeFailed {
-                phase: 2,
-                round: stats.rounds,
-                cluster: routed[i].cluster.id().0,
-            });
-            if routed[i].cluster.len() >= 2 {
-                progress = true;
-                let rc = routed.remove(i);
-                decluster(obs, routed, rc, true, next_id, &mut stats);
-            } else {
-                singles_failed.push(routed[i].member_positions[0]);
+impl EscapeRun<'_> {
+    /// Runs the phases in turn, each only if the one before left a
+    /// cluster without an escape.
+    fn run(mut self) -> EscapeStats {
+        if !self.global_rounds() {
+            self.recovery();
+            if self.routed.iter().any(|rc| rc.escape.is_none()) {
+                self.last_resort();
             }
         }
-
-        for &source in &singles_failed {
-            let find = |routed: &Vec<RoutedCluster>| {
-                routed.iter().position(|rc| {
-                    rc.escape.is_none() && rc.cluster.len() == 1 && rc.member_positions[0] == source
-                })
-            };
-            let Some(mut cur) = find(routed) else {
-                continue;
-            };
-            // Peel blocking shells until the source can escape: a pocket
-            // may be walled by several nets nested behind one another.
-            // Shell pockets may overlap; the guard placement below
-            // tolerates duplicates, so a flat vec replaces the set.
-            let mut victims: Vec<RoutedCluster> = Vec::new();
-            let mut pocket: Vec<Point> = Vec::new();
-            for _ in 0..4 {
-                let (blockers, shell_pocket, walls) = {
-                    let _blocking = pacor_obs::span("escape.blocking");
-                    blocking_clusters(obs, routed, cur, source, &rip_counts)
-                };
-                let blocked_id = routed[cur].cluster.id().0;
-                record_blocked(routed, blocked_id, &shell_pocket, &blockers, &walls);
-                pocket.extend(shell_pocket);
-                if blockers.is_empty() {
-                    break; // walled by hard obstacles / valves: unrecoverable
-                }
-                progress = true;
-                let mut blockers = blockers;
-                blockers.sort_unstable();
-                for &b in blockers.iter().rev() {
-                    let rc = routed.remove(b);
-                    stats.ripped += 1;
-                    pacor_obs::emit(pacor_obs::Event::EscapeRip {
-                        victim: rc.cluster.id().0,
-                        blocked: blocked_id,
-                    });
-                    let id = rc.cluster.id().0 as usize;
-                    if rip_counts.len() <= id {
-                        rip_counts.resize(id + 1, 0);
-                    }
-                    rip_counts[id] += 1;
-                    obs.unblock_all(rc.net_cells());
-                    if let Some((esc, _)) = &rc.escape {
-                        obs.unblock_all(esc.cells().iter().skip(1).copied());
-                    }
-                    // Valve cells are physical and never become routable —
-                    // re-block them at once so the freed-corridor escape
-                    // below cannot run through a valve.
-                    for &pos in &rc.member_positions {
-                        obs.block(pos);
-                    }
-                    victims.push(rc);
-                }
-                cur = find(routed).expect("failed singleton still present");
-                // Claim the freed corridor before the victims re-route.
-                let sources = [routed[cur].escape_source()];
-                let solo = solve(&mut solver, obs, &sources, pins, "escape.solo_solve");
-                if let Some(Some(route)) = solo.routes.into_iter().next() {
-                    commit(obs, &mut routed[cur], route);
-                    break;
-                }
-            }
-            // Guard the pocket and its one-cell rim while the victims
-            // re-route, so a deterministic router cannot simply rebuild
-            // the wall it was just evicted from.
-            let _reroute = pacor_obs::span("escape.reroute");
-            let mut guards: Vec<Point> = Vec::new();
-            for &p in &pocket {
-                for q in std::iter::once(p).chain(p.neighbors4()) {
-                    if !obs.is_blocked(q) {
-                        obs.block(q);
-                        guards.push(q);
-                    }
-                }
-            }
-            // Re-route the victims' internal nets; their escapes re-solve
-            // in the next pending-only iteration. Victims that cannot
-            // re-route are de-clustered.
-            for rc in victims {
-                let positions = &rc.member_positions;
-                let rerouted = match &rc.kind {
-                    RoutedKind::Singleton => {
-                        obs.block(positions[0]);
-                        Some(RoutedCluster {
-                            escape: None,
-                            ..rc.clone()
-                        })
-                    }
-                    RoutedKind::Mst { .. } => {
-                        let members = rc.cluster.members().to_vec();
-                        let demoted = Cluster::new(rc.cluster.id(), members, false);
-                        route_mst_cluster(obs, &demoted, positions)
-                    }
-                    RoutedKind::LmPair { .. } | RoutedKind::LmTree { .. } => {
-                        reroute_lm_cluster(obs, rc.cluster.clone(), positions.clone(), config)
-                    }
-                };
-                match rerouted {
-                    Some(mut new_rc) => {
-                        new_rc.escape = None;
-                        routed.push(new_rc);
-                    }
-                    None => decluster(obs, routed, rc, false, next_id, &mut stats),
-                }
-            }
-            obs.unblock_all(guards);
-        }
-        if !progress {
-            break;
-        }
-    }
-    drop(phase_span);
-
-    if routed.iter().all(|rc| rc.escape.is_some()) {
-        return stats; // phase 2's final round completed everything
+        self.stats
     }
 
-    // ---- Phase 3: last resort ------------------------------------------
-    // Re-routing around the walls failed (wall-shaped nets *must* span
-    // their gap wherever they are wired). Trade matching for completion:
-    // every round rips ALL escapes and re-solves the global min-cost
-    // flow. Blocker analysis runs in this escape-free state, so every
-    // wall found is an internal *net*; the owning multi-valve clusters
-    // are de-clustered, strictly reducing the multi-cluster count each
-    // round — the loop provably reaches a state where the flow routes
-    // everything physically reachable past valves and hard obstacles.
-    let _phase_span = pacor_obs::span("escape.phase3");
-    for _ in 0..routed.len() + 4 {
-        rip_all_escapes(obs, routed);
-        let n_sources = routed.len();
-        let sources: Vec<_> = routed.iter().map(|rc| rc.escape_source()).collect();
-        let outcome = solve(&mut solver, obs, &sources, pins, "escape.net_solve");
-        let valves_routed: u64 = outcome
-            .routes
-            .iter()
-            .zip(routed.iter())
-            .filter(|(route, _)| route.is_some())
-            .map(|(_, rc)| rc.cluster.len() as u64)
-            .sum();
-        let failed_sources: Vec<Point> = outcome
-            .routes
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.is_none())
-            .map(|(i, _)| routed[i].member_positions[0])
-            .collect();
-
-        let mut progress = false;
-        if !failed_sources.is_empty() {
-            stats.rounds += 1;
+    /// Phase 1: rip every escape and re-solve the whole min-cost flow,
+    /// so early winners cannot starve late-declustered valves; recover
+    /// multi-valve failures by de-clustering. Returns `true` when every
+    /// cluster escaped.
+    fn global_rounds(&mut self) -> bool {
+        let _phase_span = pacor_obs::span("escape.phase1");
+        for _ in 0..self.config.max_ripup_rounds {
+            self.stats.rounds += 1;
             pacor_obs::counter_add("escape.rounds", 1);
-            for &source in &failed_sources {
-                let Some(cur) = routed
-                    .iter()
-                    .position(|rc| rc.member_positions[0] == source)
-                else {
-                    continue;
-                };
-                // No escapes are blocked right now, so every attributed
-                // frontier cell belongs to an internal net. Rip limits no
-                // longer apply: completion outranks everything.
-                let (blockers, pocket, walls) = {
-                    let _blocking = pacor_obs::span("escape.blocking");
-                    blocking_clusters(obs, routed, cur, source, &[])
-                };
-                let blocked_id = routed[cur].cluster.id().0;
+            rip_all_escapes(self.obs, self.routed);
+            let n_sources = self.routed.len();
+            let sources: Vec<_> = self.routed.iter().map(|rc| rc.escape_source()).collect();
+            let outcome = solve(
+                &mut self.solver,
+                self.obs,
+                &sources,
+                self.pins,
+                "escape.net_solve",
+            );
+            let mut failed: Vec<usize> = Vec::new();
+            for (i, route) in outcome.routes.into_iter().enumerate() {
+                match route {
+                    Some(route) => commit(self.obs, &mut self.routed[i], route),
+                    None => failed.push(i),
+                }
+            }
+            let valves_routed = valves_escaped(self.routed);
+            pacor_obs::emit(
+                self.stats
+                    .round_event(1, n_sources, failed.len(), valves_routed),
+            );
+            if failed.is_empty() {
+                return true;
+            }
+            for &i in &failed {
                 pacor_obs::emit(pacor_obs::Event::EscapeFailed {
-                    phase: 3,
-                    round: stats.rounds,
-                    cluster: blocked_id,
+                    phase: 1,
+                    round: self.stats.rounds,
+                    cluster: self.routed[i].cluster.id().0,
                 });
-                record_blocked(routed, blocked_id, &pocket, &blockers, &walls);
-                let mut blockers = blockers;
-                blockers.sort_unstable();
-                for &b in blockers.iter().rev() {
-                    if routed[b].cluster.len() < 2 {
-                        continue;
-                    }
+            }
+            let mut any_multi = false;
+            failed.sort_unstable();
+            for &i in failed.iter().rev() {
+                if self.routed[i].cluster.len() >= 2 {
+                    any_multi = true;
+                    let rc = self.routed.remove(i);
+                    self.decluster(rc, true);
+                }
+            }
+            if !any_multi {
+                break; // only walled-in singletons remain: phase 2
+            }
+        }
+        false
+    }
+
+    /// Phase 2: committed escapes now stay put. Remaining failures rip
+    /// the nets walling them in, claim the freed corridor alone, and the
+    /// victims re-route (internals immediately, escapes in the next
+    /// iteration's pending-only solve).
+    fn recovery(&mut self) {
+        let _phase_span = pacor_obs::span("escape.phase2");
+        for _ in 0..self.config.max_ripup_rounds {
+            let pending: Vec<usize> = (0..self.routed.len())
+                .filter(|&i| self.routed[i].escape.is_none())
+                .collect();
+            if pending.is_empty() {
+                return;
+            }
+            self.stats.rounds += 1;
+            pacor_obs::counter_add("escape.rounds", 1);
+            let sources: Vec<_> = pending
+                .iter()
+                .map(|&i| self.routed[i].escape_source())
+                .collect();
+            let outcome = solve(
+                &mut self.solver,
+                self.obs,
+                &sources,
+                self.pins,
+                "escape.net_solve",
+            );
+            let mut failed: Vec<usize> = Vec::new();
+            for (k, route) in outcome.routes.into_iter().enumerate() {
+                let i = pending[k];
+                match route {
+                    Some(route) => commit(self.obs, &mut self.routed[i], route),
+                    None => failed.push(i),
+                }
+            }
+            let valves_routed = valves_escaped(self.routed);
+            pacor_obs::emit(
+                self.stats
+                    .round_event(2, pending.len(), failed.len(), valves_routed),
+            );
+            if failed.is_empty() {
+                continue;
+            }
+
+            let mut progress = false;
+            // De-cluster multi-valve failures (ripped victims re-enter here).
+            let mut singles_failed: Vec<Point> = Vec::new();
+            failed.sort_unstable();
+            for &i in failed.iter().rev() {
+                pacor_obs::emit(pacor_obs::Event::EscapeFailed {
+                    phase: 2,
+                    round: self.stats.rounds,
+                    cluster: self.routed[i].cluster.id().0,
+                });
+                if self.routed[i].cluster.len() >= 2 {
                     progress = true;
-                    let rc = routed.remove(b);
-                    decluster(obs, routed, rc, true, next_id, &mut stats);
+                    let rc = self.routed.remove(i);
+                    self.decluster(rc, true);
+                } else {
+                    singles_failed.push(self.routed[i].member_positions[0]);
+                }
+            }
+            for &source in &singles_failed {
+                progress |= self.free_walled_in(source);
+            }
+            if !progress {
+                break;
+            }
+        }
+    }
+
+    /// Recovers the failed singleton at `source`: peels the shells of
+    /// nets walling it in, rips them, claims the freed corridor alone,
+    /// and re-routes the victims behind guards. Returns `true` when some
+    /// net was ripped.
+    fn free_walled_in(&mut self, source: Point) -> bool {
+        let find = |routed: &[RoutedCluster]| {
+            routed.iter().position(|rc| {
+                rc.escape.is_none() && rc.cluster.len() == 1 && rc.member_positions[0] == source
+            })
+        };
+        let Some(mut cur) = find(self.routed) else {
+            return false;
+        };
+        let mut progress = false;
+        // Peel blocking shells until the source can escape: a pocket
+        // may be walled by several nets nested behind one another.
+        // Shell pockets may overlap; the guard placement below
+        // tolerates duplicates, so a flat vec replaces the set.
+        let mut victims: Vec<RoutedCluster> = Vec::new();
+        let mut pocket: Vec<Point> = Vec::new();
+        for _ in 0..4 {
+            let (blockers, shell_pocket, walls) = {
+                let _blocking = pacor_obs::span("escape.blocking");
+                blocking_clusters(
+                    &mut self.scratch,
+                    self.obs,
+                    self.routed,
+                    cur,
+                    source,
+                    &self.rip_counts,
+                )
+            };
+            let blocked_id = self.routed[cur].cluster.id().0;
+            record_blocked(self.routed, blocked_id, &shell_pocket, &blockers, &walls);
+            pocket.extend(shell_pocket);
+            if blockers.is_empty() {
+                break; // walled by hard obstacles / valves: unrecoverable
+            }
+            progress = true;
+            let mut blockers = blockers;
+            blockers.sort_unstable();
+            for &b in blockers.iter().rev() {
+                let rc = self.routed.remove(b);
+                self.stats.ripped += 1;
+                pacor_obs::emit(pacor_obs::Event::EscapeRip {
+                    victim: rc.cluster.id().0,
+                    blocked: blocked_id,
+                });
+                let id = rc.cluster.id().0 as usize;
+                if self.rip_counts.len() <= id {
+                    self.rip_counts.resize(id + 1, 0);
+                }
+                self.rip_counts[id] += 1;
+                self.obs.unblock_all(rc.net_cells());
+                if let Some((esc, _)) = &rc.escape {
+                    self.obs.unblock_all(esc.cells().iter().skip(1).copied());
+                }
+                // Valve cells are physical and never become routable —
+                // re-block them at once so the freed-corridor escape
+                // below cannot run through a valve.
+                for &pos in &rc.member_positions {
+                    self.obs.block(pos);
+                }
+                victims.push(rc);
+            }
+            cur = find(self.routed).expect("failed singleton still present");
+            // Claim the freed corridor before the victims re-route.
+            let sources = [self.routed[cur].escape_source()];
+            let solo = solve(
+                &mut self.solver,
+                self.obs,
+                &sources,
+                self.pins,
+                "escape.solo_solve",
+            );
+            if let Some(Some(route)) = solo.routes.into_iter().next() {
+                commit(self.obs, &mut self.routed[cur], route);
+                break;
+            }
+        }
+        // Guard the pocket and its one-cell rim while the victims
+        // re-route, so a deterministic router cannot simply rebuild
+        // the wall it was just evicted from.
+        let _reroute = pacor_obs::span("escape.reroute");
+        let mut guards: Vec<Point> = Vec::new();
+        for &p in &pocket {
+            for q in std::iter::once(p).chain(p.neighbors4()) {
+                if !self.obs.is_blocked(q) {
+                    self.obs.block(q);
+                    guards.push(q);
                 }
             }
         }
-        pacor_obs::emit(stats.round_event(3, n_sources, failed_sources.len(), valves_routed));
-        if progress {
-            continue; // discard this round's escapes; re-solve globally
-        }
-        // Complete, or no wall left to dissolve: commit and finish.
-        for (i, route) in outcome.routes.into_iter().enumerate() {
-            if let Some(route) = route {
-                commit(obs, &mut routed[i], route);
+        // Re-route the victims' internal nets; their escapes re-solve
+        // in the next pending-only iteration. Victims that cannot
+        // re-route are de-clustered.
+        for rc in victims {
+            let positions = &rc.member_positions;
+            let rerouted = match &rc.kind {
+                RoutedKind::Singleton => {
+                    self.obs.block(positions[0]);
+                    Some(RoutedCluster {
+                        escape: None,
+                        ..rc.clone()
+                    })
+                }
+                RoutedKind::Mst { .. } => {
+                    let members = rc.cluster.members().to_vec();
+                    let demoted = Cluster::new(rc.cluster.id(), members, false);
+                    route_mst_cluster(self.obs, &demoted, positions)
+                }
+                RoutedKind::LmPair { .. } | RoutedKind::LmTree { .. } => {
+                    reroute_lm_cluster(self.obs, rc.cluster.clone(), positions.clone(), self.config)
+                }
+            };
+            match rerouted {
+                Some(mut new_rc) => {
+                    new_rc.escape = None;
+                    self.routed.push(new_rc);
+                }
+                None => self.decluster(rc, false),
             }
         }
-        return stats;
+        self.obs.unblock_all(guards);
+        progress
     }
-    stats
+
+    /// Phase 3, the last resort: re-routing around the walls failed
+    /// (wall-shaped nets *must* span their gap wherever they are wired).
+    /// Trade matching for completion: every round rips ALL escapes and
+    /// re-solves the global min-cost flow. Blocker analysis runs in this
+    /// escape-free state, so every wall found is an internal *net*; the
+    /// owning multi-valve clusters are de-clustered, strictly reducing
+    /// the multi-cluster count each round — the loop provably reaches a
+    /// state where the flow routes everything physically reachable past
+    /// valves and hard obstacles.
+    fn last_resort(&mut self) {
+        let _phase_span = pacor_obs::span("escape.phase3");
+        for _ in 0..self.routed.len() + 4 {
+            rip_all_escapes(self.obs, self.routed);
+            let n_sources = self.routed.len();
+            let sources: Vec<_> = self.routed.iter().map(|rc| rc.escape_source()).collect();
+            let outcome = solve(
+                &mut self.solver,
+                self.obs,
+                &sources,
+                self.pins,
+                "escape.net_solve",
+            );
+            let valves_routed: u64 = outcome
+                .routes
+                .iter()
+                .zip(self.routed.iter())
+                .filter(|(route, _)| route.is_some())
+                .map(|(_, rc)| rc.cluster.len() as u64)
+                .sum();
+            let failed_sources: Vec<Point> = outcome
+                .routes
+                .iter()
+                .enumerate()
+                .filter(|(_, r)| r.is_none())
+                .map(|(i, _)| self.routed[i].member_positions[0])
+                .collect();
+
+            let mut progress = false;
+            if !failed_sources.is_empty() {
+                self.stats.rounds += 1;
+                pacor_obs::counter_add("escape.rounds", 1);
+                for &source in &failed_sources {
+                    let Some(cur) = self
+                        .routed
+                        .iter()
+                        .position(|rc| rc.member_positions[0] == source)
+                    else {
+                        continue;
+                    };
+                    // No escapes are blocked right now, so every attributed
+                    // frontier cell belongs to an internal net. Rip limits no
+                    // longer apply: completion outranks everything.
+                    let (blockers, pocket, walls) = {
+                        let _blocking = pacor_obs::span("escape.blocking");
+                        blocking_clusters(
+                            &mut self.scratch,
+                            self.obs,
+                            self.routed,
+                            cur,
+                            source,
+                            &[],
+                        )
+                    };
+                    let blocked_id = self.routed[cur].cluster.id().0;
+                    pacor_obs::emit(pacor_obs::Event::EscapeFailed {
+                        phase: 3,
+                        round: self.stats.rounds,
+                        cluster: blocked_id,
+                    });
+                    record_blocked(self.routed, blocked_id, &pocket, &blockers, &walls);
+                    let mut blockers = blockers;
+                    blockers.sort_unstable();
+                    for &b in blockers.iter().rev() {
+                        if self.routed[b].cluster.len() < 2 {
+                            continue;
+                        }
+                        progress = true;
+                        let rc = self.routed.remove(b);
+                        self.decluster(rc, true);
+                    }
+                }
+            }
+            pacor_obs::emit(self.stats.round_event(
+                3,
+                n_sources,
+                failed_sources.len(),
+                valves_routed,
+            ));
+            if progress {
+                continue; // discard this round's escapes; re-solve globally
+            }
+            // Complete, or no wall left to dissolve: commit and finish.
+            for (i, route) in outcome.routes.into_iter().enumerate() {
+                if let Some(route) = route {
+                    commit(self.obs, &mut self.routed[i], route);
+                }
+            }
+            return;
+        }
+    }
+
+    /// Dissolves a multi-valve cluster into singletons; see [`decluster`].
+    fn decluster(&mut self, rc: RoutedCluster, free_nets: bool) {
+        decluster(
+            self.obs,
+            self.routed,
+            rc,
+            free_nets,
+            self.next_id,
+            &mut self.stats,
+        );
+    }
 }
 
 fn singleton(id: ClusterId, valve: pacor_valves::ValveId, pos: Point) -> RoutedCluster {
@@ -449,6 +562,25 @@ fn singleton(id: ClusterId, valve: pacor_valves::ValveId, pos: Point) -> RoutedC
         kind: RoutedKind::Singleton,
         escape: None,
     }
+}
+
+/// Flat per-cell scratch reused across one run's [`blocking_clusters`] calls.
+/// Validity of every slot is epoch-stamped (`*_at[i] == epoch`), so one
+/// counter bump per call replaces clearing four dense maps; the arrays
+/// are only ever zeroed when the grid (or cluster count) outgrows them.
+#[derive(Default)]
+struct BlockScratch {
+    n_cells: usize,
+    /// Owning routed-cluster index per cell, valid when `owner_at` matches.
+    owner: Vec<u32>,
+    owner_at: Vec<u32>,
+    /// Cell holds a physical valve (never attributable to a rip).
+    valve_at: Vec<u32>,
+    /// Cell reached by the current flood fill.
+    seen_at: Vec<u32>,
+    /// Per routed-cluster index: already recorded as a frontier owner.
+    front_at: Vec<u32>,
+    epoch: u32,
 }
 
 /// Flood-fills free cells from `source` and returns the indices of the
@@ -468,58 +600,6 @@ fn singleton(id: ClusterId, valve: pacor_valves::ValveId, pos: Point) -> RoutedC
 /// `rip_counts` is indexed by cluster id (dense from `next_id`); ids
 /// beyond its length count as never ripped, so `&[]` disables the limit.
 fn blocking_clusters(
-    obs: &ObsMap,
-    routed: &[RoutedCluster],
-    exclude: usize,
-    source: Point,
-    rip_counts: &[u32],
-) -> (Vec<usize>, Vec<Point>, Vec<(Point, usize)>) {
-    BLOCK_SCRATCH.with(|s| {
-        blocking_clusters_flat(
-            &mut s.borrow_mut(),
-            obs,
-            routed,
-            exclude,
-            source,
-            rip_counts,
-        )
-    })
-}
-
-/// Flat per-cell scratch reused across [`blocking_clusters`] calls.
-/// Validity of every slot is epoch-stamped (`*_at[i] == epoch`), so one
-/// counter bump per call replaces clearing four dense maps; the arrays
-/// are only ever zeroed when the grid (or cluster count) outgrows them.
-struct BlockScratch {
-    n_cells: usize,
-    /// Owning routed-cluster index per cell, valid when `owner_at` matches.
-    owner: Vec<u32>,
-    owner_at: Vec<u32>,
-    /// Cell holds a physical valve (never attributable to a rip).
-    valve_at: Vec<u32>,
-    /// Cell reached by the current flood fill.
-    seen_at: Vec<u32>,
-    /// Per routed-cluster index: already recorded as a frontier owner.
-    front_at: Vec<u32>,
-    epoch: u32,
-}
-
-thread_local! {
-    static BLOCK_SCRATCH: std::cell::RefCell<BlockScratch> =
-        const {
-            std::cell::RefCell::new(BlockScratch {
-                n_cells: 0,
-                owner: Vec::new(),
-                owner_at: Vec::new(),
-                valve_at: Vec::new(),
-                seen_at: Vec::new(),
-                front_at: Vec::new(),
-                epoch: 0,
-            })
-        };
-}
-
-fn blocking_clusters_flat(
     s: &mut BlockScratch,
     obs: &ObsMap,
     routed: &[RoutedCluster],
@@ -1089,8 +1169,14 @@ mod tests {
             }
             let exclude = next(n);
             let source = routed[exclude].member_positions[0];
-            let (mut picks_f, pocket_f, walls_f) =
-                blocking_clusters(&obs, &routed, exclude, source, &rip_counts);
+            let (mut picks_f, pocket_f, walls_f) = blocking_clusters(
+                &mut BlockScratch::default(),
+                &obs,
+                &routed,
+                exclude,
+                source,
+                &rip_counts,
+            );
             let (mut picks_r, pocket_r, walls_r) =
                 blocking_clusters_reference(&obs, &routed, exclude, source, &rip_map);
             picks_f.sort_unstable();
