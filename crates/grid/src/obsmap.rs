@@ -7,7 +7,7 @@
 //! same mechanics, so the map records a journal of set bits that can be
 //! rolled back to a checkpoint in O(#changes).
 
-use crate::{Grid, Point};
+use crate::{CellRows, Grid, Point};
 
 /// Journal entry for a cell whose transient block was removed again via
 /// [`ObsMap::unblock`] — skipped during rollback.
@@ -145,6 +145,55 @@ impl ObsMap {
         for p in path {
             self.unblock(p);
         }
+    }
+
+    /// Blocks every free cell of `cells` while `f` runs, frees exactly
+    /// those cells again when it returns, and returns its result.
+    ///
+    /// The fence stays out of the journal: it records nothing, so a
+    /// checkpoint taken inside `f` never sees it and a rollback inside
+    /// `f` keeps it, and [`ObsMap::unblock`] leaves a fenced cell
+    /// blocked, like a permanent obstacle. Cells blocked before the call
+    /// stay blocked after it.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `cells` is a set over a grid of another size.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use pacor_grid::{CellRows, Grid, ObsMap, Point};
+    ///
+    /// let mut obs = ObsMap::new(&Grid::new(8, 8)?);
+    /// let mut guard = CellRows::new(8, 8);
+    /// guard.insert(Point::new(3, 3));
+    /// let cp = obs.checkpoint();
+    /// obs.fenced(&guard, |obs| {
+    ///     assert!(obs.is_blocked(Point::new(3, 3)));
+    ///     assert_eq!(obs.checkpoint(), cp);
+    /// });
+    /// assert!(!obs.is_blocked(Point::new(3, 3)));
+    /// # Ok::<(), pacor_grid::GridError>(())
+    /// ```
+    pub fn fenced<R>(&mut self, cells: &CellRows, f: impl FnOnce(&mut Self) -> R) -> R {
+        assert_eq!(
+            (cells.width(), cells.height()),
+            (self.width as usize, self.height as usize),
+            "fence over another grid"
+        );
+        let fence: Vec<usize> = cells.iter().filter(|&i| !self.blocked[i]).collect();
+        for &i in &fence {
+            self.blocked[i] = true;
+        }
+        let out = f(self);
+        for &i in &fence {
+            // Nothing inside `f` can free a fenced cell: it has no journal
+            // entry to roll back or tombstone.
+            debug_assert!(self.blocked[i] && self.slot[i] == TOMBSTONE);
+            self.blocked[i] = false;
+        }
+        out
     }
 
     /// Takes a checkpoint of the current transient state.
@@ -304,6 +353,83 @@ mod tests {
         obs.rollback(cp);
         assert!(!obs.is_blocked(Point::new(3, 3)));
         assert_eq!(obs.blocked_count(), 0);
+    }
+
+    /// A fence over a mix of free, transient and permanent cells.
+    fn fenced_setup() -> (ObsMap, CellRows) {
+        let mut obs = ObsMap::new(&grid_with_obstacle());
+        obs.block(Point::new(2, 2));
+        let mut fence = CellRows::new(6, 6);
+        for p in [
+            Point::new(0, 0), // permanent obstacle
+            Point::new(2, 2), // transient block
+            Point::new(3, 2),
+            Point::new(3, 3),
+        ] {
+            fence.insert(p);
+        }
+        (obs, fence)
+    }
+
+    #[test]
+    fn fence_blocks_its_free_cells_only_inside() {
+        let (mut obs, fence) = fenced_setup();
+        let count = obs.blocked_count();
+        let inside = obs.fenced(&fence, |obs| {
+            assert!(obs.is_blocked(Point::new(3, 2)));
+            assert!(obs.is_blocked(Point::new(3, 3)));
+            assert!(!obs.is_blocked(Point::new(4, 4)));
+            obs.blocked_count()
+        });
+        assert_eq!(inside, count + 2);
+        assert!(!obs.is_blocked(Point::new(3, 2)));
+        assert!(!obs.is_blocked(Point::new(3, 3)));
+        assert_eq!(obs.blocked_count(), count);
+    }
+
+    #[test]
+    fn fence_keeps_earlier_blocks() {
+        let (mut obs, fence) = fenced_setup();
+        obs.fenced(&fence, |_| ());
+        assert!(obs.is_blocked(Point::new(0, 0)), "permanent obstacle");
+        assert!(obs.is_blocked(Point::new(2, 2)), "transient block");
+        // The transient block keeps its journal entry.
+        obs.unblock(Point::new(2, 2));
+        assert!(!obs.is_blocked(Point::new(2, 2)));
+    }
+
+    #[test]
+    fn rollback_inside_a_fence_keeps_the_fence() {
+        let (mut obs, fence) = fenced_setup();
+        obs.fenced(&fence, |obs| {
+            let cp = obs.checkpoint();
+            obs.block(Point::new(4, 4));
+            obs.block(Point::new(3, 3)); // fenced: already blocked, no entry
+            obs.unblock(Point::new(3, 2)); // fenced: nothing to lift
+            obs.rollback(cp);
+            assert!(!obs.is_blocked(Point::new(4, 4)));
+            assert!(obs.is_blocked(Point::new(3, 2)));
+            assert!(obs.is_blocked(Point::new(3, 3)));
+            assert!(obs.is_blocked(Point::new(2, 2)));
+        });
+        assert!(!obs.is_blocked(Point::new(3, 3)));
+        assert!(obs.is_blocked(Point::new(2, 2)));
+    }
+
+    #[test]
+    fn fence_adds_no_journal_entry() {
+        let (mut obs, fence) = fenced_setup();
+        let cp = obs.checkpoint();
+        obs.fenced(&fence, |obs| assert_eq!(obs.checkpoint(), cp));
+        assert_eq!(obs.checkpoint(), cp);
+        assert_eq!(obs.journal.len(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "fence over another grid")]
+    fn fence_over_another_grid_panics() {
+        let mut obs = ObsMap::new(&Grid::new(4, 4).unwrap());
+        obs.fenced(&CellRows::new(4, 5), |_| ());
     }
 
     #[test]

@@ -54,6 +54,16 @@ impl CellRows {
         }
     }
 
+    /// Width of the grid the set lies on.
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// Height of the grid the set lies on.
+    pub fn height(&self) -> usize {
+        self.height
+    }
+
     /// Removes every cell.
     pub fn clear(&mut self) {
         self.words.fill(0);
@@ -118,13 +128,24 @@ impl CellRows {
     /// Panics when `cells` does not hold exactly `width × height` entries.
     pub fn fill_from<T>(&mut self, cells: &[T], member: impl Fn(&T) -> bool) {
         assert_eq!(cells.len(), self.width * self.height, "one entry per cell");
+        self.clear();
+        self.union_from(cells, self.width, member);
+    }
+
+    /// Adds the cells whose entry satisfies `member`, reading row `y`
+    /// from `cells[y * stride..][..width]`: a row-major copy whose rows
+    /// may carry padding, such as a map with an off-map border.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `stride < width` or `cells` ends before the last row.
+    pub fn union_from<T>(&mut self, cells: &[T], stride: usize, member: impl Fn(&T) -> bool) {
+        assert!(stride >= self.width, "rows overlap");
         if self.width == 0 {
             return;
         }
-        for (row, words) in cells
-            .chunks_exact(self.width)
-            .zip(self.words.chunks_exact_mut(self.stride))
-        {
+        for (y, words) in self.words.chunks_exact_mut(self.stride).enumerate() {
+            let row = &cells[y * stride..][..self.width];
             for (part, word) in row.chunks(WORD).zip(words) {
                 let mut bits = 0;
                 let mut octets = part.chunks_exact(8);
@@ -136,7 +157,7 @@ impl CellRows {
                 for (b, c) in octets.remainder().iter().enumerate() {
                     bits |= u64::from(member(c)) << (base + b);
                 }
-                *word = bits;
+                *word |= bits;
             }
         }
     }

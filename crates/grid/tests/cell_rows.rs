@@ -9,8 +9,8 @@
 //!   with nothing wrapping from one row's end into the next row and
 //!   nothing past the last column;
 //! * iteration yields the members' `y * width + x` in ascending order,
-//!   and the count, membership, insertion and union agree with the
-//!   oracle.
+//!   and the count, membership, insertion and union (also from rows
+//!   with padding) agree with the oracle.
 
 use pacor_grid::{CellRows, Point};
 use proptest::prelude::*;
@@ -83,6 +83,16 @@ proptest! {
         rows.union_with(&rows_of(&b, w, h));
         let both: Vec<bool> = a.iter().zip(&b).map(|(x, y)| *x || *y).collect();
         assert_same(&rows, &both, w, h)?;
+        // The same union read from rows of `b` padded with members that
+        // must be skipped.
+        let pad = 1 + seed as usize % 3;
+        let padded: Vec<bool> = b
+            .chunks(w)
+            .flat_map(|row| row.iter().copied().chain(std::iter::repeat_n(true, pad)))
+            .collect();
+        let mut from_padded = rows_of(&a, w, h);
+        from_padded.union_from(&padded, w + pad, |&c| c);
+        prop_assert_eq!(&from_padded, &rows);
         let p = point(seed as usize % (w * h), w);
         rows.insert(p);
         let mut more = both.clone();
