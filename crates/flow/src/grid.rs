@@ -112,6 +112,9 @@ struct Mark {
 pub struct GridEscape {
     width: usize,
     cells: Vec<u32>,
+    /// Per cell of the map padded by one cell on every side: 1 when the
+    /// cell is transit. Scratch of [`Self::load`].
+    transit: Vec<u8>,
     /// Per cell: first exit arc into it ([`NONE`] when none).
     exit_head: Vec<u32>,
     arcs: Vec<Arc>,
@@ -195,38 +198,45 @@ impl GridEscape {
                 bump_cap(&mut self.cells[idx(p)], DRAIN_CAP);
             }
         }
-        for (y, (row, blocked)) in self
+        // Transit flags, one byte per cell on a copy padded by one
+        // never-transit cell on every side: the neighbour pass below
+        // reads each cell's four neighbours at fixed offsets, without a
+        // bounds test.
+        let pw = w + 2;
+        self.transit.clear();
+        self.transit.resize(pw * (h + 2), 0);
+        for (y, ((row, blocked), padded)) in self
             .cells
             .chunks_exact_mut(w)
             .zip(obs.blocked_cells().chunks_exact(w))
+            .zip(self.transit[pw..].chunks_exact_mut(pw))
             .enumerate()
         {
-            for (x, (f, &blocked)) in row.iter_mut().zip(blocked).enumerate() {
-                if blocked {
-                    *f &= !(3 << DRAIN_CAP);
-                } else if cap_of(*f, DRAIN_CAP) != 0 || (x > 0 && y > 0 && x + 1 < w && y + 1 < h) {
-                    *f |= TRANSIT | 1 << MOVE_CAP;
-                }
+            let inner_row = y > 0 && y + 1 < h;
+            for (x, ((f, &blocked), t)) in row
+                .iter_mut()
+                .zip(blocked)
+                .zip(&mut padded[1..=w])
+                .enumerate()
+            {
+                let interior = inner_row & (x > 0) & (x + 1 < w);
+                let transit = !blocked & (cap_of(*f, DRAIN_CAP) != 0 || interior);
+                *f &= !(u32::from(blocked) * (3 << DRAIN_CAP));
+                *f |= u32::from(transit) * (TRANSIT | 1 << MOVE_CAP);
+                *t = u8::from(transit);
             }
         }
-        for y in 0..h {
-            for x in 0..w {
-                let c = y * w + x;
-                let transit = |q: usize| (self.cells[q] & TRANSIT != 0) as u32;
-                let mut nb = 0;
-                if x > 0 {
-                    nb |= transit(c - 1);
-                }
-                if x + 1 < w {
-                    nb |= transit(c + 1) << 1;
-                }
-                if y > 0 {
-                    nb |= transit(c - w) << 2;
-                }
-                if y + 1 < h {
-                    nb |= transit(c + w) << 3;
-                }
-                self.cells[c] |= nb;
+        let transit = &self.transit;
+        let at = |row: usize, col: usize| &transit[row * pw + col..][..w];
+        for (y, row) in self.cells.chunks_exact_mut(w).enumerate() {
+            // Padded row y + 1 holds grid row y, padded column x + 1 column x.
+            let sides = at(y + 1, 0).iter().zip(at(y + 1, 2));
+            let ends = at(y, 1).iter().zip(at(y + 2, 1));
+            for (f, ((&left, &right), (&up, &down))) in row.iter_mut().zip(sides.zip(ends)) {
+                *f |= u32::from(left)
+                    | u32::from(right) << 1
+                    | u32::from(up) << 2
+                    | u32::from(down) << 3;
             }
         }
 
@@ -635,6 +645,89 @@ impl GridEscape {
             total_length,
             routed,
             work: self.work,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pacor_grid::Grid;
+
+    /// The flags [`GridEscape::load`] must give cell `(x, y)` when no
+    /// source exits into it, straight from their definitions: a free
+    /// cell is transit when it is a pin or off the boundary, a blocked
+    /// pin drains nothing, and the neighbour bits mark the in-bounds
+    /// transit neighbours in `Point::neighbors4` order.
+    fn cell_flags(obs: &ObsMap, pins: &[Point], p: Point) -> u32 {
+        let (w, h) = (obs.width() as i32, obs.height() as i32);
+        let in_bounds = |q: Point| q.x >= 0 && q.y >= 0 && q.x < w && q.y < h;
+        let drain = |q: Point| pins.iter().filter(|&&pin| pin == q).count().min(2) as u32;
+        let transit = |q: Point| {
+            let interior = q.x > 0 && q.y > 0 && q.x + 1 < w && q.y + 1 < h;
+            in_bounds(q) && !obs.is_blocked(q) && (drain(q) > 0 || interior)
+        };
+        let mut f = 0;
+        for (d, q) in p.neighbors4().into_iter().enumerate() {
+            f |= u32::from(transit(q)) << d;
+        }
+        if transit(p) {
+            f |= TRANSIT | 1 << MOVE_CAP;
+        }
+        if !obs.is_blocked(p) {
+            f |= drain(p) << DRAIN_CAP;
+        }
+        f
+    }
+
+    #[test]
+    fn load_flags_match_their_definition() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move |m: usize| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize % m
+        };
+        let mut solver = GridEscape::new();
+        for w in [1usize, 63, 64, 65, 96] {
+            for trial in 0..6 {
+                let h = [1, 2, 3, 17, 64, 96][trial];
+                let mut obs = ObsMap::new(&Grid::new(w as u32, h as u32).unwrap());
+                let density = 1 + next(4);
+                for y in 0..h {
+                    for x in 0..w {
+                        if next(8) < density {
+                            obs.block(Point::new(x as i32, y as i32));
+                        }
+                    }
+                }
+                // Pins on the boundary and inside, some listed twice or
+                // three times, some off the map.
+                let mut pins: Vec<Point> = Vec::new();
+                for _ in 0..(w + h) / 2 + 2 {
+                    let p = match next(4) {
+                        0 => Point::new(next(w) as i32, 0),
+                        1 => Point::new(0, next(h) as i32),
+                        2 => Point::new(next(w) as i32, next(h) as i32),
+                        _ => Point::new(w as i32, next(h) as i32),
+                    };
+                    for _ in 0..1 + next(3) {
+                        pins.push(p);
+                    }
+                }
+                solver.load(&obs, &[], &pins);
+                for y in 0..h {
+                    for x in 0..w {
+                        let p = Point::new(x as i32, y as i32);
+                        assert_eq!(
+                            solver.cells[y * w + x],
+                            cell_flags(&obs, &pins, p),
+                            "{w}x{h} map, cell {p}"
+                        );
+                    }
+                }
+            }
         }
     }
 }
