@@ -23,7 +23,7 @@ use crate::lm_routing::reroute_lm_cluster;
 use crate::mst_routing::route_mst_cluster;
 use crate::{FlowConfig, RoutedCluster, RoutedKind};
 use pacor_flow::{EscapeOutcome, EscapeSource, GridEscape};
-use pacor_grid::{GridPath, ObsMap, Point};
+use pacor_grid::{CellRows, GridPath, ObsMap, Point};
 use pacor_valves::{Cluster, ClusterId};
 
 /// Statistics of the escape stage.
@@ -129,6 +129,46 @@ fn decluster(
     }
 }
 
+/// Re-routes the ripped `victims`' internal nets into `routed`; their
+/// escapes re-solve in the next pending-only round. A victim that cannot
+/// re-route is de-clustered.
+fn reroute_victims(
+    obs: &mut ObsMap,
+    routed: &mut Vec<RoutedCluster>,
+    victims: Vec<RoutedCluster>,
+    config: &FlowConfig,
+    next_id: &mut u32,
+    stats: &mut EscapeStats,
+) {
+    for rc in victims {
+        let positions = &rc.member_positions;
+        let rerouted = match &rc.kind {
+            RoutedKind::Singleton => {
+                obs.block(positions[0]);
+                Some(RoutedCluster {
+                    escape: None,
+                    ..rc.clone()
+                })
+            }
+            RoutedKind::Mst { .. } => {
+                let members = rc.cluster.members().to_vec();
+                let demoted = Cluster::new(rc.cluster.id(), members, false);
+                route_mst_cluster(obs, &demoted, positions)
+            }
+            RoutedKind::LmPair { .. } | RoutedKind::LmTree { .. } => {
+                reroute_lm_cluster(obs, rc.cluster.clone(), positions.clone(), config)
+            }
+        };
+        match rerouted {
+            Some(mut new_rc) => {
+                new_rc.escape = None;
+                routed.push(new_rc);
+            }
+            None => decluster(obs, routed, rc, false, next_id, stats),
+        }
+    }
+}
+
 /// Connects every routed cluster to a control pin; see the module docs
 /// for the recovery mechanics. On return, successful escape paths are
 /// recorded in each cluster and blocked in `obs`; `routed` may contain
@@ -141,6 +181,7 @@ pub fn escape_all(
     config: &FlowConfig,
     next_id: &mut u32,
 ) -> EscapeStats {
+    let (width, height) = (obs.width() as usize, obs.height() as usize);
     EscapeRun {
         obs,
         routed,
@@ -150,7 +191,9 @@ pub fn escape_all(
         solver: GridEscape::new(),
         stats: EscapeStats::default(),
         rip_counts: Vec::new(),
-        scratch: BlockScratch::default(),
+        flood: Flood::default(),
+        pocket: CellRows::new(width, height),
+        guard: CellRows::new(width, height),
     }
     .run()
 }
@@ -171,7 +214,11 @@ struct EscapeRun<'a> {
     /// cyclically evicting each other would otherwise burn every round.
     /// Ids are dense from `next_id`, so a flat id-indexed vec suffices.
     rip_counts: Vec<u32>,
-    scratch: BlockScratch,
+    flood: Flood,
+    /// The pockets of the singleton in recovery, over every shell.
+    pocket: CellRows,
+    /// The cells fenced while its victims re-route.
+    guard: CellRows,
 }
 
 impl EscapeRun<'_> {
@@ -330,30 +377,24 @@ impl EscapeRun<'_> {
         let mut progress = false;
         // Peel blocking shells until the source can escape: a pocket
         // may be walled by several nets nested behind one another.
-        // Shell pockets may overlap; the guard placement below
-        // tolerates duplicates, so a flat vec replaces the set.
         let mut victims: Vec<RoutedCluster> = Vec::new();
-        let mut pocket: Vec<Point> = Vec::new();
+        self.pocket.clear();
         for _ in 0..4 {
-            let (blockers, shell_pocket, walls) = {
+            let mut blockers = {
                 let _blocking = pacor_obs::span("escape.blocking");
-                blocking_clusters(
-                    &mut self.scratch,
-                    self.obs,
-                    self.routed,
-                    cur,
-                    source,
-                    &self.rip_counts,
-                )
+                self.flood
+                    .blocking_clusters(self.obs, self.routed, cur, source, &self.rip_counts)
             };
             let blocked_id = self.routed[cur].cluster.id().0;
-            record_blocked(self.routed, blocked_id, &shell_pocket, &blockers, &walls);
-            pocket.extend(shell_pocket);
+            record_blocked(self.routed, blocked_id, &self.flood, &blockers);
+            if !blockers.is_empty() || !victims.is_empty() {
+                // Every shell's pocket is fenced while the victims re-route.
+                self.flood.add_pocket_to(&mut self.pocket);
+            }
             if blockers.is_empty() {
                 break; // walled by hard obstacles / valves: unrecoverable
             }
             progress = true;
-            let mut blockers = blockers;
             blockers.sort_unstable();
             for &b in blockers.iter().rev() {
                 let rc = self.routed.remove(b);
@@ -394,50 +435,26 @@ impl EscapeRun<'_> {
                 break;
             }
         }
-        // Guard the pocket and its one-cell rim while the victims
-        // re-route, so a deterministic router cannot simply rebuild
-        // the wall it was just evicted from.
         let _reroute = pacor_obs::span("escape.reroute");
-        let mut guards: Vec<Point> = Vec::new();
-        for &p in &pocket {
-            for q in std::iter::once(p).chain(p.neighbors4()) {
-                if !self.obs.is_blocked(q) {
-                    self.obs.block(q);
-                    guards.push(q);
-                }
-            }
+        if !victims.is_empty() {
+            // Fence the pockets and their one-cell rim while the victims
+            // re-route, so a deterministic router cannot simply rebuild
+            // the wall it was just evicted from.
+            self.pocket.dilate_into(&mut self.guard);
+            self.guard.union_with(&self.pocket);
+            let EscapeRun {
+                obs,
+                routed,
+                config,
+                next_id,
+                stats,
+                guard,
+                ..
+            } = self;
+            obs.fenced(guard, |obs| {
+                reroute_victims(obs, routed, victims, config, next_id, stats)
+            });
         }
-        // Re-route the victims' internal nets; their escapes re-solve
-        // in the next pending-only iteration. Victims that cannot
-        // re-route are de-clustered.
-        for rc in victims {
-            let positions = &rc.member_positions;
-            let rerouted = match &rc.kind {
-                RoutedKind::Singleton => {
-                    self.obs.block(positions[0]);
-                    Some(RoutedCluster {
-                        escape: None,
-                        ..rc.clone()
-                    })
-                }
-                RoutedKind::Mst { .. } => {
-                    let members = rc.cluster.members().to_vec();
-                    let demoted = Cluster::new(rc.cluster.id(), members, false);
-                    route_mst_cluster(self.obs, &demoted, positions)
-                }
-                RoutedKind::LmPair { .. } | RoutedKind::LmTree { .. } => {
-                    reroute_lm_cluster(self.obs, rc.cluster.clone(), positions.clone(), self.config)
-                }
-            };
-            match rerouted {
-                Some(mut new_rc) => {
-                    new_rc.escape = None;
-                    self.routed.push(new_rc);
-                }
-                None => self.decluster(rc, false),
-            }
-        }
-        self.obs.unblock_all(guards);
         progress
     }
 
@@ -493,16 +510,10 @@ impl EscapeRun<'_> {
                     // No escapes are blocked right now, so every attributed
                     // frontier cell belongs to an internal net. Rip limits no
                     // longer apply: completion outranks everything.
-                    let (blockers, pocket, walls) = {
+                    let mut blockers = {
                         let _blocking = pacor_obs::span("escape.blocking");
-                        blocking_clusters(
-                            &mut self.scratch,
-                            self.obs,
-                            self.routed,
-                            cur,
-                            source,
-                            &[],
-                        )
+                        self.flood
+                            .blocking_clusters(self.obs, self.routed, cur, source, &[])
                     };
                     let blocked_id = self.routed[cur].cluster.id().0;
                     pacor_obs::emit(pacor_obs::Event::EscapeFailed {
@@ -510,8 +521,7 @@ impl EscapeRun<'_> {
                         round: self.stats.rounds,
                         cluster: blocked_id,
                     });
-                    record_blocked(self.routed, blocked_id, &pocket, &blockers, &walls);
-                    let mut blockers = blockers;
+                    record_blocked(self.routed, blocked_id, &self.flood, &blockers);
                     blockers.sort_unstable();
                     for &b in blockers.iter().rev() {
                         if self.routed[b].cluster.len() < 2 {
@@ -564,186 +574,241 @@ fn singleton(id: ClusterId, valve: pacor_valves::ValveId, pos: Point) -> RoutedC
     }
 }
 
-/// Flat per-cell scratch reused across one run's [`blocking_clusters`] calls.
-/// Validity of every slot is epoch-stamped (`*_at[i] == epoch`), so one
-/// counter bump per call replaces clearing four dense maps; the arrays
-/// are only ever zeroed when the grid (or cluster count) outgrows them.
-#[derive(Default)]
-struct BlockScratch {
-    n_cells: usize,
-    /// Owning routed-cluster index per cell, valid when `owner_at` matches.
+/// Free cell of [`Flood`]'s map.
+const FREE: u8 = 0;
+/// Blocked cell not yet met by the flood, or a valve wall.
+const BLOCKED: u8 = 1;
+/// Pocket cell, or off the map. `FREE | SEEN == SEEN`.
+const SEEN: u8 = 2;
+/// Blocked cell next to an expanded pocket cell. `BLOCKED | SEEN == WALL`.
+const WALL: u8 = 3;
+/// No routed cluster owns the wall cell.
+const NO_OWNER: u32 = u32::MAX;
+/// The flood stops expanding once its pocket holds more cells than
+/// this: blockage is local, and a full-chip flood on every failure
+/// would be wasteful.
+const FLOOD_CAP: usize = 4096;
+
+/// The flood of one failed source and its walls, over scratch that one
+/// run reuses for every call; see [`Flood::blocking_clusters`].
+///
+/// Cells are indexed on a padded copy of the map, with one off-map cell
+/// on every side, so a step is an index offset and never a bounds test.
+#[derive(Debug, Default)]
+struct Flood {
+    width: usize,
+    height: usize,
+    /// Width of the padded map, `width + 2`.
+    pw: usize,
+    /// Per padded cell: [`FREE`], [`BLOCKED`], [`SEEN`] or [`WALL`].
+    map: Vec<u8>,
+    /// The last pocket in BFS order, as padded indices: `queue[..pocket]`.
+    queue: Vec<u32>,
+    pocket: usize,
+    /// The last flood's walls in the order it met them, each once:
+    /// `walls[..n_walls]`.
+    walls: Vec<u32>,
+    n_walls: usize,
+    /// Per padded cell: the routed index owning it. [`NO_OWNER`] except
+    /// at the last flood's attributed walls.
     owner: Vec<u32>,
-    owner_at: Vec<u32>,
-    /// Cell holds a physical valve (never attributable to a rip).
-    valve_at: Vec<u32>,
-    /// Cell reached by the current flood fill.
-    seen_at: Vec<u32>,
-    /// Per routed-cluster index: already recorded as a frontier owner.
-    front_at: Vec<u32>,
-    epoch: u32,
+    /// Per routed index: already listed as a blocker of this flood.
+    picked: Vec<bool>,
 }
 
-/// Flood-fills free cells from `source` and returns the indices of the
-/// routed clusters whose cells form the blocking frontier — the nets
-/// walling the source in. Unconstrained blockers are preferred (listed
-/// exhaustively); length-matching blockers are included only when no
-/// unconstrained blocker exists. The failed cluster itself (`exclude`)
-/// never appears, valve cells are never attributed (ripping a cluster
-/// cannot free a physical valve), and clusters already ripped three
-/// times are off-limits (cycle breaker).
-///
-/// Also returns the pocket (the free cells reached, each exactly once)
-/// and the attributed frontier cells with their owning routed-cluster
-/// *indices*, sorted by (y, x) and capped — the flight recorder's
-/// escape-bottleneck evidence.
-///
-/// `rip_counts` is indexed by cluster id (dense from `next_id`); ids
-/// beyond its length count as never ripped, so `&[]` disables the limit.
-fn blocking_clusters(
-    s: &mut BlockScratch,
-    obs: &ObsMap,
-    routed: &[RoutedCluster],
-    exclude: usize,
-    source: Point,
-    rip_counts: &[u32],
-) -> (Vec<usize>, Vec<Point>, Vec<(Point, usize)>) {
-    let (w, h) = (obs.width() as usize, obs.height() as usize);
-    let n_cells = w * h;
-    if s.n_cells < n_cells {
-        // Grown slots start at stamp 0; the epoch never goes backwards,
-        // so every pre-existing stamp stays strictly below the next one.
-        s.n_cells = n_cells;
-        s.owner.resize(n_cells, 0);
-        s.owner_at.resize(n_cells, 0);
-        s.valve_at.resize(n_cells, 0);
-        s.seen_at.resize(n_cells, 0);
-    }
-    if s.front_at.len() < routed.len() {
-        s.front_at.resize(routed.len(), 0);
-    }
-    if s.epoch == u32::MAX {
-        s.owner_at.fill(0);
-        s.valve_at.fill(0);
-        s.seen_at.fill(0);
-        s.front_at.fill(0);
-        s.epoch = 0;
-    }
-    s.epoch += 1;
-    let epoch = s.epoch;
-    let idx = |p: Point| -> Option<usize> {
-        (p.x >= 0 && p.y >= 0 && (p.x as usize) < w && (p.y as usize) < h)
-            .then(|| p.y as usize * w + p.x as usize)
-    };
-
-    // Cells that can never be freed by a rip: every valve position.
-    for rc in routed {
-        for &pos in &rc.member_positions {
-            if let Some(ci) = idx(pos) {
-                s.valve_at[ci] = epoch;
+impl Flood {
+    /// Flood-fills free cells from `source` and returns the indices of
+    /// the routed clusters whose cells form the blocking frontier — the
+    /// nets walling the source in. Unconstrained blockers are preferred
+    /// (listed exhaustively); length-matching blockers are included only
+    /// when no unconstrained blocker exists. The failed cluster itself
+    /// (`exclude`) never appears, valve cells are never attributed
+    /// (ripping a cluster cannot free a physical valve), and clusters
+    /// already ripped three times are off-limits (cycle breaker).
+    ///
+    /// The pocket (the free cells reached, each exactly once) and the
+    /// attributed walls stay readable until the next call:
+    /// [`Flood::add_pocket_to`] and [`Flood::evidence`].
+    ///
+    /// `rip_counts` is indexed by cluster id (dense from `next_id`); ids
+    /// beyond its length count as never ripped, so `&[]` disables the limit.
+    fn blocking_clusters(
+        &mut self,
+        obs: &ObsMap,
+        routed: &[RoutedCluster],
+        exclude: usize,
+        source: Point,
+        rip_counts: &[u32],
+    ) -> Vec<usize> {
+        self.flood(obs, source);
+        self.attribute(routed, exclude, rip_counts);
+        let mut owners: Vec<usize> = Vec::new();
+        self.picked
+            .resize(self.picked.len().max(routed.len()), false);
+        for &c in &self.walls[..self.n_walls] {
+            let o = self.owner[c as usize];
+            if o != NO_OWNER && !self.picked[o as usize] {
+                self.picked[o as usize] = true;
+                owners.push(o as usize);
             }
         }
-    }
-    // Cell ownership of committed geometry (later clusters overwrite
-    // earlier ones on shared cells, exactly like the map it replaces).
-    for (i, rc) in routed.iter().enumerate() {
-        let ripped = rip_counts
-            .get(rc.cluster.id().0 as usize)
+        for &o in &owners {
+            self.picked[o] = false;
+        }
+        let unconstrained: Vec<usize> = owners
+            .iter()
             .copied()
-            .unwrap_or(0);
-        if i == exclude || ripped >= 3 {
-            continue;
+            .filter(|&i| !routed[i].cluster.is_length_matched())
+            .collect();
+        if unconstrained.is_empty() {
+            owners
+        } else {
+            unconstrained
         }
-        for c in rc.net_cells() {
-            if let Some(ci) = idx(c) {
-                if s.valve_at[ci] != epoch {
-                    s.owner[ci] = i as u32;
-                    s.owner_at[ci] = epoch;
+    }
+
+    /// The BFS from `source` over a fresh padded copy of `obs`: FIFO, in
+    /// `Point::neighbors4` order, stopping once the pocket passes
+    /// [`FLOOD_CAP`]. When the cap binds, that order decides which cells
+    /// enter the pocket and which walls the flood meets.
+    fn flood(&mut self, obs: &ObsMap, source: Point) {
+        let (w, h) = (obs.width() as usize, obs.height() as usize);
+        let pw = w + 2;
+        if (self.width, self.height) != (w, h) {
+            let n = pw * (h + 2);
+            *self = Flood {
+                width: w,
+                height: h,
+                pw,
+                map: vec![SEEN; n],
+                queue: vec![0; n],
+                walls: vec![0; n],
+                owner: vec![NO_OWNER; n],
+                ..Flood::default()
+            };
+        }
+        for &c in &self.walls[..self.n_walls] {
+            self.owner[c as usize] = NO_OWNER;
+        }
+        // The border keeps SEEN from the allocation.
+        for (row, blocked) in self.map[pw..]
+            .chunks_exact_mut(pw)
+            .zip(obs.blocked_cells().chunks_exact(w))
+        {
+            for (m, &b) in row[1..=w].iter_mut().zip(blocked) {
+                *m = u8::from(b);
+            }
+        }
+        let s = self.index(source).expect("escape sources lie on the map");
+        self.map[s] = SEEN;
+        self.queue[0] = s as u32;
+        let (mut len, mut n_walls, mut head) = (1, 0, 0);
+        while head < len && len <= FLOOD_CAP {
+            let p = self.queue[head] as usize;
+            head += 1;
+            for q in [p - 1, p + 1, p - pw, p + pw] {
+                // Each cell is pushed at most once, so neither list can
+                // outgrow the map; the slot past its end is scratch.
+                let v = self.map[q];
+                self.map[q] = v | SEEN;
+                self.queue[len] = q as u32;
+                len += usize::from(v == FREE);
+                self.walls[n_walls] = q as u32;
+                n_walls += usize::from(v == BLOCKED);
+            }
+        }
+        self.pocket = len;
+        self.n_walls = n_walls;
+    }
+
+    /// Gives each wall its owner: one pass over the routed clusters'
+    /// net and escape cells, where a later cluster overwrites an earlier
+    /// one on a shared cell. Valve walls, `exclude` and clusters ripped
+    /// three times stay unattributed.
+    fn attribute(&mut self, routed: &[RoutedCluster], exclude: usize, rip_counts: &[u32]) {
+        for rc in routed {
+            for &pos in &rc.member_positions {
+                if let Some(k) = self.index(pos) {
+                    if self.map[k] == WALL {
+                        self.map[k] = BLOCKED;
+                    }
                 }
             }
         }
-        if let Some((esc, _)) = &rc.escape {
-            for &c in esc.cells() {
-                if let Some(ci) = idx(c) {
-                    if s.valve_at[ci] != epoch {
-                        s.owner[ci] = i as u32;
-                        s.owner_at[ci] = epoch;
+        for (i, rc) in routed.iter().enumerate() {
+            let ripped = rip_counts
+                .get(rc.cluster.id().0 as usize)
+                .copied()
+                .unwrap_or(0);
+            if i == exclude || ripped >= 3 {
+                continue;
+            }
+            let escape = rc.escape.as_ref().map(|(esc, _)| esc);
+            for path in rc.net_paths().chain(escape) {
+                for &c in path.cells() {
+                    if let Some(k) = self.index(c) {
+                        if self.map[k] == WALL {
+                            self.owner[k] = i as u32;
+                        }
                     }
                 }
             }
         }
     }
 
-    // BFS over free cells from the source; `pocket` is the queue, its
-    // cells before `head` expanded.
-    let mut pocket: Vec<Point> = vec![source];
-    let mut frontier_owners: Vec<usize> = Vec::new();
-    let mut frontier_cells: Vec<(Point, usize)> = Vec::new();
-    if let Some(ci) = idx(source) {
-        s.seen_at[ci] = epoch;
-    }
-    let blocked = obs.blocked_cells();
-    // Bound the flood to a local neighbourhood: blockage is local, and a
-    // full-chip flood on every failure would be wasteful.
-    let limit = 4096usize;
-    let mut head = 0;
-    while head < pocket.len() && pocket.len() <= limit {
-        let p = pocket[head];
-        head += 1;
-        for q in p.neighbors4() {
-            let Some(qi) = idx(q) else { continue };
-            if s.seen_at[qi] == epoch {
-                continue;
-            }
-            if blocked[qi] {
-                if s.owner_at[qi] == epoch {
-                    let o = s.owner[qi] as usize;
-                    if s.front_at[o] != epoch {
-                        s.front_at[o] = epoch;
-                        frontier_owners.push(o);
-                    }
-                    frontier_cells.push((q, o));
-                }
-                continue;
-            }
-            s.seen_at[qi] = epoch;
-            pocket.push(q);
-        }
+    /// Padded index of an on-map cell.
+    #[inline]
+    fn index(&self, p: Point) -> Option<usize> {
+        let (x, y) = (p.x as usize, p.y as usize);
+        (p.x >= 0 && p.y >= 0 && x < self.width && y < self.height)
+            .then(|| (y + 1) * self.pw + x + 1)
     }
 
-    let unconstrained: Vec<usize> = frontier_owners
-        .iter()
-        .copied()
-        .filter(|&i| !routed[i].cluster.is_length_matched())
-        .collect();
-    let picks = if !unconstrained.is_empty() {
-        unconstrained
-    } else {
-        frontier_owners
-    };
-    frontier_cells.sort_unstable_by_key(|&(p, o)| (p.y, p.x, o));
-    frontier_cells.dedup();
-    frontier_cells.truncate(32);
-    (picks, pocket, frontier_cells)
+    /// The cell at a padded index.
+    #[inline]
+    fn point_of(&self, c: u32) -> Point {
+        let pw = self.pw as u32;
+        Point::new((c % pw) as i32 - 1, (c / pw) as i32 - 1)
+    }
+
+    /// Adds the last pocket to `rows`, a set over the map: its cells are
+    /// the map's [`SEEN`] cells.
+    fn add_pocket_to(&self, rows: &mut CellRows) {
+        rows.union_from(&self.map[self.pw + 1..], self.pw, |&v| v == SEEN);
+    }
+
+    /// The last flood's attributed walls with their owners' routed
+    /// indices, sorted by (y, x) and capped — the flight recorder's
+    /// escape-bottleneck evidence.
+    fn evidence(&self) -> Vec<(Point, usize)> {
+        let mut cells: Vec<(u32, u32)> = self.walls[..self.n_walls]
+            .iter()
+            .map(|&c| (c, self.owner[c as usize]))
+            .filter(|&(_, o)| o != NO_OWNER)
+            .collect();
+        // Padded indices are row-major, so they sort by (y, x).
+        cells.sort_unstable();
+        cells.truncate(32);
+        cells
+            .into_iter()
+            .map(|(c, o)| (self.point_of(c), o as usize))
+            .collect()
+    }
 }
 
-/// Emits [`pacor_obs::Event::EscapeBlocked`] for a walled-in cluster:
-/// resolves blocker indices and frontier owners to cluster ids (only
-/// when recording).
-fn record_blocked(
-    routed: &[RoutedCluster],
-    blocked: u32,
-    pocket: &[Point],
-    blockers: &[usize],
-    frontier: &[(Point, usize)],
-) {
+/// Emits [`pacor_obs::Event::EscapeBlocked`] for a walled-in cluster from
+/// the flood that just ran: resolves blocker indices and wall owners to
+/// cluster ids (only when recording).
+fn record_blocked(routed: &[RoutedCluster], blocked: u32, flood: &Flood, blockers: &[usize]) {
     if !pacor_obs::recording() {
         return;
     }
     let mut ids: Vec<u32> = blockers.iter().map(|&b| routed[b].cluster.id().0).collect();
     ids.sort_unstable();
-    let frontier: Vec<pacor_obs::FrontierCell> = frontier
-        .iter()
-        .map(|&(p, o)| pacor_obs::FrontierCell {
+    let frontier: Vec<pacor_obs::FrontierCell> = flood
+        .evidence()
+        .into_iter()
+        .map(|(p, o)| pacor_obs::FrontierCell {
             x: p.x,
             y: p.y,
             owner: routed[o].cluster.id().0,
@@ -751,7 +816,7 @@ fn record_blocked(
         .collect();
     pacor_obs::emit(pacor_obs::Event::EscapeBlocked {
         cluster: blocked,
-        pocket: pocket.len() as u32,
+        pocket: flood.pocket as u32,
         blockers: ids,
         frontier,
     });
@@ -1098,6 +1163,7 @@ mod tests {
             (state >> 33) as usize % m
         };
         let mut capped = 0;
+        let mut flood = Flood::default();
         for trial in 0..84 {
             let large = trial >= 60;
             let (w, h) = if large {
@@ -1169,28 +1235,31 @@ mod tests {
             }
             let exclude = next(n);
             let source = routed[exclude].member_positions[0];
-            let (mut picks_f, pocket_f, walls_f) = blocking_clusters(
-                &mut BlockScratch::default(),
-                &obs,
-                &routed,
-                exclude,
-                source,
-                &rip_counts,
-            );
+            // A flood from another source first, so the compared one runs
+            // on used scratch.
+            let other = routed[(exclude + 1) % n].member_positions[0];
+            flood.blocking_clusters(&obs, &routed, exclude, other, &rip_counts);
+            let mut picks_f = flood.blocking_clusters(&obs, &routed, exclude, source, &rip_counts);
+            let mut pocket_f = CellRows::new(w, h);
+            flood.add_pocket_to(&mut pocket_f);
+            let walls_f = flood.evidence();
             let (mut picks_r, pocket_r, walls_r) =
                 blocking_clusters_reference(&obs, &routed, exclude, source, &rip_map);
             picks_f.sort_unstable();
             picks_r.sort_unstable();
             assert_eq!(picks_f, picks_r, "trial {trial}: picks diverged");
-            let pocket_set: HashSet<Point> = pocket_f.iter().copied().collect();
+            let pocket_set: HashSet<Point> = pocket_f
+                .iter()
+                .map(|i| Point::new((i % w) as i32, (i / w) as i32))
+                .collect();
             assert_eq!(
+                flood.pocket,
                 pocket_set.len(),
-                pocket_f.len(),
                 "trial {trial}: flat pocket holds duplicates"
             );
             assert_eq!(pocket_set, pocket_r, "trial {trial}: pocket diverged");
             assert_eq!(walls_f, walls_r, "trial {trial}: frontier diverged");
-            capped += usize::from(pocket_f.len() > 4096);
+            capped += usize::from(flood.pocket > 4096);
         }
         assert!(
             capped >= 12,

@@ -52,26 +52,27 @@ pub struct RoutedCluster {
 }
 
 impl RoutedCluster {
+    /// The wired paths of the internal net (none for a singleton), in a
+    /// fixed order; cells shared by two paths appear in both.
+    pub fn net_paths(&self) -> impl Iterator<Item = &GridPath> {
+        let (paths, halves): (&[GridPath], [Option<&GridPath>; 2]) = match &self.kind {
+            RoutedKind::LmTree { edge_paths, .. } => (edge_paths, [None, None]),
+            RoutedKind::LmPair { half_a, half_b, .. } => (&[], [Some(half_a), Some(half_b)]),
+            RoutedKind::Mst { paths } => (paths, [None, None]),
+            RoutedKind::Singleton => (&[], [None, None]),
+        };
+        paths.iter().chain(halves.into_iter().flatten())
+    }
+
     /// All grid cells occupied by the internal net (escape excluded).
     pub fn net_cells(&self) -> Vec<Point> {
-        let mut cells = Vec::new();
-        match &self.kind {
-            RoutedKind::LmTree { edge_paths, .. } => {
-                for p in edge_paths {
-                    cells.extend(p.cells().iter().copied());
-                }
-            }
-            RoutedKind::LmPair { half_a, half_b, .. } => {
-                cells.extend(half_a.cells().iter().copied());
-                cells.extend(half_b.cells().iter().copied());
-            }
-            RoutedKind::Mst { paths } => {
-                for p in paths {
-                    cells.extend(p.cells().iter().copied());
-                }
-            }
-            RoutedKind::Singleton => cells.extend(self.member_positions.iter().copied()),
-        }
+        let mut cells: Vec<Point> = match self.kind {
+            RoutedKind::Singleton => self.member_positions.clone(),
+            _ => self
+                .net_paths()
+                .flat_map(|p| p.cells().iter().copied())
+                .collect(),
+        };
         cells.sort();
         cells.dedup();
         cells
