@@ -9,6 +9,12 @@
 //! shape of a late recovery solve, where sources that lose the race
 //! for a pin are found dead by every later search. That is the case
 //! the solver's search rewind (DESIGN §14.5) saves most on.
+//!
+//! `grid_solve_solo` (96² and 231 × 265) routes one source among the
+//! other, blocked lattice valves to the two-edge pins: the shape of
+//! escape recovery's solo solve, which claims a freed corridor for one
+//! walled-in valve. Its search is short, so loading the network's cell
+//! flags is a large share of it.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pacor::grid::{Grid, ObsMap, Point};
@@ -76,6 +82,15 @@ fn bench_escape_solve(c: &mut Criterion) {
                 b.iter(|| grid.solve(&obs, &sources, &pins).routed)
             });
         }
+    }
+    for (w, h) in [(96u32, 96u32), (231, 265)] {
+        let size = format!("{w}x{h}");
+        let (obs, sources, pins) = scenario(w, h, 3, true);
+        let solo = [sources[sources.len() / 2].clone()];
+        let mut grid = GridEscape::new();
+        group.bench_with_input(BenchmarkId::new("grid_solve_solo", &size), &size, |b, _| {
+            b.iter(|| grid.solve(&obs, &solo, &pins).routed)
+        });
     }
     group.finish();
 }
