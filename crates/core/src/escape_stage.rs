@@ -70,38 +70,6 @@ fn valves_escaped(routed: &[RoutedCluster]) -> u64 {
         .sum()
 }
 
-/// One cold min-cost-flow solve over the current obstacle map, inside
-/// the span `name`, counting its searches and node labels.
-fn solve(
-    solver: &mut GridEscape,
-    obs: &ObsMap,
-    sources: &[EscapeSource],
-    pins: &[Point],
-    name: &'static str,
-) -> EscapeOutcome {
-    let _s = pacor_obs::span(name);
-    let outcome = solver.solve(obs, sources, pins);
-    pacor_obs::counter_add("escape.dijkstras", outcome.work.dijkstras);
-    pacor_obs::counter_add("escape.touched", outcome.work.touched);
-    outcome
-}
-
-/// Records an escape route and blocks its cells. Cell 0 lies on the
-/// cluster net, which is already blocked.
-fn commit(obs: &mut ObsMap, rc: &mut RoutedCluster, (path, pin): (GridPath, Point)) {
-    obs.block_all(path.cells().iter().skip(1).copied());
-    rc.commit_escape(path, pin);
-}
-
-/// Takes every committed escape back and frees its cells past cell 0.
-fn rip_all_escapes(obs: &mut ObsMap, routed: &mut [RoutedCluster]) {
-    for rc in routed.iter_mut() {
-        if let Some((esc, _)) = rc.escape.take() {
-            obs.unblock_all(esc.cells().iter().skip(1).copied());
-        }
-    }
-}
-
 /// Dissolves a multi-valve cluster into singletons, appended to `routed`
 /// with fresh ids from `next_id`; its valve cells stay blocked.
 /// `free_nets` unblocks its internal nets. A rip-up victim passes
@@ -243,20 +211,14 @@ impl EscapeRun<'_> {
         for _ in 0..self.config.max_ripup_rounds {
             self.stats.rounds += 1;
             pacor_obs::counter_add("escape.rounds", 1);
-            rip_all_escapes(self.obs, self.routed);
+            self.rip_all_escapes();
             let n_sources = self.routed.len();
             let sources: Vec<_> = self.routed.iter().map(|rc| rc.escape_source()).collect();
-            let outcome = solve(
-                &mut self.solver,
-                self.obs,
-                &sources,
-                self.pins,
-                "escape.net_solve",
-            );
+            let outcome = self.solve(&sources, "escape.net_solve");
             let mut failed: Vec<usize> = Vec::new();
             for (i, route) in outcome.routes.into_iter().enumerate() {
                 match route {
-                    Some(route) => commit(self.obs, &mut self.routed[i], route),
+                    Some(route) => self.commit(i, route),
                     None => failed.push(i),
                 }
             }
@@ -310,18 +272,12 @@ impl EscapeRun<'_> {
                 .iter()
                 .map(|&i| self.routed[i].escape_source())
                 .collect();
-            let outcome = solve(
-                &mut self.solver,
-                self.obs,
-                &sources,
-                self.pins,
-                "escape.net_solve",
-            );
+            let outcome = self.solve(&sources, "escape.net_solve");
             let mut failed: Vec<usize> = Vec::new();
             for (k, route) in outcome.routes.into_iter().enumerate() {
                 let i = pending[k];
                 match route {
-                    Some(route) => commit(self.obs, &mut self.routed[i], route),
+                    Some(route) => self.commit(i, route),
                     None => failed.push(i),
                 }
             }
@@ -423,15 +379,9 @@ impl EscapeRun<'_> {
             cur = find(self.routed).expect("failed singleton still present");
             // Claim the freed corridor before the victims re-route.
             let sources = [self.routed[cur].escape_source()];
-            let solo = solve(
-                &mut self.solver,
-                self.obs,
-                &sources,
-                self.pins,
-                "escape.solo_solve",
-            );
+            let solo = self.solve(&sources, "escape.solo_solve");
             if let Some(Some(route)) = solo.routes.into_iter().next() {
-                commit(self.obs, &mut self.routed[cur], route);
+                self.commit(cur, route);
                 break;
             }
         }
@@ -470,16 +420,10 @@ impl EscapeRun<'_> {
     fn last_resort(&mut self) {
         let _phase_span = pacor_obs::span("escape.phase3");
         for _ in 0..self.routed.len() + 4 {
-            rip_all_escapes(self.obs, self.routed);
+            self.rip_all_escapes();
             let n_sources = self.routed.len();
             let sources: Vec<_> = self.routed.iter().map(|rc| rc.escape_source()).collect();
-            let outcome = solve(
-                &mut self.solver,
-                self.obs,
-                &sources,
-                self.pins,
-                "escape.net_solve",
-            );
+            let outcome = self.solve(&sources, "escape.net_solve");
             let valves_routed: u64 = outcome
                 .routes
                 .iter()
@@ -545,10 +489,36 @@ impl EscapeRun<'_> {
             // Complete, or no wall left to dissolve: commit and finish.
             for (i, route) in outcome.routes.into_iter().enumerate() {
                 if let Some(route) = route {
-                    commit(self.obs, &mut self.routed[i], route);
+                    self.commit(i, route);
                 }
             }
             return;
+        }
+    }
+
+    /// One cold min-cost-flow solve over the current obstacle map, inside
+    /// the span `name`, counting its searches and node labels.
+    fn solve(&mut self, sources: &[EscapeSource], name: &'static str) -> EscapeOutcome {
+        let _s = pacor_obs::span(name);
+        let outcome = self.solver.solve(self.obs, sources, self.pins);
+        pacor_obs::counter_add("escape.dijkstras", outcome.work.dijkstras);
+        pacor_obs::counter_add("escape.touched", outcome.work.touched);
+        outcome
+    }
+
+    /// Records an escape route for `routed[i]` and blocks its cells.
+    /// Cell 0 lies on the cluster net, which is already blocked.
+    fn commit(&mut self, i: usize, (path, pin): (GridPath, Point)) {
+        self.obs.block_all(path.cells().iter().skip(1).copied());
+        self.routed[i].commit_escape(path, pin);
+    }
+
+    /// Takes every committed escape back and frees its cells past cell 0.
+    fn rip_all_escapes(&mut self) {
+        for rc in self.routed.iter_mut() {
+            if let Some((esc, _)) = rc.escape.take() {
+                self.obs.unblock_all(esc.cells().iter().skip(1).copied());
+            }
         }
     }
 

@@ -54,7 +54,7 @@ pub struct RoutedCluster {
 impl RoutedCluster {
     /// The wired paths of the internal net (none for a singleton), in a
     /// fixed order; cells shared by two paths appear in both.
-    pub fn net_paths(&self) -> impl Iterator<Item = &GridPath> {
+    pub(crate) fn net_paths(&self) -> impl Iterator<Item = &GridPath> {
         let (paths, halves): (&[GridPath], [Option<&GridPath>; 2]) = match &self.kind {
             RoutedKind::LmTree { edge_paths, .. } => (edge_paths, [None, None]),
             RoutedKind::LmPair { half_a, half_b, .. } => (&[], [Some(half_a), Some(half_b)]),

@@ -220,7 +220,7 @@ impl GridEscape {
                 .enumerate()
             {
                 let interior = inner_row & (x > 0) & (x + 1 < w);
-                let transit = !blocked & (cap_of(*f, DRAIN_CAP) != 0 || interior);
+                let transit = !blocked & ((cap_of(*f, DRAIN_CAP) != 0) | interior);
                 *f &= !(u32::from(blocked) * (3 << DRAIN_CAP));
                 *f |= u32::from(transit) * (TRANSIT | 1 << MOVE_CAP);
                 *t = u8::from(transit);

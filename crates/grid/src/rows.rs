@@ -55,12 +55,12 @@ impl CellRows {
     }
 
     /// Width of the grid the set lies on.
-    pub fn width(&self) -> usize {
+    pub(crate) fn width(&self) -> usize {
         self.width
     }
 
     /// Height of the grid the set lies on.
-    pub fn height(&self) -> usize {
+    pub(crate) fn height(&self) -> usize {
         self.height
     }
 
