@@ -11,7 +11,7 @@ CARGO ?= cargo
 # zero-warning lints, the golden end-to-end snapshots (all chips,
 # release mode), a smoke-run of the observability exports, a smoke-run
 # of the streaming telemetry, a smoke-run of the end-to-end flow
-# benchmark harness, a determinism check of the B1 and B4 benchmark
+# benchmark harness, a determinism check of the B1, B2 and B4 benchmark
 # tiers against the committed BENCH_flow.json baseline, and a
 # smoke-run of the run-digest / ledger / differ loop.
 verify: build test fmt-check clippy golden obs-smoke stream-smoke bench-smoke bench-check ledger-smoke
@@ -56,7 +56,14 @@ bench-flow:
 # Re-baseline with `make bench-flow` after an intentional routing or
 # performance change.
 #
-# The second run gates the large-chip tier: B4-dense256's one flat
+# The second run applies the same rules to B2-dense48, the smallest chip
+# whose escape stage reaches recovery and the last resort (phases 2 and
+# 3; B1's recovery takes about 1 ms and B4 never leaves phase 1), so a
+# change in what escape recovery rips, re-routes or solves fails the
+# gate. The 25 ms floor keeps its budgets from flaking: B2's whole
+# escape stage takes about 40 ms.
+#
+# The third run gates the large-chip tier: B4-dense256's one flat
 # incremental entry must match the baseline on the same deterministic
 # fields, route every valve and add up, with no per-stage budgets.
 #
@@ -67,6 +74,7 @@ bench-flow:
 # git history (`git log -- Makefile`) if a cross-check is ever needed.
 bench-check:
 	$(CARGO) run --release -p pacor-bench --bin tables -- regress BENCH_flow.json --chip B1-dense24
+	$(CARGO) run --release -p pacor-bench --bin tables -- regress BENCH_flow.json --chip B2-dense48
 	$(CARGO) run --release -p pacor-bench --bin tables -- regress BENCH_flow.json --chip B4-dense256
 
 # The run-digest / ledger / differ loop, end to end: route the same
