@@ -670,20 +670,23 @@ impl Flood {
             }
         }
         let s = self.index(source).expect("escape sources lie on the map");
-        self.map[s] = SEEN;
-        self.queue[0] = s as u32;
+        // Local slices keep the buffers' addresses and lengths in
+        // registers across the loop's stores.
+        let (map, queue, walls) = (&mut self.map[..], &mut self.queue[..], &mut self.walls[..]);
+        map[s] = SEEN;
+        queue[0] = s as u32;
         let (mut len, mut n_walls, mut head) = (1, 0, 0);
         while head < len && len <= FLOOD_CAP {
-            let p = self.queue[head] as usize;
+            let p = queue[head] as usize;
             head += 1;
             for q in [p - 1, p + 1, p - pw, p + pw] {
                 // Each cell is pushed at most once, so neither list can
                 // outgrow the map; the slot past its end is scratch.
-                let v = self.map[q];
-                self.map[q] = v | SEEN;
-                self.queue[len] = q as u32;
+                let v = map[q];
+                map[q] = v | SEEN;
+                queue[len] = q as u32;
                 len += usize::from(v == FREE);
-                self.walls[n_walls] = q as u32;
+                walls[n_walls] = q as u32;
                 n_walls += usize::from(v == BLOCKED);
             }
         }
