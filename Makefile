@@ -35,8 +35,8 @@ bench:
 	$(CARGO) bench -p pacor-bench --bench escape_solve
 	$(CARGO) bench -p pacor-bench --bench components
 
-# The full end-to-end flow benchmark: every chip under both rip-up
-# policies, written to BENCH_flow.json at the repo root (takes minutes).
+# The full end-to-end flow benchmark: one entry per chip, written to
+# BENCH_flow.json at the repo root (takes minutes).
 bench-flow:
 	$(CARGO) run --release -p pacor-bench --bin bench_flow -- --repeat 5 --out BENCH_flow.json
 
@@ -63,9 +63,9 @@ bench-flow:
 # gate. The 25 ms floor keeps its budgets from flaking: B2's whole
 # escape stage takes about 40 ms.
 #
-# The third run gates the large-chip tier: B4-dense256's one flat
-# incremental entry must match the baseline on the same deterministic
-# fields, route every valve and add up, with no per-stage budgets.
+# The third run gates the large-chip tier: B4-dense256's entry must
+# match the baseline on the same deterministic fields, route every
+# valve and add up, with no per-stage budgets.
 #
 # The rules live in `tables regress` (crates/bench/src/bin/tables.rs),
 # which re-runs the chip's schedule in-process; pass `--current FILE`
@@ -82,9 +82,8 @@ bench-check:
 # byte-identical up to the trailing `wall` object (it is rendered last
 # precisely so this is a string-prefix check), the ledger must hold
 # both runs under one fingerprint, and `tables compare` must find no
-# verdicts. Then a genuinely perturbed config (the full rip-up policy
-# changes the routed result on this chip) must make `tables compare`
-# exit non-zero.
+# verdicts. Then a different problem (S1 synthesized at design seed 7)
+# must make `tables compare` exit non-zero.
 ledger-smoke:
 	rm -f target/ledger_smoke.jsonl
 	$(CARGO) run --release --bin pacor-cli -- route --quiet \
@@ -103,23 +102,23 @@ ledger-smoke:
 	print('ledger-smoke: wall-masked digests byte-identical,', len(lines), 'ledger entries')"
 	$(CARGO) run --release -p pacor-bench --bin tables -- compare \
 		target/ledger_smoke_a.json target/ledger_smoke_b.json
+	$(CARGO) run --release --bin pacor-cli -- synth S1 7 > target/ledger_smoke_s1_7.json
 	$(CARGO) run --release --bin pacor-cli -- route --quiet \
-		--ripup-policy full \
-		--digest-out target/ledger_smoke_c.json B1-dense24
+		--digest-out target/ledger_smoke_c.json target/ledger_smoke_s1_7.json
 	! $(CARGO) run --release -p pacor-bench --bin tables -- compare \
 		target/ledger_smoke_a.json target/ledger_smoke_c.json > target/ledger_smoke_diff.txt
-	@echo "ledger-smoke: perturbed config flagged with non-zero exit"
+	@echo "ledger-smoke: different problem flagged with non-zero exit"
 
-# Cheap harness exercise for CI: one tiny chip (one entry per rip-up
-# policy = 2 entries), result discarded.
+# Cheap harness exercise for CI: one tiny chip (1 entry), result
+# discarded.
 bench-smoke:
 	$(CARGO) run --release -p pacor-bench --bin bench_flow -- --smoke --repeat 1 --out target/bench_flow_smoke.json
-	python3 -c "import json; r = json.load(open('target/bench_flow_smoke.json')); assert len(r['entries']) == 2, r; print('bench-smoke: harness produced', len(r['entries']), 'entries')"
+	python3 -c "import json; r = json.load(open('target/bench_flow_smoke.json')); assert len(r['entries']) == 1, r; print('bench-smoke: harness produced', len(r['entries']), 'entries')"
 
 # Golden end-to-end snapshots for every bench chip, including the
 # debug-`#[ignore]`d B3-dense96 (minutes in debug, seconds in release):
-# metrics and post-mortem per chip and rip-up policy, plus the
-# deterministic telemetry stream (`*.telemetry.jsonl`) of B0-B2.
+# metrics and post-mortem per chip, plus the deterministic telemetry
+# stream (`*.telemetry.jsonl`) of B0-B2.
 # Regenerate fixtures after an intentional routing change with
 # `UPDATE_GOLDEN=1 make golden`.
 golden:

@@ -1,9 +1,9 @@
-//! Negotiation-router benchmark: a full `route_all` under both rip-up
-//! policies on a dense crossing workload.
+//! Negotiation-router benchmark: a full `route_all` on a dense crossing
+//! workload.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pacor::grid::{Grid, ObsMap, Point};
-use pacor::route::{NegotiationRouter, RipUpPolicy, RouteRequest};
+use pacor::route::{NegotiationRouter, RouteRequest};
 
 /// Deterministic scattered obstacles, ~5% density (the kernels bench's
 /// recipe), on a 48×48 grid — the B2-dense48 scale where negotiation
@@ -42,15 +42,13 @@ fn bench_negotiation_round(c: &mut Criterion) {
     let obs = obstacle_grid(n);
     let edges = crossing_requests(n as i32, 40);
     let mut group = c.benchmark_group("negotiation_round");
-    for policy in [RipUpPolicy::Full, RipUpPolicy::Incremental] {
-        let router = NegotiationRouter::new().with_ripup_policy(policy);
-        group.bench_with_input(BenchmarkId::new(policy.label(), n), &obs, |b, obs| {
-            b.iter(|| {
-                let mut fresh = obs.clone();
-                router.route_all(&mut fresh, &edges)
-            })
-        });
-    }
+    let router = NegotiationRouter::new();
+    group.bench_with_input(BenchmarkId::new("route_all", n), &obs, |b, obs| {
+        b.iter(|| {
+            let mut fresh = obs.clone();
+            router.route_all(&mut fresh, &edges)
+        })
+    });
     group.finish();
 }
 

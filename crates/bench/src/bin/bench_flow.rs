@@ -1,5 +1,5 @@
-//! `bench_flow` — end-to-end PACOR flow benchmark over both rip-up
-//! policies, writing `BENCH_flow.json`.
+//! `bench_flow` — end-to-end PACOR flow benchmark, writing
+//! `BENCH_flow.json`.
 //!
 //! ```text
 //! bench_flow [--out FILE] [--repeat N] [--smoke] [--huge] [--chip NAME] [--events] [--ledger FILE]
@@ -7,7 +7,7 @@
 //!
 //! Runs the full flow (clustering → LM routing → MST routing → escape →
 //! detour) over the dense synthesized chips of
-//! [`pacor_bench::FLOW_BENCH_CHIPS`], once per rip-up policy, and
+//! [`pacor_bench::FLOW_BENCH_CHIPS`], one entry per chip, and
 //! records wall-clock (end-to-end and inside the
 //! `negotiate` spans; best of `--repeat` runs, default 3), a per-stage
 //! `stage_ms` breakdown (span-summed clustering / lm_routing /
@@ -19,8 +19,8 @@
 //! `escape.dijkstras` / `escape.touched` counter totals.
 //!
 //! **Large chips** (width ≥ 256, i.e. the B4-dense256 tier and the
-//! opt-in `--huge` B5-dense512) run a reduced schedule: one entry under
-//! the incremental policy, with repeats capped at 2.
+//! opt-in `--huge` B5-dense512) run a reduced schedule: repeats capped
+//! at 2.
 //!
 //! `--smoke` swaps the chip list for the single tiny
 //! [`pacor_bench::FLOW_SMOKE_CHIP`] so CI can exercise the harness
@@ -42,8 +42,8 @@
 
 use pacor::DesignParams;
 use pacor_bench::{
-    bench_policies, collect_telemetry, run_flow_bench_with_digest, FlowBenchEntry, FlowBenchReport,
-    BENCH_SEED, FLOW_BENCH_CHIPS, FLOW_HUGE_CHIP, FLOW_SMOKE_CHIP, LARGE_WIDTH,
+    collect_telemetry, run_flow_bench_with_digest, FlowBenchEntry, FlowBenchReport, BENCH_SEED,
+    FLOW_BENCH_CHIPS, FLOW_HUGE_CHIP, FLOW_SMOKE_CHIP, LARGE_WIDTH,
 };
 
 fn main() {
@@ -107,32 +107,30 @@ fn main() {
         } else {
             repeat
         };
-        for &policy in bench_policies(&chip) {
-            // Counter totals come from the flow's own per-run obs
-            // session (carried in the report), so entries cannot bleed.
-            let (entry, digest) = run_flow_bench_with_digest(chip, policy, BENCH_SEED, chip_repeat);
-            // Opt-in telemetry sanity: one extra untimed run with the
-            // deterministic stream installed; its round events must
-            // agree with the counters the timed runs report.
-            let events_col = if events {
-                let lines = collect_telemetry(chip, policy, BENCH_SEED);
-                let round_events = lines
-                    .iter()
-                    .filter(|l| l.contains("\"kind\":\"round_progress\""))
-                    .count() as u64;
-                assert_eq!(
-                    round_events, entry.rounds,
-                    "{} {}: round_progress events diverge from negotiate.rounds",
-                    entry.chip, entry.policy
-                );
-                format!("  events {:>5}", lines.len())
-            } else {
-                String::new()
-            };
-            print_entry(&entry, events_col);
-            report.entries.push(entry);
-            digests.push(digest);
-        }
+        // Counter totals come from the flow's own per-run obs session
+        // (carried in the report), so entries cannot bleed.
+        let (entry, digest) = run_flow_bench_with_digest(chip, BENCH_SEED, chip_repeat);
+        // Opt-in telemetry sanity: one extra untimed run with the
+        // deterministic stream installed; its round events must agree
+        // with the counters the timed runs report.
+        let events_col = if events {
+            let lines = collect_telemetry(chip, BENCH_SEED);
+            let round_events = lines
+                .iter()
+                .filter(|l| l.contains("\"kind\":\"round_progress\""))
+                .count() as u64;
+            assert_eq!(
+                round_events, entry.rounds,
+                "{}: round_progress events diverge from negotiate.rounds",
+                entry.chip
+            );
+            format!("  events {:>5}", lines.len())
+        } else {
+            String::new()
+        };
+        print_entry(&entry, events_col);
+        report.entries.push(entry);
+        digests.push(digest);
     }
 
     let json = serde_json::to_string_pretty(&report).expect("reports serialize");
@@ -161,9 +159,8 @@ fn print_entry(entry: &FlowBenchEntry, events_col: String) {
     let s = &entry.stage_ms;
     let e = &entry.escape_ms;
     eprintln!(
-        "{:<12} {:<12} {:>9.1} ms  neg {:>8.1} ms  stages clu {:>6.1} lm {:>7.1} mst {:>6.1} esc {:>6.1} det {:>6.1}  esc[slv {:>6.1} p1 {:>6.1} p2 {:>5.1} p3 {:>5.1}]  rounds {:>4}  ripups {:>5}  complete {:>5.1}%{}",
+        "{:<12} {:>9.1} ms  neg {:>8.1} ms  stages clu {:>6.1} lm {:>7.1} mst {:>6.1} esc {:>6.1} det {:>6.1}  esc[slv {:>6.1} p1 {:>6.1} p2 {:>5.1} p3 {:>5.1}]  rounds {:>4}  ripups {:>5}  complete {:>5.1}%{}",
         entry.chip,
-        entry.policy,
         entry.wall_ms,
         entry.negotiate_ms,
         s.clustering,

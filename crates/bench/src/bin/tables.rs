@@ -41,10 +41,10 @@
 
 use pacor::{BenchDesign, FlowConfig, FlowVariant, RouteReport};
 use pacor_bench::{
-    bench_policies, lambda_ablation, metrics_header, metrics_row, negotiation_ablation, run_config,
-    run_flow_bench, run_variant, seed_sweep, table1_header, table1_row, FlowBenchEntry,
-    FlowBenchReport, StageMs, SweepCell, BENCH_SEED, FLOW_BENCH_CHIPS, FLOW_HUGE_CHIP, LAMBDAS,
-    LARGE_WIDTH, ROBUSTNESS_SEEDS, VARIANT_SWEEP_SEEDS,
+    lambda_ablation, metrics_header, metrics_row, negotiation_ablation, run_config, run_flow_bench,
+    run_variant, seed_sweep, table1_header, table1_row, FlowBenchEntry, FlowBenchReport, StageMs,
+    SweepCell, BENCH_SEED, FLOW_BENCH_CHIPS, FLOW_HUGE_CHIP, LAMBDAS, LARGE_WIDTH,
+    ROBUSTNESS_SEEDS, VARIANT_SWEEP_SEEDS,
 };
 
 fn main() {
@@ -161,12 +161,8 @@ const REGRESS_ESCAPE: [FieldOf<f64>; 4] = [
     ("escape.phase3", |e| e.escape_ms.phase3),
 ];
 
-fn entry_key(e: &FlowBenchEntry) -> (String, String) {
-    (e.chip.clone(), e.policy.clone())
-}
-
-/// Re-runs one chip's `bench_flow` schedule in-process at repeat 1 —
-/// the same matrix the binary would produce for `--chip NAME`.
+/// Re-runs one chip's `bench_flow` entry in-process at repeat 1 — the
+/// entry the binary would produce for `--chip NAME`.
 fn bench_chip_entries(chip_name: &str) -> Vec<FlowBenchEntry> {
     let chip = FLOW_BENCH_CHIPS
         .iter()
@@ -174,10 +170,7 @@ fn bench_chip_entries(chip_name: &str) -> Vec<FlowBenchEntry> {
         .find(|c| c.name == chip_name)
         .copied()
         .unwrap_or_else(|| die(&format!("regress: no benchmark chip named {chip_name:?}")));
-    bench_policies(&chip)
-        .iter()
-        .map(|&policy| run_flow_bench(chip, policy, BENCH_SEED, 1))
-        .collect()
+    vec![run_flow_bench(chip, BENCH_SEED, 1)]
 }
 
 /// `regress BASELINE.json [--chip NAME] [--current FILE]` — the
@@ -185,7 +178,7 @@ fn bench_chip_entries(chip_name: &str) -> Vec<FlowBenchEntry> {
 /// in the Makefile's `bench-check` recipe. Same rules, same pass/fail:
 ///
 /// * every fresh entry of the chip must match its baseline entry
-///   (keyed by chip × policy) on the deterministic fields,
+///   on the deterministic fields,
 ///   including exact `completion_rate` equality, with matching entry
 ///   counts — a `--current` file is filtered to the chip just like the
 ///   baseline, so a full `bench_flow` output checks cleanly;
@@ -260,13 +253,12 @@ fn regress(args: &[String]) {
             baseline.len()
         ));
     }
-    for e in &current {
-        let key = entry_key(e);
+    for (e, base) in current.iter().zip(&baseline) {
         let attributed: f64 = REGRESS_STAGES.iter().map(|(_, get)| get(e)).sum();
         let gap = e.wall_ms - attributed;
         if gap > 0.05 * e.wall_ms && gap > 1.0 {
             failures.push(format!(
-                "attribution gap (>5% and >1ms of wall_ms outside every stage): {key:?}: \
+                "attribution gap (>5% and >1ms of wall_ms outside every stage): {chip}: \
                  wall {:.1} ms - stages {attributed:.1} ms = {gap:.1} ms ({:.1}%)",
                 e.wall_ms,
                 100.0 * gap / e.wall_ms
@@ -274,18 +266,14 @@ fn regress(args: &[String]) {
         }
         if e.width >= LARGE_WIDTH && e.completion_rate != 1.0 {
             failures.push(format!(
-                "{chip} must fully route: {key:?} completed {:.1}%",
+                "{chip} must fully route: completed {:.1}%",
                 e.completion_rate * 100.0
             ));
         }
-        let Some(base) = baseline.iter().find(|b| entry_key(b) == key) else {
-            failures.push(format!("baseline has no entry for {key:?}"));
-            continue;
-        };
         for (field, get) in REGRESS_FIELDS {
             if get(base) != get(e) {
                 failures.push(format!(
-                    "drift vs baseline: {key:?} {field}: {} -> {}",
+                    "drift vs baseline: {chip} {field}: {} -> {}",
                     get(base),
                     get(e)
                 ));
@@ -294,7 +282,7 @@ fn regress(args: &[String]) {
         // Exact equality, like the Python gate's `!=` on parsed floats.
         if base.completion_rate != e.completion_rate {
             failures.push(format!(
-                "drift vs baseline: {key:?} completion_rate: {} -> {}",
+                "drift vs baseline: {chip} completion_rate: {} -> {}",
                 base.completion_rate, e.completion_rate
             ));
         }
@@ -302,7 +290,7 @@ fn regress(args: &[String]) {
             for (stage, get) in REGRESS_STAGES.iter().chain(REGRESS_ESCAPE.iter()) {
                 if pacor::obs::timing_regressed(get(base), get(e)) {
                     failures.push(format!(
-                        "budget blown (>25% and >25ms over baseline): {key:?} {stage}: \
+                        "budget blown (>25% and >25ms over baseline): {chip} {stage}: \
                          {:.1} ms -> {:.1} ms",
                         get(base),
                         get(e)
@@ -319,9 +307,8 @@ fn regress(args: &[String]) {
     }
     if current.iter().all(|e| e.width < LARGE_WIDTH) {
         println!(
-            "regress: {} {chip} entries match the baseline on {} deterministic fields, \
+            "regress: {chip} matches the baseline on {} deterministic fields, \
              {} stage budgets and {} escape sub-stage budgets; stage times add up",
-            current.len(),
             REGRESS_FIELDS.len() + 1,
             REGRESS_STAGES.len(),
             REGRESS_ESCAPE.len()

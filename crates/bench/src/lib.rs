@@ -12,7 +12,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use pacor::route::RipUpPolicy;
 use pacor::{
     synthesize_params, BenchDesign, DesignParams, FlowConfig, FlowVariant, PacorFlow, RouteReport,
 };
@@ -22,21 +21,10 @@ use serde::{Deserialize, Serialize};
 pub const BENCH_SEED: u64 = 42;
 
 /// Chips at or above this width get the reduced large-chip benchmark
-/// schedule (one flat incremental entry at capped repeats instead of
-/// one entry per rip-up policy), and the large-tier rules in
+/// schedule (repeats capped at 2), and the large-tier rules in
 /// `tables regress` (a completion gate instead of per-stage wall-clock
 /// budgets).
 pub const LARGE_WIDTH: u32 = 256;
-
-/// The rip-up policies `bench_flow` measures a chip under: both below
-/// [`LARGE_WIDTH`], the default incremental policy alone at or above it.
-pub fn bench_policies(chip: &DesignParams) -> &'static [RipUpPolicy] {
-    if chip.width >= LARGE_WIDTH {
-        &[RipUpPolicy::Incremental]
-    } else {
-        &[RipUpPolicy::Full, RipUpPolicy::Incremental]
-    }
-}
 
 /// Runs one design under one variant and returns its report.
 ///
@@ -245,7 +233,7 @@ pub const LM_CONGESTED_CHIP: DesignParams = DesignParams {
     pairs_only: false,
 };
 
-/// One (chip × rip-up policy) measurement of the end-to-end flow.
+/// One chip's measurement of the end-to-end flow.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FlowBenchEntry {
     /// Chip name (see [`FLOW_BENCH_CHIPS`]).
@@ -256,8 +244,6 @@ pub struct FlowBenchEntry {
     pub height: u32,
     /// Valve count.
     pub valves: u32,
-    /// Rip-up policy label (`full` / `incremental`).
-    pub policy: String,
     /// CPUs the measuring host exposed, recorded as measurement context.
     pub host_cpus: usize,
     /// End-to-end wall-clock of the best repeat, in milliseconds.
@@ -373,15 +359,15 @@ impl EscapeMs {
     }
 }
 
-/// The `BENCH_flow.json` document: one entry per benchmark configuration
-/// of each chip (see `bench_flow`).
+/// The `BENCH_flow.json` document: one entry per benchmark chip (see
+/// `bench_flow`).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FlowBenchReport {
     /// Synthesis seed shared by every entry.
     pub seed: u64,
     /// Repeats per entry (wall-clock is the minimum across them).
     pub repeat: u32,
-    /// Measurements, in chip-then-policy order.
+    /// Measurements, in chip order.
     pub entries: Vec<FlowBenchEntry>,
 }
 
@@ -406,10 +392,9 @@ fn span_ms_of(report: &pacor::obs::ObsReport, span: &str) -> f64 {
         / 1e3
 }
 
-/// Runs the full flow on one synthesized chip under one rip-up policy,
-/// `repeat` times, and reports the best
-/// wall-clock (end-to-end, and inside the `negotiate` spans) alongside
-/// the (repeat-invariant) counter totals. One untimed warm-up run
+/// Runs the full flow on one synthesized chip `repeat` times, and
+/// reports the best wall-clock (end-to-end, and inside the `negotiate`
+/// spans) alongside the (repeat-invariant) counter totals. One untimed warm-up run
 /// precedes the timed repeats so first-touch costs (page faults,
 /// allocator growth) don't land on whichever configuration happens to
 /// run first.
@@ -418,13 +403,8 @@ fn span_ms_of(report: &pacor::obs::ObsReport, span: &str) -> f64 {
 ///
 /// Panics when the flow errors out or the counters differ between
 /// repeats — both harness bugs, not experiment outcomes.
-pub fn run_flow_bench(
-    params: DesignParams,
-    policy: RipUpPolicy,
-    seed: u64,
-    repeat: u32,
-) -> FlowBenchEntry {
-    run_flow_bench_with_digest(params, policy, seed, repeat).0
+pub fn run_flow_bench(params: DesignParams, seed: u64, repeat: u32) -> FlowBenchEntry {
+    run_flow_bench_with_digest(params, seed, repeat).0
 }
 
 /// [`run_flow_bench`], additionally returning the `pacor-rundigest-v1`
@@ -438,12 +418,11 @@ pub fn run_flow_bench(
 /// Same as [`run_flow_bench`].
 pub fn run_flow_bench_with_digest(
     params: DesignParams,
-    policy: RipUpPolicy,
     seed: u64,
     repeat: u32,
 ) -> (FlowBenchEntry, pacor::obs::RunDigest) {
     let problem = synthesize_params(params, seed);
-    let config = FlowConfig::default().with_ripup_policy(policy);
+    let config = FlowConfig::default();
     PacorFlow::new(config)
         .run(&problem)
         .expect("synthesized designs are valid");
@@ -470,7 +449,6 @@ pub fn run_flow_bench_with_digest(
                     width: params.width,
                     height: params.height,
                     valves: params.valves,
-                    policy: policy.label().to_string(),
                     host_cpus: host_cpus(),
                     wall_ms,
                     negotiate_ms,
@@ -499,17 +477,16 @@ pub fn run_flow_bench_with_digest(
 
 /// Runs the flow once with a deterministic in-memory telemetry stream
 /// installed and returns the raw JSONL lines. This is the event stream
-/// the invariance tests byte-compare run to run and across policies,
-/// and the one `bench_flow --events` sanity-checks against the entry's
-/// counters.
+/// the invariance tests byte-compare run to run, and the one
+/// `bench_flow --events` sanity-checks against the entry's counters.
 ///
 /// # Panics
 ///
 /// Panics when the flow errors out — a harness bug, not an experiment
 /// outcome.
-pub fn collect_telemetry(params: DesignParams, policy: RipUpPolicy, seed: u64) -> Vec<String> {
+pub fn collect_telemetry(params: DesignParams, seed: u64) -> Vec<String> {
     let problem = synthesize_params(params, seed);
-    let config = FlowConfig::default().with_ripup_policy(policy);
+    let config = FlowConfig::default();
     let sink = pacor::obs::MemorySink::new();
     let lines = sink.lines();
     pacor::obs::telemetry_install(

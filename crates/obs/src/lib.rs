@@ -99,10 +99,10 @@ pub use event::{Event, FrontierCell, RipReason};
 pub use export::{atomic_write, chrome_trace, metrics_json};
 pub use frame::TraceEvent;
 pub use histogram::Histogram;
-pub use ledger::{latest_baseline, ledger_append, ledger_load};
+pub use ledger::{ledger_append, ledger_load};
 pub use progress::{
-    telemetry_install, telemetry_take, MemorySink, NullSink, StageBudgets, StreamWriter,
-    TelemetryConfig, TelemetrySink, TickerSink, WriterSink, TELEMETRY_SCHEMA,
+    telemetry_install, telemetry_take, MemorySink, StageBudgets, StreamWriter, TelemetryConfig,
+    TelemetrySink, TickerSink, WriterSink, TELEMETRY_SCHEMA,
 };
 pub use recorder::{
     flight_install, flight_snapshot, flight_snapshot_due, flight_take, CongestionSnapshot,

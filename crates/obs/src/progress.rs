@@ -21,8 +21,7 @@
 //!
 //! Every emit site sits at a fixed commit point (the same points the
 //! flight recorder uses), so the event *sequence* is byte-identical
-//! run to run, and across rip-up policies wherever the routed result
-//! is. Wall-clock fields
+//! run to run. Wall-clock fields
 //! (`elapsed_us`, `eta_us`) are the one exception; a
 //! [`TelemetryConfig::deterministic`] configuration zeroes them (and
 //! disables the watchdog), making the raw JSONL stream itself
@@ -75,7 +74,6 @@ impl Event {
                 pins,
                 lm_clusters,
                 variant,
-                policy,
             } => {
                 s.push_str(",\"design\":");
                 push_json_string(&mut s, design);
@@ -84,8 +82,6 @@ impl Event {
                     ",\"width\":{width},\"height\":{height},\"valves\":{valves},\"pins\":{pins},\"lm_clusters\":{lm_clusters},\"variant\":"
                 );
                 push_json_string(&mut s, variant);
-                s.push_str(",\"policy\":");
-                push_json_string(&mut s, policy);
             }
             Event::StageEntered { stage } => {
                 let _ = write!(s, ",\"stage\":\"{stage}\"");
@@ -201,14 +197,6 @@ pub trait TelemetrySink: Send {
     fn finish(&mut self) -> io::Result<()> {
         Ok(())
     }
-}
-
-/// Discards everything (placeholder / benchmarking sink).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl TelemetrySink for NullSink {
-    fn emit(&mut self, _event: &Event, _line: &str) {}
 }
 
 /// Collects rendered lines into shared memory, for tests: keep the
@@ -1002,7 +990,6 @@ mod tests {
                 pins: 1,
                 lm_clusters: 0,
                 variant: "PACOR".into(),
-                policy: "full".into(),
             },
             Event::StageEntered { stage: "escape" },
             Event::StageExited {

@@ -11,10 +11,7 @@
 //!
 //! Both outputs are pure functions of the log. Because emit sites live
 //! only at the flow's deterministic commit points, the bytes repeat
-//! run to run. Across rip-up policies the
-//! report is identical whenever the policies produce the same routed
-//! state (they provably coincide while every negotiation session
-//! converges without a failed round).
+//! run to run.
 
 use crate::recorder::{FlightLog, SnapshotKind};
 use crate::Event;

@@ -40,6 +40,4 @@ mod negotiation;
 pub use astar::{AStar, AStarScratch};
 pub use bounded::BoundedAStar;
 pub use history::HistoryCost;
-pub use negotiation::{
-    NegotiationOutcome, NegotiationRouter, NetOrdering, RipUpPolicy, RouteRequest,
-};
+pub use negotiation::{NegotiationOutcome, NegotiationRouter, RouteRequest};

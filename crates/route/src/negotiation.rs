@@ -2,14 +2,15 @@
 //!
 //! Each round routes its pending nets one by one against the live
 //! obstacle state, so every net sees the paths committed before it in
-//! the round. Between rounds the [`RipUpPolicy`] decides which paths to
-//! rip up, and the history cost steers the retry. DESIGN.md §10 records
-//! why the round loop stays serial.
+//! the round. Between rounds the failed nets and the routed paths that
+//! wall them in are ripped up, and the history cost steers the retry;
+//! a round that fails more nets than the one before rips every path
+//! (Algorithm 1's rip-all step). DESIGN.md §9 describes the loop and
+//! §10 why it stays serial.
 
 use crate::{AStar, AStarScratch, HistoryCost};
 use pacor_grid::{CellRows, GridPath, ObsMap, Point};
 use pacor_obs::{Event, RipReason, SnapshotKind};
-use serde::{Deserialize, Serialize};
 
 /// "Untagged" sentinel for [`RouteRequest::net`].
 const NO_NET: u32 = u32::MAX;
@@ -109,97 +110,17 @@ impl NegotiationOutcome {
     }
 }
 
-/// Order in which edges are attempted within each negotiation iteration.
-///
-/// The paper routes edges "one by one" without specifying the order;
-/// ordering is a classic detailed-routing lever (long nets first leaves
-/// short nets the flexibility to dodge). Exposed for ablation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum NetOrdering {
-    /// The caller's order (default; deterministic and paper-neutral).
-    #[default]
-    AsGiven,
-    /// Longest estimated connection first.
-    LongestFirst,
-    /// Shortest estimated connection first.
-    ShortestFirst,
-}
-
-impl NetOrdering {
-    /// Computes the attempt order over `edges` (indices into the slice).
-    fn order(self, edges: &[RouteRequest]) -> Vec<usize> {
-        let mut idx: Vec<usize> = (0..edges.len()).collect();
-        let estimate = |r: &RouteRequest| -> u64 {
-            // Cheapest source/target pairing as the length estimate.
-            r.sources
-                .iter()
-                .flat_map(|s| r.targets.iter().map(move |t| s.manhattan(*t)))
-                .min()
-                .unwrap_or(0)
-        };
-        match self {
-            NetOrdering::AsGiven => {}
-            NetOrdering::LongestFirst => {
-                idx.sort_by_key(|&i| std::cmp::Reverse(estimate(&edges[i])))
-            }
-            NetOrdering::ShortestFirst => idx.sort_by_key(|&i| estimate(&edges[i])),
-        }
-        idx
-    }
-}
-
-/// What to rip up between negotiation iterations.
-///
-/// Algorithm 1 of the paper rips up *every* routed path whenever some
-/// edge fails ([`RipUpPolicy::Full`]) — correct, but it throws away all
-/// converged work each round. [`RipUpPolicy::Incremental`] (the default)
-/// keeps converged paths in place and rips up only the failed edges plus
-/// the routed paths that actually wall them in: a failed A\* search
-/// floods the whole free region reachable from its sources, so the
-/// routed cells on that region's frontier are exactly the contended
-/// ones, and a routed path that crosses the frontier is a wall.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum RipUpPolicy {
-    /// Rip every routed path between iterations (the paper's Algorithm 1
-    /// verbatim; kept for ablation).
-    Full,
-    /// Rip only failed edges and the routed paths contending with them;
-    /// converged nets keep their paths and their obstacle blocks.
-    #[default]
-    Incremental,
-}
-
-impl RipUpPolicy {
-    /// Parses a command-line spelling (`full` / `incremental`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "full" => Some(RipUpPolicy::Full),
-            "incremental" => Some(RipUpPolicy::Incremental),
-            _ => None,
-        }
-    }
-
-    /// The command-line spelling accepted by [`RipUpPolicy::parse`].
-    pub fn label(self) -> &'static str {
-        match self {
-            RipUpPolicy::Full => "full",
-            RipUpPolicy::Incremental => "incremental",
-        }
-    }
-}
-
 /// Outcome of one net's attempt within a round, produced in attempt
 /// order by [`attempt_round`].
 enum Attempt {
     /// Routed; the path's cells are already blocked in the obstacle map.
-    /// The second field is the search's expansion count, 0 when the
-    /// request bypassed the flat kernel.
+    /// The second field is the search's expansion count.
     Routed(GridPath, u32),
     /// Unroutable this round. Carries the search's expansion count —
     /// the size of the free region it flooded, its contended cells —
-    /// when the flat kernel recorded one; `None` when the search was opaque — out-of-bounds
-    /// terminals (reference-kernel fallback) or an empty endpoint list —
-    /// which the incremental policy answers with a full rip-up.
+    /// or `None` when the search was opaque: A\* returns `None` without
+    /// searching for an off-map terminal or an empty endpoint list. The
+    /// rip-up answers an opaque failure by ripping every routed path.
     Failed(Option<u32>),
 }
 
@@ -227,9 +148,9 @@ impl Attempt {
     }
 }
 
-/// `true` when the flat kernel's scratch views (failed region and
-/// expansion count) describe this request's search — in-bounds,
-/// non-empty terminals. Anything else bypasses the flat kernel.
+/// `true` when the flat kernel searched this request — in-bounds,
+/// non-empty terminals — so its scratch holds the failed region and the
+/// expansion count. A\* answers any other request with `None` at once.
 fn transparent(req: &RouteRequest, width: usize, height: usize) -> bool {
     let in_bounds =
         |p: &Point| p.x >= 0 && p.y >= 0 && (p.x as usize) < width && (p.y as usize) < height;
@@ -240,17 +161,15 @@ fn transparent(req: &RouteRequest, width: usize, height: usize) -> bool {
 
 /// Attempts every net of `pending`, in order, against the live state:
 /// each routed path is blocked in `obs` before the next net searches.
-/// Returns one [`Attempt`] per pending net. After each failed search
-/// the flat kernel recorded, `flooded` gets the scratch while it still
-/// holds that search, in attempt order; a caller that wants the flooded
-/// cells reads them with [`AStarScratch::failed_region`].
+/// Returns one [`Attempt`] per pending net, and ORs the region each
+/// failed search flooded into `contended`.
 fn attempt_round(
     obs: &mut ObsMap,
     history: &HistoryCost,
     edges: &[RouteRequest],
     pending: &[usize],
     scratch: &mut AStarScratch,
-    mut flooded: impl FnMut(&mut AStarScratch),
+    contended: &mut CellRows,
 ) -> Vec<Attempt> {
     let (width, height) = (obs.width() as usize, obs.height() as usize);
     pending
@@ -262,19 +181,13 @@ fn attempt_round(
                 &req.targets,
                 scratch,
             );
-            let transparent = transparent(req, width, height);
             match path {
                 Some(p) => {
-                    let expanded = if transparent {
-                        scratch.expansions() as u32
-                    } else {
-                        0
-                    };
                     obs.block_all(p.cells().iter().copied());
-                    Attempt::Routed(p, expanded)
+                    Attempt::Routed(p, scratch.expansions() as u32)
                 }
-                None if transparent => {
-                    flooded(scratch);
+                None if transparent(req, width, height) => {
+                    contended.union_with(scratch.failed_region());
                     Attempt::Failed(Some(scratch.expansions() as u32))
                 }
                 None => Attempt::Failed(None),
@@ -284,9 +197,10 @@ fn attempt_round(
 }
 
 /// Negotiation-based router (Algorithm 1): sequentially route every edge,
-/// treating earlier paths as obstacles; when some edge fails, bump the
-/// history cost of contended cells (Eq. 5), rip paths up per the
-/// configured [`RipUpPolicy`], and retry — at most `γ` iterations.
+/// treating earlier paths as obstacles; when some edge fails, rip up the
+/// failed edges and the routed paths that wall them in, bump the history
+/// cost along every ripped path (Eq. 5), and retry — at most `γ`
+/// iterations.
 ///
 /// Unlike the original PathFinder, which negotiates *global-routing*
 /// congestion, this is detailed routing: a cell holds at most one channel,
@@ -300,10 +214,6 @@ pub struct NegotiationRouter {
     pub base: f64,
     /// History decay (`α`, paper default 0.1).
     pub alpha: f64,
-    /// Edge attempt order within an iteration.
-    pub ordering: NetOrdering,
-    /// What to rip up between iterations.
-    pub ripup: RipUpPolicy,
 }
 
 impl Default for NegotiationRouter {
@@ -312,8 +222,6 @@ impl Default for NegotiationRouter {
             gamma: 10,
             base: 1.0,
             alpha: 0.1,
-            ordering: NetOrdering::AsGiven,
-            ripup: RipUpPolicy::default(),
         }
     }
 }
@@ -337,21 +245,19 @@ impl NegotiationRouter {
         self
     }
 
-    /// Overrides the net attempt order.
-    pub fn with_ordering(mut self, ordering: NetOrdering) -> Self {
-        self.ordering = ordering;
-        self
-    }
-
-    /// Overrides the rip-up policy.
-    pub fn with_ripup_policy(mut self, ripup: RipUpPolicy) -> Self {
-        self.ripup = ripup;
-        self
-    }
-
-    /// Routes every request in `edges`; successful paths are left blocked
-    /// in `obs` **only** when the whole set completes (so the caller can
-    /// stack stages); on failure `obs` is restored.
+    /// Routes every request in `edges`, in request order; successful
+    /// paths are left blocked in `obs` **only** when the whole set
+    /// completes (so the caller can stack stages); on failure `obs` is
+    /// restored.
+    ///
+    /// Converged paths stay put between rounds; only failed edges and
+    /// the routed paths that wall them in are ripped up and retried, and
+    /// history is bumped only along ripped paths. A failed A\* search
+    /// expands the entire free region reachable from its sources, so the
+    /// scratch's failed region is the contended region for free. The
+    /// round ORs those regions into one bit-row set; the cells next to
+    /// it are the walls, and every routed path that crosses one is
+    /// evicted.
     ///
     /// One [`AStarScratch`] is held across the whole negotiation loop, so
     /// every query reuses the same buffers instead of re-borrowing the
@@ -360,125 +266,6 @@ impl NegotiationRouter {
         let _span = pacor_obs::span_with("negotiate", &[("edges", edges.len() as u64)]);
         let session = pacor_obs::negotiation_start(edges.len() as u32);
         let mut scratch = AStarScratch::new();
-        match self.ripup {
-            RipUpPolicy::Full => self.route_full(obs, edges, &mut scratch, session),
-            RipUpPolicy::Incremental => self.route_incremental(obs, edges, &mut scratch, session),
-        }
-    }
-
-    /// Algorithm 1 verbatim: every failed round rips up every routed
-    /// path and bumps history along all of them.
-    fn route_full(
-        &self,
-        obs: &mut ObsMap,
-        edges: &[RouteRequest],
-        scratch: &mut AStarScratch,
-        session: u32,
-    ) -> NegotiationOutcome {
-        let mut history =
-            HistoryCost::with_params(obs.width(), obs.height(), self.base, self.alpha);
-        let outer_cp = obs.checkpoint();
-        let mut iterations = 0u32;
-        let mut ripups = 0u64;
-
-        let order = self.ordering.order(edges);
-        loop {
-            iterations += 1;
-            pacor_obs::counter_add("negotiate.rounds", 1);
-            let _round = pacor_obs::span_with("negotiate.round", &[("round", iterations as u64)]);
-            let cp = obs.checkpoint();
-            let mut paths: Vec<Option<GridPath>> = vec![None; edges.len()];
-            let mut done = true;
-
-            let attempts = attempt_round(obs, &history, edges, &order, scratch, |_| {});
-            for (attempt, &e) in attempts.into_iter().zip(&order) {
-                pacor_obs::emit(attempt.event(session, iterations, net_id(edges, e)));
-                match attempt {
-                    Attempt::Routed(p, _) => paths[e] = Some(p),
-                    Attempt::Failed(_) => done = false,
-                }
-            }
-            if pacor_obs::flight_snapshot_due(iterations, done || iterations >= self.gamma) {
-                pacor_obs::flight_snapshot(congestion_snapshot(session, iterations, obs, &history));
-            }
-            if pacor_obs::recording() {
-                let routed_now = paths.iter().flatten().count() as u64;
-                pacor_obs::emit(Event::RoundProgress {
-                    session,
-                    round: iterations,
-                    rounds_left: if done {
-                        0
-                    } else {
-                        self.gamma.saturating_sub(iterations)
-                    },
-                    attempted: order.len() as u64,
-                    routed: routed_now,
-                    failed: order.len() as u64 - routed_now,
-                    ripups,
-                    pressure: history.pressure_cells(),
-                    completion_milli: routed_now * 1000 / edges.len().max(1) as u64,
-                    elapsed_us: 0,
-                    eta_us: 0,
-                });
-            }
-
-            if done {
-                return NegotiationOutcome {
-                    paths,
-                    iterations,
-                    complete: true,
-                    ripups,
-                };
-            }
-            if iterations >= self.gamma {
-                // Leave the partial result blocked-out rolled back: the
-                // caller decides what to do with the failure.
-                obs.rollback(outer_cp);
-                return NegotiationOutcome {
-                    paths,
-                    iterations,
-                    complete: false,
-                    ripups,
-                };
-            }
-            // Steps 17–19: bump history along every routed path, then rip
-            // all paths up.
-            let _ripup = pacor_obs::span("negotiate.ripup");
-            let round_ripups = paths.iter().flatten().count() as u64;
-            for (e, p) in paths.iter().enumerate() {
-                if p.is_some() {
-                    pacor_obs::emit(Event::RipUp {
-                        session,
-                        round: iterations,
-                        net: net_id(edges, e),
-                        reason: RipReason::FullPolicy,
-                    });
-                }
-            }
-            ripups += round_ripups;
-            pacor_obs::counter_add("negotiate.ripups", round_ripups);
-            history.bump_all(paths.iter().flatten().map(|p| p.cells()));
-            obs.rollback(cp);
-        }
-    }
-
-    /// Incremental negotiation: converged paths stay put between rounds;
-    /// only failed edges and the routed paths that wall them in are
-    /// ripped up and retried, and history is bumped only along ripped
-    /// paths.
-    ///
-    /// A failed A\* search expands the entire free region reachable from
-    /// its sources, so the scratch's failed region is the contended
-    /// region for free. The round ORs those regions into one bit-row
-    /// set; the cells next to it are the walls, and every routed path
-    /// that crosses one is evicted.
-    fn route_incremental(
-        &self,
-        obs: &mut ObsMap,
-        edges: &[RouteRequest],
-        scratch: &mut AStarScratch,
-        session: u32,
-    ) -> NegotiationOutcome {
         let (width, height) = (obs.width() as usize, obs.height() as usize);
         let mut history =
             HistoryCost::with_params(obs.width(), obs.height(), self.base, self.alpha);
@@ -487,11 +274,10 @@ impl NegotiationRouter {
         let mut iterations = 0u32;
         let mut ripups = 0u64;
 
-        let order = self.ordering.order(edges);
-        // Edges to attempt this round, in attempt order (all of them in
+        // Edges to attempt this round, in request order (all of them in
         // round 1; ripped ones afterwards).
-        let mut pending: Vec<usize> = order.clone();
-        // Marks per edge: rip this round / already counted as victim.
+        let mut pending: Vec<usize> = (0..edges.len()).collect();
+        // Marks per edge: rip this round.
         let mut rip = vec![false; edges.len()];
         // The union of the round's failed regions (the contended cells)
         // and the cells next to it (the walls).
@@ -500,10 +286,9 @@ impl NegotiationRouter {
         // Regression detection: a plateauing failed-edge count is normal
         // while history accumulates on the contended cells, but a *rising*
         // one means the last eviction actively made the round worse —
-        // local rip-up is thrashing. That round escalates to a full
-        // rip-up (Full semantics with the history accumulated so far),
-        // which restores the paper algorithm's ability to re-plan every
-        // net at once.
+        // local rip-up is thrashing. That round rips every routed path,
+        // Algorithm 1's rip-all step with the history accumulated so far,
+        // which re-plans every net at once.
         let mut prev_failed = usize::MAX;
 
         loop {
@@ -511,25 +296,19 @@ impl NegotiationRouter {
             pacor_obs::counter_add("negotiate.rounds", 1);
             let _round = pacor_obs::span_with("negotiate.round", &[("round", iterations as u64)]);
             let mut failed: Vec<usize> = Vec::new();
-            // `rip_all` falls back to Full semantics when a failed search
-            // bypassed the flat kernel (out-of-bounds terminals) and left
-            // no region in `contended`.
             contended.clear();
-            let mut rip_all = false;
-
+            // An opaque failure leaves no region in `contended` to pick
+            // victims with, so its round rips every routed path.
             let mut opaque = false;
-            let attempts = attempt_round(obs, &history, edges, &pending, scratch, |scratch| {
-                contended.union_with(scratch.failed_region());
-            });
+            let attempts =
+                attempt_round(obs, &history, edges, &pending, &mut scratch, &mut contended);
             for (attempt, &e) in attempts.into_iter().zip(&pending) {
                 pacor_obs::emit(attempt.event(session, iterations, net_id(edges, e)));
                 match attempt {
                     Attempt::Routed(p, _) => paths[e] = Some(p),
-                    Attempt::Failed(Some(_)) => failed.push(e),
-                    Attempt::Failed(None) => {
+                    Attempt::Failed(flood) => {
                         failed.push(e);
-                        rip_all = true;
-                        opaque = true;
+                        opaque |= flood.is_none();
                     }
                 }
             }
@@ -569,6 +348,8 @@ impl NegotiationRouter {
                 };
             }
             if iterations >= self.gamma {
+                // Leave the partial result rolled back: the caller
+                // decides what to do with the failure.
                 obs.rollback(outer_cp);
                 return NegotiationOutcome {
                     paths,
@@ -578,9 +359,7 @@ impl NegotiationRouter {
                 };
             }
 
-            if failed.len() > prev_failed {
-                rip_all = true;
-            }
+            let rip_all = opaque || failed.len() > prev_failed;
             prev_failed = failed.len();
 
             // Victim selection: routed paths crossing the frontier of the
@@ -589,13 +368,11 @@ impl NegotiationRouter {
             // path is tested, those routed after a failed search in the
             // same round included.
             let _ripup = pacor_obs::span("negotiate.ripup");
-            rip.iter_mut().for_each(|r| *r = false);
+            rip.iter_mut().for_each(|r| *r = rip_all);
             for &e in &failed {
                 rip[e] = true;
             }
-            if rip_all {
-                rip.iter_mut().for_each(|r| *r = true);
-            } else {
+            if !rip_all {
                 contended.dilate_into(&mut walls);
                 for (r, p) in rip.iter_mut().zip(&paths) {
                     if let Some(p) = p {
@@ -635,7 +412,7 @@ impl NegotiationRouter {
             for p in paths.iter().flatten() {
                 obs.block_all(p.cells().iter().copied());
             }
-            pending = order.iter().copied().filter(|&e| rip[e]).collect();
+            pending = (0..edges.len()).filter(|&e| rip[e]).collect();
         }
     }
 }
@@ -745,42 +522,6 @@ mod tests {
     }
 
     #[test]
-    fn orderings_preserve_request_alignment() {
-        // Whatever the attempt order, paths[i] must answer edges[i].
-        let edges = vec![
-            RouteRequest::point_to_point(Point::new(0, 0), Point::new(9, 0)), // long
-            RouteRequest::point_to_point(Point::new(0, 5), Point::new(2, 5)), // short
-        ];
-        for ordering in [
-            NetOrdering::AsGiven,
-            NetOrdering::LongestFirst,
-            NetOrdering::ShortestFirst,
-        ] {
-            let mut obs = open(12, 12);
-            let out = NegotiationRouter::new()
-                .with_ordering(ordering)
-                .route_all(&mut obs, &edges);
-            assert!(out.complete, "{ordering:?}");
-            let p0 = out.paths[0].as_ref().unwrap();
-            let p1 = out.paths[1].as_ref().unwrap();
-            assert_eq!(p0.source(), Point::new(0, 0), "{ordering:?}");
-            assert_eq!(p1.source(), Point::new(0, 5), "{ordering:?}");
-        }
-    }
-
-    #[test]
-    fn longest_first_orders_by_estimate() {
-        let edges = vec![
-            RouteRequest::point_to_point(Point::new(0, 0), Point::new(1, 0)),
-            RouteRequest::point_to_point(Point::new(0, 0), Point::new(9, 9)),
-            RouteRequest::point_to_point(Point::new(0, 0), Point::new(4, 0)),
-        ];
-        assert_eq!(NetOrdering::LongestFirst.order(&edges), vec![1, 2, 0]);
-        assert_eq!(NetOrdering::ShortestFirst.order(&edges), vec![0, 2, 1]);
-        assert_eq!(NetOrdering::AsGiven.order(&edges), vec![0, 1, 2]);
-    }
-
-    #[test]
     fn empty_edge_list_is_trivially_complete() {
         let mut obs = open(4, 4);
         let out = NegotiationRouter::new().route_all(&mut obs, &[]);
@@ -790,55 +531,10 @@ mod tests {
     }
 
     #[test]
-    fn both_policies_resolve_crossing_demand() {
-        for policy in [RipUpPolicy::Full, RipUpPolicy::Incremental] {
-            let mut obs = open(9, 9);
-            let edges = vec![
-                RouteRequest::point_to_point(Point::new(1, 4), Point::new(7, 4)),
-                RouteRequest::point_to_point(Point::new(4, 1), Point::new(4, 7)),
-            ];
-            let out = NegotiationRouter::new()
-                .with_ripup_policy(policy)
-                .route_all(&mut obs, &edges);
-            assert!(out.complete, "{policy:?}");
-            let a = out.paths[0].as_ref().unwrap();
-            let b = out.paths[1].as_ref().unwrap();
-            for c in a.iter() {
-                assert!(!b.contains(*c), "{policy:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn both_policies_restore_obsmap_on_failure() {
-        for policy in [RipUpPolicy::Full, RipUpPolicy::Incremental] {
-            let mut g = Grid::new(7, 3).unwrap();
-            for x in 0..7 {
-                g.set_obstacle(Point::new(x, 0));
-                g.set_obstacle(Point::new(x, 2));
-            }
-            let mut obs = ObsMap::new(&g);
-            let before = obs.blocked_count();
-            let edges = vec![
-                RouteRequest::point_to_point(Point::new(0, 1), Point::new(6, 1)),
-                RouteRequest::point_to_point(Point::new(1, 1), Point::new(5, 1)),
-            ];
-            let out = NegotiationRouter::new()
-                .with_gamma(3)
-                .with_ripup_policy(policy)
-                .route_all(&mut obs, &edges);
-            assert!(!out.complete, "{policy:?}");
-            assert_eq!(obs.blocked_count(), before, "{policy:?}");
-        }
-    }
-
-    #[test]
     fn incremental_keeps_untouched_paths() {
-        // Edge 0 routes along y=1 far from the congestion around x=4..
-        // When edges 1 and 2 fight over the center corridor, edge 0's
-        // path must survive untouched (zero ripups charged to it would
-        // show up as ripups <= Full's count; here we check the stronger
-        // property that its path is identical to a solo route).
+        // Edge 0 routes along y=0 far from the congestion around x=5.
+        // When edges 1 and 2 fight over the center gap, edge 0's path
+        // must survive untouched: it is identical to a solo route.
         let mut g = Grid::new(11, 11).unwrap();
         // A wall with a single gap at (5, 5) splits rows 4..=6.
         for x in 1..10 {
@@ -863,20 +559,80 @@ mod tests {
             RouteRequest::point_to_point(Point::new(5, 3), Point::new(5, 7)),
             RouteRequest::point_to_point(Point::new(3, 4), Point::new(7, 6)),
         ];
-        let out = NegotiationRouter::new()
-            .with_ripup_policy(RipUpPolicy::Incremental)
-            .route_all(&mut obs, &edges);
+        let out = NegotiationRouter::new().route_all(&mut obs, &edges);
         assert!(out.complete);
         assert_eq!(out.paths[0].as_ref().unwrap().cells(), solo.cells());
     }
 
     #[test]
-    fn policy_parse_roundtrip() {
-        for policy in [RipUpPolicy::Full, RipUpPolicy::Incremental] {
-            assert_eq!(RipUpPolicy::parse(policy.label()), Some(policy));
+    fn opaque_failure_rips_every_routed_net_each_round() {
+        // Request 1's target lies off the map, so A* answers it with
+        // `None` without searching: no failed region names its walls,
+        // and every failed round rips every routed path instead.
+        let mut obs = open(8, 8);
+        let before = obs.blocked_cells().to_vec();
+        let edges = vec![
+            RouteRequest::point_to_point(Point::new(0, 0), Point::new(7, 0)),
+            RouteRequest::point_to_point(Point::new(0, 3), Point::new(8, 3)),
+            RouteRequest::point_to_point(Point::new(0, 6), Point::new(7, 6)),
+        ];
+        let gamma = 4;
+        pacor_obs::flight_install(pacor_obs::RecorderConfig::default());
+        let out = NegotiationRouter::new()
+            .with_gamma(gamma)
+            .route_all(&mut obs, &edges);
+        let log = pacor_obs::flight_take().expect("recorder installed");
+
+        assert!(!out.complete);
+        assert_eq!(out.iterations, gamma);
+        assert!(out.paths[1].is_none());
+        assert_eq!(obs.blocked_cells(), before, "failure must restore the map");
+        for round in 1..=gamma {
+            let mut routed = Vec::new();
+            for e in log.events() {
+                match *e {
+                    Event::NetAttempt {
+                        round: r,
+                        net,
+                        routed: true,
+                        ..
+                    } if r == round => routed.push(net),
+                    Event::NetAttempt {
+                        round: r,
+                        net: 1,
+                        routed,
+                        expanded,
+                        flood,
+                        ..
+                    } if r == round => {
+                        assert_eq!((routed, expanded, flood), (false, 0, 0), "round {round}")
+                    }
+                    _ => {}
+                }
+            }
+            assert_eq!(routed, vec![0, 2], "round {round}");
+            let ripped: Vec<(u32, RipReason)> = log
+                .events()
+                .iter()
+                .filter_map(|e| match *e {
+                    Event::RipUp {
+                        round: r,
+                        net,
+                        reason,
+                        ..
+                    } if r == round => Some((net, reason)),
+                    _ => None,
+                })
+                .collect();
+            // The last round returns the failure without ripping.
+            let want = if round < gamma {
+                vec![(0, RipReason::Opaque), (2, RipReason::Opaque)]
+            } else {
+                vec![]
+            };
+            assert_eq!(ripped, want, "round {round}");
         }
-        assert_eq!(RipUpPolicy::parse("bogus"), None);
-        assert_eq!(RipUpPolicy::default(), RipUpPolicy::Incremental);
+        assert_eq!(out.ripups, 2 * u64::from(gamma - 1));
     }
 
     /// Routes `edges` once (γ = 1) under an obs session and a flight

@@ -1,7 +1,7 @@
 //! Exact-output lock for [`NegotiationRouter::route_all`].
 //!
-//! 150 seeded scenarios are negotiated under both rip-up policies and
-//! every outcome is compared line by line with
+//! 150 seeded scenarios are negotiated and every outcome is compared
+//! line by line with
 //! `tests/fixtures/negotiation_outcomes.txt`. Grid widths sit on both
 //! sides of a 64-cell word boundary (17 to 179 cells), with 5–30%
 //! obstacles. Each scenario holds a crossing pair of point-to-point
@@ -18,9 +18,11 @@
 //!
 //! A line records each request's path (or `none`), the iteration and
 //! rip-up counts, completion and the run's `astar.expansions` and
-//! `astar.unreachable` counters. The rip-up policy decides which nets a
+//! `astar.unreachable` counters. The failed regions decide which nets a
 //! failed search evicts, so a change to the victim rule, to the failed
-//! region or to the expansion count shows up here.
+//! region or to the expansion count shows up here. The `incremental`
+//! token after each header names the negotiation loop; it keeps every
+//! line as it was first locked.
 //!
 //! Regenerate after an intentional change with:
 //!
@@ -29,7 +31,7 @@
 //! ```
 
 use pacor_grid::{Cell, Grid, GridPath, ObsMap, Point};
-use pacor_route::{NegotiationRouter, RipUpPolicy, RouteRequest};
+use pacor_route::{NegotiationRouter, RouteRequest};
 use std::fmt::Write;
 
 const SCENARIOS: u64 = 150;
@@ -197,19 +199,17 @@ fn encode(path: &GridPath) -> String {
     out
 }
 
-/// Negotiates scenario `k` under `policy` and renders its fixture line.
-fn outcome_line(sc: &Scenario, policy: RipUpPolicy) -> String {
+/// Negotiates scenario `k` and renders its fixture line.
+fn outcome_line(sc: &Scenario) -> String {
     let mut obs = ObsMap::new(&sc.grid);
     let session = pacor_obs::Session::begin();
     let out = NegotiationRouter::new()
         .with_gamma(sc.gamma)
-        .with_ripup_policy(policy)
         .route_all(&mut obs, &sc.edges);
     let counters = session.finish();
     let mut line = format!(
-        "{} {} -> iterations={} ripups={} complete={} expansions={} unreachable={}",
+        "{} incremental -> iterations={} ripups={} complete={} expansions={} unreachable={}",
         sc.header,
-        policy.label(),
         out.iterations,
         out.ripups,
         out.complete,
@@ -227,13 +227,7 @@ fn outcome_line(sc: &Scenario, policy: RipUpPolicy) -> String {
 
 #[test]
 fn negotiation_matches_fixture() {
-    let mut actual = Vec::new();
-    for k in 0..SCENARIOS {
-        let sc = scenario(k);
-        for policy in [RipUpPolicy::Full, RipUpPolicy::Incremental] {
-            actual.push(outcome_line(&sc, policy));
-        }
-    }
+    let actual: Vec<String> = (0..SCENARIOS).map(|k| outcome_line(&scenario(k))).collect();
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/tests/fixtures/negotiation_outcomes.txt"

@@ -1,7 +1,7 @@
 //! Property-based tests for the routers.
 
 use pacor_grid::{Grid, ObsMap, Point};
-use pacor_route::{AStar, BoundedAStar, NegotiationRouter, RipUpPolicy, RouteRequest};
+use pacor_route::{AStar, BoundedAStar, NegotiationRouter, RouteRequest};
 use proptest::prelude::*;
 use std::collections::{HashSet, VecDeque};
 
@@ -117,7 +117,7 @@ proptest! {
     }
 
     #[test]
-    fn ripup_policies_share_invariants(
+    fn negotiation_invariants_hold(
         obst in prop::collection::hash_set((0i32..14, 0i32..14), 0..30),
         terminals in prop::collection::hash_set((0i32..14, 0i32..14), 4..10),
     ) {
@@ -134,77 +134,43 @@ proptest! {
         prop_assume!(!edges.is_empty());
 
         let base = build_map(&obst, 14, 14);
-        let mut obs_full = base.clone();
-        let mut obs_inc = base.clone();
-        let full = NegotiationRouter::new()
-            .with_ripup_policy(RipUpPolicy::Full)
-            .route_all(&mut obs_full, &edges);
-        let inc = NegotiationRouter::new()
-            .with_ripup_policy(RipUpPolicy::Incremental)
-            .route_all(&mut obs_inc, &edges);
+        let mut obs = base.clone();
+        let out = NegotiationRouter::new().route_all(&mut obs, &edges);
 
-        // Round 1 runs identical logic under both policies (the policies
-        // only differ in what they rip *between* rounds), so a one-round
-        // run under either policy forces the exact same one-round run
-        // under the other.
-        prop_assert_eq!(full.iterations == 1, inc.iterations == 1,
-            "one-round convergence must not depend on the rip-up policy \
-             (full {} rounds, incremental {})", full.iterations, inc.iterations);
-        if full.iterations == 1 {
-            prop_assert_eq!(full.complete, inc.complete);
-            prop_assert_eq!(full.ripups, inc.ripups);
-            for (e, (pf, pi)) in full.paths.iter().zip(&inc.paths).enumerate() {
-                match (pf, pi) {
-                    (Some(a), Some(b)) => prop_assert_eq!(a.cells(), b.cells(),
-                        "edge {e}: single-round paths diverge"),
-                    (None, None) => {}
-                    _ => prop_assert!(false, "edge {e}: single-round routability diverges"),
+        prop_assert_eq!(out.complete, out.paths.iter().all(Option::is_some));
+        prop_assert!(out.iterations >= 1 && out.iterations <= 10);
+        if out.complete {
+            // Lengths respect the Manhattan lower bound, and — being
+            // self-avoiding — never exceed the grid area. (No fixed
+            // detour window is sound here: accumulated history costs
+            // can push a contended net on an arbitrarily long legal
+            // excursion.)
+            for (e, req) in edges.iter().enumerate() {
+                let lower = req.sources[0].manhattan(req.targets[0]);
+                let len = out.paths[e].as_ref().unwrap().len();
+                prop_assert!(len >= lower, "edge {e}: len {len} below Manhattan bound {lower}");
+                prop_assert!(len < (14 * 14) as u64, "edge {e}: len {len} exceeds the grid area");
+            }
+            // Routed cells stay blocked, and paths are disjoint except
+            // at terminals (A* exempts source/target cells from
+            // blockage, so a path may cross another net's endpoint).
+            let endpoints: HashSet<Point> = edges
+                .iter()
+                .flat_map(|r| r.sources.iter().chain(&r.targets))
+                .copied()
+                .collect();
+            let mut seen: HashSet<Point> = HashSet::new();
+            for p in out.paths.iter().flatten() {
+                for c in p.cells() {
+                    prop_assert!(obs.is_blocked(*c));
+                    prop_assert!(seen.insert(*c) || endpoints.contains(c),
+                        "paths overlap at non-terminal {c}");
                 }
             }
-        }
-
-        // Per-policy invariants hold regardless of contention.
-        for (obs, out, label) in [
-            (&obs_full, &full, "full"),
-            (&obs_inc, &inc, "incremental"),
-        ] {
-            prop_assert_eq!(out.complete, out.paths.iter().all(Option::is_some));
-            prop_assert!(out.iterations >= 1 && out.iterations <= 10);
-            if out.complete {
-                // Lengths respect the Manhattan lower bound, and — being
-                // self-avoiding — never exceed the grid area. (No fixed
-                // detour window is sound here: accumulated history costs
-                // can push a contended net on an arbitrarily long legal
-                // excursion.)
-                for (e, req) in edges.iter().enumerate() {
-                    let lower = req.sources[0].manhattan(req.targets[0]);
-                    let len = out.paths[e].as_ref().unwrap().len();
-                    prop_assert!(len >= lower,
-                        "{label} edge {e}: len {len} below Manhattan bound {lower}");
-                    prop_assert!(len < (14 * 14) as u64,
-                        "{label} edge {e}: len {len} exceeds the grid area");
-                }
-                // Routed cells stay blocked, and paths are disjoint except
-                // at terminals (A* exempts source/target cells from
-                // blockage, so a path may cross another net's endpoint).
-                let endpoints: HashSet<Point> = edges
-                    .iter()
-                    .flat_map(|r| r.sources.iter().chain(&r.targets))
-                    .copied()
-                    .collect();
-                let mut seen: HashSet<Point> = HashSet::new();
-                for p in out.paths.iter().flatten() {
-                    for c in p.cells() {
-                        prop_assert!(obs.is_blocked(*c));
-                        prop_assert!(seen.insert(*c) || endpoints.contains(c),
-                            "{label}: paths overlap at non-terminal {c}");
-                    }
-                }
-            } else {
-                // Failure restores the map to its pre-negotiation state.
-                prop_assert_eq!(obs.blocked_count(), base.blocked_count(),
-                    "{label}: failed negotiation must restore the map");
-            }
+        } else {
+            // Failure restores the map to its pre-negotiation state.
+            prop_assert_eq!(obs.blocked_count(), base.blocked_count(),
+                "failed negotiation must restore the map");
         }
     }
 

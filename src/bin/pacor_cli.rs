@@ -24,11 +24,7 @@
 //! * `--report-out <path>` — install the flight recorder around the run
 //!   and write the post-mortem report JSON (hottest cells, contended
 //!   nets, per-cluster LM slack, escape bottlenecks; byte-identical run
-//!   to run, and under either rip-up policy whenever both route the
-//!   same result).
-//! * `--ripup-policy full|incremental` — what negotiation rips up between
-//!   failed rounds (default `incremental`; `full` is the paper's
-//!   Algorithm 1, kept for ablation).
+//!   to run).
 //! * `--quiet` — suppress the report JSON on stdout (and the
 //!   `--progress` ticker).
 //! * `--stream-out <path|->` — stream live telemetry events as
@@ -46,17 +42,14 @@
 //! * `--digest-out <path>` — write the run's `pacor-rundigest-v1`
 //!   record (config fingerprint, deterministic outcome/counters/
 //!   histograms, per-cluster LM slack, span tree). Everything outside
-//!   the trailing `wall` sub-object is byte-identical run to run, and
-//!   under either rip-up policy whenever both route the same result;
+//!   the trailing `wall` sub-object is byte-identical run to run;
 //!   compare two digests with `tables compare`.
 //! * `--ledger <path>` — atomically append the same digest as one
-//!   compact line to an append-only `RUNS.jsonl` run ledger, so later
-//!   runs can find their baseline (`pacor_obs::latest_baseline`).
+//!   compact line to an append-only `RUNS.jsonl` run ledger.
 //!
 //! Unknown `--flags` are rejected with an error rather than silently
 //! treated as file names.
 
-use pacor::route::RipUpPolicy;
 use pacor::{BenchDesign, FlowConfig, FlowVariant, PacorFlow, Problem, RouteReport};
 
 fn main() {
@@ -68,7 +61,7 @@ fn main() {
         Some("table2") => cmd_table2(&args[1..]),
         _ => {
             eprintln!(
-                "usage: pacor synth <design> [seed]\n       pacor route [--trace-out FILE] [--metrics-out FILE] [--report-out FILE] [--digest-out FILE] [--ledger FILE] [--stream-out FILE|-] [--progress] [--watchdog BENCH.json] [--ripup-policy full|incremental] [--quiet] <problem.json|design>\n       pacor render <problem.json|design>\n       pacor table2 [--full]"
+                "usage: pacor synth <design> [seed]\n       pacor route [--trace-out FILE] [--metrics-out FILE] [--report-out FILE] [--digest-out FILE] [--ledger FILE] [--stream-out FILE|-] [--progress] [--watchdog BENCH.json] [--quiet] <problem.json|design>\n       pacor render <problem.json|design>\n       pacor table2 [--full]"
             );
             2
         }
@@ -100,7 +93,6 @@ struct Options {
     stream_out: Option<String>,
     progress: bool,
     watchdog: Option<String>,
-    ripup_policy: Option<RipUpPolicy>,
     quiet: bool,
     full: bool,
     positional: Vec<String>,
@@ -135,12 +127,6 @@ fn parse_options(args: &[String], allowed: &[&str]) -> Result<Options, String> {
             "--stream-out" => opts.stream_out = Some(value()?),
             "--progress" => opts.progress = true,
             "--watchdog" => opts.watchdog = Some(value()?),
-            "--ripup-policy" => {
-                let v = value()?;
-                opts.ripup_policy = Some(RipUpPolicy::parse(&v).ok_or_else(|| {
-                    format!("--ripup-policy: expected full or incremental, got {v:?}")
-                })?);
-            }
             "--quiet" => opts.quiet = true,
             "--full" => opts.full = true,
             _ => opts.positional.push(a.clone()),
@@ -267,7 +253,6 @@ fn cmd_route(args: &[String]) -> i32 {
             "--stream-out",
             "--progress",
             "--watchdog",
-            "--ripup-policy",
             "--quiet",
         ],
     ) {
@@ -295,7 +280,7 @@ fn cmd_route(args: &[String]) -> i32 {
         || opts.digest_out.is_some()
         || opts.ledger.is_some();
     let session = wants_obs.then(pacor::obs::Session::begin);
-    let config = FlowConfig::default().with_ripup_policy(opts.ripup_policy.unwrap_or_default());
+    let config = FlowConfig::default();
     if opts.report_out.is_some() {
         pacor::obs::flight_install(pacor::obs::RecorderConfig::default());
     }

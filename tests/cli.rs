@@ -120,27 +120,6 @@ fn route_writes_trace_and_metrics_files() {
 }
 
 #[test]
-fn route_accepts_both_ripup_policies() {
-    for policy in ["full", "incremental"] {
-        let out = pacor(&["route", "--ripup-policy", policy, "S1"]);
-        assert!(out.status.success(), "--ripup-policy {policy} must route");
-        let text = String::from_utf8_lossy(&out.stdout);
-        assert!(text.contains("\"valves_routed\": 5"), "{policy}: {text}");
-    }
-}
-
-#[test]
-fn route_rejects_bad_ripup_policy() {
-    let out = pacor(&["route", "--ripup-policy", "sometimes", "S1"]);
-    assert!(!out.status.success());
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        err.contains("expected full or incremental"),
-        "must name the accepted values: {err}"
-    );
-}
-
-#[test]
 fn route_rejects_bad_negotiation_mode() {
     // Negotiation is serial only, so `--negotiation-mode` is an unknown
     // option (exit 2), never a file name.
@@ -168,14 +147,15 @@ fn route_rejects_bad_escape_solver() {
 
 #[test]
 fn route_rejects_the_retired_routing_mode_flags() {
-    // Routing is flat only and single-threaded, so `--routing-mode`,
-    // `--gcell-size` and `--threads` are unknown options (exit 2),
-    // never file names.
+    // Routing is flat only and single-threaded, and negotiation has one
+    // rip-up rule, so `--routing-mode`, `--gcell-size`, `--threads` and
+    // `--ripup-policy` are unknown options (exit 2), never file names.
     for cmd in ["route", "render", "table2"] {
         for flag in [
             ["--routing-mode", "flat"],
             ["--gcell-size", "8"],
             ["--threads", "2"],
+            ["--ripup-policy", "full"],
         ] {
             let out = pacor(&[cmd, flag[0], flag[1], "S1"]);
             assert_eq!(out.status.code(), Some(2), "{cmd} {flag:?}");
@@ -436,23 +416,24 @@ fn digest_out_writes_versioned_digest() {
 }
 
 #[test]
-fn digest_deterministic_prefix_identical_across_policies() {
+fn digest_deterministic_prefix_identical_run_to_run() {
     let dir = std::env::temp_dir().join("pacor_cli_test");
     std::fs::create_dir_all(&dir).unwrap();
-    let run = |extra: &[&str], file: &str| {
+    let run = |file: &str| {
         let path = dir.join(file);
-        let mut args = vec!["route", "--quiet", "--digest-out", path.to_str().unwrap()];
-        args.extend_from_slice(extra);
-        args.push("S2");
-        let out = pacor(&args);
-        assert!(out.status.success(), "{extra:?} must route");
+        let out = pacor(&[
+            "route",
+            "--quiet",
+            "--digest-out",
+            path.to_str().unwrap(),
+            "S2",
+        ]);
+        assert!(out.status.success(), "S2 must route");
         let text = std::fs::read_to_string(&path).unwrap();
         let wall = text.find("\"wall\"").expect("digest has a wall object");
         text[..wall].to_string()
     };
-    let base = run(&[], "d_base.json");
-    let full = run(&["--ripup-policy", "full"], "d_full.json");
-    assert_eq!(base, full, "rip-up policy must not move the prefix");
+    assert_eq!(run("d_first.json"), run("d_second.json"));
 }
 
 #[test]

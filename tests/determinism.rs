@@ -5,10 +5,9 @@
 //! `metrics`), which are normalized away before comparing — the
 //! `metrics.counters` totals are deterministic and compared in full.
 
-use pacor_repro::pacor::route::RipUpPolicy;
 use pacor_repro::pacor::{
-    synthesize_params, BenchDesign, DesignParams, FlowConfig, FlowMetrics, PacorFlow, Problem,
-    RouteReport, RoutedCluster,
+    synthesize_params, BenchDesign, DesignParams, FlowMetrics, PacorFlow, Problem, RouteReport,
+    RoutedCluster,
 };
 use std::time::Duration;
 
@@ -49,7 +48,7 @@ fn repeated_runs_are_byte_identical() {
 }
 
 /// A chip dense enough that negotiation actually rips paths up, so the
-/// incremental policy's owner-index bookkeeping is on the hook. Sparse
+/// rip-up's victim selection and history bumps are on the hook. Sparse
 /// designs converge in one round and would not exercise rip-up at all.
 fn dense_chip() -> Problem {
     let dense = DesignParams {
@@ -66,46 +65,28 @@ fn dense_chip() -> Problem {
 }
 
 #[test]
-fn ripup_policies_are_byte_identical_run_to_run() {
-    // No recording session: the rip-up victims and history bumps alone
-    // must repeat exactly under both policies.
-    let problem = dense_chip();
-    for policy in [RipUpPolicy::Full, RipUpPolicy::Incremental] {
-        let run = || {
-            let flow = PacorFlow::new(FlowConfig::default().with_ripup_policy(policy));
-            let (report, routed) = flow.run_detailed(&problem).expect("dense chip routes");
-            (normalized(&report), geometry(&routed))
-        };
-        let first = run();
-        let second = run();
-        assert_eq!(first.0, second.0, "{policy:?} report drifted across runs");
-        assert_eq!(first.1, second.1, "{policy:?} geometry drifted across runs");
-    }
-}
-
-#[test]
 fn dense_chip_is_byte_identical_run_to_run() {
-    // Under a recording session the `metrics_json` bytes must repeat
-    // too, under both rip-up policies: this is the test that
+    // The report, the geometry and, under a recording session, the
+    // `metrics_json` bytes must repeat: this is the test that
     // byte-compares `metrics_json` on a contended chip.
     let problem = dense_chip();
-    for policy in [RipUpPolicy::Full, RipUpPolicy::Incremental] {
-        let run = || {
-            let session = pacor_repro::pacor::obs::Session::begin();
-            let flow = PacorFlow::new(FlowConfig::default().with_ripup_policy(policy));
-            let (report, routed) = flow.run_detailed(&problem).expect("dense chip routes");
-            let metrics = pacor_repro::pacor::obs::metrics_json(&session.finish());
-            (normalized(&report), geometry(&routed), metrics)
-        };
-        let first = run();
-        let second = run();
-        assert_eq!(first.0, second.0, "{policy:?} report drifted across runs");
-        assert_eq!(first.1, second.1, "{policy:?} geometry drifted across runs");
-        assert_eq!(
-            first.2, second.2,
-            "{policy:?} metrics bytes drifted across runs"
-        );
-    }
+    let run = || {
+        let session = pacor_repro::pacor::obs::Session::begin();
+        let (report, routed) = PacorFlow::default()
+            .run_detailed(&problem)
+            .expect("dense chip routes");
+        let metrics = pacor_repro::pacor::obs::metrics_json(&session.finish());
+        (normalized(&report), geometry(&routed), metrics)
+    };
+    let first = run();
+    let second = run();
+    assert!(
+        first.0.contains("\"negotiate.ripups\""),
+        "the dense chip must reach a rip-up"
+    );
+    assert_eq!(first.0, second.0, "report drifted across runs");
+    assert_eq!(first.1, second.1, "geometry drifted across runs");
+    assert_eq!(first.2, second.2, "metrics bytes drifted across runs");
 }
 
 #[test]

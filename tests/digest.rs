@@ -1,9 +1,7 @@
 //! Run-digest integration tests: the deterministic document must be
-//! byte-identical run to run and across the equivalence axis (the
-//! rip-up policy), and the structural differ must stay quiet across it
-//! while flagging genuine quality regressions.
+//! byte-identical run to run, and the structural differ must stay quiet
+//! across repeated runs while flagging genuine quality regressions.
 
-use pacor_repro::pacor::route::RipUpPolicy;
 use pacor_repro::pacor::{self, obs, synthesize_params, DesignParams, FlowConfig, PacorFlow};
 
 /// A chip with more clusters than control pins: partial completion,
@@ -20,8 +18,9 @@ const STARVED: DesignParams = DesignParams {
     pairs_only: true,
 };
 
-fn digest_with(config: FlowConfig) -> obs::RunDigest {
+fn starved_digest() -> obs::RunDigest {
     let problem = synthesize_params(STARVED, 42);
+    let config = FlowConfig::default();
     let session = obs::Session::begin();
     let report = PacorFlow::new(config).run(&problem).expect("routes");
     let obs_report = session.finish();
@@ -29,34 +28,25 @@ fn digest_with(config: FlowConfig) -> obs::RunDigest {
 }
 
 #[test]
-fn deterministic_json_is_byte_identical_across_the_full_equivalence_matrix() {
-    let baseline = digest_with(FlowConfig::default()).deterministic_json();
-    for policy in [RipUpPolicy::Full, RipUpPolicy::Incremental] {
-        let doc = digest_with(FlowConfig::default().with_ripup_policy(policy)).deterministic_json();
-        assert_eq!(
-            doc, baseline,
-            "deterministic digest diverged under {policy:?}"
-        );
-    }
-}
-
-#[test]
-fn differ_stays_quiet_across_equivalence_axes() {
-    let base = digest_with(FlowConfig::default());
-    let other = digest_with(FlowConfig::default().with_ripup_policy(RipUpPolicy::Full));
-    let diff = obs::diff_runs(&base, &other);
+fn repeated_runs_share_a_digest_and_diff_clean() {
+    let base = starved_digest();
+    let again = starved_digest();
+    assert_eq!(
+        again.deterministic_json(),
+        base.deterministic_json(),
+        "deterministic digest diverged across runs"
+    );
+    let diff = obs::diff_runs(&base, &again);
     assert!(
         !diff.has_verdicts(),
-        "equivalence-axis runs must diff clean:\n{}",
+        "repeated runs must diff clean:\n{}",
         obs::render_diff(&diff, 20)
     );
-    // The wall section still reports the axis change as information.
-    assert!(diff.wall.iter().any(|e| e.what == "wall.policy"));
 }
 
 #[test]
 fn differ_flags_injected_quality_and_span_regressions() {
-    let base = digest_with(FlowConfig::default());
+    let base = starved_digest();
     let mut bad = base.clone();
     // A quality drift and a +30% span blow-up well past both noise
     // gates (25% relative AND 25 ms absolute).

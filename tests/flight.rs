@@ -1,12 +1,7 @@
 //! Flight-recorder determinism (docs/OBSERVABILITY.md): the post-mortem
-//! report and the ASCII heatmap are **byte-identical** run to run. They
-//! are additionally identical across the two rip-up policies whenever
-//! the policies route the same result (they coincide while every
-//! negotiation session converges without a failed round — see
-//! DESIGN.md).
+//! report and the ASCII heatmap are **byte-identical** run to run.
 
 use pacor_repro::pacor::obs;
-use pacor_repro::pacor::route::RipUpPolicy;
 use pacor_repro::pacor::{synthesize_params, DesignParams, FlowConfig, PacorFlow};
 
 /// A chip with more clusters than control pins: negotiation converges
@@ -24,8 +19,7 @@ const STARVED: DesignParams = DesignParams {
 };
 
 /// The contended chip of `tests/determinism.rs`: negotiation rips up,
-/// so the two rip-up policies legitimately diverge — each must still
-/// repeat exactly on its own.
+/// and the report must still repeat exactly.
 const DENSE: DesignParams = DesignParams {
     name: "D1-dense24",
     width: 24,
@@ -37,45 +31,24 @@ const DENSE: DesignParams = DesignParams {
     pairs_only: false,
 };
 
-fn run_recorded(params: DesignParams, policy: RipUpPolicy) -> (String, String) {
+fn run_recorded(params: DesignParams) -> (String, String) {
     let problem = synthesize_params(params, 42);
-    let config = FlowConfig::default().with_ripup_policy(policy);
     obs::flight_install(obs::RecorderConfig::default());
-    PacorFlow::new(config).run(&problem).expect("chip runs");
+    PacorFlow::default().run(&problem).expect("chip runs");
     let log = obs::flight_take().expect("recorder installed");
     (obs::post_mortem_json(&log), obs::render_heatmap(&log))
 }
 
 #[test]
-fn report_bytes_invariant_across_policies() {
-    let (base_report, base_heat) = run_recorded(STARVED, RipUpPolicy::Incremental);
-    // The report must be non-trivial: a failing chip names its unrouted
-    // nets, and the run produced events and snapshots.
+fn report_bytes_invariant_on_contended_chip() {
+    let (base_report, base_heat) = run_recorded(DENSE);
     assert!(
-        !base_report.contains("\"unrouted\": []"),
-        "starved chip must leave nets unrouted:\n{base_report}"
+        base_report.contains("\"ripups\""),
+        "dense chip report must carry negotiation data"
     );
-    assert!(base_report.contains("\"schema\": \"pacor-postmortem-v1\""));
-    assert!(base_heat.contains("congestion heatmap"));
-    for policy in [RipUpPolicy::Full, RipUpPolicy::Incremental] {
-        let (report, heat) = run_recorded(STARVED, policy);
-        assert_eq!(report, base_report, "report drifted under {policy:?}");
-        assert_eq!(heat, base_heat, "heatmap drifted under {policy:?}");
-    }
-}
-
-#[test]
-fn report_bytes_invariant_per_policy_on_contended_chip() {
-    for policy in [RipUpPolicy::Full, RipUpPolicy::Incremental] {
-        let (base_report, base_heat) = run_recorded(DENSE, policy);
-        assert!(
-            base_report.contains("\"ripups\""),
-            "dense chip report must carry negotiation data"
-        );
-        let (report, heat) = run_recorded(DENSE, policy);
-        assert_eq!(report, base_report, "{policy:?} report drifted across runs");
-        assert_eq!(heat, base_heat, "{policy:?} heatmap drifted across runs");
-    }
+    let (report, heat) = run_recorded(DENSE);
+    assert_eq!(report, base_report, "report drifted across runs");
+    assert_eq!(heat, base_heat, "heatmap drifted across runs");
 }
 
 #[test]
@@ -115,8 +88,16 @@ fn tiny_capacity_drops_events_but_keeps_a_valid_report() {
 
 #[test]
 fn report_is_a_pure_function_of_the_log() {
-    let (a, ha) = run_recorded(STARVED, RipUpPolicy::Incremental);
-    let (b, hb) = run_recorded(STARVED, RipUpPolicy::Incremental);
+    let (a, ha) = run_recorded(STARVED);
+    // The report must be non-trivial: a failing chip names its unrouted
+    // nets, and the run produced events and snapshots.
+    assert!(
+        !a.contains("\"unrouted\": []"),
+        "starved chip must leave nets unrouted:\n{a}"
+    );
+    assert!(a.contains("\"schema\": \"pacor-postmortem-v1\""));
+    assert!(ha.contains("congestion heatmap"));
+    let (b, hb) = run_recorded(STARVED);
     assert_eq!(a, b, "same run, same bytes");
     assert_eq!(ha, hb);
 }

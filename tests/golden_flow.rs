@@ -16,13 +16,12 @@
 //!
 //! The largest chip (`B3-dense96`) is `#[ignore]`d because a debug-mode
 //! run takes minutes; `make golden` runs it in release as part of
-//! `make verify`. Its two telemetry streams (~244 KB) are not pinned;
+//! `make verify`. Its telemetry stream (~122 KB) is not pinned;
 //! B0–B2's are, B2's reaching escape phase 3.
 
 use pacor_bench::{collect_telemetry, BENCH_SEED, FLOW_BENCH_CHIPS, FLOW_SMOKE_CHIP};
 use pacor_repro::pacor::obs;
-use pacor_repro::pacor::route::RipUpPolicy;
-use pacor_repro::pacor::{synthesize_params, DesignParams, FlowConfig, PacorFlow};
+use pacor_repro::pacor::{synthesize_params, DesignParams, PacorFlow};
 use std::path::PathBuf;
 
 fn fixture_dir() -> PathBuf {
@@ -35,17 +34,16 @@ fn fixture_dir() -> PathBuf {
 /// The deterministic scalar outcome of one run, serialized as the
 /// metrics fixture. Key order is fixed by serde_json's BTreeMap map
 /// representation, so the bytes are stable.
-fn metrics_snapshot(params: DesignParams, policy: RipUpPolicy) -> String {
+fn metrics_snapshot(params: DesignParams) -> String {
     let problem = synthesize_params(params, BENCH_SEED);
-    let config = FlowConfig::default().with_ripup_policy(policy);
-    let report = PacorFlow::new(config)
+    let report = PacorFlow::default()
         .run(&problem)
         .expect("bench chips route");
     let c = |name: &str| report.metrics.counter(name);
     // Hand-built JSON (the vendored serde_json has no `json!`): fixed
     // key order, `{:?}` for the f64 (shortest round-trip formatting).
     format!(
-        "{{\n  \"chip\": \"{}\",\n  \"policy\": \"{}\",\n  \"seed\": {},\n  \
+        "{{\n  \"chip\": \"{}\",\n  \"seed\": {},\n  \
          \"total_length\": {},\n  \"completion_rate\": {:?},\n  \
          \"valves_routed\": {},\n  \"valves_total\": {},\n  \
          \"matched_clusters\": {},\n  \"matched_length\": {},\n  \
@@ -54,7 +52,6 @@ fn metrics_snapshot(params: DesignParams, policy: RipUpPolicy) -> String {
          \"escape_declustered\": {},\n  \"astar_queries\": {},\n  \
          \"astar_expansions\": {},\n  \"detour_segments\": {}\n}}\n",
         params.name,
-        policy.label(),
         BENCH_SEED,
         report.total_length,
         report.completion_rate(),
@@ -75,11 +72,10 @@ fn metrics_snapshot(params: DesignParams, policy: RipUpPolicy) -> String {
 }
 
 /// The post-mortem report bytes of one flight-recorded run.
-fn postmortem_snapshot(params: DesignParams, policy: RipUpPolicy) -> String {
+fn postmortem_snapshot(params: DesignParams) -> String {
     let problem = synthesize_params(params, BENCH_SEED);
-    let config = FlowConfig::default().with_ripup_policy(policy);
     obs::flight_install(obs::RecorderConfig::default());
-    PacorFlow::new(config)
+    PacorFlow::default()
         .run(&problem)
         .expect("bench chips route");
     let log = obs::flight_take().expect("recorder installed");
@@ -110,30 +106,25 @@ fn check_or_update(name: &str, actual: &str) {
 
 /// The deterministic-mode `pacor-telemetry-v1` stream of one run, one
 /// event per line.
-fn telemetry_snapshot(params: DesignParams, policy: RipUpPolicy) -> String {
-    let mut lines = collect_telemetry(params, policy, BENCH_SEED).join("\n");
+fn telemetry_snapshot(params: DesignParams) -> String {
+    let mut lines = collect_telemetry(params, BENCH_SEED).join("\n");
     lines.push('\n');
     lines
 }
 
-/// Checks the chip's metrics and post-mortem fixtures under both
-/// rip-up policies, plus its telemetry stream when `stream` is set.
+/// Checks the chip's metrics and post-mortem fixtures, plus its
+/// telemetry stream when `stream` is set.
 fn check_chip(params: DesignParams, stream: bool) {
-    for policy in [RipUpPolicy::Full, RipUpPolicy::Incremental] {
+    check_or_update(&format!("{}.json", params.name), &metrics_snapshot(params));
+    check_or_update(
+        &format!("{}.report.json", params.name),
+        &postmortem_snapshot(params),
+    );
+    if stream {
         check_or_update(
-            &format!("{}-{}.json", params.name, policy.label()),
-            &metrics_snapshot(params, policy),
+            &format!("{}.telemetry.jsonl", params.name),
+            &telemetry_snapshot(params),
         );
-        check_or_update(
-            &format!("{}-{}.report.json", params.name, policy.label()),
-            &postmortem_snapshot(params, policy),
-        );
-        if stream {
-            check_or_update(
-                &format!("{}-{}.telemetry.jsonl", params.name, policy.label()),
-                &telemetry_snapshot(params, policy),
-            );
-        }
     }
 }
 

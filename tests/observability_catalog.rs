@@ -1,5 +1,5 @@
 //! Anti-rot guard for `docs/OBSERVABILITY.md`: run a smoke flow that
-//! exercises both rip-up policies, MST splits, the last-resort escape
+//! exercises negotiation rip-up, MST splits, the last-resort escape
 //! phase and length-matching detours with the flight recorder
 //! installed and the telemetry stream collecting, and assert that
 //! every counter, histogram, span and event kind actually emitted
@@ -10,7 +10,6 @@
 //! a stale row behind.
 
 use pacor_repro::pacor::obs::{self, TraceEvent};
-use pacor_repro::pacor::route::RipUpPolicy;
 use pacor_repro::pacor::{
     self, synthesize_params, BenchDesign, DesignParams, FlowConfig, PacorFlow, FLOW_BENCH_CHIPS,
 };
@@ -101,11 +100,9 @@ fn run_smoke_flow() -> BTreeSet<String> {
     let lines_handle = sink.lines();
     obs::telemetry_install(obs::TelemetryConfig::deterministic(), vec![Box::new(sink)]);
     let mut kinds: BTreeSet<&'static str> = BTreeSet::new();
-    for policy in [RipUpPolicy::Full, RipUpPolicy::Incremental] {
-        PacorFlow::new(config.with_ripup_policy(policy))
-            .run(&problem)
-            .expect("dense chip routes");
-    }
+    PacorFlow::new(config)
+        .run(&problem)
+        .expect("dense chip routes");
     // B2-dense48 splits MST clusters and reaches the last-resort escape
     // phase (`mst.splits`, `mst_split`, `escape.phase3`); the 24² chip
     // does neither.

@@ -1,22 +1,14 @@
 //! Streaming-telemetry determinism (docs/OBSERVABILITY.md): the raw
 //! `pacor-telemetry-v1` JSONL stream, collected in deterministic mode
 //! (wall-clock fields zeroed), is **byte-identical** run to run — the
-//! same guarantee the flight recorder makes (`tests/flight.rs`). It is
-//! additionally identical across the two rip-up policies whenever the
-//! policies route the same result. The sole exception is
-//! `flow_started`, which names the policy on purpose (the stream
-//! self-describes its run) — the comparisons below mask exactly that
-//! value and byte-compare everything else.
+//! same guarantee the flight recorder makes (`tests/flight.rs`).
 
 use pacor_bench::collect_telemetry;
 use pacor_repro::pacor::obs;
-use pacor_repro::pacor::route::RipUpPolicy;
 use pacor_repro::pacor::{synthesize_params, BenchDesign, DesignParams, FlowConfig, PacorFlow};
 
 /// The starved chip of `tests/flight.rs`: converges in one round but
-/// leaves nets unrouted, and — crucially here — rips nothing up, so the
-/// two rip-up policies route identically and the stream must match
-/// across them.
+/// leaves nets unrouted.
 const STARVED: DesignParams = DesignParams {
     name: "T1-starved",
     width: 20,
@@ -28,8 +20,7 @@ const STARVED: DesignParams = DesignParams {
     pairs_only: true,
 };
 
-/// The contended chip: negotiation rips up, so the policies diverge
-/// legitimately — each must still repeat exactly on its own.
+/// The contended chip: negotiation rips up.
 const DENSE: DesignParams = DesignParams {
     name: "D1-dense24",
     width: 24,
@@ -46,41 +37,21 @@ fn kind_count(lines: &[String], kind: &str) -> usize {
     lines.iter().filter(|l| l.contains(&needle)).count()
 }
 
-/// Masks the run-configuration field of the `flow_started` event. That
-/// event names the policy by design (the stream self-describes its
-/// run); every *behavioral* byte after it must still match, so the
-/// invariance comparison blanks exactly that value and nothing else.
-fn masked(mut lines: Vec<String>) -> Vec<String> {
-    let first = lines.first_mut().expect("stream is non-empty");
-    assert!(first.contains("\"kind\":\"flow_started\""), "got {first}");
-    let key = "\"policy\":\"";
-    let start = first.find(key).expect("flow_started carries the policy") + key.len();
-    let len = first[start..].find('"').expect("value is quoted");
-    first.replace_range(start..start + len, "*");
-    lines
-}
-
 #[test]
-fn stream_bytes_invariant_across_policies() {
-    let base = masked(collect_telemetry(STARVED, RipUpPolicy::Incremental, 42));
-    assert!(base.len() > 1, "the stream must carry events");
-    for policy in [RipUpPolicy::Full, RipUpPolicy::Incremental] {
-        let lines = masked(collect_telemetry(STARVED, policy, 42));
-        assert_eq!(lines, base, "stream drifted under {policy:?}");
-    }
-}
-
-#[test]
-fn stream_bytes_invariant_per_policy_on_contended_chip() {
-    for policy in [RipUpPolicy::Full, RipUpPolicy::Incremental] {
-        let base = masked(collect_telemetry(DENSE, policy, 42));
-        assert!(
-            kind_count(&base, "round_progress") > 0,
-            "dense chip stream must carry negotiation rounds"
-        );
-        let lines = masked(collect_telemetry(DENSE, policy, 42));
-        assert_eq!(lines, base, "{policy:?} stream drifted across runs");
-    }
+fn stream_bytes_invariant_run_to_run() {
+    let starved = collect_telemetry(STARVED, 42);
+    assert!(starved.len() > 1, "the stream must carry events");
+    assert_eq!(
+        collect_telemetry(STARVED, 42),
+        starved,
+        "starved stream drifted"
+    );
+    let dense = collect_telemetry(DENSE, 42);
+    assert!(
+        kind_count(&dense, "round_progress") > 0,
+        "dense chip stream must carry negotiation rounds"
+    );
+    assert_eq!(collect_telemetry(DENSE, 42), dense, "dense stream drifted");
 }
 
 #[test]
