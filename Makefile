@@ -77,19 +77,19 @@ bench-check:
 	$(CARGO) run --release -p pacor-bench --bin tables -- regress BENCH_flow.json --chip B2-dense48
 	$(CARGO) run --release -p pacor-bench --bin tables -- regress BENCH_flow.json --chip B4-dense256
 
-# The run-digest / ledger / differ loop, end to end: route the same
-# chip twice with the same flags — the two digests must be
-# byte-identical up to the trailing `wall` object (it is rendered last
-# precisely so this is a string-prefix check), the ledger must hold
-# both runs under one fingerprint, and `tables compare` must find no
-# verdicts. Then a different problem (S1 synthesized at design seed 7)
-# must make `tables compare` exit non-zero.
+# The run-digest / ledger / differ loop, end to end: route S1 twice
+# with the same flags — the two digests must be byte-identical up to
+# the trailing `wall` object (it is rendered last precisely so this is
+# a string-prefix check), the ledger must hold both runs under one
+# fingerprint, and `tables compare` must find no verdicts. Then a
+# different problem under the same design name (S1 synthesized at
+# design seed 7) must make `tables compare` exit non-zero.
 ledger-smoke:
 	rm -f target/ledger_smoke.jsonl
 	$(CARGO) run --release --bin pacor-cli -- route --quiet \
-		--digest-out target/ledger_smoke_a.json --ledger target/ledger_smoke.jsonl B1-dense24
+		--digest-out target/ledger_smoke_a.json --ledger target/ledger_smoke.jsonl S1
 	$(CARGO) run --release --bin pacor-cli -- route --quiet \
-		--digest-out target/ledger_smoke_b.json --ledger target/ledger_smoke.jsonl B1-dense24
+		--digest-out target/ledger_smoke_b.json --ledger target/ledger_smoke.jsonl S1
 	python3 -c "\
 	import json; \
 	a = open('target/ledger_smoke_a.json').read(); \
