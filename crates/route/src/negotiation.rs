@@ -257,7 +257,8 @@ impl NegotiationRouter {
     /// scratch's failed region is the contended region for free. The
     /// round ORs those regions into one bit-row set; the cells next to
     /// it are the walls, and every routed path that crosses one is
-    /// evicted.
+    /// evicted. A round that fails more edges than the one before, or
+    /// that has an opaque failure, rips every routed path instead.
     ///
     /// One [`AStarScratch`] is held across the whole negotiation loop, so
     /// every query reuses the same buffers instead of re-borrowing the
