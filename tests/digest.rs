@@ -1,8 +1,12 @@
 //! Run-digest integration tests: the deterministic document must be
 //! byte-identical run to run, and the structural differ must stay quiet
 //! across repeated runs while flagging genuine quality regressions.
+//! A committed digest of S1 must keep parsing and compare clean against
+//! a fresh route, so `tables compare` still reads older records.
 
-use pacor_repro::pacor::{self, obs, synthesize_params, DesignParams, FlowConfig, PacorFlow};
+use pacor_repro::pacor::{
+    self, obs, synthesize_params, BenchDesign, DesignParams, FlowConfig, PacorFlow,
+};
 
 /// A chip with more clusters than control pins: partial completion,
 /// so the digest's cluster and outcome fields exercise the unrouted
@@ -67,5 +71,33 @@ fn differ_flags_injected_quality_and_span_regressions() {
             .iter()
             .any(|e| e.what == "outcome.total_length"),
         "total_length drift must surface as a quality verdict"
+    );
+}
+
+/// The digest of S1 at design seed 42 that `pacor-cli route --quiet
+/// --digest-out FILE S1` wrote, committed under tests/fixtures/digest/.
+const COMMITTED_S1: &str = include_str!("fixtures/digest/S1.json");
+
+#[test]
+fn committed_s1_digest_parses_and_matches_a_fresh_route() {
+    let committed = obs::RunDigest::from_json(COMMITTED_S1).expect("committed digest parses");
+    // Built the way `route --digest-out` builds it: an outer session
+    // around a default-config run.
+    let problem = BenchDesign::S1.synthesize(42);
+    let config = FlowConfig::default();
+    let session = obs::Session::begin();
+    let report = PacorFlow::new(config).run(&problem).expect("routes");
+    let obs_report = session.finish();
+    let fresh = pacor::run_digest(&problem, &config, &report, &obs_report);
+    assert_eq!(
+        fresh.deterministic_json(),
+        committed.deterministic_json(),
+        "a fresh S1 digest drifted from the committed one"
+    );
+    let diff = obs::diff_runs(&committed, &fresh);
+    assert!(
+        !diff.has_verdicts(),
+        "the committed S1 digest must diff clean:\n{}",
+        obs::render_diff(&diff, 20)
     );
 }
