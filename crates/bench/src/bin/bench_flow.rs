@@ -2,7 +2,7 @@
 //! `BENCH_flow.json`.
 //!
 //! ```text
-//! bench_flow [--out FILE] [--repeat N] [--smoke] [--huge] [--chip NAME] [--events] [--ledger FILE]
+//! bench_flow [--out FILE] [--repeat N] [--smoke] [--huge] [--chip NAME] [--events]
 //! ```
 //!
 //! Runs the full flow (clustering → LM routing → MST routing → escape →
@@ -34,15 +34,10 @@
 //! stream installed, reporting the event count and asserting the
 //! stream's `round_progress` events match the entry's
 //! `negotiate.rounds` counter. The JSON schema is unchanged.
-//!
-//! `--ledger FILE` additionally appends one `pacor-rundigest-v1` line
-//! per entry (from the last timed repeat) to the given run-ledger
-//! JSONL, so bench runs accumulate history that `tables compare` can
-//! diff (see docs/OBSERVABILITY.md §"Run digests").
 
 use pacor::DesignParams;
 use pacor_bench::{
-    collect_telemetry, run_flow_bench_with_digest, FlowBenchEntry, FlowBenchReport, BENCH_SEED,
+    collect_telemetry, run_flow_bench, FlowBenchEntry, FlowBenchReport, BENCH_SEED,
     FLOW_BENCH_CHIPS, FLOW_HUGE_CHIP, FLOW_SMOKE_CHIP, LARGE_WIDTH,
 };
 
@@ -53,17 +48,12 @@ fn main() {
     let mut huge = false;
     let mut events = false;
     let mut chip_filter: Option<String> = None;
-    let mut ledger: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--out" => match args.next() {
                 Some(v) => out = v,
                 None => return usage("--out requires a value"),
-            },
-            "--ledger" => match args.next() {
-                Some(v) => ledger = Some(v),
-                None => return usage("--ledger requires a value"),
             },
             "--repeat" => match args.next().and_then(|v| v.parse::<u32>().ok()) {
                 Some(n) if n >= 1 => repeat = n,
@@ -100,7 +90,6 @@ fn main() {
         repeat,
         entries: Vec::new(),
     };
-    let mut digests: Vec<pacor::obs::RunDigest> = Vec::new();
     for chip in chips {
         let chip_repeat = if chip.width >= LARGE_WIDTH {
             repeat.min(2)
@@ -109,7 +98,7 @@ fn main() {
         };
         // Counter totals come from the flow's own per-run obs session
         // (carried in the report), so entries cannot bleed.
-        let (entry, digest) = run_flow_bench_with_digest(chip, BENCH_SEED, chip_repeat);
+        let entry = run_flow_bench(chip, BENCH_SEED, chip_repeat);
         // Opt-in telemetry sanity: one extra untimed run with the
         // deterministic stream installed; its round events must agree
         // with the counters the timed runs report.
@@ -130,7 +119,6 @@ fn main() {
         };
         print_entry(&entry, events_col);
         report.entries.push(entry);
-        digests.push(digest);
     }
 
     let json = serde_json::to_string_pretty(&report).expect("reports serialize");
@@ -139,20 +127,6 @@ fn main() {
         std::process::exit(1);
     }
     eprintln!("bench_flow: wrote {out}");
-    if let Some(path) = ledger {
-        let path = std::path::Path::new(&path);
-        for digest in &digests {
-            if let Err(e) = pacor::obs::ledger_append(path, digest) {
-                eprintln!("bench_flow: appending to ledger {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        }
-        eprintln!(
-            "bench_flow: appended {} digest(s) to {}",
-            digests.len(),
-            path.display()
-        );
-    }
 }
 
 fn print_entry(entry: &FlowBenchEntry, events_col: String) {
@@ -181,7 +155,7 @@ fn print_entry(entry: &FlowBenchEntry, events_col: String) {
 
 fn usage(err: &str) {
     eprintln!(
-        "bench_flow: {err}\nusage: bench_flow [--out FILE] [--repeat N] [--smoke] [--huge] [--chip NAME] [--events] [--ledger FILE]"
+        "bench_flow: {err}\nusage: bench_flow [--out FILE] [--repeat N] [--smoke] [--huge] [--chip NAME] [--events]"
     );
     std::process::exit(2);
 }

@@ -404,30 +404,12 @@ fn span_ms_of(report: &pacor::obs::ObsReport, span: &str) -> f64 {
 /// Panics when the flow errors out or the counters differ between
 /// repeats — both harness bugs, not experiment outcomes.
 pub fn run_flow_bench(params: DesignParams, seed: u64, repeat: u32) -> FlowBenchEntry {
-    run_flow_bench_with_digest(params, seed, repeat).0
-}
-
-/// [`run_flow_bench`], additionally returning the `pacor-rundigest-v1`
-/// record of the *last* timed repeat (deterministic fields are
-/// repeat-invariant; the wall-clock facts are that repeat's). This is
-/// what `bench_flow --ledger` appends to the run ledger so bench
-/// entries can be diffed with `tables compare`.
-///
-/// # Panics
-///
-/// Same as [`run_flow_bench`].
-pub fn run_flow_bench_with_digest(
-    params: DesignParams,
-    seed: u64,
-    repeat: u32,
-) -> (FlowBenchEntry, pacor::obs::RunDigest) {
     let problem = synthesize_params(params, seed);
     let config = FlowConfig::default();
     PacorFlow::new(config)
         .run(&problem)
         .expect("synthesized designs are valid");
     let mut entry: Option<FlowBenchEntry> = None;
-    let mut digest: Option<pacor::obs::RunDigest> = None;
     for _ in 0..repeat.max(1) {
         // An outer observability session captures the run's spans (the
         // flow's nested session merges upward into it on finish), so the
@@ -437,7 +419,6 @@ pub fn run_flow_bench_with_digest(
             .run(&problem)
             .expect("synthesized designs are valid");
         let obs = session.finish();
-        digest = Some(pacor::run_digest(&problem, &config, &report, &obs));
         let negotiate_ms = span_ms_of(&obs, "negotiate");
         let stage_ms = StageMs::of(&obs);
         let escape_ms = EscapeMs::of(&obs);
@@ -472,7 +453,7 @@ pub fn run_flow_bench_with_digest(
             }
         }
     }
-    (entry.expect("repeat >= 1"), digest.expect("repeat >= 1"))
+    entry.expect("repeat >= 1")
 }
 
 /// Runs the flow once with a deterministic in-memory telemetry stream

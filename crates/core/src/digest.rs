@@ -1,15 +1,15 @@
-//! Builds the longitudinal [`RunDigest`] record for one flow run.
+//! Builds the [`RunDigest`] summary of one flow run.
 //!
 //! The flow itself stays digest-agnostic: callers that hold the
 //! problem, the config, the [`RouteReport`] and an observability
-//! session's [`ObsReport`] (the CLI's `--digest-out`, `bench_flow
-//! --ledger`) assemble the digest here. See `pacor_obs::RunDigest` for
-//! the schema and determinism contract.
+//! session's [`ObsReport`] (the CLI's `--digest-out`) assemble the
+//! digest here. See `pacor_obs::RunDigest` for the schema and
+//! determinism contract.
 
 use crate::{FlowConfig, Problem, RouteReport};
 use pacor_obs::{
-    fnv1a64, is_work_metric, span_tree, ClusterDigest, Fingerprint, HistogramSummary, ObsReport,
-    Outcome, RunDigest, WallFacts,
+    fnv1a64, span_tree, ClusterDigest, Fingerprint, HistogramSummary, ObsReport, Outcome,
+    RunDigest, WallFacts,
 };
 
 /// A stable hash of the full problem instance. The `Problem` `Debug`
@@ -62,11 +62,6 @@ pub fn run_digest(
         clusters_multi: report.clusters_multi as u64,
         valves_routed: report.valves_routed as u64,
         valves_total: report.valves_total as u64,
-        rounds: report.metrics.counter("negotiate.rounds"),
-        ripups: report.metrics.counter("negotiate.ripups"),
-        escape_rounds: report.escape_recovery.0 as u64,
-        escape_declustered: report.escape_recovery.1 as u64,
-        escape_ripped: report.escape_recovery.2 as u64,
     };
     let clusters = report
         .clusters
@@ -81,38 +76,23 @@ pub fn run_digest(
             slack: c.mismatch.map(|m| problem.delta as i64 - m as i64),
         })
         .collect();
-    let mut counters = Vec::new();
-    let mut work_counters = Vec::new();
-    for (name, total) in obs.counters() {
-        if is_work_metric(name) {
-            work_counters.push((name.to_string(), total));
-        } else {
-            counters.push((name.to_string(), total));
-        }
-    }
-    let mut histograms = Vec::new();
-    let mut work_histograms = Vec::new();
-    for (name, hist) in obs.histograms() {
-        let summary = HistogramSummary::of(hist);
-        if is_work_metric(name) {
-            work_histograms.push((name.to_string(), summary));
-        } else {
-            histograms.push((name.to_string(), summary));
-        }
-    }
     RunDigest {
         fingerprint,
         outcome,
         clusters,
-        counters,
-        histograms,
+        counters: obs
+            .counters()
+            .map(|(name, total)| (name.to_string(), total))
+            .collect(),
+        histograms: obs
+            .histograms()
+            .map(|(name, hist)| (name.to_string(), HistogramSummary::of(hist)))
+            .collect(),
         wall: WallFacts {
             // Quantized to the rendered precision (3 decimals) so a
             // digest re-parsed from disk compares equal to the
             // in-memory one.
             wall_ms: (report.runtime.as_secs_f64() * 1_000_000.0).round() / 1000.0,
-            work_counters,
-            work_histograms,
             spans: span_tree(obs.events()),
         },
     }
@@ -137,29 +117,20 @@ mod tests {
         assert_eq!(digest.outcome.completion_milli, 1000);
         assert_eq!(digest.outcome.total_length, report.total_length);
         assert_eq!(digest.clusters.len(), report.clusters.len());
-        assert_eq!(
-            digest.outcome.rounds,
-            report.metrics.counter("negotiate.rounds")
-        );
-        // The counter split is clean: no work metric on the
-        // deterministic side, and vice versa.
-        assert!(digest.counters.iter().all(|(n, _)| !is_work_metric(n)));
+        // Every counter the session saw, A* work included, in name order.
+        let counters: Vec<(&str, u64)> = obs.counters().collect();
         assert!(digest
-            .wall
-            .work_counters
+            .counters
             .iter()
-            .all(|(n, _)| is_work_metric(n)));
+            .map(|(n, v)| (n.as_str(), *v))
+            .eq(counters));
         assert!(
             digest.counters.iter().any(|(n, _)| n == "negotiate.rounds"),
-            "deterministic counters captured"
+            "negotiation counters captured"
         );
         assert!(
-            digest
-                .wall
-                .work_counters
-                .iter()
-                .any(|(n, _)| n.starts_with("astar.")),
-            "work counters captured"
+            digest.counters.iter().any(|(n, _)| n.starts_with("astar.")),
+            "A* counters captured"
         );
         assert!(!digest.wall.spans.is_empty(), "span tree captured");
         // LM slack is measured against the problem's δ.

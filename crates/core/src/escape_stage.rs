@@ -26,15 +26,17 @@ use pacor_flow::{EscapeOutcome, EscapeSource, GridEscape};
 use pacor_grid::{CellRows, GridPath, ObsMap, Point};
 use pacor_valves::{Cluster, ClusterId};
 
-/// Statistics of the escape stage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct EscapeStats {
-    /// Rip-up / de-clustering rounds executed (≥ 1).
-    pub rounds: u32,
-    /// Clusters de-clustered to singletons along the way.
-    pub declustered: usize,
-    /// Blocking clusters ripped up and re-routed.
-    pub ripped: usize,
+/// The escape stage's running tallies, reported by its
+/// `escape_progress` events (the `escape.rounds`, `escape.declustered`
+/// and `escape.ripped` counters hold the totals).
+#[derive(Debug, Clone, Copy, Default)]
+struct EscapeStats {
+    /// Rip-up / de-clustering rounds executed so far.
+    rounds: u32,
+    /// Clusters de-clustered to singletons so far.
+    declustered: usize,
+    /// Blocking clusters ripped up so far.
+    ripped: usize,
 }
 
 impl EscapeStats {
@@ -148,7 +150,7 @@ pub fn escape_all(
     pins: &[Point],
     config: &FlowConfig,
     next_id: &mut u32,
-) -> EscapeStats {
+) {
     let (width, height) = (obs.width() as usize, obs.height() as usize);
     EscapeRun {
         obs,
@@ -192,14 +194,13 @@ struct EscapeRun<'a> {
 impl EscapeRun<'_> {
     /// Runs the phases in turn, each only if the one before left a
     /// cluster without an escape.
-    fn run(mut self) -> EscapeStats {
+    fn run(mut self) {
         if !self.global_rounds() {
             self.recovery();
             if self.routed.iter().any(|rc| rc.escape.is_none()) {
                 self.last_resort();
             }
         }
-        self.stats
     }
 
     /// Phase 1: rip every escape and re-solve the whole min-cost flow,
@@ -802,6 +803,19 @@ mod tests {
     use pacor_valves::ValveId;
     use std::collections::{HashMap, HashSet, VecDeque};
 
+    /// Runs [`escape_all`] with the default config inside an
+    /// observability session and returns what it counted.
+    fn escape_counted(
+        obs: &mut ObsMap,
+        routed: &mut Vec<RoutedCluster>,
+        pins: &[Point],
+        next_id: &mut u32,
+    ) -> pacor_obs::ObsReport {
+        let session = pacor_obs::Session::begin();
+        escape_all(obs, routed, pins, &FlowConfig::default(), next_id);
+        session.finish()
+    }
+
     fn mk_singleton(id: u32, p: Point) -> RoutedCluster {
         singleton(ClusterId(id), ValveId(id), p)
     }
@@ -900,14 +914,8 @@ mod tests {
         ];
         let pins = vec![Point::new(0, 5), Point::new(0, 8)];
         let mut next_id = 10;
-        let stats = escape_all(
-            &mut obs,
-            &mut routed,
-            &pins,
-            &FlowConfig::default(),
-            &mut next_id,
-        );
-        assert_eq!(stats.declustered, 0);
+        let counted = escape_counted(&mut obs, &mut routed, &pins, &mut next_id);
+        assert_eq!(counted.counter("escape.declustered"), 0);
         assert!(routed.iter().all(|rc| rc.is_complete()));
         for rc in &routed {
             for c in rc.escape.as_ref().unwrap().0.cells() {
@@ -937,14 +945,8 @@ mod tests {
             escape: None,
         }];
         let mut next_id = 10;
-        let stats = escape_all(
-            &mut obs,
-            &mut routed,
-            &[],
-            &FlowConfig::default(),
-            &mut next_id,
-        );
-        assert_eq!(stats.declustered, 1);
+        let counted = escape_counted(&mut obs, &mut routed, &[], &mut next_id);
+        assert_eq!(counted.counter("escape.declustered"), 1);
         assert_eq!(routed.len(), 2);
         assert!(routed.iter().all(|rc| !rc.is_complete()));
     }
@@ -996,14 +998,8 @@ mod tests {
         obs.block(Point::new(6, 6));
         let pins = vec![Point::new(0, 6), Point::new(0, 9), Point::new(13, 6)];
         let mut next_id = 10;
-        let stats = escape_all(
-            &mut obs,
-            &mut routed,
-            &pins,
-            &FlowConfig::default(),
-            &mut next_id,
-        );
-        assert!(stats.ripped >= 1, "wall must be ripped: {stats:?}");
+        let counted = escape_counted(&mut obs, &mut routed, &pins, &mut next_id);
+        assert!(counted.counter("escape.ripped") >= 1, "wall must be ripped");
         let singleton_done = routed
             .iter()
             .any(|rc| rc.member_positions == vec![Point::new(6, 6)] && rc.is_complete());
@@ -1027,15 +1023,9 @@ mod tests {
         obs.block(Point::new(5, 5));
         let mut routed = vec![mk_singleton(0, Point::new(5, 5))];
         let mut next_id = 1;
-        let stats = escape_all(
-            &mut obs,
-            &mut routed,
-            &[Point::new(0, 5)],
-            &FlowConfig::default(),
-            &mut next_id,
-        );
+        let counted = escape_counted(&mut obs, &mut routed, &[Point::new(0, 5)], &mut next_id);
         assert!(!routed[0].is_complete());
-        assert_eq!(stats.ripped, 0);
+        assert_eq!(counted.counter("escape.ripped"), 0);
     }
 
     #[test]
@@ -1101,14 +1091,8 @@ mod tests {
         obs.block(Point::new(11, 6));
         let pins = vec![Point::new(0, 6), Point::new(0, 10), Point::new(6, 0)];
         let mut next_id = 10;
-        let stats = escape_all(
-            &mut obs,
-            &mut routed,
-            &pins,
-            &FlowConfig::default(),
-            &mut next_id,
-        );
-        assert!(stats.ripped >= 1);
+        let counted = escape_counted(&mut obs, &mut routed, &pins, &mut next_id);
+        assert!(counted.counter("escape.ripped") >= 1);
         let pocket_valve = routed
             .iter()
             .find(|rc| rc.member_positions == vec![Point::new(11, 6)])

@@ -1,6 +1,6 @@
 //! The PACOR flow orchestrator (Fig. 2 of the paper).
 
-use crate::escape_stage::{escape_all, EscapeStats};
+use crate::escape_stage::escape_all;
 use crate::lm_routing::route_lm_clusters;
 use crate::mst_routing::route_ordinary_clusters;
 use crate::{
@@ -68,7 +68,6 @@ impl PacorFlow {
         // report carries counter totals even without an outer (CLI)
         // session; nested sessions merge upward on finish.
         let obs_session = pacor_obs::Session::begin();
-        let mut timings = crate::FlowMetrics::default();
         let grid = problem.grid()?;
         let mut obs = ObsMap::new(&grid);
         pacor_obs::emit(pacor_obs::Event::FlowStarted {
@@ -86,7 +85,7 @@ impl PacorFlow {
         // greedily by compatibility (broadcast addressing).
         let stage = pacor_obs::stage("clustering", &[]);
         let clusters = problem.valves.cluster_greedy(&problem.lm_clusters);
-        timings.clustering = stage.exit(clusters.len() as u64);
+        stage.exit(clusters.len() as u64);
         let positions_of = |c: &Cluster| {
             c.members()
                 .iter()
@@ -117,14 +116,13 @@ impl PacorFlow {
             .collect();
 
         // ---- Stages 2–6: detailed routing -----------------------------
-        let (routed, escape_stats) = run_stage_pipeline(
+        let routed = run_stage_pipeline(
             &mut obs,
             paired,
             &problem.pins,
             problem.delta,
             &self.config,
             &mut next_cluster_id,
-            &mut timings,
         );
 
         // ---- Flight-recorder epilogue ---------------------------------
@@ -158,18 +156,13 @@ impl PacorFlow {
         }
 
         let obs_report = obs_session.finish();
-        timings.counters = obs_report
-            .counters()
-            .map(|(name, value)| (name.to_string(), value))
-            .collect();
-
-        let mut report = self.report(problem, &routed, clusters_multi, start);
-        report.metrics = timings;
-        report.escape_recovery = (
-            escape_stats.rounds,
-            escape_stats.declustered,
-            escape_stats.ripped,
-        );
+        let metrics = crate::FlowMetrics {
+            counters: obs_report
+                .counters()
+                .map(|(name, value)| (name.to_string(), value))
+                .collect(),
+        };
+        let report = self.report(problem, &routed, clusters_multi, start, metrics);
         let complete = report.clusters.iter().filter(|c| c.complete).count() as u64;
         pacor_obs::emit(pacor_obs::Event::FlowFinished {
             routed: complete,
@@ -189,6 +182,7 @@ impl PacorFlow {
         routed: &[RoutedCluster],
         clusters_multi: usize,
         start: Instant,
+        metrics: crate::FlowMetrics,
     ) -> RouteReport {
         let mut clusters = Vec::with_capacity(routed.len());
         let mut matched_clusters = 0usize;
@@ -226,8 +220,7 @@ impl PacorFlow {
             valves_routed,
             valves_total: problem.valve_count(),
             runtime: start.elapsed(),
-            metrics: crate::FlowMetrics::default(),
-            escape_recovery: (0, 0, 0),
+            metrics,
             clusters,
         }
     }
@@ -244,8 +237,7 @@ fn run_stage_pipeline(
     delta: GridLen,
     config: &FlowConfig,
     next_cluster_id: &mut u32,
-    timings: &mut crate::FlowMetrics,
-) -> (Vec<RoutedCluster>, EscapeStats) {
+) -> Vec<RoutedCluster> {
     let (lm_input, mut ordinary_input): (Vec<_>, Vec<_>) = clusters
         .into_iter()
         .partition(|(c, _)| c.is_length_matched() && c.len() >= 2);
@@ -254,7 +246,7 @@ fn run_stage_pipeline(
     let lm_count = lm_input.len() as u64;
     let stage = pacor_obs::stage("lm_routing", &[("clusters", lm_count)]);
     let lm_out = route_lm_clusters(obs, lm_input, config);
-    timings.lm_routing = stage.exit(lm_count);
+    stage.exit(lm_count);
     pacor_obs::counter_sample("astar.expansions");
     let mut routed: Vec<RoutedCluster> = lm_out.routed;
 
@@ -274,7 +266,7 @@ fn run_stage_pipeline(
         next_cluster_id,
         config,
     ));
-    timings.mst_routing = stage.exit(mst_count);
+    stage.exit(mst_count);
     pacor_obs::counter_sample("astar.expansions");
 
     // ---- Stage 3.5: Detour-First variant --------------------------
@@ -287,13 +279,13 @@ fn run_stage_pipeline(
                 detoured += 1;
             }
         }
-        timings.detour = stage.exit(detoured);
+        stage.exit(detoured);
     }
 
     // ---- Stages 4–5: escape routing with rip-up/de-clustering -----
     let stage = pacor_obs::stage("escape", &[]);
-    let escape_stats = escape_all(obs, &mut routed, pins, config, next_cluster_id);
-    timings.escape = stage.exit(routed.len() as u64);
+    escape_all(obs, &mut routed, pins, config, next_cluster_id);
+    stage.exit(routed.len() as u64);
     pacor_obs::counter_sample("astar.expansions");
 
     // ---- Stage 6: final path detouring ----------------------------
@@ -306,11 +298,11 @@ fn run_stage_pipeline(
                 detoured += 1;
             }
         }
-        timings.detour = stage.exit(detoured);
+        stage.exit(detoured);
     }
     pacor_obs::counter_sample("astar.expansions");
 
-    (routed, escape_stats)
+    routed
 }
 
 #[cfg(test)]

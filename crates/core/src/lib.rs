@@ -60,7 +60,7 @@ pub use bench_suite::{
 /// Individual flow stages, exposed for advanced composition (custom
 /// flows, ablations, stage-level benchmarking).
 pub mod stages {
-    pub use crate::escape_stage::{escape_all, EscapeStats};
+    pub use crate::escape_stage::escape_all;
     pub use crate::lm_routing::{reroute_lm_cluster, route_lm_clusters, LmOutcome};
     pub use crate::mst_routing::{route_mst_cluster, route_ordinary_clusters};
 }

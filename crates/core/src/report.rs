@@ -5,25 +5,11 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::time::Duration;
 
-/// Flow-level performance summary: the wall-clock breakdown of the
-/// stages (Fig. 2) plus the aggregated hot-path counters collected by
-/// [`pacor_obs`] during the run; stages not run by a variant report
-/// zero.
-///
-/// The `counters` totals are deterministic — byte-identical run to run
-/// — while the `Duration` fields are wall-clock facts that vary.
+/// The hot-path counter totals collected by [`pacor_obs`] during the
+/// run, deterministic — byte-identical run to run. Stage times live in
+/// the `stage.*` spans of an observability session around the run.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct FlowMetrics {
-    /// Stage 1: valve clustering.
-    pub clustering: Duration,
-    /// Stage 2: length-matching cluster routing (DME + MWCP + negotiation).
-    pub lm_routing: Duration,
-    /// Stage 3: MST-based routing of unconstrained clusters.
-    pub mst_routing: Duration,
-    /// Stages 4–5: escape routing with rip-up / de-clustering.
-    pub escape: Duration,
-    /// Stage 6 (or 3.5 for Detour-First): path detouring.
-    pub detour: Duration,
     /// Name-sorted `(counter, total)` pairs from the observability layer
     /// (A\* expansions, queue pushes, rip-ups, detour deltas, …).
     ///
@@ -85,10 +71,8 @@ pub struct RouteReport {
     pub valves_total: usize,
     /// Wall-clock runtime of the flow.
     pub runtime: Duration,
-    /// Per-stage runtime breakdown and hot-path counter totals.
+    /// Hot-path counter totals (rip-ups, escape rounds, A\* work, …).
     pub metrics: FlowMetrics,
-    /// Escape-stage recovery counters: (rounds, de-clustered, ripped).
-    pub escape_recovery: (u32, usize, usize),
     /// Per-cluster details.
     pub clusters: Vec<ClusterReport>,
 }
@@ -158,7 +142,6 @@ mod tests {
             valves_total: 5,
             runtime: Duration::from_millis(10),
             metrics: FlowMetrics::default(),
-            escape_recovery: (1, 0, 0),
             clusters: vec![],
         }
     }
@@ -199,7 +182,6 @@ mod tests {
                 ("astar.expansions".into(), 42),
                 ("negotiate.rounds".into(), 3),
             ],
-            ..FlowMetrics::default()
         };
         assert_eq!(m.counter("astar.expansions"), 42);
         assert_eq!(m.counter("negotiate.rounds"), 3);

@@ -93,7 +93,7 @@ pub struct SpanDelta {
 /// The full comparison of two runs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunDiff {
-    /// Chip + fingerprint-key agreement and any config drift.
+    /// Chip and chip-hash agreement and any config drift.
     pub fingerprint: Vec<DiffEntry>,
     /// Outcome and per-cluster quality deltas (always verdicts).
     pub quality: Vec<DiffEntry>,
@@ -217,15 +217,6 @@ pub fn diff_runs(base: &RunDigest, new: &RunDigest) -> RunDiff {
         ),
         ("outcome.valves_routed", bo.valves_routed, no.valves_routed),
         ("outcome.valves_total", bo.valves_total, no.valves_total),
-        ("outcome.rounds", bo.rounds, no.rounds),
-        ("outcome.ripups", bo.ripups, no.ripups),
-        ("outcome.escape_rounds", bo.escape_rounds, no.escape_rounds),
-        (
-            "outcome.escape_declustered",
-            bo.escape_declustered,
-            no.escape_declustered,
-        ),
-        ("outcome.escape_ripped", bo.escape_ripped, no.escape_ripped),
     ] {
         if b != n {
             quality.push(DiffEntry::verdict(name, b, n));
@@ -568,7 +559,11 @@ mod tests {
         let base = sample_digest();
         let mut new = base.clone();
         new.outcome.total_length += 7;
-        new.counters[0].1 += 1;
+        let segments = new
+            .counters
+            .iter_mut()
+            .find(|(n, _)| n == "detour.segments");
+        segments.expect("sample counts detour segments").1 += 1;
         new.clusters[0].slack = Some(-3);
         let diff = diff_runs(&base, &new);
         assert!(diff.has_verdicts());
@@ -642,7 +637,7 @@ mod tests {
     fn diff_json_is_well_formed_and_tagged() {
         let base = sample_digest();
         let mut new = base.clone();
-        new.outcome.ripups += 1;
+        new.outcome.matched_clusters -= 1;
         let text = diff_json(&diff_runs(&base, &new));
         let v = crate::json::parse(&text).expect("valid JSON");
         assert_eq!(v.get("schema").unwrap().as_str(), Some(DIFF_SCHEMA));

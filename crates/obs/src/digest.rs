@@ -1,20 +1,19 @@
 //! Versioned run digests (`pacor-rundigest-v1`).
 //!
-//! A [`RunDigest`] is the longitudinal record of one flow run: a config
+//! A [`RunDigest`] is the one summary of a flow run: a config
 //! fingerprint (chip hash plus the deterministic `FlowConfig` fields),
-//! the deterministic outcome (completion, lengths, rounds, rip-ups,
-//! per-cluster LM slack), the deterministic counter totals and
-//! histogram quantiles, and — isolated in the single `wall` sub-object
-//! — everything wall-clock-dependent: end-to-end wall-clock, the work
-//! counters (see [`is_work_metric`]), and the full span tree with
-//! inclusive/exclusive time.
+//! the route-quality outcome (completion, lengths, matched clusters,
+//! per-cluster LM slack), every counter total and histogram quantile,
+//! and — isolated in the single `wall` sub-object — everything
+//! wall-clock-dependent: end-to-end wall-clock and the span tree with
+//! inclusive/exclusive time. Tallies such as negotiation rounds or
+//! escape rip-ups live in the counters only.
 //!
 //! Everything outside `wall` is byte-identical run to run — the same
 //! guarantee the post-mortem report makes, extended to a comparable
 //! cross-run record.
 //! [`RunDigest::deterministic_json`] renders exactly that invariant
-//! part, which is what ledger comparisons and `make ledger-smoke`
-//! byte-compare.
+//! part, which `make digest-smoke` byte-compares.
 
 use crate::json::Json;
 use crate::{Histogram, TraceEvent};
@@ -25,7 +24,7 @@ use std::fmt::Write;
 pub const DIGEST_SCHEMA: &str = "pacor-rundigest-v1";
 
 /// 64-bit FNV-1a over arbitrary bytes — the stable, dependency-free
-/// hash behind the fingerprint's `chip_hash` and [`Fingerprint::key`].
+/// hash behind the fingerprint's `chip_hash`.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf29ce484222325u64;
     for &b in bytes {
@@ -33,14 +32,6 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
         hash = hash.wrapping_mul(0x100000001b3);
     }
     hash
-}
-
-/// Whether a counter/histogram name is a **work metric**: a total that
-/// measures how much searching a run did rather than what it routed
-/// (A\* effort). Work metrics live in the digest's `wall` sub-object;
-/// everything else is part of the deterministic, comparable record.
-pub fn is_work_metric(name: &str) -> bool {
-    name.starts_with("astar.")
 }
 
 /// What run a digest belongs to: the chip and the deterministic
@@ -55,23 +46,6 @@ pub struct Fingerprint {
     pub chip_hash: u64,
     /// Deterministic config fields as ordered (name, value) pairs.
     pub config: Vec<(String, String)>,
-}
-
-impl Fingerprint {
-    /// A stable lookup key: chip name, chip hash, and a hash of the
-    /// config pairs.
-    pub fn key(&self) -> String {
-        let mut cfg = String::new();
-        for (k, v) in &self.config {
-            let _ = write!(cfg, "{k}={v};");
-        }
-        format!(
-            "{}#{:016x}#{:016x}",
-            self.chip,
-            self.chip_hash,
-            fnv1a64(cfg.as_bytes())
-        )
-    }
 }
 
 /// The deterministic outcome of one run — the quality fields a config
@@ -92,16 +66,6 @@ pub struct Outcome {
     pub valves_routed: u64,
     /// Total valves.
     pub valves_total: u64,
-    /// `negotiate.rounds` total.
-    pub rounds: u64,
-    /// `negotiate.ripups` total.
-    pub ripups: u64,
-    /// Escape-stage recovery rounds.
-    pub escape_rounds: u64,
-    /// Clusters de-clustered to singletons by escape recovery.
-    pub escape_declustered: u64,
-    /// Clusters ripped and re-routed by escape recovery.
-    pub escape_ripped: u64,
 }
 
 /// Per-cluster routing verdict with LM slack against the δ window.
@@ -197,10 +161,6 @@ impl SpanNode {
 pub struct WallFacts {
     /// End-to-end wall-clock, milliseconds.
     pub wall_ms: f64,
-    /// Work-counter totals (see [`is_work_metric`]).
-    pub work_counters: Vec<(String, u64)>,
-    /// Work-histogram summaries (see [`is_work_metric`]).
-    pub work_histograms: Vec<(String, HistogramSummary)>,
     /// The aggregated span tree with inclusive/exclusive time.
     pub spans: Vec<SpanNode>,
 }
@@ -215,9 +175,9 @@ pub struct RunDigest {
     pub outcome: Outcome,
     /// Per-cluster verdicts with LM slack, in routed order.
     pub clusters: Vec<ClusterDigest>,
-    /// Deterministic counter totals, name-sorted.
+    /// Counter totals, name-sorted.
     pub counters: Vec<(String, u64)>,
-    /// Deterministic histogram summaries, name-sorted.
+    /// Histogram summaries, name-sorted.
     pub histograms: Vec<(String, HistogramSummary)>,
     /// The wall-clock sub-object.
     pub wall: WallFacts,
@@ -316,27 +276,24 @@ impl RunDigest {
     /// sub-object last — everything before the `"wall"` key is the
     /// deterministic record.
     pub fn to_json(&self) -> String {
-        self.render(true, true)
-    }
-
-    /// Renders the digest as one compact JSON line (the ledger format).
-    pub fn to_jsonl(&self) -> String {
-        self.render(false, true)
+        self.render(true)
     }
 
     /// Renders only the deterministic sections (no `wall`), compact —
     /// the byte-comparable identity of the run.
     pub fn deterministic_json(&self) -> String {
-        self.render(false, false)
+        self.render(false)
     }
 
-    fn render(&self, pretty: bool, include_wall: bool) -> String {
-        let (nl, ind, ind2) = if pretty {
+    /// The pretty document with its `wall` (`full`), or the compact
+    /// deterministic sections alone.
+    fn render(&self, full: bool) -> String {
+        let (nl, ind, ind2) = if full {
             ("\n", "  ", "    ")
         } else {
             ("", "", "")
         };
-        let sep = if pretty { ",\n" } else { "," };
+        let sep = if full { ",\n" } else { "," };
         let mut out = String::from("{");
         out.push_str(nl);
         let _ = write!(out, "{ind}\"schema\": \"{DIGEST_SCHEMA}\"");
@@ -365,19 +322,14 @@ impl RunDigest {
         let o = &self.outcome;
         let _ = write!(
             out,
-            "{ind}\"outcome\": {{\"completion_milli\": {}, \"total_length\": {}, \"matched_clusters\": {}, \"matched_length\": {}, \"clusters_multi\": {}, \"valves_routed\": {}, \"valves_total\": {}, \"rounds\": {}, \"ripups\": {}, \"escape_rounds\": {}, \"escape_declustered\": {}, \"escape_ripped\": {}}}",
+            "{ind}\"outcome\": {{\"completion_milli\": {}, \"total_length\": {}, \"matched_clusters\": {}, \"matched_length\": {}, \"clusters_multi\": {}, \"valves_routed\": {}, \"valves_total\": {}}}",
             o.completion_milli,
             o.total_length,
             o.matched_clusters,
             o.matched_length,
             o.clusters_multi,
             o.valves_routed,
-            o.valves_total,
-            o.rounds,
-            o.ripups,
-            o.escape_rounds,
-            o.escape_declustered,
-            o.escape_ripped
+            o.valves_total
         );
         out.push_str(sep);
 
@@ -415,7 +367,7 @@ impl RunDigest {
         out.push(']');
         out.push_str(sep);
 
-        // -- deterministic counters + histograms --------------------------
+        // -- counters + histograms -----------------------------------------
         let _ = write!(out, "{ind}\"counters\": {{");
         for (i, (name, v)) in self.counters.iter().enumerate() {
             if i > 0 {
@@ -438,43 +390,31 @@ impl RunDigest {
         out.push('}');
 
         // -- wall (always last) -------------------------------------------
-        if include_wall {
+        if full {
             out.push_str(sep);
-            let w = &self.wall;
             let _ = write!(
                 out,
-                "{ind}\"wall\": {{\"wall_ms\": {:.3}, \"work_counters\": {{",
-                w.wall_ms
+                "{ind}\"wall\": {{\"wall_ms\": {:.3}, \"spans\": ",
+                self.wall.wall_ms
             );
-            for (i, (name, v)) in w.work_counters.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                crate::export::push_json_string(&mut out, name);
-                let _ = write!(out, ": {v}");
-            }
-            out.push_str("}, \"work_histograms\": {");
-            for (i, (name, h)) in w.work_histograms.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                crate::export::push_json_string(&mut out, name);
-                out.push_str(": ");
-                render_hist(&mut out, h);
-            }
-            out.push_str("}, \"spans\": ");
-            render_spans(&mut out, &w.spans);
+            render_spans(&mut out, &self.wall.spans);
             out.push('}');
         }
         out.push_str(nl);
         out.push('}');
-        if pretty {
+        if full {
             out.push('\n');
         }
         out
     }
 
     /// Parses a digest back from its JSON form (pretty or compact).
+    ///
+    /// Older digests still parse: outcome keys beyond the seven quality
+    /// fields (the negotiation and escape tallies, which the counters
+    /// hold) are ignored, and a `wall.work_counters` or
+    /// `wall.work_histograms` map (where `astar.*` totals used to live)
+    /// is merged into `counters` or `histograms`.
     ///
     /// # Errors
     ///
@@ -526,11 +466,6 @@ impl RunDigest {
             clusters_multi: u("clusters_multi")?,
             valves_routed: u("valves_routed")?,
             valves_total: u("valves_total")?,
-            rounds: u("rounds")?,
-            ripups: u("ripups")?,
-            escape_rounds: u("escape_rounds")?,
-            escape_declustered: u("escape_declustered")?,
-            escape_ripped: u("escape_ripped")?,
         };
         let clusters = v
             .get("clusters")
@@ -559,18 +494,22 @@ impl RunDigest {
                 })
             })
             .collect::<Result<_, String>>()?;
-        let counters = parse_counter_map(v.get("counters").ok_or("missing counters")?)?;
-        let histograms = parse_hist_map(v.get("histograms").ok_or("missing histograms")?)?;
+        let mut counters = parse_counter_map(v.get("counters").ok_or("missing counters")?)?;
+        let mut histograms = parse_hist_map(v.get("histograms").ok_or("missing histograms")?)?;
         let w = v.get("wall").ok_or("missing wall")?;
+        if let Some(old) = w.get("work_counters") {
+            counters.extend(parse_counter_map(old)?);
+            counters.sort_by(|a, b| a.0.cmp(&b.0));
+        }
+        if let Some(old) = w.get("work_histograms") {
+            histograms.extend(parse_hist_map(old)?);
+            histograms.sort_by(|a, b| a.0.cmp(&b.0));
+        }
         let wall = WallFacts {
             wall_ms: w
                 .get("wall_ms")
                 .and_then(Json::as_f64)
                 .ok_or("wall.wall_ms")?,
-            work_counters: parse_counter_map(w.get("work_counters").ok_or("wall.work_counters")?)?,
-            work_histograms: parse_hist_map(
-                w.get("work_histograms").ok_or("wall.work_histograms")?,
-            )?,
             spans: parse_spans(w.get("spans").ok_or("wall.spans")?)?,
         };
         Ok(RunDigest {
@@ -669,11 +608,6 @@ pub(crate) mod tests {
                 clusters_multi: 4,
                 valves_routed: 12,
                 valves_total: 12,
-                rounds: 2,
-                ripups: 0,
-                escape_rounds: 1,
-                escape_declustered: 0,
-                escape_ripped: 0,
             },
             clusters: vec![
                 ClusterDigest {
@@ -696,6 +630,7 @@ pub(crate) mod tests {
                 },
             ],
             counters: vec![
+                ("astar.expansions".into(), 999),
                 ("detour.segments".into(), 3),
                 ("negotiate.rounds".into(), 2),
             ],
@@ -713,8 +648,6 @@ pub(crate) mod tests {
             )],
             wall: WallFacts {
                 wall_ms: 12.345,
-                work_counters: vec![("astar.expansions".into(), 999)],
-                work_histograms: vec![],
                 spans: vec![SpanNode {
                     name: "stage.escape".into(),
                     count: 1,
@@ -735,31 +668,85 @@ pub(crate) mod tests {
     #[test]
     fn json_round_trips_exactly() {
         let d = sample_digest();
-        for text in [d.to_json(), d.to_jsonl()] {
-            let back = RunDigest::from_json(&text).expect("parses");
-            assert_eq!(back, d, "round-trip drift in: {text}");
-        }
+        let text = d.to_json();
+        let back = RunDigest::from_json(&text).expect("parses");
+        assert_eq!(back, d, "round-trip drift in: {text}");
     }
 
     #[test]
     fn digests_with_retired_wall_labels_still_parse() {
-        // Ledger lines written while the rip-up policy was selectable
-        // open `wall` with `policy`; those written while the escape
-        // solver and the routing mode were selectable also carry
+        // Digests written while the rip-up policy was selectable open
+        // `wall` with `policy`; those written while the escape solver
+        // and the routing mode were selectable also carry
         // `wall.escape_solver` and `wall.routing`, and those written
         // while the thread count was configurable `threads`.
         let d = sample_digest();
-        for text in [d.to_json(), d.to_jsonl()] {
-            for retired in [
-                "\"policy\": \"full\", ",
-                "\"policy\": \"incremental\", \"escape_solver\": \"incremental\", \"routing\": \"hierarchical\", ",
-                "\"threads\": 4, \"policy\": \"incremental\", ",
-            ] {
-                let old = text.replacen("\"wall\": {", &format!("\"wall\": {{{retired}"), 1);
-                assert_ne!(old, text, "wall object present");
-                assert_eq!(RunDigest::from_json(&old).expect("parses"), d, "{retired}");
-            }
+        let text = d.to_json();
+        for retired in [
+            "\"policy\": \"full\", ",
+            "\"policy\": \"incremental\", \"escape_solver\": \"incremental\", \"routing\": \"hierarchical\", ",
+            "\"threads\": 4, \"policy\": \"incremental\", ",
+        ] {
+            let old = text.replacen("\"wall\": {", &format!("\"wall\": {{{retired}"), 1);
+            assert_ne!(old, text, "wall object present");
+            assert_eq!(RunDigest::from_json(&old).expect("parses"), d, "{retired}");
         }
+    }
+
+    #[test]
+    fn digests_with_outcome_tallies_and_work_maps_still_parse() {
+        // Older digests repeat five counter totals in `outcome` and keep
+        // the `astar.*` totals in `wall.work_counters` and
+        // `wall.work_histograms`: the tallies are dropped and the maps
+        // merge back into `counters` and `histograms`, name-sorted.
+        let mut d = sample_digest();
+        d.histograms.insert(
+            0,
+            (
+                "astar.path_len".into(),
+                HistogramSummary {
+                    count: 1,
+                    sum: 5,
+                    min: 5,
+                    max: 5,
+                    p50: 5,
+                    p95: 5,
+                    p99: 5,
+                },
+            ),
+        );
+        let text = d.to_json();
+        let old = text
+            .replacen(
+                "\"valves_total\": 12}",
+                "\"valves_total\": 12, \"rounds\": 2, \"ripups\": 0, \"escape_rounds\": 1, \"escape_declustered\": 0, \"escape_ripped\": 0}",
+                1,
+            )
+            .replacen("\"astar.expansions\": 999, ", "", 1)
+            .replacen(
+                "\"histograms\": {\"astar.path_len\": {\"count\": 1, \"sum\": 5, \"min\": 5, \"max\": 5, \"p50\": 5, \"p95\": 5, \"p99\": 5}, ",
+                "\"histograms\": {",
+                1,
+            )
+            .replacen(
+                "\"wall\": {\"wall_ms\": 12.345, ",
+                "\"wall\": {\"wall_ms\": 12.345, \"work_counters\": {\"astar.expansions\": 999}, \"work_histograms\": {\"astar.path_len\": {\"count\": 1, \"sum\": 5, \"min\": 5, \"max\": 5, \"p50\": 5, \"p95\": 5, \"p99\": 5}}, ",
+                1,
+            );
+        for gone in [
+            "escape_ripped",
+            "\"counters\": {\"astar",
+            "\"histograms\": {\"astar",
+        ] {
+            assert_eq!(
+                old.contains(gone),
+                gone == "escape_ripped",
+                "{gone} in {old}"
+            );
+        }
+        let back = RunDigest::from_json(&old).expect("parses");
+        assert_eq!(back, d);
+        assert_eq!(back.deterministic_json(), d.deterministic_json());
     }
 
     #[test]
@@ -813,32 +800,6 @@ pub(crate) mod tests {
         assert_eq!(outer.children.len(), 1);
         assert_eq!(outer.children[0].name, "inner");
         assert_eq!(outer.children[0].incl_us, 30);
-    }
-
-    #[test]
-    fn work_metric_split_matches_the_documented_rule() {
-        for name in ["astar.expansions", "astar.queries"] {
-            assert!(is_work_metric(name), "{name} must be a work metric");
-        }
-        for name in [
-            "negotiate.rounds",
-            "negotiate.ripups",
-            "escape.rounds",
-            "detour.segments",
-            "dme.candidates",
-            "mst.edges",
-        ] {
-            assert!(!is_work_metric(name), "{name} must be deterministic");
-        }
-    }
-
-    #[test]
-    fn fingerprint_key_separates_configs() {
-        let d = sample_digest();
-        let mut other = d.clone();
-        other.fingerprint.config[1].1 = "0.5".into();
-        assert_ne!(d.fingerprint.key(), other.fingerprint.key());
-        assert_eq!(d.fingerprint.key(), d.clone().fingerprint.key());
     }
 
     #[test]

@@ -28,13 +28,11 @@
 //!   JSONL events at stage and round boundaries, with an optional
 //!   watchdog (per-stage wall-clock budgets + heartbeat); see the
 //!   `progress` module docs.
-//! * **Run digests, ledger and diffing** ([`RunDigest`],
-//!   [`ledger_append`], [`diff_runs`]) — a versioned
-//!   (`pacor-rundigest-v1`) longitudinal record of one run (config
-//!   fingerprint, deterministic outcome and metrics, span tree), an
-//!   append-only `RUNS.jsonl` ledger, and a structural cross-run
-//!   differ (`pacor-rundiff-v1`) with noise-aware verdicts; see the
-//!   `digest` module docs.
+//! * **Run digests and diffing** ([`RunDigest`], [`diff_runs`]) — a
+//!   versioned (`pacor-rundigest-v1`) summary of one run (config
+//!   fingerprint, route-quality outcome, counters and histograms, span
+//!   tree) and a structural cross-run differ (`pacor-rundiff-v1`) with
+//!   noise-aware verdicts; see the `digest` module docs.
 //!
 //! # Recording model
 //!
@@ -82,7 +80,6 @@ mod export;
 mod frame;
 mod histogram;
 mod json;
-mod ledger;
 mod progress;
 mod recorder;
 mod report;
@@ -92,14 +89,13 @@ pub use diff::{
     DIFF_SCHEMA, NOISE_ABS_MS, NOISE_RELATIVE,
 };
 pub use digest::{
-    fnv1a64, is_work_metric, span_tree, ClusterDigest, Fingerprint, HistogramSummary, Outcome,
-    RunDigest, SpanNode, WallFacts, DIGEST_SCHEMA,
+    fnv1a64, span_tree, ClusterDigest, Fingerprint, HistogramSummary, Outcome, RunDigest, SpanNode,
+    WallFacts, DIGEST_SCHEMA,
 };
 pub use event::{Event, FrontierCell, RipReason};
 pub use export::{atomic_write, chrome_trace, metrics_json};
 pub use frame::TraceEvent;
 pub use histogram::Histogram;
-pub use ledger::{ledger_append, ledger_load};
 pub use progress::{
     telemetry_install, telemetry_take, MemorySink, StageBudgets, StreamWriter, TelemetryConfig,
     TelemetrySink, TickerSink, WriterSink, TELEMETRY_SCHEMA,
@@ -117,7 +113,7 @@ use recorder::Recorder;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// A thread's recording context: where every recording call lands.
 pub(crate) struct Context {
@@ -340,11 +336,11 @@ pub struct Stage {
 }
 
 impl Stage {
-    /// Leaves the stage after it processed `items` items and returns
-    /// its wall-clock. One clock reading gives the `stage.<name>` span's
-    /// duration, [`Event::StageExited`]'s `elapsed_us` (which the
-    /// stream's budget check reads) and the returned duration.
-    pub fn exit(self, items: u64) -> Duration {
+    /// Leaves the stage after it processed `items` items. One clock
+    /// reading gives the `stage.<name>` span's duration and
+    /// [`Event::StageExited`]'s `elapsed_us` (which the stream's budget
+    /// check reads).
+    pub fn exit(self, items: u64) {
         let end = micros_now();
         let elapsed_us = end - self.start;
         push_span(stage_span(self.name), self.start, end, self.args);
@@ -356,7 +352,6 @@ impl Stage {
             },
             Some(end),
         );
-        Duration::from_micros(elapsed_us)
     }
 }
 

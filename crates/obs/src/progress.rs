@@ -708,11 +708,7 @@ mod tests {
     fn inactive_emits_are_noops() {
         assert!(!crate::recording());
         emit(Event::StageEntered { stage: "noop" });
-        let elapsed = stage("noop", &[]).exit(0);
-        assert!(
-            elapsed < Duration::from_secs(1),
-            "stages time without a stream"
-        );
+        stage("noop", &[]).exit(0);
         assert_eq!(negotiation_start(0), 0);
         assert!(telemetry_take().is_none());
     }

@@ -40,12 +40,10 @@
 //!   time, floored at 50 ms), emitting structured `budget_exceeded`
 //!   events plus a 1 s heartbeat while a stage runs long.
 //! * `--digest-out <path>` — write the run's `pacor-rundigest-v1`
-//!   record (config fingerprint, deterministic outcome/counters/
-//!   histograms, per-cluster LM slack, span tree). Everything outside
+//!   summary (config fingerprint, route-quality outcome, per-cluster
+//!   LM slack, counters and histograms, span tree). Everything outside
 //!   the trailing `wall` sub-object is byte-identical run to run;
 //!   compare two digests with `tables compare`.
-//! * `--ledger <path>` — atomically append the same digest as one
-//!   compact line to an append-only `RUNS.jsonl` run ledger.
 //!
 //! Unknown `--flags` are rejected with an error rather than silently
 //! treated as file names.
@@ -61,7 +59,7 @@ fn main() {
         Some("table2") => cmd_table2(&args[1..]),
         _ => {
             eprintln!(
-                "usage: pacor synth <design> [seed]\n       pacor route [--trace-out FILE] [--metrics-out FILE] [--report-out FILE] [--digest-out FILE] [--ledger FILE] [--stream-out FILE|-] [--progress] [--watchdog BENCH.json] [--quiet] <problem.json|design>\n       pacor render <problem.json|design>\n       pacor table2 [--full]"
+                "usage: pacor synth <design> [seed]\n       pacor route [--trace-out FILE] [--metrics-out FILE] [--report-out FILE] [--digest-out FILE] [--stream-out FILE|-] [--progress] [--watchdog BENCH.json] [--quiet] <problem.json|design>\n       pacor render <problem.json|design>\n       pacor table2 [--full]"
             );
             2
         }
@@ -89,7 +87,6 @@ struct Options {
     metrics_out: Option<String>,
     report_out: Option<String>,
     digest_out: Option<String>,
-    ledger: Option<String>,
     stream_out: Option<String>,
     progress: bool,
     watchdog: Option<String>,
@@ -123,7 +120,6 @@ fn parse_options(args: &[String], allowed: &[&str]) -> Result<Options, String> {
             "--metrics-out" => opts.metrics_out = Some(value()?),
             "--report-out" => opts.report_out = Some(value()?),
             "--digest-out" => opts.digest_out = Some(value()?),
-            "--ledger" => opts.ledger = Some(value()?),
             "--stream-out" => opts.stream_out = Some(value()?),
             "--progress" => opts.progress = true,
             "--watchdog" => opts.watchdog = Some(value()?),
@@ -249,7 +245,6 @@ fn cmd_route(args: &[String]) -> i32 {
             "--metrics-out",
             "--report-out",
             "--digest-out",
-            "--ledger",
             "--stream-out",
             "--progress",
             "--watchdog",
@@ -275,10 +270,8 @@ fn cmd_route(args: &[String]) -> i32 {
     };
     // An outer observability session captures the flow's events (the
     // flow's own nested session merges upward into it on finish).
-    let wants_obs = opts.trace_out.is_some()
-        || opts.metrics_out.is_some()
-        || opts.digest_out.is_some()
-        || opts.ledger.is_some();
+    let wants_obs =
+        opts.trace_out.is_some() || opts.metrics_out.is_some() || opts.digest_out.is_some();
     let session = wants_obs.then(pacor::obs::Session::begin);
     let config = FlowConfig::default();
     if opts.report_out.is_some() {
@@ -346,20 +339,12 @@ fn cmd_route(args: &[String]) -> i32 {
                     return 1;
                 }
             }
-            if opts.digest_out.is_some() || opts.ledger.is_some() {
+            if let Some(path) = &opts.digest_out {
                 let obs_report = obs_report.as_ref().expect("outer session was begun");
                 let digest = pacor::run_digest(&problem, &config, &report, obs_report);
-                if let Some(path) = &opts.digest_out {
-                    if let Err(e) = pacor::obs::atomic_write(path, digest.to_json()) {
-                        eprintln!("route: writing {path}: {e}");
-                        return 1;
-                    }
-                }
-                if let Some(path) = &opts.ledger {
-                    if let Err(e) = pacor::obs::ledger_append(std::path::Path::new(path), &digest) {
-                        eprintln!("route: writing {path}: {e}");
-                        return 1;
-                    }
+                if let Err(e) = pacor::obs::atomic_write(path, digest.to_json()) {
+                    eprintln!("route: writing {path}: {e}");
+                    return 1;
                 }
             }
             if !opts.quiet {

@@ -147,15 +147,17 @@ fn route_rejects_bad_escape_solver() {
 
 #[test]
 fn route_rejects_the_retired_routing_mode_flags() {
-    // Routing is flat only and single-threaded, and negotiation has one
-    // rip-up rule, so `--routing-mode`, `--gcell-size`, `--threads` and
-    // `--ripup-policy` are unknown options (exit 2), never file names.
+    // Routing is flat only and single-threaded, negotiation has one
+    // rip-up rule and no command keeps a run ledger, so
+    // `--routing-mode`, `--gcell-size`, `--threads`, `--ripup-policy`
+    // and `--ledger` are unknown options (exit 2), never file names.
     for cmd in ["route", "render", "table2"] {
         for flag in [
             ["--routing-mode", "flat"],
             ["--gcell-size", "8"],
             ["--threads", "2"],
             ["--ripup-policy", "full"],
+            ["--ledger", "runs.jsonl"],
         ] {
             let out = pacor(&[cmd, flag[0], flag[1], "S1"]);
             assert_eq!(out.status.code(), Some(2), "{cmd} {flag:?}");
@@ -437,29 +439,6 @@ fn digest_deterministic_prefix_identical_run_to_run() {
 }
 
 #[test]
-fn ledger_accumulates_one_line_per_run() {
-    let dir = std::env::temp_dir().join("pacor_cli_test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("runs.jsonl");
-    let _ = std::fs::remove_file(&path);
-    for _ in 0..2 {
-        let out = pacor(&["route", "--quiet", "--ledger", path.to_str().unwrap(), "S1"]);
-        assert!(out.status.success());
-    }
-    let text = std::fs::read_to_string(&path).unwrap();
-    let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
-    assert_eq!(lines.len(), 2, "one compact line per run: {text}");
-    for l in &lines {
-        assert!(l.contains("\"schema\": \"pacor-rundigest-v1\""), "{l}");
-        serde_json::from_str::<serde::Value>(l).expect("every ledger line parses");
-    }
-    assert!(
-        !dir.join("runs.jsonl.tmp").exists(),
-        "atomic append must leave no temp file"
-    );
-}
-
-#[test]
 fn export_flags_error_cleanly_on_missing_parent_dir() {
     let missing = std::env::temp_dir()
         .join("pacor_cli_no_such_dir")
@@ -471,7 +450,6 @@ fn export_flags_error_cleanly_on_missing_parent_dir() {
         "--trace-out",
         "--stream-out",
         "--digest-out",
-        "--ledger",
     ] {
         let out = pacor(&["route", "--quiet", flag, missing.to_str().unwrap(), "S1"]);
         assert!(!out.status.success(), "{flag} must fail, not succeed");

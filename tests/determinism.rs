@@ -1,26 +1,21 @@
 //! Determinism guarantees of the flow (docs/GUIDE.md §"Determinism"):
 //! for a fixed problem, the flow produces byte-identical reports and
-//! routed geometry run to run. The only nondeterministic fields are
-//! the wall-clock ones (`runtime` and the stage durations inside
-//! `metrics`), which are normalized away before comparing — the
-//! `metrics.counters` totals are deterministic and compared in full.
+//! routed geometry run to run. The only nondeterministic field is the
+//! wall-clock `runtime`, which is normalized away before comparing —
+//! the `metrics.counters` totals are deterministic and compared in
+//! full.
 
 use pacor_repro::pacor::{
-    synthesize_params, BenchDesign, DesignParams, FlowMetrics, PacorFlow, Problem, RouteReport,
-    RoutedCluster,
+    synthesize_params, BenchDesign, DesignParams, PacorFlow, Problem, RouteReport, RoutedCluster,
 };
 use std::time::Duration;
 
-/// Serialized report with the wall-clock fields zeroed out. Everything
-/// else — including the full observability counter totals — stays in
-/// the comparison.
+/// Serialized report with `runtime` zeroed out. Everything else —
+/// including the full observability counter totals — stays in the
+/// comparison.
 fn normalized(report: &RouteReport) -> String {
     let mut r = report.clone();
     r.runtime = Duration::ZERO;
-    r.metrics = FlowMetrics {
-        counters: r.metrics.counters.clone(),
-        ..FlowMetrics::default()
-    };
     serde_json::to_string(&r).expect("reports serialize")
 }
 

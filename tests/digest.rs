@@ -2,7 +2,9 @@
 //! byte-identical run to run, and the structural differ must stay quiet
 //! across repeated runs while flagging genuine quality regressions.
 //! A committed digest of S1 must keep parsing and compare clean against
-//! a fresh route, so `tables compare` still reads older records.
+//! a fresh route, so `tables compare` still reads older records: it was
+//! written while `outcome` repeated five counter totals and the `astar.*`
+//! totals sat in `wall.work_counters`.
 
 use pacor_repro::pacor::{
     self, obs, synthesize_params, BenchDesign, DesignParams, FlowConfig, PacorFlow,
@@ -75,7 +77,8 @@ fn differ_flags_injected_quality_and_span_regressions() {
 }
 
 /// The digest of S1 at design seed 42 that `pacor-cli route --quiet
-/// --digest-out FILE S1` wrote, committed under tests/fixtures/digest/.
+/// --digest-out FILE S1` wrote in the older layout, committed under
+/// tests/fixtures/digest/.
 const COMMITTED_S1: &str = include_str!("fixtures/digest/S1.json");
 
 #[test]

@@ -194,14 +194,14 @@ fn zero_budgets_fire_once_per_stage_on_a_real_run() {
 
 #[test]
 fn each_stage_reports_one_clock_reading() {
-    // Timing mode: the stage's exit event, its trace span and the
-    // report's stage metric must all carry the same duration.
+    // Timing mode: the stage's exit event and its trace span must
+    // carry the same duration.
     let problem = BenchDesign::S2.synthesize(42);
     let sink = obs::MemorySink::new();
     let lines_handle = sink.lines();
     let session = obs::Session::begin();
     obs::telemetry_install(obs::TelemetryConfig::default(), vec![Box::new(sink)]);
-    let report = PacorFlow::new(FlowConfig::default())
+    PacorFlow::new(FlowConfig::default())
         .run(&problem)
         .expect("S2 routes");
     obs::telemetry_take()
@@ -209,16 +209,13 @@ fn each_stage_reports_one_clock_reading() {
         .expect("no sink errors");
     let trace = session.finish();
     let lines = lines_handle.lock().expect("sink lines").clone();
-    let m = &report.metrics;
-    let stages = [
-        ("clustering", m.clustering),
-        ("lm_routing", m.lm_routing),
-        ("mst_routing", m.mst_routing),
-        ("escape", m.escape),
-        ("detour", m.detour),
-    ];
-    let mut summed_us = 0u64;
-    for (stage, metric) in stages {
+    for stage in [
+        "clustering",
+        "lm_routing",
+        "mst_routing",
+        "escape",
+        "detour",
+    ] {
         let prefix = format!("\"kind\":\"stage_exited\",\"stage\":\"{stage}\"");
         let exited: Vec<&String> = lines.iter().filter(|l| l.contains(&prefix)).collect();
         assert_eq!(exited.len(), 1, "{stage} exits once");
@@ -237,16 +234,5 @@ fn each_stage_reports_one_clock_reading() {
             })
             .collect();
         assert_eq!(durs, [elapsed_us], "{span} span vs stage_exited");
-        assert_eq!(
-            metric.as_micros() as u64,
-            elapsed_us,
-            "{stage} metric vs stage_exited"
-        );
-        summed_us += elapsed_us;
     }
-    let total = m.clustering + m.lm_routing + m.mst_routing + m.escape + m.detour;
-    assert!(
-        summed_us.abs_diff(total.as_micros() as u64) <= 1000,
-        "stages sum to {summed_us} µs, the run's stage total is {total:?}"
-    );
 }
