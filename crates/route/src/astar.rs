@@ -52,9 +52,8 @@ const PROBE_CELLS: usize = 64;
 /// `pacor_obs::active()` check per query.
 #[derive(Debug, Clone, Copy, Default)]
 struct KernelStats {
-    /// Cells popped off the open list (or flooded). Unlike the other
-    /// counts, the flat kernel keeps this one in both instantiations,
-    /// for [`AStarScratch::expansions`].
+    /// Cells popped off the open list (or flooded); the flat kernel's
+    /// count is also [`AStarScratch::expansions`].
     expansions: u64,
     bucket_pushes: u64,
     heap_pushes: u64,
@@ -251,6 +250,8 @@ pub struct AStarScratch {
     region: CellRows,
     /// `true` once `region` holds the most recent query's region.
     region_ready: bool,
+    /// `true` when the most recent query searched and found no path.
+    failed: bool,
     /// The flood's passable mask: the free cells plus the sources.
     passable: CellRows,
     /// The reachability probe's BFS queue: the distinct targets, then
@@ -309,18 +310,20 @@ impl AStarScratch {
     /// search stamped into the rows; a drained search stamps exactly
     /// that region, since it expands every cell it can reach.
     ///
-    /// Only meaningful directly after [`AStar::route_with_scratch`]
-    /// returned `None` from the flat kernel on this scratch; the
-    /// out-of-bounds early return does not touch the scratch, so
-    /// callers must check terminal bounds themselves before trusting
-    /// this view.
-    pub fn failed_region(&mut self) -> &CellRows {
+    /// `None` unless the most recent [`AStar::route_with_scratch`] on
+    /// this scratch searched and found no path: a routed query has no
+    /// failed region, and a query refused without a search (an empty
+    /// endpoint list or an off-map terminal) has none either.
+    pub fn failed_region(&mut self) -> Option<&CellRows> {
+        if !self.failed {
+            return None;
+        }
         if !self.region_ready {
             let generation = self.generation;
             self.region.fill_from(&self.stamp, |&s| s == generation);
             self.region_ready = true;
         }
-        &self.region
+        Some(&self.region)
     }
 
     /// How many cells the most recent query *expanded*: popped off its
@@ -431,7 +434,8 @@ impl<'a> AStar<'a> {
     }
 
     /// [`AStar::route`] with an explicit scratch, for callers that hold
-    /// their own.
+    /// their own. After a `None`, [`AStarScratch::failed_region`] tells
+    /// a failed search from a refused query.
     ///
     /// Terminals outside the obstacle map cannot be grid-indexed, so a
     /// query with any source or target off the map returns `None`.
@@ -444,6 +448,7 @@ impl<'a> AStar<'a> {
         targets: &[Point],
         scratch: &mut AStarScratch,
     ) -> Option<GridPath> {
+        scratch.failed = false;
         if sources.is_empty() || targets.is_empty() {
             return None;
         }
@@ -456,37 +461,16 @@ impl<'a> AStar<'a> {
         }
 
         scratch.begin(width, height);
-        // Monomorphize on whether a recording frame is listening: the
-        // untracked instantiation compiles the counter updates away
-        // entirely, so unconfigured runs keep the pre-obs codegen. The
-        // tracked twin stays outlined so only one copy of the search
-        // loop lands in this (hot) function body.
-        if pacor_obs::active() {
-            self.flat_search_tracked(sources, targets, scratch)
-        } else {
-            self.flat_search::<false>(sources, targets, scratch)
-        }
-    }
-
-    /// The recording variant of the kernel: counts expansions and queue
-    /// pushes, then flushes them into the active `pacor-obs` frame.
-    #[cold]
-    #[inline(never)]
-    fn flat_search_tracked(
-        &self,
-        sources: &[Point],
-        targets: &[Point],
-        scratch: &mut AStarScratch,
-    ) -> Option<GridPath> {
-        let result = self.flat_search::<true>(sources, targets, scratch);
+        let result = self.flat_search(sources, targets, scratch);
         scratch.stats.flush(1);
+        scratch.failed = result.is_none();
         result
     }
 
-    /// The flat-kernel search body, monomorphized on `TRACK`: the
-    /// `false` instantiation carries no counter updates at all.
+    /// The flat-kernel search body, split out so its counters flush on
+    /// every exit path.
     #[inline(always)]
-    fn flat_search<const TRACK: bool>(
+    fn flat_search(
         &self,
         sources: &[Point],
         targets: &[Point],
@@ -522,15 +506,13 @@ impl<'a> AStar<'a> {
             scratch
                 .open
                 .push(h(s), 0, point_key(s, scratch.height), i as u32);
-            if TRACK {
-                self.count_push(&mut scratch.stats);
-            }
+            self.count_push(&mut scratch.stats);
         }
 
         if self.targets_sealed(targets, scratch, generation) {
-            return self.flood_sources::<TRACK>(sources, targets, scratch);
+            return self.flood_sources(sources, targets, scratch);
         }
-        self.drain::<TRACK>(scratch, generation, h)
+        self.drain(scratch, generation, h)
     }
 
     /// Counts one open-list push, split by query kind as the counters
@@ -607,7 +589,7 @@ impl<'a> AStar<'a> {
     /// rows, and counts it the way the exhausted A\* would: one
     /// expansion per cell it reaches (DESIGN.md §7). The region stays
     /// behind as [`AStarScratch::failed_region`].
-    fn flood_sources<const TRACK: bool>(
+    fn flood_sources(
         &self,
         sources: &[Point],
         targets: &[Point],
@@ -630,17 +612,15 @@ impl<'a> AStar<'a> {
             "a sealed target borders the flood"
         );
         scratch.stats.expansions += region.count();
+        scratch.stats.unreachable += 1;
         scratch.region_ready = true;
-        if TRACK {
-            scratch.stats.unreachable += 1;
-        }
         None
     }
 
     /// Drains the open list in `(f, g, point key)` order until a target
     /// pops. Every cell is entered at `step_cost`, so one loop serves
     /// unit-cost and history-weighted searches.
-    fn drain<const TRACK: bool>(
+    fn drain(
         &self,
         scratch: &mut AStarScratch,
         generation: u32,
@@ -680,9 +660,7 @@ impl<'a> AStar<'a> {
                     scratch
                         .open
                         .push(ng + h(q), ng, point_key(q, height), qi as u32);
-                    if TRACK {
-                        self.count_push(&mut scratch.stats);
-                    }
+                    self.count_push(&mut scratch.stats);
                 }
             }
         }
@@ -696,29 +674,15 @@ impl<'a> AStar<'a> {
         if sources.is_empty() || targets.is_empty() {
             return None;
         }
-        if pacor_obs::active() {
-            self.reference_search_tracked(sources, targets)
-        } else {
-            let mut stats = KernelStats::default();
-            self.reference_search::<false>(sources, targets, &mut stats)
-        }
-    }
-
-    /// The recording variant of the reference kernel; see
-    /// [`AStar::flat_search_tracked`].
-    #[cold]
-    #[inline(never)]
-    fn reference_search_tracked(&self, sources: &[Point], targets: &[Point]) -> Option<GridPath> {
         let mut stats = KernelStats::default();
-        let result = self.reference_search::<true>(sources, targets, &mut stats);
+        let result = self.reference_search(sources, targets, &mut stats);
         stats.flush(0);
         result
     }
 
     /// The reference-kernel search body, split out so its counters
     /// flush on every exit path.
-    #[inline(always)]
-    fn reference_search<const TRACK: bool>(
+    fn reference_search(
         &self,
         sources: &[Point],
         targets: &[Point],
@@ -741,18 +705,14 @@ impl<'a> AStar<'a> {
         for &s in sources {
             dist.insert(s, 0);
             heap.push(Reverse((h(s), 0, s)));
-            if TRACK {
-                stats.heap_pushes += 1;
-            }
+            stats.heap_pushes += 1;
         }
 
         while let Some(Reverse((_, g, p))) = heap.pop() {
             if dist.get(&p).copied().unwrap_or(u64::MAX) < g {
                 continue;
             }
-            if TRACK {
-                stats.expansions += 1;
-            }
+            stats.expansions += 1;
             if target_set.contains(&p) {
                 // Reconstruct.
                 let mut cells = vec![p];
@@ -774,9 +734,7 @@ impl<'a> AStar<'a> {
                     dist.insert(q, ng);
                     prev.insert(q, p);
                     heap.push(Reverse((ng + h(q), ng, q)));
-                    if TRACK {
-                        stats.heap_pushes += 1;
-                    }
+                    stats.heap_pushes += 1;
                 }
             }
         }
@@ -1052,8 +1010,9 @@ mod tests {
             .filter(|&&s| s == scratch.generation)
             .count();
         assert!(untracked <= touched as u64);
-        // The recording instantiation counts the same pops and flushes
-        // exactly that many to the `astar.expansions` counter.
+        assert_eq!(scratch.failed_region(), None, "a routed query did not fail");
+        // Under a recording session the same pops are counted and
+        // flushed, exactly that many, to the `astar.expansions` counter.
         let session = pacor_obs::Session::begin();
         astar.route_with_scratch(&s, &t, &mut scratch).unwrap();
         let counted = session.finish().counter("astar.expansions");
@@ -1077,7 +1036,7 @@ mod tests {
             let sealed = session.finish().counter("astar.unreachable");
             assert_eq!(sealed, u64::from(width == 9), "width {width}");
             let expansions = scratch.expansions();
-            let region = scratch.failed_region().clone();
+            let region = scratch.failed_region().expect("searched").clone();
             let w = width as usize;
             let source_side: Vec<usize> = (0..w * 9).filter(|i| i % w < w / 2).collect();
             assert_eq!(
@@ -1092,8 +1051,37 @@ mod tests {
             );
             assert_eq!(
                 scratch.failed_region(),
-                &region,
+                Some(&region),
                 "a second call gives the same region"
+            );
+        }
+    }
+
+    #[test]
+    fn refused_query_after_a_failed_search_exposes_no_region() {
+        // A query A* refuses without searching (an empty endpoint list,
+        // an off-map terminal) must not leave the previous search's
+        // failed region visible.
+        let mut g = Grid::new(9, 9).unwrap();
+        for y in 0..9 {
+            g.set_obstacle(Point::new(4, y));
+        }
+        let obs = ObsMap::new(&g);
+        let astar = AStar::new(&obs);
+        let mut scratch = AStarScratch::new();
+        let (s, t) = ([Point::new(1, 1)], [Point::new(7, 1)]);
+        let refused: [(&[Point], &[Point]); 3] = [(&s, &[]), (&[], &t), (&s, &[Point::new(9, 1)])];
+        for (sources, targets) in refused {
+            assert_eq!(astar.route_with_scratch(&s, &t, &mut scratch), None);
+            assert!(scratch.failed_region().is_some(), "the wall fails it");
+            assert_eq!(
+                astar.route_with_scratch(sources, targets, &mut scratch),
+                None
+            );
+            assert_eq!(
+                scratch.failed_region(),
+                None,
+                "refused {sources:?} -> {targets:?}"
             );
         }
     }

@@ -148,17 +148,6 @@ impl Attempt {
     }
 }
 
-/// `true` when the flat kernel searched this request — in-bounds,
-/// non-empty terminals — so its scratch holds the failed region and the
-/// expansion count. A\* answers any other request with `None` at once.
-fn transparent(req: &RouteRequest, width: usize, height: usize) -> bool {
-    let in_bounds =
-        |p: &Point| p.x >= 0 && p.y >= 0 && (p.x as usize) < width && (p.y as usize) < height;
-    !req.sources.is_empty()
-        && !req.targets.is_empty()
-        && req.sources.iter().chain(&req.targets).all(in_bounds)
-}
-
 /// Attempts every net of `pending`, in order, against the live state:
 /// each routed path is blocked in `obs` before the next net searches.
 /// Returns one [`Attempt`] per pending net, and ORs the region each
@@ -171,7 +160,6 @@ fn attempt_round(
     scratch: &mut AStarScratch,
     contended: &mut CellRows,
 ) -> Vec<Attempt> {
-    let (width, height) = (obs.width() as usize, obs.height() as usize);
     pending
         .iter()
         .map(|&e| {
@@ -186,11 +174,13 @@ fn attempt_round(
                     obs.block_all(p.cells().iter().copied());
                     Attempt::Routed(p, scratch.expansions() as u32)
                 }
-                None if transparent(req, width, height) => {
-                    contended.union_with(scratch.failed_region());
-                    Attempt::Failed(Some(scratch.expansions() as u32))
-                }
-                None => Attempt::Failed(None),
+                None => match scratch.failed_region() {
+                    Some(region) => {
+                        contended.union_with(region);
+                        Attempt::Failed(Some(scratch.expansions() as u32))
+                    }
+                    None => Attempt::Failed(None),
+                },
             }
         })
         .collect()

@@ -276,7 +276,9 @@ fn check_query(
 
     let want = source_component(obs, sources);
     let width = obs.width() as usize;
-    let region = scratch.failed_region();
+    let region = scratch
+        .failed_region()
+        .expect("a failed search leaves its region");
     let touched: HashSet<Point> = region
         .iter()
         .map(|i| Point::new((i % width) as i32, (i / width) as i32))
