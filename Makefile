@@ -2,7 +2,7 @@
 
 CARGO ?= cargo
 
-.PHONY: verify build test fmt-check clippy bench tables obs-smoke stream-smoke bench-flow bench-smoke bench-check ledger-smoke golden profile
+.PHONY: verify build test fmt-check clippy bench tables obs-smoke stream-smoke bench-flow bench-smoke bench-check digest-smoke golden profile
 
 # The acceptance gate: release build, full test suite (which includes
 # the escape solver's min-cost-flow optimality certificate on 300
@@ -13,8 +13,8 @@ CARGO ?= cargo
 # of the streaming telemetry, a smoke-run of the end-to-end flow
 # benchmark harness, a determinism check of the B1, B2 and B4 benchmark
 # tiers against the committed BENCH_flow.json baseline, and a
-# smoke-run of the run-digest / ledger / differ loop.
-verify: build test fmt-check clippy golden obs-smoke stream-smoke bench-smoke bench-check ledger-smoke
+# smoke-run of the run-digest / differ loop.
+verify: build test fmt-check clippy golden obs-smoke stream-smoke bench-smoke bench-check digest-smoke
 
 build:
 	$(CARGO) build --release --workspace
@@ -77,37 +77,30 @@ bench-check:
 	$(CARGO) run --release -p pacor-bench --bin tables -- regress BENCH_flow.json --chip B2-dense48
 	$(CARGO) run --release -p pacor-bench --bin tables -- regress BENCH_flow.json --chip B4-dense256
 
-# The run-digest / ledger / differ loop, end to end: route S1 twice
-# with the same flags — the two digests must be byte-identical up to
-# the trailing `wall` object (it is rendered last precisely so this is
-# a string-prefix check), the ledger must hold both runs under one
-# fingerprint, and `tables compare` must find no verdicts. Then a
-# different problem under the same design name (S1 synthesized at
-# design seed 7) must make `tables compare` exit non-zero.
-ledger-smoke:
-	rm -f target/ledger_smoke.jsonl
+# The run-digest / differ loop, end to end: route S1 twice with the
+# same flags — the two digests must be byte-identical up to the
+# trailing `wall` object (it is rendered last precisely so this is a
+# string-prefix check), and `tables compare` must find no verdicts.
+# Then a different problem under the same design name (S1 synthesized
+# at design seed 7) must make `tables compare` exit non-zero.
+digest-smoke:
 	$(CARGO) run --release --bin pacor-cli -- route --quiet \
-		--digest-out target/ledger_smoke_a.json --ledger target/ledger_smoke.jsonl S1
+		--digest-out target/digest_smoke_a.json S1
 	$(CARGO) run --release --bin pacor-cli -- route --quiet \
-		--digest-out target/ledger_smoke_b.json --ledger target/ledger_smoke.jsonl S1
+		--digest-out target/digest_smoke_b.json S1
 	python3 -c "\
-	import json; \
-	a = open('target/ledger_smoke_a.json').read(); \
-	b = open('target/ledger_smoke_b.json').read(); \
+	a = open('target/digest_smoke_a.json').read(); \
+	b = open('target/digest_smoke_b.json').read(); \
 	assert a[:a.index('\"wall\"')] == b[:b.index('\"wall\"')], 'digests diverge before the wall object'; \
-	lines = [json.loads(l) for l in open('target/ledger_smoke.jsonl') if l.strip()]; \
-	assert len(lines) == 2, len(lines); \
-	assert all(l['schema'] == 'pacor-rundigest-v1' for l in lines), lines; \
-	assert lines[0]['fingerprint'] == lines[1]['fingerprint'], 'ledger entries split fingerprints'; \
-	print('ledger-smoke: wall-masked digests byte-identical,', len(lines), 'ledger entries')"
+	print('digest-smoke: wall-masked digests byte-identical')"
 	$(CARGO) run --release -p pacor-bench --bin tables -- compare \
-		target/ledger_smoke_a.json target/ledger_smoke_b.json
-	$(CARGO) run --release --bin pacor-cli -- synth S1 7 > target/ledger_smoke_s1_7.json
+		target/digest_smoke_a.json target/digest_smoke_b.json
+	$(CARGO) run --release --bin pacor-cli -- synth S1 7 > target/digest_smoke_s1_7.json
 	$(CARGO) run --release --bin pacor-cli -- route --quiet \
-		--digest-out target/ledger_smoke_c.json target/ledger_smoke_s1_7.json
+		--digest-out target/digest_smoke_c.json target/digest_smoke_s1_7.json
 	! $(CARGO) run --release -p pacor-bench --bin tables -- compare \
-		target/ledger_smoke_a.json target/ledger_smoke_c.json > target/ledger_smoke_diff.txt
-	@echo "ledger-smoke: different problem flagged with non-zero exit"
+		target/digest_smoke_a.json target/digest_smoke_c.json > target/digest_smoke_diff.txt
+	@echo "digest-smoke: different problem flagged with non-zero exit"
 
 # Cheap harness exercise for CI: one tiny chip (1 entry), result
 # discarded.

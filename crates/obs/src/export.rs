@@ -200,8 +200,8 @@ pub(crate) fn rename_or_cleanup(tmp: &Path, path: &Path) -> std::io::Result<()> 
 /// panic; a failed rename cleans the temp file up.
 ///
 /// This is the one temp+rename implementation in the workspace — the
-/// trace/metrics/report exporters, the run digest and ledger writers,
-/// and the streaming-telemetry [`crate::StreamWriter`] all go through
+/// trace/metrics/report exporters, the run digest writer, and the
+/// streaming-telemetry [`crate::StreamWriter`] all go through
 /// it (or through its [`tmp_path_of`]/[`rename_or_cleanup`] halves when
 /// they stream into the staging file incrementally).
 pub fn atomic_write(path: impl AsRef<Path>, contents: impl AsRef<[u8]>) -> std::io::Result<()> {

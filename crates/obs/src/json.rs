@@ -1,7 +1,7 @@
-//! A minimal JSON reader for the digest/ledger/diff subsystem.
+//! A minimal JSON reader for the digest/diff subsystem.
 //!
 //! The crate is zero-dependency, so parsing run digests back from disk
-//! (ledger loads, `tables compare`) needs a small hand-rolled parser.
+//! (`tables compare`) needs a small hand-rolled parser.
 //! It reads the full JSON grammar; numbers keep their raw text so u64
 //! counters survive without a float round-trip.
 
