@@ -29,7 +29,7 @@ use pacor_valves::{Cluster, ClusterId};
 /// The escape stage's running tallies, reported by its
 /// `escape_progress` events (the `escape.rounds`, `escape.declustered`
 /// and `escape.ripped` counters hold the totals).
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Default)]
 struct EscapeStats {
     /// Rip-up / de-clustering rounds executed so far.
     rounds: u32,
