@@ -242,7 +242,8 @@ pub struct AStarScratch {
     bfs_stamp: Vec<u32>,
     /// The open list.
     open: OpenQueue,
-    /// Per-query kernel counters, reset by [`AStarScratch::begin`].
+    /// Per-query kernel counters, reset at the start of every
+    /// [`AStar::route_with_scratch`], refused queries included.
     stats: KernelStats,
     /// A failed query's region (see [`AStarScratch::failed_region`]):
     /// the flood's result, or the drained search's stamps packed into
@@ -290,7 +291,6 @@ impl AStarScratch {
         }
         self.generation += 1;
         self.open.clear();
-        self.stats = KernelStats::default();
         self.region_ready = false;
     }
 
@@ -331,10 +331,8 @@ impl AStarScratch {
     /// the query's `astar.expansions` contribution, kept whether or not
     /// a recording frame is active. After a *failed* search it equals
     /// the count of [`AStarScratch::failed_region`]: the open list
-    /// drains completely, or the flood counts every cell it reaches.
-    ///
-    /// Only meaningful directly after the flat kernel ran on this
-    /// scratch.
+    /// drains completely, or the flood counts every cell it reaches. A
+    /// query refused without a search expanded nothing: 0.
     pub fn expansions(&self) -> u64 {
         self.stats.expansions
     }
@@ -449,6 +447,7 @@ impl<'a> AStar<'a> {
         scratch: &mut AStarScratch,
     ) -> Option<GridPath> {
         scratch.failed = false;
+        scratch.stats = KernelStats::default();
         if sources.is_empty() || targets.is_empty() {
             return None;
         }
@@ -1061,7 +1060,7 @@ mod tests {
     fn refused_query_after_a_failed_search_exposes_no_region() {
         // A query A* refuses without searching (an empty endpoint list,
         // an off-map terminal) must not leave the previous search's
-        // failed region visible.
+        // failed region or expansion count visible.
         let mut g = Grid::new(9, 9).unwrap();
         for y in 0..9 {
             g.set_obstacle(Point::new(4, y));
@@ -1081,6 +1080,11 @@ mod tests {
             assert_eq!(
                 scratch.failed_region(),
                 None,
+                "refused {sources:?} -> {targets:?}"
+            );
+            assert_eq!(
+                scratch.expansions(),
+                0,
                 "refused {sources:?} -> {targets:?}"
             );
         }
