@@ -11,9 +11,10 @@ CARGO ?= cargo
 # zero-warning lints, the golden end-to-end snapshots (all chips,
 # release mode), a smoke-run of the observability exports, a smoke-run
 # of the streaming telemetry, a smoke-run of the end-to-end flow
-# benchmark harness, a determinism check of the B1, B2 and B4 benchmark
-# tiers against the committed BENCH_flow.json baseline, and a
-# smoke-run of the run-digest / differ loop.
+# benchmark harness, a run-identity, attribution and stage-budget check
+# of the B1, B2 and B4 benchmark tiers against the committed
+# BENCH_flow.json baseline, and a smoke-run of the run-digest / differ
+# loop.
 verify: build test fmt-check clippy golden obs-smoke stream-smoke bench-smoke bench-check digest-smoke
 
 build:
@@ -40,19 +41,21 @@ bench:
 bench-flow:
 	$(CARGO) run --release -p pacor-bench --bin bench_flow -- --repeat 5 --out BENCH_flow.json
 
-# Determinism regression gate: re-run the smallest benchmark chip and
-# compare every deterministic field (rounds, ripups, scratch resets,
-# escape searches and node labels, lengths, completion) against the
-# committed BENCH_flow.json baseline. Wall-clock fields are machine-local and
-# ignored — except the per-stage budget rule: a fresh stage_ms more
-# than 25% AND more than 25 ms over its committed baseline fails (the
+# Timing regression gate: re-run the smallest benchmark chip and check
+# it against the committed BENCH_flow.json baseline on three rules.
+# Run identity: the fresh run's digest_hash (FNV-1a of its deterministic
+# run digest) must equal the baseline's, or the baseline's timings
+# belong to a different run. What a run routed and counted is gated by
+# the golden digests (`make golden`,
+# tests/fixtures/golden/<chip>.digest.json), whose bytes that hash
+# names. Attribution: more than 5% AND more than 1 ms of wall_ms
+# outside every stage fails. Stage budgets: a fresh stage_ms more than
+# 25% AND more than 25 ms over its committed baseline fails (the
 # absolute floor keeps sub-millisecond stages from flaking on
 # scheduler jitter). The same rule gates the escape_ms sub-stages
 # (net_solve — the round solves — / phase1-3), so an escape-internal
 # regression cannot hide inside a stage that still fits its overall
-# budget. Every fresh entry's stage times must also add up to its
-# wall-clock: more than 5% AND more than 1 ms of wall_ms outside every
-# stage fails.
+# budget.
 # Re-baseline with `make bench-flow` after an intentional routing or
 # performance change.
 #
@@ -63,15 +66,13 @@ bench-flow:
 # gate. The 25 ms floor keeps its budgets from flaking: B2's whole
 # escape stage takes about 40 ms.
 #
-# The third run gates the large-chip tier: B4-dense256's entry must
-# match the baseline on the same deterministic fields, route every
-# valve and add up, with no per-stage budgets.
+# The third run gates the large-chip tier: B4-dense256's entry must be
+# the baseline's run and add up, with no per-stage budgets (its golden
+# digest pins that it routes every valve).
 #
 # The rules live in `tables regress` (crates/bench/src/bin/tables.rs),
 # which re-runs the chip's schedule in-process; pass `--current FILE`
-# to check an existing bench_flow output instead. The previous
-# inline-Python implementation of the same rules is in this file's
-# git history (`git log -- Makefile`) if a cross-check is ever needed.
+# to check an existing bench_flow output instead.
 bench-check:
 	$(CARGO) run --release -p pacor-bench --bin tables -- regress BENCH_flow.json --chip B1-dense24
 	$(CARGO) run --release -p pacor-bench --bin tables -- regress BENCH_flow.json --chip B2-dense48
@@ -108,14 +109,14 @@ bench-smoke:
 	$(CARGO) run --release -p pacor-bench --bin bench_flow -- --smoke --repeat 1 --out target/bench_flow_smoke.json
 	python3 -c "import json; r = json.load(open('target/bench_flow_smoke.json')); assert len(r['entries']) == 1, r; print('bench-smoke: harness produced', len(r['entries']), 'entries')"
 
-# Golden end-to-end snapshots for every bench chip, including the
-# debug-`#[ignore]`d B3-dense96 (minutes in debug, seconds in release):
-# metrics and post-mortem per chip, plus the deterministic telemetry
-# stream (`*.telemetry.jsonl`) of B0-B2.
+# Golden end-to-end snapshots for every bench chip (B0-B4), in release
+# mode: the deterministic run digest (`<chip>.digest.json`) and the
+# post-mortem per chip, plus the deterministic telemetry stream
+# (`*.telemetry.jsonl`) of B0-B2. Tier-1 runs the same tests in debug.
 # Regenerate fixtures after an intentional routing change with
-# `UPDATE_GOLDEN=1 make golden`.
+# `UPDATE_GOLDEN=1 make golden`, then `make bench-flow`.
 golden:
-	$(CARGO) test --release --test golden_flow -- --include-ignored
+	$(CARGO) test --release --test golden_flow
 
 # Per-stage wall-clock attribution for the largest bench chip: prints
 # the top spans by exclusive time and writes a Perfetto-loadable Chrome
@@ -132,15 +133,15 @@ profile:
 tables:
 	$(CARGO) run --release -p pacor-bench --bin tables -- all
 
-# Route one small design with both observability exports enabled and
+# Route one small design with the trace and digest exports enabled and
 # check that each output file parses as JSON.
 obs-smoke:
 	$(CARGO) run --release --bin pacor-cli -- route --quiet \
 		--trace-out target/obs_smoke_trace.json \
-		--metrics-out target/obs_smoke_metrics.json S1
-	python3 -c "import json; json.load(open('target/obs_smoke_trace.json')); json.load(open('target/obs_smoke_metrics.json')); print('obs-smoke: both exports are valid JSON')"
+		--digest-out target/obs_smoke_digest.json S1
+	python3 -c "import json; json.load(open('target/obs_smoke_trace.json')); json.load(open('target/obs_smoke_digest.json')); print('obs-smoke: both exports are valid JSON')"
 
-# Route one small design with the telemetry stream (and metrics, for
+# Route one small design with the telemetry stream (and the digest, for
 # cross-checking) enabled: every line must parse as a versioned event,
 # the envelope must be flow_started ... flow_finished with a seq chain
 # and a correct terminal event count, every stage must exit, and the
@@ -148,7 +149,7 @@ obs-smoke:
 stream-smoke:
 	$(CARGO) run --release --bin pacor-cli -- route --quiet \
 		--stream-out target/stream_smoke.jsonl \
-		--metrics-out target/stream_smoke_metrics.json S2
+		--digest-out target/stream_smoke_digest.json S2
 	python3 -c "\
 	import json; \
 	events = [json.loads(l) for l in open('target/stream_smoke.jsonl') if l.strip()]; \
@@ -159,7 +160,7 @@ stream-smoke:
 	exited = [e['stage'] for e in events if e['kind'] == 'stage_exited']; \
 	assert exited == ['clustering', 'lm_routing', 'mst_routing', 'escape', 'detour'], exited; \
 	rounds = sum(e['kind'] == 'round_progress' for e in events); \
-	m = json.load(open('target/stream_smoke_metrics.json')); \
+	m = json.load(open('target/stream_smoke_digest.json')); \
 	assert rounds == m['counters']['negotiate.rounds'], (rounds, m['counters']['negotiate.rounds']); \
 	escapes = [e for e in events if e['kind'] == 'escape_progress']; \
 	assert escapes and all(0 <= e['valves_routed'] <= events[0]['valves'] for e in escapes), escapes; \

@@ -2,7 +2,7 @@
 //! `BENCH_flow.json`.
 //!
 //! ```text
-//! bench_flow [--out FILE] [--repeat N] [--smoke] [--huge] [--chip NAME] [--events]
+//! bench_flow [--out FILE] [--repeat N] [--smoke] [--huge] [--chip NAME]
 //! ```
 //!
 //! Runs the full flow (clustering → LM routing → MST routing → escape →
@@ -14,9 +14,10 @@
 //! mst_routing / escape / detour wall-clock, so speedups attribute to
 //! the stage that earned them), an `escape_ms` sub-breakdown of the
 //! escape stage (net_solve / phase1 / phase2 / phase3,
-//! span-summed and min-across-repeats like `stage_ms`), plus the
-//! `negotiate.rounds` / `negotiate.ripups` / `astar.scratch_resets` /
-//! `escape.dijkstras` / `escape.touched` counter totals.
+//! span-summed and min-across-repeats like `stage_ms`), and the
+//! `digest_hash` of the timed run. What the run routed and counted is
+//! not repeated here: the hash names the chip's golden digest
+//! (`tests/fixtures/golden/<chip>.digest.json`), which holds it.
 //!
 //! **Large chips** (width ≥ 256, i.e. the B4-dense256 tier and the
 //! opt-in `--huge` B5-dense512) run a reduced schedule: repeats capped
@@ -28,17 +29,11 @@
 //! `make bench-check`-style baseline comparisons) and implies `--huge`
 //! when the huge chip is named. Default output path: `BENCH_flow.json`;
 //! the file is written atomically (temp + rename).
-//!
-//! `--events` adds an opt-in per-entry sanity column on stderr: one
-//! extra (untimed) run per entry with the deterministic telemetry
-//! stream installed, reporting the event count and asserting the
-//! stream's `round_progress` events match the entry's
-//! `negotiate.rounds` counter. The JSON schema is unchanged.
 
 use pacor::DesignParams;
 use pacor_bench::{
-    collect_telemetry, run_flow_bench, FlowBenchEntry, FlowBenchReport, BENCH_SEED,
-    FLOW_BENCH_CHIPS, FLOW_HUGE_CHIP, FLOW_SMOKE_CHIP, LARGE_WIDTH,
+    run_flow_bench, FlowBenchEntry, FlowBenchReport, BENCH_SEED, FLOW_BENCH_CHIPS, FLOW_HUGE_CHIP,
+    FLOW_SMOKE_CHIP, LARGE_WIDTH,
 };
 
 fn main() {
@@ -46,7 +41,6 @@ fn main() {
     let mut repeat = 3u32;
     let mut smoke = false;
     let mut huge = false;
-    let mut events = false;
     let mut chip_filter: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -61,7 +55,6 @@ fn main() {
             },
             "--smoke" => smoke = true,
             "--huge" => huge = true,
-            "--events" => events = true,
             "--chip" => match args.next() {
                 Some(v) => chip_filter = Some(v),
                 None => return usage("--chip requires a value"),
@@ -96,28 +89,8 @@ fn main() {
         } else {
             repeat
         };
-        // Counter totals come from the flow's own per-run obs session
-        // (carried in the report), so entries cannot bleed.
         let entry = run_flow_bench(chip, BENCH_SEED, chip_repeat);
-        // Opt-in telemetry sanity: one extra untimed run with the
-        // deterministic stream installed; its round events must agree
-        // with the counters the timed runs report.
-        let events_col = if events {
-            let lines = collect_telemetry(chip, BENCH_SEED);
-            let round_events = lines
-                .iter()
-                .filter(|l| l.contains("\"kind\":\"round_progress\""))
-                .count() as u64;
-            assert_eq!(
-                round_events, entry.rounds,
-                "{}: round_progress events diverge from negotiate.rounds",
-                entry.chip
-            );
-            format!("  events {:>5}", lines.len())
-        } else {
-            String::new()
-        };
-        print_entry(&entry, events_col);
+        print_entry(&entry);
         report.entries.push(entry);
     }
 
@@ -129,11 +102,11 @@ fn main() {
     eprintln!("bench_flow: wrote {out}");
 }
 
-fn print_entry(entry: &FlowBenchEntry, events_col: String) {
+fn print_entry(entry: &FlowBenchEntry) {
     let s = &entry.stage_ms;
     let e = &entry.escape_ms;
     eprintln!(
-        "{:<12} {:>9.1} ms  neg {:>8.1} ms  stages clu {:>6.1} lm {:>7.1} mst {:>6.1} esc {:>6.1} det {:>6.1}  esc[slv {:>6.1} p1 {:>6.1} p2 {:>5.1} p3 {:>5.1}]  rounds {:>4}  ripups {:>5}  complete {:>5.1}%{}",
+        "{:<12} {:>9.1} ms  neg {:>8.1} ms  stages clu {:>6.1} lm {:>7.1} mst {:>6.1} esc {:>6.1} det {:>6.1}  esc[slv {:>6.1} p1 {:>6.1} p2 {:>5.1} p3 {:>5.1}]  digest_hash {}",
         entry.chip,
         entry.wall_ms,
         entry.negotiate_ms,
@@ -146,16 +119,13 @@ fn print_entry(entry: &FlowBenchEntry, events_col: String) {
         e.phase1,
         e.phase2,
         e.phase3,
-        entry.rounds,
-        entry.ripups,
-        entry.completion_rate * 100.0,
-        events_col
+        entry.digest_hash
     );
 }
 
 fn usage(err: &str) {
     eprintln!(
-        "bench_flow: {err}\nusage: bench_flow [--out FILE] [--repeat N] [--smoke] [--huge] [--chip NAME] [--events]"
+        "bench_flow: {err}\nusage: bench_flow [--out FILE] [--repeat N] [--smoke] [--huge] [--chip NAME]"
     );
     std::process::exit(2);
 }

@@ -21,9 +21,8 @@ use serde::{Deserialize, Serialize};
 pub const BENCH_SEED: u64 = 42;
 
 /// Chips at or above this width get the reduced large-chip benchmark
-/// schedule (repeats capped at 2), and the large-tier rules in
-/// `tables regress` (a completion gate instead of per-stage wall-clock
-/// budgets).
+/// schedule (repeats capped at 2), and no per-stage wall-clock budgets
+/// in `tables regress`.
 pub const LARGE_WIDTH: u32 = 256;
 
 /// Runs one design under one variant and returns its report.
@@ -251,21 +250,11 @@ pub struct FlowBenchEntry {
     /// Wall-clock spent inside `negotiate` spans on the best-negotiate
     /// repeat, in milliseconds.
     pub negotiate_ms: f64,
-    /// `negotiate.rounds` counter total.
-    pub rounds: u64,
-    /// `negotiate.ripups` counter total.
-    pub ripups: u64,
-    /// `astar.scratch_resets` counter total.
-    pub scratch_resets: u64,
-    /// `escape.dijkstras` counter total: escape searches run.
-    pub escape_dijkstras: u64,
-    /// `escape.touched` counter total: node labels those searches
-    /// assigned.
-    pub escape_touched: u64,
-    /// Total routed control-channel length, grid units.
-    pub total_length: u64,
-    /// Fraction of valves connected (1.0 = everything routed).
-    pub completion_rate: f64,
+    /// [`pacor::obs::fnv1a64`] of the timed run's
+    /// [`pacor::obs::RunDigest::deterministic_json`]: the bytes of the
+    /// chip's golden digest, which holds what the run routed and
+    /// counted. It ties these timings to that run.
+    pub digest_hash: u64,
     /// Span-summed wall-clock per flow stage (best across repeats, like
     /// `wall_ms`), so speedups can be attributed to the stage that
     /// earned them.
@@ -394,22 +383,23 @@ fn span_ms_of(report: &pacor::obs::ObsReport, span: &str) -> f64 {
 
 /// Runs the full flow on one synthesized chip `repeat` times, and
 /// reports the best wall-clock (end-to-end, and inside the `negotiate`
-/// spans) alongside the (repeat-invariant) counter totals. One untimed warm-up run
-/// precedes the timed repeats so first-touch costs (page faults,
+/// spans) alongside the hash of the run's digest. One untimed warm-up
+/// run precedes the timed repeats so first-touch costs (page faults,
 /// allocator growth) don't land on whichever configuration happens to
 /// run first.
 ///
 /// # Panics
 ///
-/// Panics when the flow errors out or the counters differ between
-/// repeats — both harness bugs, not experiment outcomes.
+/// Panics when the flow errors out or a repeat's deterministic digest
+/// differs from the first repeat's — both harness bugs, not experiment
+/// outcomes.
 pub fn run_flow_bench(params: DesignParams, seed: u64, repeat: u32) -> FlowBenchEntry {
     let problem = synthesize_params(params, seed);
     let config = FlowConfig::default();
     PacorFlow::new(config)
         .run(&problem)
         .expect("synthesized designs are valid");
-    let mut entry: Option<FlowBenchEntry> = None;
+    let mut entry: Option<(String, FlowBenchEntry)> = None;
     for _ in 0..repeat.max(1) {
         // An outer observability session captures the run's spans (the
         // flow's nested session merges upward into it on finish), so the
@@ -423,9 +413,10 @@ pub fn run_flow_bench(params: DesignParams, seed: u64, repeat: u32) -> FlowBench
         let stage_ms = StageMs::of(&obs);
         let escape_ms = EscapeMs::of(&obs);
         let wall_ms = report.runtime.as_secs_f64() * 1e3;
+        let digest = pacor::run_digest(&problem, &config, &report, &obs).deterministic_json();
         match &mut entry {
             None => {
-                entry = Some(FlowBenchEntry {
+                let first = FlowBenchEntry {
                     chip: params.name.to_string(),
                     width: params.width,
                     height: params.height,
@@ -433,19 +424,18 @@ pub fn run_flow_bench(params: DesignParams, seed: u64, repeat: u32) -> FlowBench
                     host_cpus: host_cpus(),
                     wall_ms,
                     negotiate_ms,
-                    rounds: report.metrics.counter("negotiate.rounds"),
-                    ripups: report.metrics.counter("negotiate.ripups"),
-                    scratch_resets: report.metrics.counter("astar.scratch_resets"),
-                    escape_dijkstras: report.metrics.counter("escape.dijkstras"),
-                    escape_touched: report.metrics.counter("escape.touched"),
-                    total_length: report.total_length,
-                    completion_rate: report.completion_rate(),
+                    digest_hash: pacor::obs::fnv1a64(digest.as_bytes()),
                     stage_ms,
                     escape_ms,
-                });
+                };
+                entry = Some((digest, first));
             }
-            Some(e) => {
-                assert_eq!(e.ripups, report.metrics.counter("negotiate.ripups"));
+            Some((first_digest, e)) => {
+                assert!(
+                    digest == *first_digest,
+                    "{}: a repeat routed or counted differently from the first",
+                    params.name
+                );
                 e.wall_ms = e.wall_ms.min(wall_ms);
                 e.negotiate_ms = e.negotiate_ms.min(negotiate_ms);
                 e.stage_ms = e.stage_ms.min(stage_ms);
@@ -453,13 +443,13 @@ pub fn run_flow_bench(params: DesignParams, seed: u64, repeat: u32) -> FlowBench
             }
         }
     }
-    entry.expect("repeat >= 1")
+    entry.expect("repeat >= 1").1
 }
 
 /// Runs the flow once with a deterministic in-memory telemetry stream
-/// installed and returns the raw JSONL lines. This is the event stream
-/// the invariance tests byte-compare run to run, and the one
-/// `bench_flow --events` sanity-checks against the entry's counters.
+/// installed and returns the raw JSONL lines: the event stream that the
+/// invariance tests byte-compare run to run and the golden telemetry
+/// fixtures pin.
 ///
 /// # Panics
 ///

@@ -1,8 +1,10 @@
 //! End-to-end tests of the `tables compare` / `tables regress` gates:
 //! the differ must exit non-zero on a seeded perturbation (quality
 //! drift + a >25%-and->25ms span regression) and stay green on clean
-//! inputs, and the regress rule engine must reproduce the baseline
-//! determinism gate against fixture files.
+//! inputs, and the regress gate must fail a different run, an
+//! unattributed wall-clock and a blown stage budget on fixture files.
+//! The committed baseline must name the golden digests by hash, and
+//! `bench_flow` must refuse its retired flags.
 
 use pacor::{obs, FlowConfig, PacorFlow};
 use pacor_bench::{FlowBenchEntry, FlowBenchReport};
@@ -90,35 +92,46 @@ fn committed_baseline() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_flow.json")
 }
 
-#[test]
-fn regress_accepts_the_committed_baseline_fixture_and_flags_drift() {
-    let dir = work_dir();
-    let baseline = committed_baseline();
-    let text = std::fs::read_to_string(&baseline).unwrap();
-    let report: FlowBenchReport = serde_json::from_str(&text).unwrap();
-    let fixture = FlowBenchReport {
+fn committed_report() -> FlowBenchReport {
+    let text = std::fs::read_to_string(committed_baseline()).unwrap();
+    serde_json::from_str(&text).unwrap()
+}
+
+/// The committed baseline's `chip` entries, as a one-chip report.
+fn baseline_fixture(chip: &str) -> FlowBenchReport {
+    let report = committed_report();
+    let entries: Vec<FlowBenchEntry> = report
+        .entries
+        .into_iter()
+        .filter(|e| e.chip == chip)
+        .collect();
+    assert!(!entries.is_empty(), "baseline must carry {chip} entries");
+    FlowBenchReport {
         seed: report.seed,
         repeat: 1,
-        entries: report
-            .entries
-            .into_iter()
-            .filter(|e| e.chip == "B1-dense24")
-            .collect(),
-    };
-    assert!(
-        !fixture.entries.is_empty(),
-        "baseline must carry B1 entries"
-    );
-    let clean_path = dir.join("regress_clean.json");
-    std::fs::write(&clean_path, serde_json::to_string_pretty(&fixture).unwrap()).unwrap();
-    let ok = tables(&[
+        entries,
+    }
+}
+
+/// `tables regress` of `chip` against the committed baseline, with
+/// `current` written to `file` as the fresh run.
+fn regress(chip: &str, current: &FlowBenchReport, file: &str) -> std::process::Output {
+    let path = work_dir().join(file);
+    std::fs::write(&path, serde_json::to_string_pretty(current).unwrap()).unwrap();
+    tables(&[
         "regress",
-        baseline.to_str().unwrap(),
+        committed_baseline().to_str().unwrap(),
         "--chip",
-        "B1-dense24",
+        chip,
         "--current",
-        clean_path.to_str().unwrap(),
-    ]);
+        path.to_str().unwrap(),
+    ])
+}
+
+#[test]
+fn regress_accepts_the_committed_baseline_fixture_and_flags_drift() {
+    let fixture = baseline_fixture("B1-dense24");
+    let ok = regress("B1-dense24", &fixture, "regress_clean.json");
     assert!(
         ok.status.success(),
         "baseline must pass against itself: {}",
@@ -126,33 +139,54 @@ fn regress_accepts_the_committed_baseline_fixture_and_flags_drift() {
     );
     let out = String::from_utf8_lossy(&ok.stdout);
     assert!(
-        out.contains("7 deterministic fields"),
-        "summary must count the gated fields: {out}"
+        out.contains("B1-dense24 is the baseline's run and keeps its 5 stage budgets"),
+        "summary must name the run check and count the budgets: {out}"
     );
 
-    // One deterministic counter off by one: the gate must fail. The
-    // escape solver's label count is one of them, so a change to how
-    // much it searches needs a re-baseline.
-    for (field, bump) in [
-        ("rounds", (|e| e.rounds += 1) as fn(&mut FlowBenchEntry)),
-        ("escape_touched", |e| e.escape_touched += 1),
-    ] {
-        let mut drifted = fixture.clone();
-        bump(&mut drifted.entries[0]);
-        let drift_path = dir.join("regress_drift.json");
-        std::fs::write(&drift_path, serde_json::to_string_pretty(&drifted).unwrap()).unwrap();
-        let fail = tables(&[
-            "regress",
-            baseline.to_str().unwrap(),
-            "--chip",
-            "B1-dense24",
-            "--current",
-            drift_path.to_str().unwrap(),
-        ]);
-        assert_eq!(fail.status.code(), Some(1), "{field}");
-        let err = String::from_utf8_lossy(&fail.stderr);
-        assert!(err.contains("drift"), "{err}");
-        assert!(err.contains(field), "{err}");
+    // A run that routed or counted anything differently hashes
+    // differently: its timings cannot be judged against the baseline's.
+    let mut drifted = fixture.clone();
+    drifted.entries[0].digest_hash += 1;
+    let fail = regress("B1-dense24", &drifted, "regress_drift.json");
+    assert_eq!(fail.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&fail.stderr);
+    assert!(
+        err.contains("different run: B1-dense24 digest_hash"),
+        "{err}"
+    );
+    assert!(err.contains("B1-dense24.digest.json"), "{err}");
+    assert!(err.contains("make bench-flow"), "{err}");
+}
+
+#[test]
+fn baseline_hashes_name_the_golden_digests() {
+    // Each committed entry times the run its chip's golden digest pins.
+    for e in committed_report().entries {
+        let golden = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(format!(
+            "../../tests/fixtures/golden/{}.digest.json",
+            e.chip
+        ));
+        let digest = std::fs::read(&golden).expect("every bench chip has a golden digest");
+        assert_eq!(e.digest_hash, obs::fnv1a64(&digest), "{}", e.chip);
+    }
+}
+
+#[test]
+fn bench_flow_rejects_the_retired_flags() {
+    // `bench_flow` takes neither a telemetry cross-check nor a run
+    // ledger: both flags are unknown options (exit 2), so a script that
+    // still passes one fails before anything is benchmarked.
+    for args in [&["--events"][..], &["--ledger", "runs.jsonl"]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_bench_flow"))
+            .args(args)
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("unknown argument {}", args[0])),
+            "{err}"
+        );
     }
 }
 
@@ -160,13 +194,18 @@ fn regress_accepts_the_committed_baseline_fixture_and_flags_drift() {
 fn regress_accepts_the_whole_committed_baseline_as_current() {
     // A full `bench_flow` output carries every chip; `--current` must be
     // filtered to the gated chip like the baseline, or the other chips'
-    // entries would count as drift (and, for a small chip, trip the
-    // large-tier gates).
+    // entries would count as different runs.
     let baseline = committed_baseline();
     let path = baseline.to_str().unwrap();
     for (chip, summary) in [
-        ("B1-dense24", "B1-dense24 matches the baseline"),
-        ("B4-dense256", "B4-dense256 tier matches the baseline"),
+        (
+            "B1-dense24",
+            "B1-dense24 is the baseline's run and keeps its",
+        ),
+        (
+            "B4-dense256",
+            "B4-dense256 is the baseline's run; stage times add up",
+        ),
     ] {
         let out = tables(&["regress", path, "--chip", chip, "--current", path]);
         assert!(
@@ -181,32 +220,11 @@ fn regress_accepts_the_whole_committed_baseline_as_current() {
 
 #[test]
 fn regress_fails_an_entry_whose_stages_do_not_add_up_to_its_wall_clock() {
-    let dir = work_dir();
-    let baseline = committed_baseline();
-    let text = std::fs::read_to_string(&baseline).unwrap();
-    let report: FlowBenchReport = serde_json::from_str(&text).unwrap();
-    let fixture = FlowBenchReport {
-        seed: report.seed,
-        repeat: 1,
-        entries: report
-            .entries
-            .into_iter()
-            .filter(|e| e.chip == "B3-dense96")
-            .collect(),
-    };
+    let fixture = baseline_fixture("B3-dense96");
     let regress_with = |bump: fn(&mut FlowBenchEntry)| {
         let mut current = fixture.clone();
         bump(&mut current.entries[0]);
-        let path = dir.join("regress_attribution.json");
-        std::fs::write(&path, serde_json::to_string_pretty(&current).unwrap()).unwrap();
-        tables(&[
-            "regress",
-            baseline.to_str().unwrap(),
-            "--chip",
-            "B3-dense96",
-            "--current",
-            path.to_str().unwrap(),
-        ])
+        regress("B3-dense96", &current, "regress_attribution.json")
     };
     // 2 ms outside every stage on a ~140 ms run: over 1 ms but under
     // 5% of wall_ms, so within the rule.
@@ -226,34 +244,13 @@ fn regress_fails_an_entry_whose_stages_do_not_add_up_to_its_wall_clock() {
 
 #[test]
 fn regress_enforces_the_stage_budget_rule() {
-    let dir = work_dir();
-    let baseline = committed_baseline();
-    let text = std::fs::read_to_string(&baseline).unwrap();
-    let report: FlowBenchReport = serde_json::from_str(&text).unwrap();
-    let mut fixture = FlowBenchReport {
-        seed: report.seed,
-        repeat: 1,
-        entries: report
-            .entries
-            .into_iter()
-            .filter(|e| e.chip == "B1-dense24")
-            .collect(),
-    };
+    let mut fixture = baseline_fixture("B1-dense24");
     let entry = &mut fixture.entries[0];
     // 25% over but under the 25 ms absolute floor: within budget.
     entry.stage_ms.escape += entry.stage_ms.escape * 0.3 + 1.0;
     // Past both gates: over budget.
     entry.stage_ms.lm_routing = entry.stage_ms.lm_routing * 1.3 + 30.0;
-    let path = dir.join("regress_budget.json");
-    std::fs::write(&path, serde_json::to_string_pretty(&fixture).unwrap()).unwrap();
-    let out = tables(&[
-        "regress",
-        baseline.to_str().unwrap(),
-        "--chip",
-        "B1-dense24",
-        "--current",
-        path.to_str().unwrap(),
-    ]);
+    let out = regress("B1-dense24", &fixture, "regress_budget.json");
     assert_eq!(out.status.code(), Some(1));
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("budget blown"), "{err}");

@@ -13,7 +13,8 @@
 //! guarantee the post-mortem report makes, extended to a comparable
 //! cross-run record.
 //! [`RunDigest::deterministic_json`] renders exactly that invariant
-//! part, which `make digest-smoke` byte-compares.
+//! part. The golden tests pin it for every bench chip, and each
+//! BENCH_flow.json entry carries its FNV-1a hash as `digest_hash`.
 
 use crate::json::Json;
 use crate::{Histogram, TraceEvent};
@@ -24,7 +25,8 @@ use std::fmt::Write;
 pub const DIGEST_SCHEMA: &str = "pacor-rundigest-v1";
 
 /// 64-bit FNV-1a over arbitrary bytes — the stable, dependency-free
-/// hash behind the fingerprint's `chip_hash`.
+/// hash behind the fingerprint's `chip_hash` and a bench entry's
+/// `digest_hash`.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf29ce484222325u64;
     for &b in bytes {
@@ -88,9 +90,9 @@ pub struct ClusterDigest {
     pub slack: Option<i64>,
 }
 
-/// The five-number summary of one histogram, as exported by
-/// `metrics_json` (integral nearest-rank quantiles, so the summary is
-/// as deterministic as the histogram itself).
+/// The summary of one histogram: count, sum, extremes and integral
+/// nearest-rank quantiles, so the summary is as deterministic as the
+/// histogram itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct HistogramSummary {
     /// Sample count.
@@ -276,31 +278,33 @@ impl RunDigest {
     /// sub-object last — everything before the `"wall"` key is the
     /// deterministic record.
     pub fn to_json(&self) -> String {
-        self.render(true)
+        let mut out = self.render_deterministic();
+        let _ = write!(
+            out,
+            ",\n  \"wall\": {{\"wall_ms\": {:.3}, \"spans\": ",
+            self.wall.wall_ms
+        );
+        render_spans(&mut out, &self.wall.spans);
+        out.push_str("}\n}\n");
+        out
     }
 
-    /// Renders only the deterministic sections (no `wall`), compact —
-    /// the byte-comparable identity of the run.
+    /// Renders [`RunDigest::to_json`]'s document without its `wall`
+    /// member: the byte-comparable identity of the run, pretty-printed
+    /// so that a committed digest diffs line by line.
     pub fn deterministic_json(&self) -> String {
-        self.render(false)
+        let mut out = self.render_deterministic();
+        out.push_str("\n}\n");
+        out
     }
 
-    /// The pretty document with its `wall` (`full`), or the compact
-    /// deterministic sections alone.
-    fn render(&self, full: bool) -> String {
-        let (nl, ind, ind2) = if full {
-            ("\n", "  ", "    ")
-        } else {
-            ("", "", "")
-        };
-        let sep = if full { ",\n" } else { "," };
-        let mut out = String::from("{");
-        out.push_str(nl);
-        let _ = write!(out, "{ind}\"schema\": \"{DIGEST_SCHEMA}\"");
-        out.push_str(sep);
+    /// The document up to, not including, the separator before `wall`
+    /// and the closing brace.
+    fn render_deterministic(&self) -> String {
+        let mut out = format!("{{\n  \"schema\": \"{DIGEST_SCHEMA}\",\n");
 
         // -- fingerprint --------------------------------------------------
-        let _ = write!(out, "{ind}\"fingerprint\": {{\"chip\": ");
+        out.push_str("  \"fingerprint\": {\"chip\": ");
         crate::export::push_json_string(&mut out, &self.fingerprint.chip);
         let _ = write!(
             out,
@@ -315,14 +319,13 @@ impl RunDigest {
             out.push_str(": ");
             crate::export::push_json_string(&mut out, v);
         }
-        out.push_str("}}");
-        out.push_str(sep);
+        out.push_str("}},\n");
 
         // -- outcome ------------------------------------------------------
         let o = &self.outcome;
-        let _ = write!(
+        let _ = writeln!(
             out,
-            "{ind}\"outcome\": {{\"completion_milli\": {}, \"total_length\": {}, \"matched_clusters\": {}, \"matched_length\": {}, \"clusters_multi\": {}, \"valves_routed\": {}, \"valves_total\": {}}}",
+            "  \"outcome\": {{\"completion_milli\": {}, \"total_length\": {}, \"matched_clusters\": {}, \"matched_length\": {}, \"clusters_multi\": {}, \"valves_routed\": {}, \"valves_total\": {}}},",
             o.completion_milli,
             o.total_length,
             o.matched_clusters,
@@ -331,18 +334,16 @@ impl RunDigest {
             o.valves_routed,
             o.valves_total
         );
-        out.push_str(sep);
 
         // -- clusters -----------------------------------------------------
-        let _ = write!(out, "{ind}\"clusters\": [");
+        out.push_str("  \"clusters\": [");
         for (i, c) in self.clusters.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(nl);
             let _ = write!(
                 out,
-                "{ind2}{{\"size\": {}, \"lm\": {}, \"complete\": {}, \"matched\": {}, \"length\": {}, \"mismatch\": ",
+                "\n    {{\"size\": {}, \"lm\": {}, \"complete\": {}, \"matched\": {}, \"length\": {}, \"mismatch\": ",
                 c.size, c.lm, c.complete, c.matched, c.length
             );
             match c.mismatch {
@@ -361,14 +362,12 @@ impl RunDigest {
             out.push('}');
         }
         if !self.clusters.is_empty() {
-            out.push_str(nl);
-            out.push_str(ind);
+            out.push_str("\n  ");
         }
-        out.push(']');
-        out.push_str(sep);
+        out.push_str("],\n");
 
         // -- counters + histograms -----------------------------------------
-        let _ = write!(out, "{ind}\"counters\": {{");
+        out.push_str("  \"counters\": {");
         for (i, (name, v)) in self.counters.iter().enumerate() {
             if i > 0 {
                 out.push_str(", ");
@@ -376,9 +375,7 @@ impl RunDigest {
             crate::export::push_json_string(&mut out, name);
             let _ = write!(out, ": {v}");
         }
-        out.push('}');
-        out.push_str(sep);
-        let _ = write!(out, "{ind}\"histograms\": {{");
+        out.push_str("},\n  \"histograms\": {");
         for (i, (name, h)) in self.histograms.iter().enumerate() {
             if i > 0 {
                 out.push_str(", ");
@@ -388,27 +385,10 @@ impl RunDigest {
             render_hist(&mut out, h);
         }
         out.push('}');
-
-        // -- wall (always last) -------------------------------------------
-        if full {
-            out.push_str(sep);
-            let _ = write!(
-                out,
-                "{ind}\"wall\": {{\"wall_ms\": {:.3}, \"spans\": ",
-                self.wall.wall_ms
-            );
-            render_spans(&mut out, &self.wall.spans);
-            out.push('}');
-        }
-        out.push_str(nl);
-        out.push('}');
-        if full {
-            out.push('\n');
-        }
         out
     }
 
-    /// Parses a digest back from its JSON form (pretty or compact).
+    /// Parses a digest back from its [`RunDigest::to_json`] form.
     ///
     /// Older digests still parse: outcome keys beyond the seven quality
     /// fields (the negotiation and escape tallies, which the counters
@@ -744,7 +724,11 @@ pub(crate) mod tests {
             "nothing deterministic may follow wall"
         );
         let det = d.deterministic_json();
-        assert!(!det.contains("\"wall\""));
+        let body = det.strip_suffix("\n}\n").expect("a closed document");
+        assert!(
+            full.starts_with(&format!("{body},\n  \"wall\": {{")),
+            "the full document is the deterministic one plus wall: {det}"
+        );
         assert!(!det.contains("wall_ms"));
         let mut other = d.clone();
         other.wall.wall_ms = 99999.0;

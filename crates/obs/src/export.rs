@@ -1,7 +1,8 @@
-//! Exporters: Chrome trace-event JSON and a flat metrics document.
+//! Exporters: Chrome trace-event JSON, and the atomic writer every
+//! export file goes through.
 //!
-//! Both are hand-written (the crate is zero-dependency). Event and
-//! metric names are static identifiers, but the writers still escape
+//! The trace is hand-written (the crate is zero-dependency). Event and
+//! counter names are static identifiers, but the writer still escapes
 //! strings defensively so the output is always valid JSON.
 
 use crate::{ObsReport, TraceEvent};
@@ -67,8 +68,8 @@ fn push_meta_event(out: &mut String, first: &mut bool, kind: &str, tid: Option<u
 /// is self-describing: it opens with `ph: "M"` metadata naming the
 /// process (`pacor`) and its one thread (`session`), and closes with a
 /// synthetic zero-duration `run.totals` span whose args carry every
-/// counter total, so Perfetto shows the aggregate metrics without a
-/// separate `--metrics-out` file.
+/// counter total, so Perfetto shows the counter totals next to the
+/// spans.
 pub fn chrome_trace(report: &ObsReport) -> String {
     let events = report.events();
     let has_counters = report.counters().next().is_some();
@@ -127,53 +128,6 @@ pub fn chrome_trace(report: &ObsReport) -> String {
     out
 }
 
-/// Renders the report's aggregates as a flat metrics JSON document:
-/// `{"counters": {...}, "histograms": {name: {count, sum, min, max,
-/// buckets}}}`.
-///
-/// Deliberately contains **no wall-clock data** — no timestamps or
-/// durations — so for a deterministic flow the output is byte-identical
-/// run-to-run (keys iterate in sorted `BTreeMap` order).
-pub fn metrics_json(report: &ObsReport) -> String {
-    let mut out = String::from("{\n  \"counters\": {");
-    for (i, (name, value)) in report.counters().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    ");
-        push_json_string(&mut out, name);
-        let _ = write!(out, ": {value}");
-    }
-    out.push_str("\n  },\n  \"histograms\": {");
-    for (i, (name, hist)) in report.histograms().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    ");
-        push_json_string(&mut out, name);
-        let _ = write!(
-            out,
-            ": {{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \"p50\": {}, \"p95\": {}, \"p99\": {}, \"buckets\": [",
-            hist.count(),
-            hist.sum(),
-            hist.min(),
-            hist.max(),
-            hist.p50(),
-            hist.p95(),
-            hist.p99()
-        );
-        for (j, b) in hist.buckets().iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{b}");
-        }
-        out.push_str("]}");
-    }
-    out.push_str("\n  }\n}\n");
-    out
-}
-
 /// The staging sibling used by every atomic writer: `<path>.tmp`.
 pub(crate) fn tmp_path_of(path: &Path) -> PathBuf {
     let mut tmp = path.as_os_str().to_owned();
@@ -200,7 +154,7 @@ pub(crate) fn rename_or_cleanup(tmp: &Path, path: &Path) -> std::io::Result<()> 
 /// panic; a failed rename cleans the temp file up.
 ///
 /// This is the one temp+rename implementation in the workspace — the
-/// trace/metrics/report exporters, the run digest writer, and the
+/// trace and post-mortem exporters, the run digest writer, and the
 /// streaming-telemetry [`crate::StreamWriter`] all go through
 /// it (or through its [`tmp_path_of`]/[`rename_or_cleanup`] halves when
 /// they stream into the staging file incrementally).
@@ -243,36 +197,6 @@ mod tests {
     }
 
     #[test]
-    fn metrics_json_is_wall_clock_free_and_sorted() {
-        let session = Session::begin();
-        crate::counter_add("zeta", 1);
-        crate::counter_add("alpha", 2);
-        crate::record("h", 7);
-        let report = session.finish();
-        let json = crate::metrics_json(&report);
-        assert!(!json.contains("\"ts\""));
-        assert!(!json.contains("\"dur\""));
-        let alpha = json.find("\"alpha\"").unwrap();
-        let zeta = json.find("\"zeta\"").unwrap();
-        assert!(alpha < zeta, "counters must be name-sorted");
-        assert!(json.contains("\"count\": 1"));
-        assert!(json.contains("\"sum\": 7"));
-    }
-
-    #[test]
-    fn metrics_json_carries_quantiles() {
-        let session = Session::begin();
-        for i in 0..8u32 {
-            crate::record("q", 1u64 << i);
-        }
-        let report = session.finish();
-        let json = crate::metrics_json(&report);
-        assert!(json.contains("\"p50\": 8"), "{json}");
-        assert!(json.contains("\"p95\": 64"), "{json}");
-        assert!(json.contains("\"p99\": 64"), "{json}");
-    }
-
-    #[test]
     fn atomic_write_replaces_and_cleans_up() {
         let dir = std::env::temp_dir().join("pacor_obs_atomic_write");
         std::fs::create_dir_all(&dir).unwrap();
@@ -300,9 +224,6 @@ mod tests {
     fn empty_report_exports_are_valid_shells() {
         let report = Session::begin().finish();
         assert_eq!(crate::chrome_trace(&report).trim(), "[\n]");
-        let metrics = crate::metrics_json(&report);
-        assert!(metrics.contains("\"counters\""));
-        assert!(metrics.contains("\"histograms\""));
         // Spans without counters: no totals span.
         let session = Session::begin();
         drop(crate::span("only.span"));

@@ -15,9 +15,8 @@
 //!   routes each kind to the flight recorder or the telemetry stream
 //!   and derives its counter;
 //! * **Exporters** — [`chrome_trace`] renders the spans as Chrome
-//!   trace-event JSON (loadable in `chrome://tracing` or Perfetto) and
-//!   [`metrics_json`] renders a flat, wall-clock-free metrics document
-//!   that is byte-identical run to run.
+//!   trace-event JSON (loadable in `chrome://tracing` or Perfetto);
+//!   [`atomic_write`] puts every export file in place.
 //! * **Flight recorder** ([`flight_install`], [`flight_take`]) — a
 //!   bounded, deterministic ring of events (per-net search outcomes,
 //!   rip-up victims with reasons) plus congestion snapshots, feeding
@@ -51,8 +50,9 @@
 //!
 //! The flow records from one thread, in program order, so counter and
 //! histogram totals are as deterministic as the routing itself.
-//! Wall-clock timestamps appear only in the trace export and the
-//! stream's timing fields, never in [`metrics_json`].
+//! Wall-clock timestamps appear only in the trace export, the
+//! stream's timing fields and a digest's `wall` object, never in
+//! [`RunDigest::deterministic_json`].
 //!
 //! # Examples
 //!
@@ -93,7 +93,7 @@ pub use digest::{
     WallFacts, DIGEST_SCHEMA,
 };
 pub use event::{Event, FrontierCell, RipReason};
-pub use export::{atomic_write, chrome_trace, metrics_json};
+pub use export::{atomic_write, chrome_trace};
 pub use frame::TraceEvent;
 pub use histogram::Histogram;
 pub use progress::{

@@ -18,9 +18,6 @@
 //!
 //! * `--trace-out <path>` — write the run's Chrome trace-event JSON
 //!   (loadable in `chrome://tracing` or Perfetto).
-//! * `--metrics-out <path>` — write the run's flat metrics JSON
-//!   (counters + histograms with quantiles; byte-identical run to
-//!   run).
 //! * `--report-out <path>` — install the flight recorder around the run
 //!   and write the post-mortem report JSON (hottest cells, contended
 //!   nets, per-cluster LM slack, escape bottlenecks; byte-identical run
@@ -59,7 +56,7 @@ fn main() {
         Some("table2") => cmd_table2(&args[1..]),
         _ => {
             eprintln!(
-                "usage: pacor synth <design> [seed]\n       pacor route [--trace-out FILE] [--metrics-out FILE] [--report-out FILE] [--digest-out FILE] [--stream-out FILE|-] [--progress] [--watchdog BENCH.json] [--quiet] <problem.json|design>\n       pacor render <problem.json|design>\n       pacor table2 [--full]"
+                "usage: pacor synth <design> [seed]\n       pacor route [--trace-out FILE] [--report-out FILE] [--digest-out FILE] [--stream-out FILE|-] [--progress] [--watchdog BENCH.json] [--quiet] <problem.json|design>\n       pacor render <problem.json|design>\n       pacor table2 [--full]"
             );
             2
         }
@@ -84,7 +81,6 @@ fn design_of(name: &str) -> Option<BenchDesign> {
 #[derive(Debug, Default)]
 struct Options {
     trace_out: Option<String>,
-    metrics_out: Option<String>,
     report_out: Option<String>,
     digest_out: Option<String>,
     stream_out: Option<String>,
@@ -117,7 +113,6 @@ fn parse_options(args: &[String], allowed: &[&str]) -> Result<Options, String> {
         };
         match flag {
             "--trace-out" => opts.trace_out = Some(value()?),
-            "--metrics-out" => opts.metrics_out = Some(value()?),
             "--report-out" => opts.report_out = Some(value()?),
             "--digest-out" => opts.digest_out = Some(value()?),
             "--stream-out" => opts.stream_out = Some(value()?),
@@ -180,20 +175,6 @@ fn cmd_synth(args: &[String]) -> i32 {
     0
 }
 
-/// Writes the observability exports requested by `--trace-out` /
-/// `--metrics-out` from a finished outer session.
-fn write_exports(opts: &Options, report: &pacor::obs::ObsReport) -> Result<(), String> {
-    if let Some(path) = &opts.trace_out {
-        pacor::obs::atomic_write(path, pacor::obs::chrome_trace(report))
-            .map_err(|e| format!("writing {path}: {e}"))?;
-    }
-    if let Some(path) = &opts.metrics_out {
-        pacor::obs::atomic_write(path, pacor::obs::metrics_json(report))
-            .map_err(|e| format!("writing {path}: {e}"))?;
-    }
-    Ok(())
-}
-
 /// Derives the watchdog's per-stage wall-clock budgets from a
 /// committed bench report (`BENCH_flow.json`): four times each stage's
 /// worst committed `stage_ms`, floored at 50 ms so sub-millisecond
@@ -242,7 +223,6 @@ fn cmd_route(args: &[String]) -> i32 {
         args,
         &[
             "--trace-out",
-            "--metrics-out",
             "--report-out",
             "--digest-out",
             "--stream-out",
@@ -270,8 +250,7 @@ fn cmd_route(args: &[String]) -> i32 {
     };
     // An outer observability session captures the flow's events (the
     // flow's own nested session merges upward into it on finish).
-    let wants_obs =
-        opts.trace_out.is_some() || opts.metrics_out.is_some() || opts.digest_out.is_some();
+    let wants_obs = opts.trace_out.is_some() || opts.digest_out.is_some();
     let session = wants_obs.then(pacor::obs::Session::begin);
     let config = FlowConfig::default();
     if opts.report_out.is_some() {
@@ -325,9 +304,11 @@ fn cmd_route(args: &[String]) -> i32 {
     }
     match result {
         Ok(report) => {
-            if let Some(obs_report) = &obs_report {
-                if let Err(e) = write_exports(&opts, obs_report) {
-                    eprintln!("route: {e}");
+            if let Some(path) = &opts.trace_out {
+                let obs_report = obs_report.as_ref().expect("outer session was begun");
+                let json = pacor::obs::chrome_trace(obs_report);
+                if let Err(e) = pacor::obs::atomic_write(path, json) {
+                    eprintln!("route: writing {path}: {e}");
                     return 1;
                 }
             }

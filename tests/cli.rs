@@ -99,14 +99,14 @@ fn route_writes_trace_and_metrics_files() {
     let dir = std::env::temp_dir().join("pacor_cli_test");
     std::fs::create_dir_all(&dir).unwrap();
     let trace = dir.join("s1_trace.json");
-    let metrics = dir.join("s1_metrics.json");
+    let digest = dir.join("s1_digest.json");
     let out = pacor(&[
         "route",
         "--quiet",
         "--trace-out",
         trace.to_str().unwrap(),
-        "--metrics-out",
-        metrics.to_str().unwrap(),
+        "--digest-out",
+        digest.to_str().unwrap(),
         "S1",
     ]);
     assert!(out.status.success());
@@ -114,9 +114,12 @@ fn route_writes_trace_and_metrics_files() {
     assert!(trace_text.trim_start().starts_with('['));
     assert!(trace_text.contains("\"ph\":\"X\""), "needs span events");
     assert!(trace_text.contains("stage.escape"));
-    let metrics_text = std::fs::read_to_string(&metrics).unwrap();
-    assert!(metrics_text.contains("\"counters\""));
-    assert!(metrics_text.contains("astar.expansions"));
+    // The digest carries the run's metrics: every counter total and
+    // histogram summary.
+    let digest_text = std::fs::read_to_string(&digest).unwrap();
+    let value: serde::Value = serde_json::from_str(&digest_text).unwrap();
+    let counters = value.field("counters").expect("digest has counters");
+    assert!(counters.field("astar.expansions").is_ok(), "{digest_text}");
 }
 
 #[test]
@@ -148,9 +151,10 @@ fn route_rejects_bad_escape_solver() {
 #[test]
 fn route_rejects_the_retired_routing_mode_flags() {
     // Routing is flat only and single-threaded, negotiation has one
-    // rip-up rule and no command keeps a run ledger, so
-    // `--routing-mode`, `--gcell-size`, `--threads`, `--ripup-policy`
-    // and `--ledger` are unknown options (exit 2), never file names.
+    // rip-up rule, no command keeps a run ledger and the digest carries
+    // the metrics, so `--routing-mode`, `--gcell-size`, `--threads`,
+    // `--ripup-policy`, `--ledger` and `--metrics-out` are unknown
+    // options (exit 2), never file names.
     for cmd in ["route", "render", "table2"] {
         for flag in [
             ["--routing-mode", "flat"],
@@ -158,6 +162,7 @@ fn route_rejects_the_retired_routing_mode_flags() {
             ["--threads", "2"],
             ["--ripup-policy", "full"],
             ["--ledger", "runs.jsonl"],
+            ["--metrics-out", "metrics.json"],
         ] {
             let out = pacor(&[cmd, flag[0], flag[1], "S1"]);
             assert_eq!(out.status.code(), Some(2), "{cmd} {flag:?}");
@@ -446,7 +451,6 @@ fn export_flags_error_cleanly_on_missing_parent_dir() {
     let _ = std::fs::remove_dir_all(missing.parent().unwrap());
     for flag in [
         "--report-out",
-        "--metrics-out",
         "--trace-out",
         "--stream-out",
         "--digest-out",

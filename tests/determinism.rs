@@ -6,7 +6,8 @@
 //! full.
 
 use pacor_repro::pacor::{
-    synthesize_params, BenchDesign, DesignParams, PacorFlow, Problem, RouteReport, RoutedCluster,
+    run_digest, synthesize_params, BenchDesign, DesignParams, FlowConfig, PacorFlow, Problem,
+    RouteReport, RoutedCluster,
 };
 use std::time::Duration;
 
@@ -62,16 +63,21 @@ fn dense_chip() -> Problem {
 #[test]
 fn dense_chip_is_byte_identical_run_to_run() {
     // The report, the geometry and, under a recording session, the
-    // `metrics_json` bytes must repeat: this is the test that
-    // byte-compares `metrics_json` on a contended chip.
+    // deterministic digest bytes must repeat: this is the test that
+    // byte-compares the digest on a contended chip.
     let problem = dense_chip();
     let run = || {
+        let config = FlowConfig::default();
         let session = pacor_repro::pacor::obs::Session::begin();
-        let (report, routed) = PacorFlow::default()
+        let (report, routed) = PacorFlow::new(config)
             .run_detailed(&problem)
             .expect("dense chip routes");
-        let metrics = pacor_repro::pacor::obs::metrics_json(&session.finish());
-        (normalized(&report), geometry(&routed), metrics)
+        let digest = run_digest(&problem, &config, &report, &session.finish());
+        (
+            normalized(&report),
+            geometry(&routed),
+            digest.deterministic_json(),
+        )
     };
     let first = run();
     let second = run();
@@ -81,7 +87,7 @@ fn dense_chip_is_byte_identical_run_to_run() {
     );
     assert_eq!(first.0, second.0, "report drifted across runs");
     assert_eq!(first.1, second.1, "geometry drifted across runs");
-    assert_eq!(first.2, second.2, "metrics bytes drifted across runs");
+    assert_eq!(first.2, second.2, "digest bytes drifted across runs");
 }
 
 #[test]

@@ -8,20 +8,24 @@
 //! `tests/fixtures/golden/`, so an optimization PR can swap a kernel
 //! and prove nothing observable moved.
 //!
+//! Each chip's `<chip>.digest.json` is the deterministic part of its
+//! run digest: the outcome, every per-cluster verdict, every counter
+//! and every histogram summary. It is the one committed record of what
+//! a bench chip routed and counted; BENCH_flow.json refers to it by
+//! hash (`digest_hash`).
+//!
 //! Regenerate fixtures after an *intentional* routing change with:
 //!
 //! ```text
-//! UPDATE_GOLDEN=1 cargo test --test golden_flow -- --include-ignored
+//! UPDATE_GOLDEN=1 cargo test --test golden_flow
 //! ```
 //!
-//! The largest chip (`B3-dense96`) is `#[ignore]`d because a debug-mode
-//! run takes minutes; `make golden` runs it in release as part of
-//! `make verify`. Its telemetry stream (~122 KB) is not pinned;
-//! B0–B2's are, B2's reaching escape phase 3.
+//! B3's telemetry stream (~122 KB) and B4's are not pinned; B0–B2's
+//! are, B2's reaching escape phase 3.
 
 use pacor_bench::{collect_telemetry, BENCH_SEED, FLOW_BENCH_CHIPS, FLOW_SMOKE_CHIP};
 use pacor_repro::pacor::obs;
-use pacor_repro::pacor::{synthesize_params, DesignParams, PacorFlow};
+use pacor_repro::pacor::{run_digest, synthesize_params, DesignParams, FlowConfig, PacorFlow};
 use std::path::PathBuf;
 
 fn fixture_dir() -> PathBuf {
@@ -31,44 +35,17 @@ fn fixture_dir() -> PathBuf {
     ))
 }
 
-/// The deterministic scalar outcome of one run, serialized as the
-/// metrics fixture. Key order is fixed by serde_json's BTreeMap map
-/// representation, so the bytes are stable.
-fn metrics_snapshot(params: DesignParams) -> String {
+/// The deterministic part of one run's digest, built the way
+/// `route --digest-out` builds it: an outer session around a default
+/// run.
+fn digest_snapshot(params: DesignParams) -> String {
     let problem = synthesize_params(params, BENCH_SEED);
-    let report = PacorFlow::default()
+    let config = FlowConfig::default();
+    let session = obs::Session::begin();
+    let report = PacorFlow::new(config)
         .run(&problem)
         .expect("bench chips route");
-    let c = |name: &str| report.metrics.counter(name);
-    // Hand-built JSON (the vendored serde_json has no `json!`): fixed
-    // key order, `{:?}` for the f64 (shortest round-trip formatting).
-    format!(
-        "{{\n  \"chip\": \"{}\",\n  \"seed\": {},\n  \
-         \"total_length\": {},\n  \"completion_rate\": {:?},\n  \
-         \"valves_routed\": {},\n  \"valves_total\": {},\n  \
-         \"matched_clusters\": {},\n  \"matched_length\": {},\n  \
-         \"clusters_multi\": {},\n  \"rounds\": {},\n  \"ripups\": {},\n  \
-         \"escape_rounds\": {},\n  \"escape_ripped\": {},\n  \
-         \"escape_declustered\": {},\n  \"astar_queries\": {},\n  \
-         \"astar_expansions\": {},\n  \"detour_segments\": {}\n}}\n",
-        params.name,
-        BENCH_SEED,
-        report.total_length,
-        report.completion_rate(),
-        report.valves_routed,
-        report.valves_total,
-        report.matched_clusters,
-        report.matched_length,
-        report.clusters_multi,
-        c("negotiate.rounds"),
-        c("negotiate.ripups"),
-        c("escape.rounds"),
-        c("escape.ripped"),
-        c("escape.declustered"),
-        c("astar.queries"),
-        c("astar.expansions"),
-        c("detour.segments"),
-    )
+    run_digest(&problem, &config, &report, &session.finish()).deterministic_json()
 }
 
 /// The post-mortem report bytes of one flight-recorded run.
@@ -92,7 +69,7 @@ fn check_or_update(name: &str, actual: &str) {
     let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
         panic!(
             "missing golden fixture {} ({e}); regenerate with \
-             UPDATE_GOLDEN=1 cargo test --test golden_flow -- --include-ignored",
+             UPDATE_GOLDEN=1 cargo test --test golden_flow",
             path.display()
         )
     });
@@ -112,10 +89,13 @@ fn telemetry_snapshot(params: DesignParams) -> String {
     lines
 }
 
-/// Checks the chip's metrics and post-mortem fixtures, plus its
+/// Checks the chip's digest and post-mortem fixtures, plus its
 /// telemetry stream when `stream` is set.
 fn check_chip(params: DesignParams, stream: bool) {
-    check_or_update(&format!("{}.json", params.name), &metrics_snapshot(params));
+    check_or_update(
+        &format!("{}.digest.json", params.name),
+        &digest_snapshot(params),
+    );
     check_or_update(
         &format!("{}.report.json", params.name),
         &postmortem_snapshot(params),
@@ -144,7 +124,11 @@ fn golden_b2_dense48() {
 }
 
 #[test]
-#[ignore = "minutes in debug; `make golden` runs it in release"]
 fn golden_b3_dense96() {
     check_chip(FLOW_BENCH_CHIPS[2], false);
+}
+
+#[test]
+fn golden_b4_dense256() {
+    check_chip(FLOW_BENCH_CHIPS[3], false);
 }

@@ -1,7 +1,8 @@
-//! Observability-layer integration tests: trace/metrics exports of a
-//! real flow run, their schema shape, and their determinism.
+//! Observability-layer integration tests: the trace export and the run
+//! digest of a real flow run, their schema shape, and their
+//! determinism.
 
-use pacor_repro::pacor::{obs, BenchDesign, FlowConfig, PacorFlow};
+use pacor_repro::pacor::{obs, run_digest, BenchDesign, FlowConfig, PacorFlow};
 use serde::Value;
 
 /// Runs a design under an outer observability session (the way the CLI
@@ -13,6 +14,18 @@ fn traced_run(design: BenchDesign) -> obs::ObsReport {
         .run(&problem)
         .expect("bench designs route");
     session.finish()
+}
+
+/// The deterministic part of a design's run digest, built the way the
+/// CLI's `--digest-out` builds it.
+fn digest_of(design: BenchDesign) -> String {
+    let problem = design.synthesize(42);
+    let config = FlowConfig::default();
+    let session = obs::Session::begin();
+    let report = PacorFlow::new(config)
+        .run(&problem)
+        .expect("bench designs route");
+    run_digest(&problem, &config, &report, &session.finish()).deterministic_json()
 }
 
 #[test]
@@ -84,13 +97,13 @@ fn trace_spans_cover_every_stage() {
 }
 
 #[test]
-fn metrics_json_is_byte_identical_run_to_run() {
+fn digest_is_byte_identical_run_to_run() {
     for design in [BenchDesign::S1, BenchDesign::S2] {
-        let first = obs::metrics_json(&traced_run(design));
-        let second = obs::metrics_json(&traced_run(design));
-        assert_eq!(first, second, "{design:?} metrics differ between runs");
-        // And it must be valid JSON with the two expected sections.
-        let value: Value = serde_json::from_str(&first).expect("metrics JSON parses");
+        let first = digest_of(design);
+        let second = digest_of(design);
+        assert_eq!(first, second, "{design:?} digests differ between runs");
+        // And it must be valid JSON carrying the counters and histograms.
+        let value: Value = serde_json::from_str(&first).expect("digest JSON parses");
         value.field("counters").expect("counters section");
         value.field("histograms").expect("histograms section");
     }
