@@ -729,6 +729,7 @@ pub(crate) mod tests {
             full.starts_with(&format!("{body},\n  \"wall\": {{")),
             "the full document is the deterministic one plus wall: {det}"
         );
+        assert!(!det.contains("\"wall\""));
         assert!(!det.contains("wall_ms"));
         let mut other = d.clone();
         other.wall.wall_ms = 99999.0;

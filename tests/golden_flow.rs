@@ -35,28 +35,20 @@ fn fixture_dir() -> PathBuf {
     ))
 }
 
-/// The deterministic part of one run's digest, built the way
-/// `route --digest-out` builds it: an outer session around a default
-/// run.
-fn digest_snapshot(params: DesignParams) -> String {
+/// The deterministic part of one run's digest and its post-mortem,
+/// recorded the way `route --digest-out --report-out` records them: an
+/// outer session and the flight recorder around a default run.
+fn digest_and_postmortem(params: DesignParams) -> (String, String) {
     let problem = synthesize_params(params, BENCH_SEED);
     let config = FlowConfig::default();
     let session = obs::Session::begin();
+    obs::flight_install(obs::RecorderConfig::default());
     let report = PacorFlow::new(config)
         .run(&problem)
         .expect("bench chips route");
-    run_digest(&problem, &config, &report, &session.finish()).deterministic_json()
-}
-
-/// The post-mortem report bytes of one flight-recorded run.
-fn postmortem_snapshot(params: DesignParams) -> String {
-    let problem = synthesize_params(params, BENCH_SEED);
-    obs::flight_install(obs::RecorderConfig::default());
-    PacorFlow::default()
-        .run(&problem)
-        .expect("bench chips route");
     let log = obs::flight_take().expect("recorder installed");
-    obs::post_mortem_json(&log)
+    let digest = run_digest(&problem, &config, &report, &session.finish());
+    (digest.deterministic_json(), obs::post_mortem_json(&log))
 }
 
 fn check_or_update(name: &str, actual: &str) {
@@ -92,14 +84,9 @@ fn telemetry_snapshot(params: DesignParams) -> String {
 /// Checks the chip's digest and post-mortem fixtures, plus its
 /// telemetry stream when `stream` is set.
 fn check_chip(params: DesignParams, stream: bool) {
-    check_or_update(
-        &format!("{}.digest.json", params.name),
-        &digest_snapshot(params),
-    );
-    check_or_update(
-        &format!("{}.report.json", params.name),
-        &postmortem_snapshot(params),
-    );
+    let (digest, postmortem) = digest_and_postmortem(params);
+    check_or_update(&format!("{}.digest.json", params.name), &digest);
+    check_or_update(&format!("{}.report.json", params.name), &postmortem);
     if stream {
         check_or_update(
             &format!("{}.telemetry.jsonl", params.name),
