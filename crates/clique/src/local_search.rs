@@ -2,6 +2,9 @@
 
 use crate::{CliqueSolution, Greedy, WeightedGraph};
 
+/// Steps a reversed move stays forbidden.
+const TABU_TENURE: usize = 7;
+
 /// Local search over clique space with add / drop / swap moves and a
 /// short-term tabu list, seeded by [`Greedy`].
 ///
@@ -12,22 +15,12 @@ use crate::{CliqueSolution, Greedy, WeightedGraph};
 #[derive(Debug, Clone, Copy)]
 pub struct TabuLocalSearch {
     iterations: usize,
-    tabu_tenure: usize,
 }
 
 impl TabuLocalSearch {
     /// Creates a search running `iterations` move steps.
     pub fn new(iterations: usize) -> Self {
-        Self {
-            iterations,
-            tabu_tenure: 7,
-        }
-    }
-
-    /// Overrides the tabu tenure (steps a reversed move stays forbidden).
-    pub fn with_tenure(mut self, tenure: usize) -> Self {
-        self.tabu_tenure = tenure;
-        self
+        Self { iterations }
     }
 
     /// Runs the search.
@@ -99,7 +92,7 @@ impl TabuLocalSearch {
                 let in_old = current.contains(&v);
                 let in_new = nodes.contains(&v);
                 if in_old != in_new {
-                    tabu[v] = it + self.tabu_tenure;
+                    tabu[v] = it + TABU_TENURE;
                 }
             }
             current = nodes;

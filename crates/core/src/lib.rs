@@ -46,7 +46,6 @@ mod escape_stage;
 mod flow;
 mod lm_routing;
 mod mst_routing;
-mod physics;
 mod problem;
 mod render;
 mod report;
@@ -70,7 +69,6 @@ pub use detour::detour_cluster;
 pub use digest::{config_fingerprint, problem_hash, run_digest};
 pub use error::FlowError;
 pub use flow::PacorFlow;
-pub use physics::PropagationModel;
 pub use problem::{Problem, ProblemBuilder};
 pub use render::{render_ascii, render_svg};
 pub use report::{ClusterReport, FlowMetrics, RouteReport};

@@ -78,11 +78,6 @@ impl SteinerTree {
         self.sink_nodes.len()
     }
 
-    /// Node index of sink `i`.
-    pub fn sink_node(&self, i: usize) -> usize {
-        self.sink_nodes[i]
-    }
-
     /// Position of sink `i`.
     pub fn sink_point(&self, i: usize) -> Point {
         self.nodes[self.sink_nodes[i]].point

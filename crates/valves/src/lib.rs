@@ -30,16 +30,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod addressing;
 mod cluster;
 mod compat;
-mod schedule;
 mod sequence;
 mod valve;
 
-pub use addressing::{driver_sequence, AddressingStats};
 pub use cluster::{Cluster, ClusterId};
 pub use compat::CompatGraph;
-pub use schedule::{ControlProgram, DeviceId, IdlePolicy, ScheduleError};
 pub use sequence::{ActivationSequence, ActivationStatus, ParseSequenceError};
 pub use valve::{Valve, ValveId, ValveSet};

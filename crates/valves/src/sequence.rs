@@ -28,17 +28,6 @@ impl ActivationStatus {
         )
     }
 
-    /// The most specific status compatible with both inputs, when one
-    /// exists — the "merge" used when a control pin drives both valves.
-    pub fn unify(self, other: ActivationStatus) -> Option<ActivationStatus> {
-        use ActivationStatus::*;
-        match (self, other) {
-            (DontCare, s) | (s, DontCare) => Some(s),
-            (a, b) if a == b => Some(a),
-            _ => None,
-        }
-    }
-
     /// Character representation (`'0'`, `'1'`, `'X'`).
     pub fn to_char(self) -> char {
         match self {
@@ -116,14 +105,6 @@ impl ActivationSequence {
         Self { steps }
     }
 
-    /// The all-don't-care sequence of length `n` (compatible with every
-    /// sequence of the same length).
-    pub fn all_dont_care(n: usize) -> Self {
-        Self {
-            steps: vec![ActivationStatus::DontCare; n],
-        }
-    }
-
     /// Number of time steps.
     #[inline]
     pub fn len(&self) -> usize {
@@ -151,21 +132,6 @@ impl ActivationSequence {
                 .iter()
                 .zip(&other.steps)
                 .all(|(a, b)| a.is_compatible(*b))
-    }
-
-    /// Merges two compatible sequences into the sequence a shared control
-    /// pin would drive, or `None` when incompatible.
-    pub fn unify(&self, other: &ActivationSequence) -> Option<ActivationSequence> {
-        if self.steps.len() != other.steps.len() {
-            return None;
-        }
-        let steps: Option<Vec<_>> = self
-            .steps
-            .iter()
-            .zip(&other.steps)
-            .map(|(a, b)| a.unify(*b))
-            .collect();
-        steps.map(ActivationSequence::new)
     }
 
     /// Number of don't-care steps; a coarse measure of how "mergeable"
@@ -221,14 +187,6 @@ mod tests {
     }
 
     #[test]
-    fn status_unify() {
-        assert_eq!(Open.unify(DontCare), Some(Open));
-        assert_eq!(DontCare.unify(Closed), Some(Closed));
-        assert_eq!(DontCare.unify(DontCare), Some(DontCare));
-        assert_eq!(Open.unify(Closed), None);
-    }
-
-    #[test]
     fn parse_roundtrip() {
         let s: ActivationSequence = "01X10x".parse().unwrap();
         assert_eq!(s.len(), 6);
@@ -260,25 +218,6 @@ mod tests {
         let a: ActivationSequence = "01".parse().unwrap();
         let b: ActivationSequence = "01X".parse().unwrap();
         assert!(!a.is_compatible(&b));
-        assert_eq!(a.unify(&b), None);
-    }
-
-    #[test]
-    fn unify_sequences() {
-        let a: ActivationSequence = "0XX".parse().unwrap();
-        let b: ActivationSequence = "X1X".parse().unwrap();
-        let u = a.unify(&b).unwrap();
-        assert_eq!(u.to_string(), "01X");
-        // The unified sequence stays compatible with both inputs.
-        assert!(u.is_compatible(&a) && u.is_compatible(&b));
-    }
-
-    #[test]
-    fn all_dont_care_is_universal() {
-        let x = ActivationSequence::all_dont_care(4);
-        let a: ActivationSequence = "0110".parse().unwrap();
-        assert!(x.is_compatible(&a));
-        assert_eq!(x.dont_care_count(), 4);
     }
 
     #[test]

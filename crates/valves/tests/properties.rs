@@ -33,18 +33,6 @@ proptest! {
     }
 
     #[test]
-    fn unify_agrees_with_compatibility(a in arb_sequence(5), b in arb_sequence(5)) {
-        let u = a.unify(&b);
-        prop_assert_eq!(u.is_some(), a.is_compatible(&b));
-        if let Some(u) = u {
-            prop_assert!(u.is_compatible(&a));
-            prop_assert!(u.is_compatible(&b));
-            // Unification never introduces don't-cares.
-            prop_assert!(u.dont_care_count() <= a.dont_care_count().min(b.dont_care_count()));
-        }
-    }
-
-    #[test]
     fn parse_display_roundtrip(s in arb_sequence(12)) {
         let text = s.to_string();
         let back: ActivationSequence = text.parse().unwrap();

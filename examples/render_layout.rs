@@ -6,10 +6,7 @@
 //! cargo run --release --example render_layout -- S3      # any design
 //! ```
 
-use pacor_repro::grid::DesignRules;
-use pacor_repro::pacor::{
-    render_ascii, render_svg, BenchDesign, FlowConfig, PacorFlow, PropagationModel,
-};
+use pacor_repro::pacor::{render_ascii, render_svg, BenchDesign, FlowConfig, PacorFlow};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let which = std::env::args().nth(1).unwrap_or_else(|| "S1".into());
@@ -41,16 +38,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let path = format!("target/{}_layout.svg", problem.name);
     std::fs::write(&path, svg)?;
     println!("wrote {path}");
-
-    // Physical interpretation of the matching quality.
-    let model = PropagationModel::typical_pdms(DesignRules::typical_pdms());
-    for (i, rc) in routed.iter().enumerate() {
-        if let Some(skew) = model.cluster_skew_us(rc) {
-            println!(
-                "cluster {i}: switching skew {skew:.1} µs ({} grid tracks of mismatch)",
-                rc.mismatch().unwrap_or(0)
-            );
-        }
-    }
     Ok(())
 }

@@ -1,11 +1,11 @@
 //! Composing a custom flow from the public stage API — the use case
-//! docs/GUIDE.md §6 documents: reorder stages, skip stages, instrument
+//! docs/GUIDE.md §5 documents: reorder stages, skip stages, instrument
 //! between them.
 
 use pacor_repro::grid::ObsMap;
 use pacor_repro::pacor::stages::{escape_all, route_lm_clusters, route_ordinary_clusters};
 use pacor_repro::pacor::{detour_cluster, verify_layout, BenchDesign, FlowConfig, Problem};
-use pacor_repro::valves::{driver_sequence, AddressingStats, Cluster};
+use pacor_repro::valves::Cluster;
 
 /// A "no-detour" flow: everything PACOR does except stage 6.
 fn run_without_detour(problem: &Problem) -> Vec<pacor_repro::pacor::RoutedCluster> {
@@ -90,22 +90,6 @@ fn detour_stage_is_what_creates_matches() {
         verify_layout(&problem, &routed).is_empty(),
         "manual detour keeps geometry clean"
     );
-}
-
-#[test]
-fn addressing_stats_of_the_final_clustering() {
-    let problem = BenchDesign::S3.synthesize(42);
-    let clusters = problem.valves.cluster_greedy(&problem.lm_clusters);
-    let stats = AddressingStats::of(&clusters);
-    assert_eq!(stats.valves, problem.valve_count());
-    assert!(stats.pins <= stats.valves);
-    // Every cluster must have a consistent driver sequence.
-    for c in &clusters {
-        let d = driver_sequence(&problem.valves, c).expect("clusters are compatible");
-        for m in c.members() {
-            assert!(d.is_compatible(problem.valves.get(*m).unwrap().sequence()));
-        }
-    }
 }
 
 #[test]
