@@ -131,17 +131,11 @@ impl PacorFlow {
         // for what stayed unrouted and where the chip ended up congested.
         if pacor_obs::recording() {
             for rc in &routed {
-                let complete = rc.is_complete();
-                let lm = rc.cluster.is_length_matched();
                 pacor_obs::emit(pacor_obs::Event::ClusterOutcome {
                     cluster: rc.cluster.id().0,
                     valves: rc.cluster.len() as u32,
-                    lm,
-                    complete,
-                    matched: lm && complete && rc.is_matched(problem.delta),
-                    length: rc.total_length(),
-                    mismatch: rc.mismatch(),
-                    delta: problem.delta,
+                    lm: rc.cluster.is_length_matched(),
+                    complete: rc.is_complete(),
                 });
             }
             pacor_obs::flight_snapshot(pacor_obs::CongestionSnapshot {

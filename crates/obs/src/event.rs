@@ -168,14 +168,6 @@ pub enum Event {
         lm: bool,
         /// Whether every edge (and its escape) routed.
         complete: bool,
-        /// Whether the LM window was met (false for non-LM clusters).
-        matched: bool,
-        /// Total routed length.
-        length: u64,
-        /// Worst pairwise length mismatch, when defined.
-        mismatch: Option<u64>,
-        /// The chip's δ window.
-        delta: u64,
     },
     /// The flow accepted a problem and is about to run stage 1.
     FlowStarted {

@@ -3,9 +3,10 @@
 //! [`post_mortem_json`] distills a drained flight recorder into a
 //! diagnostic JSON document: which nets stayed unrouted and what walled
 //! them in, the most-contended nets, the hottest cells and history-cost
-//! percentiles, per-cluster LM slack against the δ window, and the
-//! escape-stage bottleneck cells. [`render_heatmap`] draws the same
-//! congestion data as an ASCII grid for terminal triage.
+//! percentiles, and the escape-stage bottleneck cells. It keeps only
+//! totals that no counter holds; the run digest carries the outcome,
+//! the per-cluster verdicts and every counter. [`render_heatmap`] draws
+//! the same congestion data as an ASCII grid for terminal triage.
 //!
 //! # Determinism
 //!
@@ -38,34 +39,23 @@ struct NetStats {
 /// pretty-printed JSON document (see module docs for the guarantees).
 pub fn post_mortem_json(log: &FlightLog) -> String {
     let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"schema\": \"pacor-postmortem-v1\",");
+    let _ = writeln!(out, "  \"schema\": \"pacor-postmortem-v2\",");
 
     // Per-net and aggregate negotiation statistics.
     let mut nets: BTreeMap<u32, NetStats> = BTreeMap::new();
     let mut ripups_by_reason: BTreeMap<&'static str, u64> = BTreeMap::new();
-    let mut outcomes: Vec<&Event> = Vec::new();
+    // (cluster id, valves, lm) of every cluster that stayed unrouted.
+    let mut unrouted: Vec<(u32, u32, bool)> = Vec::new();
     let mut escape_failed = 0u64;
-    let mut declustered = 0u64;
-    let mut escape_rips = 0u64;
-    let mut detour_segments = 0u64;
-    let mut detour_added = 0u64;
-    let mut mst_commits = 0u64;
-    let mut mst_splits = 0u64;
     // (blocked cluster id) -> the walls around its pocket.
     let mut blocked: BTreeMap<u32, &Event> = BTreeMap::new();
     // (y, x) -> number of EscapeBlocked frontiers the cell appears in.
     let mut bottleneck: BTreeMap<(i32, i32), u64> = BTreeMap::new();
-    // Session id of the last round seen per session, to count rounds.
-    let mut session_rounds: BTreeMap<u32, u32> = BTreeMap::new();
 
     for event in log.events() {
         match event {
             Event::NetAttempt {
-                session,
-                round,
-                net,
-                routed,
-                ..
+                round, net, routed, ..
             } => {
                 let s = nets.entry(*net).or_default();
                 s.attempts += 1;
@@ -73,17 +63,18 @@ pub fn post_mortem_json(log: &FlightLog) -> String {
                     s.failures += 1;
                 }
                 s.last_round = s.last_round.max(*round);
-                let r = session_rounds.entry(*session).or_default();
-                *r = (*r).max(*round);
             }
             Event::RipUp { net, reason, .. } => {
                 nets.entry(*net).or_default().ripups += 1;
                 *ripups_by_reason.entry(reason.label()).or_default() += 1;
             }
-            Event::ClusterOutcome { .. } => outcomes.push(event),
+            Event::ClusterOutcome {
+                cluster,
+                valves,
+                lm,
+                complete: false,
+            } => unrouted.push((*cluster, *valves, *lm)),
             Event::EscapeFailed { .. } => escape_failed += 1,
-            Event::Declustered { .. } => declustered += 1,
-            Event::EscapeRip { .. } => escape_rips += 1,
             Event::EscapeBlocked {
                 cluster, frontier, ..
             } => {
@@ -92,75 +83,19 @@ pub fn post_mortem_json(log: &FlightLog) -> String {
                     *bottleneck.entry((cell.y, cell.x)).or_default() += 1;
                 }
             }
-            Event::DetourSegment { added, .. } => {
-                detour_segments += 1;
-                detour_added += added;
-            }
-            Event::MstCommit { .. } => mst_commits += 1,
-            Event::MstSplit { .. } => mst_splits += 1,
-            // The rest carry no aggregate of their own (stream kinds
+            // The rest carry no evidence of their own (stream kinds
             // never reach the ring).
             _ => {}
         }
     }
-    let rounds: u64 = session_rounds.values().map(|&r| r as u64).sum();
-
-    // -- outcome ------------------------------------------------------
-    let mut unrouted: Vec<u32> = Vec::new();
-    let mut complete = 0u64;
-    let mut matched = 0u64;
-    let mut lm_total = 0u64;
-    let mut total_length = 0u64;
-    for o in &outcomes {
-        if let Event::ClusterOutcome {
-            cluster,
-            lm,
-            complete: c,
-            matched: m,
-            length,
-            ..
-        } = o
-        {
-            if *c {
-                complete += 1;
-            } else {
-                unrouted.push(*cluster);
-            }
-            if *m {
-                matched += 1;
-            }
-            if *lm {
-                lm_total += 1;
-            }
-            total_length += length;
-        }
-    }
-    unrouted.sort_unstable();
-    let _ = writeln!(
-        out,
-        "  \"outcome\": {{\"clusters\": {}, \"complete\": {complete}, \"unrouted\": {}, \"lm_clusters\": {lm_total}, \"matched\": {matched}, \"total_length\": {total_length}}},",
-        outcomes.len(),
-        json_u32_list(&unrouted)
-    );
+    unrouted.sort_by_key(|&(cluster, ..)| cluster);
 
     // -- unrouted nets with their escape walls ------------------------
     out.push_str("  \"unrouted_nets\": [");
-    for (i, &cluster) in unrouted.iter().enumerate() {
+    for (i, &(cluster, valves, lm)) in unrouted.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        let (valves, lm) = outcomes
-            .iter()
-            .find_map(|o| match o {
-                Event::ClusterOutcome {
-                    cluster: c,
-                    valves,
-                    lm,
-                    ..
-                } if *c == cluster => Some((*valves, *lm)),
-                _ => None,
-            })
-            .unwrap_or((0, false));
         let _ = write!(
             out,
             "\n    {{\"cluster\": {cluster}, \"valves\": {valves}, \"lm\": {lm}"
@@ -193,13 +128,12 @@ pub fn post_mortem_json(log: &FlightLog) -> String {
     }
     out.push_str("\n  ],\n");
 
-    // -- negotiation aggregates ---------------------------------------
+    // -- negotiation totals that no counter holds ---------------------
     let attempts: u64 = nets.values().map(|s| s.attempts).sum();
     let failures: u64 = nets.values().map(|s| s.failures).sum();
-    let total_ripups: u64 = nets.values().map(|s| s.ripups).sum();
     let _ = write!(
         out,
-        "  \"negotiation\": {{\"sessions\": {}, \"rounds\": {rounds}, \"attempts\": {attempts}, \"failed_attempts\": {failures}, \"ripups\": {total_ripups}, \"ripups_by_reason\": {{",
+        "  \"negotiation\": {{\"sessions\": {}, \"attempts\": {attempts}, \"failed_attempts\": {failures}, \"ripups_by_reason\": {{",
         log.sessions()
     );
     for (i, (label, n)) in ripups_by_reason.iter().enumerate() {
@@ -264,45 +198,12 @@ pub fn post_mortem_json(log: &FlightLog) -> String {
     }
     out.push_str("\n  ],\n");
 
-    // -- per-cluster LM slack vs the δ window -------------------------
-    out.push_str("  \"lm_clusters\": [");
-    let mut first = true;
-    for o in &outcomes {
-        if let Event::ClusterOutcome {
-            cluster,
-            lm: true,
-            matched,
-            length,
-            mismatch,
-            delta,
-            ..
-        } = o
-        {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(
-                out,
-                "\n    {{\"cluster\": {cluster}, \"length\": {length}, \"delta\": {delta}, \"mismatch\": "
-            );
-            match mismatch {
-                Some(m) => {
-                    let _ = write!(out, "{m}, \"slack\": {}", *delta as i64 - *m as i64);
-                }
-                None => out.push_str("null, \"slack\": null"),
-            }
-            let _ = write!(out, ", \"matched\": {matched}}}");
-        }
-    }
-    out.push_str("\n  ],\n");
-
     // -- escape bottlenecks -------------------------------------------
     let mut walls: Vec<(&(i32, i32), &u64)> = bottleneck.iter().collect();
     walls.sort_by(|a, b| (b.1, a.0).cmp(&(a.1, b.0)));
     let _ = write!(
         out,
-        "  \"escape\": {{\"failed\": {escape_failed}, \"declustered\": {declustered}, \"ripped\": {escape_rips}, \"bottleneck_cells\": ["
+        "  \"escape\": {{\"failed\": {escape_failed}, \"bottleneck_cells\": ["
     );
     for (i, ((y, x), n)) in walls.iter().take(TOP_K).enumerate() {
         if i > 0 {
@@ -312,15 +213,7 @@ pub fn post_mortem_json(log: &FlightLog) -> String {
     }
     out.push_str("]},\n");
 
-    // -- remaining aggregates -----------------------------------------
-    let _ = writeln!(
-        out,
-        "  \"detour\": {{\"segments\": {detour_segments}, \"added_length\": {detour_added}}},"
-    );
-    let _ = writeln!(
-        out,
-        "  \"mst\": {{\"commits\": {mst_commits}, \"splits\": {mst_splits}}},"
-    );
+    // -- recorder health ----------------------------------------------
     let _ = writeln!(
         out,
         "  \"snapshots\": {{\"recorded\": {}, \"dropped\": {}}},",
@@ -455,10 +348,6 @@ mod tests {
                 valves: 2,
                 lm: true,
                 complete,
-                matched: complete,
-                length: if complete { 11 } else { 0 },
-                mismatch: if complete { Some(0) } else { None },
-                delta: 1,
             });
         }
         flight_snapshot(CongestionSnapshot {
@@ -477,7 +366,18 @@ mod tests {
     fn post_mortem_names_unrouted_nets_and_walls() {
         let log = sample_log();
         let json = post_mortem_json(&log);
-        assert!(json.contains("\"unrouted\": [9]"), "{json}");
+        assert!(
+            json.contains("\"schema\": \"pacor-postmortem-v2\""),
+            "{json}"
+        );
+        // Only the failed cluster is named, with the walls of its pocket.
+        assert!(
+            json.contains(
+                "\"unrouted_nets\": [\n    {\"cluster\": 9, \"valves\": 2, \"lm\": true,"
+            ),
+            "{json}"
+        );
+        assert!(!json.contains("\"cluster\": 4"), "{json}");
         assert!(json.contains("\"pocket_cells\": 4"), "{json}");
         assert!(json.contains("\"blockers\": [4]"), "{json}");
         assert!(
@@ -485,7 +385,6 @@ mod tests {
             "{json}"
         );
         assert!(json.contains("\"contended_wall\": 1"), "{json}");
-        assert!(json.contains("\"slack\": 1"), "{json}");
         assert!(json.contains("\"max_milli\": 1500"), "{json}");
         // The hottest cell leads the ranking.
         assert!(

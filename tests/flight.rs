@@ -1,5 +1,6 @@
 //! Flight-recorder determinism (docs/OBSERVABILITY.md): the post-mortem
-//! report and the ASCII heatmap are **byte-identical** run to run.
+//! report and the ASCII heatmap are **byte-identical** run to run, and
+//! the report's rip-ups by reason add up to the rip-up counter.
 
 use pacor_repro::pacor::obs;
 use pacor_repro::pacor::{synthesize_params, DesignParams, FlowConfig, PacorFlow};
@@ -92,12 +93,49 @@ fn report_is_a_pure_function_of_the_log() {
     // The report must be non-trivial: a failing chip names its unrouted
     // nets, and the run produced events and snapshots.
     assert!(
-        !a.contains("\"unrouted\": []"),
+        a.contains("\"unrouted_nets\": [\n    {\"cluster\": "),
         "starved chip must leave nets unrouted:\n{a}"
     );
-    assert!(a.contains("\"schema\": \"pacor-postmortem-v1\""));
+    assert!(a.contains("\"schema\": \"pacor-postmortem-v2\""));
     assert!(ha.contains("congestion heatmap"));
     let (b, hb) = run_recorded(STARVED);
     assert_eq!(a, b, "same run, same bytes");
     assert_eq!(ha, hb);
+}
+
+/// The post-mortem keeps only the totals that no counter holds; its one
+/// split of a counted total, the rip-ups by reason, must add up to the
+/// counter, and the totals the run digest pins must be gone.
+#[test]
+fn post_mortem_splits_add_up_to_the_counters() {
+    let problem = synthesize_params(DENSE, 42);
+    let session = obs::Session::begin();
+    obs::flight_install(obs::RecorderConfig::default());
+    PacorFlow::default().run(&problem).expect("chip runs");
+    let log = obs::flight_take().expect("recorder installed");
+    let counters = session.finish();
+    let text = obs::post_mortem_json(&log);
+    let doc: serde::Value = serde_json::from_str(&text).expect("report parses");
+    let int = |v: &serde::Value| match v {
+        serde::Value::Int(i) => *i,
+        other => panic!("expected an integer, got {other:?}"),
+    };
+
+    let negotiation = doc.field("negotiation").unwrap();
+    let serde::Value::Object(reasons) = negotiation.field("ripups_by_reason").unwrap() else {
+        panic!("ripups_by_reason must be an object:\n{text}");
+    };
+    let by_reason: i64 = reasons.iter().map(|(_, n)| int(n)).sum();
+    let ripups = counters.counter("negotiate.ripups");
+    assert!(ripups > 0, "the dense chip must rip up");
+    assert_eq!(by_reason, ripups as i64, "rip-ups by reason:\n{text}");
+    assert_eq!(int(doc.field("dropped_events").unwrap()), 0);
+    assert!(
+        int(negotiation.field("failed_attempts").unwrap())
+            <= int(negotiation.field("attempts").unwrap()),
+        "{text}"
+    );
+    for key in ["outcome", "lm_clusters", "detour", "mst"] {
+        assert!(doc.field(key).is_err(), "the digest holds {key}:\n{text}");
+    }
 }

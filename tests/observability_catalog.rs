@@ -7,7 +7,8 @@
 //! fails here. The Counters, Histograms, Spans and Events tables are
 //! also checked the other way: each row must be emitted by the smoke
 //! flow or sit in [`NEVER_FIRES`], so a deleted emit site cannot leave
-//! a stale row behind.
+//! a stale row behind. The run digest, the rundiff and the post-mortem
+//! are walked key by key against their tables.
 
 use pacor_repro::pacor::obs::{self, TraceEvent};
 use pacor_repro::pacor::{
@@ -27,6 +28,20 @@ const DENSE: DesignParams = DesignParams {
     obstacles: 50,
     multi_clusters: 8,
     pairs_only: false,
+};
+
+/// More clusters than control pins (the starved chip of
+/// `tests/flight.rs`): escape must leave nets unrouted, so the
+/// post-mortem names them with the walls of their pockets.
+const STARVED: DesignParams = DesignParams {
+    name: "T1-starved",
+    width: 20,
+    height: 20,
+    valves: 8,
+    control_pins: 2,
+    obstacles: 0,
+    multi_clusters: 3,
+    pairs_only: true,
 };
 
 /// Catalogued names the smoke flow never emits, each with the reason it
@@ -69,15 +84,24 @@ fn read_catalog() -> String {
     .expect("docs/OBSERVABILITY.md exists")
 }
 
-/// The backticked first-column names of the catalog table under the
-/// `## {heading}` section.
-fn table_names(catalog: &str, heading: &str) -> Vec<String> {
+/// The rows of the first table under the `## {heading}` section.
+fn first_table<'a>(catalog: &'a str, heading: &str) -> Vec<&'a str> {
     let section = catalog
         .split("\n## ")
         .find(|s| s.starts_with(heading))
         .unwrap_or_else(|| panic!("catalog has a `## {heading}` section"));
     section
         .lines()
+        .skip_while(|l| !l.starts_with('|'))
+        .take_while(|l| l.starts_with('|'))
+        .collect()
+}
+
+/// The backticked first-column names of the first catalog table under
+/// the `## {heading}` section.
+fn table_names(catalog: &str, heading: &str) -> Vec<String> {
+    first_table(catalog, heading)
+        .into_iter()
         .filter_map(|l| l.strip_prefix("| `"))
         .map(|l| l[..l.find('`').expect("name is backticked")].to_string())
         .collect()
@@ -293,5 +317,30 @@ fn digest_and_diff_schema_keys_are_catalogued() {
     assert!(
         missing.is_empty(),
         "digest/diff schema keys missing from docs/OBSERVABILITY.md: {missing:?}"
+    );
+
+    // The post-mortem of a chip that leaves nets unrouted, against the
+    // key table of `## Post-mortems` (not the map of v1 fields below it).
+    obs::flight_install(obs::RecorderConfig::default());
+    PacorFlow::new(config)
+        .run(&synthesize_params(STARVED, 42))
+        .expect("starved chip runs");
+    let log = obs::flight_take().expect("recorder installed");
+    let post_mortem: serde::Value =
+        serde_json::from_str(&obs::post_mortem_json(&log)).expect("post-mortem JSON parses");
+    let mut post_mortem_keys: BTreeSet<String> = BTreeSet::new();
+    collect_keys(&post_mortem, &mut post_mortem_keys);
+    assert!(
+        post_mortem_keys.contains("pocket_cells"),
+        "post-mortem walk too tame to guard the catalog: {post_mortem_keys:?}"
+    );
+    let table = first_table(&catalog, "Post-mortems").join("\n");
+    let missing: Vec<&String> = post_mortem_keys
+        .iter()
+        .filter(|k| !table.contains(&format!("`{k}`")))
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "post-mortem keys missing from the docs/OBSERVABILITY.md post-mortem table: {missing:?}"
     );
 }
