@@ -2,20 +2,20 @@
 
 CARGO ?= cargo
 
-.PHONY: verify build test fmt-check clippy bench tables obs-smoke stream-smoke bench-flow bench-smoke bench-check digest-smoke golden profile
+.PHONY: verify build test fmt-check clippy doc-check bench tables obs-smoke stream-smoke bench-flow bench-smoke bench-check digest-smoke golden profile
 
 # The acceptance gate: release build, full test suite (which includes
 # the escape solver's min-cost-flow optimality certificate on 300
 # random scenarios, crates/flow/src/certificate.rs, and the
 # EXPERIMENTS.md gate, tests/chips.rs), rustfmt-clean sources,
-# zero-warning lints, the golden end-to-end snapshots (all chips,
+# zero-warning lints and docs, the golden end-to-end snapshots (all chips,
 # release mode), a smoke-run of the observability exports, a smoke-run
 # of the streaming telemetry, a smoke-run of the end-to-end flow
 # benchmark harness, a run-identity, attribution and stage-budget check
 # of the B1, B2 and B4 benchmark tiers against the committed
 # BENCH_flow.json baseline, and a smoke-run of the run-digest / differ
 # loop.
-verify: build test fmt-check clippy golden obs-smoke stream-smoke bench-smoke bench-check digest-smoke
+verify: build test fmt-check clippy doc-check golden obs-smoke stream-smoke bench-smoke bench-check digest-smoke
 
 build:
 	$(CARGO) build --release --workspace
@@ -30,6 +30,11 @@ fmt-check:
 
 clippy:
 	$(CARGO) clippy --workspace --all-targets -- -D warnings
+
+# Every workspace member's rustdoc builds without a warning: a doc link
+# to a deleted or private item fails here.
+doc-check:
+	RUSTDOCFLAGS="-D warnings" $(CARGO) doc --workspace --no-deps
 
 bench:
 	$(CARGO) bench -p pacor-bench --bench kernels
@@ -114,7 +119,8 @@ bench-smoke:
 # post-mortem per chip, plus the deterministic telemetry stream
 # (`*.telemetry.jsonl`) of B0-B2. Tier-1 runs the same tests in debug.
 # Regenerate fixtures after an intentional routing change with
-# `UPDATE_GOLDEN=1 make golden`, then `make bench-flow`.
+# `UPDATE_GOLDEN=1 make golden`, then `make bench-flow` when a digest
+# moved (a post-mortem-only change moves no `digest_hash`).
 golden:
 	$(CARGO) test --release --test golden_flow
 

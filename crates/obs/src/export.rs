@@ -156,7 +156,7 @@ pub(crate) fn rename_or_cleanup(tmp: &Path, path: &Path) -> std::io::Result<()> 
 /// This is the one temp+rename implementation in the workspace — the
 /// trace and post-mortem exporters, the run digest writer, and the
 /// streaming-telemetry [`crate::StreamWriter`] all go through
-/// it (or through its [`tmp_path_of`]/[`rename_or_cleanup`] halves when
+/// it (or through its `tmp_path_of`/`rename_or_cleanup` halves when
 /// they stream into the staging file incrementally).
 pub fn atomic_write(path: impl AsRef<Path>, contents: impl AsRef<[u8]>) -> std::io::Result<()> {
     let path = path.as_ref();
