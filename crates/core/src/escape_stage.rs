@@ -16,8 +16,12 @@
 //! 3. **Last resort** — every round rips all escapes, re-solves
 //!    globally, and de-clusters every multi-valve net still walling a
 //!    failure (analysis runs in the escape-free state, so every wall
-//!    found is an internal net). Strictly reduces the multi-cluster
-//!    count, so it provably reaches the max-completion state.
+//!    found is an internal net). Each round that goes on strictly
+//!    lowers the number of multi-valve clusters, so the loop ends. It
+//!    does not maximise the valves routed: de-clustering a routed pair
+//!    turns one pin into two, and a run can end below its best round
+//!    (B3-dense96 at design seed 42 peaks at 173 valves after phase 1's
+//!    second round and ends at 164).
 
 use crate::lm_routing::reroute_lm_cluster;
 use crate::mst_routing::route_mst_cluster;
@@ -414,10 +418,11 @@ impl EscapeRun<'_> {
     /// Trade matching for completion: every round rips ALL escapes and
     /// re-solves the global min-cost flow. Blocker analysis runs in this
     /// escape-free state, so every wall found is an internal *net*; the
-    /// owning multi-valve clusters are de-clustered, strictly reducing
-    /// the multi-cluster count each round — the loop provably reaches a
-    /// state where the flow routes everything physically reachable past
-    /// valves and hard obstacles.
+    /// owning multi-valve clusters are de-clustered, so each round that
+    /// goes on strictly lowers the number of multi-valve clusters and
+    /// the loop ends. The state it ends in need not route the most
+    /// valves: a de-clustered pair needs two pins where it needed one,
+    /// and the last round's routes are committed, not the best round's.
     fn last_resort(&mut self) {
         let _phase_span = pacor_obs::span("escape.phase3");
         for _ in 0..self.routed.len() + 4 {
